@@ -11,7 +11,9 @@ package gridmdo_bench
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -263,8 +265,35 @@ func BenchmarkFrameEncodeDecode(b *testing.B) {
 	}
 }
 
-// BenchmarkWirePayloadKinds measures the message codec per payload kind:
-// every binary fast path plus the gob fallback, over the same
+// appPayload builds a value of one of the applications' message types,
+// which this package cannot name, by decoding a body laid out by hand
+// after the type's tag: signed fields are zig-zag varints, counts are
+// uvarints, floats are 8 bytes big-endian (DESIGN.md has the tag table).
+func appPayload(b *testing.B, tag byte, body []byte) any {
+	frame, err := core.EncodeMessage(&core.Message{Kind: core.KindApp})
+	if err != nil {
+		b.Fatal(err)
+	}
+	frame[len(frame)-1] = tag
+	m, err := core.DecodeMessage(append(frame, body...))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return m.Data
+}
+
+// f64Body appends n floats, 8 bytes each.
+func f64Body(dst []byte, n int) []byte {
+	for i := 0; i < n; i++ {
+		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(float64(i)*0.5))
+	}
+	return dst
+}
+
+// BenchmarkWirePayloadKinds measures the message codec per payload kind —
+// the primitive built-ins, the runtime's own protocol messages, and the
+// applications' hot messages (a 96-value stencil ghost, a 12-atom LeanMD
+// coordinate multicast, a one-range 64-task farm grant) — over the same
 // append-encode/decode cycle the TCP send path runs.
 func BenchmarkWirePayloadKinds(b *testing.B) {
 	f64s := make([]float64, 256) // a 2 KiB ghost row
@@ -290,7 +319,12 @@ func BenchmarkWirePayloadKinds(b *testing.B) {
 		{"bytes-2KiB", bytes.Repeat([]byte{0xAB}, 2048)},
 		{"reducepartial", core.ReducePartial{Array: 1, Seq: 9, Op: core.OpSum, Value: 1.5, Contribs: 32}},
 		{"bundle-4msgs", bundle.Data},
-		{"gob-fallback", benchGobPayload{A: 7, B: "fallback"}},
+		// stencil.ghostMsg{Dir: 1, Step: 5, Vals: 96 floats}
+		{"ghost-96", appPayload(b, 80, f64Body([]byte{2, 10, 96}, 96))},
+		// leanmd.coordMsg{From: 3, Step: 5, Pos: 12 atoms}
+		{"coord-12", appPayload(b, 84, f64Body([]byte{6, 10, 12}, 36))},
+		// taskfarm.taskBatchMsg{Shard: 3, bytes: 4096, Ranges: {{Lo: 1000, N: 64}}}
+		{"taskbatch-1range", appPayload(b, 64, []byte{6, 0x80, 0x20, 1, 0xD0, 0x0F, 64})},
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
@@ -311,15 +345,6 @@ func BenchmarkWirePayloadKinds(b *testing.B) {
 		})
 	}
 }
-
-// benchGobPayload has no registered binary codec, so it travels via the
-// codec's gob fallback.
-type benchGobPayload struct {
-	A int
-	B string
-}
-
-func init() { core.RegisterPayload(benchGobPayload{}) }
 
 func BenchmarkDelayDeviceZeroLatency(b *testing.B) {
 	d := vmi.NewDelayDevice(func(src, dst int32) time.Duration { return 0 })

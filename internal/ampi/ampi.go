@@ -48,6 +48,17 @@ func (p pkt) PayloadBytes() int {
 	return core.DefaultPayloadBytes
 }
 
+// PUP is the packet's one serializer: its wire form between processes
+// and its form in a migrating rank's unexpected-message queue. Data nests
+// as a tagged payload, so anything a rank can send between processes it
+// can also carry through a migration.
+func (q *pkt) PUP(p *core.PUP) {
+	core.PUPVarint(p, &q.Src)
+	core.PUPVarint(p, &q.Tag)
+	core.PUPUvarint(p, &q.Bytes)
+	p.Payload(&q.Data)
+}
+
 // Status describes a received message.
 type Status struct {
 	Source int
@@ -297,6 +308,5 @@ func buildProgram(n int, newRank func(i int, met *ampiMetrics) *rankChare, opts 
 	return prog, nil
 }
 
-func init() {
-	core.RegisterPayload(pkt{})
-}
+// Payload tags: AMPI owns 92–95 (DESIGN.md has the table).
+func init() { core.RegisterPayload[pkt](92) }

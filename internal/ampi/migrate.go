@@ -10,8 +10,6 @@ package ampi
 // rebuild: the user state and the unexpected-message queue.
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"runtime"
 
@@ -103,24 +101,12 @@ func (r *rankChare) PUP(p *core.PUP) {
 	}
 	p.Bool(&r.done)
 	r.st.PUP(p)
-	n := len(r.comm.inbox)
-	p.Int(&n)
-	if p.Err() != nil {
-		return
-	}
-	if p.Unpacking() {
-		if n < 0 || n > 1<<20 {
-			p.Errorf("ampi: implausible unexpected-queue length %d", n)
-			return
+	core.PUPSlice(p, &r.comm.inbox, 4, func(q **pkt, p *core.PUP) {
+		if p.Unpacking() {
+			*q = &pkt{}
 		}
-		r.comm.inbox = make([]*pkt, n)
-		for i := range r.comm.inbox {
-			r.comm.inbox[i] = &pkt{}
-		}
-	}
-	for _, q := range r.comm.inbox {
-		q.pup(p)
-	}
+		(*q).PUP(p)
+	})
 }
 
 // Evicted implements core.Evictable: when the balancer migrates this rank
@@ -131,39 +117,6 @@ func (r *rankChare) Evicted() {
 	if r.parked {
 		r.parked = false
 		close(r.comm.evicted)
-	}
-}
-
-// pup moves one queued packet. The envelope is flat; the payload crosses
-// as a gob blob — the same registry core.RegisterPayload feeds for the
-// inter-node transport, so anything a rank can send between processes it
-// can also carry through a migration.
-func (q *pkt) pup(p *core.PUP) {
-	p.Int(&q.Src)
-	p.Int(&q.Tag)
-	p.Int(&q.Bytes)
-	has := q.Data != nil
-	p.Bool(&has)
-	if !has {
-		if p.Unpacking() {
-			q.Data = nil
-		}
-		return
-	}
-	var blob []byte
-	if !p.Unpacking() {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(&q.Data); err != nil {
-			p.Errorf("ampi: queued message (src %d, tag %d) payload %T is not serializable: %v", q.Src, q.Tag, q.Data, err)
-			return
-		}
-		blob = buf.Bytes()
-	}
-	p.Bytes(&blob)
-	if p.Unpacking() {
-		if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&q.Data); err != nil {
-			p.Errorf("ampi: decode queued message (src %d, tag %d): %v", q.Src, q.Tag, err)
-		}
 	}
 }
 

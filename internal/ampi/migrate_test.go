@@ -2,6 +2,7 @@ package ampi
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -364,4 +365,33 @@ func TestAtSyncOnPlainRankPanics(t *testing.T) {
 		}
 	}()
 	c.AtSync()
+}
+
+// TestPktWire: a rank-to-rank packet crosses the wire with any registered
+// or built-in payload nested inside it, and a payload type nobody
+// registered fails the encode by name instead of being guessed at.
+func TestPktWire(t *testing.T) {
+	for _, in := range []pkt{
+		{Src: 3, Tag: 7, Data: []float64{1, 2.5}, Bytes: 16},
+		{Src: 0, Tag: tagBarrierUp},
+		{Src: 1, Tag: -4, Data: "hello"},
+		{Src: 2, Tag: 0, Data: pkt{Src: 9, Data: int64(4)}},
+	} {
+		enc, err := core.EncodeMessage(&core.Message{Kind: core.KindApp, Data: in})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := core.DecodeMessage(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(out.Data, in) {
+			t.Errorf("%#v came back as %#v", in, out.Data)
+		}
+	}
+	type local struct{ X int }
+	_, err := core.EncodeMessage(&core.Message{Kind: core.KindApp, Data: pkt{Data: local{1}}})
+	if err == nil || !strings.Contains(err.Error(), "ampi.local") {
+		t.Errorf("unregistered packet data: err = %v, want one naming ampi.local", err)
+	}
 }

@@ -73,7 +73,7 @@ func TestMakeBundle(t *testing.T) {
 	}
 }
 
-// TestBundleOverTCP exercises the gob path for bundled frames between
+// TestBundleOverTCP exercises the wire codec for bundled frames between
 // process-separated runtimes.
 func TestBundleOverTCP(t *testing.T) {
 	in := MakeBundle([]*Message{

@@ -339,7 +339,6 @@ func (c *pingChare) Recv(ctx *core.Ctx, entry core.EntryID, data any) {
 // would break the strict value sequences each element records.
 func TestChaosPingPongExactlyOnce(t *testing.T) {
 	seed := coreChaosSeed(t)
-	core.RegisterPayload(int(0))
 	topo, err := topology.TwoClusters(2, time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
@@ -472,7 +471,6 @@ func (c *migPing) Recv(ctx *core.Ctx, entry core.EntryID, data any) {
 // placement.
 func TestChaosLBMigrationExactlyOnce(t *testing.T) {
 	seed := coreChaosSeed(t)
-	core.RegisterPayload(int(0))
 	topo, err := topology.TwoClusters(2, time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
@@ -595,7 +593,6 @@ func (c *sinkChare) Recv(ctx *core.Ctx, entry core.EntryID, data any) { c.got.Ad
 // same numbers as the device stats.
 func TestChaosMetricsConsistent(t *testing.T) {
 	seed := coreChaosSeed(t)
-	core.RegisterPayload(int(0))
 	const n = 80
 
 	runCase := func(t *testing.T, plan vmi.FaultPlan, rto time.Duration) (vmi.FaultStats, vmi.ReliableStats, vmi.ReliableStats, *twoNodeHarness) {

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"encoding/gob"
+	"bytes"
 	"fmt"
 	"io"
 	"sort"
@@ -190,9 +190,39 @@ func MergeCheckpoints(parts ...*Checkpoint) (*Checkpoint, error) {
 	return ck, nil
 }
 
-// Encode writes the checkpoint with gob framing.
+// A checkpoint file is the four magic bytes "GMCK", a format version
+// byte, and the Checkpoint's own PUP traversal. Version 1 was a gob
+// stream with no magic; such files are refused by version, not parsed.
+const (
+	checkpointMagic          = "GMCK"
+	checkpointVersion   byte = 2
+	checkpointHeaderLen      = len(checkpointMagic) + 1
+)
+
+// PUP is the checkpoint's file form: the container around the element
+// states, which are themselves the bytes each element's PUP method packed.
+func (c *Checkpoint) PUP(p *PUP) {
+	p.Bool(&c.Partial)
+	PUPSlice(p, &c.Arrays, 3, func(a *ArrayState, p *PUP) {
+		PUPVarint(p, &a.ID)
+		PUPUvarint(p, &a.N)
+		PUPSlice(p, &a.Elems, 2, func(e *ElemState, p *PUP) {
+			PUPUvarint(p, &e.Index)
+			p.Bytes(&e.Data)
+		})
+	})
+}
+
+// Encode writes the checkpoint in the file format above.
 func (c *Checkpoint) Encode(w io.Writer) error {
-	if err := gob.NewEncoder(w).Encode(c); err != nil {
+	body, err := PUPPack(c)
+	if err == nil {
+		_, err = w.Write(append([]byte(checkpointMagic), checkpointVersion))
+	}
+	if err == nil {
+		_, err = w.Write(body)
+	}
+	if err != nil {
 		return fmt.Errorf("core: encode checkpoint: %w", err)
 	}
 	return nil
@@ -200,8 +230,18 @@ func (c *Checkpoint) Encode(w io.Writer) error {
 
 // DecodeCheckpoint reverses Encode.
 func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("core: decode checkpoint: %w", err)
+	}
+	if len(data) < checkpointHeaderLen || !bytes.HasPrefix(data, []byte(checkpointMagic)) {
+		return nil, fmt.Errorf("core: decode checkpoint: no %q header: not a checkpoint file, or one written before format version %d, which cannot be read", checkpointMagic, checkpointVersion)
+	}
+	if v := data[len(checkpointMagic)]; v != checkpointVersion {
+		return nil, fmt.Errorf("core: decode checkpoint: format version %d, want %d", v, checkpointVersion)
+	}
 	var c Checkpoint
-	if err := gob.NewDecoder(r).Decode(&c); err != nil {
+	if err := PUPUnpack(&c, data[checkpointHeaderLen:]); err != nil {
 		return nil, fmt.Errorf("core: decode checkpoint: %w", err)
 	}
 	return &c, nil

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"os"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -247,5 +249,40 @@ func TestCombineMaxMinFloat(t *testing.T) {
 	}
 	if Combine(OpMin, 5.0, 3.0).(float64) != 3.0 {
 		t.Error("min order wrong")
+	}
+}
+
+// TestDecodeCheckpointRefusesOldFormats: a file written by the gob-era
+// Encode (testdata/checkpoint_v1_gob.bin, produced at the last commit that
+// had it) and a file of a future version are refused with an error that
+// names the format version, and a truncated current file with a decode
+// error; none of them panics.
+func TestDecodeCheckpointRefusesOldFormats(t *testing.T) {
+	old, err := os.ReadFile("testdata/checkpoint_v1_gob.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeCheckpoint(bytes.NewReader(old)); err == nil || !strings.Contains(err.Error(), "format version") {
+		t.Errorf("gob-era checkpoint: %v, want a format version error", err)
+	}
+	ck := &Checkpoint{Partial: true, Arrays: []ArrayState{{ID: 2, N: 3, Elems: []ElemState{{Index: 1, Data: []byte{1, 2, 3}}}}}}
+	var buf bytes.Buffer
+	if err := ck.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	good := buf.Bytes()
+	back, err := DecodeCheckpoint(bytes.NewReader(good))
+	if err != nil || !reflect.DeepEqual(back, ck) {
+		t.Fatalf("round trip: %+v, %v", back, err)
+	}
+	future := append([]byte(nil), good...)
+	future[len(checkpointMagic)]++
+	if _, err := DecodeCheckpoint(bytes.NewReader(future)); err == nil || !strings.Contains(err.Error(), "format version") {
+		t.Errorf("future-version checkpoint: %v, want a format version error", err)
+	}
+	for cut := 0; cut < len(good); cut++ {
+		if _, err := DecodeCheckpoint(bytes.NewReader(good[:cut])); err == nil {
+			t.Errorf("checkpoint truncated to %d of %d bytes decoded", cut, len(good))
+		}
 	}
 }

@@ -1,53 +1,34 @@
 package core
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math"
 	"reflect"
 	"sync"
-	"time"
 )
 
 // Wire serialization for messages that cross OS-process boundaries (the
 // TCP transport). In-process messages are never serialized — the paper's
 // intra-cluster fast path.
 //
-// The codec is a hand-rolled binary format: a fixed 57-byte header
-// (magic, version, Kind, To, Entry, Prio, Bytes, SrcPE, DstPE, and the
-// causal trace context ID/Parent) followed by
-// a tagged payload. A payload codec registry provides allocation-light
-// fast paths for every payload type the runtime itself sends (ints,
-// floats, []float64, strings, byte slices, ReducePartial, quiescence
-// probes, and bundle contents, which encode recursively) plus any type an
-// application registers with RegisterPayloadCodec. Unregistered types fall
-// back to gob.
-//
-// Compatibility note — why the gob fallback is self-contained: a gob
-// stream sends a type descriptor once per *encoder*, so the cheapest
-// scheme would keep one pooled encoder/decoder pair per TCP connection
-// and amortize descriptors across messages. That requires the decode
-// order to match the encode order exactly, which this runtime cannot
-// guarantee: messages are encoded before the wire send chain runs, frames
-// from many PEs interleave onto per-destination connections, and
-// DecodeMessage must also accept standalone byte strings (checkpoints,
-// fuzzing, frames replayed out of context). Each fallback payload is
-// therefore a self-contained gob stream — descriptors are re-sent per
-// message — and the encoder's scratch buffer is pooled instead, so the
-// fallback costs allocations, not correctness. The fix for a *hot*
-// payload type is not a stateful stream but RegisterPayloadCodec, which
-// removes gob from its path entirely; every runtime protocol type already
-// has one. Types that keep the gob fallback must be registered with
-// RegisterPayload in every participating process, as gob requires.
+// A message is a fixed 57-byte header (magic, version, Kind, To, Entry,
+// Prio, Bytes, SrcPE, DstPE, and the causal trace context ID/Parent)
+// followed by a payload: one tag byte, then the value. There is one
+// structured serializer. The primitive payloads (nil, int, int64,
+// float64, []float64, string, []byte, bool) and bundles, which encode
+// their messages recursively, have straight-line cases below; every other
+// payload type — the runtime's own protocol messages and each
+// application's — is a tag plus the type's PUP method, registered once
+// with RegisterPayload. A type nobody registered is an encode error
+// naming the type: there is no self-describing fallback.
 
 // Message wire layout (big-endian):
 //
 //	off len field
 //	  0   2  magic 0x474D ("GM")
-//	  2   1  version (2)
+//	  2   1  version (3)
 //	  3   1  Kind
 //	  4   4  To.Array (int32)
 //	  8   8  To.Index (int64)
@@ -62,16 +43,16 @@ import (
 //	 57   …  payload (tag-specific)
 //
 // Version 2 added the 16-byte trace context (ID, Parent) so causality
-// survives the TCP hop; version 1 frames are rejected.
+// survives the TCP hop; version 3 made every structured payload a PUP
+// traversal. Frames of other versions are rejected.
 const (
 	wireMagic    uint16 = 0x474D
-	wireVersion  byte   = 2
+	wireVersion  byte   = 3
 	msgHeaderLen        = 57
 )
 
-// Payload tags. Tags 0–63 are reserved for the runtime's built-in fast
-// paths; 64–254 are available to applications via RegisterPayloadCodec;
-// 255 marks the gob fallback.
+// Payload tags. Tags 0–63 are reserved for the runtime; 64–255 belong to
+// applications (RegisterPayload; DESIGN.md has the per-package table).
 const (
 	tagNil      byte = 0
 	tagInt      byte = 1
@@ -87,67 +68,104 @@ const (
 	tagLB       byte = 11
 
 	minAppTag byte = 64
-	tagGob    byte = 255
 )
 
 // ErrBadWire is wrapped by all structural decode failures.
 var ErrBadWire = errors.New("core: malformed wire message")
 
-// RegisterPayload registers a concrete payload type for the gob fallback
-// path of the wire codec. Hot payload types should prefer
-// RegisterPayloadCodec, which bypasses gob entirely.
-func RegisterPayload(v any) { gob.Register(v) }
-
-// PayloadCodec is a binary fast path for one concrete payload type.
-// Append serializes v (which is always of the registered type) onto dst;
-// Decode parses one value from the front of b and returns the remainder.
-// Decode must copy everything it keeps: b aliases a pooled transport
-// buffer.
-type PayloadCodec struct {
-	Append func(dst []byte, v any) ([]byte, error)
-	Decode func(b []byte) (v any, rest []byte, err error)
+// payloadType is one registered structured payload: its tag and the PUP
+// traversal of its concrete type T, which serves both directions. run
+// drives *T's PUP method over buf — packing a v of type T onto it, or
+// unpacking a T from its front — and returns the visitor as the traversal
+// left it, with the value it unpacked.
+type payloadType struct {
+	tag byte
+	typ reflect.Type
+	run func(mode pupMode, buf []byte, v any) (PUP, any)
 }
 
+// payloadScratch is the addressable T a pointer-receiver PUP method needs,
+// and the visitor it runs on. Both would otherwise escape to the heap on
+// every message; pooled, packing allocates nothing and unpacking only the
+// value it returns.
+type payloadScratch[T any] struct {
+	p PUP
+	x T
+}
+
+// The registry is written at init time and read on every message.
 var (
 	payloadMu     sync.RWMutex
-	payloadByType = map[reflect.Type]byte{}
-	payloadByTag  = map[byte]PayloadCodec{}
+	payloadByTag  = map[byte]*payloadType{}
+	payloadByType = map[reflect.Type]*payloadType{}
 )
 
-// RegisterPayloadCodec installs a binary fast path for the payload type of
-// sample under the given tag (which must be in [64, 255)). Both sides of a
-// connection must register identical codecs. Registration is typically
-// done from init functions; it panics on tag or type conflicts.
-func RegisterPayloadCodec(tag byte, sample any, c PayloadCodec) {
-	if tag < minAppTag || tag == tagGob {
-		panic(fmt.Sprintf("core: payload tag %d outside application range [%d,255)", tag, minAppTag))
+func payloadTypeOf(v any) *payloadType {
+	payloadMu.RLock()
+	defer payloadMu.RUnlock()
+	return payloadByType[reflect.TypeOf(v)]
+}
+
+func payloadTypeByTag(tag byte) *payloadType {
+	payloadMu.RLock()
+	defer payloadMu.RUnlock()
+	return payloadByTag[tag]
+}
+
+// RegisterPayload makes T a wire payload under tag, which must be in the
+// application range [64, 255]: *T's PUP method is the type's one
+// serializer, and values arrive in handlers as T. Every process must
+// register the same types under the same tags; registration belongs in
+// init functions, and a tag or type registered twice panics.
+func RegisterPayload[T any, P interface {
+	*T
+	PUPable
+}](tag byte) {
+	if tag < minAppTag {
+		panic(fmt.Sprintf("core: payload tag %d outside the application range [%d,255]", tag, minAppTag))
 	}
-	if c.Append == nil || c.Decode == nil {
-		panic("core: payload codec needs both Append and Decode")
+	registerPayload[T, P](tag)
+}
+
+func registerPayload[T any, P interface {
+	*T
+	PUPable
+}](tag byte) {
+	pool := sync.Pool{New: func() any { return new(payloadScratch[T]) }}
+	pt := &payloadType{
+		tag: tag,
+		typ: reflect.TypeOf((*T)(nil)).Elem(),
+		run: func(mode pupMode, buf []byte, v any) (PUP, any) {
+			s := pool.Get().(*payloadScratch[T])
+			s.p = PUP{mode: mode, buf: buf}
+			s.x, _ = v.(T)
+			P(&s.x).PUP(&s.p)
+			p := s.p
+			var out any
+			if mode == pupUnpacking && p.err == nil {
+				out = s.x
+			}
+			*s = payloadScratch[T]{} // pin nothing while pooled
+			pool.Put(s)
+			return p, out
+		},
 	}
-	t := reflect.TypeOf(sample)
 	payloadMu.Lock()
 	defer payloadMu.Unlock()
-	if _, dup := payloadByTag[tag]; dup {
-		panic(fmt.Sprintf("core: payload tag %d registered twice", tag))
+	if dup := payloadByTag[tag]; dup != nil {
+		panic(fmt.Sprintf("core: payload tag %d registered for both %v and %v", tag, dup.typ, pt.typ))
 	}
-	if _, dup := payloadByType[t]; dup {
-		panic(fmt.Sprintf("core: payload type %v registered twice", t))
+	if dup := payloadByType[pt.typ]; dup != nil {
+		panic(fmt.Sprintf("core: payload type %v registered twice (tags %d and %d)", pt.typ, dup.tag, tag))
 	}
-	payloadByTag[tag] = c
-	payloadByType[t] = tag
+	payloadByTag[tag] = pt
+	payloadByType[pt.typ] = pt
 }
 
 func init() {
-	// Concrete types carried inside reduction values and bundles still
-	// need gob registration: they may appear nested under a fallback
-	// payload that an application routes through gob.
-	RegisterPayload(ReducePartial{})
-	RegisterPayload([]*Message(nil))
-	RegisterPayload(float64(0))
-	RegisterPayload(int64(0))
-	RegisterPayload(int(0))
-	RegisterPayload([]float64(nil))
+	registerPayload[ReducePartial](tagReduce)
+	registerPayload[qdMsg](tagQD)
+	registerPayload[lbMsg](tagLB)
 }
 
 // EncodeMessage serializes a message for the TCP transport.
@@ -254,24 +272,6 @@ func appendPayload(dst []byte, v any) ([]byte, error) {
 			b = 1
 		}
 		return append(dst, tagBool, b), nil
-	case ReducePartial:
-		dst = append(dst, tagReduce)
-		dst = binary.BigEndian.AppendUint32(dst, uint32(x.Array))
-		dst = binary.BigEndian.AppendUint64(dst, uint64(x.Seq))
-		dst = append(dst, byte(x.Op))
-		dst = binary.BigEndian.AppendUint64(dst, uint64(int64(x.Contribs)))
-		return appendPayload(dst, x.Value)
-	case qdMsg:
-		probe := byte(0)
-		if x.Probe {
-			probe = 1
-		}
-		dst = append(dst, tagQD, probe)
-		dst = binary.BigEndian.AppendUint64(dst, uint64(x.Wave))
-		dst = binary.BigEndian.AppendUint64(dst, uint64(x.Sent))
-		return binary.BigEndian.AppendUint64(dst, uint64(x.Processed)), nil
-	case lbMsg:
-		return appendLBMsg(append(dst, tagLB), x), nil
 	case []*Message:
 		dst = append(dst, tagBundle)
 		dst = binary.BigEndian.AppendUint32(dst, uint32(len(x)))
@@ -283,14 +283,15 @@ func appendPayload(dst []byte, v any) ([]byte, error) {
 		}
 		return dst, nil
 	default:
-		payloadMu.RLock()
-		tag, ok := payloadByType[reflect.TypeOf(v)]
-		c := payloadByTag[tag]
-		payloadMu.RUnlock()
-		if ok {
-			return c.Append(append(dst, tag), v)
+		pt := payloadTypeOf(v)
+		if pt == nil {
+			return nil, fmt.Errorf("payload type %T is not registered (core.RegisterPayload)", v)
 		}
-		return appendGob(dst, v)
+		p, _ := pt.run(pupPacking, append(dst, pt.tag), v)
+		if p.err != nil {
+			return nil, fmt.Errorf("payload %T: %w", v, p.err)
+		}
+		return p.buf, nil
 	}
 }
 
@@ -354,36 +355,6 @@ func decodePayload(tag byte, b []byte) (any, []byte, error) {
 			return nil, b, truncErr("bool")
 		}
 		return b[0] != 0, b[1:], nil
-	case tagReduce:
-		// Fixed prefix (reducePartialHeaderLen bytes) plus at least the
-		// nested payload's tag byte.
-		if len(b) < reducePartialHeaderLen+1 {
-			return nil, b, truncErr("ReducePartial")
-		}
-		p := ReducePartial{
-			Array:    ArrayID(int32(binary.BigEndian.Uint32(b))),
-			Seq:      int64(binary.BigEndian.Uint64(b[4:])),
-			Op:       ReduceOp(b[12]),
-			Contribs: int(int64(binary.BigEndian.Uint64(b[13:]))),
-		}
-		v, rest, err := decodePayload(b[21], b[22:])
-		if err != nil {
-			return nil, b, err
-		}
-		p.Value = v
-		return p, rest, nil
-	case tagQD:
-		if len(b) < 25 {
-			return nil, b, truncErr("qdMsg")
-		}
-		return qdMsg{
-			Probe:     b[0] != 0,
-			Wave:      int64(binary.BigEndian.Uint64(b[1:])),
-			Sent:      int64(binary.BigEndian.Uint64(b[9:])),
-			Processed: int64(binary.BigEndian.Uint64(b[17:])),
-		}, b[25:], nil
-	case tagLB:
-		return decodeLBMsg(b)
 	case tagBundle:
 		if len(b) < 4 {
 			return nil, b, truncErr("bundle")
@@ -403,183 +374,19 @@ func decodePayload(tag byte, b []byte) (any, []byte, error) {
 			}
 		}
 		return subs, b, nil
-	case tagGob:
-		return decodeGob(b)
 	default:
-		payloadMu.RLock()
-		c, ok := payloadByTag[tag]
-		payloadMu.RUnlock()
-		if !ok {
+		pt := payloadTypeByTag(tag)
+		if pt == nil {
 			return nil, b, fmt.Errorf("%w: unknown payload tag %d", ErrBadWire, tag)
 		}
-		return c.Decode(b)
+		p, v := pt.run(pupUnpacking, b, nil)
+		if p.err != nil {
+			return nil, b, fmt.Errorf("%w: %v payload: %w", ErrBadWire, pt.typ, p.err)
+		}
+		return v, b[p.off:], nil
 	}
 }
 
 func truncErr(what string) error {
 	return fmt.Errorf("%w: truncated %s payload", ErrBadWire, what)
-}
-
-// appendLBMsg is the built-in fast path for KindLB payloads. Having it in
-// the runtime (rather than the app-tag registry) guarantees that every
-// phase of the load-balancing protocol — including an evicted element's
-// PUP-packed state — crosses process boundaries without touching gob, so
-// there is no per-app RegisterPayload obligation for migrations.
-//
-// Layout after the tag byte (big-endian): phase (1) · stats count (4) +
-// 40 bytes each (Array 4, Index 8, PE 4, Load 8, Msgs 8, WanMsgs 8) ·
-// moves count (4) + 16 bytes each (Array 4, Index 8, ToPE 4) · Elem
-// (Array 4, Index 8) · state length (4) + bytes · meta presence (1) and,
-// if present, lbMetaBytes of elemMeta (redSeq 8, load 8, wanMsg 8,
-// msgs 8, atSync 1).
-func appendLBMsg(dst []byte, m lbMsg) []byte {
-	dst = append(dst, byte(m.Phase))
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(m.Stats)))
-	for _, s := range m.Stats {
-		dst = binary.BigEndian.AppendUint32(dst, uint32(s.Ref.Array))
-		dst = binary.BigEndian.AppendUint64(dst, uint64(int64(s.Ref.Index)))
-		dst = binary.BigEndian.AppendUint32(dst, uint32(s.PE))
-		dst = binary.BigEndian.AppendUint64(dst, uint64(int64(s.Load)))
-		dst = binary.BigEndian.AppendUint64(dst, uint64(int64(s.Msgs)))
-		dst = binary.BigEndian.AppendUint64(dst, uint64(int64(s.WanMsgs)))
-	}
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(m.Moves)))
-	for _, mv := range m.Moves {
-		dst = binary.BigEndian.AppendUint32(dst, uint32(mv.Ref.Array))
-		dst = binary.BigEndian.AppendUint64(dst, uint64(int64(mv.Ref.Index)))
-		dst = binary.BigEndian.AppendUint32(dst, uint32(mv.ToPE))
-	}
-	dst = binary.BigEndian.AppendUint32(dst, uint32(m.Elem.Array))
-	dst = binary.BigEndian.AppendUint64(dst, uint64(int64(m.Elem.Index)))
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(m.State)))
-	dst = append(dst, m.State...)
-	if m.Meta == nil {
-		return append(dst, 0)
-	}
-	dst = append(dst, 1)
-	dst = binary.BigEndian.AppendUint64(dst, uint64(m.Meta.redSeq))
-	dst = binary.BigEndian.AppendUint64(dst, uint64(int64(m.Meta.load)))
-	dst = binary.BigEndian.AppendUint64(dst, uint64(int64(m.Meta.wanMsg)))
-	dst = binary.BigEndian.AppendUint64(dst, uint64(int64(m.Meta.msgs)))
-	a := byte(0)
-	if m.Meta.atSync {
-		a = 1
-	}
-	return append(dst, a)
-}
-
-func decodeLBMsg(b []byte) (any, []byte, error) {
-	if len(b) < 5 {
-		return nil, b, truncErr("lbMsg")
-	}
-	m := lbMsg{Phase: lbPhase(b[0])}
-	n := int(binary.BigEndian.Uint32(b[1:]))
-	b = b[5:]
-	if n > len(b)/40 {
-		return nil, b, truncErr("lbMsg stats")
-	}
-	if n > 0 {
-		m.Stats = make([]ElemLoad, n)
-		for i := range m.Stats {
-			m.Stats[i] = ElemLoad{
-				Ref:     ElemRef{Array: ArrayID(int32(binary.BigEndian.Uint32(b))), Index: int(int64(binary.BigEndian.Uint64(b[4:])))},
-				PE:      int(int32(binary.BigEndian.Uint32(b[12:]))),
-				Load:    time.Duration(int64(binary.BigEndian.Uint64(b[16:]))),
-				Msgs:    int(int64(binary.BigEndian.Uint64(b[24:]))),
-				WanMsgs: int(int64(binary.BigEndian.Uint64(b[32:]))),
-			}
-			b = b[40:]
-		}
-	}
-	if len(b) < 4 {
-		return nil, b, truncErr("lbMsg")
-	}
-	n = int(binary.BigEndian.Uint32(b))
-	b = b[4:]
-	if n > len(b)/16 {
-		return nil, b, truncErr("lbMsg moves")
-	}
-	if n > 0 {
-		m.Moves = make([]Move, n)
-		for i := range m.Moves {
-			m.Moves[i] = Move{
-				Ref:  ElemRef{Array: ArrayID(int32(binary.BigEndian.Uint32(b))), Index: int(int64(binary.BigEndian.Uint64(b[4:])))},
-				ToPE: int(int32(binary.BigEndian.Uint32(b[12:]))),
-			}
-			b = b[16:]
-		}
-	}
-	if len(b) < 16 {
-		return nil, b, truncErr("lbMsg")
-	}
-	m.Elem = ElemRef{Array: ArrayID(int32(binary.BigEndian.Uint32(b))), Index: int(int64(binary.BigEndian.Uint64(b[4:])))}
-	n = int(binary.BigEndian.Uint32(b[12:]))
-	b = b[16:]
-	if n > len(b) {
-		return nil, b, truncErr("lbMsg state")
-	}
-	if n > 0 {
-		m.State = append([]byte(nil), b[:n]...)
-	}
-	b = b[n:]
-	if len(b) < 1 {
-		return nil, b, truncErr("lbMsg")
-	}
-	present := b[0]
-	b = b[1:]
-	if present != 0 {
-		if len(b) < lbMetaBytes {
-			return nil, b, truncErr("lbMsg meta")
-		}
-		m.Meta = &elemMeta{
-			redSeq: int64(binary.BigEndian.Uint64(b)),
-			load:   time.Duration(int64(binary.BigEndian.Uint64(b[8:]))),
-			wanMsg: int(int64(binary.BigEndian.Uint64(b[16:]))),
-			msgs:   int(int64(binary.BigEndian.Uint64(b[24:]))),
-			atSync: b[32] != 0,
-		}
-		b = b[lbMetaBytes:]
-	}
-	return m, b, nil
-}
-
-// reducePartialHeaderLen documents the fixed prefix decoded above: Array
-// (4) + Seq (8) + Op (1) + Contribs (8), followed by a nested payload.
-const reducePartialHeaderLen = 21
-
-// gobPayload is the envelope of the fallback path; the indirection through
-// an interface field is what lets gob carry arbitrary registered types.
-type gobPayload struct {
-	V any
-}
-
-// gobBufPool recycles the encoder scratch buffers of the fallback path.
-var gobBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-func appendGob(dst []byte, v any) ([]byte, error) {
-	buf := gobBufPool.Get().(*bytes.Buffer)
-	defer gobBufPool.Put(buf)
-	buf.Reset()
-	if err := gob.NewEncoder(buf).Encode(&gobPayload{V: v}); err != nil {
-		return nil, fmt.Errorf("gob payload %T: %w", v, err)
-	}
-	dst = append(dst, tagGob)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(buf.Len()))
-	return append(dst, buf.Bytes()...), nil
-}
-
-func decodeGob(b []byte) (any, []byte, error) {
-	if len(b) < 4 {
-		return nil, b, truncErr("gob")
-	}
-	n := int(binary.BigEndian.Uint32(b))
-	b = b[4:]
-	if n > len(b) {
-		return nil, b, truncErr("gob")
-	}
-	var p gobPayload
-	if err := gob.NewDecoder(bytes.NewReader(b[:n])).Decode(&p); err != nil {
-		return nil, b, fmt.Errorf("core: decode gob payload: %w", err)
-	}
-	return p.V, b[n:], nil
 }

@@ -5,15 +5,10 @@ import (
 	"fmt"
 )
 
-// Varint helpers for application payload codecs (RegisterPayloadCodec).
-// They wrap encoding/binary's varint forms with the package's structural
-// error convention: every parse failure wraps ErrBadWire, so a malformed
-// application payload surfaces exactly like a malformed built-in one and
-// the transport's reject-and-report path stays uniform. Batch payloads
-// (many small integers per message — sequence numbers, counts, deltas)
-// should prefer these over fixed-width fields: a task index that fits a
-// byte costs a byte, which is where most of a batch codec's compactness
-// comes from.
+// Varint helpers for the membership control frames, which are parsed by
+// hand (message payloads use PUP.Varint and PUP.Uvarint). They wrap
+// encoding/binary's varint forms with the package's structural error
+// convention: every parse failure wraps ErrBadWire.
 
 // AppendUvarint appends v in unsigned varint form.
 func AppendUvarint(dst []byte, v uint64) []byte {

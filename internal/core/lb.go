@@ -84,8 +84,9 @@ const (
 	lbResume                // root -> all PEs: apply moves, deliver ResumeFromSync
 )
 
-// lbMsg is the KindLB payload. It has a built-in binary wire codec
-// (tagLB in codec.go), so no phase of the protocol falls back to gob.
+// lbMsg is the KindLB payload. It is registered under a runtime tag
+// (tagLB), so migrations need no registration from the application: an
+// evicted element's state crosses as the bytes its own PUP method packed.
 type lbMsg struct {
 	Phase lbPhase
 	Stats []ElemLoad // lbStats
@@ -95,7 +96,7 @@ type lbMsg struct {
 	Meta  *elemMeta  // lbArrive
 }
 
-// lbMetaBytes is the wire size of a serialized elemMeta.
+// lbMetaBytes is the modeled size of an elemMeta in flight.
 const lbMetaBytes = 33
 
 // PayloadBytes implements Sizer. Unlike the old fixed formula, it counts
@@ -107,6 +108,47 @@ func (m lbMsg) PayloadBytes() int {
 		n += lbMetaBytes
 	}
 	return n
+}
+
+// PUP is the protocol message's wire form; each phase leaves the fields
+// it does not use empty, which cost a byte apiece.
+func (m *lbMsg) PUP(p *PUP) {
+	PUPUvarint(p, &m.Phase)
+	PUPSlice(p, &m.Stats, 6, (*ElemLoad).pup)
+	PUPSlice(p, &m.Moves, 3, (*Move).pup)
+	m.Elem.pup(p)
+	p.Bytes(&m.State)
+	has := m.Meta != nil
+	p.Bool(&has)
+	if !has || p.Err() != nil {
+		return
+	}
+	if p.Unpacking() {
+		m.Meta = new(elemMeta)
+	}
+	p.Varint(&m.Meta.redSeq)
+	PUPVarint(p, &m.Meta.load)
+	PUPVarint(p, &m.Meta.wanMsg)
+	PUPVarint(p, &m.Meta.msgs)
+	p.Bool(&m.Meta.atSync)
+}
+
+func (r *ElemRef) pup(p *PUP) {
+	PUPVarint(p, &r.Array)
+	PUPVarint(p, &r.Index)
+}
+
+func (l *ElemLoad) pup(p *PUP) {
+	l.Ref.pup(p)
+	PUPVarint(p, &l.PE)
+	PUPVarint(p, &l.Load)
+	PUPVarint(p, &l.Msgs)
+	PUPVarint(p, &l.WanMsgs)
+}
+
+func (mv *Move) pup(p *PUP) {
+	mv.Ref.pup(p)
+	PUPVarint(p, &mv.ToPE)
 }
 
 // LBMgr drives the protocol on one PE. All methods run on the PE's

@@ -239,8 +239,8 @@ func TestLBMsgPayloadBytes(t *testing.T) {
 }
 
 // TestLBMsgWireRoundTrip pushes every phase of the protocol through the
-// binary wire codec: no phase may fall back to gob, and decoded messages
-// must match the originals field for field.
+// wire codec under the runtime's own tag, and decoded messages must match
+// the originals field for field.
 func TestLBMsgWireRoundTrip(t *testing.T) {
 	msgs := []lbMsg{
 		{Phase: lbStats, Stats: []ElemLoad{
@@ -260,7 +260,7 @@ func TestLBMsgWireRoundTrip(t *testing.T) {
 			t.Fatalf("phase %d: %v", in.Phase, err)
 		}
 		if wire[56] != tagLB {
-			t.Fatalf("phase %d encoded with tag %d, want tagLB (%d) — gob fallback?", in.Phase, wire[56], tagLB)
+			t.Fatalf("phase %d encoded with tag %d, want tagLB (%d)", in.Phase, wire[56], tagLB)
 		}
 		out, err := DecodeMessage(wire)
 		if err != nil {

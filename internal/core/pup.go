@@ -1,31 +1,42 @@
 package core
 
-// PUP — pack/unpack — is the single serialization contract for element
-// state. One visitor method written by the application serves three
-// consumers: load-balancer migration (evict→arrive over the wire),
-// checkpoint/restart (including restart on a different PE count), and
-// AMPI rank migration. This mirrors the Charm++ PUP framework (§2.1 of
-// the paper), where migration, checkpointing, and shrink/expand all ride
-// the same pup() routine.
+// PUP — pack/unpack — is the one structured serializer. One visitor
+// method written by the application serves every consumer: message
+// payloads on the wire (RegisterPayload), load-balancer migration
+// (evict→arrive), checkpoint/restart (including restart on a different PE
+// count), and AMPI rank migration. This mirrors the Charm++ PUP framework
+// (§2.1 of the paper), where messages, migration, checkpointing, and
+// shrink/expand all ride the same pup() routine.
 //
 // A PUP runs in one of three modes over a flat byte buffer:
 //
 //   - sizing:    every call accumulates the encoded size; nothing is read
-//     or written. PUPPack runs this pass first so buffers are allocated
-//     exactly once and Bytes reported to the delay/bandwidth model are
-//     honest.
-//   - packing:   every call appends the value big-endian to the buffer.
-//   - unpacking: every call reads the value back into the pointee.
+//     or written. PUPPack runs this pass first so state buffers are
+//     allocated exactly once and Bytes reported to the delay/bandwidth
+//     model are honest.
+//   - packing:   every call appends the value to the buffer. The wire
+//     codec packs straight onto the transport's pooled buffer, with no
+//     sizing pass and no intermediate slice.
+//   - unpacking: every call reads the value back into the pointee, from
+//     the front of the buffer; the wire codec hands the unread remainder
+//     to whatever follows (the next message of a bundle).
 //
 // The same method body drives all three, so pack and unpack cannot drift
 // apart. Applications branch on Unpacking() only for post-read fix-ups
 // (rebuilding derived state, validating against the target program) and
 // report validation failures with Errorf.
+//
+// Fixed-width primitives (Int, Float64, …) are big-endian; Varint and
+// Uvarint are encoding/binary's varints, for the small counts and
+// sequence numbers message payloads are mostly made of. Every length
+// prefix is a uvarint checked against the bytes that remain, so a corrupt
+// count can neither wrap nor allocate.
 
 import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"time"
 )
 
@@ -37,8 +48,7 @@ type PUPable interface {
 }
 
 // Migratable marks a chare whose state can move between PEs — the
-// requirement for load-balancer migration and checkpointing. The PUP
-// method replaces the former gob-based Pack scheme.
+// requirement for load-balancer migration and checkpointing.
 type Migratable interface {
 	Chare
 	PUPable
@@ -161,6 +171,68 @@ func (p *PUP) Int32(v *int32) {
 // Uint64 moves a uint64.
 func (p *PUP) Uint64(v *uint64) { p.raw8(v) }
 
+// Uvarint moves a uint64 as an unsigned varint: one byte below 128, ten
+// at most.
+func (p *PUP) Uvarint(v *uint64) {
+	if p.err != nil {
+		return
+	}
+	switch p.mode {
+	case pupSizing:
+		p.size += (bits.Len64(*v|1) + 6) / 7
+	case pupPacking:
+		p.buf = binary.AppendUvarint(p.buf, *v)
+	case pupUnpacking:
+		u, n := binary.Uvarint(p.buf[p.off:])
+		if n <= 0 {
+			p.fail(fmt.Errorf("pup: truncated or overlong varint at offset %d", p.off))
+			return
+		}
+		*v = u
+		p.off += n
+	}
+}
+
+// Varint moves an int64 as a zig-zag varint, so small magnitudes of
+// either sign stay short.
+func (p *PUP) Varint(v *int64) {
+	u := uint64(*v<<1) ^ uint64(*v>>63)
+	p.Uvarint(&u)
+	if p.mode == pupUnpacking && p.err == nil {
+		*v = int64(u>>1) ^ -int64(u&1)
+	}
+}
+
+// PUPVarint moves a signed integer field of any width through Varint.
+// Unpacking fails if the wire value does not fit T.
+func PUPVarint[T ~int | ~int8 | ~int16 | ~int32 | ~int64](p *PUP, v *T) {
+	x := int64(*v)
+	p.Varint(&x)
+	if p.mode == pupUnpacking && p.err == nil {
+		if int64(T(x)) != x {
+			p.fail(fmt.Errorf("pup: value %d overflows %T", x, *v))
+			return
+		}
+		*v = T(x)
+	}
+}
+
+// PUPUvarint moves an integer field of any width through Uvarint — the
+// form for counts, sizes and enums, which are short when non-negative (a
+// negative value round-trips, at ten bytes). Unpacking fails if the wire
+// value does not fit T.
+func PUPUvarint[T ~int | ~int8 | ~int16 | ~int32 | ~int64 | ~uint | ~uint8 | ~uint16 | ~uint32 | ~uint64](p *PUP, v *T) {
+	u := uint64(*v)
+	p.Uvarint(&u)
+	if p.mode == pupUnpacking && p.err == nil {
+		if uint64(T(u)) != u {
+			p.fail(fmt.Errorf("pup: value %d overflows %T", u, *v))
+			return
+		}
+		*v = T(u)
+	}
+}
+
 // Float64 moves a float64 bit-exactly.
 func (p *PUP) Float64(v *float64) {
 	u := math.Float64bits(*v)
@@ -211,15 +283,45 @@ func (p *PUP) Duration(v *time.Duration) {
 	}
 }
 
-// length moves a slice length prefix and, when unpacking, validates it
-// against the bytes actually remaining (elemSize bytes per element) so a
-// corrupt prefix cannot trigger a huge allocation.
+// length moves a slice length prefix (a uvarint) and, when unpacking,
+// validates it against the bytes actually remaining — every element costs
+// at least elemSize bytes (anything below 1 counts as 1) — so a corrupt
+// prefix cannot trigger a huge allocation. The comparison divides rather
+// than multiplies: a count of 2^61 must not wrap into plausibility.
 func (p *PUP) length(n *int, elemSize int) {
-	p.Int(n)
+	if elemSize < 1 {
+		elemSize = 1
+	}
+	u := uint64(*n)
+	p.Uvarint(&u)
 	if p.mode == pupUnpacking && p.err == nil {
-		if *n < 0 || (elemSize > 0 && *n > p.remaining()/elemSize) {
-			p.fail(fmt.Errorf("pup: implausible length %d at offset %d (%d bytes remain)", *n, p.off-8, p.remaining()))
+		if u > uint64(p.remaining()/elemSize) {
+			p.fail(fmt.Errorf("pup: implausible length %d (%d bytes remain, %d per element)", u, p.remaining(), elemSize))
+			return
 		}
+		*n = int(u)
+	}
+}
+
+// PUPSlice moves a slice of structured elements: a length prefix, then
+// elem for each element in order. minElemBytes is the least one element
+// can occupy on the wire (at least 1 is assumed); it bounds the count a
+// corrupt prefix can claim. Unpacking replaces the pointee with a fresh slice, nil for
+// length 0.
+func PUPSlice[T any](p *PUP, s *[]T, minElemBytes int, elem func(e *T, p *PUP)) {
+	n := len(*s)
+	p.length(&n, minElemBytes)
+	if p.err != nil {
+		return
+	}
+	if p.mode == pupUnpacking {
+		*s = nil
+		if n > 0 {
+			*s = make([]T, n)
+		}
+	}
+	for i := range *s {
+		elem(&(*s)[i], p)
 	}
 }
 
@@ -347,6 +449,43 @@ func (p *PUP) Ints(v *[]int) {
 			p.off += 8
 		}
 		*v = s
+	}
+}
+
+// Payload moves a nested message payload of any registered or built-in
+// type, tag first — what ReducePartial.Value and an AMPI packet's Data
+// are. An unregistered type fails the pack with an error naming it.
+func (p *PUP) Payload(v *any) {
+	if p.err != nil {
+		return
+	}
+	switch p.mode {
+	case pupSizing, pupPacking:
+		// The primitive built-ins have no sizing traversal of their own —
+		// encoding is the one place their size is defined — so a sizing
+		// pass encodes too, onto its nil buffer, and counts.
+		b, err := appendPayload(p.buf, *v)
+		if err != nil {
+			p.fail(err)
+			return
+		}
+		if p.mode == pupSizing {
+			p.size += len(b)
+		} else {
+			p.buf = b
+		}
+	case pupUnpacking:
+		if p.remaining() < 1 {
+			p.fail(fmt.Errorf("pup: truncated buffer (need a payload tag at offset %d)", p.off))
+			return
+		}
+		x, rest, err := decodePayload(p.buf[p.off], p.buf[p.off+1:])
+		if err != nil {
+			p.fail(err)
+			return
+		}
+		*v = x
+		p.off = len(p.buf) - len(rest)
 	}
 }
 

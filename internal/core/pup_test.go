@@ -93,6 +93,21 @@ func TestPUPUnpackRejectsBadInput(t *testing.T) {
 	}
 }
 
+// pupZeroMin declares a per-element minimum of 0, which PUPSlice's
+// contract forbids; untrusted bytes must still get an error, not a
+// divide-by-zero on the transport reader.
+type pupZeroMin struct{ xs []struct{} }
+
+func (v *pupZeroMin) PUP(p *PUP) {
+	PUPSlice(p, &v.xs, 0, func(*struct{}, *PUP) {})
+}
+
+func TestPUPSliceZeroMinElemBytes(t *testing.T) {
+	if err := PUPUnpack(&pupZeroMin{}, []byte{0x05}); err == nil {
+		t.Error("count 5 with no bytes behind it accepted")
+	}
+}
+
 // pupValidating demonstrates the Errorf contract: unpack-side validation
 // failures surface as errors from PUPUnpack.
 type pupValidating struct{ n int }

@@ -29,6 +29,14 @@ type qdMsg struct {
 // PayloadBytes implements Sizer.
 func (qdMsg) PayloadBytes() int { return 40 }
 
+// PUP is the probe's wire form.
+func (m *qdMsg) PUP(p *PUP) {
+	p.Bool(&m.Probe)
+	p.Varint(&m.Wave)
+	p.Varint(&m.Sent)
+	p.Varint(&m.Processed)
+}
+
 // qdRoot drives waves on PE 0.
 type qdRoot struct {
 	wave     int64

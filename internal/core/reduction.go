@@ -105,6 +105,15 @@ type ReducePartial struct {
 // PayloadBytes implements Sizer: partials are small control messages.
 func (ReducePartial) PayloadBytes() int { return 48 }
 
+// PUP is the partial's wire form; Value nests as a tagged payload.
+func (r *ReducePartial) PUP(p *PUP) {
+	PUPVarint(p, &r.Array)
+	p.Varint(&r.Seq)
+	PUPUvarint(p, &r.Op)
+	PUPVarint(p, &r.Contribs)
+	p.Payload(&r.Value)
+}
+
 type redKey struct {
 	a   ArrayID
 	seq int64

@@ -211,9 +211,16 @@ func TestDecodeMessageNeverPanics(t *testing.T) {
 	}
 }
 
+type testPayload struct{ A, B int }
+
+func (v *testPayload) PUP(p *PUP) {
+	p.Int(&v.A)
+	p.Int(&v.B)
+}
+
+func init() { RegisterPayload[testPayload](201) }
+
 func TestMessageCodecRoundTrip(t *testing.T) {
-	type testPayload struct{ A, B int }
-	RegisterPayload(testPayload{})
 	in := &Message{
 		Kind: KindApp, To: ElemRef{Array: 1, Index: 42}, Entry: 3,
 		Prio: -2, Bytes: 1024, SrcPE: 5, DstPE: 9,

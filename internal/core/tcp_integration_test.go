@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -20,7 +21,6 @@ func TestTwoNodeTCPRuntime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	RegisterPayload(int(0))
 
 	mkProg := func() *Program {
 		return &Program{
@@ -123,7 +123,6 @@ func TestTwoNodeTCPCausality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	RegisterPayload(int(0))
 
 	mkProg := func() *Program {
 		return &Program{
@@ -236,5 +235,77 @@ func TestTwoNodeTCPCausality(t *testing.T) {
 	if remoteEnq < rounds || remoteBegin < rounds {
 		t.Errorf("node 1 saw %d enqueues / %d begins with node-0 IDs, want >= %d each",
 			remoteEnq, remoteBegin, rounds)
+	}
+}
+
+// TestTwoNodeUnregisteredPayloadFailsRun: sending a payload type nobody
+// registered to an element on another node must end the sender's run with
+// an error that names the type: there is no self-describing fallback, and
+// silently dropping the message would leave both nodes waiting for it.
+func TestTwoNodeUnregisteredPayloadFailsRun(t *testing.T) {
+	topo, err := topology.TwoClusters(2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mkProg := func() *Program {
+		return &Program{
+			Arrays: []ArraySpec{{ID: 0, N: 2, New: func(i int) Chare {
+				return funcChare(func(ctx *Ctx, entry EntryID, data any) { ctx.ExitWith(data) })
+			}}},
+			// Element 1 lives on node 1.
+			Start: func(ctx *Ctx) { ctx.Send(ElemRef{0, 1}, 0, unregisteredPayload{Name: "lost", Count: 1}) },
+		}
+	}
+	nodeOf := func(pe int) int { return pe }
+	routeFn := func(pe int32) int { return int(pe) }
+	var rts [2]*Runtime
+	var tcps [2]*vmi.TCP
+	for node := 0; node < 2; node++ {
+		node := node
+		tcps[node] = vmi.NewTCP(node, map[int]string{node: "127.0.0.1:0"}, routeFn, func(f *vmi.Frame) error {
+			return rts[node].InjectFrame(f)
+		})
+		defer tcps[node].Close()
+	}
+	a0, err := tcps[0].Listen()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a1, err := tcps[1].Listen()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tcps[0].SetAddr(1, a1)
+	tcps[1].SetAddr(0, a0)
+	for node := 0; node < 2; node++ {
+		rts[node], err = NewRuntime(topo, mkProg(),
+			WithCluster(ClusterConfig{Transport: tcps[node], NodeOf: nodeOf, Node: node, PELo: node, PEHi: node + 1}))
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	worker := make(chan error, 1)
+	go func() {
+		_, err := rts[1].Run()
+		worker <- err
+	}()
+	coord := make(chan error, 1)
+	go func() {
+		_, err := rts[0].Run()
+		coord <- err
+	}()
+	select {
+	case err := <-coord:
+		if err == nil || !strings.Contains(err.Error(), "core.unregisteredPayload") {
+			t.Errorf("coordinator run: err = %v, want one naming core.unregisteredPayload", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("coordinator hung on a payload it could not encode")
+	}
+	rts[1].Stop()
+	select {
+	case <-worker:
+	case <-time.After(5 * time.Second):
+		t.Fatal("worker node never stopped")
 	}
 }

@@ -8,21 +8,33 @@ import (
 	"gridmdo/internal/vmi"
 )
 
-// TestWireDeviceChain runs the two-node TCP ping-pong with compression,
-// checksumming, and encryption applied to every wide-area frame — the VMI
-// "manipulate message data as it is passed from module to module"
-// capability, end to end through the runtime.
+// xorDevice is a self-inverse body transform: the smallest device that
+// makes a frame unreadable to a receiver without the matching chain.
+type xorDevice struct{}
+
+func (xorDevice) Name() string { return "xor" }
+
+func (xorDevice) scramble(f *vmi.Frame) *vmi.Frame {
+	g := f.Clone()
+	for i := range g.Body {
+		g.Body[i] ^= 0x5A
+	}
+	return g
+}
+
+func (d xorDevice) Send(f *vmi.Frame, next vmi.SendFunc) error { return next(d.scramble(f)) }
+func (d xorDevice) Recv(f *vmi.Frame, next vmi.RecvFunc) error { return next(d.scramble(f)) }
+
+// TestWireDeviceChain runs the two-node TCP ping-pong with a transform
+// applied to every wide-area frame — the VMI "manipulate message data as
+// it is passed from module to module" capability, end to end through the
+// runtime.
 func TestWireDeviceChain(t *testing.T) {
 	const rounds = 3
 	topo, err := topology.TwoClusters(2, 2*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := make([]byte, 16)
-	for i := range key {
-		key[i] = byte(i * 7)
-	}
-
 	mkProg := func() *Program {
 		return &Program{
 			Arrays: []ArraySpec{{
@@ -34,7 +46,6 @@ func TestWireDeviceChain(t *testing.T) {
 							ctx.ExitWith(n)
 							return
 						}
-						// A compressible payload exercises the flate path.
 						ctx.Send(ElemRef{Array: 0, Index: 1 - ctx.Elem().Index}, 0, n+1,
 							WithBytes(4096))
 					})
@@ -69,16 +80,9 @@ func TestWireDeviceChain(t *testing.T) {
 	defer tcps[1].Close()
 
 	for node := 0; node < 2; node++ {
-		cipher, err := vmi.NewCipherDevice(key)
-		if err != nil {
-			t.Fatal(err)
-		}
 		rt, err := NewRuntime(topo, mkProg(),
 			WithCluster(ClusterConfig{Transport: tcps[node], NodeOf: nodeOf, Node: node, PELo: node, PEHi: node + 1}),
-			WithWireDevices(
-				[]vmi.SendDevice{&vmi.CompressDevice{MinSize: 16}, vmi.ChecksumDevice{}, cipher},
-				[]vmi.RecvDevice{cipher, vmi.ChecksumDevice{}, &vmi.CompressDevice{MinSize: 16}},
-			))
+			WithWireDevices([]vmi.SendDevice{xorDevice{}}, []vmi.RecvDevice{xorDevice{}}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,14 +140,10 @@ func TestWireChainMismatchFails(t *testing.T) {
 	defer tcps[0].Close()
 	defer tcps[1].Close()
 
-	cipher, err := vmi.NewCipherDevice(make([]byte, 16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Node 0 encrypts; node 1 has no recv chain.
+	// Node 0 scrambles; node 1 has no recv chain.
 	rts[0], err = NewRuntime(topo, mkProg(),
 		WithCluster(ClusterConfig{Transport: tcps[0], NodeOf: nodeOf, Node: 0, PELo: 0, PEHi: 1}),
-		WithWireDevices([]vmi.SendDevice{cipher}, nil))
+		WithWireDevices([]vmi.SendDevice{xorDevice{}}, nil))
 	if err != nil {
 		t.Fatal(err)
 	}

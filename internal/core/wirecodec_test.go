@@ -3,13 +3,16 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 )
 
-// TestWireCodecPayloadKinds round-trips one message per registered binary
-// fast path and checks the payload survives with its concrete type.
+// TestWireCodecPayloadKinds round-trips one message per payload kind the
+// runtime itself sends and checks the payload survives with its concrete
+// type.
 func TestWireCodecPayloadKinds(t *testing.T) {
 	cases := []struct {
 		name string
@@ -128,159 +131,88 @@ func TestWireCodecAppendMessage(t *testing.T) {
 	}
 }
 
-// unregisteredPayload deliberately has no binary codec and no gob
-// registration conflict: it exercises the fallback path.
+// unregisteredPayload has a PUP method but no registration.
 type unregisteredPayload struct {
 	Name  string
 	Count int64
 }
 
-// TestWireCodecGobFallback: unregistered payload types travel via the gob
-// fallback and equal the value gob alone would produce.
-func TestWireCodecGobFallback(t *testing.T) {
-	RegisterPayload(unregisteredPayload{})
-	in := &Message{Kind: KindApp, Data: unregisteredPayload{Name: "x", Count: 3}}
-	b, err := EncodeMessage(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := DecodeMessage(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, ok := out.Data.(unregisteredPayload); !ok || got != (unregisteredPayload{Name: "x", Count: 3}) {
-		t.Errorf("fallback payload: %#v", out.Data)
+func (u *unregisteredPayload) PUP(p *PUP) {
+	p.String(&u.Name)
+	p.Varint(&u.Count)
+}
+
+// TestWireCodecUnregisteredType: there is no self-describing fallback. A
+// payload type nobody registered is an encode error that names the type,
+// at the top level and nested under a registered one.
+func TestWireCodecUnregisteredType(t *testing.T) {
+	for _, data := range []any{
+		unregisteredPayload{Name: "x", Count: 3},
+		ReducePartial{Op: OpSum, Value: unregisteredPayload{}},
+		[]*Message{{Kind: KindApp, Data: &unregisteredPayload{}}},
+	} {
+		buf := make([]byte, 0, 256)
+		out, err := AppendMessage(buf, &Message{Kind: KindApp, Data: data})
+		if err == nil || !strings.Contains(err.Error(), "unregisteredPayload") || !strings.Contains(err.Error(), "not registered") {
+			t.Errorf("%T: err = %v, want one naming core.unregisteredPayload as not registered", data, err)
+		}
+		if out != nil {
+			t.Errorf("%T: failed encode returned %d bytes", data, len(out))
+		}
 	}
 }
 
-// appPayload exercises RegisterPayloadCodec. Registration lives in an init
-// so repeated test runs in one process (-count=N) don't trip the
-// duplicate-tag panic.
-type appPayload struct{ N byte }
-
-func init() {
-	RegisterPayloadCodec(200, appPayload{}, PayloadCodec{
-		Append: func(dst []byte, v any) ([]byte, error) {
-			return append(dst, v.(appPayload).N), nil
-		},
-		Decode: func(b []byte) (any, []byte, error) {
-			if len(b) < 1 {
-				return nil, b, ErrBadWire
-			}
-			return appPayload{N: b[0]}, b[1:], nil
-		},
-	})
+// appPayload is an application payload registered in the application tag
+// range. Registration lives in an init so repeated test runs in one
+// process (-count=N) don't trip the duplicate-tag panic.
+type appPayload struct {
+	N    byte
+	Vals []float64
 }
 
-// TestRegisterPayloadCodec: an application-registered binary codec is used
-// for both directions and rejects reserved tags.
-func TestRegisterPayloadCodec(t *testing.T) {
-	in := &Message{Kind: KindApp, Data: appPayload{N: 77}}
+func (a *appPayload) PUP(p *PUP) {
+	PUPUvarint(p, &a.N)
+	p.Float64s(&a.Vals)
+}
+
+func init() { RegisterPayload[appPayload](200) }
+
+// TestRegisterPayload: a registered type travels under its tag in both
+// directions and arrives as the value type; reserved tags, a tag taken
+// twice and a type registered twice all panic at registration.
+func TestRegisterPayload(t *testing.T) {
+	in := &Message{Kind: KindApp, Data: appPayload{N: 77, Vals: []float64{1.5, -2}}}
 	b, err := EncodeMessage(in)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if b[msgHeaderLen-1] != 200 {
-		t.Errorf("custom codec not used: tag %d", b[msgHeaderLen-1])
+		t.Errorf("registered tag not used: tag %d", b[msgHeaderLen-1])
 	}
 	out, err := DecodeMessage(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Data != (appPayload{N: 77}) {
-		t.Errorf("custom payload: %#v", out.Data)
+	if !reflect.DeepEqual(out.Data, in.Data) {
+		t.Errorf("registered payload: %#v", out.Data)
 	}
-	for _, tag := range []byte{0, 10, 63, 255} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("reserved tag %d accepted", tag)
-				}
-			}()
-			RegisterPayloadCodec(tag, struct{ X int }{}, PayloadCodec{
-				Append: func(dst []byte, v any) ([]byte, error) { return dst, nil },
-				Decode: func(b []byte) (any, []byte, error) { return nil, b, nil },
-			})
+	mustPanic := func(what string, register func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s accepted", what)
+			}
 		}()
+		register()
 	}
-}
-
-// FuzzWireCodec round-trips structured random messages through the binary
-// codec and asserts byte-for-byte stability: decode(encode(m)) must
-// re-encode to the identical byte string. Unregistered payloads must take
-// the gob fallback and still round-trip.
-func FuzzWireCodec(f *testing.F) {
-	f.Add(uint8(0), int64(0), int64(0), false, "seed", []byte{1, 2, 3})
-	f.Add(uint8(3), int64(-9), int64(1<<40), true, "", []byte{})
-	f.Add(uint8(200), int64(7), int64(-1), true, "payload", []byte{0xFF})
-	f.Fuzz(func(t *testing.T, kind uint8, a, b int64, flag bool, s string, raw []byte) {
-		// Build a payload whose shape depends on the fuzzed inputs so every
-		// tag gets coverage, including nesting.
-		var data any
-		switch kind % 10 {
-		case 0:
-			data = nil
-		case 1:
-			data = int(a)
-		case 2:
-			data = b
-		case 3:
-			data = math.Float64frombits(uint64(a))
-		case 4:
-			data = []float64{float64(a), float64(b)}
-		case 5:
-			data = s
-		case 6:
-			data = append([]byte(nil), raw...)
-		case 7:
-			data = flag
-		case 8:
-			data = ReducePartial{Array: ArrayID(a), Seq: b, Op: ReduceOp(kind % 3), Value: s, Contribs: int(a % 1000)}
-		case 9:
-			data = []*Message{
-				{Kind: KindApp, To: ElemRef{Array: 1, Index: int(a % 4096)}, Data: b, Bytes: int(b % 4096)},
-				{Kind: KindApp, To: ElemRef{Array: 2, Index: int(b % 4096)}, Data: s},
-			}
-		}
-		in := &Message{
-			Kind: Kind(kind % 7), To: ElemRef{Array: ArrayID(a), Index: int(b)},
-			Entry: EntryID(b), Prio: int32(a), Bytes: int(a % (1 << 30)), SrcPE: int32(b), DstPE: int32(a),
-			ID: uint64(a), Parent: uint64(b),
-			Data: data,
-		}
-		enc1, err := EncodeMessage(in)
-		if err != nil {
-			t.Fatalf("encode: %v", err)
-		}
-		out, err := DecodeMessage(enc1)
-		if err != nil {
-			t.Fatalf("decode of own encoding: %v", err)
-		}
-		enc2, err := EncodeMessage(out)
-		if err != nil {
-			t.Fatalf("re-encode: %v", err)
-		}
-		if !bytes.Equal(enc1, enc2) {
-			t.Fatalf("codec not byte-stable:\n first %x\nsecond %x", enc1, enc2)
-		}
-		// Gob-fallback equivalence: the same payload boxed in an
-		// unregistered wrapper must still round-trip (values, not bytes —
-		// the fallback is a different wire form by construction).
-		if kind%10 == 5 { // strings are comparable and gob-safe
-			wrapped := &Message{Kind: in.Kind, Data: fuzzWrapper{S: s}}
-			wb, err := EncodeMessage(wrapped)
-			if err != nil {
-				t.Fatalf("fallback encode: %v", err)
-			}
-			wout, err := DecodeMessage(wb)
-			if err != nil {
-				t.Fatalf("fallback decode: %v", err)
-			}
-			if got, ok := wout.Data.(fuzzWrapper); !ok || got.S != s {
-				t.Fatalf("fallback payload mismatch: %#v", wout.Data)
-			}
-		}
-	})
+	for _, tag := range []byte{0, 10, 63} {
+		mustPanic(fmt.Sprintf("reserved tag %d", tag), func() { RegisterPayload[unregisteredPayload](tag) })
+	}
+	mustPanic("tag 200 a second time", func() { RegisterPayload[unregisteredPayload](200) })
+	mustPanic("appPayload a second time", func() { RegisterPayload[appPayload](250) })
+	if _, err := EncodeMessage(&Message{Data: unregisteredPayload{}}); err == nil {
+		t.Error("a refused registration still took effect")
+	}
 }
 
 // FuzzTraceWire targets the extended trace-context header: the causal ID and
@@ -327,39 +259,6 @@ func FuzzTraceWire(f *testing.F) {
 		old[2] = 1
 		if _, err := DecodeMessage(old); err == nil {
 			t.Fatal("version-1 frame accepted")
-		}
-	})
-}
-
-type fuzzWrapper struct{ S string }
-
-func init() { RegisterPayload(fuzzWrapper{}) }
-
-// FuzzDecodeMessage feeds arbitrary bytes to the decoder: it must error or
-// decode, never panic, and anything it decodes must re-encode stably.
-func FuzzDecodeMessage(f *testing.F) {
-	seed := &Message{Kind: KindApp, Data: []float64{1, 2}}
-	if b, err := EncodeMessage(seed); err == nil {
-		f.Add(b)
-	}
-	f.Add([]byte("garbage"))
-	f.Fuzz(func(t *testing.T, b []byte) {
-		m, err := DecodeMessage(b)
-		if err != nil {
-			return
-		}
-		enc, err := EncodeMessage(m)
-		if err != nil {
-			// Decoded a payload the encoder cannot express; acceptable
-			// only for the gob fallback, which is self-describing.
-			return
-		}
-		m2, err := DecodeMessage(enc)
-		if err != nil {
-			t.Fatalf("re-decode of own encoding failed: %v", err)
-		}
-		if m2.Kind != m.Kind || m2.To != m.To || m2.Prio != m.Prio {
-			t.Fatalf("unstable header: %+v vs %+v", m, m2)
 		}
 	})
 }

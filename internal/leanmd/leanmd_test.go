@@ -3,6 +3,7 @@ package leanmd
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -366,6 +367,29 @@ func TestParamsValidation(t *testing.T) {
 		mod(p)
 		if err := p.Validate(); err == nil {
 			t.Errorf("bad params %d accepted", i)
+		}
+	}
+}
+
+// TestCoordForceMsgWire: LeanMD's two messages cross the wire as their
+// registered PUP traversals and come back as values of their own types.
+func TestCoordForceMsgWire(t *testing.T) {
+	vecs := []Vec3{{1, -2, 3.5}, {math.Inf(1), 0, -0.25}}
+	for _, in := range []any{
+		coordMsg{From: 7, Step: 12, Pos: vecs},
+		coordMsg{From: 0, Step: 0},
+		forceMsg{Step: 12, F: vecs, U: -1.75},
+	} {
+		enc, err := core.EncodeMessage(&core.Message{Kind: core.KindApp, Data: in})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := core.DecodeMessage(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(out.Data, in) {
+			t.Errorf("%#v came back as %#v", in, out.Data)
 		}
 	}
 }

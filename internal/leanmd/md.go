@@ -170,6 +170,13 @@ type coordMsg struct {
 // PayloadBytes implements core.Sizer.
 func (c coordMsg) PayloadBytes() int { return 16 + 24*len(c.Pos) }
 
+// PUP is the coordinate message's wire form.
+func (c *coordMsg) PUP(p *core.PUP) {
+	core.PUPVarint(p, &c.From)
+	core.PUPVarint(p, &c.Step)
+	pupVec3s(p, &c.Pos)
+}
+
 // forceMsg carries a pair's force contribution back to one cell.
 type forceMsg struct {
 	Step int
@@ -179,6 +186,13 @@ type forceMsg struct {
 
 // PayloadBytes implements core.Sizer.
 func (f forceMsg) PayloadBytes() int { return 24 + 24*len(f.F) }
+
+// PUP is the force message's wire form.
+func (f *forceMsg) PUP(p *core.PUP) {
+	core.PUPVarint(p, &f.Step)
+	pupVec3s(p, &f.F)
+	p.Float64(&f.U)
+}
 
 // Result is the run outcome delivered through ExitWith.
 type Result struct {
@@ -480,7 +494,8 @@ func BuildProgram(p *Params) (*core.Program, *Geometry, error) {
 	return prog, g, nil
 }
 
+// Payload tags: LeanMD owns 84–87 (DESIGN.md has the table).
 func init() {
-	core.RegisterPayload(coordMsg{})
-	core.RegisterPayload(forceMsg{})
+	core.RegisterPayload[coordMsg](84)
+	core.RegisterPayload[forceMsg](85)
 }

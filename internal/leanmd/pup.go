@@ -8,28 +8,14 @@ import (
 // enabling load balancing (elements migrate between PEs, including
 // across gridnode processes) and checkpoint/restart.
 
-// pupVec3s packs a []Vec3 as a flat float64 vector so the length checks
-// and bit-exact float handling of core.PUP apply unchanged.
+// pupVec3s moves a []Vec3 — in messages and in a cell's packed state
+// alike — as a count and three bit-exact floats per vector.
 func pupVec3s(p *core.PUP, v *[]Vec3) {
-	var flat []float64
-	if !p.Unpacking() {
-		flat = make([]float64, 0, 3*len(*v))
-		for _, w := range *v {
-			flat = append(flat, w.X, w.Y, w.Z)
-		}
-	}
-	p.Float64s(&flat)
-	if p.Unpacking() {
-		if len(flat)%3 != 0 {
-			p.Errorf("leanmd: vector payload of %d floats is not a multiple of 3", len(flat))
-			return
-		}
-		out := make([]Vec3, len(flat)/3)
-		for i := range out {
-			out[i] = Vec3{flat[3*i], flat[3*i+1], flat[3*i+2]}
-		}
-		*v = out
-	}
+	core.PUPSlice(p, v, 24, func(w *Vec3, p *core.PUP) {
+		p.Float64(&w.X)
+		p.Float64(&w.Y)
+		p.Float64(&w.Z)
+	})
 }
 
 // PUP implements core.Migratable. Positions, the two velocity views of

@@ -148,6 +148,13 @@ type ghostMsg struct {
 // PayloadBytes implements core.Sizer: the paper's 256×1 vectors of cells.
 func (g ghostMsg) PayloadBytes() int { return 16 + 8*len(g.Vals) }
 
+// PUP is the ghost's wire form.
+func (g *ghostMsg) PUP(p *core.PUP) {
+	core.PUPVarint(p, &g.Dir)
+	core.PUPVarint(p, &g.Step)
+	p.Float64s(&g.Vals)
+}
+
 // Result is the run outcome delivered through ExitWith.
 type Result struct {
 	Checksum  float64       // sum of all interior cells after the run
@@ -460,6 +467,5 @@ func BuildProgram(p *Params) (*core.Program, error) {
 	return prog, nil
 }
 
-func init() {
-	core.RegisterPayload(ghostMsg{})
-}
+// Payload tags: the stencil owns 80–83 (DESIGN.md has the table).
+func init() { core.RegisterPayload[ghostMsg](80) }

@@ -2,6 +2,7 @@ package stencil
 
 import (
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -265,5 +266,33 @@ func TestGhostMsgSizer(t *testing.T) {
 	g := ghostMsg{Vals: make([]float64, 256)}
 	if g.PayloadBytes() != 16+8*256 {
 		t.Errorf("PayloadBytes = %d", g.PayloadBytes())
+	}
+}
+
+// TestGhostMsgWire: a ghost crosses the wire as its registered PUP
+// traversal, comes back as a ghostMsg value, and costs no more than the
+// bare []float64 of its values plus 24 bytes.
+func TestGhostMsgWire(t *testing.T) {
+	in := ghostMsg{Dir: 3, Step: 1 << 20, Vals: make([]float64, 96)}
+	for i := range in.Vals {
+		in.Vals[i] = math.Sqrt(float64(i))
+	}
+	enc, err := core.EncodeMessage(&core.Message{Kind: core.KindApp, Data: in})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := core.DecodeMessage(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(out.Data, in) {
+		t.Errorf("ghost came back as %#v", out.Data)
+	}
+	bare, err := core.EncodeMessage(&core.Message{Kind: core.KindApp, Data: in.Vals})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(enc) > len(bare)+24 {
+		t.Errorf("96-value ghost is %d bytes, its []float64 %d", len(enc), len(bare))
 	}
 }

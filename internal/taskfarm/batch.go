@@ -1,20 +1,14 @@
 package taskfarm
 
-import (
-	"encoding/binary"
-	"fmt"
-	"math"
-
-	"gridmdo/internal/core"
-)
+import "gridmdo/internal/core"
 
 // The sharded farm's wire protocol. Batched grants and results amortize
 // per-message framing the way core.Queue's PopBatch amortizes the queue
 // lock: one message carries Batch tasks, so the dispatcher's per-task
 // cost degrades from (assign + frame) to (assign + frame/Batch). Every
-// protocol type below registers a compact varint payload codec in the
-// wire-codec registry, so none of them ever touches the gob fallback —
-// at millions of tasks the codec *is* the hot path.
+// protocol type below is a registered payload whose PUP method packs
+// varints — at millions of tasks the codec *is* the hot path, and a task
+// index that fits a byte costs a byte.
 
 // taskRange is a contiguous run of task sequence numbers [Lo, Lo+N).
 // Shards track and transfer the task space as range lists, so a grant of
@@ -116,7 +110,7 @@ type shardReportMsg struct {
 	Victimized int64
 }
 
-// Payload codec tags (application range starts at 64).
+// Payload tags: the farm owns 64–79 (DESIGN.md has the table).
 const (
 	tagTaskBatch   byte = 64
 	tagResultBatch byte = 65
@@ -129,335 +123,75 @@ const (
 	tagSubmit      byte = 72
 )
 
-// appendRanges encodes a range list: uvarint count, then per range a
-// signed-varint delta from the previous range's end (the first is
-// absolute) and a uvarint length. Grants usually carry one or two
-// near-adjacent ranges, so the whole list is a few bytes.
-func appendRanges(dst []byte, rs []taskRange) []byte {
-	dst = core.AppendUvarint(dst, uint64(len(rs)))
-	prevEnd := int64(0)
-	for _, r := range rs {
-		dst = core.AppendVarint(dst, r.Lo-prevEnd)
-		dst = core.AppendUvarint(dst, uint64(r.N))
-		prevEnd = r.Lo + r.N
-	}
-	return dst
-}
-
-func consumeRanges(b []byte) ([]taskRange, []byte, error) {
-	n, b, err := core.ConsumeUvarint(b)
-	if err != nil {
-		return nil, b, err
-	}
-	// Each range costs at least two bytes; reject counts the remaining
-	// input cannot satisfy before allocating.
-	if n > uint64(len(b)) {
-		return nil, b, fmt.Errorf("%w: range list count %d exceeds input", core.ErrBadWire, n)
-	}
-	if n == 0 {
-		return nil, b, nil
-	}
-	rs := make([]taskRange, n)
-	prevEnd := int64(0)
-	for i := range rs {
-		var d int64
-		var c uint64
-		if d, b, err = core.ConsumeVarint(b); err != nil {
-			return nil, b, err
-		}
-		if c, b, err = core.ConsumeUvarint(b); err != nil {
-			return nil, b, err
-		}
-		rs[i] = taskRange{Lo: prevEnd + d, N: int64(c)}
-		prevEnd = rs[i].Lo + rs[i].N
-	}
-	return rs, b, nil
-}
-
-// appendValues encodes a per-task value list: uvarint count then 8 bytes
-// per value. Empty (the batch-run case) costs one byte.
-func appendValues(dst []byte, vs []float64) []byte {
-	dst = core.AppendUvarint(dst, uint64(len(vs)))
-	for _, v := range vs {
-		dst = appendF64(dst, v)
-	}
-	return dst
-}
-
-func consumeValues(b []byte) ([]float64, []byte, error) {
-	n, b, err := core.ConsumeUvarint(b)
-	if err != nil {
-		return nil, b, err
-	}
-	if n*8 > uint64(len(b)) {
-		return nil, b, fmt.Errorf("%w: value list count %d exceeds input", core.ErrBadWire, n)
-	}
-	if n == 0 {
-		return nil, b, nil
-	}
-	vs := make([]float64, n)
-	for i := range vs {
-		if vs[i], b, err = consumeF64(b); err != nil {
-			return nil, b, err
-		}
-	}
-	return vs, b, nil
-}
-
-func appendF64(dst []byte, v float64) []byte {
-	return binary.BigEndian.AppendUint64(dst, math.Float64bits(v))
-}
-
-func consumeF64(b []byte) (float64, []byte, error) {
-	if len(b) < 8 {
-		return 0, b, fmt.Errorf("%w: truncated float64", core.ErrBadWire)
-	}
-	return math.Float64frombits(binary.BigEndian.Uint64(b)), b[8:], nil
-}
-
 func init() {
-	core.RegisterPayloadCodec(tagTaskBatch, taskBatchMsg{}, core.PayloadCodec{
-		Append: func(dst []byte, v any) ([]byte, error) {
-			m := v.(taskBatchMsg)
-			dst = core.AppendVarint(dst, int64(m.Shard))
-			dst = core.AppendUvarint(dst, uint64(m.bytes))
-			return appendRanges(dst, m.Ranges), nil
-		},
-		Decode: func(b []byte) (any, []byte, error) {
-			var m taskBatchMsg
-			s, b, err := core.ConsumeVarint(b)
-			if err != nil {
-				return nil, b, err
-			}
-			by, b, err := core.ConsumeUvarint(b)
-			if err != nil {
-				return nil, b, err
-			}
-			rs, b, err := consumeRanges(b)
-			if err != nil {
-				return nil, b, err
-			}
-			m.Shard, m.bytes, m.Ranges = int32(s), int(by), rs
-			return m, b, nil
-		},
+	core.RegisterPayload[taskBatchMsg](tagTaskBatch)
+	core.RegisterPayload[resultBatchMsg](tagResultBatch)
+	core.RegisterPayload[stealReqMsg](tagStealReq)
+	core.RegisterPayload[stealRspMsg](tagStealRsp)
+	core.RegisterPayload[progressMsg](tagProgress)
+	core.RegisterPayload[shardReportMsg](tagShardReport)
+	core.RegisterPayload[taskMsg](tagTask)
+	core.RegisterPayload[resultMsg](tagResult)
+	core.RegisterPayload[submitMsg](tagSubmit)
+}
+
+// pupRanges moves a range list — in messages and in a shard's packed
+// state alike: a count, then per range a signed delta from the previous
+// range's end (the first is absolute) and a length. Grants usually carry
+// one or two near-adjacent ranges, so the whole list is a few bytes.
+func pupRanges(p *core.PUP, rs *[]taskRange) {
+	prevEnd := int64(0)
+	core.PUPSlice(p, rs, 2, func(r *taskRange, p *core.PUP) {
+		d := r.Lo - prevEnd
+		p.Varint(&d)
+		if p.Unpacking() {
+			r.Lo = prevEnd + d
+		}
+		core.PUPUvarint(p, &r.N)
+		prevEnd = r.Lo + r.N
 	})
-	core.RegisterPayloadCodec(tagResultBatch, resultBatchMsg{}, core.PayloadCodec{
-		Append: func(dst []byte, v any) ([]byte, error) {
-			m := v.(resultBatchMsg)
-			dst = core.AppendVarint(dst, int64(m.Worker))
-			dst = core.AppendVarint(dst, int64(m.Done))
-			dst = core.AppendUvarint(dst, uint64(m.bytes))
-			dst = appendF64(dst, m.Sum)
-			dst = binary.BigEndian.AppendUint64(dst, m.Check)
-			dst = appendRanges(dst, m.Ranges)
-			return appendValues(dst, m.Values), nil
-		},
-		Decode: func(b []byte) (any, []byte, error) {
-			var m resultBatchMsg
-			w, b, err := core.ConsumeVarint(b)
-			if err != nil {
-				return nil, b, err
-			}
-			d, b, err := core.ConsumeVarint(b)
-			if err != nil {
-				return nil, b, err
-			}
-			by, b, err := core.ConsumeUvarint(b)
-			if err != nil {
-				return nil, b, err
-			}
-			sum, b, err := consumeF64(b)
-			if err != nil {
-				return nil, b, err
-			}
-			if len(b) < 8 {
-				return nil, b, fmt.Errorf("%w: truncated checksum", core.ErrBadWire)
-			}
-			m.Worker, m.Done, m.bytes = int32(w), int32(d), int(by)
-			m.Sum, m.Check = sum, binary.BigEndian.Uint64(b)
-			b = b[8:]
-			if m.Ranges, b, err = consumeRanges(b); err != nil {
-				return nil, b, err
-			}
-			if m.Values, b, err = consumeValues(b); err != nil {
-				return nil, b, err
-			}
-			return m, b, nil
-		},
-	})
-	core.RegisterPayloadCodec(tagStealReq, stealReqMsg{}, core.PayloadCodec{
-		Append: func(dst []byte, v any) ([]byte, error) {
-			return core.AppendVarint(dst, int64(v.(stealReqMsg).Thief)), nil
-		},
-		Decode: func(b []byte) (any, []byte, error) {
-			t, b, err := core.ConsumeVarint(b)
-			if err != nil {
-				return nil, b, err
-			}
-			return stealReqMsg{Thief: int32(t)}, b, nil
-		},
-	})
-	core.RegisterPayloadCodec(tagStealRsp, stealRspMsg{}, core.PayloadCodec{
-		Append: func(dst []byte, v any) ([]byte, error) {
-			m := v.(stealRspMsg)
-			dst = core.AppendVarint(dst, int64(m.Victim))
-			return appendRanges(dst, m.Ranges), nil
-		},
-		Decode: func(b []byte) (any, []byte, error) {
-			vi, b, err := core.ConsumeVarint(b)
-			if err != nil {
-				return nil, b, err
-			}
-			rs, b, err := consumeRanges(b)
-			if err != nil {
-				return nil, b, err
-			}
-			return stealRspMsg{Victim: int32(vi), Ranges: rs}, b, nil
-		},
-	})
-	core.RegisterPayloadCodec(tagProgress, progressMsg{}, core.PayloadCodec{
-		Append: func(dst []byte, v any) ([]byte, error) {
-			m := v.(progressMsg)
-			dst = core.AppendVarint(dst, int64(m.Shard))
-			dst = core.AppendVarint(dst, int64(m.Done))
-			dst = appendF64(dst, m.Sum)
-			dst = binary.BigEndian.AppendUint64(dst, m.Check)
-			dst = appendRanges(dst, m.Ranges)
-			return appendValues(dst, m.Values), nil
-		},
-		Decode: func(b []byte) (any, []byte, error) {
-			var m progressMsg
-			s, b, err := core.ConsumeVarint(b)
-			if err != nil {
-				return nil, b, err
-			}
-			d, b, err := core.ConsumeVarint(b)
-			if err != nil {
-				return nil, b, err
-			}
-			sum, b, err := consumeF64(b)
-			if err != nil {
-				return nil, b, err
-			}
-			if len(b) < 8 {
-				return nil, b, fmt.Errorf("%w: truncated checksum", core.ErrBadWire)
-			}
-			m.Shard, m.Done, m.Sum, m.Check = int32(s), int32(d), sum, binary.BigEndian.Uint64(b)
-			b = b[8:]
-			if m.Ranges, b, err = consumeRanges(b); err != nil {
-				return nil, b, err
-			}
-			if m.Values, b, err = consumeValues(b); err != nil {
-				return nil, b, err
-			}
-			return m, b, nil
-		},
-	})
-	core.RegisterPayloadCodec(tagSubmit, submitMsg{}, core.PayloadCodec{
-		Append: func(dst []byte, v any) ([]byte, error) {
-			return appendRanges(dst, v.(submitMsg).Ranges), nil
-		},
-		Decode: func(b []byte) (any, []byte, error) {
-			rs, b, err := consumeRanges(b)
-			if err != nil {
-				return nil, b, err
-			}
-			return submitMsg{Ranges: rs}, b, nil
-		},
-	})
-	core.RegisterPayloadCodec(tagShardReport, shardReportMsg{}, core.PayloadCodec{
-		Append: func(dst []byte, v any) ([]byte, error) {
-			m := v.(shardReportMsg)
-			dst = core.AppendVarint(dst, int64(m.Shard))
-			dst = core.AppendUvarint(dst, uint64(len(m.PerW)))
-			for _, n := range m.PerW {
-				dst = core.AppendUvarint(dst, uint64(n))
-			}
-			dst = core.AppendVarint(dst, m.Granted)
-			dst = core.AppendVarint(dst, m.Steals)
-			dst = core.AppendVarint(dst, m.StealFails)
-			dst = core.AppendVarint(dst, m.Stolen)
-			return core.AppendVarint(dst, m.Victimized), nil
-		},
-		Decode: func(b []byte) (any, []byte, error) {
-			var m shardReportMsg
-			s, b, err := core.ConsumeVarint(b)
-			if err != nil {
-				return nil, b, err
-			}
-			m.Shard = int32(s)
-			n, b, err := core.ConsumeUvarint(b)
-			if err != nil {
-				return nil, b, err
-			}
-			if n > uint64(len(b)) {
-				return nil, b, fmt.Errorf("%w: per-worker tally count %d exceeds input", core.ErrBadWire, n)
-			}
-			if n > 0 {
-				m.PerW = make([]int32, n)
-				for i := range m.PerW {
-					var c uint64
-					if c, b, err = core.ConsumeUvarint(b); err != nil {
-						return nil, b, err
-					}
-					m.PerW[i] = int32(c)
-				}
-			}
-			for _, dst := range []*int64{&m.Granted, &m.Steals, &m.StealFails, &m.Stolen, &m.Victimized} {
-				if *dst, b, err = core.ConsumeVarint(b); err != nil {
-					return nil, b, err
-				}
-			}
-			return m, b, nil
-		},
-	})
-	// The single-master protocol rides the same registry: taskMsg and
-	// resultMsg predate the batch layer but there is no reason for them
-	// to pay the gob fallback on TCP deployments.
-	core.RegisterPayloadCodec(tagTask, taskMsg{}, core.PayloadCodec{
-		Append: func(dst []byte, v any) ([]byte, error) {
-			m := v.(taskMsg)
-			dst = core.AppendVarint(dst, int64(m.Seq))
-			return core.AppendUvarint(dst, uint64(m.bytes)), nil
-		},
-		Decode: func(b []byte) (any, []byte, error) {
-			s, b, err := core.ConsumeVarint(b)
-			if err != nil {
-				return nil, b, err
-			}
-			by, b, err := core.ConsumeUvarint(b)
-			if err != nil {
-				return nil, b, err
-			}
-			return taskMsg{Seq: int(s), bytes: int(by)}, b, nil
-		},
-	})
-	core.RegisterPayloadCodec(tagResult, resultMsg{}, core.PayloadCodec{
-		Append: func(dst []byte, v any) ([]byte, error) {
-			m := v.(resultMsg)
-			dst = core.AppendVarint(dst, int64(m.Seq))
-			dst = core.AppendVarint(dst, int64(m.Worker))
-			dst = core.AppendUvarint(dst, uint64(m.bytes))
-			return appendF64(dst, m.Value), nil
-		},
-		Decode: func(b []byte) (any, []byte, error) {
-			s, b, err := core.ConsumeVarint(b)
-			if err != nil {
-				return nil, b, err
-			}
-			w, b, err := core.ConsumeVarint(b)
-			if err != nil {
-				return nil, b, err
-			}
-			by, b, err := core.ConsumeUvarint(b)
-			if err != nil {
-				return nil, b, err
-			}
-			val, b, err := consumeF64(b)
-			if err != nil {
-				return nil, b, err
-			}
-			return resultMsg{Seq: int(s), Worker: int(w), Value: val, bytes: int(by)}, b, nil
-		},
-	})
+}
+
+func (m *taskBatchMsg) PUP(p *core.PUP) {
+	core.PUPVarint(p, &m.Shard)
+	core.PUPUvarint(p, &m.bytes)
+	pupRanges(p, &m.Ranges)
+}
+
+func (m *resultBatchMsg) PUP(p *core.PUP) {
+	core.PUPVarint(p, &m.Worker)
+	core.PUPVarint(p, &m.Done)
+	core.PUPUvarint(p, &m.bytes)
+	p.Float64(&m.Sum)
+	p.Uint64(&m.Check)
+	pupRanges(p, &m.Ranges)
+	p.Float64s(&m.Values)
+}
+
+func (m *stealReqMsg) PUP(p *core.PUP) { core.PUPVarint(p, &m.Thief) }
+
+func (m *stealRspMsg) PUP(p *core.PUP) {
+	core.PUPVarint(p, &m.Victim)
+	pupRanges(p, &m.Ranges)
+}
+
+func (m *progressMsg) PUP(p *core.PUP) {
+	core.PUPVarint(p, &m.Shard)
+	core.PUPVarint(p, &m.Done)
+	p.Float64(&m.Sum)
+	p.Uint64(&m.Check)
+	pupRanges(p, &m.Ranges)
+	p.Float64s(&m.Values)
+}
+
+func (m *submitMsg) PUP(p *core.PUP) { pupRanges(p, &m.Ranges) }
+
+func (m *shardReportMsg) PUP(p *core.PUP) {
+	core.PUPVarint(p, &m.Shard)
+	core.PUPSlice(p, &m.PerW, 1, func(n *int32, p *core.PUP) { core.PUPUvarint(p, n) })
+	p.Varint(&m.Granted)
+	p.Varint(&m.Steals)
+	p.Varint(&m.StealFails)
+	p.Varint(&m.Stolen)
+	p.Varint(&m.Victimized)
 }

@@ -39,20 +39,12 @@ func (w *worker) PUP(p *core.PUP) {
 // counters, and the PRNG state (so a restored shard continues the same
 // victim sequence — checkpoint/restore never forks the random stream).
 func (s *shard) PUP(p *core.PUP) {
-	n := len(s.pending)
-	p.Int(&n)
-	if p.Unpacking() {
-		// A serve farm's task space is open-ended (Tasks == 0), so its
-		// pending-range count has no static bound to check against.
-		if n < 0 || (!s.p.Serve && n > s.p.Tasks) {
-			p.Errorf("taskfarm: restore shard %d: %d pending ranges for a %d-task farm", s.id, n, s.p.Tasks)
-			return
-		}
-		s.pending = make([]taskRange, n)
-	}
-	for i := range s.pending {
-		p.Int64(&s.pending[i].Lo)
-		p.Int64(&s.pending[i].N)
+	pupRanges(p, &s.pending)
+	// A serve farm's task space is open-ended (Tasks == 0), so its
+	// pending-range count has no static bound to check against.
+	if p.Unpacking() && !s.p.Serve && len(s.pending) > s.p.Tasks {
+		p.Errorf("taskfarm: restore shard %d: %d pending ranges for a %d-task farm", s.id, len(s.pending), s.p.Tasks)
+		return
 	}
 	p.Int64(&s.avail)
 	p.Ints(&s.out)
@@ -73,20 +65,10 @@ func (s *shard) PUP(p *core.PUP) {
 		s.outRanges = make([][]taskRange, len(s.out))
 	}
 	for i := range s.outRanges {
-		m := len(s.outRanges[i])
-		p.Int(&m)
-		if p.Unpacking() {
-			if m < 0 || (!s.p.Serve && m > s.p.Tasks) {
-				p.Errorf("taskfarm: restore shard %d: %d outstanding ranges for worker %d", s.id, m, s.wLo+i)
-				return
-			}
-			if m > 0 {
-				s.outRanges[i] = make([]taskRange, m)
-			}
-		}
-		for j := range s.outRanges[i] {
-			p.Int64(&s.outRanges[i][j].Lo)
-			p.Int64(&s.outRanges[i][j].N)
+		pupRanges(p, &s.outRanges[i])
+		if p.Unpacking() && !s.p.Serve && len(s.outRanges[i]) > s.p.Tasks {
+			p.Errorf("taskfarm: restore shard %d: %d outstanding ranges for worker %d", s.id, len(s.outRanges[i]), s.wLo+i)
+			return
 		}
 	}
 	ng := len(s.grantable)

@@ -2,6 +2,8 @@ package taskfarm
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"math"
 	"testing"
 	"time"
@@ -331,47 +333,61 @@ func equalRanges(a, b []taskRange) bool {
 	return true
 }
 
-// FuzzBatchCodec round-trips fuzzed batch-protocol messages through the
-// wire codec and asserts byte-for-byte stability, mirroring
-// core.FuzzWireCodec for the application payloads.
-func FuzzBatchCodec(f *testing.F) {
-	f.Add(uint8(0), int64(0), int64(1), int64(100), uint64(7))
-	f.Add(uint8(1), int64(3), int64(-5), int64(1<<40), uint64(1)<<63)
-	f.Add(uint8(5), int64(200), int64(17), int64(0), uint64(0xFFFFFFFFFFFFFFFF))
-	f.Fuzz(func(t *testing.T, kind uint8, a, b, c int64, u uint64) {
-		ranges := []taskRange{{Lo: b, N: c & 0xFFFF}, {Lo: b + (c & 0xFF), N: a & 0xFF}}
-		var data any
-		switch kind % 6 {
-		case 0:
-			data = taskBatchMsg{Shard: int32(a), Ranges: ranges, bytes: int(c & 0xFFFF)}
-		case 1:
-			data = resultBatchMsg{Worker: int32(a), Done: int32(b), Sum: math.Float64frombits(u), Check: u, bytes: int(c & 0xFFFF)}
-		case 2:
-			data = stealReqMsg{Thief: int32(a)}
-		case 3:
-			data = stealRspMsg{Victim: int32(a), Ranges: ranges}
-		case 4:
-			data = progressMsg{Shard: int32(a), Done: int32(b), Sum: math.Float64frombits(u), Check: u}
-		case 5:
-			data = shardReportMsg{Shard: int32(a), PerW: []int32{int32(b), int32(c)}, Granted: c, Steals: a, StealFails: b, Stolen: c, Victimized: a}
-		}
-		in := &core.Message{Kind: core.KindApp, To: core.ElemRef{Array: ArrayShard, Index: int(a & 0xFFFF)}, Data: data}
-		enc1, err := core.EncodeMessage(in)
+// TestBatchCodecHugeCountRejected: a value, range or per-worker count no
+// input could hold — 2^61 eight-byte values is where a multiplying bounds
+// check wraps to zero — is a malformed frame, not an allocation.
+func TestBatchCodecHugeCountRejected(t *testing.T) {
+	huge := binary.AppendUvarint(nil, 1<<61)
+	for _, tc := range []struct {
+		name string
+		data any
+		cut  int // trailing bytes of the valid encoding to replace with the huge count
+	}{
+		{"result-batch-values", resultBatchMsg{Worker: 7, Done: 16, Sum: 1.5, Check: 9}, 1},
+		{"progress-values", progressMsg{Shard: 2, Done: 8, Sum: -3.5, Check: 42}, 1},
+		{"progress-ranges", progressMsg{Shard: 2, Done: 8, Sum: -3.5, Check: 42}, 2},
+		{"submit-ranges", submitMsg{}, 1},
+		{"report-perw", shardReportMsg{Shard: 1}, 6},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b, err := core.EncodeMessage(&core.Message{Kind: core.KindApp, Data: tc.data})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Everything from the count on is empty lists and zero
+			// counters: one zero byte each.
+			for _, z := range b[len(b)-tc.cut:] {
+				if z != 0 {
+					t.Fatalf("encoding does not end in %d zero bytes: %x", tc.cut, b)
+				}
+			}
+			bad := append(append(b[:len(b)-tc.cut:len(b)-tc.cut], huge...), make([]byte, 16)...)
+			if _, err := core.DecodeMessage(bad); !errors.Is(err, core.ErrBadWire) {
+				t.Errorf("count of 2^61: err = %v, want ErrBadWire", err)
+			}
+		})
+	}
+}
+
+// TestBatchCodecWireSize pins the hot messages' encoded size, header
+// included, at what the hand-written codecs before PUP produced.
+func TestBatchCodecWireSize(t *testing.T) {
+	for _, tc := range []struct {
+		data any
+		max  int
+	}{
+		{taskBatchMsg{Shard: 3, Ranges: []taskRange{{Lo: 1000, N: 64}}, bytes: 64 * 64}, 64},
+		{resultBatchMsg{Worker: 7, Done: 64, Sum: 17.25, Check: 0xDEADBEEF, bytes: 64 * 64}, 80},
+		{progressMsg{Shard: 3, Done: 64, Sum: 17.25, Check: 0xDEADBEEF}, 78},
+	} {
+		b, err := core.EncodeMessage(&core.Message{Kind: core.KindApp, Data: tc.data})
 		if err != nil {
-			t.Fatalf("encode: %v", err)
+			t.Fatal(err)
 		}
-		out, err := core.DecodeMessage(enc1)
-		if err != nil {
-			t.Fatalf("decode of own encoding: %v", err)
+		if len(b) > tc.max {
+			t.Errorf("%T encodes to %d bytes, was %d", tc.data, len(b), tc.max)
 		}
-		enc2, err := core.EncodeMessage(out)
-		if err != nil {
-			t.Fatalf("re-encode: %v", err)
-		}
-		if !bytes.Equal(enc1, enc2) {
-			t.Fatalf("batch codec not byte-stable:\n first %x\nsecond %x", enc1, enc2)
-		}
-	})
+	}
 }
 
 // shardTestParams builds a Params good for PUP testing.

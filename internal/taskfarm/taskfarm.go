@@ -287,6 +287,11 @@ func (t taskMsg) PayloadBytes() int {
 	return core.DefaultPayloadBytes
 }
 
+func (t *taskMsg) PUP(p *core.PUP) {
+	core.PUPVarint(p, &t.Seq)
+	core.PUPUvarint(p, &t.bytes)
+}
+
 // resultMsg carries a task's output back.
 type resultMsg struct {
 	Seq    int
@@ -301,6 +306,13 @@ func (r resultMsg) PayloadBytes() int {
 		return r.bytes
 	}
 	return core.DefaultPayloadBytes
+}
+
+func (r *resultMsg) PUP(p *core.PUP) {
+	core.PUPVarint(p, &r.Seq)
+	core.PUPVarint(p, &r.Worker)
+	core.PUPUvarint(p, &r.bytes)
+	p.Float64(&r.Value)
 }
 
 // TaskValue is the deterministic "science" of task seq; the master sums
@@ -498,9 +510,4 @@ func BuildProgramFor(p *Params, numPE int) (*core.Program, error) {
 		q.Workers = numPE
 	}
 	return BuildProgram(&q)
-}
-
-func init() {
-	core.RegisterPayload(taskMsg{})
-	core.RegisterPayload(resultMsg{})
 }

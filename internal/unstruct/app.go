@@ -71,6 +71,13 @@ type haloMsg struct {
 // PayloadBytes implements core.Sizer.
 func (h haloMsg) PayloadBytes() int { return 16 + 8*len(h.Vals) }
 
+// PUP is the halo's wire form.
+func (h *haloMsg) PUP(p *core.PUP) {
+	core.PUPVarint(p, &h.From)
+	core.PUPVarint(p, &h.Step)
+	p.Float64s(&h.Vals)
+}
+
 // Result is the run outcome.
 type Result struct {
 	Checksum float64
@@ -307,6 +314,6 @@ func RunSequential(p *Params) ([]float64, error) {
 	return cur, nil
 }
 
-func init() {
-	core.RegisterPayload(haloMsg{})
-}
+// Payload tags: the unstructured mesh owns 88–91 (DESIGN.md has the
+// table).
+func init() { core.RegisterPayload[haloMsg](88) }

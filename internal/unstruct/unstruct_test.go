@@ -2,6 +2,7 @@ package unstruct
 
 import (
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -247,5 +248,22 @@ func TestSweepCost(t *testing.T) {
 	}
 	if m.SweepCost(10, 40) <= m.SweepCost(10, 4) {
 		t.Error("cost not increasing in edges")
+	}
+}
+
+// TestHaloMsgWire: a halo crosses the wire as its registered PUP traversal
+// and comes back as a haloMsg value.
+func TestHaloMsgWire(t *testing.T) {
+	in := haloMsg{From: 5, Step: 9, Vals: []float64{1.5, -2, math.MaxFloat64}}
+	enc, err := core.EncodeMessage(&core.Message{Kind: core.KindApp, Data: in})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := core.DecodeMessage(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(out.Data, in) {
+		t.Errorf("halo came back as %#v", out.Data)
 	}
 }

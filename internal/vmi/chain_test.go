@@ -1,11 +1,8 @@
 package vmi
 
 import (
-	"bytes"
-	"math/rand"
 	"sync"
 	"testing"
-	"testing/quick"
 	"time"
 )
 
@@ -147,243 +144,5 @@ func TestDelayDeviceCloseDrains(t *testing.T) {
 	_ = d.Send(&Frame{}, func(*Frame) error { through = true; return nil })
 	if !through {
 		t.Error("post-close send did not pass through")
-	}
-}
-
-func TestCompressRoundTrip(t *testing.T) {
-	dev := &CompressDevice{}
-	body := bytes.Repeat([]byte("abcdefgh"), 512) // highly compressible
-	f := &Frame{Src: 1, Dst: 2, Body: append([]byte(nil), body...)}
-
-	var sent *Frame
-	if err := dev.Send(f, func(g *Frame) error { sent = g; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if sent.Flags&FlagCompressed == 0 {
-		t.Fatal("compressible body not compressed")
-	}
-	if len(sent.Body) >= len(body) {
-		t.Fatalf("compression grew body: %d >= %d", len(sent.Body), len(body))
-	}
-	var recvd *Frame
-	if err := dev.Recv(sent, func(g *Frame) error { recvd = g; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(recvd.Body, body) {
-		t.Error("compress round trip corrupted body")
-	}
-	if recvd.Flags&FlagCompressed != 0 {
-		t.Error("compressed flag not cleared")
-	}
-}
-
-func TestCompressSkipsSmallAndIncompressible(t *testing.T) {
-	dev := &CompressDevice{}
-	small := &Frame{Body: []byte("tiny")}
-	var out *Frame
-	if err := dev.Send(small, func(g *Frame) error { out = g; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if out.Flags&FlagCompressed != 0 {
-		t.Error("small body compressed")
-	}
-	rnd := make([]byte, 4096)
-	rand.New(rand.NewSource(1)).Read(rnd)
-	f := &Frame{Body: append([]byte(nil), rnd...)}
-	if err := dev.Send(f, func(g *Frame) error { out = g; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if out.Flags&FlagCompressed != 0 && len(out.Body) >= len(rnd) {
-		t.Error("incompressible body marked compressed without shrinking")
-	}
-}
-
-func TestChecksumRoundTripAndDetection(t *testing.T) {
-	dev := ChecksumDevice{}
-	body := []byte("the quick brown fox")
-	f := &Frame{Body: append([]byte(nil), body...)}
-	var sent *Frame
-	if err := dev.Send(f, func(g *Frame) error { sent = g; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if len(sent.Body) != len(body)+4 {
-		t.Fatalf("checksum not appended: %d bytes", len(sent.Body))
-	}
-	ok := sent.Clone()
-	var recvd *Frame
-	if err := dev.Recv(ok, func(g *Frame) error { recvd = g; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(recvd.Body, body) {
-		t.Error("checksum round trip corrupted body")
-	}
-	bad := sent.Clone()
-	bad.Body[0] ^= 0xFF
-	if err := dev.Recv(bad, func(*Frame) error { return nil }); err != ErrChecksum {
-		t.Errorf("corruption not detected: err=%v", err)
-	}
-}
-
-func TestCipherRoundTrip(t *testing.T) {
-	key := bytes.Repeat([]byte{7}, 32)
-	dev, err := NewCipherDevice(key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := []byte("secret coordinates of all atoms")
-	f := &Frame{Src: 4, Seq: 99, Body: append([]byte(nil), body...)}
-	var sent *Frame
-	if err := dev.Send(f, func(g *Frame) error { sent = g; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Equal(sent.Body, body) {
-		t.Fatal("cipher left body in the clear")
-	}
-	var recvd *Frame
-	if err := dev.Recv(sent, func(g *Frame) error { recvd = g; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(recvd.Body, body) {
-		t.Error("cipher round trip corrupted body")
-	}
-}
-
-func TestCipherRejectsBadKey(t *testing.T) {
-	if _, err := NewCipherDevice([]byte("short")); err == nil {
-		t.Error("bad key accepted")
-	}
-}
-
-// Property: the full transform stack (compress → checksum → cipher on
-// send; cipher → checksum → decompress on receive) is the identity on
-// arbitrary bodies.
-func TestTransformStackProperty(t *testing.T) {
-	cd := &CompressDevice{}
-	cs := ChecksumDevice{}
-	ci, err := NewCipherDevice(bytes.Repeat([]byte{3}, 16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	prop := func(body []byte, seq uint64, src int32) bool {
-		if len(body) == 0 {
-			return true
-		}
-		var out *Frame
-		send := BuildSendChain(func(f *Frame) error { out = f; return nil }, cd, cs, ci)
-		in := &Frame{Src: src, Seq: seq, Body: append([]byte(nil), body...)}
-		if err := send(in); err != nil {
-			return false
-		}
-		var final *Frame
-		recv := BuildRecvChain(func(f *Frame) error { final = f; return nil }, ci, cs, cd)
-		if err := recv(out); err != nil {
-			return false
-		}
-		return bytes.Equal(final.Body, body) && final.Flags == 0
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestStripeRoundTrip(t *testing.T) {
-	re := NewStripeReassembler()
-	var final *Frame
-	recv := BuildRecvChain(func(f *Frame) error { final = f; return nil }, re)
-
-	// Lanes deliver straight into the receive chain, shuffled below.
-	var held []*Frame
-	lane := func(f *Frame) error { held = append(held, f); return nil }
-	dev, err := NewStripeDevice(lane, lane, lane)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := make([]byte, 10_000)
-	for i := range body {
-		body[i] = byte(i * 31)
-	}
-	in := &Frame{Src: 2, Dst: 5, Prio: -1, Seq: 42, Body: append([]byte(nil), body...)}
-	if err := dev.Send(in, nil); err != nil {
-		t.Fatal(err)
-	}
-	if len(held) != 3 {
-		t.Fatalf("striped into %d chunks, want 3", len(held))
-	}
-	// Deliver out of order.
-	for _, i := range []int{2, 0, 1} {
-		if err := recv(held[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if final == nil {
-		t.Fatal("frame never reassembled")
-	}
-	if !bytes.Equal(final.Body, body) {
-		t.Error("stripe round trip corrupted body")
-	}
-	if final.Src != 2 || final.Dst != 5 || final.Prio != -1 || final.Seq != 42 {
-		t.Errorf("stripe lost header fields: %+v", final)
-	}
-	if re.Pending() != 0 {
-		t.Errorf("reassembler still holds %d partial frames", re.Pending())
-	}
-}
-
-func TestStripeSmallFramePassesThrough(t *testing.T) {
-	var laneHits int
-	lane := func(f *Frame) error { laneHits++; return nil }
-	dev, err := NewStripeDevice(lane, lane)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var next int
-	f := &Frame{Body: []byte("small")}
-	if err := dev.Send(f, func(*Frame) error { next++; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if next != 1 || laneHits != 0 {
-		t.Errorf("small frame: next=%d lanes=%d, want 1,0", next, laneHits)
-	}
-	if f.Flags&FlagStriped != 0 {
-		t.Error("small frame marked striped")
-	}
-}
-
-// Property: striping across k lanes and reassembling in any order is the
-// identity for arbitrary bodies.
-func TestStripeProperty(t *testing.T) {
-	prop := func(body []byte, seed int64) bool {
-		if len(body) < 256 {
-			body = append(body, bytes.Repeat([]byte{9}, 256)...)
-		}
-		rng := rand.New(rand.NewSource(seed))
-		k := 1 + rng.Intn(5)
-		var held []*Frame
-		lane := func(f *Frame) error { held = append(held, f); return nil }
-		lanes := make([]SendFunc, k)
-		for i := range lanes {
-			lanes[i] = lane
-		}
-		dev, err := NewStripeDevice(lanes...)
-		if err != nil {
-			return false
-		}
-		in := &Frame{Src: 1, Seq: uint64(seed), Body: append([]byte(nil), body...)}
-		if err := dev.Send(in, lane); err != nil {
-			return false
-		}
-		re := NewStripeReassembler()
-		var final *Frame
-		recv := BuildRecvChain(func(f *Frame) error { final = f; return nil }, re)
-		rng.Shuffle(len(held), func(i, j int) { held[i], held[j] = held[j], held[i] })
-		for _, f := range held {
-			if err := recv(f); err != nil {
-				return false
-			}
-		}
-		return final != nil && bytes.Equal(final.Body, body)
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
 	}
 }

@@ -7,20 +7,17 @@ import (
 	"gridmdo/internal/metrics"
 )
 
-// ChainBuilder assembles a node's whole transport stack — transform
-// devices, the optional reliability layer, fault-injection devices, and
-// the TCP terminal — from one declarative description, replacing the
-// positional wiring that previously spread across NewTCP, NewReliable,
-// SetRecv, SetErrHandler, and core.Options.WireSend/WireRecv:
+// ChainBuilder assembles a node's whole transport stack — the optional
+// reliability layer, fault-injection devices, and the TCP terminal — from
+// one declarative description, replacing the positional wiring that
+// previously spread across NewTCP, NewReliable, SetRecv and
+// SetErrHandler:
 //
-//	runtime → transforms → Reliable → faults → TCP ⇢ socket
-//	runtime ← transforms ← Reliable ← faults ← TCP ⇠ socket
+//	runtime → Reliable → faults → TCP ⇢ socket
+//	runtime ← Reliable ← faults ← TCP ⇠ socket
 //
-// Transform devices are declared once in send order and mirrored
-// automatically on the receive side (a compress-then-checksum sender
-// implies a checksum-then-decompress receiver), so the two directions can
-// no longer drift apart. Fault devices sit below the reliability layer,
-// inside its repair envelope, exactly as the chaos harness requires.
+// Fault devices sit below the reliability layer, inside its repair
+// envelope, exactly as the chaos harness requires.
 //
 // The builder is also the one place per-device metrics attach: with a
 // registry configured, every device in the chain is wrapped with
@@ -37,23 +34,13 @@ type ChainBuilder struct {
 	addrs map[int]string
 	route func(pe int32) int
 
-	reg           *metrics.Registry
-	transformSend []SendDevice
-	transformRecv []RecvDevice
-	relCfg        *ReliableConfig
-	faultSend     []SendDevice
-	faultRecv     []RecvDevice
-	dialAttempts  int
-	onControl     func(*Frame)
-	err           error
-}
-
-// Device is a symmetric chain stage: one value serving as both the send
-// and receive half of a transform (CompressDevice, ChecksumDevice,
-// CipherDevice, FaultDevice, PartitionDevice all qualify).
-type Device interface {
-	SendDevice
-	RecvDevice
+	reg          *metrics.Registry
+	relCfg       *ReliableConfig
+	faultSend    []SendDevice
+	faultRecv    []RecvDevice
+	dialAttempts int
+	onControl    func(*Frame)
+	err          error
 }
 
 // Instrumentable is implemented by devices that register their own metric
@@ -77,33 +64,8 @@ func (b *ChainBuilder) Metrics(reg *metrics.Registry) *ChainBuilder {
 	return b
 }
 
-// Transform appends symmetric transform devices in send order; the
-// receive chain applies them in reverse automatically.
-func (b *ChainBuilder) Transform(devs ...Device) *ChainBuilder {
-	for _, d := range devs {
-		b.transformSend = append(b.transformSend, d)
-		// Mirror: the device added last on the send side runs first on the
-		// receive side.
-		b.transformRecv = append([]RecvDevice{d}, b.transformRecv...)
-	}
-	return b
-}
-
-// TransformPair appends an asymmetric transform stage: send and recv are
-// two halves of one device (either may be nil for a one-directional
-// stage). The recv half is prepended, preserving the mirror invariant.
-func (b *ChainBuilder) TransformPair(send SendDevice, recv RecvDevice) *ChainBuilder {
-	if send != nil {
-		b.transformSend = append(b.transformSend, send)
-	}
-	if recv != nil {
-		b.transformRecv = append([]RecvDevice{recv}, b.transformRecv...)
-	}
-	return b
-}
-
 // Reliable interposes the end-to-end reliability layer between the
-// transforms and the fault devices. Fault chains configured on the
+// runtime and the fault devices. Fault chains configured on the
 // builder override cfg.SendFaults/RecvFaults; declare them via Faults.
 func (b *ChainBuilder) Reliable(cfg ReliableConfig) *ChainBuilder {
 	if b.relCfg != nil {
@@ -217,34 +179,19 @@ func (b *ChainBuilder) Build() (*Stack, error) {
 		faultRecv[i] = b.instrumentRecv(d, i)
 	}
 
-	// Wire side: reliability (with faults inside its envelope) or bare
-	// faults directly above the socket.
-	var wireTerminal SendFunc
+	// Reliability (with faults inside its envelope) or bare faults
+	// directly above the socket.
 	if b.relCfg != nil {
 		cfg := *b.relCfg
 		cfg.SendFaults = faultSend
 		cfg.RecvFaults = faultRecv
-		s.rel = NewReliable(s.tcp, s.deliverUp, cfg)
+		s.rel = NewReliable(s.tcp, s.deliverBound, cfg)
 		s.rel.Instrument(b.reg, metrics.L("node", fmt.Sprint(b.self)))
-		wireTerminal = s.rel.Send
+		s.send = s.rel.Send
 	} else {
-		s.tcp.SetRecv(BuildRecvChain(s.deliverUp, faultRecv...))
-		wireTerminal = BuildSendChain(s.tcp.Send, faultSend...)
+		s.tcp.SetRecv(BuildRecvChain(s.deliverBound, faultRecv...))
+		s.send = BuildSendChain(s.tcp.Send, faultSend...)
 	}
-
-	// Transform side, mirrored: the upward deliverUp entry applies the
-	// receive transforms before handing the frame to the bound deliver
-	// function.
-	tSend := make([]SendDevice, len(b.transformSend))
-	for i, d := range b.transformSend {
-		tSend[i] = b.instrumentSend(d, len(b.faultSend)+i)
-	}
-	tRecv := make([]RecvDevice, len(b.transformRecv))
-	for i, d := range b.transformRecv {
-		tRecv[i] = b.instrumentRecv(d, len(b.faultRecv)+i)
-	}
-	s.send = BuildSendChain(wireTerminal, tSend...)
-	s.recv = BuildRecvChain(s.deliverBound, tRecv...)
 	return s, nil
 }
 
@@ -256,17 +203,13 @@ type Stack struct {
 	tcp  *TCP
 	rel  *Reliable
 	send SendFunc // full send chain entry
-	recv RecvFunc // receive transforms, ending at the bound deliver
 
 	deliver atomic.Pointer[RecvFunc]
 	reg     *metrics.Registry
 }
 
-// deliverUp is the terminal of the wire-side receive path: frames that
-// cleared TCP, faults, and reliability enter the receive transforms here.
-func (s *Stack) deliverUp(f *Frame) error { return s.recv(f) }
-
-// deliverBound hands a fully unwrapped frame to the bound runtime.
+// deliverBound is the terminal of the receive path: frames that cleared
+// TCP, faults, and reliability reach the bound runtime here.
 func (s *Stack) deliverBound(f *Frame) error {
 	d := s.deliver.Load()
 	if d == nil {
@@ -289,7 +232,7 @@ func (s *Stack) Bind(deliver RecvFunc, onErr func(error)) {
 	}
 }
 
-// Send implements core.Transport: frames enter the transform chain and
+// Send implements core.Transport: frames enter the send chain and
 // continue to the wire.
 func (s *Stack) Send(f *Frame) error { return s.send(f) }
 

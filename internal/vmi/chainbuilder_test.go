@@ -84,40 +84,6 @@ func waitPair(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// TestChainBuilderMirrorsTransforms pins the mirror invariant with an
-// order-sensitive pair: the checksum is computed over the ciphertext, so
-// the receive side must verify before deciphering. If the receive chain
-// were not the exact reverse of the send chain, the CRC check would run
-// on the wrong bytes and every frame would be rejected.
-func TestChainBuilderMirrorsTransforms(t *testing.T) {
-	key := []byte("0123456789abcdef")
-	mod := func(b *ChainBuilder) *ChainBuilder {
-		cd, err := NewCipherDevice(key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b.Transform(cd, ChecksumDevice{})
-	}
-	p := newStackPair(t, mod, mod)
-	const n = 20
-	for i := 0; i < n; i++ {
-		body := []byte(fmt.Sprintf("payload-%d: some compressible text text text", i))
-		if err := p.s0.Send(&Frame{Src: 0, Dst: 2, Body: body}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	waitPair(t, "all frames", func() bool { return len(p.at1()) == n })
-	for i, f := range p.at1() {
-		want := fmt.Sprintf("payload-%d: some compressible text text text", i)
-		if string(f.Body) != want {
-			t.Errorf("frame %d body = %q, want %q", i, f.Body, want)
-		}
-		if f.Flags&(FlagEncrypted|FlagChecksummed) != 0 {
-			t.Errorf("frame %d still carries transform flags %x", i, f.Flags)
-		}
-	}
-}
-
 // TestChainBuilderFaultsInsideReliable pins fault placement: fault
 // devices declared on the builder sit below the reliability layer, inside
 // its repair envelope, so a lossy link is repaired by retransmission and
@@ -161,12 +127,12 @@ func TestChainBuilderInstrumentedSeries(t *testing.T) {
 	defer fd.Close()
 	p := newStackPair(t,
 		func(b *ChainBuilder) *ChainBuilder {
-			return b.Metrics(reg).Transform(ChecksumDevice{}).
+			return b.Metrics(reg).
 				Faults([]SendDevice{fd}, nil).
 				Reliable(ReliableConfig{RTO: 5 * time.Millisecond})
 		},
 		func(b *ChainBuilder) *ChainBuilder {
-			return b.Transform(ChecksumDevice{}).Reliable(ReliableConfig{RTO: 5 * time.Millisecond})
+			return b.Reliable(ReliableConfig{RTO: 5 * time.Millisecond})
 		})
 	if p.s0.Metrics() != reg || p.s1.Metrics() != nil {
 		t.Error("Stack.Metrics does not report the build registry")
@@ -197,20 +163,20 @@ func TestChainBuilderInstrumentedSeries(t *testing.T) {
 	if got := snap.Value("vmi_rel_data_sent_total"); got < n {
 		t.Errorf("vmi_rel_data_sent_total = %d, want >= %d", got, n)
 	}
-	// The flow counter for the send-side checksum device saw every frame.
+	// The flow counter for the send-side fault device saw every frame.
 	var found bool
 	for _, s := range snap.Series {
 		if s.Name == "vmi_device_frames_total" &&
-			strings.Contains(s.Labels, `device="crc32c`) &&
+			strings.Contains(s.Labels, `device="fault`) &&
 			strings.Contains(s.Labels, `dir="send"`) {
 			found = true
 			if s.Value < n {
-				t.Errorf("checksum send flow counter = %d, want >= %d", s.Value, n)
+				t.Errorf("fault send flow counter = %d, want >= %d", s.Value, n)
 			}
 		}
 	}
 	if !found {
-		t.Error("no flow counter for the send-side checksum device")
+		t.Error("no flow counter for the send-side fault device")
 	}
 }
 

@@ -2,6 +2,7 @@ package vmi
 
 import (
 	"container/heap"
+	"math/rand"
 	"sync"
 	"time"
 
@@ -81,7 +82,8 @@ func (d *DelayDevice) Send(f *Frame, next SendFunc) error {
 
 // Hold schedules a frame for release after an explicit delay, bypassing
 // the device's latency function. Devices that compute per-frame delays
-// from their own state (e.g. PacerDevice) compose on top of this.
+// from their own state (FaultDevice's jitter and reordering) compose on
+// top of this.
 func (d *DelayDevice) Hold(f *Frame, next SendFunc, delay time.Duration) error {
 	if delay <= 0 {
 		return next(f)
@@ -197,5 +199,29 @@ func (d *DelayDevice) loop() {
 		case <-d.done:
 			return
 		}
+	}
+}
+
+// JitteredLatency wraps a latency function with seeded pseudo-random
+// jitter: each frame's delay is drawn uniformly from
+// [base·(1−frac), base·(1+frac)]. Zero base latencies stay zero, so
+// intra-cluster traffic is unaffected. The returned function is safe for
+// concurrent use and deterministic for a given seed and call sequence.
+func JitteredLatency(base func(src, dst int32) time.Duration, frac float64, seed int64) func(src, dst int32) time.Duration {
+	if frac < 0 {
+		frac = 0
+	}
+	var mu sync.Mutex
+	rng := rand.New(rand.NewSource(seed))
+	return func(src, dst int32) time.Duration {
+		b := base(src, dst)
+		if b <= 0 || frac == 0 {
+			return b
+		}
+		mu.Lock()
+		u := rng.Float64()
+		mu.Unlock()
+		scale := 1 - frac + 2*frac*u
+		return time.Duration(float64(b) * scale)
 	}
 }

@@ -29,13 +29,9 @@ const (
 	ClassControl              // transport control (hello, shutdown)
 )
 
-// Flag bits recorded in a frame header by transform devices.
+// Flag bits recorded in a frame header by the devices it passed through.
 const (
-	FlagCompressed uint16 = 1 << iota
-	FlagChecksummed
-	FlagEncrypted
-	FlagStriped
-	FlagReliable // body carries a reliability header (see reliable.go)
+	FlagReliable uint16 = 1 << 4 // body carries a reliability header (see reliable.go)
 )
 
 // Frame is the unit VMI devices operate on.

@@ -10,7 +10,7 @@ import (
 
 func TestFrameRoundTrip(t *testing.T) {
 	in := &Frame{
-		Src: 3, Dst: 17, Prio: -5, Class: ClassSystem, Flags: FlagChecksummed,
+		Src: 3, Dst: 17, Prio: -5, Class: ClassSystem, Flags: FlagReliable,
 		Seq: 123456789, Trace: 0x0001_0000_0000_002a, Body: []byte("hello, grid"),
 	}
 	var buf bytes.Buffer

@@ -37,33 +37,6 @@ func FuzzFrameDecode(f *testing.F) {
 	})
 }
 
-// FuzzRecvChain: arbitrary bytes through the full receive transform chain
-// must error or deliver, never panic.
-func FuzzRecvChain(f *testing.F) {
-	cd := &CompressDevice{}
-	cs := ChecksumDevice{}
-	ci, err := NewCipherDevice(bytes.Repeat([]byte{5}, 16))
-	if err != nil {
-		f.Fatal(err)
-	}
-	recv := BuildRecvChain(func(*Frame) error { return nil }, ci, cs, cd)
-
-	// Seed with a legitimately transformed frame.
-	var wire bytes.Buffer
-	send := BuildSendChain(func(fr *Frame) error { return fr.EncodeTo(&wire) }, cd, cs, ci)
-	_ = send(&Frame{Src: 3, Seq: 8, Body: bytes.Repeat([]byte("payload "), 64)})
-	f.Add(wire.Bytes())
-	f.Add([]byte("garbage"))
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var fr Frame
-		if err := fr.DecodeFrom(bytes.NewReader(data)); err != nil {
-			return
-		}
-		_ = recv(&fr) // errors allowed; panics fail the fuzzer
-	})
-}
-
 // FuzzEpochFence: the epoch field of the reliability header — the fence
 // that drops a dead node's stale traffic — must decode within its 24-bit
 // range, survive an in-place restamp (what retransmission does after an

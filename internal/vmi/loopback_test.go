@@ -53,9 +53,7 @@ func TestDeviceFuncAdaptersAndNames(t *testing.T) {
 	// Exercise device names used in diagnostics.
 	d := NewDelayDevice(func(int32, int32) time.Duration { return 0 })
 	defer d.Close()
-	for _, name := range []string{d.Name(), (&CompressDevice{}).Name(), ChecksumDevice{}.Name(), (&StripeDevice{}).Name(), NewStripeReassembler().Name(), NewPacerDevice(1).Name()} {
-		if name == "" {
-			t.Error("device with empty name")
-		}
+	if d.Name() == "" {
+		t.Error("device with empty name")
 	}
 }

@@ -112,6 +112,8 @@ func DecodeRelHeader(b []byte) (RelHeader, []byte, error) {
 	return h, b[relHeaderLen:], nil
 }
 
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
 // relCRC computes the checksum stored in a reliability header: CRC-32C
 // over the canonical first 24 header bytes (kind, epoch, seq, ack) and
 // the payload.

@@ -54,67 +54,6 @@ func TestJitteredLatencyConcurrentSafe(t *testing.T) {
 	wg.Wait()
 }
 
-func TestPacerDeviceThrottles(t *testing.T) {
-	// 100 KB/s: ten 1KB-ish frames should take roughly 100ms to drain.
-	p := NewPacerDevice(100_000)
-	defer p.Close()
-
-	var mu sync.Mutex
-	var done int
-	var last time.Time
-	next := func(*Frame) error {
-		mu.Lock()
-		done++
-		last = time.Now()
-		mu.Unlock()
-		return nil
-	}
-	start := time.Now()
-	body := make([]byte, 1000-headerLen)
-	for i := 0; i < 10; i++ {
-		f := &Frame{Src: 0, Dst: 1, Seq: uint64(i), Body: body}
-		if err := p.Send(f, next); err != nil {
-			t.Fatal(err)
-		}
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		mu.Lock()
-		d := done
-		mu.Unlock()
-		if d == 10 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d/10 frames released", d)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	elapsed := last.Sub(start)
-	// 10 KB at 100 KB/s = 100 ms minimum (first frame also pays its tx time).
-	if elapsed < 80*time.Millisecond {
-		t.Errorf("10KB drained in %v at 100KB/s: pacing not applied", elapsed)
-	}
-	if elapsed > time.Second {
-		t.Errorf("pacing far too slow: %v", elapsed)
-	}
-}
-
-func TestPacerDeviceZeroRatePassesThrough(t *testing.T) {
-	p := NewPacerDevice(0)
-	defer p.Close()
-	var hit bool
-	if err := p.Send(&Frame{Body: []byte("x")}, func(*Frame) error { hit = true; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if !hit {
-		t.Error("zero-rate pacer did not pass through synchronously")
-	}
-	if p.Pending() != 0 {
-		t.Error("zero-rate pacer held a frame")
-	}
-}
-
 func TestDelayDeviceHoldExplicit(t *testing.T) {
 	d := NewDelayDevice(func(int32, int32) time.Duration { return time.Hour })
 	defer d.Close()

@@ -153,8 +153,8 @@ func TestTCPUnknownNode(t *testing.T) {
 }
 
 func TestTCPWithTransformChain(t *testing.T) {
-	// Full stack over real sockets: compress+checksum on send,
-	// verify+decompress on receive.
+	// A device chain over real sockets: the body is transformed on send
+	// and restored on receive.
 	route := func(pe int32) int {
 		if pe == 0 {
 			return 0
@@ -163,14 +163,25 @@ func TestTCPWithTransformChain(t *testing.T) {
 	}
 	var mu sync.Mutex
 	var got []*Frame
-	cd := &CompressDevice{}
-	cs := ChecksumDevice{}
+	xor := func(f *Frame) {
+		for i := range f.Body {
+			f.Body[i] ^= 0x5A
+		}
+	}
+	scramble := SendDeviceFunc{DeviceName: "xor", Fn: func(f *Frame, next SendFunc) error {
+		xor(f)
+		return next(f)
+	}}
+	restore := RecvDeviceFunc{DeviceName: "xor", Fn: func(f *Frame, next RecvFunc) error {
+		xor(f)
+		return next(f)
+	}}
 	recvChain := BuildRecvChain(func(f *Frame) error {
 		mu.Lock()
 		got = append(got, f.Clone())
 		mu.Unlock()
 		return nil
-	}, cs, cd)
+	}, restore)
 
 	n0 := NewTCP(0, map[int]string{0: "127.0.0.1:0"}, route, func(*Frame) error { return nil })
 	n1 := NewTCP(1, map[int]string{1: "127.0.0.1:0"}, route, recvChain)
@@ -187,7 +198,7 @@ func TestTCPWithTransformChain(t *testing.T) {
 	defer n0.Close()
 	defer n1.Close()
 
-	sendChain := BuildSendChain(n0.Send, cd, cs)
+	sendChain := BuildSendChain(n0.Send, scramble)
 	body := bytes.Repeat([]byte("stencil ghost row "), 200)
 	if err := sendChain(&Frame{Src: 0, Dst: 1, Seq: 7, Body: append([]byte(nil), body...)}); err != nil {
 		t.Fatal(err)
