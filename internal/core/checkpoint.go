@@ -307,15 +307,7 @@ func (c *Checkpoint) Install(prog *Program) error {
 // disturbing the live set). It must only be called from the host's
 // scheduler context or while the executor is stopped.
 func (h *PEHost) Each(fn func(ref ElemRef, ch Chare)) {
-	refs := make([]ElemRef, 0, h.NumElements())
-	for ref := range h.elems {
-		refs = append(refs, ref)
-	}
-	if h.cold != nil {
-		for ref := range h.cold.packed {
-			refs = append(refs, ref)
-		}
-	}
+	refs := append([]ElemRef(nil), h.refs...)
 	sort.Slice(refs, func(i, j int) bool {
 		if refs[i].Array != refs[j].Array {
 			return refs[i].Array < refs[j].Array
@@ -323,7 +315,7 @@ func (h *PEHost) Each(fn func(ref ElemRef, ch Chare)) {
 		return refs[i].Index < refs[j].Index
 	})
 	for _, ref := range refs {
-		if ch, ok := h.elems[ref]; ok {
+		if ch := h.slot(ref).ch; ch != nil {
 			fn(ref, ch)
 		} else if ch, ok := h.peekCold(ref); ok {
 			fn(ref, ch)

@@ -66,9 +66,9 @@ func (h *PEHost) ColdError() error {
 // pack/hydrate operations, and the high-water mark of packed bytes.
 func (h *PEHost) ColdStats() (live, packed int, packs, hydrates, maxBytes int64) {
 	if h.cold == nil {
-		return len(h.elems), 0, 0, 0, 0
+		return h.live, 0, 0, 0, 0
 	}
-	return len(h.elems), len(h.cold.packed), h.cold.packs, h.cold.hydrates, h.cold.maxBytes
+	return h.live, len(h.cold.packed), h.cold.packs, h.cold.hydrates, h.cold.maxBytes
 }
 
 // coldTouch marks a live element as most recently used and packs LRU
@@ -83,7 +83,7 @@ func (h *PEHost) coldTouch(ref ElemRef) {
 	} else {
 		c.pos[ref] = c.lru.PushFront(ref)
 	}
-	for len(h.elems) > c.capacity && c.lru.Len() > 1 {
+	for h.live > c.capacity && c.lru.Len() > 1 {
 		if !h.packColdest() {
 			return
 		}
@@ -115,15 +115,15 @@ func (h *PEHost) packColdest() bool {
 		return false
 	}
 	ref := back.Value.(ElemRef)
-	ch, ok := h.elems[ref]
-	if !ok {
+	s := h.slot(ref)
+	if s == nil || s.ch == nil {
 		c.lru.Remove(back)
 		delete(c.pos, ref)
 		return true
 	}
-	m, ok := ch.(Migratable)
+	m, ok := s.ch.(Migratable)
 	if !ok {
-		c.fail(fmt.Errorf("core: cold store on PE %d: element %v of type %T is not Migratable", h.pe, ref, ch))
+		c.fail(fmt.Errorf("core: cold store on PE %d: element %v of type %T is not Migratable", h.pe, ref, s.ch))
 		return false
 	}
 	data, err := PUPPack(m)
@@ -139,51 +139,38 @@ func (h *PEHost) packColdest() bool {
 	c.packs++
 	c.lru.Remove(back)
 	delete(c.pos, ref)
-	delete(h.elems, ref)
+	s.ch = nil
+	h.live--
 	return true
 }
 
-// hydrate restores a packed element into the live set: construct an empty
-// instance, unpack the saved state into it, install it as MRU. Reports
-// (chare, found); failures go to the sticky error.
-func (h *PEHost) hydrate(ref ElemRef) (Chare, bool) {
+// hydrate restores the packed element of slot s into the live set:
+// construct an empty instance, unpack the saved state into it, install it
+// as MRU. Reports success; failures go to the sticky error.
+func (h *PEHost) hydrate(ref ElemRef, s *elemSlot) bool {
+	ch, ok := h.peekCold(ref)
+	if !ok {
+		return false
+	}
 	c := h.cold
-	if c == nil {
-		return nil, false
-	}
-	data, ok := c.packed[ref]
-	if !ok {
-		return nil, false
-	}
-	ch, err := c.rebuild(ref)
-	if err != nil {
-		c.fail(fmt.Errorf("core: cold store on PE %d: rebuild %v: %w", h.pe, ref, err))
-		return nil, false
-	}
-	m, ok := ch.(Migratable)
-	if !ok {
-		c.fail(fmt.Errorf("core: cold store on PE %d: element %v rebuilt as non-Migratable %T", h.pe, ref, ch))
-		return nil, false
-	}
-	if err := PUPUnpack(m, data); err != nil {
-		c.fail(fmt.Errorf("core: cold store on PE %d: unpack %v: %w", h.pe, ref, err))
-		return nil, false
-	}
-	c.bytes -= int64(len(data))
+	c.bytes -= int64(len(c.packed[ref]))
 	delete(c.packed, ref)
 	c.hydrates++
-	h.elems[ref] = ch
+	s.ch = ch
+	h.live++
 	h.coldTouch(ref)
-	return ch, true
+	return true
 }
 
-// liveOrHydrated returns a constructed chare for ref whether it is
-// currently live or packed.
-func (h *PEHost) liveOrHydrated(ref ElemRef) (Chare, bool) {
-	if ch, ok := h.elems[ref]; ok {
-		return ch, true
+// liveSlot returns ref's slot with a constructed chare in it, hydrating a
+// packed element first; nil when this PE does not hold ref or hydration
+// failed.
+func (h *PEHost) liveSlot(ref ElemRef) *elemSlot {
+	s := h.slot(ref)
+	if s == nil || (s.ch == nil && !h.hydrate(ref, s)) {
+		return nil
 	}
-	return h.hydrate(ref)
+	return s
 }
 
 // peekCold rebuilds a packed element transiently — without installing it

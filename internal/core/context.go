@@ -45,9 +45,11 @@ type Backend interface {
 
 // Ctx is the handle a handler uses to interact with the runtime. A Ctx is
 // only valid for the duration of the handler invocation it was passed to;
-// chares must not retain it. (The sole exception is the AMPI layer, whose
-// rank threads hold the PE's execution slot while they run — see
-// internal/ampi.)
+// chares must not retain it: a PE hands the same Ctx to every element
+// handler it runs, and using it once the handler has returned panics.
+// (The AMPI layer's rank threads use theirs from another goroutine, but
+// only while the handler that resumed them is still parked on the PE's
+// execution slot — see internal/ampi.)
 type Ctx struct {
 	b     Backend
 	pe    int
@@ -72,6 +74,26 @@ var NoElem = ElemRef{Array: -1, Index: -1}
 func newCtx(b Backend, pe int, elem ElemRef, meta *elemMeta) *Ctx {
 	return &Ctx{b: b, pe: pe, elem: elem, meta: meta}
 }
+
+// retired is the backend behind a PE's element Ctx between handlers.
+var retired Backend = retiredBackend{}
+
+type retiredBackend struct{}
+
+func (retiredBackend) misuse() {
+	panic("core: Ctx used after the handler it was passed to returned")
+}
+
+func (r retiredBackend) Route(*Message)                                         { r.misuse() }
+func (r retiredBackend) Now() time.Duration                                     { r.misuse(); return 0 }
+func (r retiredBackend) Charge(time.Duration)                                   { r.misuse() }
+func (r retiredBackend) NumPE() int                                             { r.misuse(); return 0 }
+func (r retiredBackend) Topo() *topology.Topology                               { r.misuse(); return nil }
+func (r retiredBackend) ArrayN(ArrayID) int                                     { r.misuse(); return 0 }
+func (r retiredBackend) ExitWith(any)                                           { r.misuse() }
+func (r retiredBackend) Contribute(ElemRef, int, ArrayID, int64, any, ReduceOp) { r.misuse() }
+func (r retiredBackend) AtSync(ElemRef, int)                                    { r.misuse() }
+func (r retiredBackend) Record(trace.Event)                                     { r.misuse() }
 
 // Send delivers data to entry of the element to, asynchronously.
 func (c *Ctx) Send(to ElemRef, entry EntryID, data any, opts ...SendOpt) {

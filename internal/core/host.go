@@ -2,19 +2,52 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 )
 
+// ElemTable is the element storage shared by the PE hosts of one executor:
+// per array, one slot per element index, holding the chare and its runtime
+// metadata together so a delivery is two indexings and no hashing. It is
+// sized once from the program and never reshaped; a slot is only ever
+// touched by the host that holds the element (ownership moves with the
+// migration messages), so hosts on different goroutines share the table
+// without locking.
+type ElemTable struct {
+	slots [][]elemSlot
+}
+
+type elemSlot struct {
+	ch   Chare     // nil while the element is PUP-packed in the cold store
+	meta *elemMeta // nil while no host holds the element
+	pe   int32     // the host holding it
+	pos  int32     // its index in that host's refs
+}
+
+// NewElemTable builds the empty table for prog's arrays.
+func NewElemTable(prog *Program) *ElemTable {
+	t := &ElemTable{slots: make([][]elemSlot, len(prog.Arrays))}
+	for ai := range prog.Arrays {
+		t.slots[ai] = make([]elemSlot, prog.Arrays[ai].N)
+	}
+	return t
+}
+
 // PEHost is the per-PE element container shared by both executors: it owns
 // the chare instances living on one PE, their runtime metadata, and all
-// handler dispatch (and therefore all Ctx construction). Executors feed it
-// messages one at a time; PEHost itself is not goroutine-safe and must
-// only be touched by its PE's scheduler (or the single simulator thread).
+// handler dispatch (and therefore every Ctx). Executors feed it messages
+// one at a time; PEHost itself is not goroutine-safe and must only be
+// touched by its PE's scheduler (or the simulator thread running the PE).
 type PEHost struct {
-	b     Backend
-	pe    int
-	elems map[ElemRef]Chare
-	meta  map[ElemRef]*elemMeta
+	b    Backend
+	pe   int
+	tab  *ElemTable
+	refs []ElemRef // elements held by this PE, constructed or packed, in no particular order
+	live int       // how many of them are constructed
+
+	// ctx is the one Ctx every element handler on this PE receives, bound
+	// to the element for the duration of the call and retired after it.
+	ctx Ctx
 
 	// parked buffers application messages addressed to an element that is
 	// at a load-balancing sync. Without this, an element whose neighbors
@@ -24,9 +57,9 @@ type PEHost struct {
 	// Buffered messages replay in arrival order on ResumeFromSync.
 	parked map[ElemRef][]*Message
 
-	// MeasureWall, when set (real-time runtime), adds the wall-clock
-	// duration of each handler to the element's measured load, in addition
-	// to any explicitly charged time.
+	// MeasureWall, when set (real-time runtime under a load balancer),
+	// adds the wall-clock duration of each handler to the element's
+	// measured load, in addition to any explicitly charged time.
 	MeasureWall bool
 
 	// cold, when non-nil, bounds the constructed element set: idle
@@ -35,28 +68,50 @@ type PEHost struct {
 	cold *coldStore
 }
 
-// NewPEHost builds an empty host for pe.
-func NewPEHost(b Backend, pe int) *PEHost {
+// NewPEHost builds an empty host for pe over the executor's element table.
+func NewPEHost(b Backend, pe int, tab *ElemTable) *PEHost {
 	return &PEHost{
 		b:      b,
 		pe:     pe,
-		elems:  make(map[ElemRef]Chare),
-		meta:   make(map[ElemRef]*elemMeta),
+		tab:    tab,
+		ctx:    Ctx{b: retired, pe: pe},
 		parked: make(map[ElemRef][]*Message),
 	}
 }
 
-// AddElement installs a chare as element ref.
+// slot returns ref's slot when this PE holds the element, nil otherwise.
+func (h *PEHost) slot(ref ElemRef) *elemSlot {
+	t := h.tab.slots
+	if uint(ref.Array) >= uint(len(t)) || uint(ref.Index) >= uint(len(t[ref.Array])) {
+		return nil
+	}
+	s := &t[ref.Array][ref.Index]
+	if s.meta == nil || int(s.pe) != h.pe {
+		return nil
+	}
+	return s
+}
+
+// AddElement installs a chare as element ref, which must name a slot of
+// the program's arrays.
 func (h *PEHost) AddElement(ref ElemRef, ch Chare) {
-	h.elems[ref] = ch
-	h.meta[ref] = &elemMeta{}
-	h.coldTouch(ref)
+	h.addElementWithMeta(ref, ch, &elemMeta{})
 }
 
 // addElementWithMeta reinstalls a migrated element, preserving metadata.
 func (h *PEHost) addElementWithMeta(ref ElemRef, ch Chare, m *elemMeta) {
-	h.elems[ref] = ch
-	h.meta[ref] = m
+	if m == nil {
+		m = &elemMeta{}
+	}
+	s := &h.tab.slots[ref.Array][ref.Index]
+	if s.meta == nil {
+		s.pos = int32(len(h.refs))
+		h.refs = append(h.refs, ref)
+	}
+	if s.ch == nil {
+		h.live++
+	}
+	s.ch, s.meta, s.pe = ch, m, int32(h.pe)
 	h.coldTouch(ref)
 }
 
@@ -64,13 +119,17 @@ func (h *PEHost) addElementWithMeta(ref ElemRef, ch Chare, m *elemMeta) {
 // cold (packed) element is hydrated first so the caller always gets a
 // constructed chare.
 func (h *PEHost) removeElement(ref ElemRef) (Chare, *elemMeta, bool) {
-	ch, ok := h.liveOrHydrated(ref)
-	if !ok {
+	s := h.liveSlot(ref)
+	if s == nil {
 		return nil, nil, false
 	}
-	m := h.meta[ref]
-	delete(h.elems, ref)
-	delete(h.meta, ref)
+	ch, m := s.ch, s.meta
+	last := h.refs[len(h.refs)-1]
+	h.refs[s.pos] = last
+	h.slot(last).pos = s.pos
+	h.refs = h.refs[:len(h.refs)-1]
+	h.live--
+	*s = elemSlot{}
 	delete(h.parked, ref)
 	h.coldForget(ref)
 	return ch, m, true
@@ -78,47 +137,29 @@ func (h *PEHost) removeElement(ref ElemRef) (Chare, *elemMeta, bool) {
 
 // NumElements reports how many elements live on this PE, constructed or
 // PUP-packed.
-func (h *PEHost) NumElements() int {
-	n := len(h.elems)
-	if h.cold != nil {
-		n += len(h.cold.packed)
-	}
-	return n
-}
+func (h *PEHost) NumElements() int { return len(h.refs) }
 
 // Has reports whether element ref lives on this PE (constructed or
 // PUP-packed).
-func (h *PEHost) Has(ref ElemRef) bool {
-	if _, ok := h.elems[ref]; ok {
-		return true
-	}
-	if h.cold != nil {
-		_, ok := h.cold.packed[ref]
-		return ok
-	}
-	return false
-}
+func (h *PEHost) Has(ref ElemRef) bool { return h.slot(ref) != nil }
 
 // DeliverApp dispatches an application message to its target element. A
 // message for an element parked at a load-balancing sync is buffered and
 // replays after the element resumes.
 func (h *PEHost) DeliverApp(m *Message) error {
-	ch, ok := h.liveOrHydrated(m.To)
-	if !ok {
+	s := h.liveSlot(m.To)
+	if s == nil {
 		if err := h.ColdError(); err != nil {
 			return err
 		}
 		return fmt.Errorf("core: PE %d has no element %v (message %v)", h.pe, m.To, m)
 	}
-	meta := h.meta[m.To]
-	if meta.atSync {
+	if s.meta.atSync {
 		h.parked[m.To] = append(h.parked[m.To], m)
 		return nil
 	}
 	h.coldTouch(m.To)
-	ctx := newCtx(h.b, h.pe, m.To, meta)
-	ctx.msgID = m.ID
-	h.invoke(ctx, meta, func() { ch.Recv(ctx, m.Entry, m.Data) })
+	h.invoke(s, m.To, m.ID, m.Entry, m.Data)
 	return h.ColdError()
 }
 
@@ -146,18 +187,17 @@ func (h *PEHost) RunReduction(prog *Program, a ArrayID, seq int64, v any) {
 // that were buffered while the element was parked, in arrival order. If
 // the element re-enters sync during replay, the remainder stays parked.
 func (h *PEHost) ResumeFromSync(ref ElemRef) error {
-	ch, ok := h.liveOrHydrated(ref)
-	if !ok {
+	s := h.liveSlot(ref)
+	if s == nil {
 		if err := h.ColdError(); err != nil {
 			return err
 		}
 		return fmt.Errorf("core: PE %d cannot resume missing element %v", h.pe, ref)
 	}
-	meta := h.meta[ref]
+	meta := s.meta
 	meta.atSync = false
 	h.coldTouch(ref)
-	ctx := newCtx(h.b, h.pe, ref, meta)
-	h.invoke(ctx, meta, func() { ch.Recv(ctx, EntryResumeFromSync, nil) })
+	h.invoke(s, ref, 0, EntryResumeFromSync, nil)
 	for len(h.parked[ref]) > 0 && !meta.atSync {
 		m := h.parked[ref][0]
 		h.parked[ref] = h.parked[ref][1:]
@@ -171,36 +211,42 @@ func (h *PEHost) ResumeFromSync(ref ElemRef) error {
 	return nil
 }
 
-func (h *PEHost) invoke(ctx *Ctx, meta *elemMeta, fn func()) {
-	if !h.MeasureWall {
-		fn()
-		return
+// invoke runs one entry of the element in s with the host's Ctx bound to
+// it. The clock is read only when a load balancer will consume the
+// measurement. Handlers never nest on a PE (sends are queued, not
+// dispatched), so one Ctx serves them all; between handlers it stands on
+// the retired backend, so a chare that kept its Ctx and uses it later
+// panics instead of acting in the name of whichever element ran last.
+func (h *PEHost) invoke(s *elemSlot, ref ElemRef, msgID uint64, entry EntryID, data any) {
+	c := &h.ctx
+	c.b, c.elem, c.meta, c.msgID = h.b, ref, s.meta, msgID
+	if h.MeasureWall {
+		start := time.Now()
+		s.ch.Recv(c, entry, data)
+		c.meta.load += time.Since(start)
+	} else {
+		s.ch.Recv(c, entry, data)
 	}
-	start := time.Now()
-	fn()
-	meta.load += time.Since(start)
+	c.b = retired
 }
 
 // AddLoad accounts measured or modeled execution time to an element. The
 // virtual-time executor uses it to credit charged time after a handler.
 func (h *PEHost) AddLoad(ref ElemRef, d time.Duration) {
-	if m, ok := h.meta[ref]; ok {
-		m.load += d
+	if s := h.slot(ref); s != nil {
+		s.meta.load += d
 	}
 }
 
 // StatsAndReset snapshots per-element load statistics for a load-balancing
 // round and resets the accumulators.
 func (h *PEHost) StatsAndReset(arrays []ArrayID) []ElemLoad {
-	want := make(map[ArrayID]bool, len(arrays))
-	for _, a := range arrays {
-		want[a] = true
-	}
 	var out []ElemLoad
-	for ref, meta := range h.meta {
-		if !want[ref.Array] {
+	for _, ref := range h.refs {
+		if !slices.Contains(arrays, ref.Array) {
 			continue
 		}
+		meta := h.slot(ref).meta
 		out = append(out, ElemLoad{
 			Ref:     ref,
 			PE:      h.pe,
@@ -216,12 +262,8 @@ func (h *PEHost) StatsAndReset(arrays []ArrayID) []ElemLoad {
 // AllAtSync reports whether every element of the given arrays on this PE
 // has called AtSync.
 func (h *PEHost) AllAtSync(arrays []ArrayID) bool {
-	want := make(map[ArrayID]bool, len(arrays))
-	for _, a := range arrays {
-		want[a] = true
-	}
-	for ref, meta := range h.meta {
-		if want[ref.Array] && !meta.atSync {
+	for _, ref := range h.refs {
+		if slices.Contains(arrays, ref.Array) && !h.slot(ref).meta.atSync {
 			return false
 		}
 	}

@@ -34,9 +34,18 @@ func (s *stubBackend) Contribute(ElemRef, int, ArrayID, int64, any, ReduceOp) {}
 func (s *stubBackend) AtSync(ElemRef, int)                                    {}
 func (s *stubBackend) Record(trace.Event)                                     {}
 
+// testTable builds an element table with one array per given size.
+func testTable(sizes ...int) *ElemTable {
+	prog := &Program{Arrays: make([]ArraySpec, len(sizes))}
+	for i, n := range sizes {
+		prog.Arrays[i] = ArraySpec{ID: ArrayID(i), N: n}
+	}
+	return NewElemTable(prog)
+}
+
 func TestPEHostEachDeterministicOrder(t *testing.T) {
 	b := newStubBackend(t)
-	h := NewPEHost(b, 0)
+	h := NewPEHost(b, 0, testTable(6, 3))
 	refs := []ElemRef{{1, 2}, {0, 5}, {1, 0}, {0, 1}}
 	for _, r := range refs {
 		h.AddElement(r, funcChare(func(*Ctx, EntryID, any) {}))
@@ -59,7 +68,7 @@ func TestPEHostEachDeterministicOrder(t *testing.T) {
 
 func TestPEHostDeliverToMissingElement(t *testing.T) {
 	b := newStubBackend(t)
-	h := NewPEHost(b, 0)
+	h := NewPEHost(b, 0, testTable(2, 1))
 	err := h.DeliverApp(&Message{Kind: KindApp, To: ElemRef{0, 0}})
 	if err == nil {
 		t.Error("delivery to missing element succeeded")
@@ -71,7 +80,7 @@ func TestPEHostDeliverToMissingElement(t *testing.T) {
 
 func TestPEHostStatsAndReset(t *testing.T) {
 	b := newStubBackend(t)
-	h := NewPEHost(b, 0)
+	h := NewPEHost(b, 0, testTable(2, 1))
 	h.AddElement(ElemRef{0, 0}, funcChare(func(*Ctx, EntryID, any) {}))
 	h.AddElement(ElemRef{1, 0}, funcChare(func(*Ctx, EntryID, any) {}))
 	h.AddLoad(ElemRef{0, 0}, 5*time.Millisecond)
@@ -103,7 +112,7 @@ func TestPEHostWanCounting(t *testing.T) {
 			}
 		},
 	}
-	h := NewPEHost(b, 0) // PE 0 in cluster 0
+	h := NewPEHost(b, 0, testTable(2, 1)) // PE 0 in cluster 0
 	h.AddElement(ElemRef{0, 0}, funcChare(func(ctx *Ctx, e EntryID, d any) {
 		ctx.Send(ElemRef{0, 0}, 0, nil) // local
 		ctx.Send(ElemRef{0, 1}, 0, nil) // crosses the WAN
@@ -132,7 +141,7 @@ func (r *resolvingBackend) Route(m *Message) {
 
 func TestPEHostAllAtSync(t *testing.T) {
 	b := newStubBackend(t)
-	h := NewPEHost(b, 0)
+	h := NewPEHost(b, 0, testTable(2, 1))
 	h.AddElement(ElemRef{0, 0}, funcChare(func(ctx *Ctx, e EntryID, d any) { ctx.AtSync() }))
 	h.AddElement(ElemRef{0, 1}, funcChare(func(ctx *Ctx, e EntryID, d any) { ctx.AtSync() }))
 	if h.AllAtSync([]ArrayID{0}) {

@@ -394,8 +394,8 @@ func (l *LBMgr) evict(moves []Move) error {
 	states := make([][]byte, len(moves))
 	var errs []error
 	for i, mv := range moves {
-		ch, ok := l.host.liveOrHydrated(mv.Ref)
-		if !ok {
+		s := l.host.liveSlot(mv.Ref)
+		if s == nil {
 			if cerr := l.host.ColdError(); cerr != nil {
 				errs = append(errs, cerr)
 			} else {
@@ -407,9 +407,9 @@ func (l *LBMgr) evict(moves []Move) error {
 			errs = append(errs, fmt.Errorf("element %v bound for out-of-range PE %d", mv.Ref, mv.ToPE))
 			continue
 		}
-		m, ok := ch.(Migratable)
+		m, ok := s.ch.(Migratable)
 		if !ok {
-			errs = append(errs, fmt.Errorf("element %v of type %T is not Migratable", mv.Ref, ch))
+			errs = append(errs, fmt.Errorf("element %v of type %T is not Migratable", mv.Ref, s.ch))
 			continue
 		}
 		if n := l.host.ParkedMessages(mv.Ref); n > 0 {

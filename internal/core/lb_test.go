@@ -25,11 +25,11 @@ func mkLBMgr(t *testing.T, pe int) (*LBMgr, *PEHost, *[]*Message) {
 		t.Fatal(err)
 	}
 	b := &stubBackend{topo: topo}
-	h := NewPEHost(b, pe)
 	prog := &Program{
 		Arrays: []ArraySpec{{ID: 0, N: 2, New: func(int) Chare { return &migChare{fn: func(*Ctx, EntryID, any) {}} }}},
 		Start:  func(*Ctx) {},
 	}
+	h := NewPEHost(b, pe, NewElemTable(prog))
 	loc := NewLocations(prog, 2)
 	var sent []*Message
 	cfg := &LBConfig{Arrays: []ArrayID{0}, Strategy: moveAllTo(0)}
@@ -141,7 +141,7 @@ func TestLBMgrElementAtSyncWithoutConfigIsNoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := &stubBackend{topo: topo}
-	h := NewPEHost(b, 0)
+	h := NewPEHost(b, 0, NewElemTable(&Program{}))
 	mgr := NewLBMgr(0, nil, topo, nil, h, nil, func(*Message) { t.Error("emitted without config") })
 	mgr.ElementAtSync() // must not panic or emit
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -209,15 +210,13 @@ func consumeMemberTable(b []byte) (*MemberTable, []byte, error) {
 	var prev int64 = -1 << 62
 	for i := uint64(0); i < v; i++ {
 		var m Member
-		var node int64
-		if node, b, err = ConsumeVarint(b); err != nil {
+		if m.Node, b, err = consumeNode(b); err != nil {
 			return nil, b, err
 		}
-		if node <= prev {
+		if int64(m.Node) <= prev {
 			return nil, b, fmt.Errorf("%w: member nodes not strictly increasing", ErrBadWire)
 		}
-		prev = node
-		m.Node = int32(node)
+		prev = int64(m.Node)
 		if len(b) < 1 {
 			return nil, b, fmt.Errorf("%w: truncated member state", ErrBadWire)
 		}
@@ -238,6 +237,21 @@ func consumeMemberTable(b []byte) (*MemberTable, []byte, error) {
 		t.Members = append(t.Members, m)
 	}
 	return &t, b, nil
+}
+
+// consumeNode parses a node number: a signed varint that must fit the
+// int32 it is kept in. Narrowing first would let two distinct wire values
+// collapse onto one node, so a table could pass the strictly-increasing
+// check and re-encode to one that fails it.
+func consumeNode(b []byte) (int32, []byte, error) {
+	v, rest, err := ConsumeVarint(b)
+	if err != nil {
+		return 0, b, err
+	}
+	if v < math.MinInt32 || v > math.MaxInt32 {
+		return 0, b, fmt.Errorf("%w: node number %d outside int32", ErrBadWire, v)
+	}
+	return int32(v), rest, nil
 }
 
 // DecodeMemberTable parses a wire-form member table. Trailing bytes are an
@@ -284,17 +298,14 @@ func DecodeMembershipMsg(b []byte) (*MembershipMsg, error) {
 		return nil, fmt.Errorf("%w: membership op %d", ErrBadWire, b[3])
 	}
 	b = b[4:]
-	var sv int64
 	var uv uint64
 	var err error
-	if sv, b, err = ConsumeVarint(b); err != nil {
+	if m.From, b, err = consumeNode(b); err != nil {
 		return nil, err
 	}
-	m.From = int32(sv)
-	if sv, b, err = ConsumeVarint(b); err != nil {
+	if m.Node, b, err = consumeNode(b); err != nil {
 		return nil, err
 	}
-	m.Node = int32(sv)
 	if uv, b, err = ConsumeUvarint(b); err != nil {
 		return nil, err
 	}

@@ -53,7 +53,9 @@ type Message struct {
 	Parent uint64
 
 	// EnqueuedAt is the executor time at which the message became
-	// deliverable at the destination (set by executors; used for tracing).
+	// deliverable at the destination. It exists for tracing: the real-time
+	// runtime stamps it only when an event sink is attached, and leaves it
+	// zero rather than read the clock for nobody.
 	EnqueuedAt time.Duration
 
 	seq uint64 // assigned by the executor for FIFO tie-breaking

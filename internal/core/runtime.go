@@ -31,6 +31,9 @@ type Runtime struct {
 	pes   []*peState
 	dly   *vmi.DelayDevice
 
+	latencyFor func(src, dst int32) time.Duration
+	pastDelay  vmi.SendFunc // rt.deliver, bound once: what follows the delay device
+
 	// sink receives every scheduler event — the tracer, the metrics
 	// adapter, and any extra sinks teed into one. nil when nothing is
 	// configured.
@@ -136,7 +139,10 @@ func NewRuntime(topo *topology.Topology, prog *Program, options ...Option) (*Run
 			return topo.Latency(int(src), int(dst))
 		}
 	}
+	rt.latencyFor = latencyFor
 	rt.dly = vmi.NewDelayDevice(latencyFor)
+	rt.pastDelay = rt.deliver
+	tab := NewElemTable(prog)
 	rt.pes = make([]*peState, opts.PEHi-opts.PELo)
 	for i := range rt.pes {
 		pe := opts.PELo + i
@@ -144,8 +150,10 @@ func NewRuntime(topo *topology.Topology, prog *Program, options ...Option) (*Run
 		if opts.Bundle {
 			ps.pending = NewPendingBundles()
 		}
-		ps.host = NewPEHost(rt, pe)
-		ps.host.MeasureWall = true
+		ps.host = NewPEHost(rt, pe, tab)
+		// Handler wall time is an element's measured load, which only a
+		// load balancer reads.
+		ps.host.MeasureWall = lbCfg != nil
 		ps.reduce = NewReduceMgr(pe,
 			func(a ArrayID) int { return rt.loc.LocalCount(a, pe) },
 			func(a ArrayID) int { return rt.prog.Arrays[a].N },
@@ -233,12 +241,12 @@ func auditMigratable(cfg *LBConfig, loc *Locations, peLo, peHi int, hostOf func(
 	for _, a := range cfg.Arrays {
 		for pe := peLo; pe < peHi; pe++ {
 			for _, ref := range loc.ElementsOn(a, pe) {
-				ch, ok := hostOf(pe).elems[ref]
-				if !ok {
-					continue
+				s := hostOf(pe).slot(ref)
+				if s == nil || s.ch == nil {
+					continue // absent, or packed — which only a Migratable can be
 				}
-				if _, ok := ch.(Migratable); !ok {
-					return fmt.Errorf("core: load-balanced element %v has type %T, which does not implement core.Migratable — add a PUP method so its state can be serialized for migration", ref, ch)
+				if _, ok := s.ch.(Migratable); !ok {
+					return fmt.Errorf("core: load-balanced element %v has type %T, which does not implement core.Migratable — add a PUP method so its state can be serialized for migration", ref, s.ch)
 				}
 			}
 		}
@@ -290,17 +298,17 @@ func (rt *Runtime) Route(m *Message) {
 		m.ID = rt.msgSeq.Add(1)
 	}
 	if m.Parent == 0 {
-		if src := int(m.SrcPE); src >= rt.opts.PELo && src < rt.opts.PEHi {
-			m.Parent = rt.pes[src-rt.opts.PELo].curMsg.Load()
+		if rt.local(m.SrcPE) {
+			m.Parent = rt.pes[int(m.SrcPE)-rt.opts.PELo].curMsg.Load()
 		}
 	}
-	rt.record(trace.Event{PE: int(m.SrcPE), Kind: trace.EvSend, At: rt.Now(), MsgID: m.ID, Parent: m.Parent, MsgKind: byte(m.Kind), Arg1: int64(m.DstPE), Arg2: int64(m.Bytes)})
+	rt.recordSend(m)
 
 	if rt.opts.Bundle && BundleEligible(m) {
-		if src := int(m.SrcPE); src >= rt.opts.PELo && src < rt.opts.PEHi {
+		if rt.local(m.SrcPE) {
 			// Held until the current handler completes; the scheduler
 			// flushes after each dispatch.
-			rt.pes[src-rt.opts.PELo].pending.Add(m)
+			rt.pes[int(m.SrcPE)-rt.opts.PELo].pending.Add(m)
 			return
 		}
 	}
@@ -339,18 +347,39 @@ func (rt *Runtime) PostTraced(to ElemRef, entry EntryID, data any, parent uint64
 	}
 	m.DstPE = rt.loc.PEOf(to)
 	m.SrcPE = m.DstPE
-	if dst := int(m.DstPE); dst < rt.opts.PELo || dst >= rt.opts.PEHi {
+	if !rt.local(m.DstPE) {
 		m.SrcPE = int32(rt.opts.PELo)
 	}
 	rt.sentByPE[m.SrcPE].Add(1)
 	m.ID = rt.msgSeq.Add(1)
-	rt.record(trace.Event{PE: int(m.SrcPE), Kind: trace.EvSend, At: rt.Now(), MsgID: m.ID, Parent: m.Parent, MsgKind: byte(m.Kind), Arg1: int64(m.DstPE), Arg2: int64(m.Bytes)})
+	rt.recordSend(m)
 	rt.transmit(m)
 	return m.ID
 }
 
-// transmit hands a resolved message to the delay device.
+// recordSend emits the EvSend of a routed message. Like every event on the
+// per-message path it reads the clock only when a sink will consume it.
+func (rt *Runtime) recordSend(m *Message) {
+	if rt.sink != nil {
+		rt.sink.Record(trace.Event{PE: int(m.SrcPE), Kind: trace.EvSend, At: rt.Now(), MsgID: m.ID, Parent: m.Parent, MsgKind: byte(m.Kind), Arg1: int64(m.DstPE), Arg2: int64(m.Bytes)})
+	}
+}
+
+// local reports whether this process hosts pe.
+func (rt *Runtime) local(pe int32) bool {
+	return int(pe) >= rt.opts.PELo && int(pe) < rt.opts.PEHi
+}
+
+// transmit sends a resolved message on its way: a message for a PE of this
+// process over a zero-latency link goes straight into that PE's queue;
+// anything else travels as a frame through the delay device to the queue
+// or the wire.
 func (rt *Runtime) transmit(m *Message) {
+	delay := rt.latencyFor(m.SrcPE, m.DstPE)
+	if delay <= 0 && rt.local(m.DstPE) {
+		rt.enqueueLocal(m)
+		return
+	}
 	f := &vmi.Frame{
 		Src:   m.SrcPE,
 		Dst:   m.DstPE,
@@ -361,7 +390,7 @@ func (rt *Runtime) transmit(m *Message) {
 	if m.Kind != KindApp {
 		f.Class = vmi.ClassSystem
 	}
-	if err := rt.dly.Send(f, rt.pastDelay); err != nil {
+	if err := rt.dly.Hold(f, rt.pastDelay, delay); err != nil {
 		rt.fail(err)
 	}
 }
@@ -377,15 +406,14 @@ func (rt *Runtime) flushBundles(ps *peState) {
 	}
 }
 
-// pastDelay is the delivery stage after the delay device: local enqueue or
-// wire transport.
-func (rt *Runtime) pastDelay(f *vmi.Frame) error {
-	dst := int(f.Dst)
-	if dst >= rt.opts.PELo && dst < rt.opts.PEHi {
-		rt.enqueueLocal(f.Obj.(*Message))
+// deliver is the stage after the delay device: local enqueue or wire
+// transport.
+func (rt *Runtime) deliver(f *vmi.Frame) error {
+	m := f.Obj.(*Message)
+	if rt.local(f.Dst) {
+		rt.enqueueLocal(m)
 		return nil
 	}
-	m := f.Obj.(*Message)
 	if rt.Err() != nil {
 		// The runtime is already failing; frames drained out of the delay
 		// device during shutdown would each pay a full dial-retry cycle
@@ -422,8 +450,10 @@ func (rt *Runtime) enqueueLocal(m *Message) {
 		}
 		return
 	}
-	m.EnqueuedAt = rt.Now()
-	rt.record(trace.Event{PE: int(m.DstPE), Kind: trace.EvEnqueue, At: m.EnqueuedAt, MsgID: m.ID, Parent: m.Parent, MsgKind: byte(m.Kind), Arg1: int64(m.SrcPE)})
+	if rt.sink != nil {
+		m.EnqueuedAt = rt.Now()
+		rt.sink.Record(trace.Event{PE: int(m.DstPE), Kind: trace.EvEnqueue, At: m.EnqueuedAt, MsgID: m.ID, Parent: m.Parent, MsgKind: byte(m.Kind), Arg1: int64(m.SrcPE)})
+	}
 	i := int(m.DstPE) - rt.opts.PELo
 	depth := rt.pes[i].q.Push(m)
 	if rt.met != nil {
@@ -431,18 +461,16 @@ func (rt *Runtime) enqueueLocal(m *Message) {
 	}
 }
 
-// record emits an event to the configured sink (tracer, metrics adapter,
-// extra sinks). One predicted branch when nothing is configured.
-func (rt *Runtime) record(ev trace.Event) {
+// Record implements Backend: libraries layered on the scheduler (AMPI
+// block/wake, application step marks via Ctx) emit into the same sink the
+// scheduler uses. The scheduler's own per-message events test rt.sink
+// before building the event, so that an unobserved message does not read
+// the clock to stamp an event nobody receives.
+func (rt *Runtime) Record(ev trace.Event) {
 	if rt.sink != nil {
 		rt.sink.Record(ev)
 	}
 }
-
-// Record implements Backend: libraries layered on the scheduler (AMPI
-// block/wake, application step marks via Ctx) emit into the same sink the
-// scheduler uses.
-func (rt *Runtime) Record(ev trace.Event) { rt.record(ev) }
 
 // InjectFrame delivers a frame received from the transport into the local
 // runtime, passing it through the configured wire receive chain first.
@@ -460,7 +488,7 @@ func (rt *Runtime) injectDecoded(f *vmi.Frame) error {
 		rt.fail(err)
 		return err
 	}
-	if int(m.DstPE) < rt.opts.PELo || int(m.DstPE) >= rt.opts.PEHi {
+	if !rt.local(m.DstPE) {
 		err := fmt.Errorf("core: frame for PE %d arrived at node %d", m.DstPE, rt.opts.Node)
 		rt.fail(err)
 		return err
@@ -640,7 +668,7 @@ func (rt *Runtime) schedule(ps *peState) {
 				idleCtr.Add(d.Nanoseconds())
 			}
 			if traceIdle && d >= idleRecordMin {
-				rt.record(trace.Event{PE: ps.id, Kind: trace.EvIdle, At: idleFrom.Sub(rt.start), Arg1: d.Nanoseconds()})
+				rt.sink.Record(trace.Event{PE: ps.id, Kind: trace.EvIdle, At: idleFrom.Sub(rt.start), Arg1: d.Nanoseconds()})
 			}
 		}
 		if len(batch) == 0 {
@@ -651,7 +679,9 @@ func (rt *Runtime) schedule(ps *peState) {
 				return
 			}
 			ps.curMsg.Store(m.ID)
-			rt.record(trace.Event{PE: ps.id, Kind: trace.EvBegin, At: rt.Now(), MsgID: m.ID, MsgKind: byte(m.Kind), Arg1: int64(m.To.Array), Arg2: int64(m.To.Index)})
+			if rt.sink != nil {
+				rt.sink.Record(trace.Event{PE: ps.id, Kind: trace.EvBegin, At: rt.Now(), MsgID: m.ID, MsgKind: byte(m.Kind), Arg1: int64(m.To.Array), Arg2: int64(m.To.Index)})
+			}
 			var err error
 			switch m.Kind {
 			case KindApp:
@@ -676,7 +706,9 @@ func (rt *Runtime) schedule(ps *peState) {
 				err = fmt.Errorf("core: PE %d received unknown message kind %d", ps.id, m.Kind)
 			}
 			rt.flushBundles(ps)
-			rt.record(trace.Event{PE: ps.id, Kind: trace.EvEnd, At: rt.Now(), MsgID: m.ID, MsgKind: byte(m.Kind)})
+			if rt.sink != nil {
+				rt.sink.Record(trace.Event{PE: ps.id, Kind: trace.EvEnd, At: rt.Now(), MsgID: m.ID, MsgKind: byte(m.Kind)})
+			}
 			ps.curMsg.Store(0)
 			if m.Kind != KindQD {
 				rt.processedByPE[ps.id].Add(1)

@@ -26,7 +26,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -88,26 +87,59 @@ type event struct {
 	m    *core.Message
 }
 
+// eventHeap is a binary min-heap of events in (at, kind, key) order. The
+// keys are unique, so the pop order is a pure function of the set pushed.
+// push and pop sift the concrete slice directly: the standard library's
+// heap would box every 40-byte event into an interface value on the way in
+// and out.
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (e *event) before(o *event) bool {
+	if e.at != o.at {
+		return e.at < o.at
 	}
-	if h[i].kind != h[j].kind {
-		return h[i].kind < h[j].kind
+	if e.kind != o.kind {
+		return e.kind < o.kind
 	}
-	return h[i].key < h[j].key
+	return e.key < o.key
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+
+func (h *eventHeap) push(ev event) {
+	s := append(*h, ev)
+	*h = s
+	for j := len(s) - 1; j > 0; {
+		i := (j - 1) / 2 // parent
+		if !s[j].before(&s[i]) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		j = i
+	}
+}
+
+func (h *eventHeap) pop() event {
+	s := *h
+	n := len(s) - 1
+	top := s[0]
+	s[0] = s[n]
+	s[n] = event{} // release the message
+	s = s[:n]
+	*h = s
+	for i := 0; ; {
+		c := 2*i + 1 // left child
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && s[r].before(&s[c]) {
+			c = r
+		}
+		if !s[c].before(&s[i]) {
+			break
+		}
+		s[i], s[c] = s[c], s[i]
+		i = c
+	}
+	return top
 }
 
 // ordKey is an event's position in the global deterministic order, used
@@ -306,13 +338,14 @@ func newEngine(topo *topology.Topology, prog *core.Program, opts Options, worker
 		lo += n
 	}
 	e.pes = make([]*simPE, numPE)
+	tab := core.NewElemTable(prog)
 	for pe := 0; pe < numPE; pe++ {
 		sh := e.shards[e.shardOf[pe]]
 		ps := &simPE{id: pe, q: core.NewQueue()}
 		if opts.Bundle {
 			ps.pending = core.NewPendingBundles()
 		}
-		ps.host = core.NewPEHost(sh, pe)
+		ps.host = core.NewPEHost(sh, pe, tab)
 		if opts.PackCold > 0 {
 			ps.host.EnableColdStore(opts.PackCold, func(ref core.ElemRef) (core.Chare, error) {
 				if int(ref.Array) < 0 || int(ref.Array) >= len(prog.Arrays) {
@@ -427,7 +460,7 @@ func (s *shard) transmit(m *core.Message, sendAt time.Duration, src int) {
 // deferred hand-off cannot reorder anything.
 func (s *shard) push(ev event) {
 	if !s.eng.parallel || s.owns(ev.pe) {
-		heap.Push(&s.events, ev)
+		s.events.push(ev)
 		return
 	}
 	s.outbox = append(s.outbox, ev)
@@ -573,7 +606,7 @@ func (e *Engine) resolveStop() {
 func (e *Engine) Run() (any, time.Duration, error) {
 	startKey := e.nextKey(-1)
 	s0 := e.shards[e.shardOf[0]]
-	heap.Push(&s0.events, event{at: 0, key: startKey, kind: evDeliver, pe: 0, m: &core.Message{Kind: core.KindStart, ID: startKey}})
+	s0.events.push(event{at: 0, key: startKey, kind: evDeliver, pe: 0, m: &core.Message{Kind: core.KindStart, ID: startKey}})
 	if e.parallel {
 		e.runParallel()
 	} else {
@@ -598,7 +631,7 @@ func (e *Engine) Run() (any, time.Duration, error) {
 func (e *Engine) runSequential() {
 	s := e.shards[0]
 	for len(s.events) > 0 && !e.stopFlag.Load() {
-		ev := heap.Pop(&s.events).(event)
+		ev := s.events.pop()
 		s.now = ev.at
 		s.curKey = ordKey{at: ev.at, kind: ev.kind, key: ev.key}
 		s.eventCount++

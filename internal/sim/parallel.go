@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"sync"
 	"time"
@@ -101,7 +100,7 @@ func (e *Engine) runParallel() {
 			s.rewind = s.rewind[:0]
 			for _, ev := range s.outbox {
 				t := e.shards[e.shardOf[ev.pe]]
-				heap.Push(&t.events, ev)
+				t.events.push(ev)
 			}
 			s.outbox = s.outbox[:0]
 		}
@@ -149,7 +148,7 @@ func (s *shard) runWindow(wend time.Duration) {
 				return
 			}
 		}
-		ev := heap.Pop(&s.events).(event)
+		ev := s.events.pop()
 		s.processEvent(ev)
 	}
 }

@@ -178,6 +178,14 @@ type block struct {
 	cur, next []float64 // (w+2)×(h+2) including ghost ring
 	gate      *core.StepGate
 	done      bool
+
+	// kicked is set once the borders of the gate's current step are out:
+	// by EntryKick at the start, by EntryResumeFromSync after a sync. The
+	// kick is an input of the step like the ghosts are — neighbours' ghosts
+	// can overtake it (kicks cross to another node frame by frame), and a
+	// block that advanced on ghosts alone would skip sending that step's
+	// borders and leave its neighbours waiting for them.
+	kicked bool
 }
 
 func newBlock(p *Params, idx int) *block {
@@ -354,11 +362,13 @@ func (b *block) Recv(ctx *core.Ctx, entry core.EntryID, data any) {
 			ctx.Contribute(b.checksum(), core.OpSum)
 			return
 		}
+		b.kicked = true
 		b.sendBorders(ctx)
 		b.tryAdvance(ctx)
 	case core.EntryResumeFromSync:
 		// Back from a load-balancing round (possibly on a new PE): emit
 		// the borders for the step the sync interrupted.
+		b.kicked = true
 		b.sendBorders(ctx)
 		b.tryAdvance(ctx)
 	case EntryGhost:
@@ -369,16 +379,16 @@ func (b *block) Recv(ctx *core.Ctx, entry core.EntryID, data any) {
 		if _, ok := b.gate.Deliver(g.Step, g); ok {
 			b.applyGhost(g)
 			b.tryAdvance(ctx)
-		} else {
 		}
 	default:
 		panic(fmt.Sprintf("stencil: unknown entry %d", entry))
 	}
 }
 
-// tryAdvance runs as many steps as buffered data allows.
+// tryAdvance runs as many steps as buffered data allows, once the block
+// has been kicked.
 func (b *block) tryAdvance(ctx *core.Ctx) {
-	for b.gate.Ready() && !b.done {
+	for b.kicked && b.gate.Ready() && !b.done {
 		if b.bx == 0 && b.by == 0 {
 			// One block marks step boundaries so the overlap profiler can
 			// segment the trace into per-step windows.
@@ -408,6 +418,7 @@ func (b *block) tryAdvance(ctx *core.Ctx) {
 		if b.p.syncAt(step) {
 			// Application-quiescent point: every ghost this block is owed
 			// has been consumed and none for this step have been sent.
+			b.kicked = false
 			ctx.AtSync()
 			return
 		}

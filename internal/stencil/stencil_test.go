@@ -149,6 +149,51 @@ func TestSimMatchesSequentialBitwise(t *testing.T) {
 	}
 }
 
+// TestGhostsBeforeKick delivers a block both neighbours' step-0 ghosts
+// before its own kick — the order that stopped two-node runs about once in
+// 600 when the kicks crossed to the other node frame by frame. In virtual
+// time the late kick is a large one: the middle block sits alone on the
+// second PE and its kick is sized to spend seconds on the link, while the
+// outer blocks, kicked at once, send it their borders in microseconds. A
+// block that advanced on the ghosts alone never sent its step-0 borders,
+// and the run ended with nothing in flight and no result.
+func TestGhostsBeforeKick(t *testing.T) {
+	const W, H, steps = 24, 8, 5
+	c := newCollect(W, H)
+	p := &Params{Width: W, Height: H, VX: 3, VY: 1, Steps: steps, Collect: c.fn,
+		InitialMap: func(i, _ int) int { return i % 2 }}
+	prog, err := BuildProgram(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog.Start = func(ctx *core.Ctx) {
+		ctx.Send(core.ElemRef{Array: 0, Index: 0}, EntryKick, nil)
+		ctx.Send(core.ElemRef{Array: 0, Index: 2}, EntryKick, nil)
+		ctx.Send(core.ElemRef{Array: 0, Index: 1}, EntryKick, nil, core.WithBytes(1<<30))
+	}
+	topo, err := topology.Single(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := sim.New(topo, prog, sim.Options{MaxEvents: 1_000_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, _, err := e.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := v.(*Result); !ok {
+		t.Fatalf("run ended with %v: every block waiting, nothing in flight", v)
+	}
+	want := RunSequential(W, H, steps)
+	for i := range want {
+		if c.grid[i] != want[i] {
+			t.Fatalf("grid[%d] = %v, want %v (bitwise)", i, c.grid[i], want[i])
+		}
+	}
+}
+
 func TestRealtimeMatchesSequential(t *testing.T) {
 	const W, H, steps = 24, 24, 5
 	c := newCollect(W, H)

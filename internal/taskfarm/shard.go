@@ -99,7 +99,7 @@ func (p *Params) stealTries() int {
 // worker-observed assignment wait — the WRONJ "rest" time that grows
 // past the knee.
 func (w *worker) recvBatch(ctx *core.Ctx, t taskBatchMsg) {
-	w.fm.assignWait.Observe(int64(ctx.Time() - w.lastDone))
+	w.arrived(ctx)
 	var (
 		sum    float64
 		check  uint64
@@ -122,7 +122,7 @@ func (w *worker) recvBatch(ctx *core.Ctx, t taskBatchMsg) {
 			}
 		}
 	}
-	w.lastDone = ctx.Time()
+	w.finished(ctx)
 	w.fm.workerDone.Add(int64(done))
 	rb := resultBatchMsg{Worker: int32(w.id), Done: done, Sum: sum, Check: check,
 		bytes: w.p.TaskBytes * int(done)}

@@ -436,13 +436,28 @@ type worker struct {
 	lastDone time.Duration
 }
 
+// arrived and finished bracket a grant's execution for the assignment-wait
+// histogram. A farm built without a registry has no histogram, and then
+// neither reads the clock.
+func (w *worker) arrived(ctx *core.Ctx) {
+	if w.fm.assignWait != nil {
+		w.fm.assignWait.Observe(int64(ctx.Time() - w.lastDone))
+	}
+}
+
+func (w *worker) finished(ctx *core.Ctx) {
+	if w.fm.assignWait != nil {
+		w.lastDone = ctx.Time()
+	}
+}
+
 func (w *worker) Recv(ctx *core.Ctx, entry core.EntryID, data any) {
 	switch entry {
 	case entryTask:
 		t := data.(taskMsg)
-		w.fm.assignWait.Observe(int64(ctx.Time() - w.lastDone))
+		w.arrived(ctx)
 		v := runTask(ctx, w.p, t.Seq)
-		w.lastDone = ctx.Time()
+		w.finished(ctx)
 		ctx.Send(core.ElemRef{Array: ArrayMaster, Index: 0}, entryResult,
 			resultMsg{Seq: t.Seq, Worker: w.id, Value: v, bytes: w.p.TaskBytes})
 	case entryTaskBatch:

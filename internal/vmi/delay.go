@@ -99,10 +99,17 @@ func (d *DelayDevice) Hold(f *Frame, next SendFunc, delay time.Duration) error {
 	if len(d.pq) > d.hw {
 		d.hw = len(d.pq)
 	}
+	// The loop sleeps until the head falls due, so only a frame that became
+	// the head changes what it waits for. Holds of one constant latency
+	// arrive in due order and never do: the link fills without a wake-up,
+	// a goroutine switch and a timer re-arm per frame.
+	newHead := d.pq[0].tick == d.tick
 	d.mu.Unlock()
-	select {
-	case d.wake <- struct{}{}:
-	default:
+	if newHead {
+		select {
+		case d.wake <- struct{}{}:
+		default:
+		}
 	}
 	return nil
 }

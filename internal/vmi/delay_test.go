@@ -128,6 +128,83 @@ func setClock(d *DelayDevice, c *fixedClock) {
 	d.mu.Unlock()
 }
 
+// TestDelayWakesOnlyForNewHead: the release loop is woken when a held frame
+// becomes the earliest due, and not otherwise. The device is assembled
+// without its loop so that the wake channel can be read like a counter.
+func TestDelayWakesOnlyForNewHead(t *testing.T) {
+	clk := &fixedClock{t: time.Unix(1000, 0)}
+	d := &DelayDevice{wake: make(chan struct{}, 1), done: make(chan struct{}), now: clk.now}
+	next := func(*Frame) error { return nil }
+	hold := func(delay time.Duration) {
+		t.Helper()
+		if err := d.Hold(&Frame{}, next, delay); err != nil {
+			t.Fatal(err)
+		}
+	}
+	woken := func() bool {
+		select {
+		case <-d.wake:
+			return true
+		default:
+			return false
+		}
+	}
+
+	hold(10 * time.Millisecond)
+	if !woken() {
+		t.Fatal("first hold did not wake the loop")
+	}
+	// The constant-latency case: later sends fall due later, or — the clock
+	// not having moved — at the same instant behind the tick tie-break.
+	for i := 0; i < 100; i++ {
+		if i%2 == 0 {
+			clk.advance(time.Microsecond)
+		}
+		hold(10 * time.Millisecond)
+		if woken() {
+			t.Fatalf("in-order hold %d woke the loop", i)
+		}
+	}
+	hold(time.Millisecond)
+	if !woken() {
+		t.Fatal("an earlier-due hold did not wake the loop")
+	}
+	if d.Pending() != 102 {
+		t.Fatalf("Pending = %d, want 102", d.Pending())
+	}
+}
+
+// TestDelayEarlierHoldPreemptsArmedTimer: with the loop asleep on a distant
+// head, a hold that falls due sooner is still released on time.
+func TestDelayEarlierHoldPreemptsArmedTimer(t *testing.T) {
+	d := NewDelayDevice(func(src, dst int32) time.Duration { return time.Hour })
+	defer d.Close()
+	clk := &fixedClock{t: time.Unix(1000, 0)}
+	setClock(d, clk)
+
+	released := make(chan uint64, 2)
+	next := func(f *Frame) error { released <- f.Seq; return nil }
+	if err := d.Send(&Frame{Seq: 1}, next); err != nil { // held for an hour
+		t.Fatal(err)
+	}
+	waitFor(t, "loop asleep on the distant head", func() bool { return len(d.wake) == 0 })
+	if err := d.Hold(&Frame{Seq: 2}, next, time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	clk.advance(2 * time.Millisecond)
+	select {
+	case seq := <-released:
+		if seq != 2 {
+			t.Fatalf("released frame %d, want 2", seq)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("earlier-due frame not released: the loop slept through it on the first frame's timer")
+	}
+	if d.Pending() != 1 {
+		t.Fatalf("Pending = %d, want the hour-long hold still queued", d.Pending())
+	}
+}
+
 // TestDelayEqualDueTimeFIFO: frames sharing one due time are released in
 // exact insertion order (the tick tie-break), pinned with a frozen clock
 // so every frame genuinely collides on the same instant.
