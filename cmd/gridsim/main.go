@@ -31,12 +31,8 @@ func main() {
 		csvDir       = flag.String("csv", "", "also write CSV files into this directory")
 		svgDir       = flag.String("svg", "", "also write SVG charts (figures only) into this directory")
 		metricsOut   = flag.String("metrics-out", "", "write a JSON metrics snapshot of the real-time runs to this file")
-		farmJSON     = flag.String("farm-json", "", "write the taskfarm-scale throughput curves as JSON to this file (e.g. BENCH_taskfarm.json)")
-		memJSON      = flag.String("membership-json", "", "write the membership recovery measurements as JSON to this file (e.g. BENCH_membership.json)")
-		gateJSON     = flag.String("gate-json", "", "write the gateway soak measurements as JSON to this file (e.g. BENCH_gate.json)")
-		telemJSON    = flag.String("telemetry-json", "", "write the telemetry-plane measurements as JSON to this file (e.g. BENCH_telemetry.json)")
+		jsonOut      = flag.String("json", "", "write the experiment's JSON report to this file (taskfarm-scale, membership, gate-soak, telemetry, sim-scale; e.g. -experiment taskfarm-scale -json BENCH_taskfarm.json)")
 		traceOut     = flag.String("trace-out", "", "write per-run trace snapshots and overlap reports of the real-time runs into this directory (analyze with gridtrace)")
-		scaleJSON    = flag.String("simscale-json", "", "write the engine-scaling measurements as JSON to this file (e.g. BENCH_simscale.json)")
 		quiet        = flag.Bool("quiet", false, "suppress per-run progress lines")
 	)
 	var eng appflags.Engine
@@ -44,6 +40,10 @@ func main() {
 	flag.Parse()
 	if err := eng.Validate(); err != nil {
 		fmt.Fprintf(os.Stderr, "gridsim: %v\n", err)
+		os.Exit(2)
+	}
+	if *jsonOut != "" && *experiment == "all" {
+		fmt.Fprintln(os.Stderr, "gridsim: -json names one file: pick one experiment")
 		os.Exit(2)
 	}
 	flagSet := map[string]bool{}
@@ -83,221 +83,132 @@ func main() {
 
 	run := func(name string) error {
 		start := time.Now()
-		var csvName string
-		var render func() error
+		// Most experiments yield one table, some also a JSON report; the
+		// figures and the ablation set render themselves.
+		var (
+			tbl     *bench.Table
+			rep     jsonWriter
+			csvName string
+			err     error
+		)
+		warn := func(bad bool, what string) {
+			if bad {
+				fmt.Fprintln(os.Stderr, "gridsim: WARNING: "+what)
+			}
+		}
 		switch name {
-		case "figure3":
-			fig, err := bench.Figure3(progress, profile)
-			if err != nil {
+		case "figure3", "figure4":
+			figure := bench.Figure3
+			if name == "figure4" {
+				figure = bench.Figure4
+			}
+			fig, ferr := figure(progress, profile)
+			if ferr != nil {
+				return ferr
+			}
+			fig.Render(os.Stdout)
+			if err := writeSVG(*svgDir, name+".svg", fig); err != nil {
 				return err
 			}
-			csvName = "figure3.csv"
-			render = func() error {
-				fig.Render(os.Stdout)
-				if err := writeSVG(*svgDir, "figure3.svg", fig); err != nil {
-					return err
-				}
-				return writeCSV(*csvDir, csvName, fig.CSV)
-			}
-		case "figure4":
-			fig, err := bench.Figure4(progress, profile)
-			if err != nil {
-				return err
-			}
-			csvName = "figure4.csv"
-			render = func() error {
-				fig.Render(os.Stdout)
-				if err := writeSVG(*svgDir, "figure4.svg", fig); err != nil {
-					return err
-				}
-				return writeCSV(*csvDir, csvName, fig.CSV)
-			}
+			err = writeCSV(*csvDir, name+".csv", fig.CSV)
 		case "table1":
-			tbl, err := bench.Table1(progress, profile, *skipRealtime)
-			if err != nil {
-				return err
-			}
+			tbl, err = bench.Table1(progress, profile, *skipRealtime)
 			csvName = "table1.csv"
-			render = func() error { tbl.Render(os.Stdout); return writeCSV(*csvDir, csvName, tbl.CSV) }
 		case "table2":
-			tbl, err := bench.Table2(progress, profile, *skipRealtime)
-			if err != nil {
-				return err
-			}
+			tbl, err = bench.Table2(progress, profile, *skipRealtime)
 			csvName = "table2.csv"
-			render = func() error { tbl.Render(os.Stdout); return writeCSV(*csvDir, csvName, tbl.CSV) }
 		case "ablations":
-			prio, err := bench.AblationPriority(progress, profile)
-			if err != nil {
-				return err
-			}
-			lb, err := bench.AblationGridLB(progress, profile)
-			if err != nil {
-				return err
-			}
-			het, err := bench.AblationHetero(progress, profile)
-			if err != nil {
-				return err
-			}
-			virt, err := bench.AblationVirtualization(progress, profile)
-			if err != nil {
-				return err
-			}
-			bun, err := bench.AblationBundling(progress, profile)
-			if err != nil {
-				return err
-			}
-			render = func() error {
-				prio.Render(os.Stdout)
-				lb.Render(os.Stdout)
-				het.Render(os.Stdout)
-				virt.Render(os.Stdout)
-				bun.Render(os.Stdout)
-				if err := writeCSV(*csvDir, "ablation_priority.csv", prio.CSV); err != nil {
+			for _, a := range []struct {
+				csv string
+				run func(io.Writer, bench.Profile) (*bench.Table, error)
+			}{
+				{"ablation_priority.csv", bench.AblationPriority},
+				{"ablation_gridlb.csv", bench.AblationGridLB},
+				{"ablation_hetero.csv", bench.AblationHetero},
+				{"ablation_virtualization.csv", bench.AblationVirtualization},
+				{"ablation_bundling.csv", bench.AblationBundling},
+			} {
+				t, aerr := a.run(progress, profile)
+				if aerr != nil {
+					return aerr
+				}
+				t.Render(os.Stdout)
+				if err := writeCSV(*csvDir, a.csv, t.CSV); err != nil {
 					return err
 				}
-				if err := writeCSV(*csvDir, "ablation_gridlb.csv", lb.CSV); err != nil {
-					return err
-				}
-				if err := writeCSV(*csvDir, "ablation_hetero.csv", het.CSV); err != nil {
-					return err
-				}
-				if err := writeCSV(*csvDir, "ablation_bundling.csv", bun.CSV); err != nil {
-					return err
-				}
-				return writeCSV(*csvDir, "ablation_virtualization.csv", virt.CSV)
 			}
 		case "gridlb-tcp":
-			tbl, err := bench.GridLBTCP(progress, profile)
-			if err != nil {
-				return err
-			}
+			tbl, err = bench.GridLBTCP(progress, profile)
 			csvName = "gridlb_tcp.csv"
-			render = func() error { tbl.Render(os.Stdout); return writeCSV(*csvDir, csvName, tbl.CSV) }
 		case "classes":
-			tbl, err := bench.Classes(progress, profile)
-			if err != nil {
-				return err
-			}
+			tbl, err = bench.Classes(progress, profile)
 			csvName = "classes.csv"
-			render = func() error { tbl.Render(os.Stdout); return writeCSV(*csvDir, csvName, tbl.CSV) }
 		case "irregular":
-			tbl, err := bench.Irregular(progress, profile)
-			if err != nil {
-				return err
-			}
+			tbl, err = bench.Irregular(progress, profile)
 			csvName = "irregular.csv"
-			render = func() error { tbl.Render(os.Stdout); return writeCSV(*csvDir, csvName, tbl.CSV) }
 		case "sdsc":
-			tbl, err := bench.SDSC(progress, profile)
-			if err != nil {
-				return err
-			}
+			tbl, err = bench.SDSC(progress, profile)
 			csvName = "sdsc.csv"
-			render = func() error { tbl.Render(os.Stdout); return writeCSV(*csvDir, csvName, tbl.CSV) }
 		case "taskfarm-scale":
-			tbl, rep, err := bench.TaskfarmScale(progress, profile)
-			if err != nil {
-				return err
-			}
+			var r *bench.FarmReport
+			tbl, r, err = bench.TaskfarmScale(progress, profile)
 			csvName = "taskfarm_scale.csv"
-			render = func() error {
-				tbl.Render(os.Stdout)
-				if !rep.ChecksumsMatch {
-					fmt.Fprintln(os.Stderr, "gridsim: WARNING: taskfarm checksums diverged across configurations")
-				}
-				if *farmJSON != "" {
-					if err := writeFarmJSON(*farmJSON, rep); err != nil {
-						return err
-					}
-				}
-				return writeCSV(*csvDir, csvName, tbl.CSV)
+			if r != nil {
+				rep = r
+				warn(!r.ChecksumsMatch, "taskfarm checksums diverged across configurations")
 			}
 		case "membership":
-			tbl, rep, err := bench.MembershipRecovery(progress, profile)
-			if err != nil {
-				return err
-			}
+			var r *bench.MembershipReport
+			tbl, r, err = bench.MembershipRecovery(progress, profile)
 			csvName = "membership.csv"
-			render = func() error {
-				tbl.Render(os.Stdout)
-				if !rep.ChecksumsMatch {
-					fmt.Fprintln(os.Stderr, "gridsim: WARNING: membership checksums diverged from the undisturbed baseline")
-				}
-				if *memJSON != "" {
-					if err := writeMembershipJSON(*memJSON, rep); err != nil {
-						return err
-					}
-				}
-				return writeCSV(*csvDir, csvName, tbl.CSV)
+			if r != nil {
+				rep = r
+				warn(!r.ChecksumsMatch, "membership checksums diverged from the undisturbed baseline")
 			}
 		case "gate-soak":
-			tbl, rep, err := bench.GateSoak(progress, profile)
-			if err != nil {
-				if tbl != nil {
-					tbl.Render(os.Stdout)
-				}
-				if rep != nil && *gateJSON != "" {
-					_ = writeGateJSON(*gateJSON, rep)
-				}
-				return err
-			}
+			var r *bench.GateReport
+			tbl, r, err = bench.GateSoak(progress, profile)
 			csvName = "gate_soak.csv"
-			render = func() error {
-				tbl.Render(os.Stdout)
-				if *gateJSON != "" {
-					if err := writeGateJSON(*gateJSON, rep); err != nil {
-						return err
-					}
-				}
-				return writeCSV(*csvDir, csvName, tbl.CSV)
+			if r != nil {
+				rep = r
 			}
 		case "telemetry":
-			tbl, rep, err := bench.Telemetry(progress, profile)
-			if err != nil {
-				if tbl != nil {
-					tbl.Render(os.Stdout)
-				}
-				if rep != nil && *telemJSON != "" {
-					_ = writeTelemetryJSON(*telemJSON, rep)
-				}
-				return err
-			}
+			var r *bench.TelemetryReport
+			tbl, r, err = bench.Telemetry(progress, profile)
 			csvName = "telemetry.csv"
-			render = func() error {
-				tbl.Render(os.Stdout)
-				if *telemJSON != "" {
-					if err := writeTelemetryJSON(*telemJSON, rep); err != nil {
-						return err
-					}
-				}
-				return writeCSV(*csvDir, csvName, tbl.CSV)
+			if r != nil {
+				rep = r
 			}
 		case "sim-scale":
-			tbl, rep, err := bench.SimScale(progress, profile)
-			if err != nil {
-				return err
-			}
+			var r *bench.SimScaleReport
+			tbl, r, err = bench.SimScale(progress, profile)
 			csvName = "sim_scale.csv"
-			render = func() error {
-				tbl.Render(os.Stdout)
-				if !rep.ChecksumsMatch {
-					fmt.Fprintln(os.Stderr, "gridsim: WARNING: parallel-engine checksums diverged from the sequential reference")
-				}
-				if !rep.Big.WithinBound {
-					fmt.Fprintln(os.Stderr, "gridsim: WARNING: cold-store arm exceeded its heap bound")
-				}
-				if *scaleJSON != "" {
-					if err := writeSimScaleJSON(*scaleJSON, rep); err != nil {
-						return err
-					}
-				}
-				return writeCSV(*csvDir, csvName, tbl.CSV)
+			if r != nil {
+				rep = r
+				warn(!r.ChecksumsMatch, "parallel-engine checksums diverged from the sequential reference")
+				warn(!r.Big.WithinBound, "cold-store arm exceeded its heap bound")
 			}
 		default:
 			return fmt.Errorf("unknown experiment %q", name)
 		}
-		if err := render(); err != nil {
+		// A failed soak still shows what it measured: the table and the
+		// report come out before the error does.
+		if tbl != nil {
+			tbl.Render(os.Stdout)
+		}
+		if *jsonOut != "" {
+			if rep == nil && err == nil {
+				err = fmt.Errorf("-json: this experiment has no JSON report")
+			} else if rep != nil {
+				if werr := writeJSON(*jsonOut, rep); err == nil {
+					err = werr
+				}
+			}
+		}
+		if err == nil && tbl != nil {
+			err = writeCSV(*csvDir, csvName, tbl.CSV)
+		}
+		if err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "[%s completed in %v]\n", name, time.Since(start).Round(time.Millisecond))
@@ -318,35 +229,20 @@ func main() {
 		if len(profile.Metrics.Snapshot().Series) == 0 {
 			fmt.Fprintf(os.Stderr, "gridsim: warning: no metrics recorded — metrics cover the real-time/TCP runs (table1, table2), not virtual-time-only experiments\n")
 		}
-		if err := writeSnapshot(*metricsOut, profile.Metrics); err != nil {
+		if err := writeJSON(*metricsOut, profile.Metrics); err != nil {
 			fmt.Fprintf(os.Stderr, "gridsim: metrics snapshot: %v\n", err)
 			os.Exit(1)
 		}
 	}
 }
 
-// writeFarmJSON dumps the taskfarm-scale report (the BENCH_taskfarm.json
-// artifact).
-func writeFarmJSON(path string, rep *bench.FarmReport) error {
-	if dir := filepath.Dir(path); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := rep.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
+// jsonWriter is the shape every experiment report and the metrics
+// registry share.
+type jsonWriter interface{ WriteJSON(io.Writer) error }
 
-// writeMembershipJSON dumps the membership recovery report (the
-// BENCH_membership.json artifact).
-func writeMembershipJSON(path string, rep *bench.MembershipReport) error {
+// writeJSON dumps a report (the BENCH_*.json artifacts) or the accumulated
+// real-time-run registry as indented JSON.
+func writeJSON(path string, v jsonWriter) error {
 	if dir := filepath.Dir(path); dir != "." {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return err
@@ -356,83 +252,7 @@ func writeMembershipJSON(path string, rep *bench.MembershipReport) error {
 	if err != nil {
 		return err
 	}
-	if err := rep.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// writeGateJSON dumps the gateway soak report (the BENCH_gate.json
-// artifact).
-func writeGateJSON(path string, rep *bench.GateReport) error {
-	if dir := filepath.Dir(path); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := rep.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// writeTelemetryJSON dumps the telemetry-plane report (the
-// BENCH_telemetry.json artifact).
-func writeTelemetryJSON(path string, rep *bench.TelemetryReport) error {
-	if dir := filepath.Dir(path); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := rep.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// writeSimScaleJSON dumps the engine-scaling report (the
-// BENCH_simscale.json artifact).
-func writeSimScaleJSON(path string, rep *bench.SimScaleReport) error {
-	if dir := filepath.Dir(path); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := rep.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// writeSnapshot dumps the accumulated real-time-run registry as indented
-// JSON, next to wherever the caller keeps the CSV results.
-func writeSnapshot(path string, reg *metrics.Registry) error {
-	if dir := filepath.Dir(path); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := reg.WriteJSON(f); err != nil {
+	if err := v.WriteJSON(f); err != nil {
 		f.Close()
 		return err
 	}

@@ -1,6 +1,6 @@
 // Taskfarm: the paper's "master-slave" application class.
 //
-// Part 1: a master on cluster 0 farms independent 50ms tasks to workers
+// Part 1: one dispatcher on cluster 0 farms independent 50ms tasks to workers
 // spread across both clusters of an 8-PE machine. With enough tasks
 // prefetched per worker, even a 64ms wide-area link barely moves the
 // makespan — quantifying the paper's §1 observation that master-slave
@@ -10,11 +10,12 @@
 // Part 2: latency masking is not the only ceiling. A single dispatcher
 // that spends AT per assignment saturates at JT/AT workers (the WRONJ
 // knee) no matter how deep the prefetch; past it, added workers buy
-// nothing. Sharding the master into a chare array of dispatchers — each
-// owning a slice of the task space, granting in batches, stealing from
-// random victims when its slice drains — restores near-linear scaling
-// over the identical task set (the order-independent checksum proves
-// every task ran exactly once either way). See DESIGN.md §9.
+// nothing. The dispatcher is a chare array of one; growing the array —
+// each shard owning a slice of the task space, granting in batches,
+// stealing from random victims when its slice drains — restores
+// near-linear scaling over the identical task set (the order-independent
+// checksum proves every task ran exactly once either way). Both parts run
+// the same program; only Shards, Batch and Steal differ. See DESIGN.md §9.
 //
 // Run:  go run ./examples/taskfarm
 package main
@@ -32,7 +33,8 @@ import (
 func makespan(lat time.Duration, prefetch int) time.Duration {
 	prog, err := taskfarm.BuildProgramFor(&taskfarm.Params{
 		Tasks: 200, Prefetch: prefetch, TaskCost: 50 * time.Millisecond, TaskBytes: 2048,
-		Workers: 7, DedicatedMaster: true, // PE 0 serves the master only
+		Workers: 7, DedicatedMaster: true, // PE 0 serves the dispatcher only
+		Shards: 1, Batch: 1, // the single master: one task per grant
 	}, 8)
 	if err != nil {
 		log.Fatal(err)
@@ -53,20 +55,15 @@ func makespan(lat time.Duration, prefetch int) time.Duration {
 }
 
 // farmAtScale runs tasks×10ms work on W workers (one per PE, split across
-// two clusters) under either one dispatcher or `shards` dispatcher shards
-// with batched grants and randomized stealing.
-func farmAtScale(workers, shards int, steal bool) *taskfarm.Result {
-	p := &taskfarm.Params{
+// two clusters) under `shards` dispatcher shards granting up to `batch`
+// tasks per message, with or without randomized stealing.
+func farmAtScale(workers, shards, batch int, steal bool) *taskfarm.Result {
+	prog, err := taskfarm.BuildProgram(&taskfarm.Params{
 		Tasks: 20000, Prefetch: 2, Workers: workers,
 		TaskCost: 10 * time.Millisecond, AssignCost: 200 * time.Microsecond,
 		CostSkew: 4, Seed: 1,
-	}
-	if shards > 1 {
-		p.Shards = shards
-		p.Batch = 16
-		p.Steal = steal
-	}
-	prog, err := taskfarm.BuildProgram(p)
+		Shards: shards, Batch: batch, Steal: steal,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -109,8 +106,8 @@ func main() {
 		"workers", "config", "makespan", "tasks/s", "steals", "stolen")
 	var check uint64
 	for _, w := range []int{26, 50, 100, 200} {
-		single := farmAtScale(w, 1, false)
-		sharded := farmAtScale(w, 4, true)
+		single := farmAtScale(w, 1, 1, false)
+		sharded := farmAtScale(w, 4, 16, true)
 		check = single.Checksum
 		if sharded.Checksum != single.Checksum {
 			log.Fatalf("checksum diverged: %#x vs %#x", sharded.Checksum, single.Checksum)

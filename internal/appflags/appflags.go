@@ -314,18 +314,17 @@ type Farm struct {
 
 func (f *Farm) Register(fs *flag.FlagSet) {
 	fs.IntVar(&f.Tasks, "tasks", 2000, "taskfarm: task count")
-	fs.IntVar(&f.Shards, "shards", 1, "taskfarm: dispatcher shard count (1 = single master)")
-	fs.IntVar(&f.Batch, "batch", 16, "taskfarm: grant batch cap (sharded only)")
+	fs.IntVar(&f.Shards, "shards", 1, "taskfarm: dispatcher shard count (-shards 1 -batch 1 = single master)")
+	fs.IntVar(&f.Batch, "batch", 16, "taskfarm: max tasks per grant message (>= 1)")
 	fs.BoolVar(&f.Steal, "steal", false, "taskfarm: enable randomized work stealing between shards")
 	fs.IntVar(&f.Prefetch, "prefetch", 2, "taskfarm: per-worker prefetch depth")
 	fs.IntVar(&f.Spin, "spin", 20000, "taskfarm: wall-clock spin iterations per task")
 	fs.Float64Var(&f.Skew, "skew", 1, "taskfarm: per-task cost ramp 1x..skew-x across the task space")
-	fs.BoolVar(&f.Serve, "serve", false, "taskfarm: run as an open-ended service backend (tasks arrive from a gateway; requires -shards >= 1)")
+	fs.BoolVar(&f.Serve, "serve", false, "taskfarm: run as an open-ended service backend (tasks arrive from a gateway)")
 }
 
 // Params builds the taskfarm parameters. In serve mode the enumerated
-// task count is ignored (the farm's task space is open-ended) and at
-// least one shard is forced, since serve mode rides the sharded build.
+// task count is ignored (the farm's task space is open-ended).
 func (f *Farm) Params(workers int, reg *metrics.Registry, elastic *taskfarm.ElasticConfig) *taskfarm.Params {
 	p := &taskfarm.Params{
 		Tasks: f.Tasks, Workers: workers,
@@ -338,9 +337,6 @@ func (f *Farm) Params(workers int, reg *metrics.Registry, elastic *taskfarm.Elas
 	if f.Serve {
 		p.Serve = true
 		p.Tasks = 0
-		if p.Shards < 1 {
-			p.Shards = 1
-		}
 	}
 	return p
 }

@@ -54,7 +54,7 @@ func TestJoinerSet(t *testing.T) {
 func TestFarmParamsServe(t *testing.T) {
 	f := Farm{Tasks: 500, Shards: 0, Batch: 8, Prefetch: 2, Skew: 1, Serve: true}
 	p := f.Params(4, nil, nil)
-	if !p.Serve || p.Tasks != 0 || p.Shards != 1 {
+	if !p.Serve || p.Tasks != 0 {
 		t.Errorf("serve params %+v", p)
 	}
 	if err := p.Validate(); err != nil {

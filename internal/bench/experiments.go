@@ -598,6 +598,7 @@ func Classes(w io.Writer, p Profile) (*Table, error) {
 	farmAt := func(lat time.Duration) (time.Duration, error) {
 		prog, err := taskfarm.BuildProgramFor(&taskfarm.Params{
 			Tasks: 200, Prefetch: 4, TaskCost: 50 * time.Millisecond, TaskBytes: 2048,
+			Shards: 1, Batch: 1, // the single master: one dispatcher, one task per grant
 		}, procs)
 		if err != nil {
 			return 0, err

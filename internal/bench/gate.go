@@ -461,7 +461,7 @@ func GateSoak(w io.Writer, p Profile) (*Table, *GateReport, error) {
 		Description: "Gateway soak over a real TCP listener: solo-latency baseline, a duplicate-key soak " +
 			"asserting exactly-once execution, and a flood-vs-paced backpressure phase asserting per-tenant " +
 			"isolation (flood tenant throttled with 429s, paced tenant p99 within 2x its solo baseline). " +
-			"Regenerate with: gridsim -experiment gate-soak -gate-json BENCH_gate.json",
+			"Regenerate with: gridsim -experiment gate-soak -json BENCH_gate.json",
 		Config: gateConfigJ{
 			Procs: cfg.Procs, Shards: cfg.Shards, Batch: cfg.Batch,
 			Prefetch: cfg.Prefetch, Spin: cfg.Spin,

@@ -335,7 +335,7 @@ func MembershipRecovery(w io.Writer, p Profile) (*Table, *MembershipReport, erro
 			"exhaustion, elements re-homed onto survivors), and a cooperative drain of node 1 (full drain protocol, " +
 			"LB-free farm path). detect_ms is kill-to-death-declared at the coordinator, rehome_ms kill-to-elements-moved, " +
 			"drain_ms request-to-Left. All runs must reproduce the baseline checksum bit-for-bit. " +
-			"Regenerate with: gridsim -experiment membership -membership-json BENCH_membership.json",
+			"Regenerate with: gridsim -experiment membership -json BENCH_membership.json",
 		Config: membershipConfigJ{
 			Nodes: cfg.Nodes, Tasks: cfg.Tasks, Workers: cfg.Workers,
 			Prefetch: cfg.Prefetch, Batch: cfg.Batch, Shards: cfg.Shards, Spin: cfg.Spin,

@@ -11,8 +11,9 @@ import (
 )
 
 // FarmConfig sizes the taskfarm-at-scale experiment (DESIGN.md §9): a
-// worker-count sweep across the single master's WRONJ knee, run three
-// ways — single master, sharded dispatchers, sharded + stealing.
+// worker-count sweep across the single dispatcher's WRONJ knee, run three
+// ways over the one farm program — single master (one shard, one task per
+// grant), sharded dispatchers, sharded + stealing.
 type FarmConfig struct {
 	// Tasks is the task count, shared by every point so checksums are
 	// comparable across the whole sweep.
@@ -22,7 +23,8 @@ type FarmConfig struct {
 	// AssignCost is AT, the modeled dispatcher time per assignment. The
 	// single-master knee sits at Workers = TaskCost/AssignCost.
 	AssignCost time.Duration
-	// Prefetch and Batch are the pipeline depth and grant batch cap.
+	// Prefetch and Batch are the pipeline depth and the sharded arms'
+	// grant batch cap (the single arm always grants one task at a time).
 	Prefetch, Batch int
 	// CostSkew ramps per-task cost 1x..CostSkew-x across the task space
 	// (identical for all three configurations — it changes where the work
@@ -102,18 +104,13 @@ func (r *FarmReport) WriteJSON(w io.Writer) error {
 
 // FarmSim runs one farm configuration on the virtual-time engine with one
 // worker per PE.
-func FarmSim(cfg FarmConfig, workers, shards int, steal bool) (*taskfarm.Result, error) {
-	p := &taskfarm.Params{
+func FarmSim(cfg FarmConfig, workers, shards, batch int, steal bool) (*taskfarm.Result, error) {
+	prog, err := taskfarm.BuildProgram(&taskfarm.Params{
 		Tasks: cfg.Tasks, Workers: workers, Prefetch: cfg.Prefetch,
 		TaskCost: cfg.TaskCost, AssignCost: cfg.AssignCost,
 		CostSkew: cfg.CostSkew, Seed: 1,
-	}
-	if shards > 1 {
-		p.Shards = shards
-		p.Batch = cfg.Batch
-		p.Steal = steal
-	}
-	prog, err := taskfarm.BuildProgram(p)
+		Shards: shards, Batch: batch, Steal: steal,
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -146,9 +143,10 @@ func TaskfarmScale(w io.Writer, p Profile) (*Table, *FarmReport, error) {
 	}
 	rep := &FarmReport{
 		Description: "Taskfarm throughput vs worker count, one worker per PE, across the single-master WRONJ knee (JT/AT). " +
-			"Three configurations over the identical task set: one dispatcher, sharded dispatchers (guided batched grants), " +
+			"Three configurations of the one farm program over the identical task set: one dispatcher shard granting one task per message " +
+			"(the single master), sharded dispatchers (guided batched grants), " +
 			"sharded plus randomized work stealing. CostSkew ramps per-task cost across the task space, so static shard " +
-			"ownership is imbalanced and stealing has real work to move. Regenerate with: gridsim -experiment taskfarm-scale -farm-json BENCH_taskfarm.json",
+			"ownership is imbalanced and stealing has real work to move. Regenerate with: gridsim -experiment taskfarm-scale -json BENCH_taskfarm.json",
 		Config: farmConfigJ{
 			Tasks: cfg.Tasks, TaskCostMS: ms(cfg.TaskCost),
 			AssignCostUS: float64(cfg.AssignCost) / float64(time.Microsecond),
@@ -164,18 +162,19 @@ func TaskfarmScale(w io.Writer, p Profile) (*Table, *FarmReport, error) {
 	type variant struct {
 		name   string
 		shards func(workers int) int
+		batch  int
 		steal  bool
 		curve  *[]FarmPoint
 	}
 	variants := []variant{
-		{"single", func(int) int { return 1 }, false, &rep.SingleMaster},
-		{"sharded", cfg.shardsFor, false, &rep.Sharded},
-		{"sharded+steal", cfg.shardsFor, true, &rep.ShardedStealing},
+		{"single", func(int) int { return 1 }, 1, false, &rep.SingleMaster},
+		{"sharded", cfg.shardsFor, cfg.Batch, false, &rep.Sharded},
+		{"sharded+steal", cfg.shardsFor, cfg.Batch, true, &rep.ShardedStealing},
 	}
 	for _, workers := range cfg.Workers {
 		for _, v := range variants {
 			shards := v.shards(workers)
-			res, err := FarmSim(cfg, workers, shards, v.steal)
+			res, err := FarmSim(cfg, workers, shards, v.batch, v.steal)
 			if err != nil {
 				return nil, nil, fmt.Errorf("taskfarm-scale %s W=%d: %w", v.name, workers, err)
 			}

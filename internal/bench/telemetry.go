@@ -565,7 +565,7 @@ func Telemetry(w io.Writer, p Profile) (*Table, *TelemetryReport, error) {
 		Description: "Telemetry plane acceptance: stencil hot-path overhead of the agent+tracer (best-of-N both arms), " +
 			"collector convergence lag on clean and lossy report channels, cross-layer job-trace completeness under " +
 			"report drops, and the multi-window SLO burn alert under a latency step on a virtual clock. " +
-			"Regenerate with: gridsim -experiment telemetry -telemetry-json BENCH_telemetry.json",
+			"Regenerate with: gridsim -experiment telemetry -json BENCH_telemetry.json",
 		Config: telemetryConfigJ{
 			Procs: cfg.Procs, Objects: cfg.Objects, Steps: cfg.Stencil.Steps,
 			Runs: cfg.Runs, IntervalMS: ms(cfg.Interval),

@@ -30,6 +30,26 @@ type confApp struct {
 	sum   func(v any) uint64
 }
 
+func farmApp(name string, shards, batch int) confApp {
+	return confApp{
+		name: name,
+		build: func(t *testing.T, numPE int) *core.Program {
+			p := &taskfarm.Params{
+				Tasks: 160, Prefetch: 2, TaskCost: 200 * time.Microsecond,
+				TaskBytes: 256, AssignCost: 5 * time.Microsecond,
+				Shards: shards, Batch: batch, Steal: true, Seed: 11,
+				CostSkew: 3,
+			}
+			prog, err := taskfarm.BuildProgramFor(p, numPE)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return prog
+		},
+		sum: func(v any) uint64 { return v.(*taskfarm.Result).Checksum },
+	}
+}
+
 func confApps() []confApp {
 	return []confApp{
 		{
@@ -44,23 +64,8 @@ func confApps() []confApp {
 			},
 			sum: func(v any) uint64 { return math.Float64bits(v.(*stencil.Result).Checksum) },
 		},
-		{
-			name: "taskfarm",
-			build: func(t *testing.T, numPE int) *core.Program {
-				p := &taskfarm.Params{
-					Tasks: 160, Prefetch: 2, TaskCost: 200 * time.Microsecond,
-					TaskBytes: 256, AssignCost: 5 * time.Microsecond,
-					Shards: 2, Batch: 2, Steal: true, Seed: 11,
-					CostSkew: 3,
-				}
-				prog, err := taskfarm.BuildProgramFor(p, numPE)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return prog
-			},
-			sum: func(v any) uint64 { return v.(*taskfarm.Result).Checksum },
-		},
+		farmApp("taskfarm", 2, 2),
+		farmApp("taskfarm-1shard", 1, 1), // the single master
 		{
 			name: "leanmd",
 			build: func(t *testing.T, _ int) *core.Program {

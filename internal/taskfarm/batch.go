@@ -2,7 +2,7 @@ package taskfarm
 
 import "gridmdo/internal/core"
 
-// The sharded farm's wire protocol. Batched grants and results amortize
+// The farm's wire protocol. Batched grants and results amortize
 // per-message framing the way core.Queue's PopBatch amortizes the queue
 // lock: one message carries Batch tasks, so the dispatcher's per-task
 // cost degrades from (assign + frame) to (assign + frame/Batch). Every
@@ -110,7 +110,8 @@ type shardReportMsg struct {
 	Victimized int64
 }
 
-// Payload tags: the farm owns 64–79 (DESIGN.md has the table).
+// Payload tags: the farm owns 64–79 (DESIGN.md has the table). 70 and 71
+// were the single master's per-task pair; they are retired, not free.
 const (
 	tagTaskBatch   byte = 64
 	tagResultBatch byte = 65
@@ -118,8 +119,6 @@ const (
 	tagStealRsp    byte = 67
 	tagProgress    byte = 68
 	tagShardReport byte = 69
-	tagTask        byte = 70
-	tagResult      byte = 71
 	tagSubmit      byte = 72
 )
 
@@ -130,8 +129,6 @@ func init() {
 	core.RegisterPayload[stealRspMsg](tagStealRsp)
 	core.RegisterPayload[progressMsg](tagProgress)
 	core.RegisterPayload[shardReportMsg](tagShardReport)
-	core.RegisterPayload[taskMsg](tagTask)
-	core.RegisterPayload[resultMsg](tagResult)
 	core.RegisterPayload[submitMsg](tagSubmit)
 }
 

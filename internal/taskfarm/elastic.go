@@ -6,7 +6,7 @@ import (
 	"gridmdo/internal/core"
 )
 
-// Elastic farming: the sharded farm keeps running while the node set
+// Elastic farming: the farm keeps running while the node set
 // changes underneath it (core/membership.go). The division of labor:
 //
 //   - Placement: with Elastic set, the root and every dispatcher shard
@@ -176,7 +176,7 @@ func (n *Notifier) OnChange(t core.MemberTable) {
 		}
 		return
 	}
-	nw, ns := n.p.Workers, n.p.Shards
+	nw, ns := n.p.Workers, n.p.shards()
 	// Drain expectations go to the root before any shard can report a
 	// clear (the clears are triggered by the shard messages below).
 	for _, dn := range drain {

@@ -4,28 +4,6 @@ import (
 	"gridmdo/internal/core"
 )
 
-// PUP implements core.Migratable. The farm's bookkeeping is plain
-// scalars plus the per-worker tally; Params travel with the program, not
-// the checkpoint.
-func (m *master) PUP(p *core.PUP) {
-	workers := m.workers
-	p.Int(&workers)
-	p.Int(&m.next)
-	p.Int(&m.done)
-	p.Float64(&m.sum)
-	p.Ints(&m.perW)
-	p.Duration(&m.started)
-	if p.Unpacking() {
-		if workers != m.workers {
-			p.Errorf("taskfarm: restore master: checkpoint has %d workers, program wants %d", workers, m.workers)
-			return
-		}
-		if m.perW != nil && len(m.perW) != m.workers {
-			p.Errorf("taskfarm: restore master: per-worker tally has %d entries, want %d", len(m.perW), m.workers)
-		}
-	}
-}
-
 // PUP implements core.Migratable. Workers rebuild identity and parameters
 // from the program; only the batch-boundary clock travels (it feeds the
 // assignment-wait histogram, and a migrated worker must not report its
@@ -88,7 +66,8 @@ func (s *shard) PUP(p *core.PUP) {
 	}
 	p.Int32s(&s.drainNode)
 	if p.Unpacking() {
-		owned := (s.id+1)*s.p.Workers/s.p.Shards - s.id*s.p.Workers/s.p.Shards
+		ns := s.p.shards()
+		owned := (s.id+1)*s.p.Workers/ns - s.id*s.p.Workers/ns
 		if len(s.out) != owned || len(s.perW) != owned {
 			p.Errorf("taskfarm: restore shard %d: tallies sized %d/%d, shard owns %d workers",
 				s.id, len(s.out), len(s.perW), owned)
@@ -130,7 +109,6 @@ func (r *root) PUP(p *core.PUP) {
 }
 
 var (
-	_ core.Migratable = (*master)(nil)
 	_ core.Migratable = (*worker)(nil)
 	_ core.Migratable = (*shard)(nil)
 	_ core.Migratable = (*root)(nil)

@@ -9,8 +9,8 @@ import (
 )
 
 // Serve-mode farming: the farm as a long-running service instead of a
-// fixed batch. A Params with Serve set builds the same sharded topology
-// (root, dispatcher shards, workers) but starts with an empty task space
+// fixed batch. A Params with Serve set builds the same topology (root,
+// dispatcher shards, workers) but starts with an empty task space
 // and never exits on its own; task ranges enter through a Service bound
 // to the live runtime, riding the same rt.Post path the elastic Notifier
 // uses for membership events. The shards treat injected ranges exactly
@@ -93,31 +93,16 @@ func (s *Service) OnResult(fn func(seq int64, value float64)) {
 // amortized over the batch the caller accumulated, mirroring the grant
 // batching on the worker side.
 func (s *Service) Submit(n int) (int64, error) {
-	if n <= 0 {
-		return 0, fmt.Errorf("taskfarm: submit %d tasks", n)
-	}
-	s.mu.Lock()
-	if s.rt == nil {
-		s.mu.Unlock()
-		return 0, fmt.Errorf("taskfarm: service not bound to a runtime")
-	}
-	lo := s.next
-	s.next += int64(n)
-	sh := s.rr
-	s.rr = (s.rr + 1) % s.p.Shards
-	rt := s.rt
-	s.mu.Unlock()
-	rt.Post(core.ElemRef{Array: ArrayShard, Index: sh}, entrySubmit,
-		submitMsg{Ranges: []taskRange{{Lo: lo, N: int64(n)}}})
-	return lo, nil
+	lo, _, err := s.SubmitTraced(n, 0)
+	return lo, err
 }
 
 // SubmitTraced is Submit with a causal trace parent: the submission
 // message posted to the shard carries parent as its trace Parent, and
 // the message's ID is returned alongside the range start — so a
 // telemetry span tree rooted at, say, a gateway job's admission links
-// injection → shard grant → worker execution causally. parent 0 is
-// plain Submit with the ID still returned.
+// injection → shard grant → worker execution causally. parent 0 means
+// no parent.
 func (s *Service) SubmitTraced(n int, parent uint64) (int64, uint64, error) {
 	if n <= 0 {
 		return 0, 0, fmt.Errorf("taskfarm: submit %d tasks", n)
@@ -130,7 +115,7 @@ func (s *Service) SubmitTraced(n int, parent uint64) (int64, uint64, error) {
 	lo := s.next
 	s.next += int64(n)
 	sh := s.rr
-	s.rr = (s.rr + 1) % s.p.Shards
+	s.rr = (s.rr + 1) % s.p.shards()
 	rt := s.rt
 	s.mu.Unlock()
 	msgID := rt.PostTraced(core.ElemRef{Array: ArrayShard, Index: sh}, entrySubmit,

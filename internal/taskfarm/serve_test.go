@@ -107,19 +107,20 @@ func TestServeParamsValidate(t *testing.T) {
 	if err := (&Params{Serve: true, Tasks: 10, Prefetch: 1, Shards: 1, Batch: 4}).Validate(); err == nil {
 		t.Error("serve farm with preset Tasks accepted")
 	}
-	if err := (&Params{Serve: true, Prefetch: 1, Shards: 0, Batch: 4}).Validate(); err == nil {
-		t.Error("serve farm without shards accepted")
+	// Shards 0 means one dispatcher, for a serve farm like any other.
+	if err := (&Params{Serve: true, Prefetch: 1, Shards: 0, Batch: 4}).Validate(); err != nil {
+		t.Errorf("serve farm with the default shard count rejected: %v", err)
 	}
-	// Sharding with Batch <= 0 used to be silently coerced to 1.
-	if err := (&Params{Tasks: 10, Prefetch: 1, Shards: 2, Workers: 4}).Validate(); err == nil {
-		t.Error("sharded farm with Batch 0 accepted")
+	// Batch <= 0 used to be silently coerced to 1.
+	if err := (&Params{Serve: true, Prefetch: 1, Shards: 2, Workers: 4}).Validate(); err == nil {
+		t.Error("serve farm with Batch 0 accepted")
 	}
 	// One Validate call reports every violation, not just the first.
-	err := (&Params{Serve: true, Tasks: -1, Prefetch: 0, Shards: 0}).Validate()
+	err := (&Params{Serve: true, Tasks: -1, Prefetch: 0, Batch: 0}).Validate()
 	if err == nil {
 		t.Fatal("multiply-invalid params accepted")
 	}
-	for _, frag := range []string{"Tasks", "prefetch", "Shards"} {
+	for _, frag := range []string{"Tasks", "prefetch", "Batch"} {
 		if !containsFold(err.Error(), frag) {
 			t.Errorf("aggregated error %q missing %q", err, frag)
 		}

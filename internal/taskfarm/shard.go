@@ -10,17 +10,17 @@ import (
 	"gridmdo/internal/metrics"
 )
 
-// The sharded farm replaces the single dispatcher with a chare array of
-// dispatcher shards. The WRONJ analysis (SNIPPETS.md §2) caps a single
-// master's useful worker count at JT/AT — job time over per-assignment
-// dispatcher time; past that knee extra workers just queue at the master.
+// The farm dispatches through a chare array of dispatcher shards; a single
+// master is the array of one. The WRONJ analysis (SNIPPETS.md §2) caps one
+// dispatcher's useful worker count at JT/AT — job time over per-assignment
+// dispatcher time; past that knee extra workers just queue at it.
 // Sharding multiplies the aggregate assignment rate by the shard count
 // (each shard owns a contiguous slice of the task space and of the worker
 // array, so the slices never contend), batching divides the per-task
 // framing cost by Batch, and randomized work stealing keeps the static
 // partition from stranding cycles when per-task cost is skewed.
 //
-// Topology of a sharded run:
+// Topology of a run:
 //
 //	root (ArrayMaster/0, PE 0)      — aggregates progress, owns the exit
 //	shards (ArrayShard/s)           — own tasks [s·T/S, (s+1)·T/S) and
@@ -28,11 +28,13 @@ import (
 //	                                  on the PE of their first worker
 //	workers (ArrayWorker/w)         — block-mapped over all PEs
 //
+// (DedicatedMaster moves every shard to PE 0 and the workers off it.)
+//
 // Steady state per worker: the owning shard keeps Prefetch grants in
 // flight; each resultBatchMsg triggers one new grant, and forwards a
 // progressMsg delta to the root. When a shard's pending deque drains it
 // asks a uniformly random other shard for half its pending work, bounded
-// by StealTries consecutive refusals (an exhausted thief stays out of the
+// by stealTries consecutive refusals (an exhausted thief stays out of the
 // steal market — stealing is an optimization, every task has an owner
 // whose workers will run it regardless).
 
@@ -56,7 +58,7 @@ type farmMetrics struct {
 	// against.
 	workerDone *metrics.Counter
 
-	shardTasks []*metrics.Counter // completed per shard (sharded farms)
+	shardTasks []*metrics.Counter // completed per shard
 }
 
 func newFarmMetrics(p *Params) *farmMetrics {
@@ -69,30 +71,18 @@ func newFarmMetrics(p *Params) *farmMetrics {
 		stealFails: r.Counter("taskfarm_steal_fails_total"),
 		stolen:     r.Counter("taskfarm_stolen_tasks_total"),
 		workerDone: r.Counter("taskfarm_worker_tasks_total"),
+		shardTasks: make([]*metrics.Counter, p.shards()),
 	}
-	if p.Shards > 1 {
-		fm.shardTasks = make([]*metrics.Counter, p.Shards)
-		for i := range fm.shardTasks {
-			fm.shardTasks[i] = r.Counter("taskfarm_shard_tasks_total",
-				metrics.L("shard", strconv.Itoa(i)))
-		}
+	for i := range fm.shardTasks {
+		fm.shardTasks[i] = r.Counter("taskfarm_shard_tasks_total",
+			metrics.L("shard", strconv.Itoa(i)))
 	}
 	return fm
 }
 
-func (fm *farmMetrics) shardDone(id int, n int64) {
-	if id < len(fm.shardTasks) {
-		fm.shardTasks[id].Add(n)
-	}
-}
-
-// stealTries is the effective consecutive-failure bound.
-func (p *Params) stealTries() int {
-	if p.StealTries <= 0 {
-		return 4
-	}
-	return p.StealTries
-}
+// stealTries bounds consecutive refused steal requests per drain episode;
+// the count resets whenever the shard acquires tasks.
+const stealTries = 4
 
 // recvBatch executes one grant and replies with pre-reduced results. The
 // gap between finishing the previous batch and this one arriving is the
@@ -132,7 +122,7 @@ func (w *worker) recvBatch(ctx *core.Ctx, t taskBatchMsg) {
 	ctx.Send(core.ElemRef{Array: ArrayShard, Index: int(t.Shard)}, entryResultBatch, rb)
 }
 
-// shard is one dispatcher in the sharded farm.
+// shard is one dispatcher.
 type shard struct {
 	p   *Params
 	id  int
@@ -174,7 +164,7 @@ type shard struct {
 // entryShardStart, so a steal request that races ahead of the start
 // broadcast still sees the victim's real inventory.
 func newShard(p *Params, id int, fm *farmMetrics) *shard {
-	ns, nw := p.Shards, p.Workers
+	ns, nw := p.shards(), p.Workers
 	wLo, wHi := id*nw/ns, (id+1)*nw/ns
 	tLo, tHi := id*p.Tasks/ns, (id+1)*p.Tasks/ns
 	s := &shard{
@@ -212,7 +202,7 @@ func (s *shard) Recv(ctx *core.Ctx, entry core.EntryID, data any) {
 		s.out[wi]--
 		s.settleOutstanding(wi, int64(rb.Done))
 		s.perW[wi] += rb.Done
-		s.fm.shardDone(s.id, int64(rb.Done))
+		s.fm.shardTasks[s.id].Add(int64(rb.Done))
 		ctx.Send(core.ElemRef{Array: ArrayMaster, Index: 0}, entryProgress,
 			progressMsg{Shard: int32(s.id), Done: rb.Done, Sum: rb.Sum, Check: rb.Check,
 				Ranges: rb.Ranges, Values: rb.Values})
@@ -242,8 +232,8 @@ func (s *shard) Recv(ctx *core.Ctx, entry core.EntryID, data any) {
 		var give []taskRange
 		// Hand over half of pending, but never break a final batch: a
 		// victim with one batch or less refuses, which is what lets the
-		// endgame converge (all-refused thieves retire after StealTries).
-		if s.avail > int64(s.p.batch()) {
+		// endgame converge (all-refused thieves retire after stealTries).
+		if s.avail > int64(s.p.Batch) {
 			give = s.popBack(s.avail / 2)
 			var n int64
 			for _, r := range give {
@@ -310,7 +300,7 @@ func (s *shard) chunk() int64 {
 	if c < 1 {
 		c = 1
 	}
-	if b := int64(s.p.batch()); c > b {
+	if b := int64(s.p.Batch); c > b {
 		c = b
 	}
 	return c
@@ -365,8 +355,8 @@ func (s *shard) fill(ctx *core.Ctx) {
 // this shard is drained, no request is already in flight, and the drain
 // episode hasn't exhausted its tries.
 func (s *shard) maybeSteal(ctx *core.Ctx) {
-	ns := s.p.Shards
-	if !s.p.Steal || ns < 2 || s.stealing || s.avail > 0 || s.fails >= s.p.stealTries() {
+	ns := s.p.shards()
+	if !s.p.Steal || ns < 2 || s.stealing || s.avail > 0 || s.fails >= stealTries {
 		return
 	}
 	v := int(s.nextRand() % uint64(ns-1))
@@ -604,65 +594,4 @@ func (r *root) Recv(ctx *core.Ctx, entry core.EntryID, data any) {
 	default:
 		panic(fmt.Sprintf("taskfarm: root got entry %d", entry))
 	}
-}
-
-// buildSharded assembles the sharded farm program. Shard s is placed on
-// the PE of its first owned worker, so grant/result traffic is intra-PE
-// or at worst intra-cluster; only steal and progress traffic crosses the
-// machine.
-func buildSharded(p *Params) (*core.Program, error) {
-	nw, ns := p.Workers, p.Shards
-	fm := newFarmMetrics(p)
-	workerPE := func(i, numPE int) int {
-		if e := p.Elastic; e != nil {
-			act := e.activePEs(numPE)
-			return act[core.BlockMap(i, nw, len(act))]
-		}
-		if p.DedicatedMaster {
-			if numPE == 1 {
-				return 0
-			}
-			return 1 + core.BlockMap(i, nw, numPE-1)
-		}
-		return core.BlockMap(i, nw, numPE)
-	}
-	// Elastic farms pin the root and every dispatcher shard to the
-	// coordinator's PEs: the membership notifier, the dispatchers, and
-	// the drain protocol then share one process, and grants are the only
-	// application traffic that crosses nodes.
-	shardPE := func(s, numPE int) int {
-		if e := p.Elastic; e != nil {
-			cp := e.coordPEs(numPE)
-			return cp[s%len(cp)]
-		}
-		return workerPE(s*nw/ns, numPE)
-	}
-	rootPE := func(_, numPE int) int {
-		if e := p.Elastic; e != nil {
-			return e.coordPEs(numPE)[0]
-		}
-		return 0
-	}
-	return &core.Program{
-		Arrays: []core.ArraySpec{
-			{
-				ID: ArrayMaster, N: 1,
-				Map: rootPE,
-				New: func(int) core.Chare { return &root{p: p, shards: ns, workers: nw} },
-			},
-			{
-				ID: ArrayWorker, N: nw,
-				Map: workerPE,
-				New: func(i int) core.Chare { return &worker{p: p, id: i, fm: fm} },
-			},
-			{
-				ID: ArrayShard, N: ns,
-				Map: shardPE,
-				New: func(s int) core.Chare { return newShard(p, s, fm) },
-			},
-		},
-		Start: func(ctx *core.Ctx) {
-			ctx.Send(core.ElemRef{Array: ArrayMaster, Index: 0}, entryStart, nil)
-		},
-	}, nil
 }

@@ -14,24 +14,61 @@ import (
 )
 
 // TestShardedChecksumMatchesSingleMaster is the acceptance bit-identity
-// check: the sharded farm (with stealing and skew scrambling completion
-// order) must produce the exact checksum of the single-master farm.
+// check: every shard count and batch size — the single dispatcher
+// (Shards 1, Batch 1) included, with stealing and skew scrambling
+// completion order wherever there is someone to steal from — must produce
+// the exact checksum of the task set.
 func TestShardedChecksumMatchesSingleMaster(t *testing.T) {
-	single := &Params{Tasks: 500, Prefetch: 2, TaskCost: time.Millisecond}
-	sharded := &Params{
-		Tasks: 500, Prefetch: 2, TaskCost: time.Millisecond,
-		Shards: 4, Batch: 8, Steal: true, Seed: 42, CostSkew: 8,
+	want := ExpectedChecksum(500)
+	for _, shards := range []int{1, 2, 4, 8} {
+		for _, batch := range []int{1, 8} {
+			p := &Params{
+				Tasks: 500, Prefetch: 2, TaskCost: time.Millisecond,
+				Shards: shards, Batch: batch, Steal: true, Seed: 42, CostSkew: 8,
+			}
+			res := runFarm(t, p, 8, 2*time.Millisecond)
+			if res.Checksum != want {
+				t.Errorf("shards=%d batch=%d: checksum %#x, want %#x", shards, batch, res.Checksum, want)
+			}
+			if math.Abs(res.Sum-expectedSum(500)) > 1e-9 {
+				t.Errorf("shards=%d batch=%d: sum = %v, want %v", shards, batch, res.Sum, expectedSum(500))
+			}
+		}
 	}
-	rs := runFarm(t, single, 8, 2*time.Millisecond)
-	rh := runFarm(t, sharded, 8, 2*time.Millisecond)
-	if rs.Checksum != rh.Checksum {
-		t.Errorf("checksum mismatch: single %#x, sharded %#x", rs.Checksum, rh.Checksum)
-	}
-	if want := ExpectedChecksum(500); rs.Checksum != want {
-		t.Errorf("single-master checksum %#x, want %#x", rs.Checksum, want)
-	}
-	if math.Abs(rh.Sum-expectedSum(500)) > 1e-9 {
-		t.Errorf("sharded sum = %v, want %v", rh.Sum, expectedSum(500))
+}
+
+// TestOneShardIsOneDispatcher pins the message economy that makes the
+// one-shard, one-task-per-grant farm the single master: one grant per
+// task, nobody to steal from, one shard's worth of accounting, and past
+// the JT/AT knee a makespan bound by assignment (Tasks x AssignCost).
+func TestOneShardIsOneDispatcher(t *testing.T) {
+	const tasks, workers = 2048, 32
+	for _, shards := range []int{0, 1} { // 0 means 1
+		reg := metrics.NewRegistry()
+		p := &Params{
+			Tasks: tasks, Prefetch: 2, Workers: workers,
+			TaskCost: 8 * time.Millisecond, AssignCost: time.Millisecond, // knee at 8 workers
+			Shards: shards, Batch: 1, Steal: true, Metrics: reg,
+		}
+		res := runFarm(t, p, workers, 0)
+		if got := reg.Counter("taskfarm_grants_total").Value(); got != tasks {
+			t.Errorf("Shards=%d: %d grant messages, want one per task (%d)", shards, got, tasks)
+		}
+		if got := reg.Counter("taskfarm_steals_total").Value() + reg.Counter("taskfarm_steal_fails_total").Value(); got != 0 {
+			t.Errorf("Shards=%d: %d steal attempts in a one-shard farm", shards, got)
+		}
+		if got := reg.Counter("taskfarm_shard_tasks_total", metrics.L("shard", "0")).Value(); got != tasks {
+			t.Errorf("Shards=%d: shard 0 series counts %d tasks, want %d", shards, got, tasks)
+		}
+		if res.Shards != 1 || len(res.PerShard) != 1 || res.PerShard[0] != tasks {
+			t.Errorf("Shards=%d: Result.Shards=%d PerShard=%v, want 1 and [%d]", shards, res.Shards, res.PerShard, tasks)
+		}
+		if res.Checksum != ExpectedChecksum(tasks) {
+			t.Errorf("Shards=%d: checksum %#x, want %#x", shards, res.Checksum, ExpectedChecksum(tasks))
+		}
+		if bound := tasks * p.AssignCost; res.Makespan < bound {
+			t.Errorf("Shards=%d: makespan %v below the assignment bound %v", shards, res.Makespan, bound)
+		}
 	}
 }
 
@@ -100,9 +137,9 @@ func TestShardingBeatsSingleMasterPastKnee(t *testing.T) {
 		TaskCost: 8 * time.Millisecond, AssignCost: time.Millisecond,
 	}
 	single := base
+	single.Shards, single.Batch = 1, 1
 	sharded := base
-	sharded.Shards = 8
-	sharded.Batch = 1
+	sharded.Shards, sharded.Batch = 8, 1
 	ms := runFarm(t, &single, workers, 0).Makespan
 	mh := runFarm(t, &sharded, workers, 0).Makespan
 	// Single master is assignment-bound: >= Tasks * AssignCost.
@@ -207,13 +244,19 @@ func TestShardedMetrics(t *testing.T) {
 	}
 }
 
-// TestShardedValidation covers the sharded-specific error paths.
+// TestShardedValidation covers the dispatcher-specific error paths.
 func TestShardedValidation(t *testing.T) {
 	bad := []*Params{
-		{Tasks: 1, Prefetch: 1, Shards: -1},
+		{Tasks: 1, Prefetch: 1, Batch: 1, Shards: -1},
 		{Tasks: 1, Prefetch: 1, Batch: -2},
-		{Tasks: 1, Prefetch: 1, AssignCost: -time.Second},
-		{Tasks: 1, Prefetch: 1, CostSkew: 0.5},
+		{Tasks: 1, Prefetch: 1, Batch: 1, AssignCost: -time.Second},
+		{Tasks: 1, Prefetch: 1, Batch: 1, CostSkew: 0.5},
+		// Batch 0 is rejected whatever the farm's shape.
+		{Tasks: 1, Prefetch: 1},
+		{Tasks: 1, Prefetch: 1, Shards: 1},
+		{Tasks: 1, Prefetch: 1, Shards: 4},
+		{Serve: true, Prefetch: 1, Shards: 2},
+		{Tasks: 1, Prefetch: 1, Elastic: &ElasticConfig{NodeOf: func(int) int { return 0 }, ActiveNode: func(int) bool { return true }}},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {
@@ -221,12 +264,22 @@ func TestShardedValidation(t *testing.T) {
 		}
 	}
 	// More shards than workers cannot grant everywhere; must be rejected.
-	if _, err := BuildProgram(&Params{Tasks: 10, Prefetch: 1, Workers: 2, Shards: 4}); err == nil {
+	if _, err := BuildProgram(&Params{Tasks: 10, Prefetch: 1, Workers: 2, Shards: 4, Batch: 1}); err == nil {
 		t.Error("4 shards over 2 workers accepted")
+	}
+	// Shards 0 means 1: the same program, not a different one.
+	for _, shards := range []int{0, 1} {
+		prog, err := BuildProgram(&Params{Tasks: 10, Prefetch: 1, Workers: 2, Shards: shards, Batch: 1})
+		if err != nil {
+			t.Fatalf("Shards=%d: %v", shards, err)
+		}
+		if n := prog.Arrays[ArrayShard].N; n != 1 {
+			t.Errorf("Shards=%d builds %d dispatcher shards, want 1", shards, n)
+		}
 	}
 }
 
-// TestBatchCodecRoundTrip pins every sharded-protocol payload through the
+// TestBatchCodecRoundTrip pins every farm-protocol payload through the
 // full wire codec with concrete-type equality, like
 // TestWireCodecPayloadKinds does for the built-ins.
 func TestBatchCodecRoundTrip(t *testing.T) {
@@ -248,8 +301,6 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 		{"submit", submitMsg{Ranges: []taskRange{{Lo: 0, N: 64}}}},
 		{"submit-empty", submitMsg{}},
 		{"report", shardReportMsg{Shard: 1, PerW: []int32{10, 0, 32}, Granted: 42, Steals: 2, StealFails: 1, Stolen: 20, Victimized: 4}},
-		{"task", taskMsg{Seq: 9000, bytes: 64}},
-		{"result", resultMsg{Seq: 9000, Worker: 3, Value: math.Pi, bytes: 64}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -5,11 +5,14 @@
 // communication requirements and because communication delays are often
 // not on the critical path."
 //
-// The farm self-schedules: the master seeds each worker with Prefetch
-// outstanding tasks and sends a new one as each result returns, so a
-// worker with Prefetch >= 2 always has a task in hand while the next one
-// is in flight — the class's own latency-masking mechanism, complementing
-// the object-level overlap the tightly-coupled applications rely on.
+// The farm self-schedules: a dispatcher seeds each of its workers with
+// Prefetch outstanding grants and sends a new one as each result returns,
+// so a worker with Prefetch >= 2 always has a task in hand while the next
+// one is in flight — the class's own latency-masking mechanism,
+// complementing the object-level overlap the tightly-coupled applications
+// rely on. There is one program shape (shard.go): a root collector, an
+// array of dispatcher shards and the workers. The classic single master
+// is that shape with one shard and one task per grant.
 package taskfarm
 
 import (
@@ -23,19 +26,17 @@ import (
 	"gridmdo/internal/metrics"
 )
 
-// Arrays. The sharded farm (shard.go) adds ArrayShard; the single-master
-// program uses only the first two.
+// Arrays. ArrayMaster holds the one root collector.
 const (
 	ArrayMaster core.ArrayID = 0
 	ArrayWorker core.ArrayID = 1
 	ArrayShard  core.ArrayID = 2
 )
 
-// Entry methods.
+// Entry methods. 1 and 2 were the single master's per-task pair and are
+// not reused.
 const (
-	entryStart       core.EntryID = 0  // master/root: begin farming
-	entryTask        core.EntryID = 1  // worker: one task
-	entryResult      core.EntryID = 2  // master: a worker's result
+	entryStart       core.EntryID = 0  // root: begin farming
 	entryTaskBatch   core.EntryID = 3  // worker: a batch of tasks from a shard
 	entryResultBatch core.EntryID = 4  // shard: a worker's batched results
 	entryStealReq    core.EntryID = 5  // shard: another shard asks for work
@@ -66,36 +67,30 @@ type Params struct {
 	// arithmetic per task (for wall-clock runs).
 	Spin int
 
-	// DedicatedMaster keeps workers off the master's PE (PE 0), so a
-	// worker's compute never delays task resupply. Requires at least two
-	// PEs when used with BuildProgramFor.
+	// DedicatedMaster puts the root and every dispatcher shard on PE 0
+	// and the workers on PEs 1…, so a worker's compute never delays task
+	// resupply. Needs at least two PEs to have any effect.
 	DedicatedMaster bool
 
 	// AssignCost is the modeled dispatcher CPU per task assignment — the
-	// WRONJ "AT". The master (or shard) charges it for every task it
-	// grants, so a single dispatcher's throughput caps at 1/AssignCost
-	// and the knee at Workers ~= TaskCost/AssignCost is reproducible in
-	// virtual time.
+	// WRONJ "AT". A shard charges it for every task it grants, so one
+	// dispatcher's throughput caps at 1/AssignCost and the knee at
+	// Workers ~= TaskCost/AssignCost is reproducible in virtual time.
 	AssignCost time.Duration
 
-	// Shards > 1 replaces the single master with a chare array of
-	// dispatcher shards (shard.go), each owning a contiguous slice of the
-	// task space and of the worker array. 0 or 1 keeps the single master.
+	// Shards is the number of dispatcher shards (shard.go), each owning a
+	// contiguous slice of the task space and of the worker array. 0 means
+	// 1: a single dispatcher.
 	Shards int
 
-	// Batch is the number of tasks per grant message in the sharded farm
-	// (results return batched the same way). 0 means 1: one task per
-	// message, the single-master wire behavior.
+	// Batch is the cap on tasks per grant message (results return batched
+	// the same way) and must be >= 1. With Shards 1 and Batch 1 the farm
+	// is the single master: one grant and one result message per task.
 	Batch int
 
 	// Steal lets a drained shard take pending tasks from a randomly
 	// chosen victim shard. Only meaningful with Shards > 1.
 	Steal bool
-
-	// StealTries bounds consecutive failed steal attempts per drain
-	// episode (0 means a default of 4). The counter resets whenever the
-	// shard acquires tasks.
-	StealTries int
 
 	// Seed seeds the per-shard victim-selection PRNG, keeping randomized
 	// stealing deterministic under the virtual-time engine.
@@ -118,8 +113,7 @@ type Params struct {
 	// (see elastic.go): dispatchers are pinned to the membership
 	// coordinator, workers are placed on initially-Active nodes only,
 	// and the farm reacts to join/drain/death notifications delivered
-	// by a Notifier. Requires Shards >= 1 (the sharded protocol carries
-	// the outstanding-grant tracking the recovery path needs).
+	// by a Notifier.
 	Elastic *ElasticConfig
 
 	// OnDrained is called from the root's handler when every
@@ -130,8 +124,7 @@ type Params struct {
 	// Serve turns the farm into an open-ended service: it starts with an
 	// empty task space (Tasks must be 0) and executes ranges injected into
 	// live shards by a Service (see serve.go). The root never exits on its
-	// own — the embedding process owns the runtime's lifetime. Requires
-	// Shards >= 1: external submission rides the sharded wire protocol.
+	// own — the embedding process owns the runtime's lifetime.
 	Serve bool
 
 	// OnTaskDone is called from the root's handler for every completed
@@ -158,9 +151,6 @@ func (p *Params) Validate() error {
 		if p.Tasks != 0 {
 			add("serve farm starts empty: Tasks must be 0 (have %d)", p.Tasks)
 		}
-		if p.Shards < 1 {
-			add("serve farm requires Shards >= 1 (have %d): submission rides the sharded protocol", p.Shards)
-		}
 	} else if p.Tasks <= 0 {
 		add("%d tasks", p.Tasks)
 	}
@@ -179,44 +169,31 @@ func (p *Params) Validate() error {
 	if p.Workers < 0 {
 		add("%d workers", p.Workers)
 	}
-	if p.Batch < 0 {
-		add("negative batch size")
+	// Batch <= 0 used to be silently coerced to 1, hiding misconfiguration
+	// behind a 16x-slower wire; it is an explicit error for every farm.
+	if p.Batch < 1 {
+		add("Batch must be >= 1 (have %d)", p.Batch)
 	}
-	// The sharded protocol grants in batches; Batch <= 0 used to be
-	// silently coerced to 1, hiding misconfiguration behind a 16x-slower
-	// wire. With sharding enabled it is now an explicit error.
-	if p.sharded() && p.Batch <= 0 {
-		add("sharded farm requires Batch >= 1 (have %d)", p.Batch)
-	}
-	if p.Workers > 0 && p.sharded() && p.Workers < p.Shards {
+	if p.Workers > 0 && p.Workers < p.Shards {
 		add("%d shards need at least that many workers (have %d)", p.Shards, p.Workers)
 	}
 	if p.CostSkew != 0 && p.CostSkew < 1 {
 		add("cost skew %v < 1", p.CostSkew)
 	}
-	if p.Elastic != nil {
-		if p.Shards < 1 {
-			add("elastic farm requires Shards >= 1 (have %d)", p.Shards)
-		}
-		if p.Elastic.NodeOf == nil || p.Elastic.ActiveNode == nil {
-			add("elastic farm requires NodeOf and ActiveNode")
-		}
+	if p.Elastic != nil && (p.Elastic.NodeOf == nil || p.Elastic.ActiveNode == nil) {
+		add("elastic farm requires NodeOf and ActiveNode")
 	}
 	return errors.Join(errs...)
 }
 
-// sharded reports whether the farm uses the sharded dispatcher protocol
-// (dispatcher shard array, batched grants) rather than the single master.
-func (p *Params) sharded() bool {
-	return p.Shards > 1 || p.Elastic != nil || p.Serve
-}
-
-// batch reports the effective grant batch size.
-func (p *Params) batch() int {
-	if p.Batch <= 0 {
+// shards is the resolved dispatcher count: Shards, with 0 meaning 1.
+// Everything that divides the task or worker space by the shard count
+// reads it here.
+func (p *Params) shards() int {
+	if p.Shards < 1 {
 		return 1
 	}
-	return p.Batch
+	return p.Shards
 }
 
 // costMul is the skew factor for task seq: 1 at seq 0, rising linearly to
@@ -238,14 +215,14 @@ type Result struct {
 	PerWorker []int   // tasks completed per worker
 
 	// Checksum is the wrapping uint64 sum of each task value's IEEE-754
-	// bit pattern. Integer addition commutes, so single-master and
-	// sharded farms produce bit-identical checksums for the same task
-	// set regardless of result arrival order (the float Sum cannot
-	// promise that).
+	// bit pattern. Integer addition commutes, so every shard count, batch
+	// size and steal schedule produces a bit-identical checksum for the
+	// same task set regardless of result arrival order (the float Sum
+	// cannot promise that).
 	Checksum uint64
 
-	// Sharded-farm extras (zero/nil for the single-master program).
-	Shards     int   // dispatcher shard count
+	// Dispatcher accounting.
+	Shards     int   // dispatcher shard count (1 for a single dispatcher)
 	PerShard   []int // tasks granted (and completed) by each shard
 	Steals     int   // successful steal acquisitions
 	StealFails int   // steal requests answered empty
@@ -273,49 +250,7 @@ func Imbalance(tally []int) float64 {
 	return float64(max) / float64(min)
 }
 
-// taskMsg is one unit of work.
-type taskMsg struct {
-	Seq   int
-	bytes int
-}
-
-// PayloadBytes implements core.Sizer.
-func (t taskMsg) PayloadBytes() int {
-	if t.bytes > 0 {
-		return t.bytes
-	}
-	return core.DefaultPayloadBytes
-}
-
-func (t *taskMsg) PUP(p *core.PUP) {
-	core.PUPVarint(p, &t.Seq)
-	core.PUPUvarint(p, &t.bytes)
-}
-
-// resultMsg carries a task's output back.
-type resultMsg struct {
-	Seq    int
-	Worker int
-	Value  float64
-	bytes  int
-}
-
-// PayloadBytes implements core.Sizer.
-func (r resultMsg) PayloadBytes() int {
-	if r.bytes > 0 {
-		return r.bytes
-	}
-	return core.DefaultPayloadBytes
-}
-
-func (r *resultMsg) PUP(p *core.PUP) {
-	core.PUPVarint(p, &r.Seq)
-	core.PUPVarint(p, &r.Worker)
-	core.PUPUvarint(p, &r.bytes)
-	p.Float64(&r.Value)
-}
-
-// TaskValue is the deterministic "science" of task seq; the master sums
+// TaskValue is the deterministic "science" of task seq; the root sums
 // these for verification.
 func TaskValue(seq int) float64 {
 	return math.Sin(float64(seq)*0.1) + 1.0
@@ -338,9 +273,7 @@ func ExpectedChecksum(tasks int) uint64 {
 var spinSink atomic.Uint64
 
 // runTask computes task seq: the deterministic value, the optional spin
-// work (scaled by the cost skew), and the modeled charge. Both the
-// single-message and batched worker paths go through here so their
-// results are identical by construction.
+// work (scaled by the cost skew), and the modeled charge.
 func runTask(ctx *core.Ctx, p *Params, seq int) float64 {
 	v := TaskValue(seq)
 	mul := p.costMul(seq)
@@ -358,73 +291,8 @@ func runTask(ctx *core.Ctx, p *Params, seq int) float64 {
 	return v
 }
 
-// master coordinates the farm.
-type master struct {
-	p       *Params
-	workers int
-
-	next    int
-	done    int
-	sum     float64
-	check   uint64
-	perW    []int
-	started time.Duration
-}
-
-func (m *master) Recv(ctx *core.Ctx, entry core.EntryID, data any) {
-	switch entry {
-	case entryStart:
-		m.started = ctx.Time()
-		m.perW = make([]int, m.workers)
-		// Seed every worker with Prefetch tasks (or fewer if the farm is
-		// small).
-	seed:
-		for round := 0; round < m.p.Prefetch; round++ {
-			for w := 0; w < m.workers; w++ {
-				if m.next >= m.p.Tasks {
-					break seed
-				}
-				m.sendTask(ctx, w)
-			}
-		}
-	case entryResult:
-		r := data.(resultMsg)
-		m.done++
-		m.sum += r.Value
-		m.check += math.Float64bits(r.Value)
-		m.perW[r.Worker]++
-		if m.next < m.p.Tasks {
-			m.sendTask(ctx, r.Worker)
-		}
-		if m.done == m.p.Tasks {
-			mk := ctx.Time() - m.started
-			ctx.ExitWith(&Result{
-				Makespan:  mk,
-				PerTask:   mk / time.Duration(m.p.Tasks),
-				Tasks:     m.p.Tasks,
-				Workers:   m.workers,
-				Sum:       m.sum,
-				Checksum:  m.check,
-				PerWorker: m.perW,
-				Shards:    1,
-				PerShard:  []int{m.done},
-			})
-		}
-	default:
-		panic(fmt.Sprintf("taskfarm: master got entry %d", entry))
-	}
-}
-
-func (m *master) sendTask(ctx *core.Ctx, w int) {
-	ctx.Charge(m.p.AssignCost)
-	ctx.Send(core.ElemRef{Array: ArrayWorker, Index: w}, entryTask,
-		taskMsg{Seq: m.next, bytes: m.p.TaskBytes})
-	m.next++
-}
-
-// worker executes tasks. The same chare serves both farm shapes: the
-// single master feeds it one taskMsg at a time; shards feed it
-// taskBatchMsg grants and get resultBatchMsg replies.
+// worker executes tasks: its shard feeds it taskBatchMsg grants and gets
+// one resultBatchMsg back per grant.
 type worker struct {
 	p  *Params
 	id int
@@ -452,25 +320,19 @@ func (w *worker) finished(ctx *core.Ctx) {
 }
 
 func (w *worker) Recv(ctx *core.Ctx, entry core.EntryID, data any) {
-	switch entry {
-	case entryTask:
-		t := data.(taskMsg)
-		w.arrived(ctx)
-		v := runTask(ctx, w.p, t.Seq)
-		w.finished(ctx)
-		ctx.Send(core.ElemRef{Array: ArrayMaster, Index: 0}, entryResult,
-			resultMsg{Seq: t.Seq, Worker: w.id, Value: v, bytes: w.p.TaskBytes})
-	case entryTaskBatch:
-		w.recvBatch(ctx, data.(taskBatchMsg))
-	default:
+	if entry != entryTaskBatch {
 		panic(fmt.Sprintf("taskfarm: worker got entry %d", entry))
 	}
+	w.recvBatch(ctx, data.(taskBatchMsg))
 }
 
-// BuildProgram assembles the farm. The master (or, with Shards > 1, the
-// root collector plus the dispatcher shard array) lives on PE 0; workers
-// are block-mapped over all PEs (so in a two-cluster machine half of them
-// sit across the WAN from the master).
+// BuildProgram assembles the farm: the root collector, the dispatcher
+// shards and the workers, whatever the shard count. Workers are
+// block-mapped over all PEs (so in a two-cluster machine half of them sit
+// across the WAN from a single dispatcher) and shard s sits on the PE of
+// its first owned worker, so grant/result traffic is intra-PE or at worst
+// intra-cluster and only steal and progress traffic crosses the machine.
+// A one-shard farm therefore has its dispatcher on PE 0, next to the root.
 func BuildProgram(p *Params) (*core.Program, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -482,39 +344,63 @@ func BuildProgram(p *Params) (*core.Program, error) {
 	if p.Workers <= 0 {
 		return nil, fmt.Errorf("taskfarm: Workers must be set (use BuildProgramFor for one-per-PE)")
 	}
-	if p.sharded() {
-		return buildSharded(p)
-	}
-	prog := &core.Program{
-		Arrays: []core.ArraySpec{
-			{
-				ID: ArrayMaster, N: 1,
-				Map: func(int, int) int { return 0 },
-				New: func(int) core.Chare { return nil }, // set below
-			},
-			{
-				ID: ArrayWorker, N: 1, // set below
-				New: func(int) core.Chare { return nil },
-			},
-		},
-	}
-	prog.Start = func(ctx *core.Ctx) {
-		ctx.Send(core.ElemRef{Array: ArrayMaster, Index: 0}, entryStart, nil)
-	}
-	nw := p.Workers
+	nw, ns := p.Workers, p.shards()
 	fm := newFarmMetrics(p)
-	prog.Arrays[ArrayMaster].New = func(int) core.Chare { return &master{p: p, workers: nw} }
-	prog.Arrays[ArrayWorker].N = nw
-	prog.Arrays[ArrayWorker].New = func(i int) core.Chare { return &worker{p: p, id: i, fm: fm} }
-	if p.DedicatedMaster {
-		prog.Arrays[ArrayWorker].Map = func(i, numPE int) int {
+	workerPE := func(i, numPE int) int {
+		if e := p.Elastic; e != nil {
+			act := e.activePEs(numPE)
+			return act[core.BlockMap(i, nw, len(act))]
+		}
+		if p.DedicatedMaster {
 			if numPE == 1 {
 				return 0
 			}
 			return 1 + core.BlockMap(i, nw, numPE-1)
 		}
+		return core.BlockMap(i, nw, numPE)
 	}
-	return prog, nil
+	// Elastic farms pin the root and every dispatcher shard to the
+	// coordinator's PEs: the membership notifier, the dispatchers, and
+	// the drain protocol then share one process, and grants are the only
+	// application traffic that crosses nodes.
+	shardPE := func(s, numPE int) int {
+		if e := p.Elastic; e != nil {
+			cp := e.coordPEs(numPE)
+			return cp[s%len(cp)]
+		}
+		if p.DedicatedMaster {
+			return 0
+		}
+		return workerPE(s*nw/ns, numPE)
+	}
+	rootPE := func(_, numPE int) int {
+		if e := p.Elastic; e != nil {
+			return e.coordPEs(numPE)[0]
+		}
+		return 0
+	}
+	return &core.Program{
+		Arrays: []core.ArraySpec{
+			{
+				ID: ArrayMaster, N: 1,
+				Map: rootPE,
+				New: func(int) core.Chare { return &root{p: p, shards: ns, workers: nw} },
+			},
+			{
+				ID: ArrayWorker, N: nw,
+				Map: workerPE,
+				New: func(i int) core.Chare { return &worker{p: p, id: i, fm: fm} },
+			},
+			{
+				ID: ArrayShard, N: ns,
+				Map: shardPE,
+				New: func(s int) core.Chare { return newShard(p, s, fm) },
+			},
+		},
+		Start: func(ctx *core.Ctx) {
+			ctx.Send(core.ElemRef{Array: ArrayMaster, Index: 0}, entryStart, nil)
+		},
+	}, nil
 }
 
 // BuildProgramFor builds the farm with one worker per PE of a machine

@@ -10,6 +10,13 @@ import (
 	"gridmdo/internal/topology"
 )
 
+// single is the single-master farm: one dispatcher shard granting one task
+// per message.
+func single(p Params) *Params {
+	p.Shards, p.Batch = 1, 1
+	return &p
+}
+
 func runFarm(t *testing.T, p *Params, procs int, lat time.Duration) *Result {
 	t.Helper()
 	prog, err := BuildProgramFor(p, procs)
@@ -45,7 +52,7 @@ func expectedSum(tasks int) float64 {
 }
 
 func TestAllTasksExecutedExactlyOnce(t *testing.T) {
-	p := &Params{Tasks: 137, Prefetch: 2, TaskCost: time.Millisecond}
+	p := single(Params{Tasks: 137, Prefetch: 2, TaskCost: time.Millisecond})
 	res := runFarm(t, p, 4, 5*time.Millisecond)
 	if res.Tasks != 137 {
 		t.Fatalf("tasks = %d", res.Tasks)
@@ -65,7 +72,7 @@ func TestAllTasksExecutedExactlyOnce(t *testing.T) {
 func TestSelfSchedulingBalances(t *testing.T) {
 	// Homogeneous workers, task cost above the resupply round trip:
 	// completion counts should be near-uniform.
-	p := &Params{Tasks: 400, Prefetch: 2, TaskCost: 10 * time.Millisecond}
+	p := single(Params{Tasks: 400, Prefetch: 2, TaskCost: 10 * time.Millisecond})
 	res := runFarm(t, p, 8, 4*time.Millisecond) // RTT 8ms < 10ms cost
 	min, max := res.PerWorker[0], res.PerWorker[0]
 	for _, n := range res.PerWorker {
@@ -89,7 +96,7 @@ func TestSelfSchedulingBalances(t *testing.T) {
 // near the master more — remote workers are throughput-limited by the
 // WAN, and the farm routes work around them instead of stalling.
 func TestSelfSchedulingAdaptsToStarvation(t *testing.T) {
-	p := &Params{Tasks: 400, Prefetch: 2, TaskCost: time.Millisecond}
+	p := single(Params{Tasks: 400, Prefetch: 2, TaskCost: time.Millisecond})
 	res := runFarm(t, p, 8, 4*time.Millisecond) // RTT 8ms >> 1ms cost
 	local, remote := 0, 0
 	for w, n := range res.PerWorker {
@@ -113,7 +120,7 @@ func TestSelfSchedulingAdaptsToStarvation(t *testing.T) {
 func TestPrefetchMasksLatency(t *testing.T) {
 	const cost = 20 * time.Millisecond
 	const lat = 16 * time.Millisecond // RTT 32ms > cost
-	base := &Params{Tasks: 160, TaskCost: cost}
+	base := single(Params{Tasks: 160, TaskCost: cost})
 
 	run := func(prefetch int) time.Duration {
 		p := *base
@@ -149,7 +156,7 @@ func TestPrefetchMasksLatency(t *testing.T) {
 func TestLatencyInsensitivityWithCoarseTasks(t *testing.T) {
 	// Prefetch must cover the resupply round trip: 1 + ceil(RTT/cost) =
 	// 1 + ceil(128/50) = 4 keeps remote workers saturated.
-	p := &Params{Tasks: 80, Prefetch: 4, TaskCost: 50 * time.Millisecond}
+	p := single(Params{Tasks: 80, Prefetch: 4, TaskCost: 50 * time.Millisecond})
 	m0 := runFarm(t, p, 8, 0).Makespan
 	m64 := runFarm(t, p, 8, 64*time.Millisecond).Makespan
 	if float64(m64) > 1.35*float64(m0) {
@@ -158,7 +165,7 @@ func TestLatencyInsensitivityWithCoarseTasks(t *testing.T) {
 }
 
 func TestRealtimeFarm(t *testing.T) {
-	prog, err := BuildProgramFor(&Params{Tasks: 50, Prefetch: 2, Spin: 10_000}, 4)
+	prog, err := BuildProgramFor(single(Params{Tasks: 50, Prefetch: 2, Spin: 10_000}), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,8 +194,8 @@ func TestDedicatedMasterAvoidsResupplyStalls(t *testing.T) {
 	// With a worker sharing PE 0, its 50ms tasks block the master's
 	// result handling and stall every other worker's resupply at
 	// prefetch 1; a dedicated master PE removes the stall.
-	shared := &Params{Tasks: 96, Prefetch: 1, TaskCost: 50 * time.Millisecond, Workers: 8}
-	dedicated := &Params{Tasks: 96, Prefetch: 1, TaskCost: 50 * time.Millisecond, Workers: 7, DedicatedMaster: true}
+	shared := single(Params{Tasks: 96, Prefetch: 1, TaskCost: 50 * time.Millisecond, Workers: 8})
+	dedicated := single(Params{Tasks: 96, Prefetch: 1, TaskCost: 50 * time.Millisecond, Workers: 7, DedicatedMaster: true})
 	ms := runFarm(t, shared, 8, 0).Makespan
 	md := runFarm(t, dedicated, 8, 0).Makespan
 	if float64(md) > 0.85*float64(ms) {
@@ -203,16 +210,19 @@ func TestDedicatedMasterAvoidsResupplyStalls(t *testing.T) {
 
 func TestParamsValidate(t *testing.T) {
 	bad := []*Params{
-		{Tasks: 0, Prefetch: 1},
-		{Tasks: 1, Prefetch: 0},
-		{Tasks: 1, Prefetch: 1, TaskCost: -time.Second},
+		{Tasks: 0, Prefetch: 1, Batch: 1},
+		{Tasks: 1, Prefetch: 0, Batch: 1},
+		{Tasks: 1, Prefetch: 1, Batch: 1, TaskCost: -time.Second},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {
 			t.Errorf("bad params %d accepted", i)
 		}
 	}
-	if _, err := BuildProgram(&Params{Tasks: 1, Prefetch: 1}); err == nil {
+	if err := (&Params{Tasks: 1, Prefetch: 1, Batch: 1}).Validate(); err != nil {
+		t.Errorf("minimal params rejected: %v", err)
+	}
+	if _, err := BuildProgram(&Params{Tasks: 1, Prefetch: 1, Batch: 1}); err == nil {
 		t.Error("zero workers accepted by BuildProgram")
 	}
 }

@@ -429,7 +429,9 @@ func (c *Collector) JobAdmitted(jobID, tenant string) uint64 {
 
 // JobInjected links the runtime message that carried a job into the farm
 // under the job's root span. Several jobs batch into one injection
-// message, so several roots may adopt the same message as a child.
+// message, so several roots may adopt the same message as a child; the
+// message's own span names only one of them as Parent, and JobTrace
+// re-parents it per walking job.
 func (c *Collector) JobInjected(root, msgID uint64) {
 	if root == 0 || msgID == 0 {
 		return
@@ -466,19 +468,28 @@ func (c *Collector) JobTrace(jobID string) (*JobTraceDoc, bool) {
 		return nil, false
 	}
 	doc := &JobTraceDoc{JobID: jobID, Root: root}
+	// Each queued span remembers the edge it was reached by. For a span
+	// linked through its own Parent that is the recorded parent; for an
+	// injection message shared by several batched jobs (JobInjected) it is
+	// this job's root, whichever root the message itself names.
+	type edge struct{ id, via uint64 }
 	seen := make(map[uint64]bool)
-	queue := []uint64{root}
+	queue := []edge{{id: root}}
 	nodes := make(map[int]bool)
 	allEnded := true
 	for len(queue) > 0 && len(doc.Spans) < maxTraceSpans {
-		id := queue[0]
+		id, via := queue[0].id, queue[0].via
 		queue = queue[1:]
 		if seen[id] {
 			continue
 		}
 		seen[id] = true
 		if rec := c.spans[id]; rec != nil {
-			doc.Spans = append(doc.Spans, *rec)
+			span := *rec // a copy: re-parenting never touches the stored span
+			if id != root {
+				span.Parent = via
+			}
+			doc.Spans = append(doc.Spans, span)
 			if rec.Node >= 0 {
 				nodes[int(rec.Node)] = true
 			}
@@ -490,7 +501,9 @@ func (c *Collector) JobTrace(jobID string) (*JobTraceDoc, bool) {
 			// frames): the tree is incomplete but still walkable.
 			allEnded = false
 		}
-		queue = append(queue, c.children[id]...)
+		for _, child := range c.children[id] {
+			queue = append(queue, edge{id: child, via: id})
+		}
 	}
 	doc.Nodes = make([]int, 0, len(nodes))
 	for n := range nodes {

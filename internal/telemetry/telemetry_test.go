@@ -217,6 +217,54 @@ func TestJobTraceWalk(t *testing.T) {
 	}
 }
 
+// TestJobTraceSharedInjection: the gateway's pump batches several jobs
+// into one injection message, and that message's span can name only one
+// of their roots as its parent. Each job's tree must still be closed —
+// the shared span hangs under the walking job's own root — and walking
+// one job must not rewrite what another sees.
+func TestJobTraceSharedInjection(t *testing.T) {
+	coll := NewCollector(CollectorConfig{})
+	a0, _, tr0 := testAgent(t, 0, coll, nil)
+
+	r1 := coll.JobAdmitted("job-1", "acme")
+	r2 := coll.JobAdmitted("job-2", "acme")
+	coll.JobInjected(r1, 200)
+	coll.JobInjected(r2, 200)
+	// The runtime stamps the message with the first job's root only.
+	tr0.Record(trace.Event{PE: 0, Kind: trace.EvSend, At: 1 * time.Millisecond, MsgID: 200, Parent: r1})
+	tr0.Record(trace.Event{PE: 0, Kind: trace.EvBegin, At: 2 * time.Millisecond, MsgID: 200})
+	tr0.Record(trace.Event{PE: 0, Kind: trace.EvSend, At: 3 * time.Millisecond, MsgID: 201, Parent: 200})
+	tr0.Record(trace.Event{PE: 0, Kind: trace.EvEnd, At: 3 * time.Millisecond, MsgID: 200})
+	tr0.Record(trace.Event{PE: 0, Kind: trace.EvBegin, At: 4 * time.Millisecond, MsgID: 201})
+	tr0.Record(trace.Event{PE: 0, Kind: trace.EvEnd, At: 5 * time.Millisecond, MsgID: 201})
+	_ = a0.ReportOnce()
+
+	for _, job := range []struct {
+		id   string
+		root uint64
+	}{{"job-2", r2}, {"job-1", r1}, {"job-2", r2}} {
+		doc, ok := coll.JobTrace(job.id)
+		if !ok {
+			t.Fatalf("%s unknown", job.id)
+		}
+		if len(doc.Spans) != 3 { // root + shared injection + grant
+			t.Fatalf("%s: trace has %d spans, want 3: %+v", job.id, len(doc.Spans), doc.Spans)
+		}
+		inTree := map[uint64]bool{}
+		for _, s := range doc.Spans {
+			inTree[s.ID] = true
+		}
+		for _, s := range doc.Spans {
+			if s.ID != job.root && !inTree[s.Parent] {
+				t.Errorf("%s: span %#x has broken parent link %#x", job.id, s.ID, s.Parent)
+			}
+			if s.ID == 200 && s.Parent != job.root {
+				t.Errorf("%s: injection span parented at %#x, want this job's root %#x", job.id, s.Parent, job.root)
+			}
+		}
+	}
+}
+
 func TestStepOverlapAggregation(t *testing.T) {
 	coll := NewCollector(CollectorConfig{})
 	mk := func(node int) (*Agent, *trace.Tracer) {
