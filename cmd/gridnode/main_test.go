@@ -118,6 +118,11 @@ func TestGridnodeServesMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSeries(t, "snapshot", final)
+	// The run crosses a 1 ms WAN: every ghost was held, and its release
+	// lateness observed.
+	if final.Value("vmi_delay_late_ns") == 0 {
+		t.Error("final snapshot: vmi_delay_late_ns has no observations")
+	}
 	if final.Value("core_msgs_processed_total") < live.Value("core_msgs_processed_total") {
 		t.Error("final snapshot regressed below the live scrape")
 	}
@@ -135,6 +140,7 @@ func assertSeries(t *testing.T, phase string, snap metrics.Snapshot) {
 		"vmi_tcp_frames_in_total",
 		"vmi_tcp_write_batch_bytes",
 		"vmi_delay_occupancy",
+		"vmi_delay_late_ns",
 	} {
 		if !snap.Has(name) {
 			t.Errorf("%s: series %s missing", phase, name)

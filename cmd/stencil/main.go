@@ -29,7 +29,7 @@ func main() {
 		height   = flag.Int("height", 2048, "mesh height")
 		steps    = flag.Int("steps", 12, "time steps")
 		warmup   = flag.Int("warmup", 4, "warmup steps excluded from per-step timing")
-		latency  = flag.Duration("latency", 4*time.Millisecond, "one-way inter-cluster latency")
+		latency  = flag.Duration("latency", 4*time.Millisecond, "one-way inter-cluster latency; the real runtimes (-executor realtime|tcp) honour sub-millisecond values to ~0.1 ms on Linux")
 		prio     = flag.Bool("prioritize-wan", false, "deliver cross-cluster messages first (sim only)")
 		bundle   = flag.Bool("bundle", false, "bundle per-handler same-destination messages (sim only)")
 		timeline = flag.Bool("timeline", false, "print a per-PE utilization timeline (sim only)")

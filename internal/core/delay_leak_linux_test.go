@@ -1,0 +1,114 @@
+package core_test
+
+import (
+	"os"
+	"runtime"
+	"strings"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"gridmdo/internal/core"
+	"gridmdo/internal/topology"
+	"gridmdo/internal/vmi"
+)
+
+// delayResources counts what a runtime's delay device may hold while it
+// runs: open timerfd descriptors and parked release goroutines, process-wide.
+func delayResources(t *testing.T) (fds, loops int) {
+	t.Helper()
+	ents, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		if link, err := os.Readlink("/proc/self/fd/" + e.Name()); err == nil && link == "anon_inode:[timerfd]" {
+			fds++
+		}
+	}
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return fds, strings.Count(string(buf[:n]), "vmi.(*DelayDevice).loop(")
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// probeChare bounces a counter between two elements like pingChare and
+// calls check from inside every handler, i.e. while both runtimes are live.
+type probeChare struct {
+	limit int
+	check func()
+}
+
+func (c *probeChare) Recv(ctx *core.Ctx, _ core.EntryID, data any) {
+	c.check()
+	n := data.(int)
+	if n >= c.limit {
+		ctx.ExitWith(n)
+		return
+	}
+	ctx.Send(core.ElemRef{Array: 0, Index: 1 - ctx.Elem().Index}, 0, n+1)
+}
+
+func runPingPong(t *testing.T, wan time.Duration, check func()) {
+	t.Helper()
+	topo, err := topology.TwoClusters(2, wan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const limit = 4 // even: the exchange ends on element 0 (node 0)
+	mkProg := func() *core.Program {
+		return &core.Program{
+			Arrays: []core.ArraySpec{{
+				ID: 0, N: 2,
+				New: func(int) core.Chare { return &probeChare{limit: limit, check: check} },
+			}},
+			Start: func(ctx *core.Ctx) { ctx.Send(core.ElemRef{Array: 0, Index: 0}, 0, 0) },
+		}
+	}
+	h := buildTwoNodes(t, topo, mkProg, nil, [2][]vmi.SendDevice{})
+	v, err := h.run(t, 30*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.(int) != limit {
+		t.Fatalf("final value = %v, want %d", v, limit)
+	}
+}
+
+// TestZeroLatencyRuntimeOpensNoAlarm: a runtime whose links all have zero
+// latency never holds a frame, so its delay device opens no timer
+// descriptor and parks no release goroutine — checked from inside the run.
+func TestZeroLatencyRuntimeOpensNoAlarm(t *testing.T) {
+	fds0, loops0 := delayResources(t)
+	runPingPong(t, 0, func() {
+		if fds, loops := delayResources(t); fds != fds0 || loops != loops0 {
+			t.Errorf("mid-run: %d timerfds and %d release loops above the baseline, want none", fds-fds0, loops-loops0)
+		}
+	})
+}
+
+// TestWANRuntimeReturnsItsAlarm: fifty two-node runs over a 1 ms WAN, each
+// of which does open the alarm, leave no descriptor and no goroutine behind.
+func TestWANRuntimeReturnsItsAlarm(t *testing.T) {
+	fds0, loops0 := delayResources(t)
+	for i := 0; i < 50; i++ {
+		t.Run("", func(t *testing.T) { // scopes buildTwoNodes' cleanup to one run
+			var opened atomic.Bool // set by handlers on both nodes
+			runPingPong(t, time.Millisecond, func() {
+				if _, loops := delayResources(t); loops > loops0 {
+					opened.Store(true)
+				}
+			})
+			if !opened.Load() {
+				t.Error("no release loop seen during a WAN run: the test proves nothing")
+			}
+		})
+	}
+	if fds, loops := delayResources(t); fds != fds0 || loops != loops0 {
+		t.Errorf("after 50 runs: %d timerfds and %d release loops leaked", fds-fds0, loops-loops0)
+	}
+}

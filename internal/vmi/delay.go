@@ -25,13 +25,66 @@ type DelayDevice struct {
 	pq      delayHeap
 	hw      int    // occupancy high-water mark
 	tick    uint64 // insertion order tie-break
-	wake    chan struct{}
-	done    chan struct{}
 	stopped bool
-	wg      sync.WaitGroup
+	// alarm is nil until the first positive hold: a device that only ever
+	// passes frames through owns no descriptor and no goroutine. Once open it
+	// is always armed for the head's due time (or idle with nothing held).
+	alarm alarm
+	late  *metrics.Histogram // release time − due time; nil unless instrumented
+	wg    sync.WaitGroup
 
-	// sleep is swappable for tests; defaults to a timer-based wait.
-	now func() time.Time
+	// now and newAlarm are swappable for tests: a frozen clock pins due
+	// times, a recording alarm counts arms.
+	now      func() time.Time
+	newAlarm func() alarm
+}
+
+// alarm is what the release loop sleeps on: one pending wake-up, re-armed
+// as the head of the heap changes. The device serialises arm calls under
+// its mutex and never arms after close; wait is called by the release loop
+// alone. Waking early or twice is harmless (the loop re-examines the heap
+// and re-arms), waking late is the error the device exists to avoid.
+type alarm interface {
+	// arm replaces any pending wake-up with one d from now.
+	arm(d time.Duration)
+	// wait blocks until the armed wake-up fires, or returns false once the
+	// alarm is closed.
+	wait() bool
+	// close releases the alarm and unblocks wait.
+	close()
+}
+
+// timerAlarm is the portable alarm, a runtime timer. When every P is idle
+// the Go runtime sleeps in the netpoller with a timeout in whole
+// milliseconds, so on an idle process it fires up to a millisecond late;
+// it is the only alarm on platforms without a pollable kernel timer.
+type timerAlarm struct {
+	t    *time.Timer
+	done chan struct{}
+}
+
+func newTimerAlarm() alarm {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return &timerAlarm{t: t, done: make(chan struct{})}
+}
+
+// arm leaves a tick already in t.C where it is: wait returns early once and
+// the loop arms again.
+func (a *timerAlarm) arm(d time.Duration) { a.t.Reset(d) }
+
+func (a *timerAlarm) wait() bool {
+	select {
+	case <-a.t.C:
+		return true
+	case <-a.done:
+		return false
+	}
+}
+
+func (a *timerAlarm) close() {
+	a.t.Stop()
+	close(a.done)
 }
 
 type delayedFrame struct {
@@ -60,15 +113,7 @@ func (h delayHeap) peek() delayedFrame { return h[0] }
 // synchronously with no goroutine hand-off, so intra-cluster traffic pays
 // nothing for the instrumentation.
 func NewDelayDevice(latencyFor func(src, dst int32) time.Duration) *DelayDevice {
-	d := &DelayDevice{
-		latencyFor: latencyFor,
-		wake:       make(chan struct{}, 1),
-		done:       make(chan struct{}),
-		now:        time.Now,
-	}
-	d.wg.Add(1)
-	go d.loop()
-	return d
+	return &DelayDevice{latencyFor: latencyFor, now: time.Now, newAlarm: newAlarm}
 }
 
 // Name implements SendDevice.
@@ -94,23 +139,23 @@ func (d *DelayDevice) Hold(f *Frame, next SendFunc, delay time.Duration) error {
 		// Deliver synchronously during shutdown rather than dropping.
 		return next(f)
 	}
+	if d.alarm == nil {
+		d.alarm = d.newAlarm()
+		d.wg.Add(1)
+		go d.loop(d.alarm)
+	}
 	d.tick++
 	heap.Push(&d.pq, delayedFrame{due: d.now().Add(delay), tick: d.tick, f: f, next: next})
 	if len(d.pq) > d.hw {
 		d.hw = len(d.pq)
 	}
-	// The loop sleeps until the head falls due, so only a frame that became
-	// the head changes what it waits for. Holds of one constant latency
-	// arrive in due order and never do: the link fills without a wake-up,
-	// a goroutine switch and a timer re-arm per frame.
-	newHead := d.pq[0].tick == d.tick
-	d.mu.Unlock()
-	if newHead {
-		select {
-		case d.wake <- struct{}{}:
-		default:
-		}
+	// The alarm is set for the head, so only a frame that became the head
+	// changes it. Holds of one constant latency arrive in due order and
+	// never do: the link fills without a re-arm and a wake-up per frame.
+	if d.pq[0].tick == d.tick {
+		d.alarm.arm(delay)
 	}
+	d.mu.Unlock()
 	return nil
 }
 
@@ -129,17 +174,23 @@ func (d *DelayDevice) HighWater() int {
 	return d.hw
 }
 
-// Instrument registers the device's occupancy gauges on reg.
+// Instrument registers the device's occupancy gauges on reg, and a
+// histogram of how long after its due time each frame was released: the
+// error of the instrument itself.
 func (d *DelayDevice) Instrument(reg *metrics.Registry, labels ...metrics.Label) {
 	if reg == nil {
 		return
 	}
 	reg.GaugeFunc("vmi_delay_occupancy", func() int64 { return int64(d.Pending()) }, labels...)
 	reg.GaugeFunc("vmi_delay_occupancy_high_water", func() int64 { return int64(d.HighWater()) }, labels...)
+	late := reg.Histogram("vmi_delay_late_ns", metrics.DurationBuckets, labels...)
+	d.mu.Lock()
+	d.late = late
+	d.mu.Unlock()
 }
 
-// Close releases all still-held frames immediately (preserving order) and
-// stops the timer goroutine. It is idempotent.
+// Close releases all still-held frames immediately (preserving order),
+// stops the release goroutine and closes the alarm. It is idempotent.
 func (d *DelayDevice) Close() {
 	d.mu.Lock()
 	if d.stopped {
@@ -151,61 +202,43 @@ func (d *DelayDevice) Close() {
 	for d.pq.Len() > 0 {
 		drained = append(drained, heap.Pop(&d.pq).(delayedFrame))
 	}
+	a := d.alarm
 	d.mu.Unlock()
-	close(d.done)
-	d.wg.Wait()
+	if a != nil {
+		a.close()
+		d.wg.Wait()
+	}
 	for _, df := range drained {
 		_ = df.next(df.f)
 	}
 }
 
-func (d *DelayDevice) loop() {
+// loop releases frames as they fall due. Each pass takes the clock once,
+// pops everything due, and sets the alarm for the new head before letting
+// go of the lock, so a concurrent Hold always compares against an armed
+// head. Close empties the heap first, so a pass that races it arms nothing.
+func (d *DelayDevice) loop(a alarm) {
 	defer d.wg.Done()
-	timer := time.NewTimer(time.Hour)
-	defer timer.Stop()
-	for {
+	var ready []delayedFrame
+	for a.wait() {
 		d.mu.Lock()
-		var wait time.Duration = -1
-		var ready []delayedFrame
+		now := d.now()
 		for d.pq.Len() > 0 {
-			head := d.pq.peek()
-			untl := head.due.Sub(d.now())
-			if untl > 0 {
-				wait = untl
+			late := now.Sub(d.pq.peek().due)
+			if late < 0 {
+				a.arm(-late)
 				break
 			}
+			d.late.Observe(int64(late))
 			ready = append(ready, heap.Pop(&d.pq).(delayedFrame))
 		}
 		d.mu.Unlock()
 
-		for _, df := range ready {
+		for i, df := range ready {
 			_ = df.next(df.f)
+			ready[i] = delayedFrame{}
 		}
-		if len(ready) > 0 {
-			continue // re-examine the heap before sleeping
-		}
-
-		if wait < 0 {
-			select {
-			case <-d.wake:
-			case <-d.done:
-				return
-			}
-			continue
-		}
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-		timer.Reset(wait)
-		select {
-		case <-timer.C:
-		case <-d.wake:
-		case <-d.done:
-			return
-		}
+		ready = ready[:0]
 	}
 }
 

@@ -4,12 +4,41 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"gridmdo/internal/metrics"
 )
 
+// latencyFn is NewDelayDevice's argument.
+type latencyFn = func(src, dst int32) time.Duration
+
+// eachAlarm runs a device test once per alarm backend: the platform's (a
+// timerfd on Linux) and the portable runtime timer, which is otherwise
+// only built into the device where CI does not run.
+func eachAlarm(t *testing.T, test func(t *testing.T, newDelay func(latencyFn) *DelayDevice)) {
+	for _, b := range []struct {
+		name string
+		mk   func() alarm
+	}{{"platform", newAlarm}, {"timer", newTimerAlarm}} {
+		b := b
+		t.Run(b.name, func(t *testing.T) {
+			test(t, func(lat latencyFn) *DelayDevice {
+				d := NewDelayDevice(lat)
+				d.newAlarm = b.mk
+				return d
+			})
+		})
+	}
+}
+
 // TestDelayZeroLatencyFastPath: zero-latency frames are forwarded
-// synchronously on the caller's goroutine with nothing queued.
+// synchronously on the caller's goroutine with nothing queued, and the
+// device never opens its alarm or starts its release goroutine.
 func TestDelayZeroLatencyFastPath(t *testing.T) {
-	d := NewDelayDevice(func(src, dst int32) time.Duration { return 0 })
+	eachAlarm(t, testDelayZeroLatencyFastPath)
+}
+
+func testDelayZeroLatencyFastPath(t *testing.T, newDelay func(latencyFn) *DelayDevice) {
+	d := newDelay(func(src, dst int32) time.Duration { return 0 })
 	defer d.Close()
 	delivered := false
 	chain := BuildSendChain(func(f *Frame) error { delivered = true; return nil }, d)
@@ -22,12 +51,17 @@ func TestDelayZeroLatencyFastPath(t *testing.T) {
 	if d.Pending() != 0 {
 		t.Fatalf("Pending = %d after synchronous delivery", d.Pending())
 	}
+	if d.alarm != nil {
+		t.Fatal("a zero-delay hold opened the alarm")
+	}
 }
 
 // TestDelayCloseDrainsQueuedFrames: Close with frames still held releases
 // every one of them, in due order, even while senders race the shutdown.
-func TestDelayCloseDrainsQueuedFrames(t *testing.T) {
-	d := NewDelayDevice(func(src, dst int32) time.Duration { return time.Hour })
+func TestDelayCloseDrainsQueuedFrames(t *testing.T) { eachAlarm(t, testDelayCloseDrainsQueuedFrames) }
+
+func testDelayCloseDrainsQueuedFrames(t *testing.T, newDelay func(latencyFn) *DelayDevice) {
+	d := newDelay(func(src, dst int32) time.Duration { return time.Hour })
 	var mu sync.Mutex
 	var delivered int
 	sink := func(f *Frame) error {
@@ -67,8 +101,10 @@ func TestDelayCloseDrainsQueuedFrames(t *testing.T) {
 // TestDelayCloseRaceWithSenders: senders still running while Close happens
 // lose nothing — every frame is delivered either by the timer loop, the
 // Close drain, or the post-Close synchronous path.
-func TestDelayCloseRaceWithSenders(t *testing.T) {
-	d := NewDelayDevice(func(src, dst int32) time.Duration { return time.Millisecond })
+func TestDelayCloseRaceWithSenders(t *testing.T) { eachAlarm(t, testDelayCloseRaceWithSenders) }
+
+func testDelayCloseRaceWithSenders(t *testing.T, newDelay func(latencyFn) *DelayDevice) {
+	d := newDelay(func(src, dst int32) time.Duration { return time.Millisecond })
 	var delivered sync.Map
 	sink := func(f *Frame) error {
 		delivered.Store([2]int64{int64(f.Src), int64(f.Seq)}, true)
@@ -128,12 +164,69 @@ func setClock(d *DelayDevice, c *fixedClock) {
 	d.mu.Unlock()
 }
 
-// TestDelayWakesOnlyForNewHead: the release loop is woken when a held frame
-// becomes the earliest due, and not otherwise. The device is assembled
-// without its loop so that the wake channel can be read like a counter.
-func TestDelayWakesOnlyForNewHead(t *testing.T) {
+// fakeAlarm records every arm and fires only when the test says so.
+type fakeAlarm struct {
+	mu   sync.Mutex
+	arms []time.Duration
+	c    chan struct{}
+	done chan struct{}
+}
+
+func newFakeAlarm() *fakeAlarm {
+	return &fakeAlarm{c: make(chan struct{}), done: make(chan struct{})}
+}
+
+func (a *fakeAlarm) arm(d time.Duration) {
+	a.mu.Lock()
+	a.arms = append(a.arms, d)
+	a.mu.Unlock()
+}
+
+func (a *fakeAlarm) wait() bool {
+	select {
+	case <-a.c:
+		return true
+	case <-a.done:
+		return false
+	}
+}
+
+func (a *fakeAlarm) close() { close(a.done) }
+
+// fire wakes the release loop once; it returns when the loop has taken the
+// wake-up, not when the pass is over.
+func (a *fakeAlarm) fire() { a.c <- struct{}{} }
+
+func (a *fakeAlarm) armed() []time.Duration {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return append([]time.Duration(nil), a.arms...)
+}
+
+// newFakeDelay builds a device on a fake clock and a recording alarm.
+func newFakeDelay(lat latencyFn) (*DelayDevice, *fixedClock, *fakeAlarm) {
 	clk := &fixedClock{t: time.Unix(1000, 0)}
-	d := &DelayDevice{wake: make(chan struct{}, 1), done: make(chan struct{}), now: clk.now}
+	a := newFakeAlarm()
+	d := NewDelayDevice(lat)
+	d.now = clk.now
+	d.newAlarm = func() alarm { return a }
+	return d, clk, a
+}
+
+// headDueIn is what the alarm must be armed for: the head's due time less
+// the clock's now.
+func headDueIn(d *DelayDevice, clk *fixedClock) time.Duration {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.pq.peek().due.Sub(clk.now())
+}
+
+// TestDelayWakesOnlyForNewHead: the alarm is re-armed when a held frame
+// becomes the earliest due — for exactly the time until it is due — and not
+// otherwise.
+func TestDelayWakesOnlyForNewHead(t *testing.T) {
+	d, clk, a := newFakeDelay(nil)
+	defer d.Close()
 	next := func(*Frame) error { return nil }
 	hold := func(delay time.Duration) {
 		t.Helper()
@@ -141,18 +234,10 @@ func TestDelayWakesOnlyForNewHead(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	woken := func() bool {
-		select {
-		case <-d.wake:
-			return true
-		default:
-			return false
-		}
-	}
 
 	hold(10 * time.Millisecond)
-	if !woken() {
-		t.Fatal("first hold did not wake the loop")
+	if got := a.armed(); len(got) != 1 || got[0] != 10*time.Millisecond {
+		t.Fatalf("first hold armed %v, want [10ms]", got)
 	}
 	// The constant-latency case: later sends fall due later, or — the clock
 	// not having moved — at the same instant behind the tick tie-break.
@@ -161,55 +246,130 @@ func TestDelayWakesOnlyForNewHead(t *testing.T) {
 			clk.advance(time.Microsecond)
 		}
 		hold(10 * time.Millisecond)
-		if woken() {
-			t.Fatalf("in-order hold %d woke the loop", i)
+		if n := len(a.armed()); n != 1 {
+			t.Fatalf("in-order hold %d re-armed the alarm", i)
 		}
 	}
 	hold(time.Millisecond)
-	if !woken() {
-		t.Fatal("an earlier-due hold did not wake the loop")
+	got := a.armed()
+	if len(got) != 2 {
+		t.Fatalf("an earlier-due hold did not re-arm the alarm: %v", got)
+	}
+	if want := headDueIn(d, clk); got[1] != want || want != time.Millisecond {
+		t.Fatalf("armed for %v, head due in %v, want 1ms", got[1], want)
 	}
 	if d.Pending() != 102 {
 		t.Fatalf("Pending = %d, want 102", d.Pending())
 	}
 }
 
-// TestDelayEarlierHoldPreemptsArmedTimer: with the loop asleep on a distant
-// head, a hold that falls due sooner is still released on time.
+// TestDelayEarlierHoldPreemptsArmedTimer: with the alarm armed for a distant
+// head, a hold that falls due sooner takes the alarm over, is released when
+// it fires, and leaves the alarm armed for the remainder of the first.
 func TestDelayEarlierHoldPreemptsArmedTimer(t *testing.T) {
-	d := NewDelayDevice(func(src, dst int32) time.Duration { return time.Hour })
+	d, clk, a := newFakeDelay(func(src, dst int32) time.Duration { return time.Hour })
 	defer d.Close()
-	clk := &fixedClock{t: time.Unix(1000, 0)}
-	setClock(d, clk)
 
 	released := make(chan uint64, 2)
 	next := func(f *Frame) error { released <- f.Seq; return nil }
 	if err := d.Send(&Frame{Seq: 1}, next); err != nil { // held for an hour
 		t.Fatal(err)
 	}
-	waitFor(t, "loop asleep on the distant head", func() bool { return len(d.wake) == 0 })
 	if err := d.Hold(&Frame{Seq: 2}, next, time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
+	if got := a.armed(); len(got) != 2 || got[0] != time.Hour || got[1] != time.Millisecond {
+		t.Fatalf("armed %v, want [1h 1ms]", got)
+	}
 	clk.advance(2 * time.Millisecond)
-	select {
-	case seq := <-released:
-		if seq != 2 {
-			t.Fatalf("released frame %d, want 2", seq)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("earlier-due frame not released: the loop slept through it on the first frame's timer")
+	a.fire()
+	if seq := <-released; seq != 2 {
+		t.Fatalf("released frame %d, want 2", seq)
 	}
 	if d.Pending() != 1 {
 		t.Fatalf("Pending = %d, want the hour-long hold still queued", d.Pending())
+	}
+	got := a.armed()
+	if want := headDueIn(d, clk); len(got) != 3 || got[2] != want || want != time.Hour-2*time.Millisecond {
+		t.Fatalf("after the release armed %v, head due in %v", got, want)
+	}
+}
+
+// TestDelayEarlierHoldReleasedFirst is the same preemption on the real
+// alarms: re-arming one that is already counting down a longer wait must
+// shorten the wait.
+func TestDelayEarlierHoldReleasedFirst(t *testing.T) {
+	eachAlarm(t, func(t *testing.T, newDelay func(latencyFn) *DelayDevice) {
+		d := newDelay(func(src, dst int32) time.Duration { return time.Hour })
+		defer d.Close()
+		released := make(chan uint64, 2)
+		next := func(f *Frame) error { released <- f.Seq; return nil }
+		if err := d.Send(&Frame{Seq: 1}, next); err != nil { // held for an hour
+			t.Fatal(err)
+		}
+		if err := d.Hold(&Frame{Seq: 2}, next, time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case seq := <-released:
+			if seq != 2 {
+				t.Fatalf("released frame %d, want 2", seq)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("earlier-due frame not released: the loop slept through it on the first frame's alarm")
+		}
+		if d.Pending() != 1 {
+			t.Fatalf("Pending = %d, want the hour-long hold still queued", d.Pending())
+		}
+	})
+}
+
+// TestDelayLatenessHistogram: an instrumented device records release time
+// less due time per frame, from the one clock reading a release pass takes
+// anyway — instrumented or not, a pass reads the clock once.
+func TestDelayLatenessHistogram(t *testing.T) {
+	for _, instrumented := range []bool{false, true} {
+		d, clk, a := newFakeDelay(nil)
+		reads := 0
+		d.now = func() time.Time { reads++; return clk.now() } // under d.mu in Hold and loop
+		reg := metrics.NewRegistry()
+		if instrumented {
+			d.Instrument(reg)
+		}
+		released := make(chan struct{}, 3)
+		next := func(*Frame) error { released <- struct{}{}; return nil }
+		for _, delay := range []time.Duration{time.Millisecond, 2 * time.Millisecond, time.Hour} {
+			if err := d.Hold(&Frame{}, next, delay); err != nil {
+				t.Fatal(err)
+			}
+		}
+		clk.advance(2*time.Millisecond + 300*time.Microsecond)
+		a.fire()
+		<-released
+		<-released
+		d.Close() // joins the loop: reads is safe to read
+		if reads != 3+1 {
+			t.Errorf("instrumented=%v: %d clock reads for three holds and one release pass, want 4", instrumented, reads)
+		}
+		if !instrumented {
+			continue
+		}
+		h := reg.Histogram("vmi_delay_late_ns", metrics.DurationBuckets)
+		// 1.3 ms and 0.3 ms late; the hour-long hold is released by Close, on
+		// no schedule, and is not an observation.
+		if h.Count() != 2 || h.Sum() != int64(1600*time.Microsecond) {
+			t.Errorf("lateness count %d sum %d ns, want 2 and 1600000", h.Count(), h.Sum())
+		}
 	}
 }
 
 // TestDelayEqualDueTimeFIFO: frames sharing one due time are released in
 // exact insertion order (the tick tie-break), pinned with a frozen clock
 // so every frame genuinely collides on the same instant.
-func TestDelayEqualDueTimeFIFO(t *testing.T) {
-	d := NewDelayDevice(func(src, dst int32) time.Duration { return 10 * time.Millisecond })
+func TestDelayEqualDueTimeFIFO(t *testing.T) { eachAlarm(t, testDelayEqualDueTimeFIFO) }
+
+func testDelayEqualDueTimeFIFO(t *testing.T, newDelay func(latencyFn) *DelayDevice) {
+	d := newDelay(func(src, dst int32) time.Duration { return 10 * time.Millisecond })
 	defer d.Close()
 	clk := &fixedClock{t: time.Unix(1000, 0)}
 	setClock(d, clk)
@@ -251,7 +411,11 @@ func TestDelayEqualDueTimeFIFO(t *testing.T) {
 // one due time, the global release order is some interleaving, but each
 // sender's frames stay in that sender's order.
 func TestDelayEqualDueTimeFIFOPerSender(t *testing.T) {
-	d := NewDelayDevice(func(src, dst int32) time.Duration { return 10 * time.Millisecond })
+	eachAlarm(t, testDelayEqualDueTimeFIFOPerSender)
+}
+
+func testDelayEqualDueTimeFIFOPerSender(t *testing.T, newDelay func(latencyFn) *DelayDevice) {
+	d := newDelay(func(src, dst int32) time.Duration { return 10 * time.Millisecond })
 	defer d.Close()
 	clk := &fixedClock{t: time.Unix(1000, 0)}
 	setClock(d, clk)
