@@ -107,6 +107,7 @@ type SimScaleReport struct {
 	GoMaxProcs     int               `json:"gomaxprocs"`
 	TopoSpec       string            `json:"topo_spec"`
 	LookaheadUS    float64           `json:"lookahead_us"`
+	Windows        int64             `json:"windows"`
 	TokensPerPE    int               `json:"tokens_per_pe"`
 	Rounds         int               `json:"rounds"`
 	HopCostUS      float64           `json:"hop_cost_us"`
@@ -125,8 +126,8 @@ func (r *SimScaleReport) WriteJSON(w io.Writer) error {
 
 // simScaleSpec is the generator spec for a machine of pes processors:
 // 64-PE clusters joined by a seeded heterogeneous latency mesh. The
-// lookahead — and so the parallel window — is the 10µs intra-cluster
-// hop, the common case for the wave's stride-1 traffic.
+// parallel engine's shards are whole clusters, so its window is the
+// mesh's shortest millisecond link, not the 10µs intra-cluster hop.
 func simScaleSpec(pes int) string {
 	if pes < 64 {
 		return fmt.Sprintf("%dx1;wan=5ms", pes)
@@ -319,7 +320,6 @@ func SimScale(w io.Writer, p Profile) (*Table, *SimScaleReport, error) {
 		pes := topo.NumPE()
 		if rep.TopoSpec == "" {
 			rep.TopoSpec = spec
-			rep.LookaheadUS = float64(topo.Lookahead()) / float64(time.Microsecond)
 		}
 		chares := pes * cfg.CharesPerPE
 		arms := make([]int, 0, 1+len(cfg.Workers))
@@ -349,6 +349,12 @@ func SimScale(w io.Writer, p Profile) (*Table, *SimScaleReport, error) {
 				pt.Speedup = 1
 			} else {
 				pt.Engine = fmt.Sprintf("par%d", workers)
+				if rep.Windows == 0 {
+					// The first machine's first parallel arm: the window
+					// the engine actually used, and how many it ran.
+					rep.LookaheadUS = float64(stats.Lookahead) / float64(time.Microsecond)
+					rep.Windows = stats.Windows
+				}
 				pt.Speedup = pt.EventsPerSec / refRate
 				if sum != refSum {
 					rep.ChecksumsMatch = false

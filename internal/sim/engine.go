@@ -15,14 +15,14 @@
 // Two executors share one event model. New builds the sequential engine:
 // a single event queue popped in order, the reference semantics.
 // NewParallel builds the conservative parallel engine: PEs are divided
-// into shards, each with its own event heap, executed by a worker pool in
-// time windows bounded by the topology's lookahead (the minimum cross-PE
-// link delay — every cross-PE interaction is a modeled message with
-// nonzero delay, so within one window the shards cannot affect each
-// other). Both engines order events by the same deterministic
-// (time, kind, key) comparator, where keys are drawn from per-PE
-// counters, so the parallel engine replays the identical per-PE event
-// sequence and produces bit-identical results — see DESIGN.md §13.
+// into shards of whole clusters, each with its own event heap, executed by
+// a worker pool in time windows bounded by the lookahead (the minimum
+// delay of a link between shards — every cross-shard interaction is a
+// modeled message with nonzero delay, so within one window the shards
+// cannot affect each other). Both engines order events by the same
+// deterministic (time, kind, key) comparator, where keys are drawn from
+// per-PE counters, so the parallel engine replays the identical per-PE
+// event sequence and produces bit-identical results — see DESIGN.md §13.
 package sim
 
 import (
@@ -142,8 +142,17 @@ func (h *eventHeap) pop() event {
 	return top
 }
 
-// ordKey is an event's position in the global deterministic order, used
-// to compare stop candidates (exit, error) across shards.
+// ordKey is an event's position in the sequential engine's processing
+// order, used to compare stop candidates (exit, error) across shards and
+// to rewind past them. Time orders first. Within one instant the
+// sequential engine first pops the deliveries already queued for it, by
+// key, and then each shard's executions — and the zero-delay deliveries
+// those push, which the heap orders *before* the running event — shard
+// after shard, since every PE of a lower shard has a lower exec key. So a
+// parallel shard stamps a delivery {at, evDeliver, key} until it has run
+// an exec at that instant, and everything after {at, evExec, shard<<40 |
+// events processed}; see shard.pos. The sequential engine, whose one
+// stream needs no comparison, stamps the event's own (at, kind, key).
 type ordKey struct {
 	at   time.Duration
 	kind evKind
@@ -183,8 +192,9 @@ type simPE struct {
 // rewindRec snapshots the engine state an event is about to mutate, so a
 // parallel window that raced past an exit (or error) can restore the
 // exact per-PE clocks and counters the sequential engine would have
-// stopped with. One record is appended per event; records are discarded
-// at each window barrier.
+// stopped with. One record is appended per event; a barrier discards the
+// records ordered before every shard's next event, which no stop can
+// reach any more.
 type rewindRec struct {
 	key                  ordKey
 	pe                   int32
@@ -218,11 +228,13 @@ type shard struct {
 
 	// parallel-mode state: cross-shard sends buffered until the window
 	// barrier, trace events staged so a stop can filter raced-past
-	// history, and the rewind log (see rewindRec).
+	// history, the rewind log (see rewindRec; its capacity is fixed at
+	// rewindCap), and the instant of the last exec run (see pos).
 	outbox     []event
 	staged     []trace.Event
 	stagedKeys []ordKey
 	rewind     []rewindRec
+	execAt     time.Duration
 
 	eventCount int64
 	msgCount   int64
@@ -243,6 +255,8 @@ type Engine struct {
 	parallel  bool
 	workers   int
 	lookahead time.Duration
+	windows   int64 // parallel windows run, one barrier each
+	settled   int64 // events whose rewind records barriers have discarded
 
 	// bootSeq keys events originated outside any PE (the start message).
 	bootSeq uint64
@@ -279,8 +293,9 @@ func New(topo *topology.Topology, prog *core.Program, opts Options) (*Engine, er
 // NewParallel builds the conservative parallel engine: workers goroutines
 // execute PE shards in lookahead-bounded time windows. Results (exit
 // value, virtual times, checksums, traces) are bit-identical to the
-// sequential engine's. The topology must have positive lookahead — some
-// modeled delay on every cross-PE link — unless it has a single PE.
+// sequential engine's. On a machine of several clusters a shard is a run
+// of whole clusters. Some modeled delay is needed on every link between
+// shards, unless the machine has a single PE.
 func NewParallel(topo *topology.Topology, prog *core.Program, opts Options, workers int) (*Engine, error) {
 	if workers < 1 {
 		return nil, fmt.Errorf("sim: NewParallel needs at least one worker, got %d", workers)
@@ -301,41 +316,28 @@ func newEngine(topo *topology.Topology, prog *core.Program, opts Options, worker
 		workers:  workers,
 	}
 	numPE := topo.NumPE()
-	numShards := 1
+	bounds := []int{0, numPE}
 	if parallel {
-		e.lookahead = topo.Lookahead()
-		if numPE > 1 && e.lookahead <= 0 {
-			return nil, fmt.Errorf("sim: parallel execution needs positive lookahead, but topology %v has a zero-delay cross-PE link; give every link some latency or overhead", topo)
-		}
-		// More shards than workers keeps the per-shard heaps small and
-		// lets the pool balance uneven windows; beyond ~4× there is only
-		// bookkeeping.
-		numShards = 4 * workers
-		if numShards < 16 {
-			numShards = 16
-		}
-		if numShards > numPE {
-			numShards = numPE
-		}
+		bounds = shardBounds(topo, workers)
 	}
-	e.shards = make([]*shard, numShards)
+	e.shards = make([]*shard, len(bounds)-1)
 	e.shardOf = make([]int32, numPE)
-	base, rem := numPE/numShards, numPE%numShards
-	lo := 0
-	for i := 0; i < numShards; i++ {
-		n := base
-		if i < rem {
-			n++
-		}
-		s := &shard{eng: e, id: i, peLo: lo, peHi: lo + n}
+	for i := range e.shards {
+		s := &shard{eng: e, id: i, peLo: bounds[i], peHi: bounds[i+1]}
 		if parallel {
 			s.outbox = make([]event, 0, 16)
+			s.execAt = -1
 		}
 		e.shards[i] = s
-		for pe := lo; pe < lo+n; pe++ {
+		for pe := s.peLo; pe < s.peHi; pe++ {
 			e.shardOf[pe] = int32(i)
 		}
-		lo += n
+	}
+	if parallel {
+		e.lookahead = topo.LookaheadAcross(func(pe int) int { return int(e.shardOf[pe]) })
+		if len(e.shards) > 1 && e.lookahead <= 0 {
+			return nil, fmt.Errorf("sim: parallel execution needs positive lookahead, but topology %v has a zero-delay link between shards; give every link some latency or overhead", topo)
+		}
 	}
 	e.pes = make([]*simPE, numPE)
 	tab := core.NewElemTable(prog)
@@ -379,6 +381,50 @@ func newEngine(topo *topology.Topology, prog *core.Program, opts Options, worker
 		}
 	}
 	return e, nil
+}
+
+// shardBounds divides the PEs into the parallel engine's shards: shard i
+// owns PEs [b[i], b[i+1]). More shards than workers keeps the per-shard
+// heaps small and lets the pool balance uneven windows; beyond ~4× there
+// is only bookkeeping. A machine of several clusters gets at most one
+// shard per cluster, each a contiguous run of whole clusters balanced by
+// PE count, so only inter-cluster links cross shards and the lookahead is
+// the WAN's; a single cluster is split evenly.
+func shardBounds(topo *topology.Topology, workers int) []int {
+	numPE, nc := topo.NumPE(), topo.NumClusters()
+	n := max(16, 4*workers)
+	size := func(c int) int { return len(topo.PEs(topology.ClusterID(c))) }
+	b := make([]int, 1, n+1)
+	if nc > 1 {
+		// Clusters number their PEs contiguously (topology.New), so a run
+		// of clusters is a PE range. Shard i takes at least one cluster,
+		// then more while the next one's midpoint is within its share of
+		// the PEs and enough clusters remain for the shards after it.
+		n = min(n, nc)
+		c, pe := 0, 0
+		for i := 0; i < n; i++ {
+			target := (i + 1) * numPE / n
+			for {
+				pe += size(c)
+				c++
+				if c >= nc-(n-1-i) || pe+size(c)/2 > target {
+					break
+				}
+			}
+			b = append(b, pe)
+		}
+		return b
+	}
+	n = min(n, numPE)
+	base, rem := numPE/n, numPE%n
+	for i := 0; i < n; i++ {
+		pe := b[i] + base
+		if i < rem {
+			pe++
+		}
+		b = append(b, pe)
+	}
+	return b
 }
 
 // nextKey draws the next deterministic event key (and message ID) for a
@@ -768,7 +814,8 @@ type Stats struct {
 
 	Shards    int           // event shards (1 = sequential)
 	Workers   int           // worker goroutines (1 = sequential)
-	Lookahead time.Duration // synchronization window (0 = sequential)
+	Lookahead time.Duration // synchronization window: min delay between shards (0 = sequential)
+	Windows   int64         // parallel windows run, one barrier each (0 = sequential)
 
 	ColdPacks    int64 // cold-store pack operations (PackCold runs)
 	ColdHydrates int64 // cold-store hydrate operations
@@ -784,6 +831,7 @@ func (e *Engine) Stats() Stats {
 		Shards:      len(e.shards),
 		Workers:     e.workers,
 		Lookahead:   e.lookahead,
+		Windows:     e.windows,
 	}
 	for _, sh := range e.shards {
 		s.Events += sh.eventCount

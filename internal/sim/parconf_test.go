@@ -85,12 +85,15 @@ func confApps() []confApp {
 	}
 }
 
-// Three generator seeds: a plain two-cluster pair, a heterogeneous
-// latency mesh, and a hierarchical-WAN layout with slow clusters.
+// Four generator seeds: a plain two-cluster pair, a heterogeneous
+// latency mesh, a hierarchical-WAN layout with slow clusters, and a mesh
+// of four-PE clusters, so shards hold several PEs and windows span the
+// millisecond WAN rather than the intra-cluster hop.
 var confSpecs = []string{
 	"2x4;wan=2ms",
 	"4x2;wan=1ms;mesh=rand:5:500us:3ms",
 	"2x3@0.5,2x1;wan=4ms;site=2:10ms",
+	"4x4;wan=1ms;mesh=rand:9:500us:3ms",
 }
 
 type confRun struct {

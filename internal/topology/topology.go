@@ -284,46 +284,69 @@ func (t *Topology) LinkBetween(a, b int) Link {
 }
 
 // Lookahead reports the minimum zero-byte delivery delay over every link
-// that can carry a message between two *distinct* PEs. It is the
-// conservative synchronization horizon of the parallel virtual-time
-// engine: any cross-PE message sent at time t arrives no earlier than
-// t + Lookahead(), regardless of which PEs are involved, so PE shards may
-// run Lookahead() of virtual time without coordinating. Self-send links
-// are excluded (they never cross shards). The result is 0 when the
-// machine has a single PE (no cross-PE links exist) or when some link has
-// no delay at all.
+// between two distinct PEs: LookaheadAcross with every PE its own group.
 func (t *Topology) Lookahead() time.Duration {
-	if t.numPE <= 1 {
-		return 0
-	}
+	return t.LookaheadAcross(func(pe int) int { return pe })
+}
+
+// LookaheadAcross reports the minimum zero-byte delivery delay over the
+// links whose endpoints lie in different groups, where group maps each PE
+// to its group (a shard of the parallel virtual-time engine). It is that
+// engine's conservative synchronization horizon: a message that crosses
+// groups, sent at time t, arrives no earlier than t + LookaheadAcross, so
+// the groups may run that much virtual time without coordinating. The
+// intra link counts only if some cluster spans groups, a cluster-pair
+// link only if its clusters are not both wholly inside one group, and a
+// PE-pair override only if it crosses groups. The cost is one pass over
+// the PEs plus the cluster-pair and PE-pair override tables — never a
+// pass over PE pairs. The result is 0 when no link crosses groups or when
+// one that does has no delay at all.
+func (t *Topology) LookaheadAcross(group func(pe int) int) time.Duration {
 	la := time.Duration(-1)
 	consider := func(l Link) {
 		if d := l.Delay(0); la < 0 || d < la {
 			la = d
 		}
 	}
-	intraPairs := false
-	for _, members := range t.clusters {
-		if len(members) > 1 {
-			intraPairs = true
-			break
+	// home[c] is cluster c's group, or -1 when its members span groups.
+	home := make([]int, len(t.clusters))
+	whole := make(map[int]int) // group -> clusters wholly inside it
+	spans := false
+	for c, members := range t.clusters {
+		home[c] = group(members[0])
+		for _, pe := range members[1:] {
+			if group(pe) != home[c] {
+				home[c], spans = -1, true
+				break
+			}
+		}
+		if home[c] >= 0 {
+			whole[home[c]]++
 		}
 	}
-	if intraPairs {
+	if spans {
 		consider(t.intra)
 	}
-	if c := len(t.clusters); c > 1 {
-		// The base inter link applies unless every cluster pair is
-		// overridden; each override contributes its own delay.
-		if len(t.clusterLinks) < c*(c-1) {
-			consider(t.inter)
-		}
-		for _, l := range t.clusterLinks {
+	crosses := func(a, b int) bool { return home[a] != home[b] || home[a] < 0 }
+	// Ordered cluster pairs that cross groups: all of them, less those
+	// whose clusters sit wholly inside the same group. The base inter link
+	// applies unless a cluster-pair override covers every one of them.
+	c := len(t.clusters)
+	crossing := c * (c - 1)
+	for _, n := range whole {
+		crossing -= n * (n - 1)
+	}
+	for k, l := range t.clusterLinks {
+		if crosses(int(k>>32), int(uint32(k))) {
 			consider(l)
+			crossing--
 		}
 	}
+	if crossing > 0 {
+		consider(t.inter)
+	}
 	for k, l := range t.overrides {
-		if a, b := int(k>>32), int(uint32(k)); a != b {
+		if a, b := int(k>>32), int(uint32(k)); a != b && group(a) != group(b) {
 			consider(l)
 		}
 	}

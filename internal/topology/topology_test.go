@@ -217,3 +217,48 @@ func TestStringForms(t *testing.T) {
 		t.Error("empty String for two clusters")
 	}
 }
+
+// TestLookaheadAcross: only links that cross a group boundary bound the
+// horizon — the intra link when a cluster is split, a cluster-pair link
+// when its clusters are in different groups, a PE-pair override when its
+// PEs are.
+func TestLookaheadAcross(t *testing.T) {
+	intra := Link{Overhead: 10 * time.Microsecond}
+	topo, err := New([]int{2, 2, 2},
+		WithIntraLink(intra), WithInterLink(Link{Latency: 5 * time.Millisecond}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := topo.SetClusterPairLatency(0, 1, 2*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	byCluster := func(pe int) int { return int(topo.Cluster(pe)) }
+	if got := topo.LookaheadAcross(byCluster); got != 2*time.Millisecond {
+		t.Errorf("cluster groups: %v, want the 2ms cluster-pair link", got)
+	}
+	if got := topo.Lookahead(); got != intra.Delay(0) {
+		t.Errorf("Lookahead: %v, want the intra link %v", got, intra.Delay(0))
+	}
+	// Clusters 0 and 1 share a group: only links to cluster 2 cross.
+	merged := func(pe int) int { return int(topo.Cluster(pe)) / 2 }
+	if got := topo.LookaheadAcross(merged); got != 5*time.Millisecond {
+		t.Errorf("merged groups: %v, want the 5ms base inter link", got)
+	}
+	// Splitting a cluster exposes the intra link.
+	split := func(pe int) int { return pe / 3 }
+	if got := topo.LookaheadAcross(split); got != intra.Delay(0) {
+		t.Errorf("split cluster: %v, want %v", got, intra.Delay(0))
+	}
+	// A PE-pair override counts only when it crosses groups.
+	topo.SetPairLatency(0, 2, time.Millisecond)
+	if got := topo.LookaheadAcross(merged); got != 5*time.Millisecond {
+		t.Errorf("override inside a group: %v, want 5ms", got)
+	}
+	topo.SetPairLatency(0, 4, 3*time.Millisecond)
+	if got := topo.LookaheadAcross(merged); got != 3*time.Millisecond {
+		t.Errorf("override across groups: %v, want 3ms", got)
+	}
+	if got := topo.LookaheadAcross(func(int) int { return 0 }); got != 0 {
+		t.Errorf("one group: %v, want 0", got)
+	}
+}
