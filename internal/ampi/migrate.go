@@ -101,7 +101,7 @@ func (r *rankChare) PUP(p *core.PUP) {
 	}
 	p.Bool(&r.done)
 	r.st.PUP(p)
-	core.PUPSlice(p, &r.comm.inbox, 4, func(q **pkt, p *core.PUP) {
+	core.PUPSlice(p, &r.comm.inbox, 4, 0, func(q **pkt, p *core.PUP) {
 		if p.Unpacking() {
 			*q = &pkt{}
 		}

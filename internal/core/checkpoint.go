@@ -203,10 +203,10 @@ const (
 // states, which are themselves the bytes each element's PUP method packed.
 func (c *Checkpoint) PUP(p *PUP) {
 	p.Bool(&c.Partial)
-	PUPSlice(p, &c.Arrays, 3, func(a *ArrayState, p *PUP) {
+	PUPSlice(p, &c.Arrays, 3, 0, func(a *ArrayState, p *PUP) {
 		PUPVarint(p, &a.ID)
 		PUPUvarint(p, &a.N)
-		PUPSlice(p, &a.Elems, 2, func(e *ElemState, p *PUP) {
+		PUPSlice(p, &a.Elems, 2, 0, func(e *ElemState, p *PUP) {
 			PUPUvarint(p, &e.Index)
 			p.Bytes(&e.Data)
 		})

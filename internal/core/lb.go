@@ -114,8 +114,8 @@ func (m lbMsg) PayloadBytes() int {
 // it does not use empty, which cost a byte apiece.
 func (m *lbMsg) PUP(p *PUP) {
 	PUPUvarint(p, &m.Phase)
-	PUPSlice(p, &m.Stats, 6, (*ElemLoad).pup)
-	PUPSlice(p, &m.Moves, 3, (*Move).pup)
+	PUPSlice(p, &m.Stats, 6, 0, (*ElemLoad).pup)
+	PUPSlice(p, &m.Moves, 3, 0, (*Move).pup)
 	m.Elem.pup(p)
 	p.Bytes(&m.State)
 	has := m.Meta != nil

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -119,10 +118,10 @@ func (t *MemberTable) StateOf(node int) (MemberState, bool) {
 
 // Membership wire codec -----------------------------------------------------
 //
-// Control-frame payloads use a versioned binary format in the style of the
-// message codec: magic, format version, varint fields. Decoders are
-// strict — unknown magic, short input, and trailing bytes all fail — so a
-// corrupted control frame is rejected rather than half-applied.
+// Control-frame payloads are PUP traversals under a two-byte magic and a
+// format version. Decoders are strict — unknown magic, short input,
+// out-of-range fields and trailing bytes all fail, wrapping ErrBadWire —
+// so a corrupted control frame is rejected rather than half-applied.
 
 const (
 	memberTableMagic0 = 'M'
@@ -160,178 +159,122 @@ type MembershipMsg struct {
 	Tbl  *MemberTable // table op only
 }
 
+// maxMembers caps a decoded table's member count, before allocation.
+const maxMembers = 1 << 16
+
+// pupMemberHeader moves a control payload's two magic bytes and format
+// version. Each is a uvarint of one byte, so the header is the three raw
+// bytes it always was; unpacking fails on anything else.
+func pupMemberHeader(p *PUP, magic0, magic1 byte, what string) {
+	h := [3]byte{magic0, magic1, memberWireVersion}
+	for i := range h {
+		PUPUvarint(p, &h[i])
+	}
+	if p.Unpacking() && p.Err() == nil {
+		if h[0] != magic0 || h[1] != magic1 {
+			p.Errorf("bad %s magic", what)
+		} else if h[2] != memberWireVersion {
+			p.Errorf("%s version %d", what, h[2])
+		}
+	}
+}
+
+// PUP moves the table in wire form: header, version, epoch, then the
+// members, which unpacking checks are strictly increasing by node and in
+// a known state.
+func (t *MemberTable) PUP(p *PUP) {
+	pupMemberHeader(p, memberTableMagic0, memberTableMagic1, "member-table")
+	p.Uvarint(&t.Version)
+	PUPUvarint(p, &t.Epoch)
+	if p.Unpacking() && p.Err() == nil && t.Epoch > vmi.MaxEpoch {
+		p.Errorf("epoch %d exceeds 24-bit range", t.Epoch)
+	}
+	PUPSlice(p, &t.Members, 3, maxMembers, func(m *Member, p *PUP) {
+		PUPVarint(p, &m.Node)
+		PUPUvarint(p, &m.State)
+		p.String(&m.Addr)
+	})
+	if !p.Unpacking() || p.Err() != nil {
+		return
+	}
+	for i, m := range t.Members {
+		if i > 0 && m.Node <= t.Members[i-1].Node {
+			p.Errorf("member nodes not strictly increasing")
+			return
+		}
+		if m.State > MemberLeft {
+			p.Errorf("member state %d", m.State)
+			return
+		}
+	}
+}
+
+// PUP moves the message in wire form: header, op, the two node numbers,
+// the address, then a flag and the table when there is one.
+func (m *MembershipMsg) PUP(p *PUP) {
+	pupMemberHeader(p, memberMsgMagic0, memberMsgMagic1, "membership")
+	PUPUvarint(p, &m.Op)
+	if p.Unpacking() && p.Err() == nil && (m.Op < memberOpJoin || m.Op > memberOpDeadReport) {
+		p.Errorf("membership op %d", m.Op)
+	}
+	PUPVarint(p, &m.From)
+	PUPVarint(p, &m.Node)
+	p.String(&m.Addr)
+	hasTable := m.Tbl != nil
+	p.Bool(&hasTable)
+	if hasTable {
+		if p.Unpacking() {
+			m.Tbl = new(MemberTable)
+		}
+		m.Tbl.PUP(p)
+	}
+}
+
 // AppendMemberTable appends t in wire form.
 func AppendMemberTable(dst []byte, t *MemberTable) []byte {
-	dst = append(dst, memberTableMagic0, memberTableMagic1, memberWireVersion)
-	dst = AppendUvarint(dst, t.Version)
-	dst = AppendUvarint(dst, uint64(t.Epoch))
-	dst = AppendUvarint(dst, uint64(len(t.Members)))
-	for _, m := range t.Members {
-		dst = AppendVarint(dst, int64(m.Node))
-		dst = append(dst, byte(m.State))
-		dst = AppendUvarint(dst, uint64(len(m.Addr)))
-		dst = append(dst, m.Addr...)
-	}
-	return dst
-}
-
-// consumeMemberTable parses a table from the front of b, returning the
-// remainder.
-func consumeMemberTable(b []byte) (*MemberTable, []byte, error) {
-	if len(b) < 3 || b[0] != memberTableMagic0 || b[1] != memberTableMagic1 {
-		return nil, b, fmt.Errorf("%w: bad member-table magic", ErrBadWire)
-	}
-	if b[2] != memberWireVersion {
-		return nil, b, fmt.Errorf("%w: member-table version %d", ErrBadWire, b[2])
-	}
-	b = b[3:]
-	var t MemberTable
-	var v uint64
-	var err error
-	if v, b, err = ConsumeUvarint(b); err != nil {
-		return nil, b, err
-	}
-	t.Version = v
-	if v, b, err = ConsumeUvarint(b); err != nil {
-		return nil, b, err
-	}
-	if v > vmi.MaxEpoch {
-		return nil, b, fmt.Errorf("%w: epoch %d exceeds 24-bit range", ErrBadWire, v)
-	}
-	t.Epoch = uint32(v)
-	if v, b, err = ConsumeUvarint(b); err != nil {
-		return nil, b, err
-	}
-	const maxMembers = 1 << 16 // defensive cap for decoding
-	if v > maxMembers {
-		return nil, b, fmt.Errorf("%w: member count %d", ErrBadWire, v)
-	}
-	t.Members = make([]Member, 0, v)
-	var prev int64 = -1 << 62
-	for i := uint64(0); i < v; i++ {
-		var m Member
-		if m.Node, b, err = consumeNode(b); err != nil {
-			return nil, b, err
-		}
-		if int64(m.Node) <= prev {
-			return nil, b, fmt.Errorf("%w: member nodes not strictly increasing", ErrBadWire)
-		}
-		prev = int64(m.Node)
-		if len(b) < 1 {
-			return nil, b, fmt.Errorf("%w: truncated member state", ErrBadWire)
-		}
-		if b[0] > byte(MemberLeft) {
-			return nil, b, fmt.Errorf("%w: member state %d", ErrBadWire, b[0])
-		}
-		m.State = MemberState(b[0])
-		b = b[1:]
-		var alen uint64
-		if alen, b, err = ConsumeUvarint(b); err != nil {
-			return nil, b, err
-		}
-		if alen > uint64(len(b)) {
-			return nil, b, fmt.Errorf("%w: truncated member addr", ErrBadWire)
-		}
-		m.Addr = string(b[:alen])
-		b = b[alen:]
-		t.Members = append(t.Members, m)
-	}
-	return &t, b, nil
-}
-
-// consumeNode parses a node number: a signed varint that must fit the
-// int32 it is kept in. Narrowing first would let two distinct wire values
-// collapse onto one node, so a table could pass the strictly-increasing
-// check and re-encode to one that fails it.
-func consumeNode(b []byte) (int32, []byte, error) {
-	v, rest, err := ConsumeVarint(b)
-	if err != nil {
-		return 0, b, err
-	}
-	if v < math.MinInt32 || v > math.MaxInt32 {
-		return 0, b, fmt.Errorf("%w: node number %d outside int32", ErrBadWire, v)
-	}
-	return int32(v), rest, nil
+	return appendControl(dst, t)
 }
 
 // DecodeMemberTable parses a wire-form member table. Trailing bytes are an
 // error.
 func DecodeMemberTable(b []byte) (*MemberTable, error) {
-	t, rest, err := consumeMemberTable(b)
-	if err != nil {
+	var t MemberTable
+	if err := decodeControl(&t, b); err != nil {
 		return nil, err
 	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes after member table", ErrBadWire, len(rest))
-	}
-	return t, nil
+	return &t, nil
 }
 
 // AppendMembershipMsg appends m in wire form.
 func AppendMembershipMsg(dst []byte, m *MembershipMsg) []byte {
-	dst = append(dst, memberMsgMagic0, memberMsgMagic1, memberWireVersion, byte(m.Op))
-	dst = AppendVarint(dst, int64(m.From))
-	dst = AppendVarint(dst, int64(m.Node))
-	dst = AppendUvarint(dst, uint64(len(m.Addr)))
-	dst = append(dst, m.Addr...)
-	if m.Tbl != nil {
-		dst = append(dst, 1)
-		dst = AppendMemberTable(dst, m.Tbl)
-	} else {
-		dst = append(dst, 0)
-	}
-	return dst
+	return appendControl(dst, m)
 }
 
 // DecodeMembershipMsg parses a wire-form membership message. Trailing
 // bytes are an error.
 func DecodeMembershipMsg(b []byte) (*MembershipMsg, error) {
-	if len(b) < 4 || b[0] != memberMsgMagic0 || b[1] != memberMsgMagic1 {
-		return nil, fmt.Errorf("%w: bad membership magic", ErrBadWire)
-	}
-	if b[2] != memberWireVersion {
-		return nil, fmt.Errorf("%w: membership version %d", ErrBadWire, b[2])
-	}
 	var m MembershipMsg
-	m.Op = membershipOp(b[3])
-	if m.Op < memberOpJoin || m.Op > memberOpDeadReport {
-		return nil, fmt.Errorf("%w: membership op %d", ErrBadWire, b[3])
-	}
-	b = b[4:]
-	var uv uint64
-	var err error
-	if m.From, b, err = consumeNode(b); err != nil {
+	if err := decodeControl(&m, b); err != nil {
 		return nil, err
-	}
-	if m.Node, b, err = consumeNode(b); err != nil {
-		return nil, err
-	}
-	if uv, b, err = ConsumeUvarint(b); err != nil {
-		return nil, err
-	}
-	if uv > uint64(len(b)) {
-		return nil, fmt.Errorf("%w: truncated membership addr", ErrBadWire)
-	}
-	m.Addr = string(b[:uv])
-	b = b[uv:]
-	if len(b) < 1 {
-		return nil, fmt.Errorf("%w: truncated membership table flag", ErrBadWire)
-	}
-	hasTable := b[0]
-	b = b[1:]
-	switch hasTable {
-	case 0:
-	case 1:
-		if m.Tbl, b, err = consumeMemberTable(b); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("%w: membership table flag %d", ErrBadWire, hasTable)
-	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes after membership message", ErrBadWire, len(b))
 	}
 	return &m, nil
+}
+
+// appendControl packs a membership payload. Packing validates nothing, so
+// an error means the PUP method is asymmetric — a bug, not bad input.
+func appendControl(dst []byte, v PUPable) []byte {
+	b, err := PUPPack(v)
+	if err != nil {
+		panic(err)
+	}
+	return append(dst, b...)
+}
+
+func decodeControl(v PUPable, b []byte) error {
+	if err := PUPUnpack(v, b); err != nil {
+		return fmt.Errorf("%w: %v", ErrBadWire, err)
+	}
+	return nil
 }
 
 // Manager --------------------------------------------------------------------

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
@@ -8,7 +9,7 @@ import (
 )
 
 // FuzzMembershipWire: the member-table and membership-message codecs
-// must never panic, whatever they accept must survive a re-encode
+// must never panic and must fail only with ErrBadWire, whatever they accept must survive a re-encode
 // round-trip structurally intact, and any accepted encoding with bytes
 // appended must be rejected (the decoders are strict about trailing
 // garbage — a half-applied control frame is worse than a dropped one).
@@ -34,7 +35,14 @@ func FuzzMembershipWire(f *testing.F) {
 	f.Add([]byte{'M', 'M', 2, 1})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if tb, err := core.DecodeMemberTable(data); err == nil {
+		tb, errT := core.DecodeMemberTable(data)
+		m, errM := core.DecodeMembershipMsg(data)
+		for _, err := range []error{errT, errM} {
+			if err != nil && !errors.Is(err, core.ErrBadWire) {
+				t.Fatalf("decode failure does not wrap ErrBadWire: %v", err)
+			}
+		}
+		if errT == nil {
 			re := core.AppendMemberTable(nil, tb)
 			tb2, err := core.DecodeMemberTable(re)
 			if err != nil {
@@ -47,7 +55,7 @@ func FuzzMembershipWire(f *testing.F) {
 				t.Fatal("table decoder accepted trailing bytes")
 			}
 		}
-		if m, err := core.DecodeMembershipMsg(data); err == nil {
+		if errM == nil {
 			re := core.AppendMembershipMsg(nil, m)
 			m2, err := core.DecodeMembershipMsg(re)
 			if err != nil {

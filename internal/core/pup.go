@@ -29,8 +29,9 @@ package core
 // Fixed-width primitives (Int, Float64, …) are big-endian; Varint and
 // Uvarint are encoding/binary's varints, for the small counts and
 // sequence numbers message payloads are mostly made of. Every length
-// prefix is a uvarint checked against the bytes that remain, so a corrupt
-// count can neither wrap nor allocate.
+// prefix is a uvarint checked against the bytes that remain and, where a
+// format sets one, against its count cap, so a corrupt count can neither
+// wrap nor allocate.
 
 import (
 	"encoding/binary"
@@ -285,10 +286,11 @@ func (p *PUP) Duration(v *time.Duration) {
 
 // length moves a slice length prefix (a uvarint) and, when unpacking,
 // validates it against the bytes actually remaining — every element costs
-// at least elemSize bytes (anything below 1 counts as 1) — so a corrupt
-// prefix cannot trigger a huge allocation. The comparison divides rather
-// than multiplies: a count of 2^61 must not wrap into plausibility.
-func (p *PUP) length(n *int, elemSize int) {
+// at least elemSize bytes (anything below 1 counts as 1) — and against
+// maxCount when it is positive, so a corrupt prefix cannot trigger a huge
+// allocation. The comparison divides rather than multiplies: a count of
+// 2^61 must not wrap into plausibility.
+func (p *PUP) length(n *int, elemSize, maxCount int) {
 	if elemSize < 1 {
 		elemSize = 1
 	}
@@ -299,6 +301,10 @@ func (p *PUP) length(n *int, elemSize int) {
 			p.fail(fmt.Errorf("pup: implausible length %d (%d bytes remain, %d per element)", u, p.remaining(), elemSize))
 			return
 		}
+		if maxCount > 0 && u > uint64(maxCount) {
+			p.fail(fmt.Errorf("pup: length %d exceeds the cap of %d", u, maxCount))
+			return
+		}
 		*n = int(u)
 	}
 }
@@ -306,11 +312,12 @@ func (p *PUP) length(n *int, elemSize int) {
 // PUPSlice moves a slice of structured elements: a length prefix, then
 // elem for each element in order. minElemBytes is the least one element
 // can occupy on the wire (at least 1 is assumed); it bounds the count a
-// corrupt prefix can claim. Unpacking replaces the pointee with a fresh slice, nil for
-// length 0.
-func PUPSlice[T any](p *PUP, s *[]T, minElemBytes int, elem func(e *T, p *PUP)) {
+// corrupt prefix can claim. maxCount, when positive, is the format's own
+// cap on the count, checked before anything is allocated. Unpacking
+// replaces the pointee with a fresh slice, nil for length 0.
+func PUPSlice[T any](p *PUP, s *[]T, minElemBytes, maxCount int, elem func(e *T, p *PUP)) {
 	n := len(*s)
-	p.length(&n, minElemBytes)
+	p.length(&n, minElemBytes, maxCount)
 	if p.err != nil {
 		return
 	}
@@ -330,7 +337,7 @@ func PUPSlice[T any](p *PUP, s *[]T, minElemBytes int, elem func(e *T, p *PUP)) 
 // length always unpacks as nil).
 func (p *PUP) Bytes(v *[]byte) {
 	n := len(*v)
-	p.length(&n, 1)
+	p.length(&n, 1, 0)
 	if p.err != nil {
 		return
 	}
@@ -352,7 +359,7 @@ func (p *PUP) Bytes(v *[]byte) {
 // String moves a string with a length prefix.
 func (p *PUP) String(v *string) {
 	n := len(*v)
-	p.length(&n, 1)
+	p.length(&n, 1, 0)
 	if p.err != nil {
 		return
 	}
@@ -373,7 +380,7 @@ func (p *PUP) String(v *string) {
 // the target program can simply compare lengths before calling this.
 func (p *PUP) Float64s(v *[]float64) {
 	n := len(*v)
-	p.length(&n, 8)
+	p.length(&n, 8, 0)
 	if p.err != nil {
 		return
 	}
@@ -401,7 +408,7 @@ func (p *PUP) Float64s(v *[]float64) {
 // uniformity with the scalar encoding).
 func (p *PUP) Int32s(v *[]int32) {
 	n := len(*v)
-	p.length(&n, 8)
+	p.length(&n, 8, 0)
 	if p.err != nil {
 		return
 	}
@@ -428,7 +435,7 @@ func (p *PUP) Int32s(v *[]int32) {
 // Ints moves a []int with a length prefix.
 func (p *PUP) Ints(v *[]int) {
 	n := len(*v)
-	p.length(&n, 8)
+	p.length(&n, 8, 0)
 	if p.err != nil {
 		return
 	}

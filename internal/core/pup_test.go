@@ -99,7 +99,7 @@ func TestPUPUnpackRejectsBadInput(t *testing.T) {
 type pupZeroMin struct{ xs []struct{} }
 
 func (v *pupZeroMin) PUP(p *PUP) {
-	PUPSlice(p, &v.xs, 0, func(*struct{}, *PUP) {})
+	PUPSlice(p, &v.xs, 0, 0, func(*struct{}, *PUP) {})
 }
 
 func TestPUPSliceZeroMinElemBytes(t *testing.T) {

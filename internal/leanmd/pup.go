@@ -11,7 +11,7 @@ import (
 // pupVec3s moves a []Vec3 — in messages and in a cell's packed state
 // alike — as a count and three bit-exact floats per vector.
 func pupVec3s(p *core.PUP, v *[]Vec3) {
-	core.PUPSlice(p, v, 24, func(w *Vec3, p *core.PUP) {
+	core.PUPSlice(p, v, 24, 0, func(w *Vec3, p *core.PUP) {
 		p.Float64(&w.X)
 		p.Float64(&w.Y)
 		p.Float64(&w.Z)

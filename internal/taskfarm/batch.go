@@ -138,7 +138,7 @@ func init() {
 // one or two near-adjacent ranges, so the whole list is a few bytes.
 func pupRanges(p *core.PUP, rs *[]taskRange) {
 	prevEnd := int64(0)
-	core.PUPSlice(p, rs, 2, func(r *taskRange, p *core.PUP) {
+	core.PUPSlice(p, rs, 2, 0, func(r *taskRange, p *core.PUP) {
 		d := r.Lo - prevEnd
 		p.Varint(&d)
 		if p.Unpacking() {
@@ -185,7 +185,7 @@ func (m *submitMsg) PUP(p *core.PUP) { pupRanges(p, &m.Ranges) }
 
 func (m *shardReportMsg) PUP(p *core.PUP) {
 	core.PUPVarint(p, &m.Shard)
-	core.PUPSlice(p, &m.PerW, 1, func(n *int32, p *core.PUP) { core.PUPUvarint(p, n) })
+	core.PUPSlice(p, &m.PerW, 1, 0, func(n *int32, p *core.PUP) { core.PUPUvarint(p, n) })
 	p.Varint(&m.Granted)
 	p.Varint(&m.Steals)
 	p.Varint(&m.StealFails)

@@ -19,10 +19,11 @@
 package telemetry
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
+	"gridmdo/internal/core"
 	"gridmdo/internal/metrics"
 )
 
@@ -93,292 +94,106 @@ type Report struct {
 	Steps   []StepOverlap
 }
 
-// sample kind codes on the wire.
-const (
-	wireKindCounter   = 0
-	wireKindGauge     = 1
-	wireKindHistogram = 2
-)
-
-func kindCode(kind string) (byte, error) {
-	switch kind {
-	case metrics.KindCounter.String():
-		return wireKindCounter, nil
-	case metrics.KindGauge.String():
-		return wireKindGauge, nil
-	case metrics.KindHistogram.String():
-		return wireKindHistogram, nil
-	}
-	return 0, fmt.Errorf("%w: sample kind %q", ErrBadWire, kind)
+// wireKinds maps a sample-kind code on the wire (the index) to its name.
+var wireKinds = [...]string{
+	metrics.KindCounter.String(),
+	metrics.KindGauge.String(),
+	metrics.KindHistogram.String(),
 }
 
-func kindName(code byte) (string, error) {
-	switch code {
-	case wireKindCounter:
-		return metrics.KindCounter.String(), nil
-	case wireKindGauge:
-		return metrics.KindGauge.String(), nil
-	case wireKindHistogram:
-		return metrics.KindHistogram.String(), nil
+// PUP moves the report in wire form: magic, version, varint fields,
+// count-prefixed sections. It is a core.PUP traversal like the membership
+// control payloads, so both decode with the same strictness; every
+// section count is capped before its slice is allocated.
+func (r *Report) PUP(p *core.PUP) {
+	h := [3]byte{wireMagic0, wireMagic1, wireVersion}
+	for i := range h {
+		core.PUPUvarint(p, &h[i])
 	}
-	return "", fmt.Errorf("%w: sample kind code %d", ErrBadWire, code)
+	if p.Unpacking() && p.Err() == nil {
+		if h[0] != wireMagic0 || h[1] != wireMagic1 {
+			p.Errorf("bad report magic")
+		} else if h[2] != wireVersion {
+			p.Errorf("report version %d", h[2])
+		}
+	}
+	core.PUPVarint(p, &r.Node)
+	p.Uvarint(&r.Seq)
+	p.Bool(&r.Full)
+	p.Varint(&r.EpochUnixNs)
+	p.Varint(&r.HorizonNs)
+	p.Uvarint(&r.Dropped)
+	core.PUPSlice(p, &r.Metrics, 7, maxWireSeries, pupSample)
+	core.PUPSlice(p, &r.Spans, 8, maxWireSpans, func(sp *Span, p *core.PUP) {
+		p.Uvarint(&sp.ID)
+		p.Uvarint(&sp.Parent)
+		core.PUPVarint(p, &sp.PE)
+		core.PUPUvarint(p, &sp.Kind)
+		p.Varint(&sp.SendNs)
+		p.Varint(&sp.EnqueueNs)
+		p.Varint(&sp.BeginNs)
+		p.Varint(&sp.EndNs)
+	})
+	core.PUPSlice(p, &r.Steps, 4, maxWireSteps, func(st *StepOverlap, p *core.PUP) {
+		p.Varint(&st.Step)
+		p.Varint(&st.ComputeNs)
+		p.Varint(&st.MaskedNs)
+		p.Varint(&st.ExposedNs)
+	})
 }
 
-// AppendReport appends r in wire form: magic, version, varint fields,
-// length-prefixed sections. The layout matches the membership codec's
-// conventions so both control-frame payloads decode with the same
-// strictness.
+func pupSample(s *metrics.Sample, p *core.PUP) {
+	pupWireStr(p, &s.Name)
+	pupWireStr(p, &s.Labels)
+	var code uint8
+	if !p.Unpacking() {
+		i := slices.Index(wireKinds[:], s.Kind)
+		if i < 0 {
+			p.Errorf("sample kind %q", s.Kind)
+		}
+		code = uint8(i)
+	}
+	core.PUPUvarint(p, &code)
+	if p.Unpacking() && p.Err() == nil {
+		if int(code) >= len(wireKinds) {
+			p.Errorf("sample kind code %d", code)
+			return
+		}
+		s.Kind = wireKinds[code]
+	}
+	p.Varint(&s.Value)
+	p.Varint(&s.Count)
+	p.Varint(&s.Sum)
+	core.PUPSlice(p, &s.Bucket, 2, maxWireSeries, func(b *metrics.Bucket, p *core.PUP) {
+		p.Varint(&b.LE)
+		p.Varint(&b.Count)
+	})
+}
+
+// pupWireStr moves a string that must not exceed maxWireStr bytes.
+func pupWireStr(p *core.PUP, s *string) {
+	p.String(s)
+	if p.Unpacking() && p.Err() == nil && len(*s) > maxWireStr {
+		p.Errorf("%d-byte string", len(*s))
+	}
+}
+
+// AppendReport appends r in wire form. An unknown sample kind fails.
 func AppendReport(dst []byte, r *Report) ([]byte, error) {
-	dst = append(dst, wireMagic0, wireMagic1, wireVersion)
-	dst = binary.AppendVarint(dst, int64(r.Node))
-	dst = binary.AppendUvarint(dst, r.Seq)
-	if r.Full {
-		dst = append(dst, 1)
-	} else {
-		dst = append(dst, 0)
+	b, err := core.PUPPack(r)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadWire, err)
 	}
-	dst = binary.AppendVarint(dst, r.EpochUnixNs)
-	dst = binary.AppendVarint(dst, r.HorizonNs)
-	dst = binary.AppendUvarint(dst, r.Dropped)
-
-	dst = binary.AppendUvarint(dst, uint64(len(r.Metrics)))
-	for _, s := range r.Metrics {
-		code, err := kindCode(s.Kind)
-		if err != nil {
-			return nil, err
-		}
-		dst = appendString(dst, s.Name)
-		dst = appendString(dst, s.Labels)
-		dst = append(dst, code)
-		dst = binary.AppendVarint(dst, s.Value)
-		dst = binary.AppendVarint(dst, s.Count)
-		dst = binary.AppendVarint(dst, s.Sum)
-		dst = binary.AppendUvarint(dst, uint64(len(s.Bucket)))
-		for _, b := range s.Bucket {
-			dst = binary.AppendVarint(dst, b.LE)
-			dst = binary.AppendVarint(dst, b.Count)
-		}
-	}
-
-	dst = binary.AppendUvarint(dst, uint64(len(r.Spans)))
-	for _, sp := range r.Spans {
-		dst = binary.AppendUvarint(dst, sp.ID)
-		dst = binary.AppendUvarint(dst, sp.Parent)
-		dst = binary.AppendVarint(dst, int64(sp.PE))
-		dst = append(dst, sp.Kind)
-		dst = binary.AppendVarint(dst, sp.SendNs)
-		dst = binary.AppendVarint(dst, sp.EnqueueNs)
-		dst = binary.AppendVarint(dst, sp.BeginNs)
-		dst = binary.AppendVarint(dst, sp.EndNs)
-	}
-
-	dst = binary.AppendUvarint(dst, uint64(len(r.Steps)))
-	for _, st := range r.Steps {
-		dst = binary.AppendVarint(dst, st.Step)
-		dst = binary.AppendVarint(dst, st.ComputeNs)
-		dst = binary.AppendVarint(dst, st.MaskedNs)
-		dst = binary.AppendVarint(dst, st.ExposedNs)
-	}
-	return dst, nil
+	return append(dst, b...), nil
 }
 
 // DecodeReport parses a wire-form report. Strict: bad magic, unknown
-// version, truncated input, oversized counts, and trailing bytes all
-// fail, so a corrupted control frame is rejected whole.
+// version, truncated input, out-of-range fields, oversized counts, and
+// trailing bytes all fail, so a corrupted control frame is rejected whole.
 func DecodeReport(b []byte) (*Report, error) {
-	if len(b) < 3 || b[0] != wireMagic0 || b[1] != wireMagic1 {
-		return nil, fmt.Errorf("%w: bad report magic", ErrBadWire)
-	}
-	if b[2] != wireVersion {
-		return nil, fmt.Errorf("%w: report version %d", ErrBadWire, b[2])
-	}
-	b = b[3:]
 	var r Report
-	var sv int64
-	var uv uint64
-	var err error
-	if sv, b, err = consumeVarint(b); err != nil {
-		return nil, err
-	}
-	r.Node = int32(sv)
-	if r.Seq, b, err = consumeUvarint(b); err != nil {
-		return nil, err
-	}
-	if len(b) < 1 {
-		return nil, fmt.Errorf("%w: truncated full flag", ErrBadWire)
-	}
-	if b[0] > 1 {
-		return nil, fmt.Errorf("%w: full flag %d", ErrBadWire, b[0])
-	}
-	r.Full = b[0] == 1
-	b = b[1:]
-	if r.EpochUnixNs, b, err = consumeVarint(b); err != nil {
-		return nil, err
-	}
-	if r.HorizonNs, b, err = consumeVarint(b); err != nil {
-		return nil, err
-	}
-	if r.Dropped, b, err = consumeUvarint(b); err != nil {
-		return nil, err
-	}
-
-	if uv, b, err = consumeUvarint(b); err != nil {
-		return nil, err
-	}
-	if uv > maxWireSeries {
-		return nil, fmt.Errorf("%w: %d metric series", ErrBadWire, uv)
-	}
-	if uv > 0 {
-		r.Metrics = make([]metrics.Sample, 0, uv)
-	}
-	for i := uint64(0); i < uv; i++ {
-		var s metrics.Sample
-		if s.Name, b, err = consumeString(b); err != nil {
-			return nil, err
-		}
-		if s.Labels, b, err = consumeString(b); err != nil {
-			return nil, err
-		}
-		if len(b) < 1 {
-			return nil, fmt.Errorf("%w: truncated sample kind", ErrBadWire)
-		}
-		if s.Kind, err = kindName(b[0]); err != nil {
-			return nil, err
-		}
-		b = b[1:]
-		if s.Value, b, err = consumeVarint(b); err != nil {
-			return nil, err
-		}
-		if s.Count, b, err = consumeVarint(b); err != nil {
-			return nil, err
-		}
-		if s.Sum, b, err = consumeVarint(b); err != nil {
-			return nil, err
-		}
-		var nb uint64
-		if nb, b, err = consumeUvarint(b); err != nil {
-			return nil, err
-		}
-		if nb > maxWireSeries {
-			return nil, fmt.Errorf("%w: %d histogram buckets", ErrBadWire, nb)
-		}
-		if nb > 0 {
-			s.Bucket = make([]metrics.Bucket, 0, nb)
-		}
-		for j := uint64(0); j < nb; j++ {
-			var bk metrics.Bucket
-			if bk.LE, b, err = consumeVarint(b); err != nil {
-				return nil, err
-			}
-			if bk.Count, b, err = consumeVarint(b); err != nil {
-				return nil, err
-			}
-			s.Bucket = append(s.Bucket, bk)
-		}
-		r.Metrics = append(r.Metrics, s)
-	}
-
-	if uv, b, err = consumeUvarint(b); err != nil {
-		return nil, err
-	}
-	if uv > maxWireSpans {
-		return nil, fmt.Errorf("%w: %d spans", ErrBadWire, uv)
-	}
-	if uv > 0 {
-		r.Spans = make([]Span, 0, uv)
-	}
-	for i := uint64(0); i < uv; i++ {
-		var sp Span
-		if sp.ID, b, err = consumeUvarint(b); err != nil {
-			return nil, err
-		}
-		if sp.Parent, b, err = consumeUvarint(b); err != nil {
-			return nil, err
-		}
-		if sv, b, err = consumeVarint(b); err != nil {
-			return nil, err
-		}
-		sp.PE = int32(sv)
-		if len(b) < 1 {
-			return nil, fmt.Errorf("%w: truncated span kind", ErrBadWire)
-		}
-		sp.Kind = b[0]
-		b = b[1:]
-		if sp.SendNs, b, err = consumeVarint(b); err != nil {
-			return nil, err
-		}
-		if sp.EnqueueNs, b, err = consumeVarint(b); err != nil {
-			return nil, err
-		}
-		if sp.BeginNs, b, err = consumeVarint(b); err != nil {
-			return nil, err
-		}
-		if sp.EndNs, b, err = consumeVarint(b); err != nil {
-			return nil, err
-		}
-		r.Spans = append(r.Spans, sp)
-	}
-
-	if uv, b, err = consumeUvarint(b); err != nil {
-		return nil, err
-	}
-	if uv > maxWireSteps {
-		return nil, fmt.Errorf("%w: %d steps", ErrBadWire, uv)
-	}
-	if uv > 0 {
-		r.Steps = make([]StepOverlap, 0, uv)
-	}
-	for i := uint64(0); i < uv; i++ {
-		var st StepOverlap
-		if st.Step, b, err = consumeVarint(b); err != nil {
-			return nil, err
-		}
-		if st.ComputeNs, b, err = consumeVarint(b); err != nil {
-			return nil, err
-		}
-		if st.MaskedNs, b, err = consumeVarint(b); err != nil {
-			return nil, err
-		}
-		if st.ExposedNs, b, err = consumeVarint(b); err != nil {
-			return nil, err
-		}
-		r.Steps = append(r.Steps, st)
-	}
-
-	if len(b) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes after report", ErrBadWire, len(b))
+	if err := core.PUPUnpack(&r, b); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadWire, err)
 	}
 	return &r, nil
-}
-
-func appendString(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
-
-func consumeString(b []byte) (string, []byte, error) {
-	n, b, err := consumeUvarint(b)
-	if err != nil {
-		return "", b, err
-	}
-	if n > maxWireStr || n > uint64(len(b)) {
-		return "", b, fmt.Errorf("%w: truncated string", ErrBadWire)
-	}
-	return string(b[:n]), b[n:], nil
-}
-
-func consumeUvarint(b []byte) (uint64, []byte, error) {
-	v, n := binary.Uvarint(b)
-	if n <= 0 {
-		return 0, b, fmt.Errorf("%w: bad uvarint", ErrBadWire)
-	}
-	return v, b[n:], nil
-}
-
-func consumeVarint(b []byte) (int64, []byte, error) {
-	v, n := binary.Varint(b)
-	if n <= 0 {
-		return 0, b, fmt.Errorf("%w: bad varint", ErrBadWire)
-	}
-	return v, b[n:], nil
 }

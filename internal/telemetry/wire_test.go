@@ -1,6 +1,13 @@
 package telemetry
 
 import (
+	"encoding/binary"
+	"encoding/hex"
+	"errors"
+	"math"
+	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"gridmdo/internal/metrics"
@@ -119,4 +126,102 @@ func TestDecodeReportBadKind(t *testing.T) {
 		t.Error("encoded unknown sample kind")
 	}
 	_ = buf
+}
+
+// TestReportWireGolden pins the report encoding to the bytes the
+// hand-written codec produced before the report became a PUP traversal:
+// the move onto PUP must not change what is on the wire.
+func TestReportWireGolden(t *testing.T) {
+	cases := []struct {
+		name string
+		r    *Report
+		hex  string
+	}{
+		{"all sections", sampleReport(), "544c010611018080d0e2c6bfce972f80e497d012040307615f746f74616c0000540000000564657074680c7b74656e616e743d2278227d010d000000036c617400020012f601021406c8011202818080808080c00181808080808080ffff010401c801c0bef40380d98004c092d604828080808080c001000000e807000000020080d1ca08809bee0280897a02c0ebd608c09fab03c0843d"},
+		{"empty", &Report{Node: 0, Seq: 1}, "544c01000100000000000000"},
+	}
+	for _, tc := range cases {
+		b, err := AppendReport(nil, tc.r)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := hex.EncodeToString(b); got != tc.hex {
+			t.Errorf("%s: encoded %s, want %s", tc.name, got, tc.hex)
+		}
+		got, err := DecodeReport(b)
+		if err != nil || !reflect.DeepEqual(got, tc.r) {
+			t.Errorf("%s: decoded %+v, %v", tc.name, got, err)
+		}
+	}
+}
+
+// reportHead is the encoding of an empty report up to (not including)
+// its metrics count.
+var reportHead = []byte{'T', 'L', 1, 0, 1, 0, 0, 0, 0}
+
+// TestDecodeReportNarrowing: a node or span PE that does not fit int32
+// is rejected, not silently truncated onto another node or PE.
+func TestDecodeReportNarrowing(t *testing.T) {
+	node := append([]byte{'T', 'L', 1}, binary.AppendVarint(nil, 1<<32+3)...)
+	node = append(node, 1, 0, 0, 0, 0, 0, 0, 0)
+	span := append(append([]byte(nil), reportHead...), 0, 1, 1, 1)
+	span = append(binary.AppendVarint(span, 1<<31), 0, 0, 0, 0, 0, 0)
+	for name, b := range map[string][]byte{"node 2^32+3": node, "span PE 2^31": span} {
+		if r, err := DecodeReport(b); !errors.Is(err, ErrBadWire) {
+			t.Errorf("%s: decoded %+v, %v; want ErrBadWire", name, r, err)
+		}
+	}
+	// The same frames with in-range values are well formed.
+	ok := append([]byte{'T', 'L', 1}, binary.AppendVarint(nil, math.MaxInt32)...)
+	ok = append(ok, 1, 0, 0, 0, 0, 0, 0, 0)
+	if r, err := DecodeReport(ok); err != nil || r.Node != math.MaxInt32 {
+		t.Errorf("node MaxInt32: decoded %+v, %v", r, err)
+	}
+}
+
+// TestDecodeReportChecks: each field check rejects its input.
+func TestDecodeReportChecks(t *testing.T) {
+	long := strings.Repeat("x", maxWireStr+1)
+	withHead := func(tail ...byte) []byte { return append(append([]byte(nil), reportHead...), tail...) }
+	cases := map[string][]byte{
+		"full flag 2":      {'T', 'L', 1, 0, 1, 2, 0, 0, 0, 0, 0, 0},
+		"sample kind 3":    withHead(1, 1, 'a', 0, 3, 0, 0, 0, 0, 0, 0),
+		"long sample name": withHead(append(append(append([]byte{1}, binary.AppendUvarint(nil, uint64(len(long)))...), long...), 0, 0, 0, 0, 0, 0, 0, 0)...),
+	}
+	for name, b := range cases {
+		if r, err := DecodeReport(b); !errors.Is(err, ErrBadWire) {
+			t.Errorf("%s: decoded %+v, %v; want ErrBadWire", name, r, err)
+		}
+	}
+	// The shortest span and sample the format allows still decode: the
+	// per-element minimums the count check divides by are honest.
+	b := withHead(1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0)
+	if r, err := DecodeReport(b); err != nil || len(r.Metrics) != 1 || len(r.Spans) != 2 || len(r.Steps) != 2 {
+		t.Errorf("minimal sections: decoded %+v, %v", r, err)
+	}
+}
+
+// TestDecodeReportCapsBeforeAlloc: a section count over its cap that the
+// frame's bytes could still cover is refused before the slice is made.
+func TestDecodeReportCapsBeforeAlloc(t *testing.T) {
+	body := make([]byte, 1<<20)
+	cases := map[string][]byte{
+		"series":  binary.AppendUvarint(append([]byte(nil), reportHead...), maxWireSeries+1),
+		"buckets": binary.AppendUvarint(append(append([]byte(nil), reportHead...), 1, 0, 0, 0, 0, 0, 0), maxWireSeries+1),
+		"spans":   binary.AppendUvarint(append(append([]byte(nil), reportHead...), 0), maxWireSpans+1),
+		"steps":   binary.AppendUvarint(append(append([]byte(nil), reportHead...), 0, 0), maxWireSteps+1),
+	}
+	for name, b := range cases {
+		b = append(b, body...)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := DecodeReport(b)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrBadWire) {
+			t.Errorf("%s: oversized count: err %v", name, err)
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d >= 64<<10 {
+			t.Errorf("%s: rejecting an oversized count allocated %d bytes", name, d)
+		}
+	}
 }

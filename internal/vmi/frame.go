@@ -63,37 +63,13 @@ var ErrFrameTooLarge = errors.New("vmi: frame body exceeds limit")
 // VMI frame magic.
 var ErrBadMagic = errors.New("vmi: bad frame magic")
 
-// EncodedLen reports the number of bytes EncodeTo will write.
+// EncodedLen reports the number of bytes AppendEncode will append.
 func (f *Frame) EncodedLen() int { return headerLen + len(f.Body) }
 
-// EncodeTo writes the frame header and body to w. Obj is not serialized;
-// callers that need wire transport must populate Body first.
-func (f *Frame) EncodeTo(w io.Writer) error {
-	var h [headerLen]byte
-	binary.BigEndian.PutUint32(h[0:], frameMagic)
-	h[4] = byte(f.Class)
-	// h[5] reserved
-	binary.BigEndian.PutUint16(h[6:], f.Flags)
-	binary.BigEndian.PutUint32(h[8:], uint32(f.Src))
-	binary.BigEndian.PutUint32(h[12:], uint32(f.Dst))
-	binary.BigEndian.PutUint32(h[16:], uint32(f.Prio))
-	binary.BigEndian.PutUint64(h[20:], f.Seq)
-	binary.BigEndian.PutUint64(h[28:], f.Trace)
-	binary.BigEndian.PutUint32(h[36:], uint32(len(f.Body)))
-	if _, err := w.Write(h[:]); err != nil {
-		return fmt.Errorf("vmi: write header: %w", err)
-	}
-	if len(f.Body) > 0 {
-		if _, err := w.Write(f.Body); err != nil {
-			return fmt.Errorf("vmi: write body: %w", err)
-		}
-	}
-	return nil
-}
-
 // AppendEncode appends the frame's wire encoding (header and body) to dst
-// and returns the extended slice. It is the allocation-free counterpart of
-// EncodeTo used by the TCP write coalescer.
+// and returns the extended slice — the one encoder, used by the TCP write
+// coalescer. Obj is not serialized; callers that need wire transport must
+// populate Body first.
 func (f *Frame) AppendEncode(dst []byte) []byte {
 	var h [headerLen]byte
 	binary.BigEndian.PutUint32(h[0:], frameMagic)
@@ -172,7 +148,8 @@ func (fr *frameReader) release() {
 
 // fill ensures at least need unparsed bytes are buffered, compacting and
 // growing the block as required. It reports io.EOF only at a clean frame
-// boundary (no partial data), matching DecodeFrom's stream semantics.
+// boundary (no partial data), so a closed connection ends the stream
+// cleanly.
 func (fr *frameReader) fill(need int) error {
 	if fr.pos > 0 {
 		copy(fr.buf, fr.buf[fr.pos:fr.end])
@@ -228,38 +205,6 @@ func (fr *frameReader) Next(f *Frame) error {
 		return err
 	}
 	fr.pos = fr.end - len(rest)
-	return nil
-}
-
-// DecodeFrom reads one frame from r, replacing f's fields. Obj is left nil.
-func (f *Frame) DecodeFrom(r io.Reader) error {
-	var h [headerLen]byte
-	if _, err := io.ReadFull(r, h[:]); err != nil {
-		return err // io.EOF propagates cleanly for connection shutdown
-	}
-	if binary.BigEndian.Uint32(h[0:]) != frameMagic {
-		return ErrBadMagic
-	}
-	f.Class = Class(h[4])
-	f.Flags = binary.BigEndian.Uint16(h[6:])
-	f.Src = int32(binary.BigEndian.Uint32(h[8:]))
-	f.Dst = int32(binary.BigEndian.Uint32(h[12:]))
-	f.Prio = int32(binary.BigEndian.Uint32(h[16:]))
-	f.Seq = binary.BigEndian.Uint64(h[20:])
-	f.Trace = binary.BigEndian.Uint64(h[28:])
-	n := binary.BigEndian.Uint32(h[36:])
-	if n > maxFrameBody {
-		return ErrFrameTooLarge
-	}
-	f.Obj = nil
-	if n == 0 {
-		f.Body = nil
-		return nil
-	}
-	f.Body = make([]byte, n)
-	if _, err := io.ReadFull(r, f.Body); err != nil {
-		return fmt.Errorf("vmi: read body: %w", err)
-	}
 	return nil
 }
 

@@ -2,7 +2,7 @@ package vmi
 
 import (
 	"bytes"
-	"math/rand"
+	"io"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -13,16 +13,17 @@ func TestFrameRoundTrip(t *testing.T) {
 		Src: 3, Dst: 17, Prio: -5, Class: ClassSystem, Flags: FlagReliable,
 		Seq: 123456789, Trace: 0x0001_0000_0000_002a, Body: []byte("hello, grid"),
 	}
-	var buf bytes.Buffer
-	if err := in.EncodeTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() != in.EncodedLen() {
-		t.Errorf("EncodedLen = %d, wrote %d", in.EncodedLen(), buf.Len())
+	buf := in.AppendEncode(nil)
+	if len(buf) != in.EncodedLen() {
+		t.Errorf("EncodedLen = %d, wrote %d", in.EncodedLen(), len(buf))
 	}
 	var out Frame
-	if err := out.DecodeFrom(&buf); err != nil {
+	rest, err := out.DecodeBytes(buf)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if len(rest) != 0 {
+		t.Errorf("%d bytes left after one frame", len(rest))
 	}
 	in.Obj = nil
 	if !reflect.DeepEqual(*in, out) {
@@ -32,12 +33,8 @@ func TestFrameRoundTrip(t *testing.T) {
 
 func TestFrameRoundTripEmptyBody(t *testing.T) {
 	in := &Frame{Src: 1, Dst: 2, Seq: 9}
-	var buf bytes.Buffer
-	if err := in.EncodeTo(&buf); err != nil {
-		t.Fatal(err)
-	}
 	var out Frame
-	if err := out.DecodeFrom(&buf); err != nil {
+	if _, err := out.DecodeBytes(in.AppendEncode(nil)); err != nil {
 		t.Fatal(err)
 	}
 	if out.Body != nil {
@@ -53,12 +50,8 @@ func TestFrameRoundTripEmptyBody(t *testing.T) {
 func TestFrameRoundTripProperty(t *testing.T) {
 	f := func(src, dst, prio int32, class uint8, flags uint16, seq, tr uint64, body []byte) bool {
 		in := &Frame{Src: src, Dst: dst, Prio: prio, Class: Class(class), Flags: flags, Seq: seq, Trace: tr, Body: body}
-		var buf bytes.Buffer
-		if err := in.EncodeTo(&buf); err != nil {
-			return false
-		}
 		var out Frame
-		if err := out.DecodeFrom(&buf); err != nil {
+		if rest, err := out.DecodeBytes(in.AppendEncode(nil)); err != nil || len(rest) != 0 {
 			return false
 		}
 		if len(body) == 0 {
@@ -78,23 +71,30 @@ func TestFrameRoundTripProperty(t *testing.T) {
 func TestDecodeBadMagic(t *testing.T) {
 	var out Frame
 	buf := bytes.Repeat([]byte{0xAB}, headerLen)
-	if err := out.DecodeFrom(bytes.NewReader(buf)); err != ErrBadMagic {
+	if _, err := out.DecodeBytes(buf); err != ErrBadMagic {
 		t.Errorf("got %v, want ErrBadMagic", err)
 	}
 }
 
 func TestDecodeOversizedBody(t *testing.T) {
-	in := &Frame{Src: 1, Dst: 2, Body: []byte("x")}
-	var buf bytes.Buffer
-	if err := in.EncodeTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	b := buf.Bytes()
+	b := (&Frame{Src: 1, Dst: 2, Body: []byte("x")}).AppendEncode(nil)
 	// Corrupt the length field to something enormous.
 	b[36], b[37], b[38], b[39] = 0xFF, 0xFF, 0xFF, 0xFF
 	var out Frame
-	if err := out.DecodeFrom(bytes.NewReader(b)); err != ErrFrameTooLarge {
+	if _, err := out.DecodeBytes(b); err != ErrFrameTooLarge {
 		t.Errorf("got %v, want ErrFrameTooLarge", err)
+	}
+}
+
+// Every strict prefix of a frame — a short header or a short body — is
+// incomplete, not an error of any other kind.
+func TestDecodeTruncated(t *testing.T) {
+	b := (&Frame{Src: 1, Dst: 2, Body: []byte("body")}).AppendEncode(nil)
+	for n := 0; n < len(b); n++ {
+		var out Frame
+		if _, err := out.DecodeBytes(b[:n]); err != io.ErrUnexpectedEOF {
+			t.Fatalf("prefix of %d/%d bytes: got %v, want io.ErrUnexpectedEOF", n, len(b), err)
+		}
 	}
 }
 
@@ -112,5 +112,4 @@ func TestFrameStringNonEmpty(t *testing.T) {
 	if f.String() == "" {
 		t.Error("empty String()")
 	}
-	_ = encodeUint64(rand.Uint64()) // keep helper exercised
 }

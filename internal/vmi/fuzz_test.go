@@ -6,29 +6,29 @@ import (
 	"testing"
 )
 
-// FuzzFrameDecode: DecodeFrom must never panic and must round-trip
-// whatever it accepts.
+// FuzzFrameDecode: DecodeBytes — the decoder the TCP reader runs — must
+// never panic, must hand back exactly the bytes after the frame it
+// accepted, and must round-trip whatever it accepts.
 func FuzzFrameDecode(f *testing.F) {
 	// Seed with a valid encoded frame and some mutations.
-	var buf bytes.Buffer
-	(&Frame{Src: 1, Dst: 2, Prio: -3, Class: ClassSystem, Seq: 9, Body: []byte("seed")}).EncodeTo(&buf)
-	f.Add(buf.Bytes())
+	seed := (&Frame{Src: 1, Dst: 2, Prio: -3, Class: ClassSystem, Seq: 9, Body: []byte("seed")}).AppendEncode(nil)
+	f.Add(seed)
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xFF}, 64))
-	f.Add(buf.Bytes()[:headerLen-1])
+	f.Add(seed[:headerLen-1])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var fr Frame
-		if err := fr.DecodeFrom(bytes.NewReader(data)); err != nil {
+		rest, err := fr.DecodeBytes(data)
+		if err != nil {
 			return // rejection is fine; panics are not
 		}
-		// Anything accepted must re-encode and decode to the same frame.
-		var out bytes.Buffer
-		if err := fr.EncodeTo(&out); err != nil {
-			t.Fatalf("re-encode of accepted frame failed: %v", err)
+		if n := fr.EncodedLen(); n > len(data) || !bytes.Equal(rest, data[n:]) {
+			t.Fatalf("remainder is %d bytes, want data[%d:] of %d", len(rest), n, len(data))
 		}
+		// Anything accepted must re-encode and decode to the same frame.
 		var fr2 Frame
-		if err := fr2.DecodeFrom(bytes.NewReader(out.Bytes())); err != nil {
+		if _, err := fr2.DecodeBytes(fr.AppendEncode(nil)); err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
 		if fr2.Src != fr.Src || fr2.Dst != fr.Dst || fr2.Seq != fr.Seq || !bytes.Equal(fr2.Body, fr.Body) {

@@ -1,7 +1,6 @@
 package vmi
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -721,11 +720,4 @@ func (t *TCP) Close() error {
 	}
 	t.wg.Wait()
 	return nil
-}
-
-// encodeUint64 is a tiny helper shared by tests.
-func encodeUint64(v uint64) []byte {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], v)
-	return b[:]
 }
