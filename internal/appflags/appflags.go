@@ -8,10 +8,8 @@
 package appflags
 
 import (
-	"errors"
 	"flag"
 	"fmt"
-	"runtime"
 	"strings"
 	"time"
 
@@ -19,7 +17,6 @@ import (
 	"gridmdo/internal/core"
 	"gridmdo/internal/leanmd"
 	"gridmdo/internal/metrics"
-	"gridmdo/internal/sim"
 	"gridmdo/internal/stencil"
 	"gridmdo/internal/taskfarm"
 	"gridmdo/internal/topology"
@@ -122,76 +119,6 @@ func (c *Cluster) JoinerSet(nodes int) (map[int]bool, error) {
 		joiner[n] = true
 	}
 	return joiner, nil
-}
-
-// Engine groups the virtual-time engine's execution flags: which event
-// executor runs the program (-engine), how many workers drive the
-// parallel one (-sim-workers), the machine itself as a synthetic
-// topology spec (-topo), and the cold-store live-set bound (-pack-cold).
-type Engine struct {
-	Engine   string
-	Workers  int
-	Topo     string
-	PackCold int
-}
-
-func (e *Engine) Register(fs *flag.FlagSet) {
-	fs.StringVar(&e.Engine, "engine", "seq", "virtual-time event executor: seq (single-threaded) or par (sharded conservative parallel)")
-	fs.IntVar(&e.Workers, "sim-workers", runtime.GOMAXPROCS(0), "parallel engine worker goroutines (-engine par)")
-	fs.StringVar(&e.Topo, "topo", "", `synthetic topology spec, e.g. "8x128,4x64@0.5;wan=5ms;mesh=rand:7:2ms:20ms" (empty: command default)`)
-	fs.IntVar(&e.PackCold, "pack-cold", 0, "bound live chares per PE; idle state is PUP-packed between events (0 = unbounded)")
-}
-
-// Validate aggregates every configuration error rather than stopping at
-// the first, the same contract as taskfarm.Params.Validate: a bad
-// command line reports all of its problems in one pass.
-func (e *Engine) Validate() error {
-	var errs []error
-	add := func(format string, args ...any) {
-		errs = append(errs, fmt.Errorf("engine: "+format, args...))
-	}
-	switch e.Engine {
-	case "seq", "par":
-	default:
-		add("unknown -engine %q (want seq or par)", e.Engine)
-	}
-	if e.Engine == "par" && e.Workers < 1 {
-		add("-sim-workers %d (parallel engine needs >= 1)", e.Workers)
-	}
-	if e.PackCold < 0 {
-		add("-pack-cold %d (want 0 = unbounded, or a positive live-set cap)", e.PackCold)
-	}
-	if e.Topo != "" {
-		if _, err := topology.ParseSpec(e.Topo); err != nil {
-			errs = append(errs, err)
-		}
-	}
-	return errors.Join(errs...)
-}
-
-// Topology builds -topo when set, or falls back to the command default.
-func (e *Engine) Topology(def func() (*topology.Topology, error)) (*topology.Topology, error) {
-	if e.Topo == "" {
-		return def()
-	}
-	s, err := topology.ParseSpec(e.Topo)
-	if err != nil {
-		return nil, err
-	}
-	return s.Build()
-}
-
-// New constructs the configured engine over topo and prog. The parallel
-// engine refuses zero-lookahead topologies; the error carries the fix
-// (a cross-PE latency), so it is surfaced as-is.
-func (e *Engine) New(topo *topology.Topology, prog *core.Program, opts sim.Options) (*sim.Engine, error) {
-	if e.PackCold > 0 {
-		opts.PackCold = e.PackCold
-	}
-	if e.Engine == "par" {
-		return sim.NewParallel(topo, prog, opts, e.Workers)
-	}
-	return sim.New(topo, prog, opts)
 }
 
 // Sim carries the step counts shared by the time-stepped applications.

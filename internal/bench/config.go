@@ -67,13 +67,6 @@ type Profile struct {
 	// Gate sizes the gateway soak experiment (gate-soak).
 	Gate GateConfig
 
-	// Telemetry sizes the telemetry-plane acceptance experiment
-	// (telemetry).
-	Telemetry TelemetryConfig
-
-	// SimScale sizes the parallel-engine scaling experiment (sim-scale).
-	SimScale SimScaleConfig
-
 	// Metrics, when non-nil, instruments every real-time runtime and TCP
 	// stack the harness constructs (the Table 1/2 host and TCP columns).
 	// The registry accumulates across runs; gridsim -metrics-out writes
@@ -165,50 +158,6 @@ func PaperProfile() Profile {
 			SoakP99Bound: time.Second,
 			Seed:         1,
 		},
-		// Overhead is measured on the paper's own mesh so the per-step
-		// time is large enough for a 2% bound to be meaningful, with the
-		// agent reporting 5x faster than its default — a deliberately
-		// unfavorable setting. The tracer uses the drained-ring capacity
-		// the -telemetry deployment defaults to; the full post-mortem
-		// ring is priced separately (its resident slots are GC scan work,
-		// see trace.DrainedCapacity). Convergence and completeness run at 5%
-		// report loss; re-convergence must happen within two full-snapshot
-		// cadences. The SLO step uses a tight 8ms objective on a virtual
-		// clock so the burn windows are seconds, not minutes.
-		Telemetry: TelemetryConfig{
-			Stencil: StencilConfig{
-				Width: 2048, Height: 2048,
-				Steps: 12, Warmup: 4,
-			},
-			Procs: 8, Objects: 64,
-			Latency:  1725 * time.Microsecond,
-			Interval: 100 * time.Millisecond,
-			Runs:     12, OverheadBound: 0.02,
-			ConvNodes: 16, ConvPeriods: 32,
-			Drop: 0.05, DropLagMax: 8, // two full-snapshot cadences (FullEvery=4)
-			Jobs: 200, CompletenessFloor: 0.95,
-			SLOObjective: 8 * time.Millisecond, SLOBudget: 0.1,
-			SLOFastWindow: 2 * time.Second, SLOSlowWindow: 8 * time.Second,
-			SLOThreshold: 2,
-			Seed:         1,
-		},
-		// The sweep crosses the WRONJ-style scaling questions for the
-		// engine itself: thousands of PEs, tokens charged ~1 intra-hop of
-		// model time each, enough host work per event that a multi-core
-		// host can show real speedup. The big arm packs a million chares
-		// through the PUP cold store with a small per-PE live set.
-		SimScale: SimScaleConfig{
-			PEs:         []int{1024, 2048, 4096},
-			Workers:     []int{2, 4, 8},
-			TokensPerPE: 2, Rounds: 400,
-			CharesPerPE: 4, Scratch: 256,
-			HopCost: 10 * time.Microsecond,
-			Big: SimScaleBig{
-				Chares: 1 << 20, PEs: 1024, Rounds: 64,
-				PackCap: 48, Workers: 4,
-				HeapBoundBytes: 1 << 31, // 2 GiB for a million chares
-			},
-		},
 	}
 }
 
@@ -258,41 +207,6 @@ func FastProfile() Profile {
 			FloodClients: 16, FloodQueue: 64,
 			SoakP99Bound: 500 * time.Millisecond,
 			Seed:         1,
-		},
-		// Same structure at test scale. The small mesh makes the per-step
-		// time noisy relative to the agent's cost, so the overhead bound
-		// here is a flake guard, not the headline 2% claim — that is
-		// asserted at paper scale (BENCH_telemetry.json).
-		Telemetry: TelemetryConfig{
-			Stencil: StencilConfig{
-				Width: 512, Height: 512,
-				Steps: 8, Warmup: 3,
-			},
-			Procs: 4, Objects: 16,
-			Latency:  time.Millisecond,
-			Interval: 100 * time.Millisecond,
-			Runs:     2, OverheadBound: 0.25,
-			ConvNodes: 6, ConvPeriods: 16,
-			Drop: 0.05, DropLagMax: 8,
-			Jobs: 60, CompletenessFloor: 0.9,
-			SLOObjective: 8 * time.Millisecond, SLOBudget: 0.1,
-			SLOFastWindow: 2 * time.Second, SLOSlowWindow: 8 * time.Second,
-			SLOThreshold: 2,
-			Seed:         1,
-		},
-		// Same structure at CI scale; the 1024-PE point is kept because
-		// the sim-scale-smoke job asserts parallel speedup there.
-		SimScale: SimScaleConfig{
-			PEs:         []int{256, 1024},
-			Workers:     []int{2, 4},
-			TokensPerPE: 2, Rounds: 120,
-			CharesPerPE: 4, Scratch: 256,
-			HopCost: 10 * time.Microsecond,
-			Big: SimScaleBig{
-				Chares: 1 << 18, PEs: 1024, Rounds: 32,
-				PackCap: 32, Workers: 4,
-				HeapBoundBytes: 1 << 30, // 1 GiB for a quarter million chares
-			},
 		},
 	}
 }

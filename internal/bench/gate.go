@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
@@ -69,35 +68,31 @@ type GateConfig struct {
 
 // GatePhase is one measured phase.
 type GatePhase struct {
-	Jobs       int     `json:"jobs"`
-	Clients    int     `json:"clients"`
-	Duplicates int64   `json:"duplicates"`
-	ElapsedMS  float64 `json:"elapsed_ms"`
-	JobsPerSec float64 `json:"jobs_per_sec"`
-	P50MS      float64 `json:"p50_ms"`
-	P99MS      float64 `json:"p99_ms"`
+	Jobs       int
+	Clients    int
+	Duplicates int64
+	JobsPerSec float64
+	P50MS      float64
+	P99MS      float64
 }
 
 // GateBackpressure is the isolation phase's measurement.
 type GateBackpressure struct {
-	PacedJobs    int     `json:"paced_jobs"`
-	PacedP99MS   float64 `json:"paced_p99_ms"`
-	SoloP99MS    float64 `json:"solo_p99_ms"`
-	P99Ratio     float64 `json:"p99_ratio"` // paced under flood / solo
-	FloodSent    int64   `json:"flood_sent"`
-	Flood429s    int64   `json:"flood_429s"`
-	FloodQueued  int64   `json:"flood_admitted"`
-	RejectedPct  float64 `json:"flood_rejected_pct"`
-	FloodClients int     `json:"flood_clients"`
+	PacedJobs   int
+	PacedP99MS  float64
+	P99Ratio    float64 // paced under flood / solo
+	FloodSent   int64
+	Flood429s   int64
+	RejectedPct float64
 }
 
 // GateChecks are the acceptance gates the soak asserts.
 type GateChecks struct {
-	ExactlyOnce      bool `json:"exactly_once"`       // completed == unique submissions
-	ZeroDoubleExecs  bool `json:"zero_double_execs"`  // farm-side double-execution audit
-	SoakP99Within    bool `json:"soak_p99_within"`    // soak p99 <= SoakP99Bound
-	FloodThrottled   bool `json:"flood_throttled"`    // flood tenant saw 429s
-	PacedWithinBound bool `json:"paced_within_bound"` // paced p99 <= 2x solo p99
+	ExactlyOnce      bool // completed == unique submissions
+	ZeroDoubleExecs  bool // farm-side double-execution audit
+	SoakP99Within    bool // soak p99 <= SoakP99Bound
+	FloodThrottled   bool // flood tenant saw 429s
+	PacedWithinBound bool // paced p99 <= 2x solo p99
 }
 
 func (c GateChecks) ok() bool {
@@ -105,37 +100,15 @@ func (c GateChecks) ok() bool {
 		c.FloodThrottled && c.PacedWithinBound
 }
 
-type gateConfigJ struct {
-	Procs       int     `json:"procs"`
-	Shards      int     `json:"shards"`
-	Batch       int     `json:"batch"`
-	Prefetch    int     `json:"prefetch"`
-	Spin        int     `json:"spin"`
-	MaxInflight int     `json:"max_inflight"`
-	SubmitBatch int     `json:"submit_batch"`
-	DupRate     float64 `json:"dup_rate"`
-	FloodQueue  int     `json:"flood_queue"`
-	P99BoundMS  float64 `json:"soak_p99_bound_ms"`
-}
-
-// GateReport is the machine-readable result (BENCH_gate.json).
+// GateReport is the result of the gate-soak experiment.
 type GateReport struct {
-	Description  string           `json:"description"`
-	Config       gateConfigJ      `json:"config"`
-	Baseline     GatePhase        `json:"baseline"`
-	Soak         GatePhase        `json:"soak"`
-	Backpressure GateBackpressure `json:"backpressure"`
-	Completed    int64            `json:"jobs_completed"`
-	Unique       int64            `json:"unique_submissions"`
-	DoubleExecs  int64            `json:"double_execs"`
-	Checks       GateChecks       `json:"checks"`
-}
-
-// WriteJSON serializes the report.
-func (r *GateReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
+	Baseline     GatePhase
+	Soak         GatePhase
+	Backpressure GateBackpressure
+	Completed    int64 // jobs the farm completed
+	Unique       int64 // distinct submissions
+	DoubleExecs  int64
+	Checks       GateChecks
 }
 
 // gateBench is the assembled in-process stack: serve farm, gateway, and
@@ -317,7 +290,6 @@ func (b *gateBench) runPhase(tenant string, jobs, clients int, keyFor func(i int
 	ph := GatePhase{
 		Jobs: jobs, Clients: clients,
 		Duplicates: delta.Value("gate_jobs_duplicate_total"),
-		ElapsedMS:  ms(elapsed),
 		JobsPerSec: float64(jobs) / elapsed.Seconds(),
 		P50MS:      percentileMS(durs, 0.50),
 		P99MS:      percentileMS(durs, 0.99),
@@ -326,7 +298,7 @@ func (b *gateBench) runPhase(tenant string, jobs, clients int, keyFor func(i int
 }
 
 // GateSoak runs the three-phase gateway experiment and renders the
-// results as a table plus the BENCH_gate.json report.
+// results as a table plus the report its test reads.
 func GateSoak(w io.Writer, p Profile) (*Table, *GateReport, error) {
 	cfg := p.Gate
 	b, err := buildGateBench(cfg)
@@ -436,14 +408,11 @@ func GateSoak(w io.Writer, p Profile) (*Table, *GateReport, error) {
 
 	pacedP99 := percentileMS(pacedDurs, 0.99)
 	bp := GateBackpressure{
-		PacedJobs:    len(pacedDurs),
-		PacedP99MS:   pacedP99,
-		SoloP99MS:    solo.P99MS,
-		P99Ratio:     pacedP99 / solo.P99MS,
-		FloodSent:    floodSent.Load(),
-		Flood429s:    flood429.Load(),
-		FloodQueued:  floodSent.Load() - flood429.Load(),
-		FloodClients: cfg.FloodClients,
+		PacedJobs:  len(pacedDurs),
+		PacedP99MS: pacedP99,
+		P99Ratio:   pacedP99 / solo.P99MS,
+		FloodSent:  floodSent.Load(),
+		Flood429s:  flood429.Load(),
 	}
 	if bp.FloodSent > 0 {
 		bp.RejectedPct = 100 * float64(bp.Flood429s) / float64(bp.FloodSent)
@@ -458,17 +427,6 @@ func GateSoak(w io.Writer, p Profile) (*Table, *GateReport, error) {
 	completed := b.svc.Completed()
 	totalUnique := b.svc.Submitted() // every allocated seq is one distinct farm task
 	rep := &GateReport{
-		Description: "Gateway soak over a real TCP listener: solo-latency baseline, a duplicate-key soak " +
-			"asserting exactly-once execution, and a flood-vs-paced backpressure phase asserting per-tenant " +
-			"isolation (flood tenant throttled with 429s, paced tenant p99 within 2x its solo baseline). " +
-			"Regenerate with: gridsim -experiment gate-soak -json BENCH_gate.json",
-		Config: gateConfigJ{
-			Procs: cfg.Procs, Shards: cfg.Shards, Batch: cfg.Batch,
-			Prefetch: cfg.Prefetch, Spin: cfg.Spin,
-			MaxInflight: cfg.MaxInflight, SubmitBatch: cfg.SubmitBatch,
-			DupRate: cfg.DupRate, FloodQueue: cfg.FloodQueue,
-			P99BoundMS: ms(cfg.SoakP99Bound),
-		},
 		Baseline:     solo,
 		Soak:         soak,
 		Backpressure: bp,

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"time"
@@ -50,55 +49,29 @@ type MembershipConfig struct {
 	Seeds []int64
 }
 
-// MembershipPoint is one measured disturbed run, serialized into
-// BENCH_membership.json.
+// MembershipPoint is one measured disturbed run.
 type MembershipPoint struct {
-	Seed       int64   `json:"seed"`
-	Event      string  `json:"event"`               // "kill" or "drain"
-	DetectMS   float64 `json:"detect_ms,omitempty"` // kill -> coordinator declares dead
-	RehomeMS   float64 `json:"rehome_ms,omitempty"` // kill -> elements re-homed
-	DrainMS    float64 `json:"drain_ms,omitempty"`  // request -> node Left
-	MakespanMS float64 `json:"makespan_ms"`
-	BaselineMS float64 `json:"baseline_ms"`
+	Seed       int64
+	Event      string  // "kill" or "drain"
+	DetectMS   float64 // kill -> coordinator declares dead
+	RehomeMS   float64 // kill -> elements re-homed
+	DrainMS    float64 // request -> node Left
+	MakespanMS float64
+	BaselineMS float64
 	// OverheadPct is the makespan cost of the disturbance relative to
 	// the same-seed undisturbed run (negative values are noise).
-	OverheadPct float64 `json:"overhead_pct"`
-	Evacuated   int64   `json:"evacuated_elements"`
-	StaleDrops  int64   `json:"stale_tables_dropped"`
-	Checksum    string  `json:"checksum"`
-	ChecksumOK  bool    `json:"checksum_ok"`
+	OverheadPct float64
+	Evacuated   int64
+	ChecksumOK  bool
 }
 
-// MembershipReport is the machine-readable result of the membership
-// experiment: recovery latency after a mid-run kill and drain cost, each
-// cross-checked against the static checksum.
+// MembershipReport is the result of the membership experiment: recovery
+// latency after a mid-run kill and drain cost, each cross-checked
+// against the static checksum.
 type MembershipReport struct {
-	Description      string            `json:"description"`
-	Config           membershipConfigJ `json:"config"`
-	Kill             []MembershipPoint `json:"kill"`
-	Drain            []MembershipPoint `json:"drain"`
-	ExpectedChecksum string            `json:"expected_checksum"`
-	ChecksumsMatch   bool              `json:"checksums_match"`
-}
-
-type membershipConfigJ struct {
-	Nodes    int     `json:"nodes"`
-	Tasks    int     `json:"tasks"`
-	Workers  int     `json:"workers"`
-	Prefetch int     `json:"prefetch"`
-	Batch    int     `json:"batch"`
-	Shards   int     `json:"shards"`
-	Spin     int     `json:"spin"`
-	RTOMS    float64 `json:"rto_ms"`
-	RTOMaxMS float64 `json:"rto_max_ms"`
-	Drop     float64 `json:"drop"`
-}
-
-// WriteJSON serializes the report.
-func (r *MembershipReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
+	Kill           []MembershipPoint
+	Drain          []MembershipPoint
+	ChecksumsMatch bool
 }
 
 // memberProc is one process of the elastic in-process cluster.
@@ -318,8 +291,8 @@ func awaitCounter(reg *metrics.Registry, name string, min int64, deadline time.D
 // stopped, stack closed; the coordinator must detect the death through
 // retransmit-budget exhaustion), and with node 1 drained mid-run through
 // the full drain protocol. Every disturbed run must reproduce the
-// undisturbed checksum bit-for-bit. The report feeds
-// BENCH_membership.json.
+// undisturbed checksum bit-for-bit; a divergence comes back as an error
+// alongside the table and the report.
 func MembershipRecovery(w io.Writer, p Profile) (*Table, *MembershipReport, error) {
 	cfg := p.Membership
 	want := taskfarm.ExpectedChecksum(cfg.Tasks)
@@ -329,21 +302,7 @@ func MembershipRecovery(w io.Writer, p Profile) (*Table, *MembershipReport, erro
 		Header: []string{"Seed", "Event", "Detect (ms)", "Re-home (ms)", "Drain (ms)",
 			"Makespan (ms)", "Baseline (ms)", "Overhead", "Evacuated", "Checksum"},
 	}
-	rep := &MembershipReport{
-		Description: "Elastic-membership recovery on a live TCP-loopback cluster, one process per node. " +
-			"Per seed: an undisturbed baseline, a hard kill of the last node mid-run (detected by retransmit-budget " +
-			"exhaustion, elements re-homed onto survivors), and a cooperative drain of node 1 (full drain protocol, " +
-			"LB-free farm path). detect_ms is kill-to-death-declared at the coordinator, rehome_ms kill-to-elements-moved, " +
-			"drain_ms request-to-Left. All runs must reproduce the baseline checksum bit-for-bit. " +
-			"Regenerate with: gridsim -experiment membership -json BENCH_membership.json",
-		Config: membershipConfigJ{
-			Nodes: cfg.Nodes, Tasks: cfg.Tasks, Workers: cfg.Workers,
-			Prefetch: cfg.Prefetch, Batch: cfg.Batch, Shards: cfg.Shards, Spin: cfg.Spin,
-			RTOMS: ms(cfg.RTO), RTOMaxMS: ms(cfg.RTOMax), Drop: cfg.Drop,
-		},
-		ExpectedChecksum: fmt.Sprintf("%#x", want),
-		ChecksumsMatch:   true,
-	}
+	rep := &MembershipReport{ChecksumsMatch: true}
 
 	addRow := func(pt MembershipPoint, detect, rehome, drain string) {
 		ck := "ok"
@@ -414,15 +373,12 @@ func MembershipRecovery(w io.Writer, p Profile) (*Table, *MembershipReport, erro
 		if err != nil {
 			return nil, nil, fmt.Errorf("membership kill seed %d: %w", seed, err)
 		}
-		snap := c.procs[0].reg.Snapshot()
 		pt := MembershipPoint{
 			Seed: seed, Event: "kill",
 			DetectMS: ms(detect), RehomeMS: ms(rehome),
 			MakespanMS: ms(elapsed), BaselineMS: ms(base),
 			OverheadPct: 100 * (elapsed.Seconds() - base.Seconds()) / base.Seconds(),
-			Evacuated:   snap.Value("membership_evacuated_elements_total"),
-			StaleDrops:  snap.Value("membership_stale_tables_total"),
-			Checksum:    fmt.Sprintf("%#x", res.Checksum),
+			Evacuated:   c.procs[0].reg.Snapshot().Value("membership_evacuated_elements_total"),
 			ChecksumOK:  res.Checksum == want,
 		}
 		c.shutdown()
@@ -450,15 +406,12 @@ func MembershipRecovery(w io.Writer, p Profile) (*Table, *MembershipReport, erro
 		if err != nil {
 			return nil, nil, fmt.Errorf("membership drain seed %d: %w", seed, err)
 		}
-		snap = c.procs[0].reg.Snapshot()
 		pt = MembershipPoint{
 			Seed: seed, Event: "drain",
 			DrainMS:    ms(drain),
 			MakespanMS: ms(elapsed), BaselineMS: ms(base),
 			OverheadPct: 100 * (elapsed.Seconds() - base.Seconds()) / base.Seconds(),
-			Evacuated:   snap.Value("membership_evacuated_elements_total"),
-			StaleDrops:  snap.Value("membership_stale_tables_total"),
-			Checksum:    fmt.Sprintf("%#x", res.Checksum),
+			Evacuated:   c.procs[0].reg.Snapshot().Value("membership_evacuated_elements_total"),
 			ChecksumOK:  res.Checksum == want,
 		}
 		c.shutdown()
@@ -466,6 +419,9 @@ func MembershipRecovery(w io.Writer, p Profile) (*Table, *MembershipReport, erro
 		addRow(pt, "-", "-", fmt.Sprintf("%.1f", pt.DrainMS))
 		progress(w, "membership drain    seed=%d %8.0f ms  drain=%.1f ms  evac=%d\n",
 			seed, pt.MakespanMS, pt.DrainMS, pt.Evacuated)
+	}
+	if !rep.ChecksumsMatch {
+		return t, rep, fmt.Errorf("a disturbed run diverged from checksum %#x", want)
 	}
 	return t, rep, nil
 }

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"time"
@@ -58,50 +57,6 @@ func (c FarmConfig) shardsFor(workers int) int {
 	return s
 }
 
-// FarmPoint is one measured sweep point, serialized into
-// BENCH_taskfarm.json.
-type FarmPoint struct {
-	Workers         int     `json:"workers"`
-	Shards          int     `json:"shards"`
-	MakespanMS      float64 `json:"makespan_ms"`
-	TasksPerSec     float64 `json:"tasks_per_sec"`
-	Checksum        string  `json:"checksum"`
-	WorkerImbalance float64 `json:"worker_imbalance"`
-	ShardImbalance  float64 `json:"shard_imbalance,omitempty"`
-	Steals          int     `json:"steals,omitempty"`
-	StolenTasks     int     `json:"stolen_tasks,omitempty"`
-}
-
-// FarmReport is the machine-readable result of the taskfarm-scale
-// experiment: the three throughput curves plus the checksum cross-check.
-type FarmReport struct {
-	Description      string      `json:"description"`
-	Config           farmConfigJ `json:"config"`
-	KneeWorkers      int         `json:"knee_workers_jt_over_at"`
-	SingleMaster     []FarmPoint `json:"single_master"`
-	Sharded          []FarmPoint `json:"sharded"`
-	ShardedStealing  []FarmPoint `json:"sharded_stealing"`
-	ExpectedChecksum string      `json:"expected_checksum"`
-	ChecksumsMatch   bool        `json:"checksums_match"`
-}
-
-type farmConfigJ struct {
-	Tasks        int     `json:"tasks"`
-	TaskCostMS   float64 `json:"task_cost_ms"`
-	AssignCostUS float64 `json:"assign_cost_us"`
-	Prefetch     int     `json:"prefetch"`
-	Batch        int     `json:"batch"`
-	CostSkew     float64 `json:"cost_skew"`
-	LatencyMS    float64 `json:"latency_ms"`
-}
-
-// WriteJSON serializes the report.
-func (r *FarmReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
 // FarmSim runs one farm configuration on the virtual-time engine with one
 // worker per PE.
 func FarmSim(cfg FarmConfig, workers, shards, batch int, steal bool) (*taskfarm.Result, error) {
@@ -131,9 +86,9 @@ func FarmSim(cfg FarmConfig, workers, shards, batch int, steal bool) (*taskfarm.
 
 // TaskfarmScale sweeps worker count across the WRONJ knee for the three
 // dispatcher configurations and reports throughput, imbalance, and steal
-// activity per point. The returned report feeds BENCH_taskfarm.json; the
-// table is the gridsim-rendered view of the same runs.
-func TaskfarmScale(w io.Writer, p Profile) (*Table, *FarmReport, error) {
+// activity per point. Every point must reproduce the task set's expected
+// checksum; a divergence comes back as an error alongside the table.
+func TaskfarmScale(w io.Writer, p Profile) (*Table, error) {
 	cfg := p.Farm
 	t := &Table{
 		Title: fmt.Sprintf("Taskfarm at scale: %d tasks, JT=%v AT=%v (single-master knee at %d workers), skew %.0fx",
@@ -141,74 +96,51 @@ func TaskfarmScale(w io.Writer, p Profile) (*Table, *FarmReport, error) {
 		Header: []string{"Workers", "Config", "Shards", "Makespan (ms)", "Tasks/s",
 			"Imb(workers)", "Imb(shards)", "Steals", "Stolen"},
 	}
-	rep := &FarmReport{
-		Description: "Taskfarm throughput vs worker count, one worker per PE, across the single-master WRONJ knee (JT/AT). " +
-			"Three configurations of the one farm program over the identical task set: one dispatcher shard granting one task per message " +
-			"(the single master), sharded dispatchers (guided batched grants), " +
-			"sharded plus randomized work stealing. CostSkew ramps per-task cost across the task space, so static shard " +
-			"ownership is imbalanced and stealing has real work to move. Regenerate with: gridsim -experiment taskfarm-scale -json BENCH_taskfarm.json",
-		Config: farmConfigJ{
-			Tasks: cfg.Tasks, TaskCostMS: ms(cfg.TaskCost),
-			AssignCostUS: float64(cfg.AssignCost) / float64(time.Microsecond),
-			Prefetch:     cfg.Prefetch, Batch: cfg.Batch, CostSkew: cfg.CostSkew,
-			LatencyMS: ms(cfg.Latency),
-		},
-		KneeWorkers:      cfg.kneeWorkers(),
-		ExpectedChecksum: fmt.Sprintf("%#x", taskfarm.ExpectedChecksum(cfg.Tasks)),
-		ChecksumsMatch:   true,
-	}
 	want := taskfarm.ExpectedChecksum(cfg.Tasks)
+	var diverged []string
 
 	type variant struct {
 		name   string
 		shards func(workers int) int
 		batch  int
 		steal  bool
-		curve  *[]FarmPoint
 	}
 	variants := []variant{
-		{"single", func(int) int { return 1 }, 1, false, &rep.SingleMaster},
-		{"sharded", cfg.shardsFor, cfg.Batch, false, &rep.Sharded},
-		{"sharded+steal", cfg.shardsFor, cfg.Batch, true, &rep.ShardedStealing},
+		{"single", func(int) int { return 1 }, 1, false},
+		{"sharded", cfg.shardsFor, cfg.Batch, false},
+		{"sharded+steal", cfg.shardsFor, cfg.Batch, true},
 	}
 	for _, workers := range cfg.Workers {
 		for _, v := range variants {
 			shards := v.shards(workers)
 			res, err := FarmSim(cfg, workers, shards, v.batch, v.steal)
 			if err != nil {
-				return nil, nil, fmt.Errorf("taskfarm-scale %s W=%d: %w", v.name, workers, err)
+				return nil, fmt.Errorf("taskfarm-scale %s W=%d: %w", v.name, workers, err)
 			}
 			if res.Checksum != want {
-				rep.ChecksumsMatch = false
+				diverged = append(diverged, fmt.Sprintf("%s W=%d", v.name, workers))
 			}
-			pt := FarmPoint{
-				Workers:         workers,
-				Shards:          shards,
-				MakespanMS:      ms(res.Makespan),
-				TasksPerSec:     float64(cfg.Tasks) / res.Makespan.Seconds(),
-				Checksum:        fmt.Sprintf("%#x", res.Checksum),
-				WorkerImbalance: taskfarm.Imbalance(res.PerWorker),
-				Steals:          res.Steals,
-				StolenTasks:     res.StolenTask,
-			}
+			makespan := ms(res.Makespan)
+			tasksPerSec := float64(cfg.Tasks) / res.Makespan.Seconds()
 			shardImb := "-"
 			if shards > 1 {
-				pt.ShardImbalance = taskfarm.Imbalance(res.PerShard)
-				shardImb = fmt.Sprintf("%.2f", pt.ShardImbalance)
+				shardImb = fmt.Sprintf("%.2f", taskfarm.Imbalance(res.PerShard))
 			}
-			*v.curve = append(*v.curve, pt)
 			t.Rows = append(t.Rows, []string{
 				fmt.Sprintf("%d", workers), v.name, fmt.Sprintf("%d", shards),
-				fmt.Sprintf("%.1f", pt.MakespanMS),
-				fmt.Sprintf("%.0f", pt.TasksPerSec),
-				fmt.Sprintf("%.2f", pt.WorkerImbalance),
+				fmt.Sprintf("%.1f", makespan),
+				fmt.Sprintf("%.0f", tasksPerSec),
+				fmt.Sprintf("%.2f", taskfarm.Imbalance(res.PerWorker)),
 				shardImb,
 				fmt.Sprintf("%d", res.Steals),
 				fmt.Sprintf("%d", res.StolenTask),
 			})
 			progress(w, "taskfarm-scale %-13s W=%-6d S=%-3d  %10.1f ms  %12.0f tasks/s  steals=%d\n",
-				v.name, workers, shards, pt.MakespanMS, pt.TasksPerSec, res.Steals)
+				v.name, workers, shards, makespan, tasksPerSec, res.Steals)
 		}
 	}
-	return t, rep, nil
+	if len(diverged) > 0 {
+		return t, fmt.Errorf("checksum diverged from %#x at %v", want, diverged)
+	}
+	return t, nil
 }

@@ -4,7 +4,7 @@ import "testing"
 
 // Hot-path microbenchmarks. Run with -benchmem: every update must report
 // 0 B/op, 0 allocs/op — the registry's reason to exist is that leaving
-// metrics on costs a bare atomic op. BENCH_metrics.json records the
+// metrics on costs a bare atomic op. EXPERIMENTS.md §20 records the
 // results.
 
 func BenchmarkCounterInc(b *testing.B) {

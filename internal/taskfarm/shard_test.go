@@ -129,12 +129,14 @@ func TestStealingUnderSkew(t *testing.T) {
 // at JT/AT = 8 workers. At 32 workers on 32 PEs the single master is
 // assignment-bound (Tasks x AT); eight shards put each dispatcher well
 // under its own knee (4 workers each), so the farm returns to being
-// compute-bound.
+// compute-bound. Far past the knee (128 workers, 16x) the single master
+// plateaus at its dispatch rate: throughput within 10 % of 1/AT.
 func TestShardingBeatsSingleMasterPastKnee(t *testing.T) {
-	const workers = 32
+	const workers, tasks = 32, 2048
+	const at = time.Millisecond
 	base := Params{
-		Tasks: 2048, Prefetch: 2, Workers: workers,
-		TaskCost: 8 * time.Millisecond, AssignCost: time.Millisecond,
+		Tasks: tasks, Prefetch: 2, Workers: workers,
+		TaskCost: 8 * time.Millisecond, AssignCost: at,
 	}
 	single := base
 	single.Shards, single.Batch = 1, 1
@@ -143,12 +145,21 @@ func TestShardingBeatsSingleMasterPastKnee(t *testing.T) {
 	ms := runFarm(t, &single, workers, 0).Makespan
 	mh := runFarm(t, &sharded, workers, 0).Makespan
 	// Single master is assignment-bound: >= Tasks * AssignCost.
-	if ms < 2048*time.Millisecond {
+	if ms < tasks*at {
 		t.Errorf("single-master makespan %v below the assignment bound", ms)
 	}
 	if float64(mh) > 0.4*float64(ms) {
 		t.Errorf("8 shards gave %v vs single %v; want well under 0.4x past the knee", mh, ms)
 	}
+
+	plateau := single
+	plateau.Workers = 128
+	m := runFarm(t, &plateau, plateau.Workers, 0).Makespan
+	frac := tasks * at.Seconds() / m.Seconds()
+	if frac < 0.9 {
+		t.Errorf("single master at W=128 reached %.3f of 1/AT, want >= 0.9", frac)
+	}
+	t.Logf("single master at W=128: %.3f of 1/AT", frac)
 }
 
 // TestBatchingAmortizesGrants: with Batch=16 the grant-message count must

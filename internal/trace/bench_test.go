@@ -7,8 +7,8 @@ import (
 
 // The tracing hot path must stay allocation-free whether tracing is off
 // (nil tracer — the common case, one predicted branch) or on (ring slot
-// claim + copy). CI pins both at 0 allocs/op; BENCH_trace.json records the
-// baseline numbers.
+// claim + copy). CI pins both at 0 allocs/op; EXPERIMENTS.md §20 records
+// the baseline numbers.
 
 func TestTraceDisabledAllocatesNothing(t *testing.T) {
 	var tr *Tracer
