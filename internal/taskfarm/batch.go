@@ -45,16 +45,17 @@ func (t taskBatchMsg) count() int64 {
 // resultBatchMsg returns one grant's aggregated results. Values are
 // pre-reduced by the worker: the float sum (verification, tolerance
 // compare) and the wrapping bit-pattern checksum (bit-exact compare,
-// order-independent by construction). Serve farms additionally echo the
-// executed ranges with one value per task (in range order), so the
+// order-independent by construction). Ranges echoes the grant, so the
+// shard settles exactly the tasks that ran (shard.settle). Serve farms
+// additionally carry one value per task (in range order), so the
 // submitter can route each result back to the job that asked for it;
-// batch runs leave both nil and pay nothing extra on the wire.
+// batch runs leave Values nil and pay nothing for it on the wire.
 type resultBatchMsg struct {
 	Worker int32
 	Done   int32
 	Sum    float64
 	Check  uint64
-	Ranges []taskRange // serve farms only
+	Ranges []taskRange // the granted ranges, as executed
 	Values []float64   // serve farms only; len == total task count of Ranges
 	bytes  int
 }
@@ -80,8 +81,8 @@ type stealRspMsg struct {
 }
 
 // progressMsg reports a completion delta from a shard to the root
-// collector — one per result batch, so the root's message load is 1/Batch
-// of the task count and its per-message work is a few adds.
+// collector: a batch farm's shard sends its folded totals once per quiet
+// spell, a serve farm's shard one per result batch with the values.
 type progressMsg struct {
 	Shard  int32
 	Done   int32
@@ -191,4 +192,17 @@ func (m *shardReportMsg) PUP(p *core.PUP) {
 	p.Varint(&m.StealFails)
 	p.Varint(&m.Stolen)
 	p.Varint(&m.Victimized)
+}
+
+// equalRanges reports whether two range lists are identical.
+func equalRanges(a, b []taskRange) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
 }

@@ -25,9 +25,11 @@ import (
 //     before OnChange fires, so by the time a shard sees the Requeue
 //     list, its lost workers already have live PEs. The shard pushes the
 //     lost outstanding ranges back onto the front of its pending deque
-//     and refills — each lost task is granted again exactly once (the
-//     dead node's unreported results are fenced by the epoch bump, and
-//     results that beat the bump were already settled FIFO).
+//     and refills — each lost task is counted exactly once: a result
+//     settles only ranges still outstanding at its worker (shard.settle),
+//     so an answer that beats the epoch fence, or comes from the new home
+//     for a grant made before the shard learned of the death, either
+//     settles its own grant or, once its ranges were re-queued, nothing.
 //
 //   - Drain: shards stop granting to workers on a Draining node and
 //     report to the root as each such worker's outstanding count reaches

@@ -14,8 +14,9 @@ func (w *worker) PUP(p *core.PUP) {
 
 // PUP implements core.Migratable. The shard's whole scheduling state
 // travels: the pending deque, per-worker grant/completion tallies, steal
-// counters, and the PRNG state (so a restored shard continues the same
-// victim sequence — checkpoint/restore never forks the random stream).
+// counters, the PRNG state (so a restored shard continues the same
+// victim sequence — checkpoint/restore never forks the random stream),
+// and the completions folded since the last progress report.
 func (s *shard) PUP(p *core.PUP) {
 	pupRanges(p, &s.pending)
 	// A serve farm's task space is open-ended (Tasks == 0), so its
@@ -76,6 +77,14 @@ func (s *shard) PUP(p *core.PUP) {
 			p.Errorf("taskfarm: restore shard %d: drain marks sized %d, shard owns %d workers",
 				s.id, len(s.drainNode), owned)
 		}
+	}
+	// The unreported fold goes last, so a blob packed without it fails
+	// to unpack with a truncation error instead of misparsing.
+	core.PUPVarint(p, &s.foldDone)
+	p.Float64(&s.foldSum)
+	p.Uint64(&s.foldCheck)
+	if p.Unpacking() && s.foldDone < 0 {
+		p.Errorf("taskfarm: restore shard %d: %d unreported completions", s.id, s.foldDone)
 	}
 }
 

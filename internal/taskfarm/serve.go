@@ -137,7 +137,7 @@ func (s *Service) taskDone(seq int64, value float64) {
 	s.mu.Unlock()
 	if dup {
 		// A task executed twice. The farm's exactly-once machinery
-		// (FIFO settlement + epoch fencing) should make this impossible;
+		// (settlement by echoed ranges + epoch fencing) should make this impossible;
 		// the counter exists so soak tests can assert it stays 0.
 		s.doubles.Add(1)
 		return

@@ -31,8 +31,13 @@ import (
 // (DedicatedMaster moves every shard to PE 0 and the workers off it.)
 //
 // Steady state per worker: the owning shard keeps Prefetch grants in
-// flight; each resultBatchMsg triggers one new grant, and forwards a
-// progressMsg delta to the root. When a shard's pending deque drains it
+// flight and each resultBatchMsg triggers one new grant. A count-only
+// result (Done, Sum, Check) is folded into the shard's running totals,
+// and the shard sends the root one progressMsg when it goes quiet — no
+// pending tasks, no grant outstanding — so the root counts shards, not
+// tasks, and the steady-state farm sends nothing across the WAN but
+// steals. A result carrying per-task values (a serve farm's) is
+// forwarded at once. When a shard's pending deque drains it
 // asks a uniformly random other shard for half its pending work, bounded
 // by stealTries consecutive refusals (an exhausted thief stays out of the
 // steal market — stealing is an optimization, every task has an owner
@@ -115,10 +120,7 @@ func (w *worker) recvBatch(ctx *core.Ctx, t taskBatchMsg) {
 	w.finished(ctx)
 	w.fm.workerDone.Add(int64(done))
 	rb := resultBatchMsg{Worker: int32(w.id), Done: done, Sum: sum, Check: check,
-		bytes: w.p.TaskBytes * int(done)}
-	if values != nil {
-		rb.Ranges, rb.Values = t.Ranges, values
-	}
+		Ranges: t.Ranges, Values: values, bytes: w.p.TaskBytes * int(done)}
 	ctx.Send(core.ElemRef{Array: ArrayShard, Index: int(t.Shard)}, entryResultBatch, rb)
 }
 
@@ -145,14 +147,20 @@ type shard struct {
 	stolenIn   int64 // tasks acquired by stealing
 	victimized int64 // tasks given away
 
+	// The fold: count-only results completed since the last progress
+	// report, sent when the shard goes quiet (reportIfQuiet).
+	foldDone  int32
+	foldSum   float64
+	foldCheck uint64
+
 	rng      uint64 // splitmix64 state for victim selection
 	fails    int    // consecutive refusals this drain episode
 	stealing bool   // a steal request is in flight
 
-	// Elastic state (see elastic.go; quiet in static farms). outRanges
-	// mirrors out as the FIFO of granted-but-unsettled task ranges per
-	// owned worker — results settle it from the front by task count, a
-	// death re-queues whatever remains. grantable/drainNode are nil
+	// outRanges mirrors out as the FIFO of granted-but-unsettled task
+	// ranges per owned worker — each result settles the ranges it echoes
+	// (settle), a death re-queues whatever remains. Elastic state (see
+	// elastic.go; quiet in static farms): grantable/drainNode are nil
 	// until the first membership notification.
 	outRanges [][]taskRange
 	grantable []bool  // grants may flow to this worker (nil: all may)
@@ -199,13 +207,26 @@ func (s *shard) Recv(ctx *core.Ctx, entry core.EntryID, data any) {
 	case entryResultBatch:
 		rb := data.(resultBatchMsg)
 		wi := int(rb.Worker) - s.wLo
+		if !s.settle(wi, rb.Ranges) {
+			break // stale: the ranges were re-queued and run again (see settle)
+		}
 		s.out[wi]--
-		s.settleOutstanding(wi, int64(rb.Done))
 		s.perW[wi] += rb.Done
 		s.fm.shardTasks[s.id].Add(int64(rb.Done))
-		ctx.Send(core.ElemRef{Array: ArrayMaster, Index: 0}, entryProgress,
-			progressMsg{Shard: int32(s.id), Done: rb.Done, Sum: rb.Sum, Check: rb.Check,
-				Ranges: rb.Ranges, Values: rb.Values})
+		if rb.Values != nil {
+			// A serve farm's submitters are waiting on each task's value:
+			// forward it at once.
+			ctx.Send(core.ElemRef{Array: ArrayMaster, Index: 0}, entryProgress,
+				progressMsg{Shard: int32(s.id), Done: rb.Done, Sum: rb.Sum, Check: rb.Check,
+					Ranges: rb.Ranges, Values: rb.Values})
+		} else {
+			if s.foldDone > math.MaxInt32-rb.Done {
+				s.report(ctx) // keep the fold inside progressMsg's count
+			}
+			s.foldDone += rb.Done
+			s.foldSum += rb.Sum
+			s.foldCheck += rb.Check
+		}
 		if s.avail > 0 {
 			s.grantTo(ctx, wi)
 		} else {
@@ -287,6 +308,32 @@ func (s *shard) Recv(ctx *core.Ctx, entry core.EntryID, data any) {
 	default:
 		panic(fmt.Sprintf("taskfarm: shard got entry %d", entry))
 	}
+	s.reportIfQuiet(ctx)
+}
+
+// reportIfQuiet sends the root the folded completions once the shard has
+// gone quiet: nothing left to grant and no grant outstanding, so no
+// result can extend the fold until new work arrives by steal or submit.
+// It runs at the end of every shard handler; the cheap tests come first,
+// so the scan of out only runs in a shard's endgame. A shard that goes
+// quiet, steals work and goes quiet again reports again.
+func (s *shard) reportIfQuiet(ctx *core.Ctx) {
+	if s.foldDone == 0 || s.avail > 0 {
+		return
+	}
+	for _, n := range s.out {
+		if n > 0 {
+			return
+		}
+	}
+	s.report(ctx)
+}
+
+// report sends the folded completions to the root and empties the fold.
+func (s *shard) report(ctx *core.Ctx) {
+	ctx.Send(core.ElemRef{Array: ArrayMaster, Index: 0}, entryProgress,
+		progressMsg{Shard: int32(s.id), Done: s.foldDone, Sum: s.foldSum, Check: s.foldCheck})
+	s.foldDone, s.foldSum, s.foldCheck = 0, 0, 0
 }
 
 // chunk is the guided-self-scheduling grant size: Batch while inventory
@@ -415,32 +462,37 @@ func (s *shard) canGrant(wi int) bool {
 	return s.grantable == nil || s.grantable[wi]
 }
 
-// settleOutstanding removes n completed tasks from the front of worker
-// wi's outstanding-range FIFO. Grants are executed and answered in
-// order and the transport delivers in order, so a result always settles
-// the oldest unsettled ranges.
-func (s *shard) settleOutstanding(wi int, n int64) {
+// settle removes the ranges a result answers from owned worker wi's
+// outstanding FIFO and reports whether they were outstanding. A result
+// normally answers the oldest grant, but a death breaks both halves of
+// that: the shard learns of it only after the worker was re-homed, so a
+// grant sent in between reaches the live new home and may be answered
+// ahead of the dead node's grants, and once requeueWorker has put the
+// ranges back on the deque a late answer for them is stale — the tasks
+// run again, and counting it would count them twice. Matching by
+// content settles exactly the tasks that ran; a result whose ranges are
+// no longer outstanding here is ignored.
+func (s *shard) settle(wi int, rs []taskRange) bool {
 	q := s.outRanges[wi]
-	for n > 0 && len(q) > 0 {
-		r := &q[0]
-		take := r.N
-		if take > n {
-			take = n
+	for i := 0; len(rs) > 0 && i+len(rs) <= len(q); i++ {
+		if !equalRanges(q[i:i+len(rs)], rs) {
+			continue
 		}
-		r.Lo += take
-		r.N -= take
-		n -= take
-		if r.N == 0 {
-			q = q[1:]
+		if i == 0 {
+			s.outRanges[wi] = q[len(rs):]
+		} else {
+			s.outRanges[wi] = append(q[:i], q[i+len(rs):]...)
 		}
+		return true
 	}
-	s.outRanges[wi] = q
+	return false
 }
 
 // requeueWorker returns worker wi's unsettled grants to the front of the
-// pending deque — the death path. The worker's node is gone, so no
-// result for these ranges can ever arrive (frames from the dead node
-// are epoch-fenced below the runtime); granting them again is safe.
+// pending deque — the death path. A result for these ranges that still
+// arrives (sent before the epoch fence, or by the worker's new home for
+// a grant made before the shard learned of the death) no longer
+// settles anything, so granting them again is safe.
 func (s *shard) requeueWorker(wi int) {
 	q := s.outRanges[wi]
 	if len(q) == 0 {
@@ -471,9 +523,12 @@ func (s *shard) drainClearCheck(ctx *core.Ctx, wi int) {
 }
 
 // root aggregates shard progress and owns the run's exit. It never
-// touches individual tasks: its message load is one progressMsg per
-// result batch plus one report per shard, so it is not a WRONJ
-// bottleneck at any modeled scale.
+// touches individual tasks of a batch farm: its message load is one
+// progressMsg per shard quiet spell (one per shard without stealing, at
+// most one more per successful steal) plus one report per shard, so it
+// is not a WRONJ bottleneck at any modeled scale. A serve farm's root
+// gets one progressMsg per result batch, each carrying the values
+// OnTaskDone hands back.
 type root struct {
 	p       *Params
 	shards  int
@@ -534,7 +589,9 @@ func (r *root) Recv(ctx *core.Ctx, entry core.EntryID, data any) {
 				}
 			}
 		}
-		if !r.p.Serve && r.done == r.p.Tasks {
+		// A fold overshoots Tasks only if a task ran twice; finishing on
+		// the crossing turns that into a checksum mismatch, not a hang.
+		if !r.p.Serve && r.done >= r.p.Tasks && r.done-int(pm.Done) < r.p.Tasks {
 			// Makespan is pinned here; the report round-trip below is
 			// accounting, not farm time. A serve farm never self-exits:
 			// its task space is open-ended and the embedding process owns

@@ -383,18 +383,6 @@ func equalValues(a, b []float64) bool {
 	return true
 }
 
-func equalRanges(a, b []taskRange) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // TestBatchCodecHugeCountRejected: a value, range or per-worker count no
 // input could hold — 2^61 eight-byte values is where a multiplying bounds
 // check wraps to zero — is a malformed frame, not an allocation.
@@ -474,6 +462,7 @@ func TestShardPUPRoundTrip(t *testing.T) {
 	s.fails = 1
 	s.stealing = true
 	s.nextRand()
+	s.foldDone, s.foldSum, s.foldCheck = 9, 10.5, 0xFEED
 
 	data, err := core.PUPPack(s)
 	if err != nil {
@@ -489,12 +478,52 @@ func TestShardPUPRoundTrip(t *testing.T) {
 	if r.rng != s.rng || r.fails != s.fails || r.stealing != s.stealing {
 		t.Error("steal state not restored")
 	}
+	if r.foldDone != s.foldDone || r.foldSum != s.foldSum || r.foldCheck != s.foldCheck {
+		t.Errorf("fold not restored: %d/%v/%#x vs %d/%v/%#x",
+			r.foldDone, r.foldSum, r.foldCheck, s.foldDone, s.foldSum, s.foldCheck)
+	}
+	// The fold is packed last: a blob without it (one varint, two
+	// fixed-width words) is truncated, not misparsed.
+	if err := core.PUPUnpack(newShard(p, 1, newFarmMetrics(p)), data[:len(data)-17]); err == nil {
+		t.Error("a shard blob without the fold unpacked")
+	}
 	data2, err := core.PUPPack(r)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(data, data2) {
 		t.Error("repack differs from original pack")
+	}
+}
+
+// TestSettleMatchesByContent: a result settles exactly the ranges it
+// echoes wherever they sit in the worker's FIFO — the new home of a
+// re-homed worker can answer a later grant first — and once the shard
+// has re-queued a worker's ranges, a late result for them settles
+// nothing, so its tasks are counted once, when they run again.
+func TestSettleMatchesByContent(t *testing.T) {
+	p := shardTestParams()
+	s := newShard(p, 0, newFarmMetrics(p))
+	g1 := []taskRange{{Lo: 0, N: 5}}
+	g2 := []taskRange{{Lo: 5, N: 1}, {Lo: 900, N: 2}}
+	s.outRanges[0] = append(append(s.outRanges[0], g1...), g2...)
+	s.out[0] = 2
+	if !s.settle(0, g2) {
+		t.Fatal("the later grant's result did not settle")
+	}
+	if !equalRanges(s.outRanges[0], g1) {
+		t.Fatalf("outstanding %v after settling the later grant, want %v", s.outRanges[0], g1)
+	}
+	if s.settle(0, []taskRange{{Lo: 0, N: 4}}) {
+		t.Error("a result for part of a grant settled")
+	}
+	before := s.avail
+	s.requeueWorker(0)
+	if s.avail != before+5 {
+		t.Errorf("requeue left %d pending, want %d", s.avail, before+5)
+	}
+	if s.settle(0, g1) {
+		t.Error("a result for re-queued ranges settled")
 	}
 }
 

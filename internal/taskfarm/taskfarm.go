@@ -130,7 +130,7 @@ type Params struct {
 	// OnTaskDone is called from the root's handler for every completed
 	// task in a serve farm, with the task's sequence number and computed
 	// value. Called on the root's PE goroutine; keep it cheap and
-	// non-blocking. Serve farms only.
+	// non-blocking. Serve farms only: Validate rejects it elsewhere.
 	OnTaskDone func(seq int64, value float64)
 }
 
@@ -151,8 +151,15 @@ func (p *Params) Validate() error {
 		if p.Tasks != 0 {
 			add("serve farm starts empty: Tasks must be 0 (have %d)", p.Tasks)
 		}
-	} else if p.Tasks <= 0 {
-		add("%d tasks", p.Tasks)
+	} else {
+		if p.Tasks <= 0 {
+			add("%d tasks", p.Tasks)
+		}
+		// Only a serve farm's results carry per-task values; a batch
+		// farm's shards fold counts, and the hook would never run.
+		if p.OnTaskDone != nil {
+			add("OnTaskDone needs a serve farm")
+		}
 	}
 	if p.Prefetch <= 0 {
 		add("prefetch %d (must be >= 1)", p.Prefetch)

@@ -213,6 +213,8 @@ func TestParamsValidate(t *testing.T) {
 		{Tasks: 0, Prefetch: 1, Batch: 1},
 		{Tasks: 1, Prefetch: 0, Batch: 1},
 		{Tasks: 1, Prefetch: 1, Batch: 1, TaskCost: -time.Second},
+		// A batch farm's results carry no per-task values to hand it.
+		{Tasks: 1, Prefetch: 1, Batch: 1, OnTaskDone: func(int64, float64) {}},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {

@@ -110,6 +110,30 @@ func TestCursorWrapSkips(t *testing.T) {
 	}
 }
 
+// TestCursorStopsAtUncommittedSlot: a slot claimed but not yet written
+// holds back the events behind it until its writer commits, and then
+// all of them arrive, in order, on the next read.
+func TestCursorStopsAtUncommittedSlot(t *testing.T) {
+	tr := NewWithCapacity(1, 8)
+	c := tr.NewCursor()
+	tr.Record(Event{PE: 0, Kind: EvNote, At: 1, Arg1: 1})
+	s := &tr.shards[0]
+	i := s.pos.Add(1) - 1 // a writer claims slot i and is descheduled
+	tr.Record(Event{PE: 0, Kind: EvNote, At: 3, Arg1: 3})
+	if evs := c.ReadNew(nil); len(evs) != 1 || evs[0].Arg1 != 1 {
+		t.Fatalf("read %+v, want only the event before the uncommitted slot", evs)
+	}
+	s.buf[i&s.mask].ev = Event{PE: 0, Kind: EvNote, At: 2, Arg1: 2}
+	s.buf[i&s.mask].stamp.Store(i + 1)
+	evs := c.ReadNew(nil)
+	if len(evs) != 2 || evs[0].Arg1 != 2 || evs[1].Arg1 != 3 {
+		t.Fatalf("read %+v after the commit, want events 2 and 3", evs)
+	}
+	if c.Skipped() != 0 {
+		t.Errorf("skipped %d with no wrap", c.Skipped())
+	}
+}
+
 func TestCursorNilTracer(t *testing.T) {
 	var tr *Tracer
 	c := tr.NewCursor()

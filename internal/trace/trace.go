@@ -142,21 +142,29 @@ const DrainedCapacity = 1 << 12
 // Tracer implements Sink; a nil *Tracer records nothing.
 //
 // Readers (Events, Len, Utilization, ...) are meant for quiescence — after
-// Run returns or between phases. They take consistent snapshots of slots
-// the writers have finished, but a Record racing a read may leave the ring
-// momentarily short one in-flight event.
+// Run returns or between phases. A Cursor may drain a ring while it is
+// written: it copies only committed slots (see slot).
 type Tracer struct {
 	shards []ring
 }
 
 // ring is one PE's bounded event buffer. pos counts events ever recorded;
-// slot i lives at buf[i&mask]. The pad keeps neighboring shards' hot
+// event i lives at buf[i&mask]. The pad keeps neighboring shards' hot
 // counters on different cache lines.
 type ring struct {
 	pos  atomic.Uint64
 	_    [56]byte
-	buf  []Event
+	buf  []slot
 	mask uint64
+}
+
+// slot is one ring entry. Record claims index i (pos.Add) before it
+// copies the event in, then commits it by storing stamp = i+1; a Cursor
+// copies event i only once it sees that stamp, so it never reads an
+// event still being written.
+type slot struct {
+	stamp atomic.Uint64
+	ev    Event
 }
 
 // New builds a tracer for numPE processing elements with DefaultCapacity
@@ -175,7 +183,7 @@ func NewWithCapacity(numPE, capacity int) *Tracer {
 	c := 1 << bits.Len(uint(capacity-1)) // next power of two
 	t := &Tracer{shards: make([]ring, numPE)}
 	for i := range t.shards {
-		t.shards[i].buf = make([]Event, c)
+		t.shards[i].buf = make([]slot, c)
 		t.shards[i].mask = uint64(c - 1)
 	}
 	return t
@@ -189,22 +197,24 @@ func (t *Tracer) Record(ev Event) {
 	}
 	s := &t.shards[ev.PE]
 	i := s.pos.Add(1) - 1
-	s.buf[i&s.mask] = ev
+	sl := &s.buf[i&s.mask]
+	sl.ev = ev
+	sl.stamp.Store(i + 1)
 }
 
-// shardEvents copies one PE's retained events in recording order.
+// shardEvents copies one PE's retained events in recording order. When
+// the ring wrapped, the oldest retained event sits at pos&mask.
 func (t *Tracer) shardEvents(pe int) []Event {
 	s := &t.shards[pe]
 	n := s.pos.Load()
-	c := uint64(len(s.buf))
-	if n <= c {
-		return append([]Event(nil), s.buf[:n]...)
+	lo := uint64(0)
+	if c := uint64(len(s.buf)); n > c {
+		lo = n - c
 	}
-	// The ring wrapped: the oldest retained event sits at pos&mask.
-	out := make([]Event, 0, c)
-	start := n & s.mask
-	out = append(out, s.buf[start:]...)
-	out = append(out, s.buf[:start]...)
+	out := make([]Event, 0, n-lo)
+	for i := lo; i < n; i++ {
+		out = append(out, s.buf[i&s.mask].ev)
+	}
 	return out
 }
 
@@ -271,11 +281,13 @@ func (t *Tracer) NumPE() int {
 // ring. One cursor tracks one consumer; cursors are independent and a
 // cursor must not be shared between goroutines without external locking.
 //
-// The same quiescence caveat as Events applies per call: a Record racing
-// ReadNew may leave its slot half-written or deliver it on the next
-// call. When a ring wraps past the cursor between calls the overwritten
-// events are gone; Skipped reports how many, and the cursor jumps
-// forward to the oldest event still retained.
+// ReadNew may run while the ring is written. It stops at a PE's first
+// uncommitted slot and resumes there on the next call, so an event being
+// recorded is delivered whole, one call later. When a ring wraps past
+// the cursor the overwritten events are gone — between calls, or during
+// one, when a writer reclaims a slot the cursor just copied; Skipped
+// reports how many, and the cursor jumps forward to the oldest event
+// still retained.
 type Cursor struct {
 	t       *Tracer
 	pos     []uint64 // per-shard read position (events consumed so far)
@@ -320,11 +332,26 @@ func (c *Cursor) ReadNew(dst []Event) []Event {
 			c.skipped += n - lo - cap64
 			lo = n - cap64
 		}
-		for i := lo; i < n; i++ {
-			dst = append(dst, s.buf[i&s.mask])
+		start := len(dst)
+		i := lo
+		for ; i < n; i++ {
+			sl := &s.buf[i&s.mask]
+			if sl.stamp.Load() != i+1 {
+				break // not committed yet (or already lapped, below)
+			}
+			dst = append(dst, sl.ev)
 		}
-		c.pos[pe] = n
-		bounds = append(bounds, len(dst)-base)
+		// Writers claim before they write, so a copy is whole unless
+		// its slot was claimed for the next lap by the time it ended.
+		if now := s.pos.Load(); now > lo+cap64 {
+			torn := min(now-cap64-lo, i-lo)
+			dst = append(dst[:start], dst[start+int(torn):]...)
+			c.skipped += torn
+		}
+		c.pos[pe] = i
+		if len(dst) > start {
+			bounds = append(bounds, len(dst)-base)
+		}
 	}
 	c.scratch = mergeRuns(dst[base:], bounds, c.scratch)
 	return dst

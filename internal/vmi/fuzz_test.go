@@ -78,8 +78,8 @@ func FuzzEpochFence(f *testing.F) {
 		// The CRC covers the epoch, so a restamp must refresh it to the
 		// valid checksum of the new header — otherwise every restamped
 		// retransmit would be rejected as corrupt.
-		if h2.Epoch != h.Epoch && h2.CRC != relCRC(h2, p2) {
-			t.Fatalf("restamp left a stale CRC: %#x, want %#x", h2.CRC, relCRC(h2, p2))
+		if h2.Epoch != h.Epoch && h2.CRC != relCRC(buf) {
+			t.Fatalf("restamp left a stale CRC: %#x, want %#x", h2.CRC, relCRC(buf))
 		}
 		if !bytes.Equal(p2, payload) {
 			t.Fatal("restamp disturbed the payload")

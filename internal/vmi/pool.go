@@ -3,6 +3,7 @@ package vmi
 import (
 	"math/bits"
 	"sync"
+	"unsafe"
 )
 
 // Size-classed byte-buffer pool shared by the device chain: frame bodies
@@ -21,6 +22,9 @@ const (
 	maxBufBits = 20 // largest pooled class: 1 MiB
 )
 
+// bufPools hold each class's buffers as a pointer to the backing array's
+// first byte. A pointer fits in an interface without boxing, so neither
+// Put nor Get allocates; the class fixes the length to rebuild.
 var bufPools [maxBufBits + 1]sync.Pool
 
 // GetBuf returns a byte slice of length n, drawn from the pool when a
@@ -30,8 +34,8 @@ func GetBuf(n int) []byte {
 	if c > maxBufBits {
 		return make([]byte, n)
 	}
-	if p, _ := bufPools[c].Get().(*[]byte); p != nil {
-		return (*p)[:n]
+	if p, _ := bufPools[c].Get().(*byte); p != nil {
+		return unsafe.Slice(p, 1<<c)[:n]
 	}
 	return make([]byte, n, 1<<c)
 }
@@ -44,8 +48,7 @@ func PutBuf(b []byte) {
 	if c < minBufBits || c > maxBufBits {
 		return
 	}
-	b = b[:0]
-	bufPools[c].Put(&b)
+	bufPools[c].Put(unsafe.SliceData(b))
 }
 
 // bufClass is the smallest class whose buffers hold n bytes.

@@ -114,19 +114,18 @@ func DecodeRelHeader(b []byte) (RelHeader, []byte, error) {
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// relCRC computes the checksum stored in a reliability header: CRC-32C
-// over the canonical first 24 header bytes (kind, epoch, seq, ack) and
-// the payload.
-func relCRC(h RelHeader, payload []byte) uint32 {
-	var b [relHeaderLen - 4]byte
-	binary.BigEndian.PutUint32(b[0:], relMagic)
-	b[4] = h.Kind
-	b[5] = byte(h.Epoch >> 16)
-	b[6] = byte(h.Epoch >> 8)
-	b[7] = byte(h.Epoch)
-	binary.BigEndian.PutUint64(b[8:], h.Seq)
-	binary.BigEndian.PutUint64(b[16:], h.Ack)
-	return crc32.Update(crc32.Checksum(b[:], castagnoli), castagnoli, payload)
+// relCRC computes the checksum of an encoded reliability frame body:
+// CRC-32C over the header's first 24 bytes (magic, kind, epoch, seq, ack)
+// followed by the payload. It reads the bytes already in the body — a
+// header copied into a local array would escape into crc32's indirect
+// update and cost a heap allocation per call.
+func relCRC(body []byte) uint32 {
+	return crc32.Update(crc32.Checksum(body[:relHeaderLen-4], castagnoli), castagnoli, body[relHeaderLen:])
+}
+
+// sealRel stores relCRC of an encoded frame body in its CRC field.
+func sealRel(body []byte) {
+	binary.BigEndian.PutUint32(body[relHeaderLen-4:], relCRC(body))
 }
 
 // restampEpoch rewrites the epoch field of an already-encoded reliability
@@ -139,15 +138,14 @@ func restampEpoch(body []byte, epoch uint32) {
 	if len(body) < relHeaderLen {
 		return
 	}
-	h, payload, err := DecodeRelHeader(body)
+	h, _, err := DecodeRelHeader(body)
 	if err != nil || h.Epoch == epoch {
 		return
 	}
-	h.Epoch = epoch
 	body[5] = byte(epoch >> 16)
 	body[6] = byte(epoch >> 8)
 	body[7] = byte(epoch)
-	binary.BigEndian.PutUint32(body[24:], relCRC(h, payload))
+	sealRel(body)
 }
 
 // ReliableConfig tunes the reliability layer. Zero values select the
@@ -217,6 +215,10 @@ type ReliableStats struct {
 	// PeerFailures counts peers whose budget exhaustion was claimed by
 	// OnPeerFail (and whose state was dropped) instead of failing the run.
 	PeerFailures int64
+	// WindowStalls counts Sends that blocked on a full retransmit window
+	// (counted when the wait begins); WindowStallNanos is the time they
+	// spent blocked (added when each wait ends).
+	WindowStalls, WindowStallNanos int64
 }
 
 // Reliable implements the core.Transport Send contract over a *TCP. Build
@@ -388,12 +390,7 @@ func (r *Reliable) ForgetPeer(node int) {
 		delete(r.peers, node)
 		r.gone[node] = p.recvNext
 		if p.havePEs && p.recvNext > 1 {
-			h := RelHeader{Kind: relKindAck, Epoch: r.epoch.Load(), Ack: p.recvNext - 1}
-			h.CRC = relCRC(h, nil)
-			ack = &Frame{
-				Src: p.selfPE, Dst: p.peerPE, Class: ClassSystem, Flags: FlagReliable,
-				Body: AppendRelHeader(make([]byte, 0, relHeaderLen), h),
-			}
+			ack = r.ackFrame(p)
 			r.stats.AcksSent++
 		}
 	}
@@ -449,6 +446,8 @@ func (r *Reliable) Instrument(reg *metrics.Registry, labels ...metrics.Label) {
 		{"vmi_rel_bad_headers_total", func(s ReliableStats) int64 { return s.BadHdrs }},
 		{"vmi_rel_stale_epoch_dropped_total", func(s ReliableStats) int64 { return s.StaleEpochDropped }},
 		{"vmi_rel_peer_failures_total", func(s ReliableStats) int64 { return s.PeerFailures }},
+		{"vmi_rel_window_stalls_total", func(s ReliableStats) int64 { return s.WindowStalls }},
+		{"vmi_rel_window_stall_ns_total", func(s ReliableStats) int64 { return s.WindowStallNanos }},
 	} {
 		reg.CounterFunc(m.name, stat(m.sel), labels...)
 	}
@@ -515,8 +514,15 @@ func (r *Reliable) Send(f *Frame) error {
 	}
 	r.mu.Lock()
 	p := r.peer(node)
-	for len(p.sendBuf) >= r.cfg.Window && r.failErr == nil && !r.closed {
-		r.space.Wait()
+	if len(p.sendBuf) >= r.cfg.Window && r.failErr == nil && !r.closed {
+		// Counted on entry, timed on release; the clock is read only on
+		// this blocking path.
+		r.stats.WindowStalls++
+		t0 := time.Now()
+		for len(p.sendBuf) >= r.cfg.Window && r.failErr == nil && !r.closed {
+			r.space.Wait()
+		}
+		r.stats.WindowStallNanos += int64(time.Since(t0))
 	}
 	if r.failErr != nil {
 		err := r.failErr
@@ -531,9 +537,9 @@ func (r *Reliable) Send(f *Frame) error {
 	seq := p.nextSeq
 	p.nextSeq++
 	h := RelHeader{Kind: relKindData, Epoch: r.epoch.Load(), Seq: seq, Ack: p.recvNext - 1}
-	h.CRC = relCRC(h, f.Body)
 	body := AppendRelHeader(make([]byte, 0, relHeaderLen+len(f.Body)), h)
 	body = append(body, f.Body...)
+	sealRel(body)
 	wf := &Frame{
 		Src: f.Src, Dst: f.Dst, Prio: f.Prio, Class: f.Class, Seq: f.Seq,
 		Flags: f.Flags | FlagReliable,
@@ -568,7 +574,7 @@ func (r *Reliable) deliverWire(f *Frame) error {
 		r.mu.Unlock()
 		return nil // unparseable: treat as lost; retransmit repairs
 	}
-	if relCRC(h, payload) != h.CRC {
+	if relCRC(f.Body) != h.CRC {
 		r.mu.Lock()
 		r.stats.CrcDropped++
 		r.mu.Unlock()
@@ -772,12 +778,7 @@ func (r *Reliable) ackLoop() {
 				continue
 			}
 			p.ackDue = false
-			h := RelHeader{Kind: relKindAck, Epoch: r.epoch.Load(), Ack: p.recvNext - 1}
-			h.CRC = relCRC(h, nil)
-			acks = append(acks, &Frame{
-				Src: p.selfPE, Dst: p.peerPE, Class: ClassSystem, Flags: FlagReliable,
-				Body: AppendRelHeader(make([]byte, 0, relHeaderLen), h),
-			})
+			acks = append(acks, r.ackFrame(p))
 		}
 		r.stats.AcksSent += int64(len(acks))
 		r.mu.Unlock()
@@ -785,6 +786,15 @@ func (r *Reliable) ackLoop() {
 			_ = r.down(f) // ack loss is repaired by retransmit-then-re-ack
 		}
 	}
+}
+
+// ackFrame builds a standalone cumulative ack to peer p. Called with
+// r.mu held.
+func (r *Reliable) ackFrame(p *relPeer) *Frame {
+	body := AppendRelHeader(make([]byte, 0, relHeaderLen),
+		RelHeader{Kind: relKindAck, Epoch: r.epoch.Load(), Ack: p.recvNext - 1})
+	sealRel(body)
+	return &Frame{Src: p.selfPE, Dst: p.peerPE, Class: ClassSystem, Flags: FlagReliable, Body: body}
 }
 
 // Close stops the retransmit and ack goroutines. It does not close the

@@ -315,3 +315,27 @@ func TestReliablePassthrough(t *testing.T) {
 		t.Errorf("body = %q, want %q", got.Body, "raw")
 	}
 }
+
+// TestReliableCountsWindowStalls: a Send blocked on a full retransmit
+// window is counted when it blocks and timed when it is released.
+func TestReliableCountsWindowStalls(t *testing.T) {
+	dropAll := RecvDeviceFunc{DeviceName: "drop-acks", Fn: func(*Frame, RecvFunc) error { return nil }}
+	p := newRelPair(t,
+		ReliableConfig{Window: 2, RTO: time.Hour, RTOMax: time.Hour, RecvFaults: []RecvDevice{dropAll}},
+		ReliableConfig{})
+	for i := 0; i < 2; i++ {
+		if err := p.r0.Send(&Frame{Src: 0, Dst: 2, Body: []byte(fmt.Sprintf("msg-%d", i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	blocked := make(chan error, 1)
+	go func() { blocked <- p.r0.Send(&Frame{Src: 0, Dst: 2, Body: []byte("msg-2")}) }()
+	waitFor(t, "the third send to block", func() bool { return p.r0.Stats().WindowStalls == 1 })
+	p.r0.Close()
+	if err := <-blocked; err == nil {
+		t.Error("a send released by Close reported success")
+	}
+	if s := p.r0.Stats(); s.WindowStalls != 1 || s.WindowStallNanos <= 0 {
+		t.Errorf("WindowStalls = %d, WindowStallNanos = %d; want 1 and > 0", s.WindowStalls, s.WindowStallNanos)
+	}
+}
