@@ -125,48 +125,6 @@ func TestMaskedFractionGrowsWithVirtualization(t *testing.T) {
 	}
 }
 
-// TestTCPWaitRatioFallsWithVirtualization is the wall-clock companion to
-// the sim acceptance test: over real TCP sockets with the delay device
-// injecting the WAN latency, higher V/P must lower exposed comm-wait per
-// unit of compute. Only steady-state steps (past warmup) are measured —
-// connection establishment and first-step cold caches otherwise dominate.
-// On a single-core host the two runtimes time-slice one CPU, so the
-// absolute masked fraction is distorted (no real parallelism to measure);
-// the wait-per-compute ratio is the signal that survives.
-func TestTCPWaitRatioFallsWithVirtualization(t *testing.T) {
-	if testing.Short() {
-		t.Skip("wall-clock two-node runs")
-	}
-	const procs = 4
-	const warmup = 2
-	const lat = 2 * time.Millisecond
-
-	measure := func(objects int) float64 {
-		snap := traceStencilTCP(t, procs, objects, lat)
-		evs, numPE, horizon := trace.Merge(splitSnapshot(snap, procs)...)
-		var busy, exposed time.Duration
-		for _, so := range trace.StepOverlaps(evs, numPE, horizon) {
-			if so.Step < warmup {
-				continue
-			}
-			tot := so.Totals()
-			busy += tot.Busy
-			exposed += tot.Exposed
-		}
-		if busy == 0 {
-			t.Fatalf("V=%d: no steady-state busy time", objects)
-		}
-		return float64(exposed) / float64(busy)
-	}
-
-	low := measure(4)
-	high := measure(64)
-	t.Logf("steady-state comm-wait per unit compute: V=4 %.2f, V=64 %.2f", low, high)
-	if high >= low {
-		t.Errorf("comm-wait per unit compute did not fall with V/P: V=4 %.2f, V=64 %.2f", low, high)
-	}
-}
-
 // TestAnalyzeReports drives the full analyzer over a real two-node trace
 // and checks every report section renders.
 func TestAnalyzeReports(t *testing.T) {

@@ -9,22 +9,24 @@ import (
 )
 
 // TestTransportFailureSurfaces injects one transport-layer fault per case
-// into a two-node ping-pong — a dead peer (writer errors), wire garbage
-// that breaks the VMI framing (reader errors), and per-frame payload
-// corruption that breaks message decoding — and checks the surviving node
-// reports an error instead of hanging or silently dropping work. This is
-// the PR 1 fail-fast contract; the reliability layer's chaos tests
-// (chaos_test.go) cover the opposite regime, where the same faults are
-// absorbed and repaired.
+// into a two-node ping-pong over the stack gridnode builds without a
+// reliability layer — a dead peer (writer errors), wire garbage that
+// breaks the VMI framing (reader errors), and per-frame payload corruption
+// that breaks message decoding — and checks the surviving node reports an
+// error instead of hanging or silently dropping work. This is the
+// fail-fast contract; the reliability layer's chaos tests (chaos_test.go)
+// cover the opposite regime, where the same faults are absorbed and
+// repaired.
 func TestTransportFailureSurfaces(t *testing.T) {
 	cases := []struct {
 		name string
-		// wireSend returns extra devices for a node's wire send chain.
-		wireSend func(node int) []vmi.SendDevice
-		// fault, if non-nil, is fired after the exchange is flowing —
-		// unless preStart is set, in which case it fires before node 0
-		// starts, so node 0's first remote send meets the fault head-on.
-		fault    func(t *testing.T, tcps [2]*vmi.TCP, rts [2]*Runtime)
+		// faults returns send-side fault devices for a node's stack.
+		faults func(node int) []vmi.SendDevice
+		// fault, if non-nil, is fired once node 0 has processed a message
+		// from node 1 — unless preStart is set, in which case it fires
+		// before node 0 starts, so node 0's first remote send meets the
+		// fault head-on.
+		fault    func(t *testing.T, stacks [2]*vmi.Stack, rts [2]*Runtime)
 		preStart bool
 	}{
 		{
@@ -34,8 +36,8 @@ func TestTransportFailureSurfaces(t *testing.T) {
 			// a hang by design — the error must come from the send path.)
 			name:     "peer transport death",
 			preStart: true,
-			fault: func(t *testing.T, tcps [2]*vmi.TCP, rts [2]*Runtime) {
-				tcps[1].Close()
+			fault: func(t *testing.T, stacks [2]*vmi.Stack, rts [2]*Runtime) {
+				stacks[1].Close()
 				rts[1].Stop()
 			},
 		},
@@ -43,8 +45,8 @@ func TestTransportFailureSurfaces(t *testing.T) {
 			// Garbage bytes in the TCP stream: node 0's frame reader hits
 			// a bad magic and the connection is unrecoverable.
 			name: "wire corruption breaks framing",
-			fault: func(t *testing.T, tcps [2]*vmi.TCP, rts [2]*Runtime) {
-				if err := tcps[1].CorruptWire(0); err != nil {
+			fault: func(t *testing.T, stacks [2]*vmi.Stack, rts [2]*Runtime) {
+				if err := stacks[1].TCP().CorruptWire(0); err != nil {
 					t.Errorf("CorruptWire: %v", err)
 				}
 			},
@@ -55,7 +57,7 @@ func TestTransportFailureSurfaces(t *testing.T) {
 			// decode on node 0 within a few frames, surfacing through the
 			// deliver error path. No explicit fault action needed.
 			name: "frame corruption fails decode",
-			wireSend: func(node int) []vmi.SendDevice {
+			faults: func(node int) []vmi.SendDevice {
 				if node != 1 {
 					return nil
 				}
@@ -70,7 +72,7 @@ func TestTransportFailureSurfaces(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Endless ping-pong: the run can only end with an error.
-			mkProg := func() *Program {
+			mkProg := func(int) *Program {
 				return &Program{
 					Arrays: []ArraySpec{{
 						ID: 0, N: 2,
@@ -84,43 +86,13 @@ func TestTransportFailureSurfaces(t *testing.T) {
 					Start: func(ctx *Ctx) { ctx.Send(ElemRef{0, 0}, 0, 0) },
 				}
 			}
-			nodeOf := func(pe int) int { return pe }
-			routeFn := func(pe int32) int { return int(pe) }
-			var rts [2]*Runtime
-			var tcps [2]*vmi.TCP
-			addrs := []map[int]string{{0: "127.0.0.1:0"}, {1: "127.0.0.1:0"}}
-			for node := 0; node < 2; node++ {
-				node := node
-				tcps[node] = vmi.NewTCP(node, addrs[node], routeFn, func(f *vmi.Frame) error {
-					return rts[node].InjectFrame(f)
-				})
-				tcps[node].DialAttempts = 2 // fail fast after the peer dies
-			}
-			a0, err := tcps[0].Listen()
-			if err != nil {
-				t.Fatal(err)
-			}
-			a1, err := tcps[1].Listen()
-			if err != nil {
-				t.Fatal(err)
-			}
-			tcps[0].SetAddr(1, a1)
-			tcps[1].SetAddr(0, a0)
-			defer tcps[0].Close()
-
-			for node := 0; node < 2; node++ {
-				var ws []vmi.SendDevice
-				if tc.wireSend != nil {
-					ws = tc.wireSend(node)
+			p := newTCPPair(t, topo, mkProg, func(node int, b *vmi.ChainBuilder) {
+				b.DialAttempts(2) // fail fast after the peer dies
+				if tc.faults != nil {
+					b.Faults(tc.faults(node), nil)
 				}
-				rt, err := NewRuntime(topo, mkProg(),
-					WithCluster(ClusterConfig{Transport: tcps[node], NodeOf: nodeOf, Node: node, PELo: node, PEHi: node + 1}),
-					WithWireDevices(ws, nil))
-				if err != nil {
-					t.Fatal(err)
-				}
-				rts[node] = rt
-			}
+			}, nil)
+			stacks, rts := p.stacks, p.rts
 
 			node1Done := make(chan struct{})
 			go func() {
@@ -136,15 +108,13 @@ func TestTransportFailureSurfaces(t *testing.T) {
 				}()
 			}
 			if tc.preStart {
-				time.Sleep(60 * time.Millisecond)
-				tc.fault(t, tcps, rts)
+				tc.fault(t, stacks, rts)
 				startNode0()
 			} else {
 				startNode0()
-				// Let a few rounds flow before firing the fault.
 				if tc.fault != nil {
-					time.Sleep(60 * time.Millisecond)
-					tc.fault(t, tcps, rts)
+					awaitRemoteTraffic(t, rts[0], res)
+					tc.fault(t, stacks, rts)
 				}
 			}
 
@@ -164,7 +134,30 @@ func TestTransportFailureSurfaces(t *testing.T) {
 			case <-time.After(10 * time.Second):
 				t.Fatal("node 1 never stopped")
 			}
-			tcps[1].Close()
 		})
+	}
+}
+
+// awaitRemoteTraffic returns once node 0 of a ping-pong has processed a
+// message from node 1: its start message and element 0's first handler
+// are local, so a third processed message crossed the wire. A run that
+// ends first is put back on res for the caller to judge.
+func awaitRemoteTraffic(t *testing.T, rt *Runtime, res chan error) {
+	t.Helper()
+	tick := time.NewTicker(time.Millisecond)
+	defer tick.Stop()
+	timeout := time.After(10 * time.Second)
+	for {
+		if _, processed := rt.Counters(); processed >= 3 {
+			return
+		}
+		select {
+		case err := <-res:
+			res <- err
+			return
+		case <-tick.C:
+		case <-timeout:
+			t.Fatal("no traffic from node 1 reached node 0")
+		}
 	}
 }

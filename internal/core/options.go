@@ -11,8 +11,8 @@ import (
 // Options is the consolidated configuration record of a real-time
 // Runtime. It is populated through the Option functions passed to
 // NewRuntime — construction is the only time these knobs can be set, so
-// every dependency (tracer, metrics registry, transport, failure hook) is
-// in place before the first message moves.
+// every dependency (tracer, metrics registry, transport) is in place
+// before the first message moves.
 type Options struct {
 	// Trace, if non-nil, receives scheduler events.
 	Trace *trace.Tracer
@@ -27,11 +27,6 @@ type Options struct {
 	// the metrics adapter — the shared instrumentation surface of the
 	// executor (see trace.Sink).
 	Sinks []trace.Sink
-
-	// FailureHook, if non-nil, is called once with the first runtime
-	// error, before Run returns it — the constructed-in replacement for
-	// installing transport error handlers after the fact.
-	FailureHook func(error)
 
 	// LB overrides the program's load-balancing configuration for this
 	// runtime (nil keeps prog.LB). Works on single- and multi-process
@@ -57,9 +52,10 @@ type Options struct {
 	RunToQuiescence bool
 
 	// Multi-process configuration. A nil Transport means all PEs live in
-	// this process. Otherwise this process hosts PEs [PELo, PEHi) and
-	// NodeOf maps every PE to its owning process.
-	Transport Transport
+	// this process. Otherwise this process hosts PEs [PELo, PEHi), NodeOf
+	// maps every PE to its owning process, and remote frames travel
+	// through the stack, which NewRuntime completes with Stack.Bind.
+	Transport *vmi.Stack
 	NodeOf    func(pe int) int
 	Node      int
 	PELo      int
@@ -77,17 +73,6 @@ type Options struct {
 	// for the delay device — e.g. vmi.JitteredLatency for runs with
 	// realistic wide-area variance.
 	LatencyFor func(src, dst int32) time.Duration
-
-	// WireSend and WireRecv are VMI device chains applied to serialized
-	// frames on their way to / from the Transport — e.g. compression and
-	// checksumming of wide-area traffic ("capabilities such as encrypting
-	// or compressing the data"). Every process must configure matching
-	// chains. Ignored without a Transport. Prefer building the whole
-	// stack (transforms, reliability, faults, TCP) with vmi.NewChainBuilder
-	// and passing the Stack via WithCluster; these fields remain for
-	// chains that must run above a custom Transport.
-	WireSend []vmi.SendDevice
-	WireRecv []vmi.RecvDevice
 }
 
 // Option configures a Runtime at construction.
@@ -110,12 +95,6 @@ func WithMetrics(reg *metrics.Registry) Option {
 // adapter.
 func WithSink(s trace.Sink) Option {
 	return func(o *Options) { o.Sinks = append(o.Sinks, s) }
-}
-
-// WithFailureHook installs a hook called once with the first runtime
-// error (transport failures included), before Run returns it.
-func WithFailureHook(h func(error)) Option {
-	return func(o *Options) { o.FailureHook = h }
 }
 
 // WithLB overrides the program's load-balancing configuration.
@@ -146,19 +125,18 @@ func WithLatency(f func(src, dst int32) time.Duration) Option {
 }
 
 // ClusterConfig places this process in a multi-process run: the transport
-// carrying remote frames (usually a vmi.Stack), the PE→node map, and the
-// contiguous local PE range.
+// stack carrying remote frames, the PE→node map, and the contiguous local
+// PE range.
 type ClusterConfig struct {
-	Transport  Transport
+	Transport  *vmi.Stack
 	NodeOf     func(pe int) int
 	Node       int
 	PELo, PEHi int
 }
 
-// WithCluster configures the multi-process topology. Transports that
-// implement the vmi.Stack binding contract are completed by the runtime —
-// frame delivery and the failure path attach during NewRuntime, so no
-// post-hoc SetErrHandler call is needed (or supported) in caller code.
+// WithCluster configures the multi-process topology. NewRuntime binds its
+// frame delivery and failure path to the stack; the caller only listens
+// and exchanges addresses.
 func WithCluster(c ClusterConfig) Option {
 	return func(o *Options) {
 		o.Transport = c.Transport
@@ -191,28 +169,4 @@ type Lifecycle struct {
 // WithLifecycle installs program-lifetime hooks.
 func WithLifecycle(lc Lifecycle) Option {
 	return func(o *Options) { o.Lifecycle = lc }
-}
-
-// WithWireDevices applies serialized-frame device chains above the
-// transport (see Options.WireSend/WireRecv). Stacks built with
-// vmi.NewChainBuilder carry their transforms internally and do not need
-// this.
-func WithWireDevices(send []vmi.SendDevice, recv []vmi.RecvDevice) Option {
-	return func(o *Options) {
-		o.WireSend = send
-		o.WireRecv = recv
-	}
-}
-
-// binder is the construction-time completion contract of vmi.Stack:
-// NewRuntime binds its frame-delivery entry and failure path through it.
-type binder interface {
-	Bind(deliver vmi.RecvFunc, onErr func(error))
-}
-
-// legacyErrHandler matches transports that predate the Bind contract.
-// Deprecated in vmi; recognized here so out-of-tree transports keep
-// working.
-type legacyErrHandler interface {
-	SetErrHandler(func(error))
 }

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"gridmdo/internal/topology"
-	"gridmdo/internal/vmi"
 )
 
 func TestQDHandlesBadPayload(t *testing.T) {
@@ -72,8 +71,8 @@ func TestQDWithDelayedTraffic(t *testing.T) {
 	}
 }
 
-// TestQDMultiProcess runs quiescence detection across two TCP-joined
-// runtimes: probes and replies cross the wire.
+// TestQDMultiProcess runs quiescence detection across two runtimes joined
+// by ChainBuilder stacks on TCP: probes and replies cross the wire.
 func TestQDMultiProcess(t *testing.T) {
 	topo, err := topology.TwoClusters(2, 3*time.Millisecond)
 	if err != nil {
@@ -96,40 +95,9 @@ func TestQDMultiProcess(t *testing.T) {
 		}
 	}
 
-	nodeOf := func(pe int) int { return pe }
-	routeFn := func(pe int32) int { return int(pe) }
-	var rts [2]*Runtime
-	var tcps [2]*vmi.TCP
-	addrs := []map[int]string{{0: "127.0.0.1:0"}, {1: "127.0.0.1:0"}}
-	for node := 0; node < 2; node++ {
-		node := node
-		tcps[node] = vmi.NewTCP(node, addrs[node], routeFn, func(f *vmi.Frame) error {
-			return rts[node].InjectFrame(f)
-		})
-	}
-	a0, err := tcps[0].Listen()
-	if err != nil {
-		t.Fatal(err)
-	}
-	a1, err := tcps[1].Listen()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tcps[0].SetAddr(1, a1)
-	tcps[1].SetAddr(0, a0)
-	defer tcps[0].Close()
-	defer tcps[1].Close()
-
 	var hits [2]int
-	for node := 0; node < 2; node++ {
-		rt, err := NewRuntime(topo, mkProg(&hits[node]),
-			WithCluster(ClusterConfig{Transport: tcps[node], NodeOf: nodeOf, Node: node, PELo: node, PEHi: node + 1}),
-			WithQuiescence())
-		if err != nil {
-			t.Fatal(err)
-		}
-		rts[node] = rt
-	}
+	rts := newTCPPair(t, topo, func(node int) *Program { return mkProg(&hits[node]) }, nil,
+		func(int) []Option { return []Option{WithQuiescence()} }).rts
 	done := make(chan error, 1)
 	go func() {
 		_, err := rts[1].Run()

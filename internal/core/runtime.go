@@ -12,15 +12,9 @@ import (
 	"gridmdo/internal/vmi"
 )
 
-// Transport carries frames to PEs hosted by other OS processes. The VMI
-// TCP device satisfies it.
-type Transport interface {
-	Send(f *vmi.Frame) error
-}
-
 // Runtime is the real-time executor: one scheduler goroutine per hosted
 // PE, VMI delay devices injecting the configured inter-cluster latencies,
-// and an optional TCP transport for PEs in other processes. It implements
+// and an optional transport stack for PEs in other processes. It implements
 // Backend.
 type Runtime struct {
 	topo  *topology.Topology
@@ -64,9 +58,6 @@ type Runtime struct {
 	arrMu    sync.Mutex
 	arriving map[ElemRef][]*Message
 
-	wireSend vmi.SendFunc
-	wireRecv vmi.RecvFunc
-
 	start time.Time
 	wg    sync.WaitGroup
 }
@@ -89,8 +80,8 @@ type peState struct {
 
 // NewRuntime builds a real-time runtime for prog on topo, configured by
 // functional options (WithTrace, WithMetrics, WithCluster, …). All
-// construction knobs — tracer, metrics registry, transport, failure hook —
-// bind here; there are no post-construction setters.
+// construction knobs — tracer, metrics registry, transport — bind here;
+// there are no post-construction setters.
 func NewRuntime(topo *topology.Topology, prog *Program, options ...Option) (*Runtime, error) {
 	if err := prog.Validate(); err != nil {
 		return nil, err
@@ -198,20 +189,11 @@ func NewRuntime(topo *topology.Topology, prog *Program, options ...Option) (*Run
 	sinks = append(sinks, rt.instrument(opts.Metrics))
 	rt.sink = trace.Tee(sinks...)
 	if opts.Transport != nil {
-		rt.wireSend = vmi.BuildSendChain(opts.Transport.Send, opts.WireSend...)
-		rt.wireRecv = vmi.BuildRecvChain(rt.injectDecoded, opts.WireRecv...)
 		// The transport's write path is asynchronous (coalesced); errors it
 		// can no longer return from Send must fail the run, or a dead peer
 		// leaves the surviving node waiting forever for messages that were
-		// acknowledged into a doomed buffer. Stacks built by
-		// vmi.NewChainBuilder complete both directions through Bind; plain
-		// transports fall back to the legacy error-handler contract.
-		switch tr := opts.Transport.(type) {
-		case binder:
-			tr.Bind(rt.InjectFrame, rt.fail)
-		case legacyErrHandler:
-			tr.SetErrHandler(rt.fail)
-		}
+		// acknowledged into a doomed buffer.
+		opts.Transport.Bind(rt.injectFrame, rt.fail)
 	}
 	return rt, nil
 }
@@ -420,10 +402,10 @@ func (rt *Runtime) deliver(f *vmi.Frame) error {
 		// against a possibly-dead peer, stalling Run's cleanup.
 		return nil
 	}
-	// Serialize into a pooled buffer. The TCP device copies the body into
-	// its coalescing buffer before Send returns (and transform devices
-	// that reallocate the body drop this one), so it can be recycled as
-	// soon as the send chain hands the frame back.
+	// Serialize into a pooled buffer. The stack copies the body (into the
+	// reliability layer's retransmit entry or the TCP device's coalescing
+	// buffer) before Send returns, so it can be recycled as soon as the
+	// send chain hands the frame back.
 	buf := vmi.GetBuf(msgHeaderLen + m.Bytes)
 	body, err := AppendMessage(buf[:0], m)
 	if err != nil {
@@ -433,7 +415,7 @@ func (rt *Runtime) deliver(f *vmi.Frame) error {
 	}
 	f.Body = body
 	f.Obj = nil
-	err = rt.wireSend(f)
+	err = rt.opts.Transport.Send(f)
 	vmi.PutBuf(body)
 	if err != nil {
 		rt.fail(err)
@@ -472,17 +454,9 @@ func (rt *Runtime) Record(ev trace.Event) {
 	}
 }
 
-// InjectFrame delivers a frame received from the transport into the local
-// runtime, passing it through the configured wire receive chain first.
-func (rt *Runtime) InjectFrame(f *vmi.Frame) error {
-	if rt.wireRecv == nil {
-		return rt.injectDecoded(f)
-	}
-	return rt.wireRecv(f)
-}
-
-// injectDecoded is the terminal of the wire receive chain.
-func (rt *Runtime) injectDecoded(f *vmi.Frame) error {
+// injectFrame decodes a frame the transport stack delivered and enqueues
+// its message on the local PE it addresses.
+func (rt *Runtime) injectFrame(f *vmi.Frame) error {
 	m, err := DecodeMessage(f.Body)
 	if err != nil {
 		rt.fail(err)
@@ -561,14 +535,10 @@ func (rt *Runtime) fail(err error) {
 		return
 	}
 	rt.errMu.Lock()
-	first := rt.runErr == nil
-	if first {
+	if rt.runErr == nil {
 		rt.runErr = err
 	}
 	rt.errMu.Unlock()
-	if first && rt.opts.FailureHook != nil {
-		rt.opts.FailureHook(err)
-	}
 	rt.ExitWith(nil)
 }
 

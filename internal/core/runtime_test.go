@@ -407,14 +407,14 @@ func TestNewRuntimeValidation(t *testing.T) {
 	if _, err := NewRuntime(topo, &Program{}); err == nil {
 		t.Error("invalid program accepted")
 	}
-	if _, err := NewRuntime(topo, prog, WithCluster(ClusterConfig{Transport: fakeTransport{}, PELo: 0, PEHi: 1})); err == nil {
+	if _, err := NewRuntime(topo, prog, WithCluster(ClusterConfig{Transport: idleStack(t), PELo: 0, PEHi: 1})); err == nil {
 		t.Error("multi-process without NodeOf accepted")
 	}
-	if _, err := NewRuntime(topo, prog, WithCluster(ClusterConfig{Transport: fakeTransport{}, NodeOf: func(int) int { return 0 }, PELo: 1, PEHi: 1})); err == nil {
+	if _, err := NewRuntime(topo, prog, WithCluster(ClusterConfig{Transport: idleStack(t), NodeOf: func(int) int { return 0 }, PELo: 1, PEHi: 1})); err == nil {
 		t.Error("empty PE range accepted")
 	}
 	// Multi-process quiescence detection is supported (wave protocol).
-	if _, err := NewRuntime(topo, prog, WithCluster(ClusterConfig{Transport: fakeTransport{}, NodeOf: func(int) int { return 0 }, PELo: 0, PEHi: 1}), WithQuiescence()); err != nil {
+	if _, err := NewRuntime(topo, prog, WithCluster(ClusterConfig{Transport: idleStack(t), NodeOf: func(int) int { return 0 }, PELo: 0, PEHi: 1}), WithQuiescence()); err != nil {
 		t.Errorf("multi-process quiescence rejected: %v", err)
 	}
 	// Load-balanced elements must serialize through PUP; a non-Migratable
@@ -424,7 +424,7 @@ func TestNewRuntimeValidation(t *testing.T) {
 		Start:  func(*Ctx) {},
 		LB:     &LBConfig{Arrays: []ArrayID{0}, Strategy: moveAllTo(0)},
 	}
-	if _, err := NewRuntime(topo, lbProg, WithCluster(ClusterConfig{Transport: fakeTransport{}, NodeOf: func(int) int { return 0 }, PELo: 0, PEHi: 1})); err == nil {
+	if _, err := NewRuntime(topo, lbProg, WithCluster(ClusterConfig{Transport: idleStack(t), NodeOf: func(int) int { return 0 }, PELo: 0, PEHi: 1})); err == nil {
 		t.Error("multi-process load balancing of non-Migratable elements accepted")
 	}
 	// With Migratable elements, multi-process load balancing is supported.
@@ -433,11 +433,19 @@ func TestNewRuntimeValidation(t *testing.T) {
 		Start:  func(*Ctx) {},
 		LB:     &LBConfig{Arrays: []ArrayID{0}, Strategy: moveAllTo(0)},
 	}
-	if _, err := NewRuntime(topo, lbOK, WithCluster(ClusterConfig{Transport: fakeTransport{}, NodeOf: func(int) int { return 0 }, PELo: 0, PEHi: 1})); err != nil {
+	if _, err := NewRuntime(topo, lbOK, WithCluster(ClusterConfig{Transport: idleStack(t), NodeOf: func(int) int { return 0 }, PELo: 0, PEHi: 1})); err != nil {
 		t.Errorf("multi-process load balancing rejected: %v", err)
 	}
 }
 
-type fakeTransport struct{}
-
-func (fakeTransport) Send(*vmi.Frame) error { return nil }
+// idleStack builds a transport stack that never listens: enough for
+// NewRuntime to accept and bind, with no traffic ever crossing it.
+func idleStack(t *testing.T) *vmi.Stack {
+	t.Helper()
+	st, err := vmi.NewChainBuilder(0, map[int]string{}, func(int32) int { return 0 }).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	return st
+}

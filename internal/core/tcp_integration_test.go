@@ -10,10 +10,64 @@ import (
 	"gridmdo/internal/vmi"
 )
 
+// tcpPair is a two-node run over the stack gridnode builds by default —
+// a ChainBuilder stack without a reliability layer — on loopback TCP.
+// Node n hosts PE n.
+type tcpPair struct {
+	stacks [2]*vmi.Stack
+	rts    [2]*Runtime
+}
+
+// newTCPPair builds, joins and binds the two nodes. mod, if non-nil, adds
+// to node n's builder (fault devices, dial attempts); opts, if non-nil,
+// returns node n's extra runtime options. The stacks close when the test
+// ends.
+func newTCPPair(t *testing.T, topo *topology.Topology, mkProg func(node int) *Program,
+	mod func(node int, b *vmi.ChainBuilder), opts func(node int) []Option) *tcpPair {
+	t.Helper()
+	p := &tcpPair{}
+	routeFn := func(pe int32) int { return int(pe) }
+	for node := 0; node < 2; node++ {
+		b := vmi.NewChainBuilder(node, map[int]string{node: "127.0.0.1:0"}, routeFn)
+		if mod != nil {
+			mod(node, b)
+		}
+		st, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.stacks[node] = st
+		t.Cleanup(func() { st.Close() })
+	}
+	a0, err := p.stacks[0].Listen()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a1, err := p.stacks[1].Listen()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.stacks[0].SetAddr(1, a1)
+	p.stacks[1].SetAddr(0, a0)
+	for node := 0; node < 2; node++ {
+		o := []Option{WithCluster(ClusterConfig{Transport: p.stacks[node],
+			NodeOf: func(pe int) int { return pe }, Node: node, PELo: node, PEHi: node + 1})}
+		if opts != nil {
+			o = append(o, opts(node)...)
+		}
+		rt, err := NewRuntime(topo, mkProg(node), o...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.rts[node] = rt
+	}
+	return p
+}
+
 // TestTwoNodeTCPRuntime wires two Runtimes (each hosting one PE of a
-// two-cluster machine) through the real VMI TCP transport with the delay
-// device injecting a 5ms WAN latency — the same pathway the Table 1/2
-// "real latency" experiments use, compressed into one test process.
+// two-cluster machine) through ChainBuilder stacks on real TCP with the
+// delay device injecting a 5ms WAN latency — the same pathway the Table
+// 1/2 "real latency" experiments use, compressed into one test process.
 func TestTwoNodeTCPRuntime(t *testing.T) {
 	const lat = 5 * time.Millisecond
 	const rounds = 3
@@ -22,7 +76,7 @@ func TestTwoNodeTCPRuntime(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	mkProg := func() *Program {
+	mkProg := func(int) *Program {
 		return &Program{
 			Arrays: []ArraySpec{{
 				ID: 0, N: 2,
@@ -42,42 +96,7 @@ func TestTwoNodeTCPRuntime(t *testing.T) {
 		}
 	}
 
-	nodeOf := func(pe int) int { return pe } // one PE per node
-	routeFn := func(pe int32) int { return int(pe) }
-
-	var rts [2]*Runtime
-	var tcps [2]*vmi.TCP
-	addrs := []map[int]string{
-		{0: "127.0.0.1:0", 1: ""},
-		{0: "", 1: "127.0.0.1:0"},
-	}
-	for node := 0; node < 2; node++ {
-		node := node
-		tcps[node] = vmi.NewTCP(node, addrs[node], routeFn, func(f *vmi.Frame) error {
-			return rts[node].InjectFrame(f)
-		})
-	}
-	a0, err := tcps[0].Listen()
-	if err != nil {
-		t.Fatal(err)
-	}
-	a1, err := tcps[1].Listen()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tcps[0].SetAddr(1, a1)
-	tcps[1].SetAddr(0, a0)
-	defer tcps[0].Close()
-	defer tcps[1].Close()
-
-	for node := 0; node < 2; node++ {
-		rt, err := NewRuntime(topo, mkProg(),
-			WithCluster(ClusterConfig{Transport: tcps[node], NodeOf: nodeOf, Node: node, PELo: node, PEHi: node + 1}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rts[node] = rt
-	}
+	rts := newTCPPair(t, topo, mkProg, nil, nil).rts
 
 	type result struct {
 		v   any
@@ -124,7 +143,7 @@ func TestTwoNodeTCPCausality(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	mkProg := func() *Program {
+	mkProg := func(int) *Program {
 		return &Program{
 			Arrays: []ArraySpec{{
 				ID: 0, N: 2,
@@ -143,45 +162,10 @@ func TestTwoNodeTCPCausality(t *testing.T) {
 		}
 	}
 
-	nodeOf := func(pe int) int { return pe }
-	routeFn := func(pe int32) int { return int(pe) }
-
-	var rts [2]*Runtime
-	var tcps [2]*vmi.TCP
-	var trs [2]*trace.Tracer
-	addrs := []map[int]string{
-		{0: "127.0.0.1:0", 1: ""},
-		{0: "", 1: "127.0.0.1:0"},
-	}
-	for node := 0; node < 2; node++ {
-		node := node
-		trs[node] = trace.New(2)
-		tcps[node] = vmi.NewTCP(node, addrs[node], routeFn, func(f *vmi.Frame) error {
-			return rts[node].InjectFrame(f)
-		})
-	}
-	a0, err := tcps[0].Listen()
-	if err != nil {
-		t.Fatal(err)
-	}
-	a1, err := tcps[1].Listen()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tcps[0].SetAddr(1, a1)
-	tcps[1].SetAddr(0, a0)
-	defer tcps[0].Close()
-	defer tcps[1].Close()
-
-	for node := 0; node < 2; node++ {
-		rt, err := NewRuntime(topo, mkProg(),
-			WithTrace(trs[node]),
-			WithCluster(ClusterConfig{Transport: tcps[node], NodeOf: nodeOf, Node: node, PELo: node, PEHi: node + 1}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rts[node] = rt
-	}
+	trs := [2]*trace.Tracer{trace.New(2), trace.New(2)}
+	rts := newTCPPair(t, topo, mkProg, nil, func(node int) []Option {
+		return []Option{WithTrace(trs[node])}
+	}).rts
 
 	done := make(chan error, 1)
 	go func() {
@@ -247,7 +231,7 @@ func TestTwoNodeUnregisteredPayloadFailsRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mkProg := func() *Program {
+	mkProg := func(int) *Program {
 		return &Program{
 			Arrays: []ArraySpec{{ID: 0, N: 2, New: func(i int) Chare {
 				return funcChare(func(ctx *Ctx, entry EntryID, data any) { ctx.ExitWith(data) })
@@ -256,34 +240,7 @@ func TestTwoNodeUnregisteredPayloadFailsRun(t *testing.T) {
 			Start: func(ctx *Ctx) { ctx.Send(ElemRef{0, 1}, 0, unregisteredPayload{Name: "lost", Count: 1}) },
 		}
 	}
-	nodeOf := func(pe int) int { return pe }
-	routeFn := func(pe int32) int { return int(pe) }
-	var rts [2]*Runtime
-	var tcps [2]*vmi.TCP
-	for node := 0; node < 2; node++ {
-		node := node
-		tcps[node] = vmi.NewTCP(node, map[int]string{node: "127.0.0.1:0"}, routeFn, func(f *vmi.Frame) error {
-			return rts[node].InjectFrame(f)
-		})
-		defer tcps[node].Close()
-	}
-	a0, err := tcps[0].Listen()
-	if err != nil {
-		t.Fatal(err)
-	}
-	a1, err := tcps[1].Listen()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tcps[0].SetAddr(1, a1)
-	tcps[1].SetAddr(0, a0)
-	for node := 0; node < 2; node++ {
-		rts[node], err = NewRuntime(topo, mkProg(),
-			WithCluster(ClusterConfig{Transport: tcps[node], NodeOf: nodeOf, Node: node, PELo: node, PEHi: node + 1}))
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
+	rts := newTCPPair(t, topo, mkProg, nil, nil).rts
 	worker := make(chan error, 1)
 	go func() {
 		_, err := rts[1].Run()

@@ -41,6 +41,32 @@ func TestChainNilTerminalErrors(t *testing.T) {
 	}
 }
 
+func TestDeviceFuncAdaptersAndNames(t *testing.T) {
+	var hits int
+	sd := SendDeviceFunc{DeviceName: "s", Fn: func(f *Frame, next SendFunc) error { hits++; return next(f) }}
+	rd := RecvDeviceFunc{DeviceName: "r", Fn: func(f *Frame, next RecvFunc) error { hits++; return next(f) }}
+	if sd.Name() != "s" || rd.Name() != "r" {
+		t.Error("adapter names wrong")
+	}
+	send := BuildSendChain(func(*Frame) error { return nil }, sd)
+	recv := BuildRecvChain(func(*Frame) error { return nil }, rd)
+	if err := send(&Frame{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := recv(&Frame{}); err != nil {
+		t.Fatal(err)
+	}
+	if hits != 2 {
+		t.Errorf("adapters hit %d times", hits)
+	}
+	// Exercise device names used in diagnostics.
+	d := NewDelayDevice(func(int32, int32) time.Duration { return 0 })
+	defer d.Close()
+	if d.Name() == "" {
+		t.Error("device with empty name")
+	}
+}
+
 func TestDelayDeviceZeroLatencyIsSynchronous(t *testing.T) {
 	d := NewDelayDevice(func(src, dst int32) time.Duration { return 0 })
 	defer d.Close()

@@ -9,9 +9,7 @@ import (
 
 // ChainBuilder assembles a node's whole transport stack — the optional
 // reliability layer, fault-injection devices, and the TCP terminal — from
-// one declarative description, replacing the positional wiring that
-// previously spread across NewTCP, NewReliable, SetRecv and
-// SetErrHandler:
+// one declarative description:
 //
 //	runtime → Reliable → faults → TCP ⇢ socket
 //	runtime ← Reliable ← faults ← TCP ⇠ socket
@@ -25,10 +23,9 @@ import (
 // (FaultDevice, PartitionDevice, Reliable, TCP) register their own series
 // too.
 //
-// Build returns a *Stack, which implements core.Transport. The runtime
-// completes the stack at its own construction through Stack.Bind —
-// attaching its frame-delivery entry and failure hook in one call — so no
-// post-hoc setter survives in the public wiring.
+// Build returns a *Stack. The runtime completes it at its own
+// construction through Stack.Bind, attaching its frame-delivery entry and
+// failure hook in one call.
 type ChainBuilder struct {
 	self  int
 	addrs map[int]string
@@ -65,8 +62,7 @@ func (b *ChainBuilder) Metrics(reg *metrics.Registry) *ChainBuilder {
 }
 
 // Reliable interposes the end-to-end reliability layer between the
-// runtime and the fault devices. Fault chains configured on the
-// builder override cfg.SendFaults/RecvFaults; declare them via Faults.
+// runtime and the fault devices.
 func (b *ChainBuilder) Reliable(cfg ReliableConfig) *ChainBuilder {
 	if b.relCfg != nil {
 		b.fail(fmt.Errorf("vmi: chain builder: Reliable declared twice"))
@@ -182,22 +178,19 @@ func (b *ChainBuilder) Build() (*Stack, error) {
 	// Reliability (with faults inside its envelope) or bare faults
 	// directly above the socket.
 	if b.relCfg != nil {
-		cfg := *b.relCfg
-		cfg.SendFaults = faultSend
-		cfg.RecvFaults = faultRecv
-		s.rel = NewReliable(s.tcp, s.deliverBound, cfg)
+		s.rel = newReliable(s.tcp, s.deliverBound, *b.relCfg, faultSend, faultRecv)
 		s.rel.Instrument(b.reg, metrics.L("node", fmt.Sprint(b.self)))
 		s.send = s.rel.Send
 	} else {
-		s.tcp.SetRecv(BuildRecvChain(s.deliverBound, faultRecv...))
+		s.tcp.setRecv(BuildRecvChain(s.deliverBound, faultRecv...))
 		s.send = BuildSendChain(s.tcp.Send, faultSend...)
 	}
 	return s, nil
 }
 
-// Stack is a built transport stack: the core.Transport the runtime sends
+// Stack is a built transport stack: the one transport a runtime sends
 // through, plus lifecycle management for the devices inside it. Complete
-// it with Bind (core.NewRuntime does this for stacks passed as its
+// it with Bind (core.NewRuntime does this for the stack passed as its
 // transport) before frames arrive.
 type Stack struct {
 	tcp  *TCP
@@ -221,8 +214,7 @@ func (s *Stack) deliverBound(f *Frame) error {
 // Bind attaches the runtime's frame-delivery entry and asynchronous
 // failure hook, completing the stack. With a reliability layer the hook
 // fires only on retransmit-budget exhaustion; otherwise every transport
-// error reaches it. core.NewRuntime calls Bind on transports that
-// implement it.
+// error reaches it.
 func (s *Stack) Bind(deliver RecvFunc, onErr func(error)) {
 	s.deliver.Store(&deliver)
 	if s.rel != nil {
@@ -232,8 +224,7 @@ func (s *Stack) Bind(deliver RecvFunc, onErr func(error)) {
 	}
 }
 
-// Send implements core.Transport: frames enter the send chain and
-// continue to the wire.
+// Send hands a frame to the send chain, which continues to the wire.
 func (s *Stack) Send(f *Frame) error { return s.send(f) }
 
 // Listen starts the TCP terminal accepting connections and returns the

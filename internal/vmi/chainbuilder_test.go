@@ -3,86 +3,11 @@ package vmi
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"gridmdo/internal/metrics"
 )
-
-// stackPair joins two built stacks over loopback TCP, capturing frames
-// delivered on node 1. PEs 0..1 live on node 0, PEs 2..3 on node 1.
-type stackPair struct {
-	s0, s1 *Stack
-
-	mu   sync.Mutex
-	got1 []*Frame
-}
-
-func newStackPair(t *testing.T, mod0, mod1 func(*ChainBuilder) *ChainBuilder) *stackPair {
-	t.Helper()
-	route := func(pe int32) int {
-		if pe < 2 {
-			return 0
-		}
-		return 1
-	}
-	p := &stackPair{}
-	build := func(node int) *Stack {
-		b := NewChainBuilder(node, map[int]string{node: "127.0.0.1:0"}, route)
-		if node == 0 && mod0 != nil {
-			b = mod0(b)
-		}
-		if node == 1 && mod1 != nil {
-			b = mod1(b)
-		}
-		s, err := b.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	p.s0, p.s1 = build(0), build(1)
-	p.s0.Bind(func(*Frame) error { return nil }, func(err error) { t.Errorf("node 0: %v", err) })
-	p.s1.Bind(func(f *Frame) error {
-		p.mu.Lock()
-		p.got1 = append(p.got1, f.Clone())
-		p.mu.Unlock()
-		return nil
-	}, func(err error) { t.Errorf("node 1: %v", err) })
-	a0, err := p.s0.Listen()
-	if err != nil {
-		t.Fatal(err)
-	}
-	a1, err := p.s1.Listen()
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.s0.SetAddr(1, a1)
-	p.s1.SetAddr(0, a0)
-	t.Cleanup(func() {
-		p.s0.Close()
-		p.s1.Close()
-	})
-	return p
-}
-
-func (p *stackPair) at1() []*Frame {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return append([]*Frame(nil), p.got1...)
-}
-
-func waitPair(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s", what)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-}
 
 // TestChainBuilderFaultsInsideReliable pins fault placement: fault
 // devices declared on the builder sit below the reliability layer, inside
@@ -91,20 +16,16 @@ func waitPair(t *testing.T, what string, cond func() bool) {
 func TestChainBuilderFaultsInsideReliable(t *testing.T) {
 	fd := NewFaultDevice(5, FaultPlan{Drop: 0.3})
 	defer fd.Close()
-	p := newStackPair(t,
-		func(b *ChainBuilder) *ChainBuilder {
-			return b.Faults([]SendDevice{fd}, nil).Reliable(ReliableConfig{RTO: 5 * time.Millisecond})
-		},
-		func(b *ChainBuilder) *ChainBuilder {
-			return b.Reliable(ReliableConfig{RTO: 5 * time.Millisecond})
-		})
+	p := newRelPair(t,
+		relEnd{cfg: ReliableConfig{RTO: 5 * time.Millisecond}, send: []SendDevice{fd}},
+		relEnd{cfg: ReliableConfig{RTO: 5 * time.Millisecond}})
 	const n = 50
 	for i := 0; i < n; i++ {
 		if err := p.s0.Send(&Frame{Src: 0, Dst: 2, Body: []byte(fmt.Sprintf("msg-%d", i))}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	waitPair(t, "repaired delivery", func() bool { return len(p.at1()) == n })
+	waitFor(t, "repaired delivery", func() bool { return len(p.at1()) == n })
 	for i, f := range p.at1() {
 		if want := fmt.Sprintf("msg-%d", i); string(f.Body) != want {
 			t.Fatalf("frame %d = %q, want %q (order broken)", i, f.Body, want)
@@ -125,15 +46,9 @@ func TestChainBuilderInstrumentedSeries(t *testing.T) {
 	reg := metrics.NewRegistry()
 	fd := NewFaultDevice(9, FaultPlan{Drop: 0.1})
 	defer fd.Close()
-	p := newStackPair(t,
-		func(b *ChainBuilder) *ChainBuilder {
-			return b.Metrics(reg).
-				Faults([]SendDevice{fd}, nil).
-				Reliable(ReliableConfig{RTO: 5 * time.Millisecond})
-		},
-		func(b *ChainBuilder) *ChainBuilder {
-			return b.Reliable(ReliableConfig{RTO: 5 * time.Millisecond})
-		})
+	p := newRelPair(t,
+		relEnd{cfg: ReliableConfig{RTO: 5 * time.Millisecond}, send: []SendDevice{fd}, reg: reg},
+		relEnd{cfg: ReliableConfig{RTO: 5 * time.Millisecond}})
 	if p.s0.Metrics() != reg || p.s1.Metrics() != nil {
 		t.Error("Stack.Metrics does not report the build registry")
 	}
@@ -146,7 +61,7 @@ func TestChainBuilderInstrumentedSeries(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitPair(t, "delivery", func() bool { return len(p.at1()) == n })
+	waitFor(t, "delivery", func() bool { return len(p.at1()) == n })
 	snap := reg.Snapshot()
 	for _, name := range []string{
 		"vmi_device_frames_total",

@@ -46,10 +46,10 @@ func TestChaosAllFaultsBothDirections(t *testing.T) {
 	fd1 := NewFaultDevice(seed+1, chaosPlan())
 	defer fd0.Close()
 	defer fd1.Close()
-	cfg := func(fd *FaultDevice) ReliableConfig {
-		return ReliableConfig{RTO: 5 * time.Millisecond, SendFaults: []SendDevice{fd}}
+	end := func(fd *FaultDevice) relEnd {
+		return relEnd{cfg: ReliableConfig{RTO: 5 * time.Millisecond}, send: []SendDevice{fd}}
 	}
-	p := newRelPair(t, cfg(fd0), cfg(fd1))
+	p := newRelPair(t, end(fd0), end(fd1))
 
 	n := 300
 	if testing.Short() {
@@ -84,8 +84,8 @@ func TestChaosDropConnMidRun(t *testing.T) {
 	fd := NewFaultDevice(seed, chaosPlan())
 	defer fd.Close()
 	p := newRelPair(t,
-		ReliableConfig{RTO: 5 * time.Millisecond, SendFaults: []SendDevice{fd}},
-		ReliableConfig{RTO: 5 * time.Millisecond})
+		relEnd{cfg: ReliableConfig{RTO: 5 * time.Millisecond}, send: []SendDevice{fd}},
+		relEnd{cfg: ReliableConfig{RTO: 5 * time.Millisecond}})
 
 	n := 300
 	if testing.Short() {
@@ -118,8 +118,8 @@ func TestChaosPartitionSeverHeal(t *testing.T) {
 	defer fd.Close()
 	wan := NewPartitionDevice(nil)
 	p := newRelPair(t,
-		ReliableConfig{RTO: 5 * time.Millisecond, SendFaults: []SendDevice{fd, wan}},
-		ReliableConfig{RTO: 5 * time.Millisecond})
+		relEnd{cfg: ReliableConfig{RTO: 5 * time.Millisecond}, send: []SendDevice{fd, wan}},
+		relEnd{cfg: ReliableConfig{RTO: 5 * time.Millisecond}})
 
 	n := 150
 	if testing.Short() {

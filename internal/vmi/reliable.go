@@ -20,18 +20,18 @@ import (
 // reconnection of dropped TCP connections (the next send or retransmit
 // re-dials through the transport's existing retry path). Transport-level
 // errors — write failures, dropped connections, CRC-corrupt frames — are
-// absorbed and repaired by retransmission; the error handler installed via
-// SetErrHandler (the runtime's fail-fast hook) fires only when a frame
-// exhausts its retransmit budget, turning PR 1's fail-fast into graceful
-// degradation with a hard backstop.
+// absorbed and repaired by retransmission; the failure handler bound with
+// Stack.Bind (the runtime's fail-fast hook) fires only when a frame
+// exhausts its retransmit budget, so a fault is repaired where it can be
+// and ends the run only past a hard backstop.
 //
-// Layering: transform devices (compress, checksum, cipher) run above
-// Reliable, fault devices and the socket below it, so every fault the
-// chaos harness injects on the "wire" side is inside the reliability
-// envelope:
+// Layering: the runtime sits directly above Reliable, the fault devices
+// declared with ChainBuilder.Faults and the socket below it, so every
+// fault the chaos harness injects on the "wire" side is inside the
+// reliability envelope:
 //
-//	runtime → wire send chain → Reliable → SendFaults → TCP ⇢ socket
-//	runtime ← wire recv chain ← Reliable ← RecvFaults ← TCP ⇠ socket
+//	runtime → Reliable → faults → TCP ⇢ socket
+//	runtime ← Reliable ← faults ← TCP ⇠ socket
 //
 // Each data frame's body is prefixed with a 28-byte reliability header
 // carrying the sequence number, the cumulative ack, and a CRC of the
@@ -160,29 +160,11 @@ type ReliableConfig struct {
 	AckDelay time.Duration
 	// MaxRetransmits is the per-frame retransmit budget; when a frame has
 	// been retransmitted this many times without an ack, the layer gives
-	// up and fires the error handler (default 12).
+	// up and fires the failure handler (default 12).
 	MaxRetransmits int
 	// Window bounds the per-peer retransmit buffer in frames; senders
 	// block until acks free space (default 512).
 	Window int
-	// SendFaults and RecvFaults are device chains interposed between the
-	// reliability layer and the socket — the chaos harness injects drops,
-	// duplicates, reordering, corruption, and partitions here, inside the
-	// reliability envelope.
-	SendFaults []SendDevice
-	RecvFaults []RecvDevice
-	// OnFail, if non-nil, is the budget-exhaustion backstop, installed at
-	// construction (the replacement for the deprecated post-hoc
-	// SetErrHandler). When the layer is owned by a ChainBuilder Stack, the
-	// runtime's failure path is bound through Stack.Bind instead.
-	OnFail func(error)
-	// OnPeerFail, if non-nil, is consulted before OnFail when one peer
-	// exhausts its retransmit budget. Returning true claims the failure as
-	// handled — the layer forgets the peer (dropping its buffered frames)
-	// and keeps serving the others — turning a single dead node into a
-	// membership event instead of a run failure. Returning false falls
-	// through to the terminal OnFail path.
-	OnPeerFail func(node int, err error) bool
 }
 
 func (c *ReliableConfig) fill() {
@@ -212,8 +194,9 @@ type ReliableStats struct {
 	// epoch older than this node's — the zombie traffic the epoch bump
 	// exists to keep out.
 	StaleEpochDropped int64
-	// PeerFailures counts peers whose budget exhaustion was claimed by
-	// OnPeerFail (and whose state was dropped) instead of failing the run.
+	// PeerFailures counts peers whose budget exhaustion was claimed by the
+	// SetOnPeerFail handler (and whose state was dropped) instead of
+	// failing the run.
 	PeerFailures int64
 	// WindowStalls counts Sends that blocked on a full retransmit window
 	// (counted when the wait begins); WindowStallNanos is the time they
@@ -221,9 +204,9 @@ type ReliableStats struct {
 	WindowStalls, WindowStallNanos int64
 }
 
-// Reliable implements the core.Transport Send contract over a *TCP. Build
-// it with NewReliable, which rewires the TCP's receive path and error
-// handler through the layer.
+// Reliable is the reliability device of a ChainBuilder stack with
+// Reliable configured; it owns the TCP device's receive path and error
+// handler.
 type Reliable struct {
 	tcp  *TCP
 	up   RecvFunc
@@ -231,11 +214,12 @@ type Reliable struct {
 	cfg  ReliableConfig
 
 	// errHandler is the budget-exhaustion backstop (the runtime's fail
-	// hook); transport-level errors never reach it directly.
+	// hook, bound by Stack.Bind); transport-level errors never reach it
+	// directly.
 	errHandler atomic.Pointer[func(error)]
 
 	// onPeerFail is the per-peer budget-exhaustion handler (membership's
-	// death detector); see ReliableConfig.OnPeerFail.
+	// death detector); see SetOnPeerFail.
 	onPeerFail atomic.Pointer[func(node int, err error) bool]
 
 	// epoch is this node's current membership epoch, stamped on every
@@ -290,12 +274,12 @@ type relEntry struct {
 	attempts int
 }
 
-// NewReliable interposes a reliability layer on t: frames handed to
-// rel.Send are sequenced, buffered, and shipped through t (below any
-// cfg.SendFaults); frames arriving off t's wire (through cfg.RecvFaults)
-// are verified, deduplicated, reordered back into sequence, and delivered
-// to deliver. Must be called before t establishes connections.
-func NewReliable(t *TCP, deliver RecvFunc, cfg ReliableConfig) *Reliable {
+// newReliable interposes a reliability layer on t: frames handed to
+// rel.Send are sequenced, buffered, and shipped through sendFaults to t;
+// frames arriving off t's wire (through recvFaults) are verified,
+// deduplicated, reordered back into sequence, and delivered to deliver.
+// Must be called before t establishes connections.
+func newReliable(t *TCP, deliver RecvFunc, cfg ReliableConfig, sendFaults []SendDevice, recvFaults []RecvDevice) *Reliable {
 	cfg.fill()
 	rel := &Reliable{
 		tcp:   t,
@@ -306,14 +290,8 @@ func NewReliable(t *TCP, deliver RecvFunc, cfg ReliableConfig) *Reliable {
 		done:  make(chan struct{}),
 	}
 	rel.space = sync.NewCond(&rel.mu)
-	if cfg.OnFail != nil {
-		rel.errHandler.Store(&cfg.OnFail)
-	}
-	if cfg.OnPeerFail != nil {
-		rel.onPeerFail.Store(&cfg.OnPeerFail)
-	}
-	rel.down = BuildSendChain(t.Send, cfg.SendFaults...)
-	t.SetRecv(BuildRecvChain(rel.deliverWire, cfg.RecvFaults...))
+	rel.down = BuildSendChain(t.Send, sendFaults...)
+	t.setRecv(BuildRecvChain(rel.deliverWire, recvFaults...))
 	t.setErrHandler(rel.onTransportErr)
 	rel.wg.Add(2)
 	go rel.retransmitLoop()
@@ -321,14 +299,7 @@ func NewReliable(t *TCP, deliver RecvFunc, cfg ReliableConfig) *Reliable {
 	return rel
 }
 
-// SetErrHandler installs the budget-exhaustion handler.
-//
-// Deprecated: set ReliableConfig.OnFail at construction, or let
-// core.NewRuntime bind its failure path through a ChainBuilder Stack.
-// Retained for out-of-tree callers; no in-tree caller remains.
-func (r *Reliable) SetErrHandler(h func(error)) { r.setErrHandler(h) }
-
-// setErrHandler is the in-package installation path (Stack.Bind).
+// setErrHandler installs the budget-exhaustion handler (Stack.Bind).
 func (r *Reliable) setErrHandler(h func(error)) { r.errHandler.Store(&h) }
 
 func (r *Reliable) errh() func(error) {
@@ -338,9 +309,12 @@ func (r *Reliable) errh() func(error) {
 	return nil
 }
 
-// SetOnPeerFail installs the per-peer budget-exhaustion handler after
-// construction (the membership layer is typically built above an already-
-// assembled stack). See ReliableConfig.OnPeerFail.
+// SetOnPeerFail installs the per-peer budget-exhaustion handler, consulted
+// before the failure handler when one peer exhausts its retransmit budget.
+// Returning true claims the failure as handled — the layer forgets the
+// peer (dropping its buffered frames) and keeps serving the others —
+// turning a single dead node into a membership event instead of a run
+// failure. Returning false falls through to the failure handler.
 func (r *Reliable) SetOnPeerFail(fn func(node int, err error) bool) {
 	r.onPeerFail.Store(&fn)
 }

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"gridmdo/internal/metrics"
 )
 
 func TestRelHeaderRoundTrip(t *testing.T) {
@@ -54,9 +56,11 @@ func TestRelHeaderDecodeErrors(t *testing.T) {
 	}
 }
 
-// relPair wires two TCP nodes, each wrapped in a Reliable layer, over
-// loopback. PEs 0..1 live on node 0, PEs 2..3 on node 1.
+// relPair joins two ChainBuilder stacks, each with a reliability layer,
+// over loopback TCP and captures the frames each delivers. PEs 0..1 live
+// on node 0, PEs 2..3 on node 1.
 type relPair struct {
+	s0, s1 *Stack
 	t0, t1 *TCP
 	r0, r1 *Reliable
 
@@ -64,7 +68,18 @@ type relPair struct {
 	got0, got1 []*Frame
 }
 
-func newRelPair(t *testing.T, cfg0, cfg1 ReliableConfig) *relPair {
+// relEnd configures one end of a relPair: the reliability tuning, the
+// fault devices below the layer, an optional metrics registry, and the
+// failure handler bound with Stack.Bind (nil ignores budget exhaustion).
+type relEnd struct {
+	cfg    ReliableConfig
+	send   []SendDevice
+	recv   []RecvDevice
+	reg    *metrics.Registry
+	onFail func(error)
+}
+
+func newRelPair(t *testing.T, e0, e1 relEnd) *relPair {
 	t.Helper()
 	route := func(pe int32) int {
 		if pe < 2 {
@@ -73,34 +88,40 @@ func newRelPair(t *testing.T, cfg0, cfg1 ReliableConfig) *relPair {
 		return 1
 	}
 	p := &relPair{}
-	sink := func(dst *[]*Frame) RecvFunc {
-		return func(f *Frame) error {
+	build := func(node int, e relEnd, got *[]*Frame) *Stack {
+		s, err := NewChainBuilder(node, map[int]string{node: "127.0.0.1:0"}, route).
+			Metrics(e.reg).
+			Reliable(e.cfg).
+			Faults(e.send, e.recv).
+			Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Bind(func(f *Frame) error {
 			p.mu.Lock()
-			*dst = append(*dst, f.Clone())
+			*got = append(*got, f.Clone())
 			p.mu.Unlock()
 			return nil
-		}
+		}, e.onFail)
+		return s
 	}
-	p.t0 = NewTCP(0, map[int]string{0: "127.0.0.1:0", 1: ""}, route, nil)
-	p.t1 = NewTCP(1, map[int]string{0: "", 1: "127.0.0.1:0"}, route, nil)
-	p.r0 = NewReliable(p.t0, sink(&p.got0), cfg0)
-	p.r1 = NewReliable(p.t1, sink(&p.got1), cfg1)
-	a0, err := p.t0.Listen()
-	if err != nil {
-		t.Fatal(err)
-	}
-	a1, err := p.t1.Listen()
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.t0.SetAddr(1, a1)
-	p.t1.SetAddr(0, a0)
+	p.s0, p.s1 = build(0, e0, &p.got0), build(1, e1, &p.got1)
 	t.Cleanup(func() {
-		p.r0.Close()
-		p.r1.Close()
-		p.t0.Close()
-		p.t1.Close()
+		p.s0.Close()
+		p.s1.Close()
 	})
+	a0, err := p.s0.Listen()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a1, err := p.s1.Listen()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.s0.SetAddr(1, a1)
+	p.s1.SetAddr(0, a0)
+	p.t0, p.r0 = p.s0.TCP(), p.s0.Reliable()
+	p.t1, p.r1 = p.s1.TCP(), p.s1.Reliable()
 	return p
 }
 
@@ -134,7 +155,7 @@ func assertInOrder(t *testing.T, frames []*Frame, n int) {
 }
 
 func TestReliableLosslessDelivery(t *testing.T) {
-	p := newRelPair(t, ReliableConfig{}, ReliableConfig{})
+	p := newRelPair(t, relEnd{}, relEnd{})
 	const n = 200
 	for i := 0; i < n; i++ {
 		f := &Frame{Src: 0, Dst: 2, Body: []byte(fmt.Sprintf("msg-%d", i))}
@@ -153,7 +174,7 @@ func TestReliableLosslessDelivery(t *testing.T) {
 }
 
 func TestReliableBidirectional(t *testing.T) {
-	p := newRelPair(t, ReliableConfig{}, ReliableConfig{})
+	p := newRelPair(t, relEnd{}, relEnd{})
 	const n = 100
 	for i := 0; i < n; i++ {
 		if err := p.r0.Send(&Frame{Src: 0, Dst: 2, Body: []byte(fmt.Sprintf("msg-%d", i))}); err != nil {
@@ -178,8 +199,8 @@ func TestReliableRecoversFromDrops(t *testing.T) {
 	fd := NewFaultDevice(1234, FaultPlan{Drop: 0.3})
 	defer fd.Close()
 	p := newRelPair(t,
-		ReliableConfig{RTO: 5 * time.Millisecond, SendFaults: []SendDevice{fd}},
-		ReliableConfig{RTO: 5 * time.Millisecond})
+		relEnd{cfg: ReliableConfig{RTO: 5 * time.Millisecond}, send: []SendDevice{fd}},
+		relEnd{cfg: ReliableConfig{RTO: 5 * time.Millisecond}})
 	const n = 150
 	for i := 0; i < n; i++ {
 		if err := p.r0.Send(&Frame{Src: 0, Dst: 2, Body: []byte(fmt.Sprintf("msg-%d", i))}); err != nil {
@@ -201,7 +222,7 @@ func TestReliableRecoversFromDrops(t *testing.T) {
 func TestReliableSuppressesDuplicates(t *testing.T) {
 	fd := NewFaultDevice(99, FaultPlan{Duplicate: 0.5})
 	defer fd.Close()
-	p := newRelPair(t, ReliableConfig{SendFaults: []SendDevice{fd}}, ReliableConfig{})
+	p := newRelPair(t, relEnd{send: []SendDevice{fd}}, relEnd{})
 	const n = 100
 	for i := 0; i < n; i++ {
 		if err := p.r0.Send(&Frame{Src: 0, Dst: 2, Body: []byte(fmt.Sprintf("msg-%d", i))}); err != nil {
@@ -224,8 +245,8 @@ func TestReliableSurvivesCorruption(t *testing.T) {
 	fd := NewFaultDevice(7, FaultPlan{Corrupt: 0.3})
 	defer fd.Close()
 	p := newRelPair(t,
-		ReliableConfig{RTO: 5 * time.Millisecond, SendFaults: []SendDevice{fd}},
-		ReliableConfig{RTO: 5 * time.Millisecond})
+		relEnd{cfg: ReliableConfig{RTO: 5 * time.Millisecond}, send: []SendDevice{fd}},
+		relEnd{cfg: ReliableConfig{RTO: 5 * time.Millisecond}})
 	const n = 100
 	for i := 0; i < n; i++ {
 		if err := p.r0.Send(&Frame{Src: 0, Dst: 2, Body: []byte(fmt.Sprintf("msg-%d", i))}); err != nil {
@@ -246,9 +267,9 @@ func TestReliableReconnectsAfterDropConn(t *testing.T) {
 	var failed sync.Once
 	var failErr error
 	p := newRelPair(t,
-		ReliableConfig{RTO: 5 * time.Millisecond,
-			OnFail: func(err error) { failed.Do(func() { failErr = err }) }},
-		ReliableConfig{RTO: 5 * time.Millisecond})
+		relEnd{cfg: ReliableConfig{RTO: 5 * time.Millisecond},
+			onFail: func(err error) { failed.Do(func() { failErr = err }) }},
+		relEnd{cfg: ReliableConfig{RTO: 5 * time.Millisecond}})
 
 	const n = 200
 	for i := 0; i < n; i++ {
@@ -277,14 +298,15 @@ func TestReliableBudgetExhaustion(t *testing.T) {
 	defer fd.Close()
 	errc := make(chan error, 1)
 	p := newRelPair(t,
-		ReliableConfig{RTO: 2 * time.Millisecond, RTOMax: 4 * time.Millisecond, MaxRetransmits: 3, SendFaults: []SendDevice{fd},
-			OnFail: func(err error) {
+		relEnd{cfg: ReliableConfig{RTO: 2 * time.Millisecond, RTOMax: 4 * time.Millisecond, MaxRetransmits: 3},
+			send: []SendDevice{fd},
+			onFail: func(err error) {
 				select {
 				case errc <- err:
 				default:
 				}
 			}},
-		ReliableConfig{})
+		relEnd{})
 	if err := p.r0.Send(&Frame{Src: 0, Dst: 2, Body: []byte("doomed")}); err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +327,7 @@ func TestReliableBudgetExhaustion(t *testing.T) {
 // TestReliablePassthrough: frames without FlagReliable (pre-reliability
 // senders) bypass the layer untouched.
 func TestReliablePassthrough(t *testing.T) {
-	p := newRelPair(t, ReliableConfig{}, ReliableConfig{})
+	p := newRelPair(t, relEnd{}, relEnd{})
 	// Send below the reliability layer, straight through the TCP device.
 	if err := p.t0.Send(&Frame{Src: 0, Dst: 2, Body: []byte("raw")}); err != nil {
 		t.Fatal(err)
@@ -321,8 +343,8 @@ func TestReliablePassthrough(t *testing.T) {
 func TestReliableCountsWindowStalls(t *testing.T) {
 	dropAll := RecvDeviceFunc{DeviceName: "drop-acks", Fn: func(*Frame, RecvFunc) error { return nil }}
 	p := newRelPair(t,
-		ReliableConfig{Window: 2, RTO: time.Hour, RTOMax: time.Hour, RecvFaults: []RecvDevice{dropAll}},
-		ReliableConfig{})
+		relEnd{cfg: ReliableConfig{Window: 2, RTO: time.Hour, RTOMax: time.Hour}, recv: []RecvDevice{dropAll}},
+		relEnd{})
 	for i := 0; i < 2; i++ {
 		if err := p.r0.Send(&Frame{Src: 0, Dst: 2, Body: []byte(fmt.Sprintf("msg-%d", i))}); err != nil {
 			t.Fatal(err)

@@ -54,9 +54,9 @@ type TCP struct {
 
 	// errHandler receives asynchronous reader and writer errors; nil means
 	// ignore (connection teardown during shutdown is normal). Because Send
-	// returns before the coalesced write happens, a transport used for
-	// anything long-running must install a handler (SetErrHandler) or peer
-	// failures after enqueue are invisible to the sender.
+	// returns before the coalesced write happens, peer failures after
+	// enqueue reach the sender only through it: the reliability layer or,
+	// without one, the handler bound with Stack.Bind.
 	errHandler atomic.Pointer[func(error)]
 
 	// dialGate, if set, is consulted before dialing a node with no live
@@ -292,11 +292,10 @@ func (t *TCP) noteConnected(node int) {
 	t.everConnected[node] = true
 }
 
-// SetRecv replaces the terminal receive function for data frames arriving
+// setRecv replaces the terminal receive function for data frames arriving
 // off the wire. It must be called before any connection is established;
-// NewReliable uses it to interpose the reliability layer between the
-// socket and the application's receive chain.
-func (t *TCP) SetRecv(fn RecvFunc) { t.onRecv = fn }
+// the chain builder uses it to attach the receive chain above the socket.
+func (t *TCP) setRecv(fn RecvFunc) { t.onRecv = fn }
 
 // Listen starts accepting connections on this node's configured address.
 // It returns the bound address (useful when the configured address has
@@ -489,19 +488,8 @@ func (t *TCP) readLoop(fr *frameReader, c net.Conn) {
 	}
 }
 
-// SetErrHandler installs the asynchronous error handler.
-//
-// Deprecated: post-hoc handler installation is a construction-order trap
-// (frames sent before the call report nowhere). Build the transport stack
-// with vmi.NewChainBuilder and let core.NewRuntime bind its failure path
-// through Stack.Bind, or set ReliableConfig.OnFail for a bare reliability
-// layer. Retained for out-of-tree callers; no in-tree caller remains.
-func (t *TCP) SetErrHandler(h func(error)) {
-	t.setErrHandler(h)
-}
-
-// setErrHandler is the in-package installation path (the chain builder and
-// the reliability layer wire handlers at construction).
+// setErrHandler installs the asynchronous error handler (Stack.Bind, or the
+// reliability layer at construction).
 func (t *TCP) setErrHandler(h func(error)) {
 	t.errHandler.Store(&h)
 }
@@ -646,7 +634,7 @@ func dialRetry(addr string, attempts int, done <-chan struct{}) (net.Conn, error
 // frame must carry a serialized Body (Obj is not transmitted). The body is
 // copied into the connection's coalescing buffer before Send returns, so
 // callers may recycle it; transport errors after that point are reported
-// asynchronously through ErrHandler.
+// asynchronously through the error handler.
 func (t *TCP) Send(f *Frame) error {
 	if f.Body == nil && f.Obj != nil {
 		return fmt.Errorf("vmi: tcp send of frame with unserialized payload: %v", f)
