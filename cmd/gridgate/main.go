@@ -224,9 +224,6 @@ func run(cfg config) error {
 					_ = coll.Ingest(f.Body) // bad frames are counted, never fatal
 				}
 			})
-		if cfg.Reliable {
-			builder.Reliable(vmi.ReliableConfig{})
-		}
 		stack, err = builder.Build()
 		if err != nil {
 			return err

@@ -197,9 +197,6 @@ func serveBackend(t *testing.T, cfg config, node int, errs chan<- error) {
 				}
 			}
 		})
-	if cfg.Reliable {
-		builder.Reliable(vmi.ReliableConfig{})
-	}
 	stack, err := builder.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -263,7 +260,7 @@ func serveBackend(t *testing.T, cfg config, node int, errs chan<- error) {
 func TestGridgateClusterBackend(t *testing.T) {
 	addrs := freePort(t) + "," + freePort(t)
 	cfg := config{
-		Cluster: appflags.Cluster{Addrs: addrs, Procs: 4, Latency: time.Millisecond, Reliable: true},
+		Cluster: appflags.Cluster{Addrs: addrs, Procs: 4, Latency: time.Millisecond},
 		Farm:    appflags.Farm{Shards: 2, Batch: 8, Prefetch: 2, Spin: 200, Skew: 1, Steal: true},
 		listen:  "127.0.0.1:0",
 		tenants: "acme",
@@ -330,7 +327,7 @@ func TestGridgateClusterBackend(t *testing.T) {
 func TestGridgateTelemetryTrace(t *testing.T) {
 	addrs := freePort(t) + "," + freePort(t)
 	cfg := config{
-		Cluster: appflags.Cluster{Addrs: addrs, Procs: 4, Latency: time.Millisecond, Reliable: true},
+		Cluster: appflags.Cluster{Addrs: addrs, Procs: 4, Latency: time.Millisecond},
 		Farm:    appflags.Farm{Shards: 2, Batch: 4, Prefetch: 2, Spin: 2000, Skew: 1},
 		Obs:     appflags.Obs{Telemetry: true, TelemetryInterval: 50 * time.Millisecond},
 		listen:  "127.0.0.1:0",

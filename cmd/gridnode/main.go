@@ -170,15 +170,13 @@ func run(cfg config) error {
 	}
 
 	// Elastic membership: -joiners names the nodes that start outside the
-	// member set; everyone else is a founding Active member. The epoch
-	// fence lives in the Reliable layer, so -membership implies -reliable.
+	// member set; everyone else is a founding Active member.
 	joiner, err := cfg.Cluster.JoinerSet(nodes)
 	if err != nil {
 		return err
 	}
 	var elastic *taskfarm.ElasticConfig
 	if cfg.Membership {
-		cfg.Reliable = true
 		elastic = &taskfarm.ElasticConfig{
 			NodeOf:     nodeOf,
 			ActiveNode: func(node int) bool { return node >= 0 && node < nodes && !joiner[node] },
@@ -247,9 +245,6 @@ func run(cfg config) error {
 				}
 			}
 		})
-	if cfg.Reliable {
-		builder.Reliable(vmi.ReliableConfig{})
-	}
 	stack, err := builder.Build()
 	if err != nil {
 		return err

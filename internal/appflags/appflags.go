@@ -32,7 +32,6 @@ type Cluster struct {
 	Procs      int
 	Latency    time.Duration
 	Split      int
-	Reliable   bool
 	Membership bool
 	Joiners    string
 }
@@ -45,8 +44,7 @@ func (c *Cluster) Register(fs *flag.FlagSet) {
 	fs.IntVar(&c.Procs, "procs", 4, "total PEs across all nodes")
 	fs.DurationVar(&c.Latency, "latency", 1725*time.Microsecond, "one-way inter-cluster latency; sub-millisecond values are honoured to ~0.1 ms on Linux")
 	fs.IntVar(&c.Split, "split", 0, "PE index where cluster 1 begins (unequal co-allocations; 0 = procs/2)")
-	fs.BoolVar(&c.Reliable, "reliable", false, "interpose the end-to-end reliability layer over TCP")
-	fs.BoolVar(&c.Membership, "membership", false, "elastic cluster membership: join/drain/death handling (implies -reliable; node 0 coordinates)")
+	fs.BoolVar(&c.Membership, "membership", false, "elastic cluster membership: join/drain/death handling (node 0 coordinates)")
 	fs.StringVar(&c.Joiners, "joiners", "", "comma-separated node indices that start outside the member set and join mid-run (identical on every process)")
 }
 

@@ -99,7 +99,7 @@ func TestRegisterNamesStable(t *testing.T) {
 	f.Register(fs)
 	o.Register(fs, 1024)
 	for _, name := range []string{
-		"node", "addrs", "procs", "latency", "split", "reliable", "membership", "joiners",
+		"node", "addrs", "procs", "latency", "split", "membership", "joiners",
 		"steps", "warmup", "objects", "width", "lb", "lb-period", "cells", "atoms",
 		"tasks", "shards", "batch", "steal", "prefetch", "spin", "skew", "serve",
 		"metrics", "metrics-out", "trace-out", "trace-cap",

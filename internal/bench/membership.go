@@ -135,9 +135,6 @@ func buildMemberBench(cfg MembershipConfig, seed int64) (*memberCluster, error) 
 			return fail(err)
 		}
 		p.stack = st
-		// Dead listeners refuse instantly; don't sit in dial backoff for
-		// a peer the retransmit budget is about to declare dead.
-		st.TCP().DialAttempts = 2
 		p.params = &taskfarm.Params{
 			Tasks: cfg.Tasks, Workers: cfg.Workers, Prefetch: cfg.Prefetch,
 			Batch: cfg.Batch, Shards: cfg.Shards, Spin: cfg.Spin,

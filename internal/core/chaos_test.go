@@ -42,85 +42,20 @@ func coreChaosSeed(t *testing.T) int64 {
 	return seed
 }
 
-// twoNodeHarness is one two-process run: a pair of ChainBuilder stacks on
-// loopback, optionally carrying reliability layers, hosting one PE each.
-type twoNodeHarness struct {
-	stacks [2]*vmi.Stack
-	regs   [2]*metrics.Registry
-	rts    [2]*core.Runtime
+// withFaults installs faults[node] below node's reliability layer,
+// inside its repair envelope.
+func withFaults(faults [2][]vmi.SendDevice) func(int, *vmi.ChainBuilder) {
+	return func(node int, b *vmi.ChainBuilder) { b.Faults(faults[node], nil) }
 }
 
-// buildTwoNodes wires stacks and runtimes for a two-PE topology through
-// the ChainBuilder. relCfg non-nil interposes a reliability layer per
-// node; faults[node] sits below it (inside the repair envelope) or, with
-// relCfg nil, directly above the socket — unrecoverable. Each node gets
-// its own metrics registry, shared between the stack and the runtime, so
-// chaos runs double as end-to-end observability checks.
-func buildTwoNodes(t *testing.T, topo *topology.Topology, mkProg func() *core.Program,
-	relCfg *[2]vmi.ReliableConfig, faults [2][]vmi.SendDevice) *twoNodeHarness {
-	t.Helper()
-	h := &twoNodeHarness{}
-	routeFn := func(pe int32) int { return int(pe) }
-	addrs := []map[int]string{
-		{0: "127.0.0.1:0", 1: ""},
-		{0: "", 1: "127.0.0.1:0"},
-	}
-	for node := 0; node < 2; node++ {
-		h.regs[node] = metrics.NewRegistry()
-		b := vmi.NewChainBuilder(node, addrs[node], routeFn).
-			Metrics(h.regs[node]).
-			Faults(faults[node], nil)
-		if relCfg != nil {
-			b = b.Reliable(relCfg[node])
-		}
-		st, err := b.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		h.stacks[node] = st
-	}
-	a0, err := h.stacks[0].Listen()
-	if err != nil {
-		t.Fatal(err)
-	}
-	a1, err := h.stacks[1].Listen()
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.stacks[0].SetAddr(1, a1)
-	h.stacks[1].SetAddr(0, a0)
-
-	for node := 0; node < 2; node++ {
-		rt, err := core.NewRuntime(topo, mkProg(),
-			core.WithCluster(core.ClusterConfig{
-				Transport: h.stacks[node],
-				NodeOf:    func(pe int) int { return pe },
-				Node:      node,
-				PELo:      node,
-				PEHi:      node + 1,
-			}),
-			core.WithMetrics(h.regs[node]))
-		if err != nil {
-			t.Fatal(err)
-		}
-		h.rts[node] = rt
-	}
-	t.Cleanup(func() {
-		for node := 0; node < 2; node++ {
-			h.stacks[node].Close()
-		}
-	})
-	return h
-}
-
-// run executes both runtimes (node 0 as coordinator) and returns node 0's
-// result. The worker node is stopped once the coordinator finishes, as
+// runPair executes both runtimes (node 0 as coordinator) and returns node
+// 0's result. The worker node is stopped once the coordinator finishes, as
 // cmd/gridnode's coordinator shutdown announcement does.
-func (h *twoNodeHarness) run(t *testing.T, timeout time.Duration) (any, error) {
+func runPair(t *testing.T, h *core.TCPPair, timeout time.Duration) (any, error) {
 	t.Helper()
 	workerDone := make(chan error, 1)
 	go func() {
-		_, err := h.rts[1].Run()
+		_, err := h.RTs[1].Run()
 		workerDone <- err
 	}()
 	type result struct {
@@ -129,7 +64,7 @@ func (h *twoNodeHarness) run(t *testing.T, timeout time.Duration) (any, error) {
 	}
 	coord := make(chan result, 1)
 	go func() {
-		v, err := h.rts[0].Run()
+		v, err := h.RTs[0].Run()
 		coord <- result{v, err}
 	}()
 	var r result
@@ -138,7 +73,7 @@ func (h *twoNodeHarness) run(t *testing.T, timeout time.Duration) (any, error) {
 	case <-time.After(timeout):
 		t.Fatal("coordinator did not finish within timeout")
 	}
-	h.rts[1].Stop()
+	h.RTs[1].Stop()
 	select {
 	case <-workerDone:
 	case <-time.After(10 * time.Second):
@@ -150,12 +85,12 @@ func (h *twoNodeHarness) run(t *testing.T, timeout time.Duration) (any, error) {
 // dropConnSoon severs the node0→node1 connection as soon as one exists
 // (polling, since the transport dials lazily) and reports whether it
 // managed to within the window.
-func dropConnSoon(h *twoNodeHarness, window time.Duration) <-chan bool {
+func dropConnSoon(h *core.TCPPair, window time.Duration) <-chan bool {
 	done := make(chan bool, 1)
 	go func() {
 		deadline := time.Now().Add(window)
 		for time.Now().Before(deadline) {
-			if h.stacks[0].TCP().DropConn(1) {
+			if h.Stacks[0].TCP().DropConn(1) {
 				done <- true
 				return
 			}
@@ -174,8 +109,8 @@ func stencilParams() *stencil.Params {
 	return &stencil.Params{Width: 64, Height: 64, VX: 2, VY: 2, Steps: 30, Warmup: 0}
 }
 
-func stencilProg(t *testing.T) func() *core.Program {
-	return func() *core.Program {
+func stencilProg(t *testing.T) func(int) *core.Program {
+	return func(int) *core.Program {
 		prog, err := stencil.BuildProgram(stencilParams())
 		if err != nil {
 			t.Fatal(err)
@@ -201,9 +136,9 @@ func TestChaosStencilBitIdentical(t *testing.T) {
 		return topo
 	}
 
-	// Fault-free baseline: same wiring, reliability on, no faults.
-	base := buildTwoNodes(t, topoFor(), stencilProg(t), &[2]vmi.ReliableConfig{}, [2][]vmi.SendDevice{})
-	bv, err := base.run(t, 30*time.Second)
+	// Fault-free baseline: same wiring, no faults.
+	base := core.NewTCPPair(t, topoFor(), stencilProg(t), vmi.ReliableConfig{}, nil, nil)
+	bv, err := runPair(t, base, 30*time.Second)
 	if err != nil {
 		t.Fatalf("fault-free run failed: %v", err)
 	}
@@ -218,14 +153,10 @@ func TestChaosStencilBitIdentical(t *testing.T) {
 	fd1 := vmi.NewFaultDevice(seed+1, vmi.FaultPlan{Drop: 0.05})
 	defer fd0.Close()
 	defer fd1.Close()
-	cfg := [2]vmi.ReliableConfig{
-		{RTO: 5 * time.Millisecond},
-		{RTO: 5 * time.Millisecond},
-	}
-	chaos := buildTwoNodes(t, topoFor(), stencilProg(t), &cfg,
-		[2][]vmi.SendDevice{{fd0}, {fd1}})
+	chaos := core.NewTCPPair(t, topoFor(), stencilProg(t), vmi.ReliableConfig{RTO: 5 * time.Millisecond},
+		withFaults([2][]vmi.SendDevice{{fd0}, {fd1}}), nil)
 	dropped := dropConnSoon(chaos, 10*time.Second)
-	cv, err := chaos.run(t, 60*time.Second)
+	cv, err := runPair(t, chaos, 60*time.Second)
 	if err != nil {
 		t.Fatalf("chaos run failed (seed %d): %v", seed, err)
 	}
@@ -245,7 +176,7 @@ func TestChaosStencilBitIdentical(t *testing.T) {
 	if fd0.Stats().Dropped == 0 && fd1.Stats().Dropped == 0 {
 		t.Error("chaos run dropped no frames; the schedule never exercised the reliability layer")
 	}
-	relStats := [2]vmi.ReliableStats{chaos.stacks[0].Reliable().Stats(), chaos.stacks[1].Reliable().Stats()}
+	relStats := [2]vmi.ReliableStats{chaos.Stacks[0].Reliable().Stats(), chaos.Stacks[1].Reliable().Stats()}
 	if relStats[0].Retransmits+relStats[1].Retransmits == 0 {
 		t.Error("drops and a disconnect produced zero retransmits; the reliability layer never repaired anything")
 	}
@@ -256,63 +187,13 @@ func TestChaosStencilBitIdentical(t *testing.T) {
 	t.Logf("repairs node 0: %+v, node 1: %+v", relStats[0], relStats[1])
 }
 
-// TestChaosStencilFailsWithoutReliability: the same fault schedule with the
-// reliability layer disabled does not complete — the forced disconnect
-// surfaces as a run error through the stack's bound failure hook (and the
-// 5% drops, with no reliability layer above them, are simply lost).
-func TestChaosStencilFailsWithoutReliability(t *testing.T) {
-	seed := coreChaosSeed(t)
-	topo, err := topology.TwoClusters(2, 2*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fd0 := vmi.NewFaultDevice(seed, vmi.FaultPlan{Drop: 0.05})
-	fd1 := vmi.NewFaultDevice(seed+1, vmi.FaultPlan{Drop: 0.05})
-	defer fd0.Close()
-	defer fd1.Close()
-	h := buildTwoNodes(t, topo, stencilProg(t), nil, [2][]vmi.SendDevice{
-		{fd0}, {fd1},
-	})
-	for node := 0; node < 2; node++ {
-		h.stacks[node].TCP().DialAttempts = 2 // fail fast once the link is severed
-	}
-
-	workerDone := make(chan struct{})
-	go func() {
-		_, _ = h.rts[1].Run()
-		close(workerDone)
-	}()
-	dropped := dropConnSoon(h, 10*time.Second)
-	res := make(chan error, 1)
-	go func() {
-		_, err := h.rts[0].Run()
-		res <- err
-	}()
-	select {
-	case err := <-res:
-		if err == nil {
-			t.Errorf("run succeeded despite drops and a severed connection without reliability (seed %d)", seed)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("unreliable chaos run neither failed nor finished")
-	}
-	if !<-dropped {
-		t.Fatal("forced disconnect never found a live connection to sever")
-	}
-	h.rts[1].Stop()
-	select {
-	case <-workerDone:
-	case <-time.After(10 * time.Second):
-		t.Fatal("worker node never stopped")
-	}
-}
-
 // pingChare bounces a counter between two elements, recording every value
 // it receives so the test can check exactly-once, in-order delivery at the
 // application layer.
 type pingChare struct {
 	rec   *pingRecorder
 	limit int
+	hook  func(n int) // if non-nil, runs before the reply to n is sent
 }
 
 type pingRecorder struct {
@@ -330,43 +211,47 @@ func (c *pingChare) Recv(ctx *core.Ctx, entry core.EntryID, data any) {
 		ctx.ExitWith(n)
 		return
 	}
+	if c.hook != nil {
+		c.hook(n)
+	}
 	ctx.Send(core.ElemRef{Array: 0, Index: 1 - idx}, 0, n+1)
 }
 
-// TestChaosPingPongExactlyOnce: a ping-pong over a fully faulty link
-// (drops, duplicates, reordering, corruption) still delivers each message
-// exactly once and in order — any duplicate or out-of-order delivery
-// would break the strict value sequences each element records.
-func TestChaosPingPongExactlyOnce(t *testing.T) {
-	seed := coreChaosSeed(t)
+// pingPongExactlyOnce bounces a counter from 0 to 60 between the two
+// nodes of a pair built with rel and mod, calling hook(pair, n) on the
+// receiving node before each reply, and checks that element 0 saw exactly
+// 0,2,...,60 and element 1 exactly 1,3,...,59. A lost message would stall
+// the exchange, a duplicate would repeat a value, reordering would break
+// monotonicity.
+func pingPongExactlyOnce(t *testing.T, rel vmi.ReliableConfig, mod func(int, *vmi.ChainBuilder),
+	hook func(h *core.TCPPair, n int)) *core.TCPPair {
+	t.Helper()
 	topo, err := topology.TwoClusters(2, time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const limit = 60 // even: the exchange ends on element 0 (node 0)
 	rec := &pingRecorder{seen: make(map[int][]int)}
-	mkProg := func() *core.Program {
+	var h *core.TCPPair
+	mkProg := func(int) *core.Program {
 		return &core.Program{
 			Arrays: []core.ArraySpec{{
 				ID: 0, N: 2,
-				New: func(i int) core.Chare { return &pingChare{rec: rec, limit: limit} },
+				New: func(i int) core.Chare {
+					c := &pingChare{rec: rec, limit: limit}
+					if hook != nil {
+						c.hook = func(n int) { hook(h, n) }
+					}
+					return c
+				},
 			}},
 			Start: func(ctx *core.Ctx) { ctx.Send(core.ElemRef{Array: 0, Index: 0}, 0, 0) },
 		}
 	}
-	plan := vmi.FaultPlan{Drop: 0.1, Duplicate: 0.1, Reorder: 0.1, Corrupt: 0.1}
-	fd0 := vmi.NewFaultDevice(seed, plan)
-	fd1 := vmi.NewFaultDevice(seed+1, plan)
-	defer fd0.Close()
-	defer fd1.Close()
-	cfg := [2]vmi.ReliableConfig{
-		{RTO: 5 * time.Millisecond},
-		{RTO: 5 * time.Millisecond},
-	}
-	h := buildTwoNodes(t, topo, mkProg, &cfg, [2][]vmi.SendDevice{{fd0}, {fd1}})
-	v, err := h.run(t, 60*time.Second)
+	h = core.NewTCPPair(t, topo, mkProg, rel, mod, nil)
+	v, err := runPair(t, h, 60*time.Second)
 	if err != nil {
-		t.Fatalf("chaos ping-pong failed (seed %d): %v", seed, err)
+		t.Fatalf("ping-pong failed: %v", err)
 	}
 	if v.(int) != limit {
 		t.Errorf("final value = %v, want %d", v, limit)
@@ -374,9 +259,6 @@ func TestChaosPingPongExactlyOnce(t *testing.T) {
 
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
-	// Element 0 must have seen exactly 0,2,4,...,limit; element 1 exactly
-	// 1,3,...,limit-1. A lost message would stall the exchange, a
-	// duplicate would repeat a value, reordering would break monotonicity.
 	for idx, first := range map[int]int{0: 0, 1: 1} {
 		var want []int
 		for v := first; v <= limit; v += 2 {
@@ -384,16 +266,59 @@ func TestChaosPingPongExactlyOnce(t *testing.T) {
 		}
 		got := rec.seen[idx]
 		if len(got) != len(want) {
-			t.Fatalf("element %d received %d values, want %d (seed %d): %v", idx, len(got), len(want), seed, got)
+			t.Fatalf("element %d received %d values, want %d: %v", idx, len(got), len(want), got)
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("element %d value %d = %d, want %d (seed %d)", idx, i, got[i], want[i], seed)
+				t.Fatalf("element %d value %d = %d, want %d", idx, i, got[i], want[i])
 			}
 		}
 	}
+	return h
+}
+
+// TestChaosPingPongExactlyOnce: a ping-pong over a fully faulty link
+// (drops, duplicates, reordering, corruption) still delivers each message
+// exactly once and in order.
+func TestChaosPingPongExactlyOnce(t *testing.T) {
+	seed := coreChaosSeed(t)
+	plan := vmi.FaultPlan{Drop: 0.1, Duplicate: 0.1, Reorder: 0.1, Corrupt: 0.1}
+	fd0 := vmi.NewFaultDevice(seed, plan)
+	fd1 := vmi.NewFaultDevice(seed+1, plan)
+	defer fd0.Close()
+	defer fd1.Close()
+	pingPongExactlyOnce(t, vmi.ReliableConfig{RTO: 5 * time.Millisecond},
+		withFaults([2][]vmi.SendDevice{{fd0}, {fd1}}), nil)
 	if s := fd0.Stats(); s.Dropped+s.Duplicated+s.Reordered+s.Corrupted == 0 {
 		t.Error("fault schedule injected nothing; the run proved nothing")
+	}
+}
+
+// TestChaosCorruptWireRepaired: garbage injected into the byte stream
+// mid-run breaks the VMI framing, so the receiving reader drops the
+// connection and whatever was queued behind the garbage with it; the
+// reliability layer absorbs the reader error, the exchange continues over
+// a re-dialed connection (retransmitting what was lost), and the
+// ping-pong still delivers each value exactly once.
+func TestChaosCorruptWireRepaired(t *testing.T) {
+	const at = 21 // odd: element 1, on node 1, receives it
+	h := pingPongExactlyOnce(t, vmi.ReliableConfig{RTO: 5 * time.Millisecond}, nil,
+		func(h *core.TCPPair, n int) {
+			if n != at {
+				return
+			}
+			// The garbage goes ahead of the reply on node 1's stream to node 0.
+			if err := h.Stacks[1].TCP().CorruptWire(0); err != nil {
+				t.Errorf("CorruptWire: %v", err)
+			}
+		})
+	if s := h.Stacks[0].Reliable().Stats(); s.TransportErrs == 0 {
+		t.Error("node 0's reader error was not absorbed as a transport error")
+	}
+	reconnects := h.Regs[0].Snapshot().Value("vmi_tcp_reconnects_total") +
+		h.Regs[1].Snapshot().Value("vmi_tcp_reconnects_total")
+	if reconnects == 0 {
+		t.Error("the exchange finished without re-dialing the broken connection")
 	}
 }
 
@@ -480,7 +405,7 @@ func TestChaosLBMigrationExactlyOnce(t *testing.T) {
 	// for the same reason — element 1 receives it and holds the reply.
 	const limit, syncVal = 41, 21
 	rec := &migPingRecorder{vals: make(map[int][]int), pes: make(map[int][]int)}
-	mkProg := func() *core.Program {
+	mkProg := func(int) *core.Program {
 		return &core.Program{
 			Arrays: []core.ArraySpec{{
 				ID: 0, N: 2,
@@ -496,12 +421,9 @@ func TestChaosLBMigrationExactlyOnce(t *testing.T) {
 	fd1 := vmi.NewFaultDevice(seed+1, vmi.FaultPlan{Drop: 0.1})
 	defer fd0.Close()
 	defer fd1.Close()
-	cfg := [2]vmi.ReliableConfig{
-		{RTO: 5 * time.Millisecond},
-		{RTO: 5 * time.Millisecond},
-	}
-	h := buildTwoNodes(t, topo, mkProg, &cfg, [2][]vmi.SendDevice{{fd0}, {fd1}})
-	v, err := h.run(t, 60*time.Second)
+	h := core.NewTCPPair(t, topo, mkProg, vmi.ReliableConfig{RTO: 5 * time.Millisecond},
+		withFaults([2][]vmi.SendDevice{{fd0}, {fd1}}), nil)
+	v, err := runPair(t, h, 60*time.Second)
 	if err != nil {
 		t.Fatalf("chaos LB migration run failed (seed %d): %v", seed, err)
 	}
@@ -546,7 +468,7 @@ func TestChaosLBMigrationExactlyOnce(t *testing.T) {
 	// Both processes agree the elements swapped.
 	for i := 0; i < 2; i++ {
 		ref := core.ElemRef{Array: 0, Index: i}
-		pe0, pe1 := h.rts[0].Locations().PEOf(ref), h.rts[1].Locations().PEOf(ref)
+		pe0, pe1 := h.RTs[0].Locations().PEOf(ref), h.RTs[1].Locations().PEOf(ref)
 		if pe0 != pe1 {
 			t.Errorf("element %d: node 0 places it on PE %d, node 1 on PE %d", i, pe0, pe1)
 		}
@@ -557,16 +479,16 @@ func TestChaosLBMigrationExactlyOnce(t *testing.T) {
 
 	// The counters prove one round with two migrations, repaired drops
 	// underneath.
-	if v := h.regs[0].Snapshot().Value("core_lb_rounds_total"); v != 1 {
+	if v := h.Regs[0].Snapshot().Value("core_lb_rounds_total"); v != 1 {
 		t.Errorf("core_lb_rounds_total = %d, want 1", v)
 	}
-	if v := h.regs[0].Snapshot().Value("core_lb_moves_total"); v != 2 {
+	if v := h.Regs[0].Snapshot().Value("core_lb_moves_total"); v != 2 {
 		t.Errorf("core_lb_moves_total = %d, want 2", v)
 	}
 	if fd0.Stats().Dropped+fd1.Stats().Dropped == 0 {
 		t.Error("chaos schedule dropped nothing; the run proved nothing")
 	}
-	rel := [2]vmi.ReliableStats{h.stacks[0].Reliable().Stats(), h.stacks[1].Reliable().Stats()}
+	rel := [2]vmi.ReliableStats{h.Stacks[0].Reliable().Stats(), h.Stacks[1].Reliable().Stats()}
 	if rel[0].Retransmits+rel[1].Retransmits == 0 {
 		t.Error("drops produced zero retransmits; the reliability layer never repaired anything")
 	}
@@ -595,14 +517,14 @@ func TestChaosMetricsConsistent(t *testing.T) {
 	seed := coreChaosSeed(t)
 	const n = 80
 
-	runCase := func(t *testing.T, plan vmi.FaultPlan, rto time.Duration) (vmi.FaultStats, vmi.ReliableStats, vmi.ReliableStats, *twoNodeHarness) {
+	runCase := func(t *testing.T, plan vmi.FaultPlan, rto time.Duration) (vmi.FaultStats, vmi.ReliableStats, vmi.ReliableStats, *core.TCPPair) {
 		t.Helper()
 		topo, err := topology.TwoClusters(2, time.Millisecond)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var got atomic.Int64
-		mkProg := func() *core.Program {
+		mkProg := func(int) *core.Program {
 			return &core.Program{
 				Arrays: []core.ArraySpec{{
 					ID: 0, N: 2,
@@ -617,17 +539,17 @@ func TestChaosMetricsConsistent(t *testing.T) {
 		}
 		fd := vmi.NewFaultDevice(seed, plan)
 		t.Cleanup(fd.Close)
-		cfg := [2]vmi.ReliableConfig{{RTO: rto}, {RTO: rto}}
-		h := buildTwoNodes(t, topo, mkProg, &cfg, [2][]vmi.SendDevice{{fd}, nil})
+		h := core.NewTCPPair(t, topo, mkProg, vmi.ReliableConfig{RTO: rto},
+			withFaults([2][]vmi.SendDevice{{fd}, nil}), nil)
 		errs := make(chan error, 2)
 		for node := 0; node < 2; node++ {
 			node := node
 			go func() {
-				_, err := h.rts[node].Run()
+				_, err := h.RTs[node].Run()
 				errs <- err
 			}()
 		}
-		rel0, rel1 := h.stacks[0].Reliable(), h.stacks[1].Reliable()
+		rel0, rel1 := h.Stacks[0].Reliable(), h.Stacks[1].Reliable()
 		deadline := time.Now().Add(30 * time.Second)
 		for {
 			s0, s1 := rel0.Stats(), rel1.Stats()
@@ -642,8 +564,8 @@ func TestChaosMetricsConsistent(t *testing.T) {
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
-		h.rts[0].Stop()
-		h.rts[1].Stop()
+		h.RTs[0].Stop()
+		h.RTs[1].Stop()
 		for i := 0; i < 2; i++ {
 			if err := <-errs; err != nil {
 				t.Fatalf("run failed (seed %d): %v", seed, err)
@@ -683,13 +605,13 @@ func TestChaosMetricsConsistent(t *testing.T) {
 			t.Errorf("sent %d / delivered %d, want %d exactly-once (seed %d)", send.DataSent, recv.Delivered, n, seed)
 		}
 		// Registry series must agree with the device stats they expose.
-		if v := h.regs[1].Snapshot().Value("vmi_rel_dup_dropped_total"); v != recv.DupDropped {
+		if v := h.Regs[1].Snapshot().Value("vmi_rel_dup_dropped_total"); v != recv.DupDropped {
 			t.Errorf("registry vmi_rel_dup_dropped_total = %d, stats say %d", v, recv.DupDropped)
 		}
-		if v := seriesValue(t, h.regs[0], "vmi_fault_injected_total", `kind="duplicate"`); v != fault.Duplicated {
+		if v := seriesValue(t, h.Regs[0], "vmi_fault_injected_total", `kind="duplicate"`); v != fault.Duplicated {
 			t.Errorf("registry vmi_fault_injected_total{kind=duplicate} = %d, stats say %d", v, fault.Duplicated)
 		}
-		if v := h.regs[1].Snapshot().Value("core_msgs_processed_total"); v != n {
+		if v := h.Regs[1].Snapshot().Value("core_msgs_processed_total"); v != n {
 			t.Errorf("registry core_msgs_processed_total on receiver = %d, want %d", v, n)
 		}
 	})
@@ -705,10 +627,10 @@ func TestChaosMetricsConsistent(t *testing.T) {
 		if send.DataSent != n || recv.Delivered != n {
 			t.Errorf("sent %d / delivered %d, want %d exactly-once (seed %d)", send.DataSent, recv.Delivered, n, seed)
 		}
-		if v := h.regs[0].Snapshot().Value("vmi_rel_retransmits_total"); v != send.Retransmits {
+		if v := h.Regs[0].Snapshot().Value("vmi_rel_retransmits_total"); v != send.Retransmits {
 			t.Errorf("registry vmi_rel_retransmits_total = %d, stats say %d", v, send.Retransmits)
 		}
-		if v := seriesValue(t, h.regs[0], "vmi_fault_injected_total", `kind="drop"`); v != fault.Dropped {
+		if v := seriesValue(t, h.Regs[0], "vmi_fault_injected_total", `kind="drop"`); v != fault.Dropped {
 			t.Errorf("registry vmi_fault_injected_total{kind=drop} = %d, stats say %d", v, fault.Dropped)
 		}
 	})

@@ -60,7 +60,7 @@ func runPingPong(t *testing.T, wan time.Duration, check func()) {
 		t.Fatal(err)
 	}
 	const limit = 4 // even: the exchange ends on element 0 (node 0)
-	mkProg := func() *core.Program {
+	mkProg := func(int) *core.Program {
 		return &core.Program{
 			Arrays: []core.ArraySpec{{
 				ID: 0, N: 2,
@@ -69,8 +69,7 @@ func runPingPong(t *testing.T, wan time.Duration, check func()) {
 			Start: func(ctx *core.Ctx) { ctx.Send(core.ElemRef{Array: 0, Index: 0}, 0, 0) },
 		}
 	}
-	h := buildTwoNodes(t, topo, mkProg, nil, [2][]vmi.SendDevice{})
-	v, err := h.run(t, 30*time.Second)
+	v, err := runPair(t, core.NewTCPPair(t, topo, mkProg, vmi.ReliableConfig{}, nil, nil), 30*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +95,7 @@ func TestZeroLatencyRuntimeOpensNoAlarm(t *testing.T) {
 func TestWANRuntimeReturnsItsAlarm(t *testing.T) {
 	fds0, loops0 := delayResources(t)
 	for i := 0; i < 50; i++ {
-		t.Run("", func(t *testing.T) { // scopes buildTwoNodes' cleanup to one run
+		t.Run("", func(t *testing.T) { // scopes NewTCPPair's cleanup to one run
 			var opened atomic.Bool // set by handlers on both nodes
 			runPingPong(t, time.Millisecond, func() {
 				if _, loops := delayResources(t); loops > loops0 {

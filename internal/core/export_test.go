@@ -23,3 +23,9 @@ var DecodePayloadPrefix = decodePayload
 
 // MsgHeaderLen is the fixed message header, tag byte included.
 const MsgHeaderLen = msgHeaderLen
+
+// TCPPair and NewTCPPair are the two-node loopback harness
+// (tcp_integration_test.go), shared with the chaos tests.
+type TCPPair = tcpPair
+
+var NewTCPPair = newTCPPair

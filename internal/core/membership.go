@@ -379,9 +379,7 @@ func NewMembership(cfg MembershipConfig) (*Membership, error) {
 	// so fencing is live before the first application frame.
 	cfg.Stack.SetEpoch(m.tbl.Epoch)
 	cfg.Stack.SetDialGate(m.allowDial)
-	if rel := cfg.Stack.Reliable(); rel != nil {
-		rel.SetOnPeerFail(m.PeerFailed)
-	}
+	cfg.Stack.Reliable().SetOnPeerFail(m.PeerFailed)
 	for _, mb := range m.tbl.Members {
 		if mb.Addr != "" && int(mb.Node) != cfg.Node {
 			cfg.Stack.SetAddr(int(mb.Node), mb.Addr)

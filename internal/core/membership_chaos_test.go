@@ -520,11 +520,6 @@ func TestMembershipDeathDetectedByBudget(t *testing.T) {
 	for _, fd := range fds {
 		defer fd.Close()
 	}
-	// Dead listeners refuse instantly; don't spend seconds in dial
-	// backoff for a peer the budget is about to declare dead.
-	for _, nd := range h.nodes {
-		nd.stack.TCP().DialAttempts = 2
-	}
 
 	run := h.start()
 	awaitCounter(t, h.nodes[0].reg, "taskfarm_tasks_granted_total", 100, 30*time.Second)

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"gridmdo/internal/topology"
+	"gridmdo/internal/vmi"
 )
 
 func TestQDHandlesBadPayload(t *testing.T) {
@@ -96,8 +97,8 @@ func TestQDMultiProcess(t *testing.T) {
 	}
 
 	var hits [2]int
-	rts := newTCPPair(t, topo, func(node int) *Program { return mkProg(&hits[node]) }, nil,
-		func(int) []Option { return []Option{WithQuiescence()} }).rts
+	rts := newTCPPair(t, topo, func(node int) *Program { return mkProg(&hits[node]) }, vmi.ReliableConfig{}, nil,
+		func(int) []Option { return []Option{WithQuiescence()} }).RTs
 	done := make(chan error, 1)
 	go func() {
 		_, err := rts[1].Run()

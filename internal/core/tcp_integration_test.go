@@ -5,30 +5,36 @@ import (
 	"testing"
 	"time"
 
+	"gridmdo/internal/metrics"
 	"gridmdo/internal/topology"
 	"gridmdo/internal/trace"
 	"gridmdo/internal/vmi"
 )
 
-// tcpPair is a two-node run over the stack gridnode builds by default —
-// a ChainBuilder stack without a reliability layer — on loopback TCP.
-// Node n hosts PE n.
+// tcpPair is a two-node run over the stack every multi-process runtime
+// uses — a ChainBuilder stack with its reliability layer — on loopback
+// TCP. Node n hosts PE n and has its own metrics registry, shared by its
+// stack and runtime, so every run doubles as an observability check.
 type tcpPair struct {
-	stacks [2]*vmi.Stack
-	rts    [2]*Runtime
+	Stacks [2]*vmi.Stack
+	Regs   [2]*metrics.Registry
+	RTs    [2]*Runtime
 }
 
-// newTCPPair builds, joins and binds the two nodes. mod, if non-nil, adds
-// to node n's builder (fault devices, dial attempts); opts, if non-nil,
-// returns node n's extra runtime options. The stacks close when the test
-// ends.
-func newTCPPair(t *testing.T, topo *topology.Topology, mkProg func(node int) *Program,
+// newTCPPair builds, joins and binds the two nodes, both tuned with rel.
+// mod, if non-nil, adds to node n's builder (fault devices, dial
+// attempts); opts, if non-nil, returns node n's extra runtime options.
+// The stacks close when the test ends.
+func newTCPPair(t *testing.T, topo *topology.Topology, mkProg func(node int) *Program, rel vmi.ReliableConfig,
 	mod func(node int, b *vmi.ChainBuilder), opts func(node int) []Option) *tcpPair {
 	t.Helper()
 	p := &tcpPair{}
 	routeFn := func(pe int32) int { return int(pe) }
 	for node := 0; node < 2; node++ {
-		b := vmi.NewChainBuilder(node, map[int]string{node: "127.0.0.1:0"}, routeFn)
+		p.Regs[node] = metrics.NewRegistry()
+		b := vmi.NewChainBuilder(node, map[int]string{node: "127.0.0.1:0"}, routeFn).
+			Metrics(p.Regs[node]).
+			Reliable(rel)
 		if mod != nil {
 			mod(node, b)
 		}
@@ -36,22 +42,23 @@ func newTCPPair(t *testing.T, topo *topology.Topology, mkProg func(node int) *Pr
 		if err != nil {
 			t.Fatal(err)
 		}
-		p.stacks[node] = st
+		p.Stacks[node] = st
 		t.Cleanup(func() { st.Close() })
 	}
-	a0, err := p.stacks[0].Listen()
+	a0, err := p.Stacks[0].Listen()
 	if err != nil {
 		t.Fatal(err)
 	}
-	a1, err := p.stacks[1].Listen()
+	a1, err := p.Stacks[1].Listen()
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.stacks[0].SetAddr(1, a1)
-	p.stacks[1].SetAddr(0, a0)
+	p.Stacks[0].SetAddr(1, a1)
+	p.Stacks[1].SetAddr(0, a0)
 	for node := 0; node < 2; node++ {
-		o := []Option{WithCluster(ClusterConfig{Transport: p.stacks[node],
-			NodeOf: func(pe int) int { return pe }, Node: node, PELo: node, PEHi: node + 1})}
+		o := []Option{WithCluster(ClusterConfig{Transport: p.Stacks[node],
+			NodeOf: func(pe int) int { return pe }, Node: node, PELo: node, PEHi: node + 1}),
+			WithMetrics(p.Regs[node])}
 		if opts != nil {
 			o = append(o, opts(node)...)
 		}
@@ -59,7 +66,7 @@ func newTCPPair(t *testing.T, topo *topology.Topology, mkProg func(node int) *Pr
 		if err != nil {
 			t.Fatal(err)
 		}
-		p.rts[node] = rt
+		p.RTs[node] = rt
 	}
 	return p
 }
@@ -96,7 +103,7 @@ func TestTwoNodeTCPRuntime(t *testing.T) {
 		}
 	}
 
-	rts := newTCPPair(t, topo, mkProg, nil, nil).rts
+	rts := newTCPPair(t, topo, mkProg, vmi.ReliableConfig{}, nil, nil).RTs
 
 	type result struct {
 		v   any
@@ -163,9 +170,9 @@ func TestTwoNodeTCPCausality(t *testing.T) {
 	}
 
 	trs := [2]*trace.Tracer{trace.New(2), trace.New(2)}
-	rts := newTCPPair(t, topo, mkProg, nil, func(node int) []Option {
+	rts := newTCPPair(t, topo, mkProg, vmi.ReliableConfig{}, nil, func(node int) []Option {
 		return []Option{WithTrace(trs[node])}
-	}).rts
+	}).RTs
 
 	done := make(chan error, 1)
 	go func() {
@@ -240,7 +247,7 @@ func TestTwoNodeUnregisteredPayloadFailsRun(t *testing.T) {
 			Start: func(ctx *Ctx) { ctx.Send(ElemRef{0, 1}, 0, unregisteredPayload{Name: "lost", Count: 1}) },
 		}
 	}
-	rts := newTCPPair(t, topo, mkProg, nil, nil).rts
+	rts := newTCPPair(t, topo, mkProg, vmi.ReliableConfig{}, nil, nil).RTs
 	worker := make(chan error, 1)
 	go func() {
 		_, err := rts[1].Run()

@@ -7,9 +7,9 @@ import (
 	"gridmdo/internal/metrics"
 )
 
-// ChainBuilder assembles a node's whole transport stack — the optional
-// reliability layer, fault-injection devices, and the TCP terminal — from
-// one declarative description:
+// ChainBuilder assembles a node's whole transport stack — the reliability
+// layer, fault-injection devices, and the TCP terminal — from one
+// declarative description:
 //
 //	runtime → Reliable → faults → TCP ⇢ socket
 //	runtime ← Reliable ← faults ← TCP ⇠ socket
@@ -32,7 +32,8 @@ type ChainBuilder struct {
 	route func(pe int32) int
 
 	reg          *metrics.Registry
-	relCfg       *ReliableConfig
+	relCfg       ReliableConfig
+	relSet       bool
 	faultSend    []SendDevice
 	faultRecv    []RecvDevice
 	dialAttempts int
@@ -61,21 +62,21 @@ func (b *ChainBuilder) Metrics(reg *metrics.Registry) *ChainBuilder {
 	return b
 }
 
-// Reliable interposes the end-to-end reliability layer between the
-// runtime and the fault devices.
+// Reliable tunes the end-to-end reliability layer every stack carries
+// between the runtime and the fault devices. Leaving it out builds the
+// layer with the ReliableConfig{} defaults.
 func (b *ChainBuilder) Reliable(cfg ReliableConfig) *ChainBuilder {
-	if b.relCfg != nil {
+	if b.relSet {
 		b.fail(fmt.Errorf("vmi: chain builder: Reliable declared twice"))
 		return b
 	}
-	b.relCfg = &cfg
+	b.relCfg, b.relSet = cfg, true
 	return b
 }
 
-// Faults appends fault-injection devices below the reliability layer (or
-// directly above TCP when no reliability layer is configured). Symmetric
-// devices (FaultDevice, PartitionDevice) usually appear on one side only:
-// a send-side fault models an outbound-lossy link.
+// Faults appends fault-injection devices below the reliability layer.
+// Symmetric devices (FaultDevice, PartitionDevice) usually appear on one
+// side only: a send-side fault models an outbound-lossy link.
 func (b *ChainBuilder) Faults(send []SendDevice, recv []RecvDevice) *ChainBuilder {
 	b.faultSend = append(b.faultSend, send...)
 	b.faultRecv = append(b.faultRecv, recv...)
@@ -174,17 +175,8 @@ func (b *ChainBuilder) Build() (*Stack, error) {
 	for i, d := range b.faultRecv {
 		faultRecv[i] = b.instrumentRecv(d, i)
 	}
-
-	// Reliability (with faults inside its envelope) or bare faults
-	// directly above the socket.
-	if b.relCfg != nil {
-		s.rel = newReliable(s.tcp, s.deliverBound, *b.relCfg, faultSend, faultRecv)
-		s.rel.Instrument(b.reg, metrics.L("node", fmt.Sprint(b.self)))
-		s.send = s.rel.Send
-	} else {
-		s.tcp.setRecv(BuildRecvChain(s.deliverBound, faultRecv...))
-		s.send = BuildSendChain(s.tcp.Send, faultSend...)
-	}
+	s.rel = newReliable(s.tcp, s.deliverBound, b.relCfg, faultSend, faultRecv)
+	s.rel.Instrument(b.reg, metrics.L("node", fmt.Sprint(b.self)))
 	return s, nil
 }
 
@@ -193,9 +185,8 @@ func (b *ChainBuilder) Build() (*Stack, error) {
 // it with Bind (core.NewRuntime does this for the stack passed as its
 // transport) before frames arrive.
 type Stack struct {
-	tcp  *TCP
-	rel  *Reliable
-	send SendFunc // full send chain entry
+	tcp *TCP
+	rel *Reliable
 
 	deliver atomic.Pointer[RecvFunc]
 	reg     *metrics.Registry
@@ -212,20 +203,16 @@ func (s *Stack) deliverBound(f *Frame) error {
 }
 
 // Bind attaches the runtime's frame-delivery entry and asynchronous
-// failure hook, completing the stack. With a reliability layer the hook
-// fires only on retransmit-budget exhaustion; otherwise every transport
-// error reaches it.
+// failure hook, completing the stack. The hook fires only on
+// retransmit-budget exhaustion; transport errors below the reliability
+// layer are repaired there.
 func (s *Stack) Bind(deliver RecvFunc, onErr func(error)) {
 	s.deliver.Store(&deliver)
-	if s.rel != nil {
-		s.rel.setErrHandler(onErr)
-	} else {
-		s.tcp.setErrHandler(onErr)
-	}
+	s.rel.setErrHandler(onErr)
 }
 
-// Send hands a frame to the send chain, which continues to the wire.
-func (s *Stack) Send(f *Frame) error { return s.send(f) }
+// Send hands a frame to the reliability layer, which continues to the wire.
+func (s *Stack) Send(f *Frame) error { return s.rel.Send(f) }
 
 // Listen starts the TCP terminal accepting connections and returns the
 // bound address.
@@ -238,49 +225,30 @@ func (s *Stack) Addr() string { return s.tcp.Addr() }
 // address means a new incarnation, so any reliability dedup tombstone
 // left by a forgotten predecessor under the same node number is cleared.
 func (s *Stack) SetAddr(node int, addr string) {
-	if s.rel != nil {
-		s.rel.ResetPeer(node)
-	}
+	s.rel.ResetPeer(node)
 	s.tcp.SetAddr(node, addr)
 }
 
 // SendControl sends a control frame directly to a node.
 func (s *Stack) SendControl(node int, f *Frame) error { return s.tcp.SendControl(node, f) }
 
-// SetEpoch advances the membership epoch stamped on reliable frames; a
-// no-op for stacks without a reliability layer (nothing fences without
-// one).
-func (s *Stack) SetEpoch(e uint32) {
-	if s.rel != nil {
-		s.rel.SetEpoch(e)
-	}
-}
+// SetEpoch advances the membership epoch stamped on reliable frames.
+func (s *Stack) SetEpoch(e uint32) { s.rel.SetEpoch(e) }
 
-// Epoch returns the stack's current membership epoch (0 when no
-// reliability layer is configured).
-func (s *Stack) Epoch() uint32 {
-	if s.rel != nil {
-		return s.rel.Epoch()
-	}
-	return 0
-}
+// Epoch returns the stack's current membership epoch.
+func (s *Stack) Epoch() uint32 { return s.rel.Epoch() }
 
 // SetDialGate installs the membership dial gate on the TCP terminal.
 func (s *Stack) SetDialGate(fn func(node int) bool) { s.tcp.SetDialGate(fn) }
 
-// ForgetPeer drops reliability state for node (no-op without a
-// reliability layer).
-func (s *Stack) ForgetPeer(node int) {
-	if s.rel != nil {
-		s.rel.ForgetPeer(node)
-	}
-}
+// ForgetPeer drops reliability state for node.
+func (s *Stack) ForgetPeer(node int) { s.rel.ForgetPeer(node) }
 
 // TCP exposes the terminal device (fault injection helpers like DropConn
 // and CorruptWire live there).
 func (s *Stack) TCP() *TCP { return s.tcp }
 
-// Reliable exposes the reliability layer, or nil when none is configured.
+// Reliable exposes the reliability layer; never nil.
 func (s *Stack) Reliable() *Reliable { return s.rel }
 
 // Metrics returns the registry the stack was built with, or nil.
@@ -289,8 +257,6 @@ func (s *Stack) Metrics() *metrics.Registry { return s.reg }
 // Close shuts the stack down: the reliability layer's goroutines first,
 // then the TCP device and its connections.
 func (s *Stack) Close() error {
-	if s.rel != nil {
-		s.rel.Close()
-	}
+	s.rel.Close()
 	return s.tcp.Close()
 }

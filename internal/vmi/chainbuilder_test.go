@@ -9,16 +9,23 @@ import (
 	"gridmdo/internal/metrics"
 )
 
+// failTest is a failure handler for node n that fails the test: a repair
+// the layer should manage must never reach the runtime's failure hook.
+func failTest(t *testing.T, n int) func(error) {
+	return func(err error) { t.Errorf("node %d: %v", n, err) }
+}
+
 // TestChainBuilderFaultsInsideReliable pins fault placement: fault
 // devices declared on the builder sit below the reliability layer, inside
-// its repair envelope, so a lossy link is repaired by retransmission and
-// the application sees exactly-once in-order delivery.
+// its repair envelope, so a lossy link is repaired by retransmission, no
+// failure is reported, and the application sees exactly-once in-order
+// delivery.
 func TestChainBuilderFaultsInsideReliable(t *testing.T) {
 	fd := NewFaultDevice(5, FaultPlan{Drop: 0.3})
 	defer fd.Close()
 	p := newRelPair(t,
-		relEnd{cfg: ReliableConfig{RTO: 5 * time.Millisecond}, send: []SendDevice{fd}},
-		relEnd{cfg: ReliableConfig{RTO: 5 * time.Millisecond}})
+		relEnd{cfg: ReliableConfig{RTO: 5 * time.Millisecond}, send: []SendDevice{fd}, onFail: failTest(t, 0)},
+		relEnd{cfg: ReliableConfig{RTO: 5 * time.Millisecond}, onFail: failTest(t, 1)})
 	const n = 50
 	for i := 0; i < n; i++ {
 		if err := p.s0.Send(&Frame{Src: 0, Dst: 2, Body: []byte(fmt.Sprintf("msg-%d", i))}); err != nil {
@@ -47,8 +54,8 @@ func TestChainBuilderInstrumentedSeries(t *testing.T) {
 	fd := NewFaultDevice(9, FaultPlan{Drop: 0.1})
 	defer fd.Close()
 	p := newRelPair(t,
-		relEnd{cfg: ReliableConfig{RTO: 5 * time.Millisecond}, send: []SendDevice{fd}, reg: reg},
-		relEnd{cfg: ReliableConfig{RTO: 5 * time.Millisecond}})
+		relEnd{cfg: ReliableConfig{RTO: 5 * time.Millisecond}, send: []SendDevice{fd}, reg: reg, onFail: failTest(t, 0)},
+		relEnd{cfg: ReliableConfig{RTO: 5 * time.Millisecond}, onFail: failTest(t, 1)})
 	if p.s0.Metrics() != reg || p.s1.Metrics() != nil {
 		t.Error("Stack.Metrics does not report the build registry")
 	}

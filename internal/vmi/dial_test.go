@@ -47,7 +47,7 @@ func deadAddr(t *testing.T) string {
 
 // TestDialRetryAbortsMidBackoff: closing the done channel while dialRetry
 // is sitting out a backoff wait returns net.ErrClosed promptly instead of
-// sleeping out the remaining schedule (~15s at 10 attempts).
+// sleeping out the remaining schedule (~9s at 10 attempts).
 func TestDialRetryAbortsMidBackoff(t *testing.T) {
 	addr := deadAddr(t)
 	done := make(chan struct{})

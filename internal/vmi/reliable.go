@@ -12,13 +12,14 @@ import (
 	"gridmdo/internal/metrics"
 )
 
-// Reliable is an end-to-end reliability layer between the runtime and the
-// TCP device: per-peer sequence numbers, cumulative acks piggybacked on
+// Reliable is the end-to-end reliability layer every Stack carries between
+// the runtime and the TCP device: per-peer sequence numbers, cumulative acks piggybacked on
 // every data frame (plus delayed standalone acks for one-way flows), a
 // bounded retransmit buffer with timeout and exponential backoff,
 // duplicate suppression and in-order delivery on receive, and transparent
 // reconnection of dropped TCP connections (the next send or retransmit
-// re-dials through the transport's existing retry path). Transport-level
+// re-dials; a peer that was connected once gets one dial attempt per
+// retransmit, so the RTO schedule is the only retry loop). Transport-level
 // errors — write failures, dropped connections, CRC-corrupt frames — are
 // absorbed and repaired by retransmission; the failure handler bound with
 // Stack.Bind (the runtime's fail-fast hook) fires only when a frame
@@ -35,8 +36,9 @@ import (
 //
 // Each data frame's body is prefixed with a 28-byte reliability header
 // carrying the sequence number, the cumulative ack, and a CRC of the
-// payload; frames without FlagReliable (pre-reliability senders, control
-// traffic) pass through untouched.
+// payload. Control frames are intercepted at the TCP device and never
+// reach the layer; any other frame without FlagReliable is dropped and
+// counted in BadHdrs.
 
 // Reliability header layout (big-endian):
 //
@@ -204,9 +206,8 @@ type ReliableStats struct {
 	WindowStalls, WindowStallNanos int64
 }
 
-// Reliable is the reliability device of a ChainBuilder stack with
-// Reliable configured; it owns the TCP device's receive path and error
-// handler.
+// Reliable is the reliability device of every ChainBuilder stack; it owns
+// the TCP device's receive path and error handler.
 type Reliable struct {
 	tcp  *TCP
 	up   RecvFunc
@@ -538,15 +539,15 @@ func (r *Reliable) Send(f *Frame) error {
 // deliverWire is the terminal of the wire-side receive chain: verify,
 // ack-process, deduplicate, reorder, and deliver.
 func (r *Reliable) deliverWire(f *Frame) error {
-	if f.Flags&FlagReliable == 0 {
-		return r.up(f) // pre-reliability traffic passes through
-	}
 	h, payload, err := DecodeRelHeader(f.Body)
-	if err != nil {
+	if err != nil || f.Flags&FlagReliable == 0 {
+		// Unparseable (corrupt in flight: retransmit repairs) or
+		// unflagged (sent below this layer, which every stack carries):
+		// either way it is not delivered.
 		r.mu.Lock()
 		r.stats.BadHdrs++
 		r.mu.Unlock()
-		return nil // unparseable: treat as lost; retransmit repairs
+		return nil
 	}
 	if relCRC(f.Body) != h.CRC {
 		r.mu.Lock()

@@ -324,17 +324,23 @@ func TestReliableBudgetExhaustion(t *testing.T) {
 	})
 }
 
-// TestReliablePassthrough: frames without FlagReliable (pre-reliability
-// senders) bypass the layer untouched.
-func TestReliablePassthrough(t *testing.T) {
+// TestReliableDropsUnflagged: every stack carries the layer, so a data
+// frame without FlagReliable can only have been sent below it. It is not
+// delivered and is counted as a bad header; reliable traffic behind it on
+// the same connection still arrives.
+func TestReliableDropsUnflagged(t *testing.T) {
 	p := newRelPair(t, relEnd{}, relEnd{})
 	// Send below the reliability layer, straight through the TCP device.
 	if err := p.t0.Send(&Frame{Src: 0, Dst: 2, Body: []byte("raw")}); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "raw frame", func() bool { return len(p.at1()) == 1 })
-	if got := p.at1()[0]; string(got.Body) != "raw" {
-		t.Errorf("body = %q, want %q", got.Body, "raw")
+	if err := p.r0.Send(&Frame{Src: 0, Dst: 2, Body: []byte("msg-0")}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "reliable frame", func() bool { return len(p.at1()) == 1 })
+	assertInOrder(t, p.at1(), 1)
+	if got := p.r1.Stats().BadHdrs; got != 1 {
+		t.Errorf("BadHdrs = %d, want 1 for the unflagged frame", got)
 	}
 }
 

@@ -55,8 +55,8 @@ type TCP struct {
 	// errHandler receives asynchronous reader and writer errors; nil means
 	// ignore (connection teardown during shutdown is normal). Because Send
 	// returns before the coalesced write happens, peer failures after
-	// enqueue reach the sender only through it: the reliability layer or,
-	// without one, the handler bound with Stack.Bind.
+	// enqueue reach the sender only through it: the reliability layer
+	// installs it and absorbs them, and its retransmits repair the loss.
 	errHandler atomic.Pointer[func(error)]
 
 	// dialGate, if set, is consulted before dialing a node with no live
@@ -70,8 +70,11 @@ type TCP struct {
 	// connection hello (e.g. coordinator shutdown announcements).
 	OnControl func(*Frame)
 
-	// DialAttempts bounds connection retries (exponential backoff, ~15s
-	// total at the default of 10). Set lower to fail fast in tests.
+	// DialAttempts bounds the retries of a node's first connection
+	// (exponential backoff, ~9s total at the default of 10), so peers may
+	// start in any order. Re-dials of a node that was connected before make
+	// one attempt: the reliability layer's retransmit schedule is their
+	// retry loop. Set lower to fail fast in tests.
 	DialAttempts int
 
 	// met carries the transport's metric handles. Every handle is nil-safe,
@@ -421,10 +424,9 @@ func (t *TCP) evict(c net.Conn) {
 // DropConn severs the live connection to node the way a WAN fault would:
 // the socket closes immediately (bytes sitting in the coalescing buffer
 // are lost), the connection is evicted so the next send re-dials, and the
-// error handler fires as it does for an asynchronous write failure.
-// Without a reliability layer above, that fails the run; with one, the
-// lost frames are retransmitted over a fresh connection. Reports whether a
-// connection to node existed.
+// error handler fires as it does for an asynchronous write failure. The
+// reliability layer above absorbs it and retransmits the lost frames over
+// a fresh connection. Reports whether a connection to node existed.
 func (t *TCP) DropConn(node int) bool {
 	t.mu.Lock()
 	tc, ok := t.out[node]
@@ -488,8 +490,8 @@ func (t *TCP) readLoop(fr *frameReader, c net.Conn) {
 	}
 }
 
-// setErrHandler installs the asynchronous error handler (Stack.Bind, or the
-// reliability layer at construction).
+// setErrHandler installs the asynchronous error handler (the reliability
+// layer, at construction).
 func (t *TCP) setErrHandler(h func(error)) {
 	t.errHandler.Store(&h)
 }
@@ -533,6 +535,7 @@ func (t *TCP) connTo(node int) (*tcpConn, error) {
 		return tc, nil
 	}
 	addr, ok := t.addrs[node]
+	redial := t.everConnected[node]
 	t.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("vmi: no address for node %d", node)
@@ -542,7 +545,10 @@ func (t *TCP) connTo(node int) (*tcpConn, error) {
 	}
 
 	attempts := t.DialAttempts
-	if attempts <= 0 {
+	switch {
+	case redial:
+		attempts = 1 // the retransmit schedule retries, not the dialer
+	case attempts <= 0:
 		attempts = 10
 	}
 	c, err := dialRetry(addr, attempts, t.done)
@@ -596,7 +602,7 @@ func dialBackoff(attempt int) time.Duration {
 
 // dialRetry dials with exponential backoff so peers that start in any
 // order still connect (a co-allocated job's processes rarely come up
-// simultaneously). It gives up after ~15 seconds at the default attempt
+// simultaneously). It gives up after ~9 seconds at the default attempt
 // count, or immediately — even mid-backoff — when done closes, so a
 // transport shutting down never sits out a sleep.
 func dialRetry(addr string, attempts int, done <-chan struct{}) (net.Conn, error) {
