@@ -4,8 +4,8 @@
 // allocation. Node 0 is the coordinator: it starts the program, reports
 // the result, and announces shutdown to the workers.
 //
-// Processes may start in any order (connections retry with backoff for
-// ~15 seconds). For example:
+// Processes may start in any order (a node's first connection to each
+// peer retries with exponential backoff for ~9 seconds). For example:
 //
 //	gridnode -node 1 -addrs 127.0.0.1:9101,127.0.0.1:9102 -app stencil -procs 4 &
 //	gridnode -node 0 -addrs 127.0.0.1:9101,127.0.0.1:9102 -app stencil -procs 4
@@ -15,7 +15,9 @@
 // across nodes (procs must be divisible by the node count). With two
 // nodes, the node boundary coincides with the cluster boundary, so all
 // node-to-node TCP traffic is the "wide area" path and carries the
-// configured injected latency.
+// configured injected latency. One address (-addrs 127.0.0.1:0) runs
+// every PE in this process; the two clusters still meet across the
+// injected latency.
 //
 // Migration and fault tolerance ride the PUP serialization layer: -lb
 // enables AtSync load balancing (migrations between nodes travel as
@@ -23,6 +25,16 @@
 // -restart snapshot and restore the program across runs — each node
 // writes a partial checkpoint file, and a restart merges them, so the
 // restarted run may use a different PE or node count.
+//
+// The job gateway: with -app taskfarm -serve the farm is an open-ended
+// service, and node 0 is its HTTP front door (internal/gate). Clients
+// POST jobs to -listen; the gateway admits them against the -tenants
+// quotas, schedules them with weighted fair queueing, and injects them
+// into the live farm as message-driven tasks — the farm masks the
+// wide-area latency, the gate masks the farm. SIGTERM or SIGINT on the
+// gateway stops the runtime: residual jobs fail with 503, node 0 prints
+// "N jobs completed, M double-executions", announces shutdown to the
+// other nodes and exits 0.
 //
 // Observability: -metrics serves the runtime's registry over HTTP
 // (Prometheus text at /metrics, JSON with ?format=json), and
@@ -34,14 +46,16 @@
 //
 // The telemetry plane rides the same control path as membership: with
 // -telemetry each node runs an agent shipping metric deltas and trace
-// digests to node 0 as ControlTelemetry frames, and with -collector this
-// node (normally node 0) merges them into the live cluster view at
-// /v1/cluster/{metrics,overlap,health} and /v1/jobs/{id}/trace.
+// digests to node 0 as ControlTelemetry frames. Node 0's collector
+// merges them into the live cluster view — /v1/cluster/{metrics,
+// overlap,health,slo} and /v1/jobs/{id}/trace — served on its -metrics
+// address and, on a gateway, beside the job API.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -63,8 +77,7 @@ import (
 )
 
 // config carries the parsed command line into run. The flag groups live
-// in internal/appflags, shared with cmd/gridgate so both binaries parse
-// and validate an identical program shape.
+// in internal/appflags.
 type config struct {
 	appflags.Cluster
 	appflags.Sim
@@ -75,22 +88,28 @@ type config struct {
 
 	app                 string
 	checkpoint, restart string
-	collector           bool
+	listen, tenants     string // the gateway: node 0 of a -serve farm
 
+	// signals, when non-nil, replaces the SIGINT/SIGTERM subscription
+	// (tests deliver signals through it).
+	signals chan os.Signal
 	// onMetrics, when non-nil, receives the bound metrics address once the
 	// endpoint is listening (tests scrape it during a live run).
 	onMetrics func(addr string)
-	// onCollector, when non-nil, receives the telemetry collector built for
-	// -collector (tests read the cluster view without scraping HTTP).
+	// onListen, when non-nil, receives the gateway's bound job API address
+	// once it accepts jobs.
+	onListen func(addr string)
+	// onCollector, when non-nil, receives this node's telemetry collector
+	// (tests read the cluster view without scraping HTTP).
 	onCollector func(c *telemetry.Collector)
+	// onService, when non-nil, receives the gateway's farm service (tests
+	// audit its completion counts).
+	onService func(s *taskfarm.Service)
 	// onRuntime, when non-nil, receives the runtime right after
 	// construction (tests inspect Locations before and after the run).
 	onRuntime func(rt *core.Runtime)
 	// onResult, when non-nil, receives node 0's program result.
 	onResult func(v any)
-	// onMembership, when non-nil, receives the membership manager once it
-	// is wired (tests drive joins/drains and read the member table).
-	onMembership func(m *core.Membership)
 }
 
 func main() {
@@ -101,11 +120,12 @@ func main() {
 	cfg.Stencil.Register(fs)
 	cfg.LeanMD.Register(fs)
 	cfg.Farm.Register(fs)
-	cfg.Obs.Register(fs, 0)
+	cfg.Obs.Register(fs)
 	fs.StringVar(&cfg.app, "app", "stencil", "stencil|leanmd|taskfarm")
-	fs.BoolVar(&cfg.collector, "collector", false, "run the cluster telemetry collector on this node (serves /v1/cluster/* on the -metrics address)")
 	fs.StringVar(&cfg.checkpoint, "checkpoint", "", "write this node's checkpoint to <prefix>.node<N> when the run completes")
 	fs.StringVar(&cfg.restart, "restart", "", "restore program state from <prefix>.node* (or a single merged file) before running")
+	fs.StringVar(&cfg.listen, "listen", "127.0.0.1:8080", "gateway (node 0 with -serve): HTTP listen address for job submission")
+	fs.StringVar(&cfg.tenants, "tenants", "default", "gateway (node 0 with -serve): admitted tenants as name[:weight[:maxqueue]],...")
 	flag.Parse()
 	if err := run(cfg); err != nil {
 		fmt.Fprintf(os.Stderr, "gridnode: %v\n", err)
@@ -116,34 +136,43 @@ func main() {
 // buildProgram assembles the selected application. With elastic set
 // (-membership), initial placement is confined to the founding nodes'
 // PEs; the taskfarm Params come back so run can late-bind the drain hook
-// once the membership manager exists.
-func buildProgram(cfg config, reg *metrics.Registry, elastic *taskfarm.ElasticConfig) (*core.Program, *taskfarm.Params, error) {
+// once the membership manager exists. On node 0 of a -serve farm it also
+// returns the farm's ingest service, built before the program because
+// the service owns the farm's completion hook.
+func buildProgram(cfg config, reg *metrics.Registry, elastic *taskfarm.ElasticConfig) (*core.Program, *taskfarm.Params, *taskfarm.Service, error) {
 	switch cfg.app {
 	case "stencil":
 		p, err := cfg.Stencil.Params(cfg.Sim, elastic)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		prog, err := stencil.BuildProgram(p)
-		return prog, nil, err
+		return prog, nil, nil, err
 	case "leanmd":
 		if cfg.LB != "" {
-			return nil, nil, fmt.Errorf("-lb supports -app stencil only")
+			return nil, nil, nil, fmt.Errorf("-lb supports -app stencil only")
 		}
 		if elastic != nil {
-			return nil, nil, fmt.Errorf("-membership supports -app stencil and taskfarm only")
+			return nil, nil, nil, fmt.Errorf("-membership supports -app stencil and taskfarm only")
 		}
 		prog, _, err := leanmd.BuildProgram(cfg.LeanMD.Params(cfg.Sim))
-		return prog, nil, err
+		return prog, nil, nil, err
 	case "taskfarm":
 		if cfg.LB != "" {
-			return nil, nil, fmt.Errorf("-lb supports -app stencil only")
+			return nil, nil, nil, fmt.Errorf("-lb supports -app stencil only")
 		}
 		p := cfg.Farm.Params(cfg.Procs, reg, elastic)
+		var svc *taskfarm.Service
+		if p.Serve && cfg.Node == 0 {
+			var err error
+			if svc, err = taskfarm.NewService(p); err != nil {
+				return nil, nil, nil, err
+			}
+		}
 		prog, err := taskfarm.BuildProgram(p)
-		return prog, p, err
+		return prog, p, svc, err
 	default:
-		return nil, nil, fmt.Errorf("unknown app %q", cfg.app)
+		return nil, nil, nil, fmt.Errorf("unknown app %q", cfg.app)
 	}
 }
 
@@ -156,7 +185,7 @@ func run(cfg config) error {
 	if err != nil {
 		return err
 	}
-	addrs, nodes, perNode := lay.Addrs, lay.Nodes, lay.PerNode
+	nodes := lay.Nodes
 	topo := lay.Topo
 	nodeOf := lay.NodeOf
 
@@ -164,8 +193,8 @@ func run(cfg config) error {
 		if cfg.app != "taskfarm" {
 			return fmt.Errorf("-serve supports -app taskfarm only")
 		}
-		if cfg.Node == 0 {
-			return fmt.Errorf("-serve backends must have -node >= 1 (node 0 is the gateway: run cmd/gridgate)")
+		if cfg.Membership {
+			return fmt.Errorf("-serve does not support -membership: a serve farm's node set is fixed for its lifetime")
 		}
 	}
 
@@ -186,11 +215,27 @@ func run(cfg config) error {
 		return fmt.Errorf("-joiners requires -membership")
 	}
 
+	// Readiness starts false and flips true once the runtime is about to
+	// serve; membership and drain state feed it below.
+	health := telemetry.NewHealth()
+	health.Set("startup", "runtime not started")
+
+	// Every agent reports to node 0, so node 0's collector is the cluster
+	// view (a worker's hears nothing). It is built before the stack
+	// listens so a telemetry frame from a fast peer never races its
+	// construction, and before a gateway, which feeds it job latencies.
+	coll := telemetry.NewCollector(telemetry.CollectorConfig{
+		SLO: telemetry.NewSLOTracker(telemetry.DefaultSLOConfig()),
+	})
+	if cfg.onCollector != nil {
+		cfg.onCollector(coll)
+	}
+
 	// The registry is created before the program so applications that
 	// publish their own series (taskfarm) can hold handles into it; the
 	// same registry later instruments the runtime and the VMI stack.
 	reg := metrics.NewRegistry()
-	prog, tfp, err := buildProgram(cfg, reg, elastic)
+	prog, tfp, svc, err := buildProgram(cfg, reg, elastic)
 	if err != nil {
 		return err
 	}
@@ -205,29 +250,22 @@ func run(cfg config) error {
 		fmt.Fprintf(os.Stderr, "gridnode %d: restored checkpoint %s\n", cfg.Node, cfg.restart)
 	}
 
-	addrMap := make(map[int]string, nodes)
-	for i, a := range addrs {
-		addrMap[i] = a
-	}
-
-	// Readiness starts false and flips true once the runtime is about to
-	// serve; membership and drain state feed it below.
-	health := telemetry.NewHealth()
-	health.Set("startup", "runtime not started")
-
-	// The collector is built before the stack listens so a telemetry frame
-	// from a fast peer never races its construction.
-	var coll *telemetry.Collector
-	if cfg.collector {
-		coll = telemetry.NewCollector(telemetry.CollectorConfig{})
-		if cfg.onCollector != nil {
-			cfg.onCollector(coll)
+	// Node 0 of a serve farm is its gateway. The job API's socket is bound
+	// now, so a bad -listen fails the run before any peer is dialed.
+	var gw *gateway
+	if svc != nil {
+		if gw, err = newGateway(cfg, svc, reg, health, coll); err != nil {
+			return err
+		}
+		defer gw.close()
+		if cfg.onService != nil {
+			cfg.onService(svc)
 		}
 	}
 
 	var rt *core.Runtime
 	var mem *core.Membership
-	builder := vmi.NewChainBuilder(cfg.Node, addrMap, func(pe int32) int { return nodeOf(int(pe)) }).
+	builder := vmi.NewChainBuilder(cfg.Node, lay.AddrMap, func(pe int32) int { return nodeOf(int(pe)) }).
 		Metrics(reg).
 		OnControl(func(f *vmi.Frame) {
 			switch f.Dst {
@@ -240,9 +278,7 @@ func run(cfg config) error {
 					mem.HandleControl(f)
 				}
 			case vmi.ControlTelemetry:
-				if coll != nil {
-					_ = coll.Ingest(f.Body) // bad frames are counted, never fatal
-				}
+				_ = coll.Ingest(f.Body) // bad frames are counted, never fatal
 			}
 		})
 	stack, err := builder.Build()
@@ -259,7 +295,7 @@ func run(cfg config) error {
 			if joiner[n] {
 				continue
 			}
-			initial = append(initial, core.Member{Node: int32(n), State: core.MemberActive, Addr: addrs[n]})
+			initial = append(initial, core.Member{Node: int32(n), State: core.MemberActive, Addr: lay.Addrs[n]})
 		}
 		mcfg := core.MembershipConfig{
 			Node:        cfg.Node,
@@ -305,12 +341,10 @@ func run(cfg config) error {
 			// Left at the coordinator.
 			tfp.OnDrained = mem.NotifyDrained
 		}
-		if cfg.onMembership != nil {
-			cfg.onMembership(mem)
-		}
 	}
 
-	if _, err := stack.Listen(); err != nil {
+	self, err := stack.Listen()
+	if err != nil {
 		return err
 	}
 	defer stack.Close()
@@ -318,7 +352,7 @@ func run(cfg config) error {
 	art := &artifacts{
 		metricsPath: cfg.MetricsOut, reg: reg,
 		tracePath: cfg.TraceOut,
-		node:      cfg.Node, peLo: cfg.Node * perNode, peHi: (cfg.Node + 1) * perNode,
+		node:      cfg.Node, peLo: lay.PELo(cfg.Node), peHi: lay.PEHi(cfg.Node),
 		start: time.Now(),
 	}
 	rtOpts := []core.Option{
@@ -326,13 +360,16 @@ func run(cfg config) error {
 			Transport: stack,
 			NodeOf:    nodeOf,
 			Node:      cfg.Node,
-			PELo:      cfg.Node * perNode,
-			PEHi:      (cfg.Node + 1) * perNode,
+			PELo:      lay.PELo(cfg.Node),
+			PEHi:      lay.PEHi(cfg.Node),
 		}),
 		core.WithMetrics(reg),
 	}
 	if mem != nil {
 		rtOpts = append(rtOpts, core.WithMembership(mem))
+	}
+	if gw != nil {
+		rtOpts = append(rtOpts, core.WithLifecycle(gw.lifecycle(health, cfg.onListen)))
 	}
 	if cfg.TraceOut != "" || cfg.Telemetry {
 		art.tr = trace.NewWithCapacity(cfg.Procs, cfg.TraceRingCap())
@@ -348,13 +385,16 @@ func run(cfg config) error {
 	if notifier != nil {
 		notifier.Bind(rt, cfg.Node)
 	}
+	if svc != nil {
+		svc.Bind(rt)
+	}
 	// Trace timestamps are relative to the runtime epoch; record it so
 	// gridtrace can re-base snapshots from separately started processes.
 	art.start = rt.Epoch()
 
 	// The telemetry agent ships reports to node 0 over the control path.
-	// On the collector node itself SendControl self-delivers synchronously,
-	// so the same wiring serves both roles.
+	// On node 0 itself SendControl self-delivers synchronously, so the
+	// same wiring serves both roles.
 	if cfg.Telemetry {
 		agent, err := telemetry.NewAgent(telemetry.AgentConfig{
 			Node:     cfg.Node,
@@ -379,9 +419,12 @@ func run(cfg config) error {
 		defer agent.Stop()
 	}
 
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, syscall.SIGINT, syscall.SIGTERM)
-	defer signal.Stop(sigCh)
+	sigCh := cfg.signals
+	if sigCh == nil {
+		sigCh = make(chan os.Signal, 1)
+		signal.Notify(sigCh, syscall.SIGINT, syscall.SIGTERM)
+		defer signal.Stop(sigCh)
+	}
 	// SIGTERM on a membership-enabled worker node drains instead of
 	// killing: the node's chares are evicted onto the survivors, the
 	// coordinator marks it Left, and the process exits cleanly.
@@ -398,7 +441,14 @@ func run(cfg config) error {
 			return true
 		}
 	}
-	watchSignals(sigCh, art, os.Exit, drainFn)
+	if gw != nil {
+		// A gateway's shutdown is the run's normal epilogue: stopping the
+		// runtime fails residual jobs, prints the completion line, tells
+		// the backends, and flushes the artifacts.
+		stopOnSignal(sigCh, rt, health)
+	} else {
+		watchSignals(sigCh, art, os.Exit, drainFn)
+	}
 
 	if cfg.MetricsAddr != "" {
 		ln, err := net.Listen("tcp", cfg.MetricsAddr)
@@ -406,17 +456,7 @@ func run(cfg config) error {
 			return fmt.Errorf("metrics listener: %w", err)
 		}
 		defer ln.Close()
-		mux := http.NewServeMux()
-		mux.Handle("/metrics", reg.Handler())
-		mux.HandleFunc("/healthz", health.Healthz)
-		mux.HandleFunc("/readyz", health.Readyz)
-		if cfg.Pprof {
-			telemetry.MountPprof(mux)
-		}
-		if coll != nil {
-			mux.Handle("GET /v1/jobs/", coll.JobTraceHandler())
-			coll.Mount(mux, 3*cfg.TelemetryInterval)
-		}
+		mux := serveMux(cfg, reg.Handler(), health, coll)
 		go func() { _ = http.Serve(ln, mux) }()
 		fmt.Fprintf(os.Stderr, "gridnode %d: metrics on http://%s/metrics\n", cfg.Node, ln.Addr())
 		if cfg.onMetrics != nil {
@@ -425,7 +465,7 @@ func run(cfg config) error {
 	}
 
 	fmt.Fprintf(os.Stderr, "gridnode %d/%d: hosting PEs [%d,%d) of %s on %s\n",
-		cfg.Node, nodes, cfg.Node*perNode, (cfg.Node+1)*perNode, topo, addrMap[cfg.Node])
+		cfg.Node, nodes, lay.PELo(cfg.Node), lay.PEHi(cfg.Node), topo, self)
 
 	if mem != nil && joiner[cfg.Node] {
 		fmt.Fprintf(os.Stderr, "gridnode %d: requesting admission to the member set\n", cfg.Node)
@@ -459,16 +499,11 @@ func run(cfg config) error {
 		if cfg.onResult != nil {
 			cfg.onResult(v)
 		}
-		switch res := v.(type) {
-		case *stencil.Result:
-			fmt.Printf("stencil: per-step %v, total %v, checksum %.6f\n", res.PerStep, res.Total, res.Checksum)
-		case *leanmd.Result:
-			fmt.Printf("leanmd: per-step %v, total %v, drift %.4f%%\n", res.PerStep, res.Total, 100*res.Drift())
-		case *taskfarm.Result:
-			fmt.Printf("taskfarm: tasks %d, makespan %v, checksum %#x, shards %d, steals %d, stolen %d\n",
-				res.Tasks, res.Makespan, res.Checksum, res.Shards, res.Steals, res.StolenTask)
-		default:
-			fmt.Printf("result: %v\n", v)
+		if gw != nil {
+			gw.close()
+			fmt.Printf("gateway: %d jobs completed, %d double-executions\n", svc.Completed(), svc.DoubleExecs())
+		} else {
+			printResult(v)
 		}
 		// Announce shutdown to the workers. Nodes that left or died have
 		// no process to notify (and dialing them would stall the exit).
@@ -492,6 +527,44 @@ func run(cfg config) error {
 	return art.flush()
 }
 
+// printResult writes node 0's one-line account of a finished program.
+func printResult(v any) {
+	switch res := v.(type) {
+	case *stencil.Result:
+		fmt.Printf("stencil: per-step %v, total %v, checksum %.6f\n", res.PerStep, res.Total, res.Checksum)
+	case *leanmd.Result:
+		fmt.Printf("leanmd: per-step %v, total %v, drift %.4f%%\n", res.PerStep, res.Total, 100*res.Drift())
+	case *taskfarm.Result:
+		fmt.Printf("taskfarm: tasks %d, makespan %v, checksum %#x, shards %d, steals %d, stolen %d\n",
+			res.Tasks, res.Makespan, res.Checksum, res.Shards, res.Steals, res.StolenTask)
+	default:
+		fmt.Printf("result: %v\n", v)
+	}
+}
+
+// serveMux builds the HTTP surface one listener of a node serves: m at
+// /metrics, the /healthz and /readyz probes, the collector's cluster view
+// and job traces, and -pprof. -metrics serves it as is; a gateway serves
+// it on -listen with the job API under it.
+func serveMux(cfg config, m http.Handler, health *telemetry.Health, coll *telemetry.Collector) *http.ServeMux {
+	staleAfter := 3 * cfg.TelemetryInterval
+	if staleAfter <= 0 {
+		staleAfter = 3 * telemetry.DefaultInterval
+	}
+	mux := http.NewServeMux()
+	mux.Handle("/metrics", m)
+	mux.HandleFunc("/healthz", health.Healthz)
+	mux.HandleFunc("/readyz", health.Readyz)
+	// Go 1.22 routing keeps /v1/jobs/{id}/trace out of a gateway's job
+	// API, which serves every other /v1/jobs route.
+	mux.Handle("GET /v1/jobs/{id}/trace", coll.JobTraceHandler())
+	coll.Mount(mux, staleAfter)
+	if cfg.Pprof {
+		telemetry.MountPprof(mux)
+	}
+	return mux
+}
+
 // artifacts is everything gridnode flushes at the end of a run — the
 // metrics snapshot and the trace snapshot. flush is idempotent so the
 // normal completion path and the signal handler can race safely.
@@ -513,36 +586,19 @@ type artifacts struct {
 func (a *artifacts) flush() error {
 	a.once.Do(func() {
 		if a.metricsPath != "" && a.reg != nil {
-			if err := writeSnapshot(a.metricsPath, a.reg); err != nil && a.err == nil {
+			if err := writeFile(a.metricsPath, a.reg.WriteJSON); err != nil && a.err == nil {
 				a.err = fmt.Errorf("metrics snapshot: %w", err)
 			}
 		}
 		if a.tracePath != "" && a.tr != nil {
-			if err := a.writeTrace(); err != nil && a.err == nil {
+			snap := a.tr.Snapshot(a.node, a.peLo, a.peHi, time.Since(a.start))
+			snap.EpochUnixNs = a.start.UnixNano()
+			if err := writeFile(a.tracePath, snap.Write); err != nil && a.err == nil {
 				a.err = fmt.Errorf("trace snapshot: %w", err)
 			}
 		}
 	})
 	return a.err
-}
-
-func (a *artifacts) writeTrace() error {
-	if dir := filepath.Dir(a.tracePath); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-	}
-	f, err := os.Create(a.tracePath)
-	if err != nil {
-		return err
-	}
-	snap := a.tr.Snapshot(a.node, a.peLo, a.peHi, time.Since(a.start))
-	snap.EpochUnixNs = a.start.UnixNano()
-	if err := snap.Write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // writeCheckpoint snapshots this node's share of the program state (a
@@ -552,20 +608,7 @@ func writeCheckpoint(path string, rt *core.Runtime) error {
 	if err != nil {
 		return err
 	}
-	if dir := filepath.Dir(path); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := ck.Encode(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return writeFile(path, ck.Encode)
 }
 
 // readPartialCheckpoint loads one node's partial checkpoint file for the
@@ -655,14 +698,18 @@ func watchSignals(ch <-chan os.Signal, a *artifacts, exit func(int), drain func(
 	}()
 }
 
-// writeSnapshot dumps the registry as indented JSON, the same structure
-// the benchmark harness records next to its results.
-func writeSnapshot(path string, reg *metrics.Registry) error {
+// writeFile creates path, and its directory, and fills it with write.
+func writeFile(path string, write func(io.Writer) error) error {
+	if dir := filepath.Dir(path); dir != "." {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return err
+		}
+	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := reg.WriteJSON(f); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -18,6 +19,8 @@ import (
 	"gridmdo/internal/core"
 	"gridmdo/internal/metrics"
 	"gridmdo/internal/stencil"
+	"gridmdo/internal/taskfarm"
+	"gridmdo/internal/telemetry"
 	"gridmdo/internal/trace"
 )
 
@@ -458,5 +461,395 @@ func TestWatchSignalsClosedChannel(t *testing.T) {
 	case code := <-exited:
 		t.Fatalf("watcher exited with %d on channel close", code)
 	case <-time.After(100 * time.Millisecond):
+	}
+}
+
+func TestParseTenants(t *testing.T) {
+	tcs, err := parseTenants("acme:3:128, initech, batch:2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tcs) != 3 || tcs[0].Weight != 3 || tcs[0].MaxQueue != 128 ||
+		tcs[1].Name != "initech" || tcs[2].Weight != 2 || tcs[2].MaxQueue != 0 {
+		t.Errorf("parsed %+v", tcs)
+	}
+	for _, bad := range []string{"", "a:x", "a:0", "a:1:0", "a:1:2:3", ":3"} {
+		if _, err := parseTenants(bad); err == nil {
+			t.Errorf("spec %q accepted", bad)
+		}
+	}
+}
+
+type jobReply struct {
+	ID        string   `json:"id"`
+	State     string   `json:"state"`
+	Duplicate bool     `json:"duplicate"`
+	Value     *float64 `json:"value"`
+}
+
+func submitJob(t *testing.T, base, body string) jobReply {
+	t.Helper()
+	resp, err := http.Post("http://"+base+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode/100 != 2 {
+		t.Fatalf("submit status %d", resp.StatusCode)
+	}
+	var jr jobReply
+	if err := json.NewDecoder(resp.Body).Decode(&jr); err != nil {
+		t.Fatal(err)
+	}
+	return jr
+}
+
+// startCluster runs every node of cfg's cluster through run, backends
+// first: node 0 is the gateway, with gateHooks applied to its config
+// alone. It returns the job API address once the gateway accepts jobs,
+// and each node's run error channel, node 0's first.
+func startCluster(t *testing.T, cfg config, gateHooks func(c *config)) (string, []chan error) {
+	t.Helper()
+	ready := make(chan string, 1)
+	errs := make([]chan error, len(strings.Split(cfg.Addrs, ",")))
+	for n := len(errs) - 1; n >= 0; n-- {
+		c := cfg
+		c.Node = n
+		if n == 0 {
+			gateHooks(&c)
+			c.onListen = func(addr string) { ready <- addr }
+		}
+		errs[n] = make(chan error, 1)
+		go func() { errs[n] <- run(c) }()
+	}
+	select {
+	case addr := <-ready:
+		return addr, errs
+	case <-time.After(15 * time.Second):
+		t.Fatal("gate never came up")
+		return "", nil
+	}
+}
+
+// waitRuns waits for every node's run to return nil.
+func waitRuns(t *testing.T, errs []chan error) {
+	t.Helper()
+	for n, ch := range errs {
+		select {
+		case err := <-ch:
+			if err != nil {
+				t.Fatalf("node %d: %v", n, err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("node %d never exited", n)
+		}
+	}
+}
+
+// TestGatewayStandalone boots the whole gateway stack in one process (a
+// one-address cluster): HTTP ingress, admission, the serve farm, and
+// result retrieval — including idempotent resubmits that must map to the
+// original job.
+func TestGatewayStandalone(t *testing.T) {
+	cfg := config{
+		Cluster: appflags.Cluster{Addrs: "127.0.0.1:0", Procs: 4, Latency: time.Millisecond},
+		Farm:    appflags.Farm{Shards: 2, Batch: 8, Prefetch: 2, Spin: 200, Skew: 1, Steal: true, Serve: true},
+		app:     "taskfarm",
+		listen:  "127.0.0.1:0",
+		tenants: "acme:2,initech",
+	}
+	rts := make(chan *core.Runtime, 1)
+	svcs := make(chan *taskfarm.Service, 1)
+	addr, errs := startCluster(t, cfg, func(c *config) {
+		c.onRuntime = func(rt *core.Runtime) { rts <- rt }
+		c.onService = func(s *taskfarm.Service) { svcs <- s }
+	})
+	rt, svc := <-rts, <-svcs
+
+	// Submit with wait=true from both tenants, a third of the keys
+	// duplicated. Duplicates must return the original completed job.
+	const jobs = 60
+	var wg sync.WaitGroup
+	idByKey := make([]string, jobs)
+	for i := 0; i < jobs; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			tenant := "acme"
+			if i%2 == 1 {
+				tenant = "initech"
+			}
+			jr := submitJob(t, addr, fmt.Sprintf(`{"tenant":%q,"key":"k%d","wait":true}`, tenant, i))
+			if jr.State != "done" || jr.Value == nil {
+				t.Errorf("job %d: %+v", i, jr)
+			}
+			idByKey[i] = jr.ID
+		}(i)
+	}
+	wg.Wait()
+	for i := 0; i < jobs; i += 3 {
+		tenant := "acme"
+		if i%2 == 1 {
+			tenant = "initech"
+		}
+		jr := submitJob(t, addr, fmt.Sprintf(`{"tenant":%q,"key":"k%d"}`, tenant, i))
+		if !jr.Duplicate || jr.ID != idByKey[i] {
+			t.Errorf("resubmit k%d returned %+v, want duplicate of %s", i, jr, idByKey[i])
+		}
+	}
+
+	// The farm must have executed each distinct job exactly once.
+	if got := svc.Completed(); got != jobs {
+		t.Errorf("farm completed %d, want %d", got, jobs)
+	}
+	if d := svc.DoubleExecs(); d != 0 {
+		t.Errorf("%d double executions", d)
+	}
+
+	// Per-tenant metrics are visible through the gate's own endpoint.
+	resp, err := http.Get("http://" + addr + "/metrics?tenant=acme&format=json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap metrics.Snapshot
+	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if v := snap.Value("gate_jobs_completed_total"); v != jobs/2 {
+		t.Errorf("acme completed %d, want %d", v, jobs/2)
+	}
+
+	rt.Stop()
+	waitRuns(t, errs)
+
+	// After shutdown the ingress must be gone.
+	if _, err := http.Post("http://"+addr+"/v1/jobs", "application/json", strings.NewReader(`{"tenant":"acme"}`)); err == nil {
+		t.Error("ingress still accepting after shutdown")
+	}
+}
+
+// TestGatewayClusterBackend runs the full deployment shape in-process:
+// the gateway as node 0, a -serve backend as node 1, jobs flowing over
+// the gate's HTTP ingress and executing on both nodes' PEs. Cross-node
+// job injection uses rt.Post, whose frames must carry a truthful source
+// PE or the receiver's reliability acks route back to itself and the
+// farm wedges.
+func TestGatewayClusterBackend(t *testing.T) {
+	addrs := freePort(t) + "," + freePort(t)
+	cfg := config{
+		Cluster: appflags.Cluster{Addrs: addrs, Procs: 4, Latency: time.Millisecond},
+		Farm:    appflags.Farm{Shards: 2, Batch: 8, Prefetch: 2, Spin: 200, Skew: 1, Steal: true, Serve: true},
+		app:     "taskfarm",
+		listen:  "127.0.0.1:0",
+		tenants: "acme",
+	}
+
+	rts := make(chan *core.Runtime, 1)
+	svcs := make(chan *taskfarm.Service, 1)
+	addr, errs := startCluster(t, cfg, func(c *config) {
+		c.onRuntime = func(rt *core.Runtime) { rts <- rt }
+		c.onService = func(s *taskfarm.Service) { svcs <- s }
+	})
+	rt, svc := <-rts, <-svcs
+
+	const jobs = 40
+	var wg sync.WaitGroup
+	for i := 0; i < jobs; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			jr := submitJob(t, addr, fmt.Sprintf(`{"tenant":"acme","key":"c%d","wait":true}`, i))
+			if jr.State != "done" {
+				t.Errorf("job %d: %+v", i, jr)
+			}
+		}(i)
+	}
+	wg.Wait()
+	if got, d := svc.Completed(), svc.DoubleExecs(); got != jobs || d != 0 {
+		t.Errorf("completed %d (want %d), doubles %d", got, jobs, d)
+	}
+
+	rt.Stop()
+	waitRuns(t, errs)
+}
+
+// TestGatewayTelemetryTrace is the end-to-end telemetry assertion over a
+// real TCP deployment: the gateway (collector) as node 0, a -telemetry
+// backend as node 1. Jobs submitted over HTTP must yield (a) a cluster
+// metrics view whose worker task counter aggregates to the exact
+// submitted total, and (b) at least one job trace whose span tree crosses
+// both processes with no broken parent links.
+func TestGatewayTelemetryTrace(t *testing.T) {
+	addrs := freePort(t) + "," + freePort(t)
+	cfg := config{
+		Cluster: appflags.Cluster{Addrs: addrs, Procs: 4, Latency: time.Millisecond},
+		Farm:    appflags.Farm{Shards: 2, Batch: 4, Prefetch: 2, Spin: 2000, Skew: 1, Serve: true},
+		Obs:     appflags.Obs{Telemetry: true, TelemetryInterval: 50 * time.Millisecond},
+		app:     "taskfarm",
+		listen:  "127.0.0.1:0",
+		tenants: "acme",
+	}
+
+	rts := make(chan *core.Runtime, 1)
+	colls := make(chan *telemetry.Collector, 1)
+	addr, errs := startCluster(t, cfg, func(c *config) {
+		c.onRuntime = func(rt *core.Runtime) { rts <- rt }
+		c.onCollector = func(c *telemetry.Collector) { colls <- c }
+	})
+	rt, coll := <-rts, <-colls
+
+	const jobs = 30
+	ids := make([]string, jobs)
+	var wg sync.WaitGroup
+	for i := 0; i < jobs; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			jr := submitJob(t, addr, fmt.Sprintf(`{"tenant":"acme","key":"t%d","wait":true}`, i))
+			if jr.State != "done" {
+				t.Errorf("job %d: %+v", i, jr)
+			}
+			ids[i] = jr.ID
+		}(i)
+	}
+	wg.Wait()
+
+	// Live aggregation: every node's worker counter reaches the collector
+	// within a few reporting periods, and their cluster-wide sum is the
+	// exact number of tasks the farm executed.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if v := coll.ClusterMetrics().Value("taskfarm_worker_tasks_total"); v == jobs {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("cluster worker counter stuck at %d, want %d",
+				coll.ClusterMetrics().Value("taskfarm_worker_tasks_total"), jobs)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	if ns := coll.Nodes(); len(ns) != 2 {
+		t.Errorf("collector heard from %d nodes, want 2: %+v", len(ns), ns)
+	}
+
+	// Job tracing: some job's span tree must cross both processes. Spans
+	// trickle in over a couple of reports (the resend factor), so poll.
+	var crossed *telemetry.JobTraceDoc
+	for time.Now().Before(deadline) && crossed == nil {
+		for _, id := range ids {
+			doc, ok := coll.JobTrace(id)
+			if ok && len(doc.Nodes) >= 2 {
+				crossed = doc
+				break
+			}
+		}
+		if crossed == nil {
+			time.Sleep(50 * time.Millisecond)
+		}
+	}
+	if crossed == nil {
+		t.Fatal("no job trace crossed two processes")
+	}
+	seen := make(map[uint64]bool, len(crossed.Spans))
+	for _, s := range crossed.Spans {
+		seen[s.ID] = true
+	}
+	if !seen[crossed.Root] {
+		t.Error("trace lost its own root span")
+	}
+	for _, s := range crossed.Spans {
+		if s.ID != crossed.Root && !seen[s.Parent] {
+			t.Errorf("span %#x has broken parent link %#x", s.ID, s.Parent)
+		}
+	}
+
+	// The same trace is served over HTTP next to the job API, and the
+	// cluster endpoints answer on the gate's own listener.
+	for _, path := range []string{
+		"/v1/jobs/" + crossed.JobID + "/trace",
+		"/v1/cluster/metrics?format=json",
+		"/v1/cluster/health",
+		"/v1/cluster/slo",
+		"/healthz", "/readyz",
+	} {
+		resp, err := http.Get("http://" + addr + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != 200 {
+			t.Errorf("GET %s: status %d", path, resp.StatusCode)
+		}
+	}
+	// SLO: 30 fast jobs against a 100ms objective must not be burning.
+	var slo struct {
+		Tenants []telemetry.SLOStatus `json:"tenants"`
+	}
+	resp, err := http.Get("http://" + addr + "/v1/cluster/slo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&slo); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if len(slo.Tenants) != 1 || slo.Tenants[0].Firing {
+		t.Errorf("slo view: %+v", slo.Tenants)
+	}
+
+	rt.Stop()
+	waitRuns(t, errs)
+}
+
+// TestGatewaySIGTERMStopsCluster: SIGTERM on the gateway node runs the
+// normal epilogue instead of exiting — the gateway's run returns nil,
+// the backend gets the shutdown announcement so its run returns nil
+// too, and the ingress refuses jobs afterwards.
+func TestGatewaySIGTERMStopsCluster(t *testing.T) {
+	addrs := freePort(t) + "," + freePort(t)
+	cfg := config{
+		Cluster: appflags.Cluster{Addrs: addrs, Procs: 4, Latency: time.Millisecond},
+		Farm:    appflags.Farm{Shards: 2, Batch: 8, Prefetch: 2, Spin: 200, Skew: 1, Serve: true},
+		app:     "taskfarm",
+		listen:  "127.0.0.1:0",
+		tenants: "acme",
+	}
+
+	sigs := make(chan os.Signal, 1)
+	addr, errs := startCluster(t, cfg, func(c *config) { c.signals = sigs })
+	if jr := submitJob(t, addr, `{"tenant":"acme","key":"before","wait":true}`); jr.State != "done" {
+		t.Errorf("job before SIGTERM: %+v", jr)
+	}
+
+	sigs <- syscall.SIGTERM
+	waitRuns(t, errs)
+
+	resp, err := http.Post("http://"+addr+"/v1/jobs", "application/json", strings.NewReader(`{"tenant":"acme","key":"after"}`))
+	if err == nil {
+		resp.Body.Close()
+		t.Errorf("job after SIGTERM got status %d, want a refused connection", resp.StatusCode)
+	}
+}
+
+// TestServeFlagErrors: -serve runs only the taskfarm, and never with
+// -membership; both are refused at startup.
+func TestServeFlagErrors(t *testing.T) {
+	for _, tc := range []struct {
+		app        string
+		membership bool
+		want       string
+	}{
+		{"stencil", false, "-serve supports -app taskfarm only"},
+		{"taskfarm", true, "-serve does not support -membership"},
+	} {
+		cfg := config{
+			Cluster: appflags.Cluster{Addrs: "127.0.0.1:0", Procs: 4, Membership: tc.membership},
+			Farm:    appflags.Farm{Serve: true},
+			app:     tc.app,
+		}
+		if err := run(cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("-app %s -membership=%v: err %v, want %q", tc.app, tc.membership, err, tc.want)
+		}
 	}
 }

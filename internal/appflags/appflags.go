@@ -1,10 +1,9 @@
-// Package appflags consolidates the command-line surface shared by the
-// repo's long-running commands (cmd/gridnode, cmd/gridgate). Each struct
-// groups one concern's flags, registers them on a caller-supplied
-// flag.FlagSet, and knows how to build the corresponding application
-// Params — so the two binaries that must agree on a program shape
-// (every process in a run builds the identical chare array) parse and
-// validate it through the same code instead of two drifting copies.
+// Package appflags is cmd/gridnode's command-line surface, one struct
+// per concern. Each struct registers its flags on a caller-supplied
+// flag.FlagSet and knows how to build the corresponding application
+// Params, so the flag parsing and the parameter validation every process
+// of a run must agree on (each builds the identical chare array) live
+// apart from the node wiring and are tested on their own.
 package appflags
 
 import (
@@ -40,7 +39,7 @@ type Cluster struct {
 // names (-node, -addrs, ...).
 func (c *Cluster) Register(fs *flag.FlagSet) {
 	fs.IntVar(&c.Node, "node", 0, "this process's node index")
-	fs.StringVar(&c.Addrs, "addrs", "", "comma-separated listen addresses, one per node")
+	fs.StringVar(&c.Addrs, "addrs", "", "comma-separated listen addresses, one per node (one address: every PE in this process)")
 	fs.IntVar(&c.Procs, "procs", 4, "total PEs across all nodes")
 	fs.DurationVar(&c.Latency, "latency", 1725*time.Microsecond, "one-way inter-cluster latency; sub-millisecond values are honoured to ~0.1 ms on Linux")
 	fs.IntVar(&c.Split, "split", 0, "PE index where cluster 1 begins (unequal co-allocations; 0 = procs/2)")
@@ -68,13 +67,15 @@ func (l *Layout) PEHi(node int) int { return (node + 1) * l.PerNode }
 
 // Resolve validates the cluster flags and builds the shared geometry:
 // the address table, the even PE split across processes, and the
-// two-cluster topology with the injected wide-area latency.
+// two-cluster topology with the injected wide-area latency. One address
+// is a one-process cluster: node 0 hosts every PE, and both sites'
+// traffic crosses the injected latency inside it.
 func (c *Cluster) Resolve() (*Layout, error) {
+	if c.Addrs == "" {
+		return nil, fmt.Errorf("need -addrs with at least one address")
+	}
 	addrs := strings.Split(c.Addrs, ",")
 	nodes := len(addrs)
-	if c.Addrs == "" || nodes < 2 {
-		return nil, fmt.Errorf("need -addrs with at least two addresses")
-	}
 	if c.Node < 0 || c.Node >= nodes {
 		return nil, fmt.Errorf("node %d out of range for %d addresses", c.Node, nodes)
 	}
@@ -224,8 +225,8 @@ func (l *LeanMD) Params(sim Sim) *leanmd.Params {
 }
 
 // Farm groups the taskfarm application's flags, including -serve: the
-// open-ended backend mode where tasks arrive from a gateway at runtime
-// instead of being enumerated up front.
+// open-ended mode where tasks arrive at runtime through node 0's HTTP
+// gateway instead of being enumerated up front.
 type Farm struct {
 	Tasks    int
 	Shards   int
@@ -245,7 +246,7 @@ func (f *Farm) Register(fs *flag.FlagSet) {
 	fs.IntVar(&f.Prefetch, "prefetch", 2, "taskfarm: per-worker prefetch depth")
 	fs.IntVar(&f.Spin, "spin", 20000, "taskfarm: wall-clock spin iterations per task")
 	fs.Float64Var(&f.Skew, "skew", 1, "taskfarm: per-task cost ramp 1x..skew-x across the task space")
-	fs.BoolVar(&f.Serve, "serve", false, "taskfarm: run as an open-ended service backend (tasks arrive from a gateway)")
+	fs.BoolVar(&f.Serve, "serve", false, "taskfarm: run as an open-ended service; node 0 is the HTTP job gateway (see -listen)")
 }
 
 // Params builds the taskfarm parameters. In serve mode the enumerated
@@ -278,17 +279,15 @@ type Obs struct {
 	TelemetryInterval time.Duration
 }
 
-// Register installs the observability flags; traceCapDefault keeps the
-// historical default (trace.DefaultCapacity) without importing trace
-// here on behalf of commands that don't trace. Pass 0 to default
-// -trace-cap to auto sizing (see TraceRingCap).
-func (o *Obs) Register(fs *flag.FlagSet, traceCapDefault int) {
+// Register installs the observability flags. -trace-cap defaults to 0,
+// auto sizing (see TraceRingCap).
+func (o *Obs) Register(fs *flag.FlagSet) {
 	fs.StringVar(&o.MetricsAddr, "metrics", "", "serve the metrics registry over HTTP on this address (e.g. 127.0.0.1:9300)")
 	fs.StringVar(&o.MetricsOut, "metrics-out", "", "write a JSON metrics snapshot to this file when the run completes")
 	fs.StringVar(&o.TraceOut, "trace-out", "", "write this node's causal trace snapshot (for cmd/gridtrace) to this file")
-	fs.IntVar(&o.TraceCap, "trace-cap", traceCapDefault, "per-PE trace ring capacity (events; rounded up to a power of two; 0 = auto: full ring for -trace-out, small drained ring for -telemetry alone)")
-	fs.BoolVar(&o.Pprof, "pprof", false, "mount net/http/pprof on the diagnostics HTTP server (needs -metrics or -listen)")
-	fs.BoolVar(&o.Telemetry, "telemetry", false, "run a telemetry agent shipping metric deltas and trace digests to the cluster collector over the control path")
+	fs.IntVar(&o.TraceCap, "trace-cap", 0, "per-PE trace ring capacity (events; rounded up to a power of two; 0 = auto: full ring for -trace-out, small drained ring for -telemetry alone)")
+	fs.BoolVar(&o.Pprof, "pprof", false, "mount net/http/pprof on the diagnostics HTTP server (needs -metrics, or -listen on a gateway)")
+	fs.BoolVar(&o.Telemetry, "telemetry", false, "run a telemetry agent shipping metric deltas and trace digests to node 0's cluster collector over the control path")
 	fs.DurationVar(&o.TelemetryInterval, "telemetry-interval", 500*time.Millisecond, "telemetry agent reporting period")
 }
 

@@ -23,9 +23,27 @@ func TestClusterResolve(t *testing.T) {
 		t.Errorf("addr map %v", lay.AddrMap)
 	}
 
+	// One address is a one-process cluster: node 0 hosts every PE, and
+	// the two sites still meet across the injected latency.
+	solo := Cluster{Addrs: "a:1", Procs: 4, Latency: time.Millisecond}
+	lay, err = solo.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lay.Nodes != 1 || lay.PerNode != 4 || lay.Split != 2 || lay.Topo.NumPE() != 4 {
+		t.Errorf("one-address layout %+v", lay)
+	}
+	if lay.NodeOf(3) != 0 || lay.PELo(0) != 0 || lay.PEHi(0) != 4 {
+		t.Error("one-address PE mapping wrong")
+	}
+	if !lay.Topo.CrossesWAN(0, 3) || lay.Topo.Latency(0, 3) != time.Millisecond {
+		t.Error("one-address topology lost its wide-area link")
+	}
+
 	bad := []Cluster{
 		{Addrs: "", Procs: 4},                  // no addresses
-		{Addrs: "a:1", Procs: 4},               // single node
+		{Addrs: "a:1", Procs: 4, Node: 1},      // node out of range
+		{Addrs: "a:1", Procs: 1},               // one PE cannot span two sites
 		{Addrs: "a:1,b:2", Procs: 3},           // indivisible
 		{Addrs: "a:1,b:2", Procs: 4, Node: 2},  // node out of range
 		{Addrs: "a:1,b:2", Procs: 4, Split: 9}, // split out of range
@@ -97,7 +115,7 @@ func TestRegisterNamesStable(t *testing.T) {
 	st.Register(fs)
 	l.Register(fs)
 	f.Register(fs)
-	o.Register(fs, 1024)
+	o.Register(fs)
 	for _, name := range []string{
 		"node", "addrs", "procs", "latency", "split", "membership", "joiners",
 		"steps", "warmup", "objects", "width", "lb", "lb-period", "cells", "atoms",

@@ -19,7 +19,7 @@ import (
 	"gridmdo/internal/topology"
 )
 
-// The gate-soak experiment drives the full gridgate stack — HTTP
+// The gate-soak experiment drives the full gateway stack — HTTP
 // ingress, admission control, weighted fair queueing, idempotent
 // resubmit, and the serve-mode farm behind it — over a real TCP
 // listener, and measures the three properties the gateway exists to

@@ -13,27 +13,59 @@ import (
 	"gridmdo/internal/vmi"
 )
 
-// delayResources counts what a runtime's delay device may hold while it
-// runs: open timerfd descriptors and parked release goroutines, process-wide.
-func delayResources(t *testing.T) (fds, loops int) {
+// delaySet is what the process's delay devices hold at one instant:
+// open timerfd descriptors by number and parked release goroutines by
+// goroutine ID.
+type delaySet struct{ fds, loops map[string]bool }
+
+func delayResources(t *testing.T) delaySet {
 	t.Helper()
+	s := delaySet{fds: map[string]bool{}, loops: map[string]bool{}}
 	ents, err := os.ReadDir("/proc/self/fd")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range ents {
 		if link, err := os.Readlink("/proc/self/fd/" + e.Name()); err == nil && link == "anon_inode:[timerfd]" {
-			fds++
+			s.fds[e.Name()] = true
 		}
 	}
 	buf := make([]byte, 1<<20)
 	for {
 		n := runtime.Stack(buf, true)
 		if n < len(buf) {
-			return fds, strings.Count(string(buf[:n]), "vmi.(*DelayDevice).loop(")
+			buf = buf[:n]
+			break
 		}
 		buf = make([]byte, 2*len(buf))
 	}
+	// Goroutine dumps are blank-line separated, each headed
+	// "goroutine N [state]:".
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "vmi.(*DelayDevice).loop(") {
+			id, _, _ := strings.Cut(strings.TrimPrefix(g, "goroutine "), " ")
+			s.loops[id] = true
+		}
+	}
+	return s
+}
+
+// newSince counts the descriptors and loops s holds that base did not.
+// Identities, not totals: a loop of an earlier run that has passed
+// wg.Done but not yet exited is in base and gone from s, and would
+// otherwise cancel out a loop this run opened.
+func (s delaySet) newSince(base delaySet) (fds, loops int) {
+	for fd := range s.fds {
+		if !base.fds[fd] {
+			fds++
+		}
+	}
+	for id := range s.loops {
+		if !base.loops[id] {
+			loops++
+		}
+	}
+	return fds, loops
 }
 
 // probeChare bounces a counter between two elements like pingChare and
@@ -82,10 +114,10 @@ func runPingPong(t *testing.T, wan time.Duration, check func()) {
 // latency never holds a frame, so its delay device opens no timer
 // descriptor and parks no release goroutine — checked from inside the run.
 func TestZeroLatencyRuntimeOpensNoAlarm(t *testing.T) {
-	fds0, loops0 := delayResources(t)
+	base := delayResources(t)
 	runPingPong(t, 0, func() {
-		if fds, loops := delayResources(t); fds != fds0 || loops != loops0 {
-			t.Errorf("mid-run: %d timerfds and %d release loops above the baseline, want none", fds-fds0, loops-loops0)
+		if fds, loops := delayResources(t).newSince(base); fds != 0 || loops != 0 {
+			t.Errorf("mid-run: %d timerfds and %d release loops opened, want none", fds, loops)
 		}
 	})
 }
@@ -93,12 +125,13 @@ func TestZeroLatencyRuntimeOpensNoAlarm(t *testing.T) {
 // TestWANRuntimeReturnsItsAlarm: fifty two-node runs over a 1 ms WAN, each
 // of which does open the alarm, leave no descriptor and no goroutine behind.
 func TestWANRuntimeReturnsItsAlarm(t *testing.T) {
-	fds0, loops0 := delayResources(t)
+	base := delayResources(t)
 	for i := 0; i < 50; i++ {
 		t.Run("", func(t *testing.T) { // scopes NewTCPPair's cleanup to one run
+			before := delayResources(t)
 			var opened atomic.Bool // set by handlers on both nodes
 			runPingPong(t, time.Millisecond, func() {
-				if _, loops := delayResources(t); loops > loops0 {
+				if _, loops := delayResources(t).newSince(before); loops > 0 {
 					opened.Store(true)
 				}
 			})
@@ -107,7 +140,7 @@ func TestWANRuntimeReturnsItsAlarm(t *testing.T) {
 			}
 		})
 	}
-	if fds, loops := delayResources(t); fds != fds0 || loops != loops0 {
-		t.Errorf("after 50 runs: %d timerfds and %d release loops leaked", fds-fds0, loops-loops0)
+	if fds, loops := delayResources(t).newSince(base); fds != 0 || loops != 0 {
+		t.Errorf("after 50 runs: %d timerfds and %d release loops leaked", fds, loops)
 	}
 }

@@ -158,9 +158,9 @@ func WithMembership(m *Membership) Option {
 // Run goroutine after the schedulers launch (so Post and the location
 // table are usable) and before Run blocks; OnExit fires with the run's
 // outcome after the schedulers stop, before Run returns. Long-running
-// embeddings — gridgate serving HTTP in front of a farm — use these to
-// open their ingress only while the runtime can absorb work, and to
-// fail pending requests when it no longer can.
+// embeddings — gridnode's gateway serving HTTP in front of a farm — use
+// these to open their ingress only while the runtime can absorb work,
+// and to fail pending requests when it no longer can.
 type Lifecycle struct {
 	OnStart func()
 	OnExit  func(v any, err error)

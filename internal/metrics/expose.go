@@ -298,7 +298,7 @@ func writePromHistogram(w io.Writer, smp Sample) error {
 // the explicit ?format= parameter wins (unknown values are an error),
 // otherwise the Accept header decides, defaulting to Prometheus text.
 // It is the single format authority behind every exposition handler in
-// the repo — gridnode's /metrics and gridgate's per-tenant /metrics
+// the repo — gridnode's /metrics and its gateway's per-tenant /metrics
 // negotiate identically because they both call this.
 func NegotiateFormat(req *http.Request) (string, error) {
 	switch f := req.URL.Query().Get("format"); f {

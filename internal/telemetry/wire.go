@@ -1,8 +1,8 @@
 // Package telemetry is the cluster's live observability plane: a
 // per-process Agent periodically ships compact metric deltas, trace-span
 // digests, and per-step overlap summaries over the vmi control path
-// (ControlTelemetry frames), and a Collector — embedded in gridgate or a
-// standalone gridnode -collector — merges the reports into one
+// (ControlTelemetry frames), and a Collector — hosted by gridnode's
+// node 0, where every agent reports — merges the reports into one
 // continuously updating cluster view: aggregated metrics, per-step
 // masked/exposed fractions across all nodes, end-to-end job traces, and
 // SLO burn rates.
