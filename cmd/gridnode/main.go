@@ -343,10 +343,6 @@ func run(cfg config) error {
 		}
 	}
 
-	self, err := stack.Listen()
-	if err != nil {
-		return err
-	}
 	defer stack.Close()
 
 	art := &artifacts{
@@ -376,6 +372,13 @@ func run(cfg config) error {
 		rtOpts = append(rtOpts, core.WithTrace(art.tr))
 	}
 	rt, err = core.NewRuntime(topo, prog, rtOpts...)
+	if err != nil {
+		return err
+	}
+	// Accept peers only once the runtime is bound to the stack: a frame
+	// that arrived before would be acknowledged and then dropped, and its
+	// sender would wait for it forever. A peer that dials earlier retries.
+	self, err := stack.Listen()
 	if err != nil {
 		return err
 	}

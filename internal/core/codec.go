@@ -196,7 +196,8 @@ func AppendMessage(dst []byte, m *Message) ([]byte, error) {
 }
 
 // DecodeMessage reverses EncodeMessage. The input must contain exactly one
-// message; nothing in the result aliases b, so callers may recycle it.
+// message; nothing in the result aliases b, so callers may recycle it. The
+// message, and each message of a bundle, comes from NewMessage.
 func DecodeMessage(b []byte) (*Message, error) {
 	m, rest, err := decodeMessage(b)
 	if err != nil {
@@ -218,10 +219,16 @@ func decodeMessage(b []byte) (*Message, []byte, error) {
 	if b[2] != wireVersion {
 		return nil, b, fmt.Errorf("%w: version %d, want %d", ErrBadWire, b[2], wireVersion)
 	}
-	m := &Message{
+	data, rest, err := decodePayload(b[56], b[msgHeaderLen:])
+	if err != nil {
+		return nil, b, err
+	}
+	m := NewMessage()
+	*m = Message{
 		Kind:   Kind(b[3]),
 		To:     ElemRef{Array: ArrayID(int32(binary.BigEndian.Uint32(b[4:]))), Index: int(int64(binary.BigEndian.Uint64(b[8:])))},
 		Entry:  EntryID(int32(binary.BigEndian.Uint32(b[16:]))),
+		Data:   data,
 		Prio:   int32(binary.BigEndian.Uint32(b[20:])),
 		Bytes:  int(int64(binary.BigEndian.Uint64(b[24:]))),
 		SrcPE:  int32(binary.BigEndian.Uint32(b[32:])),
@@ -229,11 +236,6 @@ func decodeMessage(b []byte) (*Message, []byte, error) {
 		ID:     binary.BigEndian.Uint64(b[40:]),
 		Parent: binary.BigEndian.Uint64(b[48:]),
 	}
-	data, rest, err := decodePayload(b[56], b[msgHeaderLen:])
-	if err != nil {
-		return nil, b, err
-	}
-	m.Data = data
 	return m, rest, nil
 }
 

@@ -12,9 +12,12 @@ import (
 // each implement it; application code sees only Ctx and so runs unchanged
 // on either executor.
 type Backend interface {
-	// Route transmits a message. For KindApp the backend resolves the
-	// destination PE from its location table.
-	Route(m *Message)
+	// Route transmits a message and reports its destination PE. For
+	// KindApp the backend resolves the destination from its location
+	// table. Route takes ownership of m: the caller must not touch it
+	// afterwards, since the executor may deliver and release it (see
+	// NewMessage) before Route returns.
+	Route(m *Message) int32
 	// Now is the executor clock: wall time since run start (real-time) or
 	// virtual time (simulator), observed at the current execution point.
 	Now() time.Duration
@@ -84,7 +87,7 @@ func (retiredBackend) misuse() {
 	panic("core: Ctx used after the handler it was passed to returned")
 }
 
-func (r retiredBackend) Route(*Message)                                         { r.misuse() }
+func (r retiredBackend) Route(*Message) int32                                   { r.misuse(); return 0 }
 func (r retiredBackend) Now() time.Duration                                     { r.misuse(); return 0 }
 func (r retiredBackend) Charge(time.Duration)                                   { r.misuse() }
 func (r retiredBackend) NumPE() int                                             { r.misuse(); return 0 }
@@ -97,21 +100,17 @@ func (r retiredBackend) Record(trace.Event)                                     
 
 // Send delivers data to entry of the element to, asynchronously.
 func (c *Ctx) Send(to ElemRef, entry EntryID, data any, opts ...SendOpt) {
-	m := &Message{
-		Kind:  KindApp,
-		To:    to,
-		Entry: entry,
-		Data:  data,
-		Bytes: payloadBytes(data),
-		SrcPE: int32(c.pe),
-	}
+	m := NewMessage()
+	m.Kind, m.To, m.Entry, m.Data = KindApp, to, entry, data
+	m.Bytes = payloadBytes(data)
+	m.SrcPE = int32(c.pe)
 	for _, o := range opts {
 		o(m)
 	}
-	c.b.Route(m)
+	dst := c.b.Route(m)
 	if c.meta != nil {
 		c.meta.msgs++
-		if c.b.Topo().CrossesWAN(c.pe, int(m.DstPE)) {
+		if c.b.Topo().CrossesWAN(c.pe, int(dst)) {
 			c.meta.wanMsg++
 		}
 	}

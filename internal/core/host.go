@@ -145,22 +145,23 @@ func (h *PEHost) Has(ref ElemRef) bool { return h.slot(ref) != nil }
 
 // DeliverApp dispatches an application message to its target element. A
 // message for an element parked at a load-balancing sync is buffered and
-// replays after the element resumes.
-func (h *PEHost) DeliverApp(m *Message) error {
+// replays after the element resumes; DeliverApp then reports parked, and
+// the host keeps m, so the executor must not release it.
+func (h *PEHost) DeliverApp(m *Message) (parked bool, err error) {
 	s := h.liveSlot(m.To)
 	if s == nil {
 		if err := h.ColdError(); err != nil {
-			return err
+			return false, err
 		}
-		return fmt.Errorf("core: PE %d has no element %v (message %v)", h.pe, m.To, m)
+		return false, fmt.Errorf("core: PE %d has no element %v (message %v)", h.pe, m.To, m)
 	}
 	if s.meta.atSync {
 		h.parked[m.To] = append(h.parked[m.To], m)
-		return nil
+		return true, nil
 	}
 	h.coldTouch(m.To)
 	h.invoke(s, m.To, m.ID, m.Entry, m.Data)
-	return h.ColdError()
+	return false, h.ColdError()
 }
 
 // ParkedMessages reports how many application messages are buffered for
@@ -201,7 +202,7 @@ func (h *PEHost) ResumeFromSync(ref ElemRef) error {
 	for len(h.parked[ref]) > 0 && !meta.atSync {
 		m := h.parked[ref][0]
 		h.parked[ref] = h.parked[ref][1:]
-		if err := h.DeliverApp(m); err != nil {
+		if _, err := h.DeliverApp(m); err != nil {
 			return err
 		}
 	}

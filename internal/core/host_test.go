@@ -23,7 +23,7 @@ func newStubBackend(t *testing.T) *stubBackend {
 	return &stubBackend{topo: topo}
 }
 
-func (s *stubBackend) Route(m *Message)                                       { s.sent = append(s.sent, m) }
+func (s *stubBackend) Route(m *Message) int32                                 { s.sent = append(s.sent, m); return m.DstPE }
 func (s *stubBackend) Now() time.Duration                                     { return 0 }
 func (s *stubBackend) Charge(time.Duration)                                   {}
 func (s *stubBackend) NumPE() int                                             { return s.topo.NumPE() }
@@ -69,7 +69,7 @@ func TestPEHostEachDeterministicOrder(t *testing.T) {
 func TestPEHostDeliverToMissingElement(t *testing.T) {
 	b := newStubBackend(t)
 	h := NewPEHost(b, 0, testTable(2, 1))
-	err := h.DeliverApp(&Message{Kind: KindApp, To: ElemRef{0, 0}})
+	_, err := h.DeliverApp(&Message{Kind: KindApp, To: ElemRef{0, 0}})
 	if err == nil {
 		t.Error("delivery to missing element succeeded")
 	}
@@ -101,7 +101,7 @@ func TestPEHostStatsAndReset(t *testing.T) {
 }
 
 func TestPEHostWanCounting(t *testing.T) {
-	// The Ctx checks CrossesWAN against the DstPE the backend resolved,
+	// The Ctx checks CrossesWAN against the destination Route reports,
 	// so the stub needs a resolver: element index 1 lives on PE 1, which
 	// is in the other cluster.
 	b := &resolvingBackend{
@@ -117,7 +117,7 @@ func TestPEHostWanCounting(t *testing.T) {
 		ctx.Send(ElemRef{0, 0}, 0, nil) // local
 		ctx.Send(ElemRef{0, 1}, 0, nil) // crosses the WAN
 	}))
-	if err := h.DeliverApp(&Message{Kind: KindApp, To: ElemRef{0, 0}}); err != nil {
+	if _, err := h.DeliverApp(&Message{Kind: KindApp, To: ElemRef{0, 0}}); err != nil {
 		t.Fatal(err)
 	}
 	stats := h.StatsAndReset([]ArrayID{0})
@@ -134,9 +134,14 @@ type resolvingBackend struct {
 	resolve func(*Message)
 }
 
-func (r *resolvingBackend) Route(m *Message) {
+// Route resolves m and then releases it, as an executor that delivered
+// the message before Route returned would: a sender that read m.DstPE
+// after the hand-off would find it zeroed.
+func (r *resolvingBackend) Route(m *Message) int32 {
 	r.resolve(m)
-	r.stubBackend.Route(m)
+	dst := m.DstPE
+	ReleaseMessage(m)
+	return dst
 }
 
 func TestPEHostAllAtSync(t *testing.T) {
@@ -147,13 +152,13 @@ func TestPEHostAllAtSync(t *testing.T) {
 	if h.AllAtSync([]ArrayID{0}) {
 		t.Error("AllAtSync before any sync")
 	}
-	if err := h.DeliverApp(&Message{Kind: KindApp, To: ElemRef{0, 0}}); err != nil {
+	if _, err := h.DeliverApp(&Message{Kind: KindApp, To: ElemRef{0, 0}}); err != nil {
 		t.Fatal(err)
 	}
 	if h.AllAtSync([]ArrayID{0}) {
 		t.Error("AllAtSync with one of two synced")
 	}
-	if err := h.DeliverApp(&Message{Kind: KindApp, To: ElemRef{0, 1}}); err != nil {
+	if _, err := h.DeliverApp(&Message{Kind: KindApp, To: ElemRef{0, 1}}); err != nil {
 		t.Fatal(err)
 	}
 	if !h.AllAtSync([]ArrayID{0}) {

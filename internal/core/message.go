@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 	"time"
 )
 
@@ -59,6 +60,30 @@ type Message struct {
 	EnqueuedAt time.Duration
 
 	seq uint64 // assigned by the executor for FIFO tie-breaking
+}
+
+// msgPool holds the Messages executors have released. Every message on
+// the hot path (Ctx.Send, PostTraced, the wire decoder) comes from it.
+var msgPool = sync.Pool{New: func() any { return new(Message) }}
+
+// NewMessage returns a zeroed Message. The caller owns it until it hands
+// it to an executor (Backend.Route, or an executor's own queue); from then
+// on the executor does, and gives it back with ReleaseMessage once the
+// message's handler has returned, or once it is encoded for another
+// process. An executor keeps a message instead of releasing it in three
+// cases: PEHost.DeliverApp parked it for an element at a load-balancing
+// sync, membership recovery buffered it for an element being re-homed, or
+// it is not a KindApp message.
+func NewMessage() *Message { return msgPool.Get().(*Message) }
+
+// ReleaseMessage zeroes m and returns it to the pool NewMessage draws
+// from. Only m's owner may call it, and nothing may read m afterwards: a
+// stale reference would see the next message in its place. Zeroing drops
+// the payload reference, so a released message does not keep its Data
+// alive.
+func ReleaseMessage(m *Message) {
+	*m = Message{}
+	msgPool.Put(m)
 }
 
 func (m *Message) String() string {

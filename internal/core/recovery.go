@@ -127,7 +127,9 @@ func (rt *Runtime) expectArrival(ref ElemRef) {
 }
 
 // parkIfArriving buffers an app message for an element this PE does not
-// host yet but is expecting from recovery. Runs on the PE scheduler.
+// host yet but is expecting from recovery, and so keeps it: the scheduler
+// does not release a message parkIfArriving took. Runs on the PE
+// scheduler.
 func (rt *Runtime) parkIfArriving(ps *peState, m *Message) bool {
 	if ps.host.Has(m.To) {
 		return false
@@ -183,7 +185,7 @@ func (rt *Runtime) handleMember(ps *peState, m *Message) error {
 		ps.host.AddElement(ref, ch)
 	}
 	for _, pm := range rt.takeArrivals(ref) {
-		if err := ps.host.DeliverApp(pm); err != nil {
+		if _, err := ps.host.DeliverApp(pm); err != nil {
 			return err
 		}
 	}

@@ -134,6 +134,7 @@ func NewRuntime(topo *topology.Topology, prog *Program, options ...Option) (*Run
 	rt.dly = vmi.NewDelayDevice(latencyFor)
 	rt.pastDelay = rt.deliver
 	tab := NewElemTable(prog)
+	emit := func(m *Message) { rt.Route(m) }
 	rt.pes = make([]*peState, opts.PEHi-opts.PELo)
 	for i := range rt.pes {
 		pe := opts.PELo + i
@@ -148,11 +149,11 @@ func NewRuntime(topo *topology.Topology, prog *Program, options ...Option) (*Run
 		ps.reduce = NewReduceMgr(pe,
 			func(a ArrayID) int { return rt.loc.LocalCount(a, pe) },
 			func(a ArrayID) int { return rt.prog.Arrays[a].N },
-			rt.Route,
+			emit,
 			func(a ArrayID, seq int64, v any) { ps.host.RunReduction(rt.prog, a, seq, v) },
 		)
 		if lbCfg != nil {
-			ps.lb = NewLBMgr(pe, lbCfg, topo, rt.loc, ps.host, prog, rt.Route)
+			ps.lb = NewLBMgr(pe, lbCfg, topo, rt.loc, ps.host, prog, emit)
 		}
 		rt.pes[i] = ps
 	}
@@ -263,10 +264,11 @@ func ConstructElements(prog *Program, loc *Locations, peLo, peHi int, hostOf fun
 // Route implements Backend: resolve the destination, apply WAN priority
 // policy, and hand the message to the delay device (and, past it, either a
 // local queue or the transport).
-func (rt *Runtime) Route(m *Message) {
+func (rt *Runtime) Route(m *Message) int32 {
 	if m.Kind == KindApp {
 		m.DstPE = rt.loc.PEOf(m.To)
 	}
+	dst := m.DstPE
 	if rt.opts.PrioritizeWAN && m.Prio == 0 && rt.topo.CrossesWAN(int(m.SrcPE), int(m.DstPE)) {
 		m.Prio = -1
 	}
@@ -291,10 +293,11 @@ func (rt *Runtime) Route(m *Message) {
 			// Held until the current handler completes; the scheduler
 			// flushes after each dispatch.
 			rt.pes[int(m.SrcPE)-rt.opts.PELo].pending.Add(m)
-			return
+			return dst
 		}
 	}
 	rt.transmit(m)
+	return dst
 }
 
 // Post injects an application message from outside any handler — the
@@ -319,24 +322,21 @@ func (rt *Runtime) Post(to ElemRef, entry EntryID, data any) {
 // node-unique (high bits carry the node number), matching the IDs the
 // scheduler assigns in-handler.
 func (rt *Runtime) PostTraced(to ElemRef, entry EntryID, data any, parent uint64) uint64 {
-	m := &Message{
-		Kind:   KindApp,
-		To:     to,
-		Entry:  entry,
-		Data:   data,
-		Bytes:  payloadBytes(data),
-		Parent: parent,
-	}
+	m := NewMessage()
+	m.Kind, m.To, m.Entry, m.Data = KindApp, to, entry, data
+	m.Bytes = payloadBytes(data)
+	m.Parent = parent
 	m.DstPE = rt.loc.PEOf(to)
 	m.SrcPE = m.DstPE
 	if !rt.local(m.DstPE) {
 		m.SrcPE = int32(rt.opts.PELo)
 	}
 	rt.sentByPE[m.SrcPE].Add(1)
-	m.ID = rt.msgSeq.Add(1)
+	id := rt.msgSeq.Add(1)
+	m.ID = id
 	rt.recordSend(m)
-	rt.transmit(m)
-	return m.ID
+	rt.transmit(m) // m may be delivered and released before this returns
+	return id
 }
 
 // recordSend emits the EvSend of a routed message. Like every event on the
@@ -415,6 +415,7 @@ func (rt *Runtime) deliver(f *vmi.Frame) error {
 	}
 	f.Body = body
 	f.Obj = nil
+	releaseSent(m)
 	err = rt.opts.Transport.Send(f)
 	vmi.PutBuf(body)
 	if err != nil {
@@ -422,6 +423,20 @@ func (rt *Runtime) deliver(f *vmi.Frame) error {
 		return err
 	}
 	return nil
+}
+
+// releaseSent recycles a message whose encoding has left for another
+// process: an app message, or each app message of a bundle. Nothing else
+// holds them once the frame body is built.
+func releaseSent(m *Message) {
+	switch m.Kind {
+	case KindApp:
+		ReleaseMessage(m)
+	case KindBundle:
+		for _, sub := range BundleMessages(m) {
+			ReleaseMessage(sub)
+		}
+	}
 }
 
 func (rt *Runtime) enqueueLocal(m *Message) {
@@ -653,10 +668,11 @@ func (rt *Runtime) schedule(ps *peState) {
 				rt.sink.Record(trace.Event{PE: ps.id, Kind: trace.EvBegin, At: rt.Now(), MsgID: m.ID, MsgKind: byte(m.Kind), Arg1: int64(m.To.Array), Arg2: int64(m.To.Index)})
 			}
 			var err error
+			kept := true // only a delivered app message goes back to the pool
 			switch m.Kind {
 			case KindApp:
 				if !rt.parkIfArriving(ps, m) {
-					err = ps.host.DeliverApp(m)
+					kept, err = ps.host.DeliverApp(m)
 				}
 			case KindStart:
 				ps.host.RunStart(rt.prog)
@@ -682,6 +698,9 @@ func (rt *Runtime) schedule(ps *peState) {
 			ps.curMsg.Store(0)
 			if m.Kind != KindQD {
 				rt.processedByPE[ps.id].Add(1)
+			}
+			if !kept {
+				ReleaseMessage(m)
 			}
 			if err != nil {
 				rt.fail(err)

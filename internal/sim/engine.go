@@ -357,14 +357,15 @@ func newEngine(topo *topology.Topology, prog *core.Program, opts Options, worker
 			})
 		}
 		pe := pe
+		emit := func(m *core.Message) { sh.Route(m) }
 		ps.reduce = core.NewReduceMgr(pe,
 			func(a core.ArrayID) int { return e.loc.LocalCount(a, pe) },
 			func(a core.ArrayID) int { return e.prog.Arrays[a].N },
-			sh.Route,
+			emit,
 			func(a core.ArrayID, seq int64, v any) { ps.host.RunReduction(e.prog, a, seq, v) },
 		)
 		if prog.LB != nil {
-			ps.lb = core.NewLBMgr(pe, prog.LB, topo, e.loc, ps.host, prog, sh.Route)
+			ps.lb = core.NewLBMgr(pe, prog.LB, topo, e.loc, ps.host, prog, emit)
 		}
 		e.pes[pe] = ps
 	}
@@ -449,11 +450,12 @@ func (s *shard) owns(pe int32) bool { return int(pe) >= s.peLo && int(pe) < s.pe
 // send-time + link delay, where send time is the virtual instant within
 // the running handler at which the send occurs (execution start plus time
 // charged so far).
-func (s *shard) Route(m *core.Message) {
+func (s *shard) Route(m *core.Message) int32 {
 	e := s.eng
 	if m.Kind == core.KindApp {
 		m.DstPE = e.loc.PEOf(m.To)
 	}
+	dst := m.DstPE
 	if e.opts.PrioritizeWAN && m.Prio == 0 && e.topo.CrossesWAN(int(m.SrcPE), int(m.DstPE)) {
 		m.Prio = -1
 	}
@@ -469,6 +471,7 @@ func (s *shard) Route(m *core.Message) {
 		m.Parent = s.curMsg
 	}
 	s.record(trace.Event{PE: int(m.SrcPE), Kind: trace.EvSend, At: s.Now(), MsgID: m.ID, Parent: m.Parent, MsgKind: byte(m.Kind), Arg1: int64(m.DstPE), Arg2: int64(m.Bytes)})
+	link := e.topo.LinkBetween(int(m.SrcPE), int(m.DstPE))
 	if e.opts.Bundle && core.BundleEligible(m) && s.inHandler {
 		// Held until the running handler completes; exec flushes the
 		// per-destination groups as single modeled frames. The sender pays
@@ -476,27 +479,27 @@ func (s *shard) Route(m *core.Message) {
 		// later messages into the same bundle cost a quarter (marshal
 		// without the frame setup).
 		pend := e.pes[s.curPE].pending
-		cpu := e.topo.LinkBetween(int(m.SrcPE), int(m.DstPE)).SendCPU
+		cpu := link.SendCPU
 		if pend.Has(m.DstPE) {
 			cpu /= 4
 		}
 		s.Charge(cpu)
 		pend.Add(m)
-		return
+		return dst
 	}
 	if s.inHandler {
-		s.Charge(e.topo.LinkBetween(int(m.SrcPE), int(m.DstPE)).SendCPU)
+		s.Charge(link.SendCPU)
 	}
-	s.transmit(m, s.Now(), src)
+	s.transmit(m, link, s.Now(), src)
+	return dst
 }
 
 // transmit schedules a resolved message's delivery at sendAt plus the
-// link's modeled delay. src is the PE whose key counter stamps the event
-// (the PE doing the sending; < 0 for the bootstrap message).
-func (s *shard) transmit(m *core.Message, sendAt time.Duration, src int) {
-	e := s.eng
-	link := e.topo.LinkBetween(int(m.SrcPE), int(m.DstPE))
-	s.push(event{at: sendAt + link.Delay(m.Bytes), key: e.nextKey(src), kind: evDeliver, pe: m.DstPE, m: m})
+// modeled delay of link, the link between its source and destination PEs.
+// src is the PE whose key counter stamps the event (the PE doing the
+// sending; < 0 for the bootstrap message).
+func (s *shard) transmit(m *core.Message, link topology.Link, sendAt time.Duration, src int) {
+	s.push(event{at: sendAt + link.Delay(m.Bytes), key: s.eng.nextKey(src), kind: evDeliver, pe: m.DstPE, m: m})
 }
 
 // push routes an event to its PE's shard: onto the local heap, or — for
@@ -744,9 +747,10 @@ func (s *shard) exec(ev event) {
 	s.record(trace.Event{PE: ps.id, Kind: trace.EvBegin, At: s.now, MsgID: m.ID, MsgKind: byte(m.Kind), Arg1: int64(m.To.Array), Arg2: int64(m.To.Index)})
 
 	var err error
+	kept := true // only a delivered app message goes back to the pool
 	switch m.Kind {
 	case core.KindApp:
-		err = ps.host.DeliverApp(m)
+		kept, err = ps.host.DeliverApp(m)
 	case core.KindStart:
 		ps.host.RunStart(e.prog)
 	case core.KindReduce:
@@ -773,10 +777,14 @@ func (s *shard) exec(ev event) {
 	if ps.pending != nil && !ps.pending.Empty() {
 		// Bundled messages leave when the handler completes.
 		for _, group := range ps.pending.Drain() {
-			s.transmit(core.MakeBundle(group), ps.busyUntil, ps.id)
+			b := core.MakeBundle(group)
+			s.transmit(b, e.topo.LinkBetween(int(b.SrcPE), int(b.DstPE)), ps.busyUntil, ps.id)
 		}
 	}
 	s.record(trace.Event{PE: ps.id, Kind: trace.EvEnd, At: ps.busyUntil, MsgID: m.ID, MsgKind: byte(m.Kind)})
+	if !kept {
+		core.ReleaseMessage(m)
+	}
 	if err != nil {
 		e.offerErr(s.curKey, err)
 		return

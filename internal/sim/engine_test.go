@@ -74,6 +74,49 @@ func TestVirtualTimePingPongExact(t *testing.T) {
 	}
 }
 
+// TestPingPongAllocatesNoMessage pins the virtual-time message path: a
+// message's handler returns it to the pool its successor is drawn from, so
+// a ping-pong allocates nothing per message (the event heap and the PE
+// queues are already grown to their one in-flight message).
+func TestPingPongAllocatesNoMessage(t *testing.T) {
+	topo := cleanTopo(t, 2, time.Millisecond)
+	perRun := func(trips int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			prog := &core.Program{
+				Arrays: []core.ArraySpec{{ID: 0, N: 2, New: func(int) core.Chare {
+					left := trips
+					return funcChare(func(ctx *core.Ctx, _ core.EntryID, data any) {
+						if left == 0 {
+							ctx.Exit()
+							return
+						}
+						left--
+						ctx.Send(core.ElemRef{Array: 0, Index: 1 - ctx.Elem().Index}, 0, data)
+					})
+				}}},
+				Start: func(ctx *core.Ctx) { ctx.Send(core.ElemRef{Array: 0, Index: 0}, 0, nil) },
+			}
+			e, err := New(topo, prog, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := e.Run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	// 2 × 1,000 messages separate the runs. Under the race detector
+	// sync.Pool drops a quarter of its Puts, so a quarter of the messages
+	// are allocated afresh.
+	got := (perRun(1500) - perRun(500)) / 2000
+	if want := 0.0; !raceEnabled && got != want {
+		t.Errorf("a virtual-time message costs %v allocations, want %v", got, want)
+	}
+	if raceEnabled && got > 0.35 {
+		t.Errorf("a virtual-time message costs %v allocations under the race detector, want about 0.25", got)
+	}
+}
+
 // TestOverlapMasksLatency verifies the paper's central mechanism: a PE
 // waiting on a WAN round trip keeps executing other objects, so total time
 // is max(local work, RTT), not their sum.
