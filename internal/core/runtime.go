@@ -362,13 +362,8 @@ func (rt *Runtime) transmit(m *Message) {
 		rt.enqueueLocal(m)
 		return
 	}
-	f := &vmi.Frame{
-		Src:   m.SrcPE,
-		Dst:   m.DstPE,
-		Prio:  m.Prio,
-		Trace: m.ID,
-		Obj:   m,
-	}
+	f := framePool.Get().(*vmi.Frame)
+	f.Src, f.Dst, f.Prio, f.Trace, f.Obj = m.SrcPE, m.DstPE, m.Prio, m.ID, m
 	if m.Kind != KindApp {
 		f.Class = vmi.ClassSystem
 	}
@@ -388,9 +383,24 @@ func (rt *Runtime) flushBundles(ps *peState) {
 	}
 }
 
+// framePool holds the frames that carry a message through the delay
+// device: transmit takes one, deliver gives it back. The delay device owns
+// a frame while it holds it, and the stack copies what it keeps before
+// Send returns, so nothing else references a frame deliver has finished.
+var framePool = sync.Pool{New: func() any { return new(vmi.Frame) }}
+
 // deliver is the stage after the delay device: local enqueue or wire
-// transport.
+// transport. It recycles f once either is done.
 func (rt *Runtime) deliver(f *vmi.Frame) error {
+	err := rt.ship(f)
+	*f = vmi.Frame{}
+	framePool.Put(f)
+	return err
+}
+
+// ship moves the message f carries on: into a local queue, or encoded
+// onto the wire.
+func (rt *Runtime) ship(f *vmi.Frame) error {
 	m := f.Obj.(*Message)
 	if rt.local(f.Dst) {
 		rt.enqueueLocal(m)

@@ -15,6 +15,11 @@ import (
 type fdAlarm struct {
 	f  *os.File
 	fd uintptr // f's descriptor; f.Fd() would put it back in blocking mode
+	// expirations receives the count each read returns. It lives here, not
+	// on wait's stack, because under the race detector a stack array
+	// handed to Read escapes and costs an allocation per wake-up; only the
+	// release loop calls wait.
+	expirations [8]byte
 }
 
 // newAlarm is the platform's alarm: a timerfd, or the runtime timer if the
@@ -43,8 +48,7 @@ func (a *fdAlarm) arm(d time.Duration) {
 }
 
 func (a *fdAlarm) wait() bool {
-	var expirations [8]byte
-	_, err := a.f.Read(expirations[:])
+	_, err := a.f.Read(a.expirations[:])
 	return err == nil
 }
 

@@ -1,6 +1,9 @@
 package vmi
 
-import "testing"
+import (
+	"testing"
+	"time"
+)
 
 // TestRelCRCAllocs pins the reliability CRC at zero allocations: sealing
 // a data frame, verifying it and sealing an ack all read the header
@@ -31,5 +34,29 @@ func TestBufPoolAllocs(t *testing.T) {
 	PutBuf(GetBuf(300))
 	if n := testing.AllocsPerRun(1000, func() { PutBuf(GetBuf(300)) }); n != 0 {
 		t.Errorf("a Get/Put cycle costs %v allocations, want 0", n)
+	}
+}
+
+// TestDelayHoldAllocs pins a frame's trip through the delay device at zero
+// allocations: the typed heap stores it by value, and the release loop
+// reuses its alarm and its batch of due frames.
+func TestDelayHoldAllocs(t *testing.T) {
+	d := NewDelayDevice(func(int32, int32) time.Duration { return 0 })
+	defer d.Close()
+	released := make(chan *Frame, 1)
+	next := func(f *Frame) error {
+		released <- f
+		return nil
+	}
+	f := &Frame{Src: 0, Dst: 1}
+	hold := func() {
+		if err := d.Hold(f, next, time.Microsecond); err != nil {
+			t.Fatal(err)
+		}
+		<-released
+	}
+	hold() // opens the alarm and starts the release loop
+	if n := testing.AllocsPerRun(1000, hold); n != 0 {
+		t.Errorf("a held frame costs %v allocations, want 0", n)
 	}
 }

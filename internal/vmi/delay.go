@@ -1,7 +1,6 @@
 package vmi
 
 import (
-	"container/heap"
 	"math/rand"
 	"sync"
 	"time"
@@ -94,19 +93,60 @@ type delayedFrame struct {
 	next SendFunc
 }
 
+// delayHeap is a binary min-heap of held frames ordered by due time, then
+// by tick. It is typed rather than built on container/heap, whose Push and
+// Pop box every element in an interface: an allocation per held frame.
 type delayHeap []delayedFrame
 
-func (h delayHeap) Len() int { return len(h) }
-func (h delayHeap) Less(i, j int) bool {
+func (h delayHeap) less(i, j int) bool {
 	if !h[i].due.Equal(h[j].due) {
 		return h[i].due.Before(h[j].due)
 	}
 	return h[i].tick < h[j].tick
 }
-func (h delayHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *delayHeap) Push(x any)        { *h = append(*h, x.(delayedFrame)) }
-func (h *delayHeap) Pop() any          { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
+
 func (h delayHeap) peek() delayedFrame { return h[0] }
+
+// push adds df and restores the heap order.
+func (h *delayHeap) push(df delayedFrame) {
+	*h = append(*h, df)
+	q := *h
+	for i := len(q) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !q.less(i, parent) {
+			break
+		}
+		q[i], q[parent] = q[parent], q[i]
+		i = parent
+	}
+}
+
+// pop removes and returns the head. The vacated slot is cleared so the
+// backing array keeps no frame alive.
+func (h *delayHeap) pop() delayedFrame {
+	q := *h
+	n := len(q) - 1
+	top := q[0]
+	q[0] = q[n]
+	q[n] = delayedFrame{}
+	q = q[:n]
+	for i := 0; ; {
+		least, l, r := i, 2*i+1, 2*i+2
+		if l < n && q.less(l, least) {
+			least = l
+		}
+		if r < n && q.less(r, least) {
+			least = r
+		}
+		if least == i {
+			break
+		}
+		q[i], q[least] = q[least], q[i]
+		i = least
+	}
+	*h = q
+	return top
+}
 
 // NewDelayDevice builds a delay device whose per-frame latency is computed
 // by latencyFor(src, dst). A zero latency passes the frame through
@@ -128,7 +168,8 @@ func (d *DelayDevice) Send(f *Frame, next SendFunc) error {
 // Hold schedules a frame for release after an explicit delay, bypassing
 // the device's latency function. Devices that compute per-frame delays
 // from their own state (FaultDevice's jitter and reordering) compose on
-// top of this.
+// top of this. The device owns f until it calls next with it (see
+// SendDevice): a caller that may recycle f hands over a clone.
 func (d *DelayDevice) Hold(f *Frame, next SendFunc, delay time.Duration) error {
 	if delay <= 0 {
 		return next(f)
@@ -145,7 +186,7 @@ func (d *DelayDevice) Hold(f *Frame, next SendFunc, delay time.Duration) error {
 		go d.loop(d.alarm)
 	}
 	d.tick++
-	heap.Push(&d.pq, delayedFrame{due: d.now().Add(delay), tick: d.tick, f: f, next: next})
+	d.pq.push(delayedFrame{due: d.now().Add(delay), tick: d.tick, f: f, next: next})
 	if len(d.pq) > d.hw {
 		d.hw = len(d.pq)
 	}
@@ -199,8 +240,8 @@ func (d *DelayDevice) Close() {
 	}
 	d.stopped = true
 	var drained []delayedFrame
-	for d.pq.Len() > 0 {
-		drained = append(drained, heap.Pop(&d.pq).(delayedFrame))
+	for len(d.pq) > 0 {
+		drained = append(drained, d.pq.pop())
 	}
 	a := d.alarm
 	d.mu.Unlock()
@@ -223,14 +264,14 @@ func (d *DelayDevice) loop(a alarm) {
 	for a.wait() {
 		d.mu.Lock()
 		now := d.now()
-		for d.pq.Len() > 0 {
+		for len(d.pq) > 0 {
 			late := now.Sub(d.pq.peek().due)
 			if late < 0 {
 				a.arm(-late)
 				break
 			}
 			d.late.Observe(int64(late))
-			ready = append(ready, heap.Pop(&d.pq).(delayedFrame))
+			ready = append(ready, d.pq.pop())
 		}
 		d.mu.Unlock()
 

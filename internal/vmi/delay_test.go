@@ -1,6 +1,7 @@
 package vmi
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -462,5 +463,44 @@ func testDelayEqualDueTimeFIFOPerSender(t *testing.T, newDelay func(latencyFn) *
 				t.Fatalf("sender %d released out of order at %d: seq %d", s, i, seq)
 			}
 		}
+	}
+}
+
+// TestDelayHeapOrder: the typed heap pops in (due, tick) order however
+// pushes and pops interleave, with many frames sharing a due time.
+func TestDelayHeapOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	base := time.Unix(0, 0)
+	var h delayHeap
+	var tick uint64
+	var last delayedFrame
+	popped := 0
+	check := func() {
+		df := h.pop()
+		if popped > 0 && (df.due.Before(last.due) || df.due.Equal(last.due) && df.tick < last.tick) {
+			t.Fatalf("pop %d: (%v, %d) after (%v, %d)", popped, df.due, df.tick, last.due, last.tick)
+		}
+		last = df
+		popped++
+	}
+	for i := 0; i < 2000; i++ {
+		if len(h) > 0 && rng.Intn(3) == 0 {
+			check()
+			continue
+		}
+		tick++
+		// Due times at or after the last pop, so the popped sequence must
+		// be sorted; 16 distinct values make ties common.
+		due := last.due.Add(time.Duration(rng.Intn(16)) * time.Millisecond)
+		if popped == 0 {
+			due = base.Add(time.Duration(rng.Intn(16)) * time.Millisecond)
+		}
+		h.push(delayedFrame{due: due, tick: tick})
+	}
+	for len(h) > 0 {
+		check()
+	}
+	if popped != int(tick) {
+		t.Fatalf("popped %d of %d frames", popped, tick)
 	}
 }

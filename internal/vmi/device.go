@@ -12,7 +12,16 @@ type RecvFunc func(*Frame) error
 
 // SendDevice is one stage of a send chain. A device may deliver the frame
 // itself (never calling next), transform it and pass it on, or hold it and
-// call next later (the delay device does this).
+// call next later.
+//
+// A device borrows the frame for the duration of its Send call and no
+// longer: once Send returns, the caller may recycle the frame and its
+// body (the reliability layer returns both to pools when an ack frees
+// them). A device that keeps a frame past Send — to release it later,
+// reorder or duplicate it — clones it first, as FaultDevice does. The
+// delay device is the one stage that takes ownership instead: DelayDevice
+// holds the very frame it is given, so whoever hands it a frame gives that
+// frame up until the device calls next with it.
 type SendDevice interface {
 	Name() string
 	Send(f *Frame, next SendFunc) error

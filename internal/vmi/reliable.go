@@ -150,6 +150,12 @@ func restampEpoch(body []byte, epoch uint32) {
 	sealRel(body)
 }
 
+// relEpoch reads the epoch field of an encoded reliability header of at
+// least relHeaderLen bytes.
+func relEpoch(body []byte) uint32 {
+	return uint32(body[5])<<16 | uint32(body[6])<<8 | uint32(body[7])
+}
+
 // ReliableConfig tunes the reliability layer. Zero values select the
 // defaults noted on each field.
 type ReliableConfig struct {
@@ -268,11 +274,38 @@ type relPeer struct {
 	havePEs        bool
 }
 
+// relEntry is one unacked data frame in a peer's retransmit buffer. Its
+// frame is the wire frame itself, and the frame's body is a GetBuf buffer:
+// both go back to their pools once the frame is acked and no sender is
+// still copying it.
+//
+// refs counts the entry's owners: one for its place in sendBuf, and one
+// for each sender copying f outside r.mu — Send's first transmission, or a
+// retransmit. References are only taken under r.mu while the entry is in
+// sendBuf; an ack (or ForgetPeer) drops the buffer's under r.mu, a copier
+// its own when its transmission returns, and whoever drops the last one
+// recycles the entry (release). So an entry acked while a copy is in
+// flight is recycled by that copier, never under it, and a body is only
+// written — sealed on Send, restamped on retransmit — by a holder of r.mu
+// that sees no copier.
 type relEntry struct {
 	seq      uint64
-	f        *Frame
+	f        Frame
 	lastSent time.Time
 	attempts int
+	refs     atomic.Int32
+}
+
+var relEntryPool = sync.Pool{New: func() any { return new(relEntry) }}
+
+// release drops one reference to e and recycles it with the last one.
+func (e *relEntry) release() {
+	if e.refs.Add(-1) != 0 {
+		return
+	}
+	PutBuf(e.f.Body)
+	e.f = Frame{}
+	relEntryPool.Put(e)
 }
 
 // newReliable interposes a reliability layer on t: frames handed to
@@ -358,9 +391,12 @@ func (r *Reliable) Epoch() uint32 { return r.epoch.Load() }
 // flight from being delivered twice. Dead peers need neither — the epoch
 // bump fences them — but both are harmless there.
 func (r *Reliable) ForgetPeer(node int) {
-	var ack *Frame
+	var ack Frame
 	r.mu.Lock()
 	if p, ok := r.peers[node]; ok {
+		for _, e := range p.sendBuf {
+			e.release()
+		}
 		p.sendBuf = nil
 		delete(r.peers, node)
 		r.gone[node] = p.recvNext
@@ -371,8 +407,9 @@ func (r *Reliable) ForgetPeer(node int) {
 	}
 	r.mu.Unlock()
 	r.space.Broadcast()
-	if ack != nil {
-		_ = r.down(ack) // best effort; the tombstone covers a lost ack
+	if ack.Body != nil {
+		_ = r.down(&ack) // best effort; the tombstone covers a lost ack
+		PutBuf(ack.Body)
 	}
 }
 
@@ -512,15 +549,18 @@ func (r *Reliable) Send(f *Frame) error {
 	seq := p.nextSeq
 	p.nextSeq++
 	h := RelHeader{Kind: relKindData, Epoch: r.epoch.Load(), Seq: seq, Ack: p.recvNext - 1}
-	body := AppendRelHeader(make([]byte, 0, relHeaderLen+len(f.Body)), h)
+	body := AppendRelHeader(GetBuf(relHeaderLen + len(f.Body))[:0], h)
 	body = append(body, f.Body...)
 	sealRel(body)
-	wf := &Frame{
+	e := relEntryPool.Get().(*relEntry)
+	e.seq, e.lastSent, e.attempts = seq, time.Now(), 0
+	e.f = Frame{
 		Src: f.Src, Dst: f.Dst, Prio: f.Prio, Class: f.Class, Seq: f.Seq,
 		Flags: f.Flags | FlagReliable,
 		Body:  body,
 	}
-	p.sendBuf = append(p.sendBuf, &relEntry{seq: seq, f: wf, lastSent: time.Now()})
+	e.refs.Store(2) // the buffer's reference and this first copy's
+	p.sendBuf = append(p.sendBuf, e)
 	p.ackDue = false // this frame piggybacks the current cumulative ack
 	r.stats.DataSent++
 	r.mu.Unlock()
@@ -528,7 +568,9 @@ func (r *Reliable) Send(f *Frame) error {
 	// Transport errors here (dial failure against a partitioned peer,
 	// enqueue into a conn that just died) are repairable: the entry stays
 	// buffered and the retransmit loop retries until the budget runs out.
-	if err := r.down(wf); err != nil {
+	err := r.down(&e.f)
+	e.release()
+	if err != nil {
 		r.mu.Lock()
 		r.stats.TransportErrs++
 		r.mu.Unlock()
@@ -578,7 +620,12 @@ func (r *Reliable) deliverWire(f *Frame) error {
 
 	// Cumulative ack: release everything at or below h.Ack.
 	if n := ackPrefix(p.sendBuf, h.Ack); n > 0 {
-		p.sendBuf = append(p.sendBuf[:0], p.sendBuf[n:]...)
+		for _, e := range p.sendBuf[:n] {
+			e.release()
+		}
+		m := copy(p.sendBuf, p.sendBuf[n:])
+		clear(p.sendBuf[m:])
+		p.sendBuf = p.sendBuf[:m]
 		r.space.Broadcast()
 	}
 	if h.Kind == relKindAck {
@@ -664,6 +711,7 @@ func (r *Reliable) retransmitLoop() {
 	defer r.wg.Done()
 	tick := time.NewTicker(r.cfg.RTO / 2)
 	defer tick.Stop()
+	var resend []*relEntry
 	for {
 		select {
 		case <-r.done:
@@ -671,13 +719,13 @@ func (r *Reliable) retransmitLoop() {
 		case <-tick.C:
 		}
 		now := time.Now()
-		var resend []*relEntry
+		ep := r.epoch.Load()
 		r.mu.Lock()
 		if r.failErr != nil {
 			r.mu.Unlock()
 			return
 		}
-		var exhausted *relEntry
+		var exhausted error
 		exhaustedNode := -1
 		for _, p := range r.peers {
 			for _, e := range p.sendBuf {
@@ -685,26 +733,48 @@ func (r *Reliable) retransmitLoop() {
 					continue
 				}
 				if e.attempts >= r.cfg.MaxRetransmits {
-					exhausted = e
+					// Described here: once r.mu is released an ack may
+					// recycle the entry.
+					exhausted = fmt.Errorf("vmi: reliable: frame %v seq %d to node %d unacked after %d retransmits",
+						&e.f, e.seq, p.node, r.cfg.MaxRetransmits)
 					exhaustedNode = p.node
 					break
 				}
+				// Restamp with the current epoch: a frame buffered before
+				// a bump would otherwise be fenced by every receiver. Only
+				// an entry no sender is copying may be rewritten; a stale
+				// one still in a copy waits for the next tick.
+				if e.refs.Load() > 1 && relEpoch(e.f.Body) != ep {
+					continue
+				}
+				restampEpoch(e.f.Body, ep)
 				e.attempts++
 				e.lastSent = now
+				e.refs.Add(1)
 				resend = append(resend, e)
 			}
 			if exhausted != nil {
 				break
 			}
 		}
-		if resend != nil {
-			r.stats.Retransmits += int64(len(resend))
-		}
+		r.stats.Retransmits += int64(len(resend))
 		r.mu.Unlock()
+		if exhausted == nil {
+			for _, e := range resend {
+				if err := r.down(&e.f); err != nil {
+					r.mu.Lock()
+					r.stats.TransportErrs++
+					r.mu.Unlock()
+				}
+			}
+		}
+		for i, e := range resend {
+			e.release()
+			resend[i] = nil
+		}
+		resend = resend[:0]
 		if exhausted != nil {
-			err := fmt.Errorf("vmi: reliable: frame %v seq %d to node %d unacked after %d retransmits",
-				exhausted.f, exhausted.seq, exhaustedNode, r.cfg.MaxRetransmits)
-			if h := r.peerFailHandler(); h != nil && h(exhaustedNode, err) {
+			if h := r.peerFailHandler(); h != nil && h(exhaustedNode, exhausted) {
 				// Membership claimed the failure: the peer is dead to us.
 				// Drop its state and keep serving the surviving peers.
 				r.ForgetPeer(exhaustedNode)
@@ -713,19 +783,8 @@ func (r *Reliable) retransmitLoop() {
 				r.mu.Unlock()
 				continue
 			}
-			r.fail(err)
+			r.fail(exhausted)
 			return
-		}
-		// Restamp retransmits with the current epoch: frames buffered
-		// before a bump would otherwise be fenced by every receiver.
-		ep := r.epoch.Load()
-		for _, e := range resend {
-			restampEpoch(e.f.Body, ep)
-			if err := r.down(e.f); err != nil {
-				r.mu.Lock()
-				r.stats.TransportErrs++
-				r.mu.Unlock()
-			}
 		}
 	}
 }
@@ -736,13 +795,13 @@ func (r *Reliable) ackLoop() {
 	defer r.wg.Done()
 	tick := time.NewTicker(r.cfg.AckDelay)
 	defer tick.Stop()
+	var acks []Frame
 	for {
 		select {
 		case <-r.done:
 			return
 		case <-tick.C:
 		}
-		var acks []*Frame
 		r.mu.Lock()
 		if r.failErr != nil {
 			r.mu.Unlock()
@@ -757,19 +816,23 @@ func (r *Reliable) ackLoop() {
 		}
 		r.stats.AcksSent += int64(len(acks))
 		r.mu.Unlock()
-		for _, f := range acks {
-			_ = r.down(f) // ack loss is repaired by retransmit-then-re-ack
+		for i := range acks {
+			_ = r.down(&acks[i]) // ack loss is repaired by retransmit-then-re-ack
+			PutBuf(acks[i].Body)
+			acks[i] = Frame{}
 		}
+		acks = acks[:0]
 	}
 }
 
-// ackFrame builds a standalone cumulative ack to peer p. Called with
-// r.mu held.
-func (r *Reliable) ackFrame(p *relPeer) *Frame {
-	body := AppendRelHeader(make([]byte, 0, relHeaderLen),
+// ackFrame builds a standalone cumulative ack to peer p, its body drawn
+// from the buffer pool: the sender returns it with PutBuf once down has
+// returned. Called with r.mu held.
+func (r *Reliable) ackFrame(p *relPeer) Frame {
+	body := AppendRelHeader(GetBuf(relHeaderLen)[:0],
 		RelHeader{Kind: relKindAck, Epoch: r.epoch.Load(), Ack: p.recvNext - 1})
 	sealRel(body)
-	return &Frame{Src: p.selfPE, Dst: p.peerPE, Class: ClassSystem, Flags: FlagReliable, Body: body}
+	return Frame{Src: p.selfPE, Dst: p.peerPE, Class: ClassSystem, Flags: FlagReliable, Body: body}
 }
 
 // Close stops the retransmit and ack goroutines. It does not close the

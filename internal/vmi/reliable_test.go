@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -366,4 +367,69 @@ func TestReliableCountsWindowStalls(t *testing.T) {
 	if s := p.r0.Stats(); s.WindowStalls != 1 || s.WindowStallNanos <= 0 {
 		t.Errorf("WindowStalls = %d, WindowStallNanos = %d; want 1 and > 0", s.WindowStalls, s.WindowStallNanos)
 	}
+}
+
+// TestReliableRecyclesOnlyIdleAckedEntries: a retransmit entry's frame and
+// body go back to their pools when an ack frees the entry, but never while
+// a sender is still copying them. A stall device below the layer holds
+// every fifth transmission for three RTOs — a first send or a retransmit
+// stuck in TCP backpressure — while drops and jitter further down make
+// retransmits of the stalled frames arrive, and be acked, during the
+// stall. The stalled frame must not change under its copier; nothing is
+// corrupted in flight, so a CRC or header failure at the receiver means a
+// recycled buffer went onto the wire.
+func TestReliableRecyclesOnlyIdleAckedEntries(t *testing.T) {
+	const rto = 2 * time.Millisecond
+	n := 300
+	if testing.Short() {
+		n = 120
+	}
+	fd := NewFaultDevice(chaosSeed(t), FaultPlan{Drop: 0.1, JitterMax: rto})
+	defer fd.Close()
+	var p *relPair
+	var calls, stalled, overlaps atomic.Int64
+	stall := SendDeviceFunc{DeviceName: "stall", Fn: func(f *Frame, next SendFunc) error {
+		if calls.Add(1)%5 != 0 {
+			return next(f)
+		}
+		stalled.Add(1)
+		before := append([]byte(nil), f.Body...)
+		h, _, _ := DecodeRelHeader(before)
+		time.Sleep(3 * rto)
+		if !bytes.Equal(f.Body, before) {
+			t.Errorf("frame seq %d changed while a sender was copying it", h.Seq)
+		}
+		if p.r1.Stats().Delivered >= int64(h.Seq) {
+			overlaps.Add(1) // delivered, and so soon acked, during the stall
+		}
+		return next(f)
+	}}
+	cfg := ReliableConfig{RTO: rto, AckDelay: rto / 2}
+	p = newRelPair(t, relEnd{cfg: cfg, send: []SendDevice{stall, fd}}, relEnd{cfg: cfg})
+
+	for i := 0; i < n; i++ {
+		if err := p.r0.Send(&Frame{Src: 0, Dst: 2, Body: []byte(fmt.Sprintf("msg-%d", i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Traffic is one-way, so the faulty path carries data frames only, and
+	// once jittered copies have landed every transmission is accounted
+	// for: dropped on the way, delivered, or suppressed as a duplicate.
+	var s0, s1 ReliableStats
+	var fs FaultStats
+	waitFor(t, "delivery and settled counters", func() bool {
+		s0, s1, fs = p.r0.Stats(), p.r1.Stats(), fd.Stats()
+		return len(p.at1()) == n && p.r0.Outstanding(1) == 0 &&
+			s0.DataSent+s0.Retransmits+fs.Duplicated-fs.Dropped == s1.Delivered+s1.DupDropped
+	})
+	assertInOrder(t, p.at1(), n)
+	if s1.CrcDropped != 0 || s1.BadHdrs != 0 {
+		t.Errorf("receiver dropped %d frames on CRC and %d on header; a recycled buffer was sent", s1.CrcDropped, s1.BadHdrs)
+	}
+	if stalled.Load() == 0 || overlaps.Load() == 0 || s0.Retransmits == 0 {
+		t.Errorf("%d stalls, %d acked during their stall, %d retransmits: the schedule never overlapped a copy with an ack",
+			stalled.Load(), overlaps.Load(), s0.Retransmits)
+	}
+	t.Logf("stalls %d (acked during the stall %d); sender %+v; receiver %+v; faults %+v",
+		stalled.Load(), overlaps.Load(), s0, s1, fs)
 }

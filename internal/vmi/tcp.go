@@ -186,6 +186,7 @@ func (tc *tcpConn) enqueue(f *Frame) error {
 	}
 	wasIdle := len(tc.pending) == 0
 	before := len(tc.pending)
+	tc.reserve(f.EncodedLen())
 	tc.pending = f.AppendEncode(tc.pending)
 	tc.met.framesOut.Inc()
 	tc.met.bytesOut.Add(int64(len(tc.pending) - before))
@@ -194,6 +195,29 @@ func (tc *tcpConn) enqueue(f *Frame) error {
 		tc.hasData.Signal()
 	}
 	return nil
+}
+
+// reserve makes room for n more pending bytes. The buffer grows through
+// the pool's size classes, and the outgrown one goes back to the pool, so
+// a new connection reuses the buffers an old one grew instead of growing
+// its own. Called with tc.mu held.
+func (tc *tcpConn) reserve(n int) {
+	if len(tc.pending)+n <= cap(tc.pending) {
+		return
+	}
+	grown := GetBuf(len(tc.pending) + n)[:len(tc.pending)]
+	copy(grown, tc.pending)
+	PutBuf(tc.pending)
+	tc.pending = grown
+}
+
+// recycle returns both coalescing buffers to the pool when the writer
+// exits. Nothing appends to a closed connection, so they are unreachable
+// from then on. Called with tc.mu held.
+func (tc *tcpConn) recycle() {
+	PutBuf(tc.pending)
+	PutBuf(tc.spare)
+	tc.pending, tc.spare = nil, nil
 }
 
 // enqueueRaw appends arbitrary bytes to the pending buffer, bypassing the
@@ -210,6 +234,7 @@ func (tc *tcpConn) enqueueRaw(b []byte) error {
 		return err
 	}
 	wasIdle := len(tc.pending) == 0
+	tc.reserve(len(b))
 	tc.pending = append(tc.pending, b...)
 	tc.mu.Unlock()
 	if wasIdle {
@@ -239,6 +264,7 @@ func (tc *tcpConn) writeLoop(onErr func(error)) {
 			tc.hasData.Wait()
 		}
 		if len(tc.pending) == 0 { // closed and drained
+			tc.recycle()
 			tc.mu.Unlock()
 			tc.c.Close()
 			return
@@ -259,6 +285,7 @@ func (tc *tcpConn) writeLoop(onErr func(error)) {
 			}
 			wasClosed := tc.closed
 			tc.closed = true
+			tc.recycle()
 			tc.mu.Unlock()
 			tc.c.Close()
 			tc.drained.Broadcast()
