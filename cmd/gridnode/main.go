@@ -181,13 +181,11 @@ func run(cfg config) error {
 	// two-cluster machine) but -split models unequal co-allocations, where
 	// one site contributes more PEs than the other and the wide-area
 	// boundary no longer coincides with a process boundary.
-	lay, err := cfg.Cluster.Resolve()
+	spec, err := cfg.Cluster.Resolve()
 	if err != nil {
 		return err
 	}
-	nodes := lay.Nodes
-	topo := lay.Topo
-	nodeOf := lay.NodeOf
+	nodes := spec.Nodes
 
 	if cfg.Serve {
 		if cfg.app != "taskfarm" {
@@ -207,7 +205,7 @@ func run(cfg config) error {
 	var elastic *taskfarm.ElasticConfig
 	if cfg.Membership {
 		elastic = &taskfarm.ElasticConfig{
-			NodeOf:     nodeOf,
+			NodeOf:     spec.NodeOf,
 			ActiveNode: func(node int) bool { return node >= 0 && node < nodes && !joiner[node] },
 			CoordNode:  0,
 		}
@@ -221,8 +219,8 @@ func run(cfg config) error {
 	health.Set("startup", "runtime not started")
 
 	// Every agent reports to node 0, so node 0's collector is the cluster
-	// view (a worker's hears nothing). It is built before the stack
-	// listens so a telemetry frame from a fast peer never races its
+	// view (a worker's hears nothing). It is built before the cluster
+	// starts so a telemetry frame from a fast peer never races its
 	// construction, and before a gateway, which feeds it job latencies.
 	coll := telemetry.NewCollector(telemetry.CollectorConfig{
 		SLO: telemetry.NewSLOTracker(telemetry.DefaultSLOConfig()),
@@ -263,67 +261,52 @@ func run(cfg config) error {
 		}
 	}
 
-	var rt *core.Runtime
-	var mem *core.Membership
-	builder := vmi.NewChainBuilder(cfg.Node, lay.AddrMap, func(pe int32) int { return nodeOf(int(pe)) }).
-		Metrics(reg).
-		OnControl(func(f *vmi.Frame) {
-			switch f.Dst {
-			case vmi.ControlShutdown:
-				if rt != nil {
-					rt.Stop()
-				}
-			case vmi.ControlMembership:
-				if mem != nil {
-					mem.HandleControl(f)
-				}
-			case vmi.ControlTelemetry:
-				_ = coll.Ingest(f.Body) // bad frames are counted, never fatal
+	art := &artifacts{metricsPath: cfg.MetricsOut, reg: reg, tracePath: cfg.TraceOut, node: cfg.Node}
+	art.peLo, art.peHi = spec.PEs(cfg.Node)
+	rtOpts := []core.Option{core.WithMetrics(reg)}
+	if gw != nil {
+		rtOpts = append(rtOpts, core.WithLifecycle(gw.lifecycle(health, cfg.onListen)))
+	}
+	if cfg.TraceOut != "" || cfg.Telemetry {
+		art.tr = trace.NewWithCapacity(cfg.Procs, cfg.TraceRingCap())
+		rtOpts = append(rtOpts, core.WithTrace(art.tr))
+	}
+	spec.Program = func(int) (*core.Program, error) { return prog, nil }
+	spec.Builder = func(_ int, b *vmi.ChainBuilder) { b.Metrics(reg) }
+	spec.Options = func(int) []core.Option { return rtOpts }
+	spec.OnControl = func(f *vmi.Frame) {
+		if f.Dst == vmi.ControlTelemetry {
+			_ = coll.Ingest(f.Body) // bad frames are counted, never fatal
+		}
+	}
+	var notifier *taskfarm.Notifier
+	if cfg.Membership {
+		if tfp != nil {
+			notifier = taskfarm.NewNotifier(tfp)
+		}
+		spec.Joiners = joiner
+		spec.Membership = func(_ int, mc *core.MembershipConfig) {
+			mc.Logf = func(format string, args ...any) {
+				fmt.Fprintf(os.Stderr, "gridnode %d: "+format+"\n", append([]any{cfg.Node}, args...)...)
 			}
-		})
-	stack, err := builder.Build()
+			if cfg.checkpoint != "" {
+				mc.CheckpointFor = func(node int) *core.Checkpoint {
+					return readPartialCheckpoint(fmt.Sprintf("%s.node%d", cfg.checkpoint, node))
+				}
+			}
+			if notifier != nil {
+				mc.OnChange = notifier.OnChange
+			}
+		}
+	}
+	cl, err := core.StartCluster(*spec)
 	if err != nil {
 		return err
 	}
-
-	// Membership is wired before Listen so a control frame from a fast
-	// peer never races the manager's construction.
-	var notifier *taskfarm.Notifier
-	if cfg.Membership {
-		var initial []core.Member
-		for n := 0; n < nodes; n++ {
-			if joiner[n] {
-				continue
-			}
-			initial = append(initial, core.Member{Node: int32(n), State: core.MemberActive, Addr: lay.Addrs[n]})
-		}
-		mcfg := core.MembershipConfig{
-			Node:        cfg.Node,
-			Coordinator: 0,
-			Stack:       stack,
-			NodeOf:      nodeOf,
-			NumPE:       cfg.Procs,
-			Initial:     initial,
-			Logf: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, "gridnode %d: "+format+"\n", append([]any{cfg.Node}, args...)...)
-			},
-		}
-		if cfg.checkpoint != "" {
-			prefix := cfg.checkpoint
-			mcfg.CheckpointFor = func(node int) *core.Checkpoint {
-				return readPartialCheckpoint(fmt.Sprintf("%s.node%d", prefix, node))
-			}
-		}
-		if tfp != nil {
-			notifier = taskfarm.NewNotifier(tfp)
-			mcfg.OnChange = notifier.OnChange
-		}
-		mem, err = core.NewMembership(mcfg)
-		if err != nil {
-			return err
-		}
-		defer mem.Close()
-		mem.Instrument(reg)
+	defer cl.Close()
+	nd := cl.Nodes[cfg.Node]
+	stack, rt, mem := nd.Stack, nd.Runtime, nd.Membership
+	if mem != nil {
 		// Readiness tracks the member table: a node that is joining,
 		// draining, or dead should fall out of load-balancer rotation.
 		health.AddCheck("membership", func() error {
@@ -341,46 +324,6 @@ func run(cfg config) error {
 			// Left at the coordinator.
 			tfp.OnDrained = mem.NotifyDrained
 		}
-	}
-
-	defer stack.Close()
-
-	art := &artifacts{
-		metricsPath: cfg.MetricsOut, reg: reg,
-		tracePath: cfg.TraceOut,
-		node:      cfg.Node, peLo: lay.PELo(cfg.Node), peHi: lay.PEHi(cfg.Node),
-		start: time.Now(),
-	}
-	rtOpts := []core.Option{
-		core.WithCluster(core.ClusterConfig{
-			Transport: stack,
-			NodeOf:    nodeOf,
-			Node:      cfg.Node,
-			PELo:      lay.PELo(cfg.Node),
-			PEHi:      lay.PEHi(cfg.Node),
-		}),
-		core.WithMetrics(reg),
-	}
-	if mem != nil {
-		rtOpts = append(rtOpts, core.WithMembership(mem))
-	}
-	if gw != nil {
-		rtOpts = append(rtOpts, core.WithLifecycle(gw.lifecycle(health, cfg.onListen)))
-	}
-	if cfg.TraceOut != "" || cfg.Telemetry {
-		art.tr = trace.NewWithCapacity(cfg.Procs, cfg.TraceRingCap())
-		rtOpts = append(rtOpts, core.WithTrace(art.tr))
-	}
-	rt, err = core.NewRuntime(topo, prog, rtOpts...)
-	if err != nil {
-		return err
-	}
-	// Accept peers only once the runtime is bound to the stack: a frame
-	// that arrived before would be acknowledged and then dropped, and its
-	// sender would wait for it forever. A peer that dials earlier retries.
-	self, err := stack.Listen()
-	if err != nil {
-		return err
 	}
 	if cfg.onRuntime != nil {
 		cfg.onRuntime(rt)
@@ -468,7 +411,7 @@ func run(cfg config) error {
 	}
 
 	fmt.Fprintf(os.Stderr, "gridnode %d/%d: hosting PEs [%d,%d) of %s on %s\n",
-		cfg.Node, nodes, lay.PELo(cfg.Node), lay.PEHi(cfg.Node), topo, self)
+		cfg.Node, nodes, art.peLo, art.peHi, spec.Topo, stack.Addr())
 
 	if mem != nil && joiner[cfg.Node] {
 		fmt.Fprintf(os.Stderr, "gridnode %d: requesting admission to the member set\n", cfg.Node)
@@ -482,7 +425,7 @@ func run(cfg config) error {
 	// membership check alone (joiners flip Active through it).
 	health.Set("startup", "")
 
-	v, err := rt.Run()
+	v, err := cl.Run()
 	if err != nil {
 		return err
 	}

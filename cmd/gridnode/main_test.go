@@ -24,18 +24,23 @@ import (
 	"gridmdo/internal/trace"
 )
 
-// freePort reserves an ephemeral loopback port and returns its address.
-// The listener is closed before use, so a parallel process could steal the
-// port, but gridnode's dial retries tolerate the resulting startup skew.
-func freePort(t *testing.T) string {
+// freeAddrs reserves n distinct ephemeral loopback ports and returns
+// their addresses as an -addrs list. Every listener stays open until all
+// n are bound, so no two nodes are handed the same port. They are closed
+// before use, so a parallel process could steal a port, but gridnode's
+// dial retries tolerate the resulting startup skew.
+func freeAddrs(t *testing.T, n int) string {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	addrs := make([]string, n)
+	for i := range addrs {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		addrs[i] = ln.Addr().String()
 	}
-	addr := ln.Addr().String()
-	ln.Close()
-	return addr
+	return strings.Join(addrs, ",")
 }
 
 // TestGridnodeServesMetrics runs a two-node stencil in-process, scrapes
@@ -46,7 +51,7 @@ func freePort(t *testing.T) string {
 func TestGridnodeServesMetrics(t *testing.T) {
 	base := config{
 		Cluster: appflags.Cluster{
-			Addrs:   freePort(t) + "," + freePort(t),
+			Addrs:   freeAddrs(t, 2),
 			Procs:   2,
 			Latency: time.Millisecond,
 		},
@@ -192,7 +197,7 @@ func scrapeText(addr string) (string, error) {
 // config before launch.
 func runPair(t *testing.T, base config, mod func(node int, c *config)) any {
 	t.Helper()
-	base.Addrs = freePort(t) + "," + freePort(t)
+	base.Addrs = freeAddrs(t, 2)
 	resCh := make(chan any, 1)
 	errs := make(chan error, 2)
 	for n := 1; n >= 0; n-- {
@@ -636,7 +641,7 @@ func TestGatewayStandalone(t *testing.T) {
 // PE or the receiver's reliability acks route back to itself and the
 // farm wedges.
 func TestGatewayClusterBackend(t *testing.T) {
-	addrs := freePort(t) + "," + freePort(t)
+	addrs := freeAddrs(t, 2)
 	cfg := config{
 		Cluster: appflags.Cluster{Addrs: addrs, Procs: 4, Latency: time.Millisecond},
 		Farm:    appflags.Farm{Shards: 2, Batch: 8, Prefetch: 2, Spin: 200, Skew: 1, Steal: true, Serve: true},
@@ -681,7 +686,7 @@ func TestGatewayClusterBackend(t *testing.T) {
 // submitted total, and (b) at least one job trace whose span tree crosses
 // both processes with no broken parent links.
 func TestGatewayTelemetryTrace(t *testing.T) {
-	addrs := freePort(t) + "," + freePort(t)
+	addrs := freeAddrs(t, 2)
 	cfg := config{
 		Cluster: appflags.Cluster{Addrs: addrs, Procs: 4, Latency: time.Millisecond},
 		Farm:    appflags.Farm{Shards: 2, Batch: 4, Prefetch: 2, Spin: 2000, Skew: 1, Serve: true},
@@ -807,7 +812,7 @@ func TestGatewayTelemetryTrace(t *testing.T) {
 // the backend gets the shutdown announcement so its run returns nil
 // too, and the ingress refuses jobs afterwards.
 func TestGatewaySIGTERMStopsCluster(t *testing.T) {
-	addrs := freePort(t) + "," + freePort(t)
+	addrs := freeAddrs(t, 2)
 	cfg := config{
 		Cluster: appflags.Cluster{Addrs: addrs, Procs: 4, Latency: time.Millisecond},
 		Farm:    appflags.Farm{Shards: 2, Batch: 8, Prefetch: 2, Spin: 200, Skew: 1, Serve: true},

@@ -47,30 +47,14 @@ func (c *Cluster) Register(fs *flag.FlagSet) {
 	fs.StringVar(&c.Joiners, "joiners", "", "comma-separated node indices that start outside the member set and join mid-run (identical on every process)")
 }
 
-// Layout is the resolved cluster geometry every process derives
-// identically from its Cluster flags.
-type Layout struct {
-	Addrs   []string
-	AddrMap map[int]string
-	Nodes   int
-	PerNode int
-	Split   int
-	Topo    *topology.Topology
-}
-
-// NodeOf maps a PE to the node hosting it.
-func (l *Layout) NodeOf(pe int) int { return pe / l.PerNode }
-
-// PELo and PEHi bound the contiguous PE range node hosts.
-func (l *Layout) PELo(node int) int { return node * l.PerNode }
-func (l *Layout) PEHi(node int) int { return (node + 1) * l.PerNode }
-
-// Resolve validates the cluster flags and builds the shared geometry:
-// the address table, the even PE split across processes, and the
-// two-cluster topology with the injected wide-area latency. One address
-// is a one-process cluster: node 0 hosts every PE, and both sites'
-// traffic crosses the injected latency inside it.
-func (c *Cluster) Resolve() (*Layout, error) {
+// Resolve validates the cluster flags and builds the cluster every
+// process derives identically — the address list, one node per address
+// (the node count must divide the PE count), and the two-cluster
+// topology with the injected wide-area latency — with this process
+// hosting node c.Node. One address is a one-process cluster: node 0
+// hosts every PE, and both sites' traffic crosses the injected latency
+// inside it.
+func (c *Cluster) Resolve() (*core.ClusterSpec, error) {
 	if c.Addrs == "" {
 		return nil, fmt.Errorf("need -addrs with at least one address")
 	}
@@ -93,15 +77,7 @@ func (c *Cluster) Resolve() (*Layout, error) {
 	if err != nil {
 		return nil, err
 	}
-	addrMap := make(map[int]string, nodes)
-	for i, a := range addrs {
-		addrMap[i] = a
-	}
-	return &Layout{
-		Addrs: addrs, AddrMap: addrMap,
-		Nodes: nodes, PerNode: c.Procs / nodes,
-		Split: split, Topo: topo,
-	}, nil
+	return &core.ClusterSpec{Topo: topo, Nodes: nodes, Addrs: addrs, Local: []int{c.Node}}, nil
 }
 
 // JoinerSet parses -joiners against the resolved node count.

@@ -13,14 +13,14 @@ func TestClusterResolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lay.Nodes != 2 || lay.PerNode != 2 || lay.Split != 2 {
+	if lay.Nodes != 2 || lay.Topo.Cluster(1) != 0 || lay.Topo.Cluster(2) != 1 {
 		t.Errorf("layout %+v", lay)
 	}
-	if lay.NodeOf(3) != 1 || lay.PELo(1) != 2 || lay.PEHi(1) != 4 {
-		t.Error("PE mapping wrong")
+	if lay.Addrs[1] != "b:2" || len(lay.Local) != 1 || lay.Local[0] != 1 {
+		t.Errorf("addrs %v, local %v", lay.Addrs, lay.Local)
 	}
-	if lay.AddrMap[1] != "b:2" {
-		t.Errorf("addr map %v", lay.AddrMap)
+	if lay.NodeOf(3) != 1 {
+		t.Error("PE mapping wrong")
 	}
 
 	// One address is a one-process cluster: node 0 hosts every PE, and
@@ -30,10 +30,10 @@ func TestClusterResolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lay.Nodes != 1 || lay.PerNode != 4 || lay.Split != 2 || lay.Topo.NumPE() != 4 {
+	if lay.Nodes != 1 || lay.Topo.Cluster(2) != 1 || lay.Topo.NumPE() != 4 {
 		t.Errorf("one-address layout %+v", lay)
 	}
-	if lay.NodeOf(3) != 0 || lay.PELo(0) != 0 || lay.PEHi(0) != 4 {
+	if lay.NodeOf(3) != 0 {
 		t.Error("one-address PE mapping wrong")
 	}
 	if !lay.Topo.CrossesWAN(0, 3) || lay.Topo.Latency(0, 3) != time.Millisecond {

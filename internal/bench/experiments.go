@@ -479,23 +479,12 @@ func Irregular(w io.Writer, p Profile) (*Table, error) {
 			Chunks: chunks, Steps: 16, Warmup: 5,
 			Model: unstruct.DefaultModel(),
 		}
-		prog, err := unstruct.BuildProgram(up)
+		res, err := result[unstruct.Result](runSim(func() (*core.Program, error) { return unstruct.BuildProgram(up) },
+			procs, lat, sim.Options{MaxEvents: 200_000_000}))
 		if err != nil {
 			return 0, err
 		}
-		topo, err := buildTopo(procs, lat)
-		if err != nil {
-			return 0, err
-		}
-		e, err := sim.New(topo, prog, sim.Options{MaxEvents: 200_000_000})
-		if err != nil {
-			return 0, err
-		}
-		v, _, err := e.Run()
-		if err != nil {
-			return 0, err
-		}
-		return v.(*unstruct.Result).PerStep, nil
+		return res.PerStep, nil
 	}
 	for _, lat := range []time.Duration{0, time.Millisecond, 4 * time.Millisecond, 16 * time.Millisecond} {
 		row := []string{lat.String()}
@@ -596,26 +585,16 @@ func Classes(w io.Writer, p Profile) (*Table, error) {
 		return res.PerStep, nil
 	}
 	farmAt := func(lat time.Duration) (time.Duration, error) {
-		prog, err := taskfarm.BuildProgramFor(&taskfarm.Params{
-			Tasks: 200, Prefetch: 4, TaskCost: 50 * time.Millisecond, TaskBytes: 2048,
-			Shards: 1, Batch: 1, // the single master: one dispatcher, one task per grant
-		}, procs)
+		res, err := result[taskfarm.Result](runSim(func() (*core.Program, error) {
+			return taskfarm.BuildProgramFor(&taskfarm.Params{
+				Tasks: 200, Prefetch: 4, TaskCost: 50 * time.Millisecond, TaskBytes: 2048,
+				Shards: 1, Batch: 1, // the single master: one dispatcher, one task per grant
+			}, procs)
+		}, procs, lat, sim.Options{MaxEvents: 100_000_000}))
 		if err != nil {
 			return 0, err
 		}
-		topo, err := buildTopo(procs, lat)
-		if err != nil {
-			return 0, err
-		}
-		e, err := sim.New(topo, prog, sim.Options{MaxEvents: 100_000_000})
-		if err != nil {
-			return 0, err
-		}
-		v, _, err := e.Run()
-		if err != nil {
-			return 0, err
-		}
-		return v.(*taskfarm.Result).Makespan, nil
+		return res.Makespan, nil
 	}
 
 	base := make([]time.Duration, 3)

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -76,158 +77,89 @@ type MembershipReport struct {
 
 // memberProc is one process of the elastic in-process cluster.
 type memberProc struct {
-	stack  *vmi.Stack
 	reg    *metrics.Registry
-	mem    *core.Membership
-	rt     *core.Runtime
 	params *taskfarm.Params
 	fd     *vmi.FaultDevice
+	exited time.Time // when the node's runtime finished
 }
 
-// memberCluster mirrors the wiring cmd/gridnode does per process: stack
-// and membership manager exist before Listen, runtimes before the
-// address book opens, so no control frame races a half-built process.
+// memberCluster is the elastic cluster of one disturbed or undisturbed
+// run.
 type memberCluster struct {
+	*core.Cluster
 	procs []*memberProc
 }
 
 func buildMemberBench(cfg MembershipConfig, seed int64) (*memberCluster, error) {
 	n := cfg.Nodes
-	nodeOf := func(pe int) int { return pe }
-	routeFn := func(pe int32) int { return int(pe) }
+	topo, err := topology.Single(n)
+	if err != nil {
+		return nil, err
+	}
+	spec := core.ClusterSpec{Topo: topo, Nodes: n}
 	elastic := &taskfarm.ElasticConfig{
-		NodeOf:     nodeOf,
+		NodeOf:     spec.NodeOf,
 		ActiveNode: func(node int) bool { return node >= 0 && node < n },
 		CoordNode:  0,
 	}
-	var initial []core.Member
-	for i := 0; i < n; i++ {
-		initial = append(initial, core.Member{Node: int32(i), State: core.MemberActive})
-	}
 	c := &memberCluster{procs: make([]*memberProc, n)}
-	fail := func(err error) (*memberCluster, error) {
-		c.shutdown()
-		return nil, err
-	}
-	for i := 0; i < n; i++ {
+	notifs := make([]*taskfarm.Notifier, n)
+	for i := range c.procs {
 		p := &memberProc{reg: metrics.NewRegistry()}
-		c.procs[i] = p
-		addrs := make(map[int]string, n)
-		for j := 0; j < n; j++ {
-			addrs[j] = ""
-		}
-		addrs[i] = "127.0.0.1:0"
-		b := vmi.NewChainBuilder(i, addrs, routeFn).
-			Metrics(p.reg).
-			OnControl(func(f *vmi.Frame) {
-				if f.Dst == vmi.ControlMembership && p.mem != nil {
-					p.mem.HandleControl(f)
-				}
-			})
-		if cfg.Drop > 0 {
-			p.fd = vmi.NewFaultDevice(seed*int64(n)+int64(i), vmi.FaultPlan{Drop: cfg.Drop})
-			b = b.Faults([]vmi.SendDevice{p.fd}, nil)
-		}
-		st, err := b.
-			Reliable(vmi.ReliableConfig{RTO: cfg.RTO, RTOMax: cfg.RTOMax}).
-			Build()
-		if err != nil {
-			return fail(err)
-		}
-		p.stack = st
 		p.params = &taskfarm.Params{
 			Tasks: cfg.Tasks, Workers: cfg.Workers, Prefetch: cfg.Prefetch,
 			Batch: cfg.Batch, Shards: cfg.Shards, Spin: cfg.Spin,
 			Seed: uint64(seed), Elastic: elastic, Metrics: p.reg,
 		}
-		notif := taskfarm.NewNotifier(p.params)
-		mem, err := core.NewMembership(core.MembershipConfig{
-			Node:        i,
-			Coordinator: 0,
-			Stack:       st,
-			NodeOf:      nodeOf,
-			NumPE:       n,
-			Initial:     initial,
-			Interval:    50 * time.Millisecond,
-			OnChange:    notif.OnChange,
-			Logf:        func(string, ...any) {},
-		})
-		if err != nil {
-			return fail(err)
-		}
-		p.mem = mem
-		p.params.OnDrained = mem.NotifyDrained
-		prog, err := taskfarm.BuildProgram(p.params)
-		if err != nil {
-			return fail(err)
-		}
-		topo, err := topology.Single(n)
-		if err != nil {
-			return fail(err)
-		}
-		rt, err := core.NewRuntime(topo, prog,
-			core.WithCluster(core.ClusterConfig{
-				Transport: st, NodeOf: nodeOf, Node: i, PELo: i, PEHi: i + 1,
-			}),
-			core.WithMetrics(p.reg),
-			core.WithMembership(mem))
-		if err != nil {
-			return fail(err)
-		}
-		p.rt = rt
-		notif.Bind(rt, i)
-		mem.Instrument(p.reg)
+		notifs[i] = taskfarm.NewNotifier(p.params)
+		c.procs[i] = p
 	}
-	addrs := make([]string, n)
-	for i, p := range c.procs {
-		a, err := p.stack.Listen()
-		if err != nil {
-			return fail(err)
+	spec.Builder = func(i int, b *vmi.ChainBuilder) {
+		p := c.procs[i]
+		b.Metrics(p.reg).Reliable(vmi.ReliableConfig{RTO: cfg.RTO, RTOMax: cfg.RTOMax})
+		if cfg.Drop > 0 {
+			p.fd = vmi.NewFaultDevice(seed*int64(n)+int64(i), vmi.FaultPlan{Drop: cfg.Drop})
+			b.Faults([]vmi.SendDevice{p.fd}, nil)
 		}
-		addrs[i] = a
 	}
-	// Only now does traffic start to flow.
+	spec.Membership = func(i int, mc *core.MembershipConfig) {
+		mc.Interval = 50 * time.Millisecond
+		mc.OnChange = notifs[i].OnChange
+	}
+	spec.Program = func(i int) (*core.Program, error) { return taskfarm.BuildProgram(c.procs[i].params) }
+	spec.Options = func(i int) []core.Option {
+		exit := core.Lifecycle{OnExit: func(any, error) { c.procs[i].exited = time.Now() }}
+		return []core.Option{core.WithMetrics(c.procs[i].reg), core.WithLifecycle(exit)}
+	}
+	if c.Cluster, err = core.StartCluster(spec); err != nil {
+		c.closeFaults()
+		return nil, err
+	}
 	for i, p := range c.procs {
-		for j, a := range addrs {
-			if j != i {
-				p.stack.SetAddr(j, a)
-			}
-		}
+		p.params.OnDrained = c.Nodes[i].Membership.NotifyDrained
+		notifs[i].Bind(c.Nodes[i].Runtime, i)
 	}
 	return c, nil
 }
 
 func (c *memberCluster) shutdown() {
+	c.Close()
+	c.closeFaults()
+}
+
+func (c *memberCluster) closeFaults() {
 	for _, p := range c.procs {
-		if p != nil && p.mem != nil {
-			p.mem.Close()
-		}
-	}
-	for _, p := range c.procs {
-		if p != nil && p.rt != nil {
-			p.rt.Stop()
-		}
-	}
-	for _, p := range c.procs {
-		if p != nil && p.stack != nil {
-			p.stack.Close()
-		}
-	}
-	for _, p := range c.procs {
-		if p != nil && p.fd != nil {
+		if p.fd != nil {
 			p.fd.Close()
 		}
 	}
 }
 
-// run starts every runtime and blocks for the coordinator's result;
-// event, when non-nil, fires once the coordinator has granted
+// run runs the cluster and blocks for the coordinator's result; event,
+// when non-nil, fires once the coordinator has granted
 // cfg.EventAfterGrants tasks. Worker exit status is not part of the
 // verdict — a killed node legitimately dies with a transport error.
 func (c *memberCluster) run(cfg MembershipConfig, event func() error) (*taskfarm.Result, time.Duration, error) {
-	for i := 1; i < len(c.procs); i++ {
-		go func(p *memberProc) { _, _ = p.rt.Run() }(c.procs[i])
-	}
 	type outcome struct {
 		v   any
 		err error
@@ -235,7 +167,11 @@ func (c *memberCluster) run(cfg MembershipConfig, event func() error) (*taskfarm
 	coord := make(chan outcome, 1)
 	start := time.Now()
 	go func() {
-		v, err := c.procs[0].rt.Run()
+		v, err := c.Run()
+		var werr *core.NodeError
+		if errors.As(err, &werr) {
+			err = nil
+		}
 		coord <- outcome{v, err}
 	}()
 	if event != nil {
@@ -255,7 +191,6 @@ func (c *memberCluster) run(cfg MembershipConfig, event func() error) (*taskfarm
 		c.shutdown()
 		return nil, 0, fmt.Errorf("coordinator did not finish within 180s")
 	}
-	elapsed := time.Since(start)
 	if out.err != nil {
 		c.shutdown()
 		return nil, 0, out.err
@@ -265,7 +200,8 @@ func (c *memberCluster) run(cfg MembershipConfig, event func() error) (*taskfarm
 		c.shutdown()
 		return nil, 0, fmt.Errorf("run result = %T, want *taskfarm.Result", out.v)
 	}
-	return res, elapsed, nil
+	// The makespan ends with the coordinator's run, not the workers' stop.
+	return res, c.procs[0].exited.Sub(start), nil
 }
 
 // awaitCounter polls one registry counter until it reaches min.
@@ -342,8 +278,8 @@ func MembershipRecovery(w io.Writer, p Profile) (*Table, *MembershipReport, erro
 		var detect, rehome time.Duration
 		res, elapsed, err := c.run(cfg, func() error {
 			killAt = time.Now()
-			c.procs[victim].rt.Stop()
-			c.procs[victim].stack.Close()
+			c.Nodes[victim].Runtime.Stop()
+			c.Nodes[victim].Stack.Close()
 			// One reliable probe pins the detection clock to the kill.
 			// Death detection rides the retransmit budget of whatever
 			// application flow happens to target the victim; a quiet
@@ -352,7 +288,7 @@ func MembershipRecovery(w io.Writer, p Profile) (*Table, *MembershipReport, erro
 			// it. The probe is that next frame, sent at a known time, so
 			// detect_ms measures the full budget schedule rather than
 			// the accident of where the grant pipeline paused.
-			if err := c.procs[0].stack.Send(&vmi.Frame{
+			if err := c.Nodes[0].Stack.Send(&vmi.Frame{
 				Src: 0, Dst: int32(victim), Class: vmi.ClassSystem, Body: []byte("probe"),
 			}); err != nil {
 				return fmt.Errorf("probe: %w", err)
@@ -394,7 +330,7 @@ func MembershipRecovery(w io.Writer, p Profile) (*Table, *MembershipReport, erro
 		var drain time.Duration
 		res, elapsed, err = c.run(cfg, func() error {
 			t0 := time.Now()
-			if err := c.procs[1].mem.RequestDrain(60 * time.Second); err != nil {
+			if err := c.Nodes[1].Membership.RequestDrain(60 * time.Second); err != nil {
 				return fmt.Errorf("drain: %w", err)
 			}
 			drain = time.Since(t0)

@@ -47,98 +47,28 @@ func (c StencilConfig) params(objects int, model bool) (*stencil.Params, error) 
 // StencilSim runs the stencil on the virtual-time engine with the
 // Itanium-calibrated cost model ("artificial latency" instrument).
 func StencilSim(cfg StencilConfig, procs, objects int, lat time.Duration, opts sim.Options) (*stencil.Result, error) {
-	p, err := cfg.params(objects, true)
-	if err != nil {
-		return nil, err
-	}
-	prog, err := stencil.BuildProgram(p)
-	if err != nil {
-		return nil, err
-	}
-	topo, err := buildTopo(procs, lat)
-	if err != nil {
-		return nil, err
-	}
-	if opts.MaxEvents == 0 {
-		opts.MaxEvents = 500_000_000
-	}
-	e, err := sim.New(topo, prog, opts)
-	if err != nil {
-		return nil, err
-	}
-	v, _, err := e.Run()
-	if err != nil {
-		return nil, err
-	}
-	return v.(*stencil.Result), nil
+	return result[stencil.Result](runSim(cfg.program(objects, true), procs, lat, opts))
 }
 
 // StencilSimParams runs the stencil on the virtual-time engine from
 // explicit stencil parameters (used by ablations that tweak placement or
 // load balancing).
 func StencilSimParams(p *stencil.Params, procs int, lat time.Duration) (*stencil.Result, error) {
-	prog, err := stencil.BuildProgram(p)
-	if err != nil {
-		return nil, err
-	}
-	topo, err := buildTopo(procs, lat)
-	if err != nil {
-		return nil, err
-	}
-	e, err := sim.New(topo, prog, sim.Options{MaxEvents: 500_000_000})
-	if err != nil {
-		return nil, err
-	}
-	v, _, err := e.Run()
-	if err != nil {
-		return nil, err
-	}
-	return v.(*stencil.Result), nil
+	return result[stencil.Result](runSim(stencilProgram(p), procs, lat, sim.Options{}))
 }
 
 // StencilRealtime runs the stencil on the real-time runtime in one
 // process, with the delay device injecting the WAN latency (the paper's
 // simulated-Grid environment, wall-clock measured).
 func StencilRealtime(cfg StencilConfig, procs, objects int, lat time.Duration, opts ...core.Option) (*stencil.Result, error) {
-	p, err := cfg.params(objects, false)
-	if err != nil {
-		return nil, err
-	}
-	prog, err := stencil.BuildProgram(p)
-	if err != nil {
-		return nil, err
-	}
-	topo, err := buildTopo(procs, lat)
-	if err != nil {
-		return nil, err
-	}
-	rt, err := core.NewRuntime(topo, prog, opts...)
-	if err != nil {
-		return nil, err
-	}
-	v, err := rt.Run()
-	if err != nil {
-		return nil, err
-	}
-	return v.(*stencil.Result), nil
+	return result[stencil.Result](runRealtime(cfg.program(objects, false), procs, lat, opts))
 }
 
 // StencilTCP runs the stencil across two runtimes joined by real TCP
 // sockets (one per cluster) with the delay device supplying the WAN
 // flight time — the "real latency" validation pathway of Table 1.
 func StencilTCP(cfg StencilConfig, procs, objects int, lat time.Duration, opts ...core.Option) (*stencil.Result, error) {
-	mk := func() (*core.Program, error) {
-		p, err := cfg.params(objects, false)
-		if err != nil {
-			return nil, err
-		}
-		return stencil.BuildProgram(p)
-	}
-	v, err := runTwoNodeTCP(procs, lat, mk, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return v.(*stencil.Result), nil
+	return result[stencil.Result](runTwoNodeTCP(procs, lat, cfg.program(objects, false), opts...))
 }
 
 // StencilTCPParams runs the stencil across the two TCP-joined runtimes
@@ -146,12 +76,23 @@ func StencilTCP(cfg StencilConfig, procs, objects int, lat time.Duration, opts .
 // StencilSimParams, used by experiments that tweak placement or load
 // balancing and want real sockets under the migration traffic.
 func StencilTCPParams(p *stencil.Params, procs int, lat time.Duration, opts ...core.Option) (*stencil.Result, error) {
-	mk := func() (*core.Program, error) { return stencil.BuildProgram(p) }
-	v, err := runTwoNodeTCP(procs, lat, mk, opts...)
-	if err != nil {
-		return nil, err
+	return result[stencil.Result](runTwoNodeTCP(procs, lat, stencilProgram(p), opts...))
+}
+
+// program returns a builder of the stencil program at this
+// virtualization degree; model attaches the cost model.
+func (c StencilConfig) program(objects int, model bool) func() (*core.Program, error) {
+	return func() (*core.Program, error) {
+		p, err := c.params(objects, model)
+		if err != nil {
+			return nil, err
+		}
+		return stencil.BuildProgram(p)
 	}
-	return v.(*stencil.Result), nil
+}
+
+func stencilProgram(p *stencil.Params) func() (*core.Program, error) {
+	return func() (*core.Program, error) { return stencil.BuildProgram(p) }
 }
 
 func (c MDConfig) params(model bool) *leanmd.Params {
@@ -167,7 +108,37 @@ func (c MDConfig) params(model bool) *leanmd.Params {
 
 // LeanMDSim runs LeanMD on the virtual-time engine.
 func LeanMDSim(cfg MDConfig, procs int, lat time.Duration, opts sim.Options) (*leanmd.Result, error) {
-	prog, _, err := leanmd.BuildProgram(cfg.params(true))
+	return result[leanmd.Result](runSim(cfg.program(true), procs, lat, opts))
+}
+
+// LeanMDRealtime runs LeanMD on the real-time runtime in one process.
+func LeanMDRealtime(cfg MDConfig, procs int, lat time.Duration, opts ...core.Option) (*leanmd.Result, error) {
+	return result[leanmd.Result](runRealtime(cfg.program(false), procs, lat, opts))
+}
+
+// LeanMDTCP runs LeanMD across two TCP-joined runtimes.
+func LeanMDTCP(cfg MDConfig, procs int, lat time.Duration, opts ...core.Option) (*leanmd.Result, error) {
+	return result[leanmd.Result](runTwoNodeTCP(procs, lat, cfg.program(false), opts...))
+}
+
+func (c MDConfig) program(model bool) func() (*core.Program, error) {
+	return func() (*core.Program, error) {
+		prog, _, err := leanmd.BuildProgram(c.params(model))
+		return prog, err
+	}
+}
+
+// result types a runner's program result.
+func result[T any](v any, err error) (*T, error) {
+	if err != nil {
+		return nil, err
+	}
+	return v.(*T), nil
+}
+
+// runSim runs the program on the virtual-time engine.
+func runSim(mkProg func() (*core.Program, error), procs int, lat time.Duration, opts sim.Options) (any, error) {
+	prog, err := mkProg()
 	if err != nil {
 		return nil, err
 	}
@@ -183,15 +154,12 @@ func LeanMDSim(cfg MDConfig, procs int, lat time.Duration, opts sim.Options) (*l
 		return nil, err
 	}
 	v, _, err := e.Run()
-	if err != nil {
-		return nil, err
-	}
-	return v.(*leanmd.Result), nil
+	return v, err
 }
 
-// LeanMDRealtime runs LeanMD on the real-time runtime in one process.
-func LeanMDRealtime(cfg MDConfig, procs int, lat time.Duration, opts ...core.Option) (*leanmd.Result, error) {
-	prog, _, err := leanmd.BuildProgram(cfg.params(false))
+// runRealtime runs the program on the real-time runtime in one process.
+func runRealtime(mkProg func() (*core.Program, error), procs int, lat time.Duration, opts []core.Option) (any, error) {
+	prog, err := mkProg()
 	if err != nil {
 		return nil, err
 	}
@@ -203,24 +171,7 @@ func LeanMDRealtime(cfg MDConfig, procs int, lat time.Duration, opts ...core.Opt
 	if err != nil {
 		return nil, err
 	}
-	v, err := rt.Run()
-	if err != nil {
-		return nil, err
-	}
-	return v.(*leanmd.Result), nil
-}
-
-// LeanMDTCP runs LeanMD across two TCP-joined runtimes.
-func LeanMDTCP(cfg MDConfig, procs int, lat time.Duration, opts ...core.Option) (*leanmd.Result, error) {
-	mk := func() (*core.Program, error) {
-		prog, _, err := leanmd.BuildProgram(cfg.params(false))
-		return prog, err
-	}
-	v, err := runTwoNodeTCP(procs, lat, mk, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return v.(*leanmd.Result), nil
+	return rt.Run()
 }
 
 // runTwoNodeTCP hosts a two-cluster machine as two Runtimes in this
@@ -234,15 +185,6 @@ func runTwoNodeTCP(procs int, lat time.Duration, mkProg func() (*core.Program, e
 	if err != nil {
 		return nil, err
 	}
-	half := procs / 2
-	nodeOf := func(pe int) int {
-		if pe < half {
-			return 0
-		}
-		return 1
-	}
-	routeFn := func(pe int32) int { return nodeOf(int(pe)) }
-
 	// Peek at the assembled options so the transport stacks share the
 	// harness registry (per-device series) with the runtimes (per-PE
 	// series).
@@ -250,69 +192,16 @@ func runTwoNodeTCP(procs int, lat time.Duration, mkProg func() (*core.Program, e
 	for _, o := range opts {
 		o(&peek)
 	}
-
-	var rts [2]*core.Runtime
-	var stacks [2]*vmi.Stack
-	for node := 0; node < 2; node++ {
-		s, err := vmi.NewChainBuilder(node, map[int]string{node: "127.0.0.1:0"}, routeFn).
-			Metrics(peek.Metrics).
-			Build()
-		if err != nil {
-			if node == 1 {
-				stacks[0].Close()
-			}
-			return nil, err
-		}
-		stacks[node] = s
-	}
-	a0, err := stacks[0].Listen()
+	c, err := core.StartCluster(core.ClusterSpec{
+		Topo:    topo,
+		Nodes:   2,
+		Program: func(int) (*core.Program, error) { return mkProg() },
+		Builder: func(_ int, b *vmi.ChainBuilder) { b.Metrics(peek.Metrics) },
+		Options: func(int) []core.Option { return opts },
+	})
 	if err != nil {
 		return nil, err
 	}
-	a1, err := stacks[1].Listen()
-	if err != nil {
-		stacks[0].Close()
-		return nil, err
-	}
-	stacks[0].SetAddr(1, a1)
-	stacks[1].SetAddr(0, a0)
-	defer stacks[0].Close()
-	defer stacks[1].Close()
-
-	for node := 0; node < 2; node++ {
-		prog, err := mkProg()
-		if err != nil {
-			return nil, err
-		}
-		nodeOpts := append([]core.Option{
-			core.WithCluster(core.ClusterConfig{Transport: stacks[node], NodeOf: nodeOf, Node: node, PELo: node * half, PEHi: (node + 1) * half}),
-		}, opts...)
-		rt, err := core.NewRuntime(topo, prog, nodeOpts...)
-		if err != nil {
-			return nil, err
-		}
-		rts[node] = rt
-	}
-	// One shared epoch: node 1's element construction would otherwise skew
-	// its trace clock behind node 0's by the construction cost, corrupting
-	// cross-node flight times in merged traces.
-	epoch := time.Now()
-	rts[0].SetEpoch(epoch)
-	rts[1].SetEpoch(epoch)
-
-	workerDone := make(chan error, 1)
-	go func() {
-		_, err := rts[1].Run()
-		workerDone <- err
-	}()
-	v, err := rts[0].Run()
-	rts[1].Stop()
-	werr := <-workerDone
-	if err != nil {
-		return nil, err
-	}
-	if werr != nil {
-		return nil, fmt.Errorf("bench: worker node failed: %w", werr)
-	}
-	return v, nil
+	defer c.Close()
+	return c.Run()
 }

@@ -5,6 +5,7 @@ import (
 	"io"
 	"time"
 
+	"gridmdo/internal/core"
 	"gridmdo/internal/sim"
 	"gridmdo/internal/taskfarm"
 )
@@ -60,28 +61,14 @@ func (c FarmConfig) shardsFor(workers int) int {
 // FarmSim runs one farm configuration on the virtual-time engine with one
 // worker per PE.
 func FarmSim(cfg FarmConfig, workers, shards, batch int, steal bool) (*taskfarm.Result, error) {
-	prog, err := taskfarm.BuildProgram(&taskfarm.Params{
-		Tasks: cfg.Tasks, Workers: workers, Prefetch: cfg.Prefetch,
-		TaskCost: cfg.TaskCost, AssignCost: cfg.AssignCost,
-		CostSkew: cfg.CostSkew, Seed: 1,
-		Shards: shards, Batch: batch, Steal: steal,
-	})
-	if err != nil {
-		return nil, err
-	}
-	topo, err := buildTopo(workers, cfg.Latency)
-	if err != nil {
-		return nil, err
-	}
-	e, err := sim.New(topo, prog, sim.Options{MaxEvents: 500_000_000})
-	if err != nil {
-		return nil, err
-	}
-	v, _, err := e.Run()
-	if err != nil {
-		return nil, err
-	}
-	return v.(*taskfarm.Result), nil
+	return result[taskfarm.Result](runSim(func() (*core.Program, error) {
+		return taskfarm.BuildProgram(&taskfarm.Params{
+			Tasks: cfg.Tasks, Workers: workers, Prefetch: cfg.Prefetch,
+			TaskCost: cfg.TaskCost, AssignCost: cfg.AssignCost,
+			CostSkew: cfg.CostSkew, Seed: 1,
+			Shards: shards, Batch: batch, Steal: steal,
+		})
+	}, workers, cfg.Latency, sim.Options{}))
 }
 
 // TaskfarmScale sweeps worker count across the WRONJ knee for the three

@@ -138,20 +138,11 @@ func checkRemoteAllocs(t *testing.T, topo *topology.Topology, from, to int) {
 		// The pair attaches a registry to each runtime; drop it, so that
 		// no sink observes the messages.
 		unobserved := func(int) []Option { return []Option{WithMetrics(nil)} }
-		rts := newTCPPair(t, topo, mkProg, vmi.ReliableConfig{}, nil, unobserved).RTs
+		pair := newTCPPair(t, topo, mkProg, vmi.ReliableConfig{}, nil, unobserved)
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
 		before := ms.Mallocs
-		done := make(chan error, 1)
-		go func() {
-			_, err := rts[1].Run()
-			done <- err
-		}()
-		if _, err := rts[0].Run(); err != nil {
-			t.Fatal(err)
-		}
-		rts[1].Stop()
-		if err := <-done; err != nil {
+		if _, err := pair.RunWithin(30 * time.Second); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&ms)

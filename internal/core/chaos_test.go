@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"errors"
 	"math"
 	"os"
 	"strconv"
@@ -48,38 +49,18 @@ func withFaults(faults [2][]vmi.SendDevice) func(int, *vmi.ChainBuilder) {
 	return func(node int, b *vmi.ChainBuilder) { b.Faults(faults[node], nil) }
 }
 
-// runPair executes both runtimes (node 0 as coordinator) and returns node
-// 0's result. The worker node is stopped once the coordinator finishes, as
-// cmd/gridnode's coordinator shutdown announcement does.
+// runPair runs the pair (node 0 as coordinator) and returns node 0's
+// result. The worker node is stopped once the coordinator finishes, as
+// cmd/gridnode's coordinator shutdown announcement does; its exit status
+// is not part of the verdict.
 func runPair(t *testing.T, h *core.TCPPair, timeout time.Duration) (any, error) {
 	t.Helper()
-	workerDone := make(chan error, 1)
-	go func() {
-		_, err := h.RTs[1].Run()
-		workerDone <- err
-	}()
-	type result struct {
-		v   any
-		err error
+	v, err := h.RunWithin(timeout)
+	var werr *core.NodeError
+	if errors.As(err, &werr) {
+		err = nil
 	}
-	coord := make(chan result, 1)
-	go func() {
-		v, err := h.RTs[0].Run()
-		coord <- result{v, err}
-	}()
-	var r result
-	select {
-	case r = <-coord:
-	case <-time.After(timeout):
-		t.Fatal("coordinator did not finish within timeout")
-	}
-	h.RTs[1].Stop()
-	select {
-	case <-workerDone:
-	case <-time.After(10 * time.Second):
-		t.Fatal("worker node never stopped")
-	}
-	return r.v, r.err
+	return v, err
 }
 
 // dropConnSoon severs the node0→node1 connection as soon as one exists
@@ -90,7 +71,7 @@ func dropConnSoon(h *core.TCPPair, window time.Duration) <-chan bool {
 	go func() {
 		deadline := time.Now().Add(window)
 		for time.Now().Before(deadline) {
-			if h.Stacks[0].TCP().DropConn(1) {
+			if h.Nodes[0].Stack.TCP().DropConn(1) {
 				done <- true
 				return
 			}
@@ -176,7 +157,7 @@ func TestChaosStencilBitIdentical(t *testing.T) {
 	if fd0.Stats().Dropped == 0 && fd1.Stats().Dropped == 0 {
 		t.Error("chaos run dropped no frames; the schedule never exercised the reliability layer")
 	}
-	relStats := [2]vmi.ReliableStats{chaos.Stacks[0].Reliable().Stats(), chaos.Stacks[1].Reliable().Stats()}
+	relStats := [2]vmi.ReliableStats{chaos.Nodes[0].Stack.Reliable().Stats(), chaos.Nodes[1].Stack.Reliable().Stats()}
 	if relStats[0].Retransmits+relStats[1].Retransmits == 0 {
 		t.Error("drops and a disconnect produced zero retransmits; the reliability layer never repaired anything")
 	}
@@ -308,11 +289,11 @@ func TestChaosCorruptWireRepaired(t *testing.T) {
 				return
 			}
 			// The garbage goes ahead of the reply on node 1's stream to node 0.
-			if err := h.Stacks[1].TCP().CorruptWire(0); err != nil {
+			if err := h.Nodes[1].Stack.TCP().CorruptWire(0); err != nil {
 				t.Errorf("CorruptWire: %v", err)
 			}
 		})
-	if s := h.Stacks[0].Reliable().Stats(); s.TransportErrs == 0 {
+	if s := h.Nodes[0].Stack.Reliable().Stats(); s.TransportErrs == 0 {
 		t.Error("node 0's reader error was not absorbed as a transport error")
 	}
 	reconnects := h.Regs[0].Snapshot().Value("vmi_tcp_reconnects_total") +
@@ -468,7 +449,7 @@ func TestChaosLBMigrationExactlyOnce(t *testing.T) {
 	// Both processes agree the elements swapped.
 	for i := 0; i < 2; i++ {
 		ref := core.ElemRef{Array: 0, Index: i}
-		pe0, pe1 := h.RTs[0].Locations().PEOf(ref), h.RTs[1].Locations().PEOf(ref)
+		pe0, pe1 := h.Nodes[0].Runtime.Locations().PEOf(ref), h.Nodes[1].Runtime.Locations().PEOf(ref)
 		if pe0 != pe1 {
 			t.Errorf("element %d: node 0 places it on PE %d, node 1 on PE %d", i, pe0, pe1)
 		}
@@ -488,7 +469,7 @@ func TestChaosLBMigrationExactlyOnce(t *testing.T) {
 	if fd0.Stats().Dropped+fd1.Stats().Dropped == 0 {
 		t.Error("chaos schedule dropped nothing; the run proved nothing")
 	}
-	rel := [2]vmi.ReliableStats{h.Stacks[0].Reliable().Stats(), h.Stacks[1].Reliable().Stats()}
+	rel := [2]vmi.ReliableStats{h.Nodes[0].Stack.Reliable().Stats(), h.Nodes[1].Stack.Reliable().Stats()}
 	if rel[0].Retransmits+rel[1].Retransmits == 0 {
 		t.Error("drops produced zero retransmits; the reliability layer never repaired anything")
 	}
@@ -545,11 +526,11 @@ func TestChaosMetricsConsistent(t *testing.T) {
 		for node := 0; node < 2; node++ {
 			node := node
 			go func() {
-				_, err := h.RTs[node].Run()
+				_, err := h.Nodes[node].Runtime.Run()
 				errs <- err
 			}()
 		}
-		rel0, rel1 := h.Stacks[0].Reliable(), h.Stacks[1].Reliable()
+		rel0, rel1 := h.Nodes[0].Stack.Reliable(), h.Nodes[1].Stack.Reliable()
 		deadline := time.Now().Add(30 * time.Second)
 		for {
 			s0, s1 := rel0.Stats(), rel1.Stats()
@@ -564,8 +545,8 @@ func TestChaosMetricsConsistent(t *testing.T) {
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
-		h.RTs[0].Stop()
-		h.RTs[1].Stop()
+		h.Nodes[0].Runtime.Stop()
+		h.Nodes[1].Runtime.Stop()
 		for i := 0; i < 2; i++ {
 			if err := <-errs; err != nil {
 				t.Fatalf("run failed (seed %d): %v", seed, err)

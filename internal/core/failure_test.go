@@ -113,7 +113,8 @@ func TestTransportFailureSurfaces(t *testing.T) {
 				prog = pingPong
 			}
 			p := newTCPPair(t, topo, prog, tc.rel, tc.mod, nil)
-			stacks, rts := p.Stacks, p.RTs
+			stacks := [2]*vmi.Stack{p.Nodes[0].Stack, p.Nodes[1].Stack}
+			rts := [2]*Runtime{p.Nodes[0].Runtime, p.Nodes[1].Runtime}
 
 			node1Done := make(chan struct{})
 			go func() {

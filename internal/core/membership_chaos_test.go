@@ -28,13 +28,10 @@ import (
 // the chaos seed), fenced traffic from a zombie node must be counted and
 // dropped, and a drained node must end up hosting nothing.
 
-// memberNode is one process of an elastic in-process cluster.
+// memberNode is what the harness keeps per process beyond the cluster's
+// own node (h.c.Nodes[i]): its metrics registry and farm parameters.
 type memberNode struct {
-	stack  *vmi.Stack
 	reg    *metrics.Registry
-	mem    *core.Membership
-	rt     *core.Runtime
-	notif  *taskfarm.Notifier
 	params *taskfarm.Params
 }
 
@@ -52,9 +49,9 @@ type memberSetup struct {
 
 type memberHarness struct {
 	t       *testing.T
+	c       *core.Cluster
 	nodes   []*memberNode
 	elastic *taskfarm.ElasticConfig
-	off     sync.Once
 }
 
 // safeLog forwards protocol logs to t.Logf but goes quiet once the test
@@ -80,128 +77,62 @@ func (l *safeLog) quiet() {
 	l.mu.Unlock()
 }
 
-// buildMemberCluster wires an n-node cluster (one PE per node) with a
-// Membership manager per process. Construction order matters: stacks and
-// managers exist before Listen, runtimes before the address book opens,
-// so no control frame can ever race a half-built process — the same
-// guarantee cmd/gridnode provides by wiring membership before Listen.
+// buildMemberCluster starts an n-node cluster (one PE per node) with a
+// Membership manager per process.
 func buildMemberCluster(t *testing.T, s memberSetup) *memberHarness {
 	t.Helper()
-	nodeOf := func(pe int) int { return pe }
-	routeFn := func(pe int32) int { return int(pe) }
-	h := &memberHarness{t: t, nodes: make([]*memberNode, s.n)}
-	h.elastic = &taskfarm.ElasticConfig{
-		NodeOf:     nodeOf,
-		ActiveNode: func(node int) bool { return node >= 0 && node < s.n && !s.joiner[node] },
-		CoordNode:  0,
-	}
-	var initial []core.Member
-	for i := 0; i < s.n; i++ {
-		if !s.joiner[i] {
-			initial = append(initial, core.Member{Node: int32(i), State: core.MemberActive})
-		}
-	}
-	lg := &safeLog{t: t}
-	for i := 0; i < s.n; i++ {
-		nd := &memberNode{reg: metrics.NewRegistry()}
-		h.nodes[i] = nd
-		addrs := make(map[int]string, s.n)
-		for j := 0; j < s.n; j++ {
-			addrs[j] = ""
-		}
-		addrs[i] = "127.0.0.1:0"
-		b := vmi.NewChainBuilder(i, addrs, routeFn).
-			Metrics(nd.reg).
-			OnControl(func(f *vmi.Frame) {
-				if f.Dst == vmi.ControlMembership && nd.mem != nil {
-					nd.mem.HandleControl(f)
-				}
-			})
-		if s.faults != nil {
-			b = b.Faults(s.faults(i), nil)
-		}
-		b = b.Reliable(s.relCfg(i))
-		st, err := b.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		nd.stack = st
-		var onChange func(core.MemberTable)
-		if s.farm != nil {
-			nd.params = s.farm(i)
-			nd.params.Elastic = h.elastic
-			nd.params.Metrics = nd.reg
-			nd.notif = taskfarm.NewNotifier(nd.params)
-			onChange = nd.notif.OnChange
-		}
-		mem, err := core.NewMembership(core.MembershipConfig{
-			Node:        i,
-			Coordinator: 0,
-			Stack:       st,
-			NodeOf:      nodeOf,
-			NumPE:       s.n,
-			Initial:     initial,
-			Interval:    50 * time.Millisecond,
-			OnChange:    onChange,
-			Logf: func(format string, args ...any) {
-				lg.logf("node %d: "+format, append([]any{i}, args...)...)
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		nd.mem = mem
-		if nd.params != nil {
-			nd.params.OnDrained = mem.NotifyDrained
-		}
-	}
-	addrs := make([]string, s.n)
-	for i, nd := range h.nodes {
-		a, err := nd.stack.Listen()
-		if err != nil {
-			t.Fatal(err)
-		}
-		addrs[i] = a
-	}
 	topo, err := topology.Single(s.n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, nd := range h.nodes {
-		var prog *core.Program
-		if s.farm != nil {
-			prog, err = taskfarm.BuildProgram(nd.params)
-		} else {
-			prog = s.prog(i, h.elastic)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		rt, err := core.NewRuntime(topo, prog,
-			core.WithCluster(core.ClusterConfig{
-				Transport: nd.stack,
-				NodeOf:    nodeOf,
-				Node:      i,
-				PELo:      i,
-				PEHi:      i + 1,
-			}),
-			core.WithMetrics(nd.reg),
-			core.WithMembership(nd.mem))
-		if err != nil {
-			t.Fatal(err)
-		}
-		nd.rt = rt
-		if nd.notif != nil {
-			nd.notif.Bind(rt, i)
-		}
-		nd.mem.Instrument(nd.reg)
+	spec := core.ClusterSpec{Topo: topo, Nodes: s.n, Joiners: s.joiner}
+	h := &memberHarness{t: t, nodes: make([]*memberNode, s.n)}
+	h.elastic = &taskfarm.ElasticConfig{
+		NodeOf:     spec.NodeOf,
+		ActiveNode: func(node int) bool { return node >= 0 && node < s.n && !s.joiner[node] },
+		CoordNode:  0,
 	}
-	// Only now does traffic start to flow.
+	notifs := make([]*taskfarm.Notifier, s.n)
+	for i := range h.nodes {
+		nd := &memberNode{reg: metrics.NewRegistry()}
+		if s.farm != nil {
+			nd.params = s.farm(i)
+			nd.params.Elastic = h.elastic
+			nd.params.Metrics = nd.reg
+			notifs[i] = taskfarm.NewNotifier(nd.params)
+		}
+		h.nodes[i] = nd
+	}
+	lg := &safeLog{t: t}
+	spec.Builder = func(i int, b *vmi.ChainBuilder) {
+		b.Metrics(h.nodes[i].reg).Reliable(s.relCfg(i))
+		if s.faults != nil {
+			b.Faults(s.faults(i), nil)
+		}
+	}
+	spec.Membership = func(i int, mc *core.MembershipConfig) {
+		mc.Interval = 50 * time.Millisecond
+		if notifs[i] != nil {
+			mc.OnChange = notifs[i].OnChange
+		}
+		mc.Logf = func(format string, args ...any) {
+			lg.logf("node %d: "+format, append([]any{i}, args...)...)
+		}
+	}
+	spec.Program = func(i int) (*core.Program, error) {
+		if s.farm != nil {
+			return taskfarm.BuildProgram(h.nodes[i].params)
+		}
+		return s.prog(i, h.elastic), nil
+	}
+	spec.Options = func(i int) []core.Option { return []core.Option{core.WithMetrics(h.nodes[i].reg)} }
+	if h.c, err = core.StartCluster(spec); err != nil {
+		t.Fatal(err)
+	}
 	for i, nd := range h.nodes {
-		for j, a := range addrs {
-			if j != i {
-				nd.stack.SetAddr(j, a)
-			}
+		if nd.params != nil {
+			nd.params.OnDrained = h.c.Nodes[i].Membership.NotifyDrained
+			notifs[i].Bind(h.c.Nodes[i].Runtime, i)
 		}
 	}
 	t.Cleanup(h.shutdown)
@@ -209,23 +140,13 @@ func buildMemberCluster(t *testing.T, s memberSetup) *memberHarness {
 	return h
 }
 
-func (h *memberHarness) shutdown() {
-	h.off.Do(func() {
-		for _, nd := range h.nodes {
-			nd.mem.Close()
-		}
-		for _, nd := range h.nodes {
-			nd.stack.Close()
-		}
-	})
-}
+func (h *memberHarness) shutdown() { h.c.Close() }
 
 // memberRun is an in-flight cluster run: events are injected between
 // start and await.
 type memberRun struct {
 	h     *memberHarness
 	coord chan runOutcome
-	done  chan struct{}
 }
 
 type runOutcome struct {
@@ -234,50 +155,33 @@ type runOutcome struct {
 }
 
 func (h *memberHarness) start() *memberRun {
-	r := &memberRun{h: h, coord: make(chan runOutcome, 1), done: make(chan struct{})}
-	var wg sync.WaitGroup
-	for i := 1; i < len(h.nodes); i++ {
-		nd := h.nodes[i]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// A fenced zombie legitimately dies with a transport error;
-			// worker exit status is not part of the run's verdict.
-			_, _ = nd.rt.Run()
-		}()
-	}
+	r := &memberRun{h: h, coord: make(chan runOutcome, 1)}
 	go func() {
-		v, err := h.nodes[0].rt.Run()
+		v, err := h.c.Run()
 		r.coord <- runOutcome{v, err}
-	}()
-	go func() {
-		wg.Wait()
-		close(r.done)
 	}()
 	return r
 }
 
-// await blocks for the coordinator's result, then stops every worker
-// runtime (the stacks stay up so post-run assertions can observe late
-// zombie traffic).
+// await blocks for the coordinator's result; the cluster's Run has
+// stopped every worker runtime by then (the stacks stay up so post-run
+// assertions can observe late zombie traffic).
 func (r *memberRun) await(timeout time.Duration) (any, error) {
 	t := r.h.t
 	t.Helper()
-	var out runOutcome
 	select {
-	case out = <-r.coord:
+	case out := <-r.coord:
+		// A fenced zombie legitimately dies with a transport error;
+		// worker exit status is not part of the run's verdict.
+		var werr *core.NodeError
+		if errors.As(out.err, &werr) {
+			out.err = nil
+		}
+		return out.v, out.err
 	case <-time.After(timeout):
 		t.Fatal("coordinator did not finish within timeout")
+		return nil, nil
 	}
-	for i := 1; i < len(r.h.nodes); i++ {
-		r.h.nodes[i].rt.Stop()
-	}
-	select {
-	case <-r.done:
-	case <-time.After(15 * time.Second):
-		t.Fatal("worker nodes never stopped")
-	}
-	return out.v, out.err
 }
 
 // awaitCounter polls one registry counter until it reaches min.
@@ -395,11 +299,11 @@ func runMembershipGauntlet(t *testing.T, seed int64, static uint64) {
 		time.Sleep(time.Duration(5+rng.Intn(15)) * time.Millisecond)
 		switch ev {
 		case "join":
-			go func() { joinErr <- h.nodes[3].mem.RequestJoin(30 * time.Second) }()
+			go func() { joinErr <- h.c.Nodes[3].Membership.RequestJoin(30 * time.Second) }()
 		case "drain":
-			go func() { drainErr <- h.nodes[1].mem.RequestDrain(60 * time.Second) }()
+			go func() { drainErr <- h.c.Nodes[1].Membership.RequestDrain(60 * time.Second) }()
 		case "kill":
-			if !h.nodes[0].mem.MarkDead(2, errors.New("chaos: injected kill")) {
+			if !h.c.Nodes[0].Membership.MarkDead(2, errors.New("chaos: injected kill")) {
 				t.Error("MarkDead(2) was a no-op")
 			}
 		}
@@ -433,7 +337,7 @@ func runMembershipGauntlet(t *testing.T, seed int64, static uint64) {
 		t.Error("drain never resolved")
 	}
 
-	mem0 := h.nodes[0].mem
+	mem0 := h.c.Nodes[0].Membership
 	for node, want := range map[int]core.MemberState{1: core.MemberLeft, 2: core.MemberDead, 3: core.MemberActive} {
 		if st, ok := mem0.StateOf(node); !ok || st != want {
 			t.Errorf("node %d state = %v (known %v), want %v", node, st, ok, want)
@@ -449,15 +353,15 @@ func runMembershipGauntlet(t *testing.T, seed int64, static uint64) {
 	// and never acked, it is retransmitted until the fence counts it. A
 	// failed Send means the zombie's layer already gave up on unacked
 	// frames, whose retransmits the loop below sees.
-	_ = h.nodes[2].stack.Send(&vmi.Frame{Src: 2, Dst: 0, Body: []byte("zombie")})
+	_ = h.c.Nodes[2].Stack.Send(&vmi.Frame{Src: 2, Dst: 0, Body: []byte("zombie")})
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if h.nodes[0].stack.Reliable().Stats().StaleEpochDropped > 0 {
+		if h.c.Nodes[0].Stack.Reliable().Stats().StaleEpochDropped > 0 {
 			break
 		}
 		if time.Now().After(deadline) {
 			t.Errorf("zombie traffic produced no stale-epoch drops (seed %d): %+v",
-				seed, h.nodes[0].stack.Reliable().Stats())
+				seed, h.c.Nodes[0].Stack.Reliable().Stats())
 			break
 		}
 		time.Sleep(2 * time.Millisecond)
@@ -465,15 +369,15 @@ func runMembershipGauntlet(t *testing.T, seed int64, static uint64) {
 	// The zombie is still retransmitting, so the count can grow between
 	// two reads: the series must fall between the stats read before and
 	// the one after it.
-	lo := h.nodes[0].stack.Reliable().Stats().StaleEpochDropped
+	lo := h.c.Nodes[0].Stack.Reliable().Stats().StaleEpochDropped
 	series := h.nodes[0].reg.Snapshot().Value("vmi_rel_stale_epoch_dropped_total")
-	if hi := h.nodes[0].stack.Reliable().Stats().StaleEpochDropped; series < lo || series > hi {
+	if hi := h.c.Nodes[0].Stack.Reliable().Stats().StaleEpochDropped; series < lo || series > hi {
 		t.Errorf("registry stale-drop series %d disagrees with stats [%d, %d]", series, lo, hi)
 	}
 
 	// Placement invariants: nothing lives on the drained or dead node,
 	// every worker lives somewhere, exactly once.
-	loc := h.nodes[0].rt.Locations()
+	loc := h.c.Nodes[0].Runtime.Locations()
 	for _, pe := range []int{1, 2} {
 		if n := loc.LocalCount(taskfarm.ArrayWorker, pe); n != 0 {
 			t.Errorf("PE %d still hosts %d workers after leaving the cluster", pe, n)
@@ -494,7 +398,7 @@ func runMembershipGauntlet(t *testing.T, seed int64, static uint64) {
 		t.Error("fault schedule dropped nothing; the run proved nothing about chaos")
 	}
 	t.Logf("seed %d: drops=%d evacuated=%d staleDrops=%d joins=%d",
-		seed, dropped, mem0.Evacuated(), h.nodes[0].stack.Reliable().Stats().StaleEpochDropped, total)
+		seed, dropped, mem0.Evacuated(), h.c.Nodes[0].Stack.Reliable().Stats().StaleEpochDropped, total)
 }
 
 // TestMembershipDeathDetectedByBudget kills a node for real — runtime
@@ -523,8 +427,8 @@ func TestMembershipDeathDetectedByBudget(t *testing.T) {
 
 	run := h.start()
 	awaitCounter(t, h.nodes[0].reg, "taskfarm_tasks_granted_total", 100, 30*time.Second)
-	h.nodes[2].rt.Stop()
-	h.nodes[2].stack.Close()
+	h.c.Nodes[2].Runtime.Stop()
+	h.c.Nodes[2].Stack.Close()
 
 	v, err := run.await(120 * time.Second)
 	if err != nil {
@@ -534,16 +438,16 @@ func TestMembershipDeathDetectedByBudget(t *testing.T) {
 	if want := taskfarm.ExpectedChecksum(res.Tasks); res.Checksum != want {
 		t.Errorf("checksum %#x, want %#x: tasks lost or duplicated across the kill", res.Checksum, want)
 	}
-	if st, ok := h.nodes[0].mem.StateOf(2); !ok || st != core.MemberDead {
+	if st, ok := h.c.Nodes[0].Membership.StateOf(2); !ok || st != core.MemberDead {
 		t.Errorf("killed node state = %v (known %v), want dead", st, ok)
 	}
-	if h.nodes[0].mem.Evacuated() == 0 {
+	if h.c.Nodes[0].Membership.Evacuated() == 0 {
 		t.Error("death re-homed no elements")
 	}
-	if pf := h.nodes[0].stack.Reliable().Stats().PeerFailures; pf == 0 {
+	if pf := h.c.Nodes[0].Stack.Reliable().Stats().PeerFailures; pf == 0 {
 		t.Error("the retransmit budget never declared the peer failed; death was not detected, only asserted")
 	}
-	if n := h.nodes[0].rt.Locations().LocalCount(taskfarm.ArrayWorker, 2); n != 0 {
+	if n := h.c.Nodes[0].Runtime.Locations().LocalCount(taskfarm.ArrayWorker, 2); n != 0 {
 		t.Errorf("dead PE still hosts %d workers", n)
 	}
 }
@@ -635,11 +539,11 @@ func TestMembershipChaosStencilJoinDrain(t *testing.T) {
 	// once the joiner is in. Both block on protocol completion, so their
 	// success implies the LB evacuated in time.
 	awaitCounter(t, h.nodes[0].reg, "core_lb_rounds_total", 2, 60*time.Second)
-	if err := h.nodes[3].mem.RequestJoin(30 * time.Second); err != nil {
+	if err := h.c.Nodes[3].Membership.RequestJoin(30 * time.Second); err != nil {
 		t.Fatalf("join failed: %v", err)
 	}
 	time.Sleep(20 * time.Millisecond)
-	if err := h.nodes[1].mem.RequestDrain(60 * time.Second); err != nil {
+	if err := h.c.Nodes[1].Membership.RequestDrain(60 * time.Second); err != nil {
 		t.Fatalf("drain failed: %v", err)
 	}
 
@@ -661,14 +565,14 @@ func TestMembershipChaosStencilJoinDrain(t *testing.T) {
 		t.Errorf("stencil reduction checksum diverged across join+drain (seed %d): %v vs %v",
 			seed, chaosRes.Checksum, baseRes.Checksum)
 	}
-	loc := h.nodes[0].rt.Locations()
+	loc := h.c.Nodes[0].Runtime.Locations()
 	if n := loc.LocalCount(0, 1); n != 0 {
 		t.Errorf("drained PE 1 still hosts %d stencil blocks", n)
 	}
 	if n := loc.LocalCount(0, 3); n == 0 {
 		t.Error("joiner PE 3 never received a stencil block from the balancer")
 	}
-	if h.nodes[0].mem.Evacuated() == 0 {
+	if h.c.Nodes[0].Membership.Evacuated() == 0 {
 		t.Error("drain evacuated no elements")
 	}
 	total := 0
@@ -678,7 +582,7 @@ func TestMembershipChaosStencilJoinDrain(t *testing.T) {
 	if want := mkParams().VX * mkParams().VY; total != want {
 		t.Errorf("stencil blocks: %d placed, want %d exactly-once", total, want)
 	}
-	t.Logf("seed %d: evacuated=%d joinerBlocks=%d", seed, h.nodes[0].mem.Evacuated(), loc.LocalCount(0, 3))
+	t.Logf("seed %d: evacuated=%d joinerBlocks=%d", seed, h.c.Nodes[0].Membership.Evacuated(), loc.LocalCount(0, 3))
 }
 
 // TestMembershipDrainGatesRedial is the dial-gate regression: once a
@@ -701,15 +605,15 @@ func TestMembershipDrainGatesRedial(t *testing.T) {
 	})
 	run := h.start()
 	awaitCounter(t, h.nodes[0].reg, "taskfarm_tasks_granted_total", 50, 30*time.Second)
-	if err := h.nodes[1].mem.RequestDrain(60 * time.Second); err != nil {
+	if err := h.c.Nodes[1].Membership.RequestDrain(60 * time.Second); err != nil {
 		t.Fatalf("drain failed: %v", err)
 	}
 
 	// Sever any connection that survived the drain, so the next send to
 	// the departed peer must dial — and the gate must veto that dial.
-	for h.nodes[0].stack.TCP().DropConn(1) {
+	for h.c.Nodes[0].Stack.TCP().DropConn(1) {
 	}
-	err := h.nodes[0].stack.TCP().Send(&vmi.Frame{Src: 0, Dst: 1, Body: []byte("ghost")})
+	err := h.c.Nodes[0].Stack.TCP().Send(&vmi.Frame{Src: 0, Dst: 1, Body: []byte("ghost")})
 	if !errors.Is(err, vmi.ErrDialGated) {
 		t.Errorf("send to drained peer: err = %v, want ErrDialGated", err)
 	}

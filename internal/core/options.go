@@ -135,8 +135,9 @@ type ClusterConfig struct {
 }
 
 // WithCluster configures the multi-process topology. NewRuntime binds its
-// frame delivery and failure path to the stack; the caller only listens
-// and exchanges addresses.
+// frame delivery and failure path to the stack. StartCluster is the
+// in-repo caller: it also orders construction, listening and the address
+// exchange, which callers of this option must do themselves.
 func WithCluster(c ClusterConfig) Option {
 	return func(o *Options) {
 		o.Transport = c.Transport

@@ -97,25 +97,12 @@ func TestQDMultiProcess(t *testing.T) {
 	}
 
 	var hits [2]int
-	rts := newTCPPair(t, topo, func(node int) *Program { return mkProg(&hits[node]) }, vmi.ReliableConfig{}, nil,
-		func(int) []Option { return []Option{WithQuiescence()} }).RTs
-	done := make(chan error, 1)
-	go func() {
-		_, err := rts[1].Run()
-		done <- err
-	}()
-	if _, err := rts[0].Run(); err != nil {
+	pair := newTCPPair(t, topo, func(node int) *Program { return mkProg(&hits[node]) }, vmi.ReliableConfig{}, nil,
+		func(int) []Option { return []Option{WithQuiescence()} })
+	// Run returns once the coordinator detects quiescence, and stops the
+	// worker.
+	if _, err := pair.RunWithin(30 * time.Second); err != nil {
 		t.Fatal(err)
-	}
-	// Coordinator detected quiescence; announce shutdown to the worker.
-	rts[1].Stop()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("worker never stopped")
 	}
 	// The 5-hop chain alternates between the two elements.
 	if hits[0] != 3 || hits[1] != 2 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -14,62 +15,71 @@ import (
 
 // tcpPair is a two-node run over the stack every multi-process runtime
 // uses — a ChainBuilder stack with its reliability layer — on loopback
-// TCP. Node n hosts PE n and has its own metrics registry, shared by its
-// stack and runtime, so every run doubles as an observability check.
+// TCP, started by StartCluster. Node n hosts PE n and has its own metrics
+// registry, shared by its stack and runtime, so every run doubles as an
+// observability check.
 type tcpPair struct {
-	Stacks [2]*vmi.Stack
-	Regs   [2]*metrics.Registry
-	RTs    [2]*Runtime
+	*Cluster
+	Regs [2]*metrics.Registry
+	t    *testing.T
 }
 
-// newTCPPair builds, joins and binds the two nodes, both tuned with rel.
-// mod, if non-nil, adds to node n's builder (fault devices, dial
-// attempts); opts, if non-nil, returns node n's extra runtime options.
-// The stacks close when the test ends.
+// newTCPPair starts the two nodes, both tuned with rel. mod, if non-nil,
+// adds to node n's builder (fault devices, dial attempts); opts, if
+// non-nil, returns node n's extra runtime options. The pair closes when
+// the test ends.
 func newTCPPair(t *testing.T, topo *topology.Topology, mkProg func(node int) *Program, rel vmi.ReliableConfig,
 	mod func(node int, b *vmi.ChainBuilder), opts func(node int) []Option) *tcpPair {
 	t.Helper()
-	p := &tcpPair{}
-	routeFn := func(pe int32) int { return int(pe) }
-	for node := 0; node < 2; node++ {
-		p.Regs[node] = metrics.NewRegistry()
-		b := vmi.NewChainBuilder(node, map[int]string{node: "127.0.0.1:0"}, routeFn).
-			Metrics(p.Regs[node]).
-			Reliable(rel)
-		if mod != nil {
-			mod(node, b)
-		}
-		st, err := b.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.Stacks[node] = st
-		t.Cleanup(func() { st.Close() })
-	}
-	a0, err := p.Stacks[0].Listen()
+	p := &tcpPair{Regs: [2]*metrics.Registry{metrics.NewRegistry(), metrics.NewRegistry()}, t: t}
+	c, err := StartCluster(ClusterSpec{
+		Topo:    topo,
+		Nodes:   2,
+		Program: func(node int) (*Program, error) { return mkProg(node), nil },
+		Builder: func(node int, b *vmi.ChainBuilder) {
+			b.Metrics(p.Regs[node]).Reliable(rel)
+			if mod != nil {
+				mod(node, b)
+			}
+		},
+		Options: func(node int) []Option {
+			o := []Option{WithMetrics(p.Regs[node])}
+			if opts != nil {
+				o = append(o, opts(node)...)
+			}
+			return o
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a1, err := p.Stacks[1].Listen()
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Stacks[0].SetAddr(1, a1)
-	p.Stacks[1].SetAddr(0, a0)
-	for node := 0; node < 2; node++ {
-		o := []Option{WithCluster(ClusterConfig{Transport: p.Stacks[node],
-			NodeOf: func(pe int) int { return pe }, Node: node, PELo: node, PEHi: node + 1}),
-			WithMetrics(p.Regs[node])}
-		if opts != nil {
-			o = append(o, opts(node)...)
-		}
-		rt, err := NewRuntime(topo, mkProg(node), o...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.RTs[node] = rt
-	}
+	t.Cleanup(c.Close)
+	p.Cluster = c
 	return p
+}
+
+// RunWithin runs the pair as Cluster.Run does and fails the test if the
+// run, the worker's stop included, takes longer than d: a node that never
+// stops fails the test instead of hanging the suite. It must be called
+// from the test's goroutine.
+func (p *tcpPair) RunWithin(d time.Duration) (any, error) {
+	p.t.Helper()
+	type result struct {
+		v   any
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		v, err := p.Run()
+		done <- result{v, err}
+	}()
+	select {
+	case r := <-done:
+		return r.v, r.err
+	case <-time.After(d):
+		p.t.Fatalf("pair did not finish within %v", d)
+		return nil, nil
+	}
 }
 
 // TestTwoNodeTCPRuntime wires two Runtimes (each hosting one PE of a
@@ -104,20 +114,16 @@ func TestTwoNodeTCPRuntime(t *testing.T) {
 		}
 	}
 
-	rts := newTCPPair(t, topo, mkProg, vmi.ReliableConfig{}, nil, nil).RTs
+	pair := newTCPPair(t, topo, mkProg, vmi.ReliableConfig{}, nil, nil)
 
-	type result struct {
-		v   any
-		err error
-	}
-	res := make(chan result, 2)
+	// Run stops the worker node once the coordinator returns, as
+	// cmd/gridnode's shutdown announcement does, and reports its error.
 	start := time.Now()
-	go func() {
-		v, err := rts[1].Run()
-		res <- result{v, err}
-	}()
-	v0, err := rts[0].Run()
-	if err != nil {
+	v0, err := pair.RunWithin(30 * time.Second)
+	var werr *NodeError
+	if errors.As(err, &werr) {
+		t.Errorf("worker node error: %v", werr.Err)
+	} else if err != nil {
 		t.Fatal(err)
 	}
 	if v0.(int) != 2*rounds {
@@ -126,16 +132,6 @@ func TestTwoNodeTCPRuntime(t *testing.T) {
 	// The exchange crossed the (delayed) TCP link 2*rounds times.
 	if el := time.Since(start); el < time.Duration(2*rounds)*lat {
 		t.Errorf("elapsed %v, want >= %v: WAN delay not applied on TCP path", el, time.Duration(2*rounds)*lat)
-	}
-	// Coordinator announces shutdown (as cmd/gridnode does).
-	rts[1].Stop()
-	select {
-	case r := <-res:
-		if r.err != nil {
-			t.Errorf("worker node error: %v", r.err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("worker node never stopped")
 	}
 }
 
@@ -171,26 +167,11 @@ func TestTwoNodeTCPCausality(t *testing.T) {
 	}
 
 	trs := [2]*trace.Tracer{trace.New(2), trace.New(2)}
-	rts := newTCPPair(t, topo, mkProg, vmi.ReliableConfig{}, nil, func(node int) []Option {
+	pair := newTCPPair(t, topo, mkProg, vmi.ReliableConfig{}, nil, func(node int) []Option {
 		return []Option{WithTrace(trs[node])}
-	}).RTs
-
-	done := make(chan error, 1)
-	go func() {
-		_, err := rts[1].Run()
-		done <- err
-	}()
-	if _, err := rts[0].Run(); err != nil {
+	})
+	if _, err := pair.RunWithin(30 * time.Second); err != nil {
 		t.Fatal(err)
-	}
-	rts[1].Stop()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("worker node: %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("worker node never stopped")
 	}
 
 	// IDs assigned on node 0 have high bits 0; on node 1, 1<<48.
@@ -248,15 +229,15 @@ func TestTwoNodeUnregisteredPayloadFailsRun(t *testing.T) {
 			Start: func(ctx *Ctx) { ctx.Send(ElemRef{0, 1}, 0, unregisteredPayload{Name: "lost", Count: 1}) },
 		}
 	}
-	rts := newTCPPair(t, topo, mkProg, vmi.ReliableConfig{}, nil, nil).RTs
+	nodes := newTCPPair(t, topo, mkProg, vmi.ReliableConfig{}, nil, nil).Nodes
 	worker := make(chan error, 1)
 	go func() {
-		_, err := rts[1].Run()
+		_, err := nodes[1].Runtime.Run()
 		worker <- err
 	}()
 	coord := make(chan error, 1)
 	go func() {
-		_, err := rts[0].Run()
+		_, err := nodes[0].Runtime.Run()
 		coord <- err
 	}()
 	select {
@@ -267,7 +248,7 @@ func TestTwoNodeUnregisteredPayloadFailsRun(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("coordinator hung on a payload it could not encode")
 	}
-	rts[1].Stop()
+	nodes[1].Runtime.Stop()
 	select {
 	case <-worker:
 	case <-time.After(5 * time.Second):
@@ -317,17 +298,7 @@ func TestTwoNodeBundlesSurviveRecycling(t *testing.T) {
 	}
 	pair := newTCPPair(t, topo, mkProg, vmi.ReliableConfig{}, nil,
 		func(int) []Option { return []Option{WithBundling()} })
-	rts := pair.RTs
-	worker := make(chan error, 1)
-	go func() {
-		_, err := rts[1].Run()
-		worker <- err
-	}()
-	if _, err := rts[0].Run(); err != nil {
-		t.Fatal(err)
-	}
-	rts[1].Stop()
-	if err := <-worker; err != nil {
+	if _, err := pair.RunWithin(30 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if n := wrong.Load(); n != 0 {
