@@ -67,9 +67,7 @@ import (
 
 	"gridmdo/internal/appflags"
 	"gridmdo/internal/core"
-	"gridmdo/internal/leanmd"
 	"gridmdo/internal/metrics"
-	"gridmdo/internal/stencil"
 	"gridmdo/internal/taskfarm"
 	"gridmdo/internal/telemetry"
 	"gridmdo/internal/trace"
@@ -80,13 +78,9 @@ import (
 // in internal/appflags.
 type config struct {
 	appflags.Cluster
-	appflags.Sim
-	appflags.Stencil
-	appflags.LeanMD
-	appflags.Farm
+	appflags.App
 	appflags.Obs
 
-	app                 string
 	checkpoint, restart string
 	listen, tenants     string // the gateway: node 0 of a -serve farm
 
@@ -121,7 +115,7 @@ func main() {
 	cfg.LeanMD.Register(fs)
 	cfg.Farm.Register(fs)
 	cfg.Obs.Register(fs)
-	fs.StringVar(&cfg.app, "app", "stencil", "stencil|leanmd|taskfarm")
+	fs.StringVar(&cfg.Name, "app", "stencil", "stencil|leanmd|taskfarm")
 	fs.StringVar(&cfg.checkpoint, "checkpoint", "", "write this node's checkpoint to <prefix>.node<N> when the run completes")
 	fs.StringVar(&cfg.restart, "restart", "", "restore program state from <prefix>.node* (or a single merged file) before running")
 	fs.StringVar(&cfg.listen, "listen", "127.0.0.1:8080", "gateway (node 0 with -serve): HTTP listen address for job submission")
@@ -133,54 +127,7 @@ func main() {
 	}
 }
 
-// buildProgram assembles the selected application. With elastic set
-// (-membership), initial placement is confined to the founding nodes'
-// PEs; the taskfarm Params come back so run can late-bind the drain hook
-// once the membership manager exists. On node 0 of a -serve farm it also
-// returns the farm's ingest service, built before the program because
-// the service owns the farm's completion hook.
-func buildProgram(cfg config, reg *metrics.Registry, elastic *taskfarm.ElasticConfig) (*core.Program, *taskfarm.Params, *taskfarm.Service, error) {
-	switch cfg.app {
-	case "stencil":
-		p, err := cfg.Stencil.Params(cfg.Sim, elastic)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		prog, err := stencil.BuildProgram(p)
-		return prog, nil, nil, err
-	case "leanmd":
-		if cfg.LB != "" {
-			return nil, nil, nil, fmt.Errorf("-lb supports -app stencil only")
-		}
-		if elastic != nil {
-			return nil, nil, nil, fmt.Errorf("-membership supports -app stencil and taskfarm only")
-		}
-		prog, _, err := leanmd.BuildProgram(cfg.LeanMD.Params(cfg.Sim))
-		return prog, nil, nil, err
-	case "taskfarm":
-		if cfg.LB != "" {
-			return nil, nil, nil, fmt.Errorf("-lb supports -app stencil only")
-		}
-		p := cfg.Farm.Params(cfg.Procs, reg, elastic)
-		var svc *taskfarm.Service
-		if p.Serve && cfg.Node == 0 {
-			var err error
-			if svc, err = taskfarm.NewService(p); err != nil {
-				return nil, nil, nil, err
-			}
-		}
-		prog, err := taskfarm.BuildProgram(p)
-		return prog, p, svc, err
-	default:
-		return nil, nil, nil, fmt.Errorf("unknown app %q", cfg.app)
-	}
-}
-
 func run(cfg config) error {
-	// The cluster boundary defaults to an even split (the paper's
-	// two-cluster machine) but -split models unequal co-allocations, where
-	// one site contributes more PEs than the other and the wide-area
-	// boundary no longer coincides with a process boundary.
 	spec, err := cfg.Cluster.Resolve()
 	if err != nil {
 		return err
@@ -188,7 +135,7 @@ func run(cfg config) error {
 	nodes := spec.Nodes
 
 	if cfg.Serve {
-		if cfg.app != "taskfarm" {
+		if cfg.Name != "taskfarm" {
 			return fmt.Errorf("-serve supports -app taskfarm only")
 		}
 		if cfg.Membership {
@@ -233,10 +180,11 @@ func run(cfg config) error {
 	// publish their own series (taskfarm) can hold handles into it; the
 	// same registry later instruments the runtime and the VMI stack.
 	reg := metrics.NewRegistry()
-	prog, tfp, svc, err := buildProgram(cfg, reg, elastic)
+	app, err := cfg.App.Build(appflags.Env{Procs: cfg.Procs, Node: cfg.Node, Metrics: reg, Elastic: elastic})
 	if err != nil {
 		return err
 	}
+	prog, tfp, svc := app.Program, app.Farm, app.Service
 	if cfg.restart != "" {
 		ck, err := readCheckpoint(cfg.restart)
 		if err != nil {
@@ -449,7 +397,7 @@ func run(cfg config) error {
 			gw.close()
 			fmt.Printf("gateway: %d jobs completed, %d double-executions\n", svc.Completed(), svc.DoubleExecs())
 		} else {
-			printResult(v)
+			appflags.Report(os.Stdout, v)
 		}
 		// Announce shutdown to the workers. Nodes that left or died have
 		// no process to notify (and dialing them would stall the exit).
@@ -471,21 +419,6 @@ func run(cfg config) error {
 	}
 
 	return art.flush()
-}
-
-// printResult writes node 0's one-line account of a finished program.
-func printResult(v any) {
-	switch res := v.(type) {
-	case *stencil.Result:
-		fmt.Printf("stencil: per-step %v, total %v, checksum %.6f\n", res.PerStep, res.Total, res.Checksum)
-	case *leanmd.Result:
-		fmt.Printf("leanmd: per-step %v, total %v, drift %.4f%%\n", res.PerStep, res.Total, 100*res.Drift())
-	case *taskfarm.Result:
-		fmt.Printf("taskfarm: tasks %d, makespan %v, checksum %#x, shards %d, steals %d, stolen %d\n",
-			res.Tasks, res.Makespan, res.Checksum, res.Shards, res.Steals, res.StolenTask)
-	default:
-		fmt.Printf("result: %v\n", v)
-	}
 }
 
 // serveMux builds the HTTP surface one listener of a node serves: m at

@@ -51,13 +51,14 @@ func freeAddrs(t *testing.T, n int) string {
 func TestGridnodeServesMetrics(t *testing.T) {
 	base := config{
 		Cluster: appflags.Cluster{
-			Addrs:   freeAddrs(t, 2),
-			Procs:   2,
-			Latency: time.Millisecond,
+			Addrs:    freeAddrs(t, 2),
+			Topology: appflags.Topology{Procs: 2, Latency: time.Millisecond},
 		},
-		Stencil: appflags.Stencil{Objects: 4, Width: 64},
-		Sim:     appflags.Sim{Steps: 600, Warmup: 2},
-		app:     "stencil",
+		App: appflags.App{
+			Name:    "stencil",
+			Stencil: appflags.Stencil{Objects: 4, Width: 64},
+			Sim:     appflags.Sim{Steps: 600, Warmup: 2},
+		},
 	}
 	cfg1 := base
 	cfg1.Node = 1
@@ -245,14 +246,16 @@ func TestGridnodeGridLBMigratesAcrossProcesses(t *testing.T) {
 		perNode = 2
 	)
 	base := config{
-		Cluster: appflags.Cluster{
+		Cluster: appflags.Cluster{Topology: appflags.Topology{
 			Procs:   procs,
 			Split:   3, // cluster 0 = PEs {0,1,2}: spans node 0 ({0,1}) and node 1 ({2,3})
 			Latency: time.Millisecond,
+		}},
+		App: appflags.App{
+			Name:    "stencil",
+			Stencil: appflags.Stencil{Objects: objects, Width: 128, LB: "grid"},
+			Sim:     appflags.Sim{Steps: 8, Warmup: 1},
 		},
-		Stencil: appflags.Stencil{Objects: objects, Width: 128, LB: "grid"},
-		Sim:     appflags.Sim{Steps: 8, Warmup: 1},
-		app:     "stencil",
 	}
 	snapshot := filepath.Join(t.TempDir(), "metrics.json")
 
@@ -330,10 +333,12 @@ func TestGridnodeGridLBMigratesAcrossProcesses(t *testing.T) {
 func TestGridnodeCheckpointRestartDifferentPEs(t *testing.T) {
 	prefix := filepath.Join(t.TempDir(), "ck")
 	base := config{
-		Cluster: appflags.Cluster{Latency: time.Millisecond},
-		Stencil: appflags.Stencil{Objects: 4, Width: 64},
-		Sim:     appflags.Sim{Steps: 6, Warmup: 0},
-		app:     "stencil",
+		Cluster: appflags.Cluster{Topology: appflags.Topology{Latency: time.Millisecond}},
+		App: appflags.App{
+			Name:    "stencil",
+			Stencil: appflags.Stencil{Objects: 4, Width: 64},
+			Sim:     appflags.Sim{Steps: 6, Warmup: 0},
+		},
 	}
 
 	checksum := func(v any) float64 {
@@ -557,9 +562,8 @@ func waitRuns(t *testing.T, errs []chan error) {
 // original job.
 func TestGatewayStandalone(t *testing.T) {
 	cfg := config{
-		Cluster: appflags.Cluster{Addrs: "127.0.0.1:0", Procs: 4, Latency: time.Millisecond},
-		Farm:    appflags.Farm{Shards: 2, Batch: 8, Prefetch: 2, Spin: 200, Skew: 1, Steal: true, Serve: true},
-		app:     "taskfarm",
+		Cluster: appflags.Cluster{Addrs: "127.0.0.1:0", Topology: appflags.Topology{Procs: 4, Latency: time.Millisecond}},
+		App:     appflags.App{Name: "taskfarm", Farm: appflags.Farm{Shards: 2, Batch: 8, Prefetch: 2, Spin: 200, Skew: 1, Steal: true, Serve: true}},
 		listen:  "127.0.0.1:0",
 		tenants: "acme:2,initech",
 	}
@@ -643,9 +647,8 @@ func TestGatewayStandalone(t *testing.T) {
 func TestGatewayClusterBackend(t *testing.T) {
 	addrs := freeAddrs(t, 2)
 	cfg := config{
-		Cluster: appflags.Cluster{Addrs: addrs, Procs: 4, Latency: time.Millisecond},
-		Farm:    appflags.Farm{Shards: 2, Batch: 8, Prefetch: 2, Spin: 200, Skew: 1, Steal: true, Serve: true},
-		app:     "taskfarm",
+		Cluster: appflags.Cluster{Addrs: addrs, Topology: appflags.Topology{Procs: 4, Latency: time.Millisecond}},
+		App:     appflags.App{Name: "taskfarm", Farm: appflags.Farm{Shards: 2, Batch: 8, Prefetch: 2, Spin: 200, Skew: 1, Steal: true, Serve: true}},
 		listen:  "127.0.0.1:0",
 		tenants: "acme",
 	}
@@ -688,10 +691,9 @@ func TestGatewayClusterBackend(t *testing.T) {
 func TestGatewayTelemetryTrace(t *testing.T) {
 	addrs := freeAddrs(t, 2)
 	cfg := config{
-		Cluster: appflags.Cluster{Addrs: addrs, Procs: 4, Latency: time.Millisecond},
-		Farm:    appflags.Farm{Shards: 2, Batch: 4, Prefetch: 2, Spin: 2000, Skew: 1, Serve: true},
+		Cluster: appflags.Cluster{Addrs: addrs, Topology: appflags.Topology{Procs: 4, Latency: time.Millisecond}},
+		App:     appflags.App{Name: "taskfarm", Farm: appflags.Farm{Shards: 2, Batch: 4, Prefetch: 2, Spin: 2000, Skew: 1, Serve: true}},
 		Obs:     appflags.Obs{Telemetry: true, TelemetryInterval: 50 * time.Millisecond},
-		app:     "taskfarm",
 		listen:  "127.0.0.1:0",
 		tenants: "acme",
 	}
@@ -814,9 +816,8 @@ func TestGatewayTelemetryTrace(t *testing.T) {
 func TestGatewaySIGTERMStopsCluster(t *testing.T) {
 	addrs := freeAddrs(t, 2)
 	cfg := config{
-		Cluster: appflags.Cluster{Addrs: addrs, Procs: 4, Latency: time.Millisecond},
-		Farm:    appflags.Farm{Shards: 2, Batch: 8, Prefetch: 2, Spin: 200, Skew: 1, Serve: true},
-		app:     "taskfarm",
+		Cluster: appflags.Cluster{Addrs: addrs, Topology: appflags.Topology{Procs: 4, Latency: time.Millisecond}},
+		App:     appflags.App{Name: "taskfarm", Farm: appflags.Farm{Shards: 2, Batch: 8, Prefetch: 2, Spin: 200, Skew: 1, Serve: true}},
 		listen:  "127.0.0.1:0",
 		tenants: "acme",
 	}
@@ -849,9 +850,8 @@ func TestServeFlagErrors(t *testing.T) {
 		{"taskfarm", true, "-serve does not support -membership"},
 	} {
 		cfg := config{
-			Cluster: appflags.Cluster{Addrs: "127.0.0.1:0", Procs: 4, Membership: tc.membership},
-			Farm:    appflags.Farm{Serve: true},
-			app:     tc.app,
+			Cluster: appflags.Cluster{Addrs: "127.0.0.1:0", Membership: tc.membership, Topology: appflags.Topology{Procs: 4}},
+			App:     appflags.App{Name: tc.app, Farm: appflags.Farm{Serve: true}},
 		}
 		if err := run(cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("-app %s -membership=%v: err %v, want %q", tc.app, tc.membership, err, tc.want)

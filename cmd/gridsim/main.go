@@ -1,13 +1,16 @@
 // Command gridsim regenerates the paper's evaluation artifacts: Figure 3
 // and Table 1 (five-point stencil), Figure 4 and Table 2 (LeanMD), and the
 // DESIGN.md ablations. Results print as aligned text tables; -csv also
-// writes machine-readable files.
+// writes machine-readable files. gridsim run is one application in
+// virtual time; the same run in real time is gridnode -addrs 127.0.0.1:0.
 //
 // Usage:
 //
 //	gridsim -experiment all                # everything, paper-scale
 //	gridsim -experiment figure3 -fast      # scaled-down quick look
 //	gridsim -experiment table1 -skip-realtime
+//	gridsim run -app stencil -procs 16 -objects 256 -latency 8ms -width 2048 -steps 12 -warmup 4
+//	gridsim run -app leanmd -procs 32 -latency 32ms -cells 6 -atoms 12 -steps 8 -warmup 3
 package main
 
 import (
@@ -19,8 +22,11 @@ import (
 	"strings"
 	"time"
 
+	"gridmdo/internal/appflags"
 	"gridmdo/internal/bench"
 	"gridmdo/internal/metrics"
+	"gridmdo/internal/sim"
+	"gridmdo/internal/trace"
 )
 
 // env is what every experiment runs against: the profile, the progress
@@ -88,6 +94,13 @@ func experimentNames() []string {
 }
 
 func main() {
+	if len(os.Args) > 1 && os.Args[1] == "run" {
+		if err := runApp(os.Args[2:], os.Stdout); err != nil {
+			fmt.Fprintf(os.Stderr, "gridsim run: %v\n", err)
+			os.Exit(1)
+		}
+		return
+	}
 	var (
 		experiment   = flag.String("experiment", "all", strings.Join(append(experimentNames(), "all"), "|"))
 		fast         = flag.Bool("fast", false, "use the scaled-down fast profile")
@@ -141,6 +154,53 @@ func main() {
 			os.Exit(1)
 		}
 	}
+}
+
+// runApp is gridsim run: one application on the virtual-time engine,
+// built from the flag groups, program builder and result line gridnode
+// uses, with the application's cost model attached. Its flags live on
+// their own set, apart from the experiment flags.
+func runApp(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("gridsim run", flag.ExitOnError)
+	var (
+		topo     appflags.Topology
+		app      appflags.App
+		traceOut string
+	)
+	topo.Register(fs)
+	app.Sim.Register(fs)
+	app.Stencil.Register(fs)
+	app.LeanMD.Register(fs)
+	fs.StringVar(&app.Name, "app", "stencil", "stencil|leanmd")
+	fs.StringVar(&traceOut, "trace-out", "", "write <app>.trace.json and <app>.overlap.txt into this directory (analyze with gridtrace)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	machine, err := topo.Build()
+	if err != nil {
+		return err
+	}
+	built, err := app.Build(appflags.Env{Modeled: true})
+	if err != nil {
+		return err
+	}
+	var tr *trace.Tracer
+	if traceOut != "" {
+		tr = trace.New(topo.Procs)
+	}
+	e, err := sim.New(machine, built.Program, sim.Options{Trace: tr, MaxEvents: 500_000_000})
+	if err != nil {
+		return err
+	}
+	v, _, err := e.Run()
+	if err != nil {
+		return err
+	}
+	appflags.Report(stdout, v)
+	if tr == nil {
+		return nil
+	}
+	return bench.WriteTraceArtifacts(traceOut, app.Name, tr, topo.Procs)
 }
 
 // plain adapts the common experiment signature.

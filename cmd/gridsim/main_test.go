@@ -1,8 +1,14 @@
 package main
 
 import (
+	"bytes"
+	"io"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
+
+	"gridmdo/internal/bench"
 )
 
 // The experiment list is the one place names are spelled; these checks
@@ -43,6 +49,44 @@ func TestUnknownExperimentErrors(t *testing.T) {
 	for _, name := range []string{"sim-scale", "telemetry", "", "Figure3"} {
 		if _, err := selectExperiments(name); err == nil {
 			t.Errorf("experiment %q accepted", name)
+		}
+	}
+}
+
+// TestFastArtifactsMatchGoldens byte-compares the fast-profile CSVs of
+// the virtual-time figures and ablations with testdata/. After a change
+// that is meant to move them, regenerate each with
+//
+//	go run ./cmd/gridsim -experiment X -fast -csv cmd/gridsim/testdata
+//
+// for X in figure3, figure4 and ablations.
+func TestFastArtifactsMatchGoldens(t *testing.T) {
+	dir := t.TempDir()
+	e := &env{progress: io.Discard, profile: bench.FastProfile(), csvDir: dir}
+	for _, name := range []string{"figure3", "figure4", "ablations"} {
+		xs, err := selectExperiments(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := xs[0].run(e); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	goldens, err := filepath.Glob("testdata/*.csv")
+	if err != nil || len(goldens) != 7 {
+		t.Fatalf("goldens %v, err %v; want the 7 CSVs of figure3, figure4 and ablations", goldens, err)
+	}
+	for _, g := range goldens {
+		want, err := os.ReadFile(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(filepath.Join(dir, filepath.Base(g)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s differs from its golden:\n got:\n%s\nwant:\n%s", filepath.Base(g), got, want)
 		}
 	}
 }

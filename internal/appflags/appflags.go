@@ -1,14 +1,16 @@
-// Package appflags is cmd/gridnode's command-line surface, one struct
-// per concern. Each struct registers its flags on a caller-supplied
-// flag.FlagSet and knows how to build the corresponding application
-// Params, so the flag parsing and the parameter validation every process
-// of a run must agree on (each builds the identical chare array) live
-// apart from the node wiring and are tested on their own.
+// Package appflags is the command-line surface shared by cmd/gridnode
+// and gridsim run, one struct per concern. Each struct registers its
+// flags on a caller-supplied flag.FlagSet; App.Build is the one place an
+// application's flags become a core.Program and Report the one place its
+// result becomes a line of output. The parameter validation every
+// process of a run must agree on (each builds the identical chare array)
+// lives apart from the node wiring and is tested on its own.
 package appflags
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"strings"
 	"time"
 
@@ -22,27 +24,51 @@ import (
 	"gridmdo/internal/trace"
 )
 
+// Topology is the machine every executor runs: the PE count, split into
+// two sites joined by the injected wide-area latency.
+type Topology struct {
+	Procs   int
+	Latency time.Duration
+	Split   int
+}
+
+func (t *Topology) Register(fs *flag.FlagSet) {
+	fs.IntVar(&t.Procs, "procs", 4, "total PEs across all nodes")
+	fs.DurationVar(&t.Latency, "latency", 1725*time.Microsecond, "one-way inter-cluster latency; sub-millisecond values are honoured to ~0.1 ms on Linux")
+	fs.IntVar(&t.Split, "split", 0, "PE index where cluster 1 begins (unequal co-allocations; 0 = procs/2)")
+}
+
+// Build validates the topology flags and builds the two-site machine:
+// an even split by default (the paper's two-cluster machine), or -split
+// for an unequal co-allocation, where one site contributes more PEs and
+// the wide-area boundary need not coincide with a process boundary.
+func (t *Topology) Build() (*topology.Topology, error) {
+	split := t.Split
+	if split == 0 {
+		split = t.Procs / 2
+	}
+	if split <= 0 || split >= t.Procs {
+		return nil, fmt.Errorf("split=%d out of range for %d PEs", split, t.Procs)
+	}
+	return topology.New([]int{split, t.Procs - split}, topology.WithInterLatency(t.Latency))
+}
+
 // Cluster is the multi-process deployment surface: which node this
-// process is, where everyone listens, and how the PE space maps onto
-// the two-cluster topology.
+// process is, where everyone listens, and the machine they share.
 type Cluster struct {
+	Topology
 	Node       int
 	Addrs      string
-	Procs      int
-	Latency    time.Duration
-	Split      int
 	Membership bool
 	Joiners    string
 }
 
-// Register installs the cluster flags on fs under their historical
-// names (-node, -addrs, ...).
+// Register installs the cluster flags, the topology group's included,
+// under their historical names (-node, -addrs, ...).
 func (c *Cluster) Register(fs *flag.FlagSet) {
+	c.Topology.Register(fs)
 	fs.IntVar(&c.Node, "node", 0, "this process's node index")
 	fs.StringVar(&c.Addrs, "addrs", "", "comma-separated listen addresses, one per node (one address: every PE in this process)")
-	fs.IntVar(&c.Procs, "procs", 4, "total PEs across all nodes")
-	fs.DurationVar(&c.Latency, "latency", 1725*time.Microsecond, "one-way inter-cluster latency; sub-millisecond values are honoured to ~0.1 ms on Linux")
-	fs.IntVar(&c.Split, "split", 0, "PE index where cluster 1 begins (unequal co-allocations; 0 = procs/2)")
 	fs.BoolVar(&c.Membership, "membership", false, "elastic cluster membership: join/drain/death handling (node 0 coordinates)")
 	fs.StringVar(&c.Joiners, "joiners", "", "comma-separated node indices that start outside the member set and join mid-run (identical on every process)")
 }
@@ -66,14 +92,7 @@ func (c *Cluster) Resolve() (*core.ClusterSpec, error) {
 	if c.Procs%nodes != 0 {
 		return nil, fmt.Errorf("procs=%d not divisible by %d nodes", c.Procs, nodes)
 	}
-	split := c.Split
-	if split == 0 {
-		split = c.Procs / 2
-	}
-	if split <= 0 || split >= c.Procs {
-		return nil, fmt.Errorf("split=%d out of range for %d PEs", split, c.Procs)
-	}
-	topo, err := topology.New([]int{split, c.Procs - split}, topology.WithInterLatency(c.Latency))
+	topo, err := c.Topology.Build()
 	if err != nil {
 		return nil, err
 	}
@@ -94,6 +113,96 @@ func (c *Cluster) JoinerSet(nodes int) (map[int]bool, error) {
 		joiner[n] = true
 	}
 	return joiner, nil
+}
+
+// App is the application surface: -app names one application, and each
+// application's flags form a group.
+type App struct {
+	Name string
+	Sim
+	Stencil
+	LeanMD
+	Farm
+}
+
+// Env is what building a program needs beyond its application's flags.
+type Env struct {
+	Procs   int                     // total PEs: the farm's worker count
+	Node    int                     // this process's node; node 0 of a serve farm hosts its service
+	Metrics *metrics.Registry       // the registry the farm publishes its series into
+	Elastic *taskfarm.ElasticConfig // -membership placement, or nil
+	Modeled bool                    // attach the virtual-time cost model (a sim.New run)
+}
+
+// Built is an assembled application. A taskfarm adds its Params (the
+// drain hook is late-bound on them) and, on node 0 of a -serve farm, its
+// ingest service, which owns the farm's completion hook.
+type Built struct {
+	Program *core.Program
+	Farm    *taskfarm.Params
+	Service *taskfarm.Service
+}
+
+// Build assembles the application a.Name names.
+func (a *App) Build(env Env) (*Built, error) {
+	if a.LB != "" && (a.Name == "leanmd" || a.Name == "taskfarm") {
+		return nil, fmt.Errorf("-lb supports -app stencil only")
+	}
+	switch a.Name {
+	case "stencil":
+		p, err := a.Stencil.Params(a.Sim, env.Elastic)
+		if err != nil {
+			return nil, err
+		}
+		if env.Modeled {
+			p.Model = stencil.DefaultModel()
+		}
+		prog, err := stencil.BuildProgram(p)
+		return &Built{Program: prog}, err
+	case "leanmd":
+		if env.Elastic != nil {
+			return nil, fmt.Errorf("-membership supports -app stencil and taskfarm only")
+		}
+		p := a.LeanMD.Params(a.Sim)
+		if env.Modeled {
+			p.Model = leanmd.DefaultModel()
+		}
+		prog, _, err := leanmd.BuildProgram(p)
+		return &Built{Program: prog}, err
+	case "taskfarm":
+		if env.Modeled {
+			return nil, fmt.Errorf("-app taskfarm has no virtual-time run here: a modeled farm needs task and assignment costs, which gridsim -experiment taskfarm-scale carries")
+		}
+		b := &Built{Farm: a.Farm.Params(env.Procs, env.Metrics, env.Elastic)}
+		var err error
+		if b.Farm.Serve && env.Node == 0 {
+			if b.Service, err = taskfarm.NewService(b.Farm); err != nil {
+				return nil, err
+			}
+		}
+		b.Program, err = taskfarm.BuildProgram(b.Farm)
+		return b, err
+	default:
+		return nil, fmt.Errorf("unknown app %q", a.Name)
+	}
+}
+
+// Report writes the one-line account of a finished program's result.
+// LeanMD's line carries the energies as well as the drift, so runs on
+// different executors can be compared.
+func Report(w io.Writer, v any) {
+	switch res := v.(type) {
+	case *stencil.Result:
+		fmt.Fprintf(w, "stencil: per-step %v, total %v, checksum %.6f\n", res.PerStep, res.Total, res.Checksum)
+	case *leanmd.Result:
+		fmt.Fprintf(w, "leanmd: per-step %v, total %v, energy %.6f -> %.6f, drift %.4f%%\n",
+			res.PerStep, res.Total, res.EWarm, res.EFinal, 100*res.Drift())
+	case *taskfarm.Result:
+		fmt.Fprintf(w, "taskfarm: tasks %d, makespan %v, checksum %#x, shards %d, steals %d, stolen %d\n",
+			res.Tasks, res.Makespan, res.Checksum, res.Shards, res.Steals, res.StolenTask)
+	default:
+		fmt.Fprintf(w, "result: %v\n", v)
+	}
 }
 
 // Sim carries the step counts shared by the time-stepped applications.
@@ -139,12 +248,9 @@ func strategyByName(name string) (core.Strategy, error) {
 // Params builds the stencil parameters. With elastic set (-membership),
 // initial placement is confined to the founding nodes' PEs.
 func (st *Stencil) Params(sim Sim, elastic *taskfarm.ElasticConfig) (*stencil.Params, error) {
-	v := 1
-	for v*v < st.Objects {
-		v++
-	}
-	if v*v != st.Objects {
-		return nil, fmt.Errorf("objects=%d is not a perfect square", st.Objects)
+	v, err := stencil.Side(st.Objects)
+	if err != nil {
+		return nil, err
 	}
 	p := &stencil.Params{
 		Width: st.Width, Height: st.Width, VX: v, VY: v,

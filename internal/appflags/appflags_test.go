@@ -8,7 +8,7 @@ import (
 )
 
 func TestClusterResolve(t *testing.T) {
-	c := Cluster{Node: 1, Addrs: "a:1,b:2", Procs: 4, Latency: time.Millisecond}
+	c := Cluster{Node: 1, Addrs: "a:1,b:2", Topology: Topology{Procs: 4, Latency: time.Millisecond}}
 	lay, err := c.Resolve()
 	if err != nil {
 		t.Fatal(err)
@@ -25,7 +25,7 @@ func TestClusterResolve(t *testing.T) {
 
 	// One address is a one-process cluster: node 0 hosts every PE, and
 	// the two sites still meet across the injected latency.
-	solo := Cluster{Addrs: "a:1", Procs: 4, Latency: time.Millisecond}
+	solo := Cluster{Addrs: "a:1", Topology: Topology{Procs: 4, Latency: time.Millisecond}}
 	lay, err = solo.Resolve()
 	if err != nil {
 		t.Fatal(err)
@@ -41,12 +41,12 @@ func TestClusterResolve(t *testing.T) {
 	}
 
 	bad := []Cluster{
-		{Addrs: "", Procs: 4},                  // no addresses
-		{Addrs: "a:1", Procs: 4, Node: 1},      // node out of range
-		{Addrs: "a:1", Procs: 1},               // one PE cannot span two sites
-		{Addrs: "a:1,b:2", Procs: 3},           // indivisible
-		{Addrs: "a:1,b:2", Procs: 4, Node: 2},  // node out of range
-		{Addrs: "a:1,b:2", Procs: 4, Split: 9}, // split out of range
+		{Addrs: "", Topology: Topology{Procs: 4}},                  // no addresses
+		{Addrs: "a:1", Topology: Topology{Procs: 4}, Node: 1},      // node out of range
+		{Addrs: "a:1", Topology: Topology{Procs: 1}},               // one PE cannot span two sites
+		{Addrs: "a:1,b:2", Topology: Topology{Procs: 3}},           // indivisible
+		{Addrs: "a:1,b:2", Topology: Topology{Procs: 4}, Node: 2},  // node out of range
+		{Addrs: "a:1,b:2", Topology: Topology{Procs: 4, Split: 9}}, // split out of range
 	}
 	for i, c := range bad {
 		if _, err := c.Resolve(); err == nil {

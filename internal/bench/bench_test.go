@@ -10,18 +10,6 @@ import (
 	"gridmdo/internal/sim"
 )
 
-func TestIntSqrt(t *testing.T) {
-	for _, v := range []int{4, 16, 64, 256, 1024} {
-		r, err := intSqrt(v)
-		if err != nil || r*r != v {
-			t.Errorf("intSqrt(%d) = %d, %v", v, r, err)
-		}
-	}
-	if _, err := intSqrt(5); err == nil {
-		t.Error("intSqrt(5) accepted")
-	}
-}
-
 func TestTable1RowsMatchPaper(t *testing.T) {
 	rows := table1Rows()
 	if len(rows) != 18 {

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"gridmdo/internal/core"
@@ -13,14 +12,6 @@ import (
 	"gridmdo/internal/vmi"
 )
 
-func intSqrt(v int) (int, error) {
-	r := int(math.Round(math.Sqrt(float64(v))))
-	if r*r != v {
-		return 0, fmt.Errorf("bench: virtualization degree %d is not a perfect square", v)
-	}
-	return r, nil
-}
-
 func buildTopo(procs int, lat time.Duration) (*topology.Topology, error) {
 	if procs == 1 {
 		return topology.Single(1)
@@ -29,7 +20,7 @@ func buildTopo(procs int, lat time.Duration) (*topology.Topology, error) {
 }
 
 func (c StencilConfig) params(objects int, model bool) (*stencil.Params, error) {
-	v, err := intSqrt(objects)
+	v, err := stencil.Side(objects)
 	if err != nil {
 		return nil, err
 	}

@@ -10,30 +10,23 @@ import (
 	"gridmdo/internal/trace"
 )
 
-// traceRun prepares per-run trace capture for a real-time experiment. When
-// the profile has a TraceDir it returns the profile's runtime options plus a
-// fresh tracer, and a flush function that drops a snapshot (readable by
-// cmd/gridtrace) and a plain-text overlap report next to the results; with
-// no TraceDir it is a no-op passthrough. In the two-node TCP runners both
-// runtimes share the tracer, so one snapshot covers every PE of the run.
+// traceRun is traceSimRun for a real-time experiment: the tracer rides in
+// the profile's runtime options. In the two-node TCP runners both runtimes
+// share the tracer, so one snapshot covers every PE of the run.
 func (p Profile) traceRun(name string, procs int) ([]core.Option, func()) {
 	opts := p.rtOpts()
-	if p.TraceDir == "" {
-		return opts, func() {}
+	tr, flush := p.traceSimRun(name, procs)
+	if tr != nil {
+		opts = append(opts, core.WithTrace(tr))
 	}
-	tr := trace.New(procs)
-	opts = append(opts, core.WithTrace(tr))
-	return opts, func() {
-		if err := writeTraceArtifacts(p.TraceDir, name, tr, procs); err != nil {
-			fmt.Fprintf(os.Stderr, "bench: trace %s: %v\n", name, err)
-		}
-	}
+	return opts, flush
 }
 
 // traceSimRun prepares per-run trace capture for a virtual-time experiment.
 // It returns a tracer to pass via sim.Options.Trace (nil when the profile
 // has no TraceDir — a nil tracer records nothing) and a flush function
-// writing the same artifact pair traceRun does. Virtual time models PEs as
+// that drops a snapshot (readable by cmd/gridtrace) and a plain-text
+// overlap report next to the results. Virtual time models PEs as
 // genuinely parallel, so these are the snapshots in which the overlap
 // profile is exact rather than subject to host scheduling.
 func (p Profile) traceSimRun(name string, procs int) (*trace.Tracer, func()) {
@@ -42,15 +35,15 @@ func (p Profile) traceSimRun(name string, procs int) (*trace.Tracer, func()) {
 	}
 	tr := trace.New(procs)
 	return tr, func() {
-		if err := writeTraceArtifacts(p.TraceDir, name, tr, procs); err != nil {
+		if err := WriteTraceArtifacts(p.TraceDir, name, tr, procs); err != nil {
 			fmt.Fprintf(os.Stderr, "bench: trace %s: %v\n", name, err)
 		}
 	}
 }
 
-// writeTraceArtifacts writes <dir>/<name>.trace.json (a trace.Snapshot) and
+// WriteTraceArtifacts writes <dir>/<name>.trace.json (a trace.Snapshot) and
 // <dir>/<name>.overlap.txt (the overlap profile) for one finished run.
-func writeTraceArtifacts(dir, name string, tr *trace.Tracer, procs int) error {
+func WriteTraceArtifacts(dir, name string, tr *trace.Tracer, procs int) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}

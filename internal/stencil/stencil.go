@@ -110,6 +110,16 @@ func (p *Params) syncAt(step int) bool {
 // NumObjects reports the virtualization degree VX*VY.
 func (p *Params) NumObjects() int { return p.VX * p.VY }
 
+// Side returns the blocks per axis of a square decomposition into
+// objects blocks, or an error when objects is not a perfect square.
+func Side(objects int) (int, error) {
+	v := int(math.Round(math.Sqrt(float64(objects))))
+	if v < 1 || v*v != objects {
+		return 0, fmt.Errorf("stencil: objects=%d is not a perfect square", objects)
+	}
+	return v, nil
+}
+
 // blockIndex linearizes object coordinates column-major, so that the
 // default block placement gives each PE a contiguous strip of columns and
 // the two-cluster cut is a single vertical line through the object grid.

@@ -37,6 +37,18 @@ func TestSpanExactCover(t *testing.T) {
 	}
 }
 
+func TestSide(t *testing.T) {
+	for _, v := range []int{4, 16, 64, 256, 1024} {
+		r, err := Side(v)
+		if err != nil || r*r != v {
+			t.Errorf("Side(%d) = %d, %v", v, r, err)
+		}
+	}
+	if _, err := Side(5); err == nil {
+		t.Error("Side(5) accepted")
+	}
+}
+
 func TestBlockIndexRoundTrip(t *testing.T) {
 	p := &Params{Width: 64, Height: 64, VX: 5, VY: 7, Steps: 1}
 	seen := make(map[int]bool)

@@ -3,48 +3,18 @@ package trace
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"time"
 )
 
-// RenderTimeline writes an ASCII utilization timeline, one row per PE:
-// each column is one bucket of the horizon, shaded by the fraction of the
-// bucket spent inside handlers (' ' idle, '░' <25%, '▒' <50%, '▓' <75%,
-// '█' busy). Recorded idle spans are subtracted, so an AMPI rank blocked
-// in Recv shows as idle even though its handler window is open. It is the
-// textual analog of a Projections utilization view.
-func (t *Tracer) RenderTimeline(w io.Writer, horizon time.Duration, buckets int) {
-	if t == nil || horizon <= 0 || buckets <= 0 {
-		fmt.Fprintln(w, "trace: no data")
-		return
-	}
-	bucket := horizon / time.Duration(buckets)
-	if bucket <= 0 {
-		bucket = time.Nanosecond
-	}
-	fmt.Fprintf(w, "utilization timeline: %v per column, horizon %v\n", bucket, horizon)
-	for pe := range t.shards {
-		busy := t.busyPerBucket(pe, horizon, buckets)
-		var b strings.Builder
-		for _, f := range busy {
-			b.WriteRune(shade(f))
-		}
-		fmt.Fprintf(w, "PE %3d |%s|\n", pe, b.String())
-	}
-}
-
-// busyPerBucket computes the busy fraction (handler time minus recorded
-// idle) of each bucket for one PE.
-func (t *Tracer) busyPerBucket(pe int, horizon time.Duration, buckets int) []float64 {
-	evs := t.shardEvents(pe)
-	sort.SliceStable(evs, func(i, j int) bool { return evs[i].At < evs[j].At })
-	spans := subtractSpans(busySpans(evs, horizon), idleSpans(evs, horizon))
-	return bucketFractions(spans, horizon, buckets)
-}
-
-// RenderTimelineEvents is RenderTimeline over an already-merged event
-// stream (e.g. several gridnode snapshots), numPE rows.
+// RenderTimelineEvents writes an ASCII utilization timeline of a
+// time-sorted event stream (one snapshot, or several gridnode snapshots
+// merged), one row per PE for numPE rows: each column is one bucket of
+// the horizon, shaded by the fraction of the bucket spent inside handlers
+// (' ' idle, '░' <25%, '▒' <50%, '▓' <75%, '█' busy). Recorded idle spans
+// are subtracted, so an AMPI rank blocked in Recv shows as idle even
+// though its handler window is open. It is the textual analog of a
+// Projections utilization view.
 func RenderTimelineEvents(w io.Writer, evs []Event, numPE int, horizon time.Duration, buckets int) {
 	if horizon <= 0 || buckets <= 0 || numPE <= 0 {
 		fmt.Fprintln(w, "trace: no data")
@@ -56,7 +26,13 @@ func RenderTimelineEvents(w io.Writer, evs []Event, numPE int, horizon time.Dura
 	}
 	fmt.Fprintf(w, "utilization timeline: %v per column, horizon %v\n", bucket, horizon)
 	for pe := 0; pe < numPE; pe++ {
-		writeTimelineRow(w, pe, eventsForPE(evs, pe), horizon, buckets)
+		pevs := eventsForPE(evs, pe)
+		spans := subtractSpans(busySpans(pevs, horizon), idleSpans(pevs, horizon))
+		var b strings.Builder
+		for _, f := range bucketFractions(spans, horizon, buckets) {
+			b.WriteRune(shade(f))
+		}
+		fmt.Fprintf(w, "PE %3d |%s|\n", pe, b.String())
 	}
 }
 
@@ -69,16 +45,6 @@ func eventsForPE(evs []Event, pe int) []Event {
 		}
 	}
 	return out
-}
-
-func writeTimelineRow(w io.Writer, pe int, evs []Event, horizon time.Duration, buckets int) {
-	spans := subtractSpans(busySpans(evs, horizon), idleSpans(evs, horizon))
-	busy := bucketFractions(spans, horizon, buckets)
-	var b strings.Builder
-	for _, f := range busy {
-		b.WriteRune(shade(f))
-	}
-	fmt.Fprintf(w, "PE %3d |%s|\n", pe, b.String())
 }
 
 func shade(f float64) rune {

@@ -9,13 +9,14 @@ import (
 )
 
 func TestRenderTimeline(t *testing.T) {
-	tr := New(2)
 	// PE 0 busy for the first half of a 100ms horizon.
-	tr.Record(Event{PE: 0, Kind: EvBegin, At: 0})
-	tr.Record(Event{PE: 0, Kind: EvEnd, At: 50 * time.Millisecond})
+	evs := []Event{
+		{PE: 0, Kind: EvBegin, At: 0},
+		{PE: 0, Kind: EvEnd, At: 50 * time.Millisecond},
+	}
 	// PE 1 idle throughout.
 	var buf bytes.Buffer
-	tr.RenderTimeline(&buf, 100*time.Millisecond, 10)
+	RenderTimelineEvents(&buf, evs, 2, 100*time.Millisecond, 10)
 	out := buf.String()
 	if !strings.Contains(out, "PE   0") || !strings.Contains(out, "PE   1") {
 		t.Fatalf("missing PE rows:\n%s", out)
@@ -33,13 +34,19 @@ func TestRenderTimeline(t *testing.T) {
 	}
 }
 
+// busyFractions is a timeline row's busy fraction per bucket: handler
+// time minus recorded idle.
+func busyFractions(evs []Event, horizon time.Duration, buckets int) []float64 {
+	return bucketFractions(subtractSpans(busySpans(evs, horizon), idleSpans(evs, horizon)), horizon, buckets)
+}
+
 func TestBusyPerBucketFractions(t *testing.T) {
-	tr := New(1)
 	// Busy [10ms, 15ms) within a 40ms horizon, 4 buckets of 10ms:
 	// bucket 1 should be exactly 50% busy.
-	tr.Record(Event{PE: 0, Kind: EvBegin, At: 10 * time.Millisecond})
-	tr.Record(Event{PE: 0, Kind: EvEnd, At: 15 * time.Millisecond})
-	busy := tr.busyPerBucket(0, 40*time.Millisecond, 4)
+	busy := busyFractions([]Event{
+		{PE: 0, Kind: EvBegin, At: 10 * time.Millisecond},
+		{PE: 0, Kind: EvEnd, At: 15 * time.Millisecond},
+	}, 40*time.Millisecond, 4)
 	want := []float64{0, 0.5, 0, 0}
 	for i := range want {
 		if math.Abs(busy[i]-want[i]) > 1e-9 {
@@ -47,24 +54,20 @@ func TestBusyPerBucketFractions(t *testing.T) {
 		}
 	}
 	// Open-ended Begin extends to the horizon.
-	tr2 := New(1)
-	tr2.Record(Event{PE: 0, Kind: EvBegin, At: 30 * time.Millisecond})
-	busy2 := tr2.busyPerBucket(0, 40*time.Millisecond, 4)
+	busy2 := busyFractions([]Event{{PE: 0, Kind: EvBegin, At: 30 * time.Millisecond}}, 40*time.Millisecond, 4)
 	if math.Abs(busy2[3]-1.0) > 1e-9 {
 		t.Errorf("open-ended span: bucket 3 = %v, want 1", busy2[3])
 	}
 }
 
 func TestRenderTimelineDegenerate(t *testing.T) {
-	var nilTr *Tracer
 	var buf bytes.Buffer
-	nilTr.RenderTimeline(&buf, time.Second, 10)
+	RenderTimelineEvents(&buf, nil, 0, time.Second, 10)
 	if !strings.Contains(buf.String(), "no data") {
-		t.Error("nil tracer timeline missing placeholder")
+		t.Error("empty timeline missing placeholder")
 	}
-	tr := New(1)
 	buf.Reset()
-	tr.RenderTimeline(&buf, 0, 10)
+	RenderTimelineEvents(&buf, nil, 1, 0, 10)
 	if !strings.Contains(buf.String(), "no data") {
 		t.Error("zero horizon timeline missing placeholder")
 	}

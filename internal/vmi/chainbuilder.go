@@ -254,9 +254,11 @@ func (s *Stack) Reliable() *Reliable { return s.rel }
 // Metrics returns the registry the stack was built with, or nil.
 func (s *Stack) Metrics() *metrics.Registry { return s.reg }
 
-// Close shuts the stack down: the reliability layer's goroutines first,
-// then the TCP device and its connections.
+// Close shuts the stack down: the TCP device first, which aborts any dial
+// sitting out its backoff towards a peer never reached, then the
+// reliability layer, whose retransmissions may be waiting on that dial.
 func (s *Stack) Close() error {
+	err := s.tcp.Close()
 	s.rel.Close()
-	return s.tcp.Close()
+	return err
 }
