@@ -1,225 +1,31 @@
-// Package gridmdo_bench holds the top-level testing.B benchmarks: one per
-// table and figure of the paper's evaluation (scaled-down fast-profile
-// versions of the cmd/gridsim experiments, so `go test -bench=.` touches
-// every artifact), the DESIGN.md ablations, and micro-benchmarks of the
-// runtime's hot paths.
+// Package gridmdo_bench holds the top-level testing.B micro-benchmarks of
+// the runtime's hot paths: the PE queue, the frame and message codecs,
+// the delay device, the LeanMD force kernel and the virtual-time event
+// loop.
 //
-// Paper-scale regeneration is cmd/gridsim's job; these benchmarks exist
-// to track the performance of the reproduction itself and to exercise
-// every experiment's code path under `-bench`.
+// The paper's tables and figures are regenerated by cmd/gridsim, and
+// their virtual-time runs are pinned by its golden CSVs; the end-to-end
+// benchmark lives in benchmark/.
 package gridmdo_bench
 
 import (
 	"bytes"
 	"encoding/binary"
-	"fmt"
 	"math"
 	"testing"
 	"time"
 
-	"gridmdo/internal/balance"
-	"gridmdo/internal/bench"
 	"gridmdo/internal/core"
 	"gridmdo/internal/leanmd"
 	"gridmdo/internal/sim"
-	"gridmdo/internal/stencil"
 	"gridmdo/internal/topology"
 	"gridmdo/internal/vmi"
+
+	// Imported for their message codecs, which BenchmarkWirePayloadKinds
+	// decodes.
+	_ "gridmdo/internal/stencil"
+	_ "gridmdo/internal/taskfarm"
 )
-
-// reportPerStep attaches the experiment's own metric to the benchmark.
-func reportPerStep(b *testing.B, perStep time.Duration) {
-	b.ReportMetric(float64(perStep)/1e6, "ms/step(virtual)")
-}
-
-// BenchmarkFigure3 regenerates Figure 3 points: stencil per-step time
-// under artificial latency, across processor counts and virtualization
-// degrees.
-func BenchmarkFigure3(b *testing.B) {
-	cfg := bench.FastProfile().Stencil
-	for _, procs := range []int{8, 32} {
-		for _, objects := range []int{64, 256} {
-			for _, lat := range []time.Duration{0, 8 * time.Millisecond} {
-				name := fmt.Sprintf("P%d/V%d/L%v", procs, objects, lat)
-				b.Run(name, func(b *testing.B) {
-					var last *stencil.Result
-					for i := 0; i < b.N; i++ {
-						res, err := bench.StencilSim(cfg, procs, objects, lat, sim.Options{})
-						if err != nil {
-							b.Fatal(err)
-						}
-						last = res
-					}
-					reportPerStep(b, last.PerStep)
-				})
-			}
-		}
-	}
-}
-
-// BenchmarkTable1 regenerates one Table 1 row through all three
-// instruments: virtual-time, real-time with the delay device, and
-// real-time over TCP sockets.
-func BenchmarkTable1(b *testing.B) {
-	cfg := bench.StencilConfig{Width: 256, Height: 256, Steps: 6, Warmup: 2, Model: stencil.DefaultModel()}
-	lat := 1725 * time.Microsecond
-	b.Run("sim/P8/V64", func(b *testing.B) {
-		var last *stencil.Result
-		for i := 0; i < b.N; i++ {
-			res, err := bench.StencilSim(cfg, 8, 64, lat, sim.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			last = res
-		}
-		reportPerStep(b, last.PerStep)
-	})
-	b.Run("realtime-delay/P8/V64", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := bench.StencilRealtime(cfg, 8, 64, lat); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("realtime-tcp/P8/V64", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := bench.StencilTCP(cfg, 8, 64, lat); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkFigure4 regenerates Figure 4 points: LeanMD per-step time
-// versus latency across processor counts.
-func BenchmarkFigure4(b *testing.B) {
-	cfg := bench.FastProfile().MD
-	for _, procs := range []int{8, 32} {
-		for _, lat := range []time.Duration{time.Millisecond, 64 * time.Millisecond} {
-			name := fmt.Sprintf("P%d/L%v", procs, lat)
-			b.Run(name, func(b *testing.B) {
-				var last *leanmd.Result
-				for i := 0; i < b.N; i++ {
-					res, err := bench.LeanMDSim(cfg, procs, lat, sim.Options{})
-					if err != nil {
-						b.Fatal(err)
-					}
-					last = res
-				}
-				reportPerStep(b, last.PerStep)
-			})
-		}
-	}
-}
-
-// BenchmarkTable2 regenerates one Table 2 row through all three
-// instruments.
-func BenchmarkTable2(b *testing.B) {
-	cfg := bench.MDConfig{NX: 3, NY: 3, NZ: 3, AtomsPerCell: 6, Steps: 5, Warmup: 2, Model: leanmd.DefaultModel()}
-	lat := 1725 * time.Microsecond
-	b.Run("sim/P8", func(b *testing.B) {
-		var last *leanmd.Result
-		for i := 0; i < b.N; i++ {
-			res, err := bench.LeanMDSim(cfg, 8, lat, sim.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			last = res
-		}
-		reportPerStep(b, last.PerStep)
-	})
-	b.Run("realtime-delay/P8", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := bench.LeanMDRealtime(cfg, 8, lat); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("realtime-tcp/P8", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := bench.LeanMDTCP(cfg, 8, lat); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkAblationPriority measures WAN message prioritization on/off.
-func BenchmarkAblationPriority(b *testing.B) {
-	cfg := bench.FastProfile().Stencil
-	for _, prio := range []bool{false, true} {
-		b.Run(fmt.Sprintf("wanprio=%v", prio), func(b *testing.B) {
-			var last *stencil.Result
-			for i := 0; i < b.N; i++ {
-				res, err := bench.StencilSim(cfg, 16, 256, 8*time.Millisecond, sim.Options{PrioritizeWAN: prio})
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = res
-			}
-			reportPerStep(b, last.PerStep)
-		})
-	}
-}
-
-// BenchmarkAblationGridLB measures balancing strategies from a
-// half-empty placement (every other PE idle).
-func BenchmarkAblationGridLB(b *testing.B) {
-	base := bench.FastProfile().Stencil
-	for _, tc := range []struct {
-		name     string
-		strategy core.Strategy
-	}{{"none", nil}, {"greedy", balance.Greedy{}}, {"grid", balance.Grid{}}} {
-		b.Run(tc.name, func(b *testing.B) {
-			var last *stencil.Result
-			for i := 0; i < b.N; i++ {
-				p := &stencil.Params{
-					Width: base.Width, Height: base.Height, VX: 16, VY: 16,
-					Steps: base.Steps, Warmup: 3, Model: base.Model,
-					InitialMap: func(i, numPE int) int {
-						pe := core.BlockMap(i, 256, numPE)
-						half := numPE / 2
-						if pe < half {
-							return pe / 2
-						}
-						return half + (pe-half)/2
-					},
-				}
-				if tc.strategy != nil {
-					p.LB, p.LBAtStep = tc.strategy, 2
-				}
-				res, err := bench.StencilSimParams(p, 8, 8*time.Millisecond)
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = res
-			}
-			reportPerStep(b, last.PerStep)
-		})
-	}
-}
-
-// BenchmarkAblationVirtualization sweeps the virtualization degree at
-// zero latency.
-func BenchmarkAblationVirtualization(b *testing.B) {
-	cfg := bench.FastProfile().Stencil
-	for _, v := range []int{16, 64, 256, 1024} {
-		b.Run(fmt.Sprintf("V%d", v), func(b *testing.B) {
-			var last *stencil.Result
-			for i := 0; i < b.N; i++ {
-				res, err := bench.StencilSim(cfg, 8, v, 0, sim.Options{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = res
-			}
-			reportPerStep(b, last.PerStep)
-		})
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Runtime hot-path micro-benchmarks.
 
 func BenchmarkQueuePushPop(b *testing.B) {
 	q := core.NewQueue()
@@ -426,19 +232,5 @@ func ringProgram(n, hops int) *core.Program {
 		Start: func(ctx *core.Ctx) {
 			ctx.Send(core.ElemRef{Array: 0, Index: 0}, 0, hops)
 		},
-	}
-}
-
-// TestBenchmarkConfigsAreRunnable keeps `go test ./...` (without -bench)
-// exercising each benchmark configuration once, so a broken experiment
-// fails tests rather than only failing under -bench.
-func TestBenchmarkConfigsAreRunnable(t *testing.T) {
-	cfg := bench.StencilConfig{Width: 128, Height: 128, Steps: 4, Warmup: 1, Model: stencil.DefaultModel()}
-	if _, err := bench.StencilSim(cfg, 4, 16, time.Millisecond, sim.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	md := bench.MDConfig{NX: 2, NY: 2, NZ: 2, AtomsPerCell: 4, Steps: 3, Warmup: 1, Model: leanmd.DefaultModel()}
-	if _, err := bench.LeanMDSim(md, 4, time.Millisecond, sim.Options{}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -176,11 +176,14 @@ func runApp(args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if app.Name == "taskfarm" {
+		return fmt.Errorf("-app taskfarm has no virtual-time run here: a modeled farm needs task and assignment costs, which gridsim -experiment taskfarm-scale carries")
+	}
 	machine, err := topo.Build()
 	if err != nil {
 		return err
 	}
-	built, err := app.Build(appflags.Env{Modeled: true})
+	built, err := app.Build(appflags.Env{})
 	if err != nil {
 		return err
 	}
@@ -188,11 +191,7 @@ func runApp(args []string, stdout io.Writer) error {
 	if traceOut != "" {
 		tr = trace.New(topo.Procs)
 	}
-	e, err := sim.New(machine, built.Program, sim.Options{Trace: tr, MaxEvents: 500_000_000})
-	if err != nil {
-		return err
-	}
-	v, _, err := e.Run()
+	v, _, err := bench.Sim(machine, built.Program, sim.Options{Trace: tr})
 	if err != nil {
 		return err
 	}
@@ -220,7 +219,7 @@ func table(csv string, fn func(*env) (*bench.Table, error)) func(*env) error {
 		if err != nil {
 			return err
 		}
-		return writeFile(e.csvDir, csv, func(w io.Writer) error { t.CSV(w); return nil })
+		return writeFile(e.csvDir, csv, t.CSV)
 	}
 }
 

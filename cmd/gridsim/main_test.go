@@ -54,16 +54,19 @@ func TestUnknownExperimentErrors(t *testing.T) {
 }
 
 // TestFastArtifactsMatchGoldens byte-compares the fast-profile CSVs of
-// the virtual-time figures and ablations with testdata/. After a change
-// that is meant to move them, regenerate each with
+// every virtual-time experiment with testdata/; Tables 1 and 2 pin only
+// their sim column. After a change that is meant to move them,
+// regenerate each with
 //
-//	go run ./cmd/gridsim -experiment X -fast -csv cmd/gridsim/testdata
+//	go run ./cmd/gridsim -experiment X -fast -skip-realtime -csv cmd/gridsim/testdata
 //
-// for X in figure3, figure4 and ablations.
+// for X in figure3, table1, figure4, table2, ablations, classes, sdsc,
+// irregular and taskfarm-scale.
 func TestFastArtifactsMatchGoldens(t *testing.T) {
 	dir := t.TempDir()
-	e := &env{progress: io.Discard, profile: bench.FastProfile(), csvDir: dir}
-	for _, name := range []string{"figure3", "figure4", "ablations"} {
+	e := &env{progress: io.Discard, profile: bench.FastProfile(), skipRealtime: true, csvDir: dir}
+	for _, name := range []string{"figure3", "table1", "figure4", "table2", "ablations",
+		"classes", "sdsc", "irregular", "taskfarm-scale"} {
 		xs, err := selectExperiments(name)
 		if err != nil {
 			t.Fatal(err)
@@ -73,8 +76,8 @@ func TestFastArtifactsMatchGoldens(t *testing.T) {
 		}
 	}
 	goldens, err := filepath.Glob("testdata/*.csv")
-	if err != nil || len(goldens) != 7 {
-		t.Fatalf("goldens %v, err %v; want the 7 CSVs of figure3, figure4 and ablations", goldens, err)
+	if err != nil || len(goldens) != 13 {
+		t.Fatalf("goldens %v, err %v; want the 13 CSVs of the virtual-time experiments", goldens, err)
 	}
 	for _, g := range goldens {
 		want, err := os.ReadFile(g)

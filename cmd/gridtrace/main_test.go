@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"gridmdo/internal/core"
 	"gridmdo/internal/sim"
 	"gridmdo/internal/stencil"
+	"gridmdo/internal/topology"
 	"gridmdo/internal/trace"
 )
 
@@ -18,17 +20,30 @@ import (
 // the merge path is exercised by splitting it per node below).
 func traceStencilTCP(t *testing.T, procs, objects int, lat time.Duration) *trace.Snapshot {
 	t.Helper()
-	cfg := bench.StencilConfig{
-		Width: 1024, Height: 1024,
-		Steps: 8, Warmup: 2,
-		Model: stencil.DefaultModel(),
-	}
 	tr := trace.New(procs)
 	start := time.Now()
-	if _, err := bench.StencilTCP(cfg, procs, objects, lat, core.WithTrace(tr)); err != nil {
+	c, err := bench.Host(procs, 2, lat, func() (*core.Program, error) {
+		return stencil.BuildProgram(stencilParams(objects))
+	}, core.WithTrace(tr))
+	if err != nil {
+		t.Fatalf("stencil tcp V=%d: %v", objects, err)
+	}
+	defer c.Close()
+	if _, err := c.Run(); err != nil {
 		t.Fatalf("stencil tcp V=%d: %v", objects, err)
 	}
 	return tr.Snapshot(0, 0, procs, time.Since(start))
+}
+
+// stencilParams is the traced stencil: a 1024² mesh in objects blocks
+// (a perfect square), cost model attached.
+func stencilParams(objects int) *stencil.Params {
+	v := int(math.Sqrt(float64(objects)))
+	return &stencil.Params{
+		Width: 1024, Height: 1024, VX: v, VY: v,
+		Steps: 8, Warmup: 2,
+		Model: stencil.DefaultModel(),
+	}
 }
 
 // splitSnapshot carves one all-PE snapshot into per-node snapshots, as if
@@ -56,17 +71,20 @@ func splitSnapshot(s *trace.Snapshot, procs int) []*trace.Snapshot {
 // latency" experiments use.
 func traceStencilSim(t *testing.T, procs, objects int, lat time.Duration) *trace.Snapshot {
 	t.Helper()
-	cfg := bench.StencilConfig{
-		Width: 1024, Height: 1024,
-		Steps: 8, Warmup: 2,
-		Model: stencil.DefaultModel(),
+	topo, err := topology.TwoClusters(procs, lat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := stencil.BuildProgram(stencilParams(objects))
+	if err != nil {
+		t.Fatal(err)
 	}
 	tr := trace.New(procs)
-	res, err := bench.StencilSim(cfg, procs, objects, lat, sim.Options{Trace: tr})
+	v, _, err := bench.Sim(topo, prog, sim.Options{Trace: tr})
 	if err != nil {
 		t.Fatalf("stencil sim V=%d: %v", objects, err)
 	}
-	return tr.Snapshot(0, 0, procs, res.FinishAt)
+	return tr.Snapshot(0, 0, procs, v.(*stencil.Result).FinishAt)
 }
 
 // TestMaskedFractionGrowsWithVirtualization is the PR's acceptance check,

@@ -131,7 +131,6 @@ type Env struct {
 	Node    int                     // this process's node; node 0 of a serve farm hosts its service
 	Metrics *metrics.Registry       // the registry the farm publishes its series into
 	Elastic *taskfarm.ElasticConfig // -membership placement, or nil
-	Modeled bool                    // attach the virtual-time cost model (a sim.New run)
 }
 
 // Built is an assembled application. A taskfarm adds its Params (the
@@ -143,7 +142,9 @@ type Built struct {
 	Service *taskfarm.Service
 }
 
-// Build assembles the application a.Name names.
+// Build assembles the application a.Name names. The stencil and LeanMD
+// carry their cost models: the virtual-time engine charges them, and the
+// real-time runtime, which measures handlers instead, ignores them.
 func (a *App) Build(env Env) (*Built, error) {
 	if a.LB != "" && (a.Name == "leanmd" || a.Name == "taskfarm") {
 		return nil, fmt.Errorf("-lb supports -app stencil only")
@@ -154,9 +155,7 @@ func (a *App) Build(env Env) (*Built, error) {
 		if err != nil {
 			return nil, err
 		}
-		if env.Modeled {
-			p.Model = stencil.DefaultModel()
-		}
+		p.Model = stencil.DefaultModel()
 		prog, err := stencil.BuildProgram(p)
 		return &Built{Program: prog}, err
 	case "leanmd":
@@ -164,15 +163,10 @@ func (a *App) Build(env Env) (*Built, error) {
 			return nil, fmt.Errorf("-membership supports -app stencil and taskfarm only")
 		}
 		p := a.LeanMD.Params(a.Sim)
-		if env.Modeled {
-			p.Model = leanmd.DefaultModel()
-		}
+		p.Model = leanmd.DefaultModel()
 		prog, _, err := leanmd.BuildProgram(p)
 		return &Built{Program: prog}, err
 	case "taskfarm":
-		if env.Modeled {
-			return nil, fmt.Errorf("-app taskfarm has no virtual-time run here: a modeled farm needs task and assignment costs, which gridsim -experiment taskfarm-scale carries")
-		}
 		b := &Built{Farm: a.Farm.Params(env.Procs, env.Metrics, env.Elastic)}
 		var err error
 		if b.Farm.Serve && env.Node == 0 {

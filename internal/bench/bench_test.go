@@ -2,12 +2,15 @@ package bench
 
 import (
 	"bytes"
+	"encoding/csv"
 	"fmt"
 	"strings"
 	"testing"
 	"time"
 
+	"gridmdo/internal/metrics"
 	"gridmdo/internal/sim"
+	"gridmdo/internal/stencil"
 )
 
 func TestTable1RowsMatchPaper(t *testing.T) {
@@ -19,6 +22,28 @@ func TestTable1RowsMatchPaper(t *testing.T) {
 		if r.Objects < r.Procs {
 			t.Errorf("row %+v has fewer objects than processors", r)
 		}
+	}
+}
+
+// TestTableCSVQuotesCells: a cell holding a comma or a quote reads back
+// as one field, so every row has the header's field count.
+func TestTableCSVQuotesCells(t *testing.T) {
+	tbl := &Table{
+		Header: []string{"Phase", "Notes"},
+		Rows:   [][]string{{"soak", `377 dup hits, 0 "double" execs`}, {"baseline", "solo tenant"}},
+	}
+	var buf bytes.Buffer
+	if err := tbl.CSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	r := csv.NewReader(&buf)
+	r.FieldsPerRecord = len(tbl.Header)
+	recs, err := r.ReadAll()
+	if err != nil {
+		t.Fatalf("CSV does not read back:\n%s\nerr: %v", buf.String(), err)
+	}
+	if len(recs) != 3 || recs[1][1] != tbl.Rows[0][1] {
+		t.Errorf("read back %q, want the header and %q", recs, tbl.Rows)
 	}
 }
 
@@ -152,7 +177,9 @@ func TestTable1FastWithRealtime(t *testing.T) {
 	}
 	var out bytes.Buffer
 	tbl.Render(&out)
-	tbl.CSV(&out)
+	if err := tbl.CSV(&out); err != nil {
+		t.Fatal(err)
+	}
 	if out.Len() == 0 {
 		t.Error("empty render")
 	}
@@ -299,9 +326,8 @@ func TestClassesTaxonomy(t *testing.T) {
 
 // TestGridLBTCPExperiment exercises the two-process grid-LB experiment:
 // the balancing round (stats, PUP'd evict/arrive payloads, resume) runs
-// over real TCP sockets between the two runtimes, and spreading each
-// cluster's squeezed blocks across its idle PEs should not make steps
-// slower.
+// over real TCP sockets between the two runtimes and moves blocks. The
+// per-step times are wall-clock, so their ratio is logged, not asserted.
 func TestGridLBTCPExperiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock test")
@@ -309,6 +335,7 @@ func TestGridLBTCPExperiment(t *testing.T) {
 	p := FastProfile()
 	p.Stencil.Width, p.Stencil.Height = 256, 256
 	p.Stencil.Steps, p.Stencil.Warmup = 8, 3
+	p.Metrics = metrics.NewRegistry()
 	tbl, err := GridLBTCP(nil, p)
 	if err != nil {
 		t.Fatal(err)
@@ -322,11 +349,14 @@ func TestGridLBTCPExperiment(t *testing.T) {
 	if none <= 0 || grid <= 0 {
 		t.Fatalf("non-positive per-step times in %v", tbl.Rows[0])
 	}
-	// Wall-clock, so allow slack — but one balancing round onto twice the
-	// PEs must not cost half-again the per-step time.
-	if grid > none*1.5 {
-		t.Errorf("grid LB per-step %.3fms much worse than none %.3fms", grid, none)
+	snap := p.Metrics.Snapshot()
+	if rounds := snap.Value("core_lb_rounds_total"); rounds <= 0 {
+		t.Errorf("core_lb_rounds_total = %d, want > 0", rounds)
 	}
+	if moves := snap.Value("core_lb_moves_total"); moves <= 0 {
+		t.Errorf("core_lb_moves_total = %d, want > 0", moves)
+	}
+	t.Logf("per-step: none %.3fms, grid %.3fms (%.2fx)", none, grid, grid/none)
 }
 
 // TestStencilTCPAgreesWithDelayDevice is the miniature Table-1 agreement
@@ -336,13 +366,13 @@ func TestStencilTCPAgreesWithDelayDevice(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock test")
 	}
-	cfg := StencilConfig{Width: 256, Height: 256, Steps: 10, Warmup: 4}
+	mk := stencilProgram(stencil.Params{Width: 256, Height: 256, Steps: 10, Warmup: 4}, 64)
 	lat := 2 * time.Millisecond
-	rt, err := StencilRealtime(cfg, 4, 64, lat)
+	rt, err := hostOn[stencil.Result](4, 1, lat, mk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tcp, err := StencilTCP(cfg, 4, 64, lat)
+	tcp, err := hostOn[stencil.Result](4, 2, lat, mk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,11 +406,10 @@ func TestProfilesValid(t *testing.T) {
 }
 
 func TestRunnersRejectBadInput(t *testing.T) {
-	cfg := FastProfile().Stencil
-	if _, err := StencilSim(cfg, 4, 5, 0, sim.Options{}); err == nil {
+	if _, err := simOn[stencil.Result](4, 0, stencilProgram(FastProfile().Stencil, 5), sim.Options{}); err == nil {
 		t.Error("non-square virtualization accepted")
 	}
-	if _, err := runTwoNodeTCP(3, 0, nil); err == nil {
+	if _, err := Host(3, 2, 0, nil); err == nil {
 		t.Error("odd PE count accepted for two-node run")
 	}
 }

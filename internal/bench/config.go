@@ -5,11 +5,12 @@
 //
 // Two measurement instruments are used (see DESIGN.md §5):
 //
-//   - The virtual-time engine (internal/sim) with Itanium-calibrated cost
-//     models reproduces the paper's absolute scale and its shapes
-//     deterministically; this is the "artificial latency" column/curve.
-//   - The real-time runtime — in one process with the VMI delay device,
-//     and in a two-node configuration over real TCP sockets — provides the
+//   - The virtual-time engine (internal/sim, run through Sim) with
+//     Itanium-calibrated cost models reproduces the paper's absolute
+//     scale and its shapes deterministically; this is the "artificial
+//     latency" column/curve.
+//   - The real-time runtime, started through Host — one node with the VMI
+//     delay device, or two nodes over real TCP sockets — provides the
 //     "real" validation pathway: the same program, wall-clock measured,
 //     with the delay device standing in for the wide area exactly as in
 //     the paper's simulated-Grid environment.
@@ -24,27 +25,14 @@ import (
 	"gridmdo/internal/stencil"
 )
 
-// StencilConfig fixes the stencil workload for an experiment.
-type StencilConfig struct {
-	Width, Height int
-	Steps, Warmup int
-	Model         *stencil.CostModel
-}
-
-// MDConfig fixes the LeanMD workload for an experiment.
-type MDConfig struct {
-	NX, NY, NZ   int
-	AtomsPerCell int
-	Steps        int
-	Warmup       int
-	Model        *leanmd.CostModel
-}
-
 // Profile selects experiment scale.
 type Profile struct {
-	Name    string
-	Stencil StencilConfig
-	MD      MDConfig
+	Name string
+	// Stencil and MD are the two applications' workloads, cost models
+	// attached; each experiment sets what it sweeps (the object grid, a
+	// placement, a balancer) on a copy.
+	Stencil stencil.Params
+	MD      leanmd.Params
 
 	// Fig3Latencies is the artificial-latency sweep for Figure 3.
 	Fig3Latencies []time.Duration
@@ -95,17 +83,12 @@ func (p Profile) rtOpts() []core.Option {
 func PaperProfile() Profile {
 	return Profile{
 		Name: "paper",
-		Stencil: StencilConfig{
+		Stencil: stencil.Params{
 			Width: 2048, Height: 2048,
 			Steps: 12, Warmup: 4,
 			Model: stencil.DefaultModel(),
 		},
-		MD: MDConfig{
-			NX: 6, NY: 6, NZ: 6,
-			AtomsPerCell: 12, // numerics scale; time is charged at 200 model atoms
-			Steps:        8, Warmup: 3,
-			Model: leanmd.DefaultModel(),
-		},
+		MD:                mdParams(6, 12, 8, 3), // 12 atoms: numerics scale; time is charged at 200 model atoms
 		Fig3Latencies:     msList(0, 1, 2, 4, 8, 16, 32),
 		Fig4Latencies:     msList(1, 2, 4, 8, 16, 32, 64, 128, 256),
 		RealLatency:       1725 * time.Microsecond,
@@ -166,17 +149,12 @@ func PaperProfile() Profile {
 func FastProfile() Profile {
 	return Profile{
 		Name: "fast",
-		Stencil: StencilConfig{
+		Stencil: stencil.Params{
 			Width: 512, Height: 512,
 			Steps: 8, Warmup: 3,
 			Model: stencil.DefaultModel(),
 		},
-		MD: MDConfig{
-			NX: 4, NY: 4, NZ: 4,
-			AtomsPerCell: 6,
-			Steps:        6, Warmup: 2,
-			Model: leanmd.DefaultModel(),
-		},
+		MD:                mdParams(4, 6, 6, 2),
 		Fig3Latencies:     msList(0, 2, 8, 32),
 		Fig4Latencies:     msList(1, 8, 64, 256),
 		RealLatency:       1725 * time.Microsecond,
@@ -209,6 +187,17 @@ func FastProfile() Profile {
 			Seed:         1,
 		},
 	}
+}
+
+// mdParams is LeanMD's default physics on a cells³ lattice with atoms
+// per cell, cost model attached.
+func mdParams(cells, atoms, steps, warmup int) leanmd.Params {
+	p := *leanmd.DefaultParams()
+	p.NX, p.NY, p.NZ = cells, cells, cells
+	p.AtomsPerCell = atoms
+	p.Steps, p.Warmup = steps, warmup
+	p.Model = leanmd.DefaultModel()
+	return p
 }
 
 func msList(vals ...int) []time.Duration {

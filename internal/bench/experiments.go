@@ -31,7 +31,7 @@ func Figure3(w io.Writer, p Profile) (*Figure, error) {
 			}
 			s := Series{Label: fmt.Sprintf("%d objects", v)}
 			for _, lat := range p.Fig3Latencies {
-				res, err := StencilSim(p.Stencil, procs, v, lat, sim.Options{})
+				res, err := simOn[stencil.Result](procs, lat, stencilProgram(p.Stencil, v), sim.Options{})
 				if err != nil {
 					return nil, fmt.Errorf("figure3 P=%d V=%d L=%v: %w", procs, v, lat, err)
 				}
@@ -58,7 +58,7 @@ func Figure4(w io.Writer, p Profile) (*Figure, error) {
 	for _, procs := range figure4Procs() {
 		s := Series{Label: fmt.Sprintf("%d processors", procs)}
 		for _, lat := range p.Fig4Latencies {
-			res, err := LeanMDSim(p.MD, procs, lat, sim.Options{})
+			res, err := simOn[leanmd.Result](procs, lat, mdProgram(p.MD), sim.Options{})
 			if err != nil {
 				return nil, fmt.Errorf("figure4 P=%d L=%v: %w", procs, lat, err)
 			}
@@ -87,8 +87,9 @@ func Table1(w io.Writer, p Profile, skipRealtime bool) (*Table, error) {
 		Header: []string{"Procs", "Objects", "Sim (Itanium model)", "Host delay-device", "Host TCP", "TCP/delay"},
 	}
 	for _, row := range table1Rows() {
+		mk := stencilProgram(p.Stencil, row.Objects)
 		simTr, simFlush := p.traceSimRun(fmt.Sprintf("table1_sim_p%d_v%d", row.Procs, row.Objects), row.Procs)
-		simRes, err := StencilSim(p.Stencil, row.Procs, row.Objects, p.RealLatency, sim.Options{Trace: simTr})
+		simRes, err := simOn[stencil.Result](row.Procs, p.RealLatency, mk, sim.Options{Trace: simTr})
 		if err != nil {
 			return nil, fmt.Errorf("table1 sim P=%d V=%d: %w", row.Procs, row.Objects, err)
 		}
@@ -98,27 +99,15 @@ func Table1(w io.Writer, p Profile, skipRealtime bool) (*Table, error) {
 			fmt.Sprintf("%d", row.Objects),
 			fmt.Sprintf("%.3f", ms(simRes.PerStep)),
 		}
-		if skipRealtime {
-			cells = append(cells, "-", "-", "-")
-		} else {
-			rtOpts, rtFlush := p.traceRun(fmt.Sprintf("table1_rt_p%d_v%d", row.Procs, row.Objects), row.Procs)
-			rtRes, err := StencilRealtime(p.Stencil, row.Procs, row.Objects, p.RealLatency, rtOpts...)
+		host := []string{"-", "-", "-"}
+		if !skipRealtime {
+			host, err = hostCells(p, fmt.Sprintf("table1_%%s_p%d_v%d", row.Procs, row.Objects), row.Procs, mk,
+				func(r *stencil.Result) time.Duration { return r.PerStep })
 			if err != nil {
-				return nil, fmt.Errorf("table1 realtime P=%d V=%d: %w", row.Procs, row.Objects, err)
+				return nil, err
 			}
-			rtFlush()
-			tcpOpts, tcpFlush := p.traceRun(fmt.Sprintf("table1_tcp_p%d_v%d", row.Procs, row.Objects), row.Procs)
-			tcpRes, err := StencilTCP(p.Stencil, row.Procs, row.Objects, p.RealLatency, tcpOpts...)
-			if err != nil {
-				return nil, fmt.Errorf("table1 tcp P=%d V=%d: %w", row.Procs, row.Objects, err)
-			}
-			tcpFlush()
-			ratio := float64(tcpRes.PerStep) / float64(rtRes.PerStep)
-			cells = append(cells,
-				fmt.Sprintf("%.3f", ms(rtRes.PerStep)),
-				fmt.Sprintf("%.3f", ms(tcpRes.PerStep)),
-				fmt.Sprintf("%.2f", ratio))
 		}
+		cells = append(cells, host...)
 		t.Rows = append(t.Rows, cells)
 		progress(w, "table1 P=%-2d V=%-4d done\n", row.Procs, row.Objects)
 	}
@@ -132,9 +121,10 @@ func Table2(w io.Writer, p Profile, skipRealtime bool) (*Table, error) {
 		Title:  fmt.Sprintf("Table 2: LeanMD at %.3f ms one-way latency (ms/step)", ms(p.RealLatency)),
 		Header: []string{"Procs", "Sim (Itanium model)", "Host delay-device", "Host TCP", "TCP/delay"},
 	}
+	mk := mdProgram(p.MD)
 	for _, procs := range figure4Procs() {
 		simTr, simFlush := p.traceSimRun(fmt.Sprintf("table2_sim_p%d", procs), procs)
-		simRes, err := LeanMDSim(p.MD, procs, p.RealLatency, sim.Options{Trace: simTr})
+		simRes, err := simOn[leanmd.Result](procs, p.RealLatency, mk, sim.Options{Trace: simTr})
 		if err != nil {
 			return nil, fmt.Errorf("table2 sim P=%d: %w", procs, err)
 		}
@@ -143,31 +133,39 @@ func Table2(w io.Writer, p Profile, skipRealtime bool) (*Table, error) {
 			fmt.Sprintf("%d", procs),
 			fmt.Sprintf("%.1f", ms(simRes.PerStep)),
 		}
-		if skipRealtime {
-			cells = append(cells, "-", "-", "-")
-		} else {
-			rtOpts, rtFlush := p.traceRun(fmt.Sprintf("table2_rt_p%d", procs), procs)
-			rtRes, err := LeanMDRealtime(p.MD, procs, p.RealLatency, rtOpts...)
+		host := []string{"-", "-", "-"}
+		if !skipRealtime {
+			host, err = hostCells(p, fmt.Sprintf("table2_%%s_p%d", procs), procs, mk,
+				func(r *leanmd.Result) time.Duration { return r.PerStep })
 			if err != nil {
-				return nil, fmt.Errorf("table2 realtime P=%d: %w", procs, err)
+				return nil, err
 			}
-			rtFlush()
-			tcpOpts, tcpFlush := p.traceRun(fmt.Sprintf("table2_tcp_p%d", procs), procs)
-			tcpRes, err := LeanMDTCP(p.MD, procs, p.RealLatency, tcpOpts...)
-			if err != nil {
-				return nil, fmt.Errorf("table2 tcp P=%d: %w", procs, err)
-			}
-			tcpFlush()
-			ratio := float64(tcpRes.PerStep) / float64(rtRes.PerStep)
-			cells = append(cells,
-				fmt.Sprintf("%.3f", ms(rtRes.PerStep)),
-				fmt.Sprintf("%.3f", ms(tcpRes.PerStep)),
-				fmt.Sprintf("%.2f", ratio))
 		}
+		cells = append(cells, host...)
 		t.Rows = append(t.Rows, cells)
 		progress(w, "table2 P=%-2d done\n", procs)
 	}
 	return t, nil
+}
+
+// hostCells runs mk in real time on one node, where the delay device is
+// the only wide area, and on two TCP-joined nodes, and formats the two
+// per-step times and their ratio: the host columns of Tables 1 and 2.
+// name is the runs' trace name with a %s for "rt" or "tcp".
+func hostCells[T any](p Profile, name string, procs int, mk func() (*core.Program, error), perStep func(*T) time.Duration) ([]string, error) {
+	var d [2]time.Duration
+	for i, col := range []string{"rt", "tcp"} {
+		run := fmt.Sprintf(name, col)
+		opts, flush := p.traceRun(run, procs)
+		res, err := hostOn[T](procs, i+1, p.RealLatency, mk, opts...)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", run, err)
+		}
+		flush()
+		d[i] = perStep(res)
+	}
+	return []string{fmt.Sprintf("%.3f", ms(d[0])), fmt.Sprintf("%.3f", ms(d[1])),
+		fmt.Sprintf("%.2f", float64(d[1])/float64(d[0]))}, nil
 }
 
 // AblationPriority measures the paper's §6 proposal — prioritizing
@@ -186,11 +184,12 @@ func AblationPriority(w io.Writer, p Profile) (*Table, error) {
 		{16, 256, 8 * time.Millisecond},
 		{16, 256, 16 * time.Millisecond},
 	} {
-		off, err := StencilSim(p.Stencil, cfg.procs, cfg.objects, cfg.lat, sim.Options{})
+		mk := stencilProgram(p.Stencil, cfg.objects)
+		off, err := simOn[stencil.Result](cfg.procs, cfg.lat, mk, sim.Options{})
 		if err != nil {
 			return nil, err
 		}
-		on, err := StencilSim(p.Stencil, cfg.procs, cfg.objects, cfg.lat, sim.Options{PrioritizeWAN: true})
+		on, err := simOn[stencil.Result](cfg.procs, cfg.lat, mk, sim.Options{PrioritizeWAN: true})
 		if err != nil {
 			return nil, err
 		}
@@ -219,54 +218,19 @@ func AblationGridLB(w io.Writer, p Profile) (*Table, error) {
 	}
 	const procs, objects = 8, 256
 	lat := 8 * time.Millisecond
-
-	run := func(strategy core.Strategy) (time.Duration, error) {
-		sp, err := p.Stencil.params(objects, true)
-		if err != nil {
-			return 0, err
-		}
-		// Keep the locality-preserving column mapping but use only every
-		// other PE, leaving half of each cluster idle.
-		sp.InitialMap = func(i, numPE int) int {
-			pe := core.BlockMap(i, objects, numPE)
-			half := numPE / 2
-			if pe < half {
-				return pe / 2
-			}
-			return half + (pe-half)/2
-		}
-		if strategy != nil {
-			sp.LB = strategy
-			sp.LBAtStep = 2
-			// Time only the post-balance phase.
-			if sp.Warmup <= 2 {
-				sp.Warmup = 3
-			}
-		}
-		res, err := StencilSimParams(sp, procs, lat)
+	row, err := lbRow(procs, objects, lat, func(strategy core.Strategy) (time.Duration, error) {
+		sp := balanced(p.Stencil, strategy)
+		sp.InitialMap = squeezed(objects)
+		res, err := simOn[stencil.Result](procs, lat, stencilProgram(sp, objects), sim.Options{})
 		if err != nil {
 			return 0, err
 		}
 		return res.PerStep, nil
-	}
-	none, err := run(nil)
+	}, nil, balance.Greedy{}, balance.Grid{})
 	if err != nil {
 		return nil, err
 	}
-	greedy, err := run(balance.Greedy{})
-	if err != nil {
-		return nil, err
-	}
-	grid, err := run(balance.Grid{})
-	if err != nil {
-		return nil, err
-	}
-	t.Rows = append(t.Rows, []string{
-		fmt.Sprintf("%d", procs), fmt.Sprintf("%d", objects), lat.String(),
-		fmt.Sprintf("%.3f", ms(none)),
-		fmt.Sprintf("%.3f", ms(greedy)),
-		fmt.Sprintf("%.3f", ms(grid)),
-	})
+	t.Rows = append(t.Rows, row)
 	progress(w, "ablation-gridlb done\n")
 	return t, nil
 }
@@ -286,49 +250,19 @@ func GridLBTCP(w io.Writer, p Profile) (*Table, error) {
 	}
 	const procs, objects = 4, 64
 	lat := 3 * time.Millisecond
-
-	run := func(strategy core.Strategy) (time.Duration, error) {
-		sp, err := p.Stencil.params(objects, false)
-		if err != nil {
-			return 0, err
-		}
-		// Same squeeze as AblationGridLB: locality-preserving columns, but
-		// only every other PE, leaving half of each cluster idle.
-		sp.InitialMap = func(i, numPE int) int {
-			pe := core.BlockMap(i, objects, numPE)
-			half := numPE / 2
-			if pe < half {
-				return pe / 2
-			}
-			return half + (pe-half)/2
-		}
-		if strategy != nil {
-			sp.LB = strategy
-			sp.LBAtStep = 2
-			// Time only the post-balance phase.
-			if sp.Warmup <= 2 {
-				sp.Warmup = 3
-			}
-		}
-		res, err := StencilTCPParams(sp, procs, lat, p.rtOpts()...)
+	row, err := lbRow(procs, objects, lat, func(strategy core.Strategy) (time.Duration, error) {
+		sp := balanced(p.Stencil, strategy)
+		sp.InitialMap = squeezed(objects)
+		res, err := hostOn[stencil.Result](procs, 2, lat, stencilProgram(sp, objects), p.rtOpts()...)
 		if err != nil {
 			return 0, err
 		}
 		return res.PerStep, nil
-	}
-	none, err := run(nil)
+	}, nil, balance.Grid{})
 	if err != nil {
 		return nil, err
 	}
-	grid, err := run(balance.Grid{})
-	if err != nil {
-		return nil, err
-	}
-	t.Rows = append(t.Rows, []string{
-		fmt.Sprintf("%d", procs), fmt.Sprintf("%d", objects), lat.String(),
-		fmt.Sprintf("%.3f", ms(none)),
-		fmt.Sprintf("%.3f", ms(grid)),
-	})
+	t.Rows = append(t.Rows, row)
 	progress(w, "gridlb-tcp done\n")
 	return t, nil
 }
@@ -346,20 +280,8 @@ func AblationHetero(w io.Writer, p Profile) (*Table, error) {
 	}
 	const procs, objects = 8, 256
 	lat := 8 * time.Millisecond
-
-	run := func(strategy core.Strategy) (time.Duration, error) {
-		sp, err := p.Stencil.params(objects, true)
-		if err != nil {
-			return 0, err
-		}
-		if strategy != nil {
-			sp.LB = strategy
-			sp.LBAtStep = 2
-			if sp.Warmup <= 2 {
-				sp.Warmup = 3
-			}
-		}
-		prog, err := stencil.BuildProgram(sp)
+	row, err := lbRow(procs, objects, lat, func(strategy core.Strategy) (time.Duration, error) {
+		prog, err := stencilProgram(balanced(p.Stencil, strategy), objects)()
 		if err != nil {
 			return 0, err
 		}
@@ -370,36 +292,58 @@ func AblationHetero(w io.Writer, p Profile) (*Table, error) {
 		if err := topo.SetClusterSpeed(1, 0.5); err != nil {
 			return 0, err
 		}
-		e, err := sim.New(topo, prog, sim.Options{MaxEvents: 500_000_000})
-		if err != nil {
-			return 0, err
-		}
-		v, _, err := e.Run()
+		v, _, err := Sim(topo, prog, sim.Options{})
 		if err != nil {
 			return 0, err
 		}
 		return v.(*stencil.Result).PerStep, nil
-	}
-	none, err := run(nil)
+	}, nil, balance.Greedy{}, balance.Grid{})
 	if err != nil {
 		return nil, err
 	}
-	greedy, err := run(balance.Greedy{})
-	if err != nil {
-		return nil, err
-	}
-	grid, err := run(balance.Grid{})
-	if err != nil {
-		return nil, err
-	}
-	t.Rows = append(t.Rows, []string{
-		fmt.Sprintf("%d", procs), fmt.Sprintf("%d", objects), lat.String(),
-		fmt.Sprintf("%.3f", ms(none)),
-		fmt.Sprintf("%.3f", ms(greedy)),
-		fmt.Sprintf("%.3f", ms(grid)),
-	})
+	t.Rows = append(t.Rows, row)
 	progress(w, "ablation-hetero done\n")
 	return t, nil
+}
+
+// squeezed is the half-empty placement of objects blocks: the
+// locality-preserving column mapping, but on every other PE, leaving
+// half of each cluster idle.
+func squeezed(objects int) func(i, numPE int) int {
+	return func(i, numPE int) int {
+		pe := core.BlockMap(i, objects, numPE)
+		half := numPE / 2
+		if pe < half {
+			return pe / 2
+		}
+		return half + (pe-half)/2
+	}
+}
+
+// balanced returns sp with one balancing round by strategy after step 2,
+// timing only the post-balance phase; a nil strategy leaves sp as is.
+func balanced(sp stencil.Params, strategy core.Strategy) stencil.Params {
+	if strategy != nil {
+		sp.LB, sp.LBAtStep = strategy, 2
+		if sp.Warmup <= 2 {
+			sp.Warmup = 3
+		}
+	}
+	return sp
+}
+
+// lbRow formats one stencil configuration's row: its per-step time under
+// each strategy in turn, nil meaning no balancing.
+func lbRow(procs, objects int, lat time.Duration, run func(core.Strategy) (time.Duration, error), strategies ...core.Strategy) ([]string, error) {
+	row := []string{fmt.Sprintf("%d", procs), fmt.Sprintf("%d", objects), lat.String()}
+	for _, s := range strategies {
+		d, err := run(s)
+		if err != nil {
+			return nil, err
+		}
+		row = append(row, fmt.Sprintf("%.3f", ms(d)))
+	}
+	return row, nil
 }
 
 // AblationBundling measures the communication-optimization analog
@@ -414,8 +358,7 @@ func AblationBundling(w io.Writer, p Profile) (*Table, error) {
 	}
 	for _, procs := range []int{8, 16} {
 		run := func(bundle bool) (*leanmd.Result, sim.Stats, error) {
-			lp := p.MD.params(true)
-			prog, _, err := leanmd.BuildProgram(lp)
+			prog, err := mdProgram(p.MD)()
 			if err != nil {
 				return nil, sim.Stats{}, err
 			}
@@ -433,15 +376,11 @@ func AblationBundling(w io.Writer, p Profile) (*Table, error) {
 			if err != nil {
 				return nil, sim.Stats{}, err
 			}
-			e, err := sim.New(topo, prog, sim.Options{Bundle: bundle, MaxEvents: 500_000_000})
+			v, st, err := Sim(topo, prog, sim.Options{Bundle: bundle})
 			if err != nil {
-				return nil, sim.Stats{}, err
+				return nil, st, err
 			}
-			v, _, err := e.Run()
-			if err != nil {
-				return nil, sim.Stats{}, err
-			}
-			return v.(*leanmd.Result), e.Stats(), nil
+			return v.(*leanmd.Result), st, nil
 		}
 		off, so, err := run(false)
 		if err != nil {
@@ -479,8 +418,8 @@ func Irregular(w io.Writer, p Profile) (*Table, error) {
 			Chunks: chunks, Steps: 16, Warmup: 5,
 			Model: unstruct.DefaultModel(),
 		}
-		res, err := result[unstruct.Result](runSim(func() (*core.Program, error) { return unstruct.BuildProgram(up) },
-			procs, lat, sim.Options{MaxEvents: 200_000_000}))
+		res, err := simOn[unstruct.Result](procs, lat,
+			func() (*core.Program, error) { return unstruct.BuildProgram(up) }, sim.Options{})
 		if err != nil {
 			return 0, err
 		}
@@ -522,14 +461,14 @@ func SDSC(w io.Writer, p Profile) (*Table, error) {
 		procs := procs
 		rows = append(rows,
 			cfg{"stencil V=256", procs, func(lat time.Duration) (time.Duration, error) {
-				r, err := StencilSim(p.Stencil, procs, 256, lat, sim.Options{})
+				r, err := simOn[stencil.Result](procs, lat, stencilProgram(p.Stencil, 256), sim.Options{})
 				if err != nil {
 					return 0, err
 				}
 				return r.PerStep, nil
 			}},
 			cfg{"LeanMD", procs, func(lat time.Duration) (time.Duration, error) {
-				r, err := LeanMDSim(p.MD, procs, lat, sim.Options{})
+				r, err := simOn[leanmd.Result](procs, lat, mdProgram(p.MD), sim.Options{})
 				if err != nil {
 					return 0, err
 				}
@@ -571,26 +510,26 @@ func Classes(w io.Writer, p Profile) (*Table, error) {
 	const procs = 8
 
 	stencilAt := func(lat time.Duration) (time.Duration, error) {
-		res, err := StencilSim(p.Stencil, procs, 64, lat, sim.Options{})
+		res, err := simOn[stencil.Result](procs, lat, stencilProgram(p.Stencil, 64), sim.Options{})
 		if err != nil {
 			return 0, err
 		}
 		return res.PerStep, nil
 	}
 	mdAt := func(lat time.Duration) (time.Duration, error) {
-		res, err := LeanMDSim(p.MD, procs, lat, sim.Options{})
+		res, err := simOn[leanmd.Result](procs, lat, mdProgram(p.MD), sim.Options{})
 		if err != nil {
 			return 0, err
 		}
 		return res.PerStep, nil
 	}
 	farmAt := func(lat time.Duration) (time.Duration, error) {
-		res, err := result[taskfarm.Result](runSim(func() (*core.Program, error) {
+		res, err := simOn[taskfarm.Result](procs, lat, func() (*core.Program, error) {
 			return taskfarm.BuildProgramFor(&taskfarm.Params{
 				Tasks: 200, Prefetch: 4, TaskCost: 50 * time.Millisecond, TaskBytes: 2048,
 				Shards: 1, Batch: 1, // the single master: one dispatcher, one task per grant
 			}, procs)
-		}, procs, lat, sim.Options{MaxEvents: 100_000_000}))
+		}, sim.Options{})
 		if err != nil {
 			return 0, err
 		}
@@ -633,7 +572,7 @@ func AblationVirtualization(w io.Writer, p Profile) (*Table, error) {
 		if v > p.Stencil.Width*p.Stencil.Height/64 {
 			continue
 		}
-		res, err := StencilSim(p.Stencil, procs, v, 0, sim.Options{})
+		res, err := simOn[stencil.Result](procs, 0, stencilProgram(p.Stencil, v), sim.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -646,7 +585,7 @@ func AblationVirtualization(w io.Writer, p Profile) (*Table, error) {
 	return t, nil
 }
 
-func pairCount(m MDConfig) int {
+func pairCount(m leanmd.Params) int {
 	nc := m.NX * m.NY * m.NZ
 	// Periodic 26-neighbor pairs + self pairs (exact only when every axis
 	// has >= 3 cells; the paper's 6×6×6 qualifies).

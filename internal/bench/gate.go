@@ -16,7 +16,6 @@ import (
 	"gridmdo/internal/gate"
 	"gridmdo/internal/metrics"
 	"gridmdo/internal/taskfarm"
-	"gridmdo/internal/topology"
 )
 
 // The gate-soak experiment drives the full gateway stack — HTTP
@@ -117,7 +116,7 @@ type gateBench struct {
 	reg  *metrics.Registry
 	svc  *taskfarm.Service
 	gw   *gate.Gateway
-	rt   *core.Runtime
+	c    *core.Cluster
 	srv  *http.Server
 	ln   net.Listener
 	base string // host:port
@@ -133,15 +132,6 @@ func buildGateBench(cfg GateConfig) (*gateBench, error) {
 		CostSkew: 1, Seed: 1, Metrics: reg,
 	}
 	svc, err := taskfarm.NewService(fp)
-	if err != nil {
-		return nil, err
-	}
-	prog, err := taskfarm.BuildProgram(fp)
-	if err != nil {
-		return nil, err
-	}
-	topo, err := topology.New([]int{cfg.Procs / 2, cfg.Procs - cfg.Procs/2},
-		topology.WithInterLatency(time.Millisecond))
 	if err != nil {
 		return nil, err
 	}
@@ -161,26 +151,28 @@ func buildGateBench(cfg GateConfig) (*gateBench, error) {
 	svc.OnResult(gw.OnResult)
 
 	ready := make(chan struct{})
-	rt, err := core.NewRuntime(topo, prog,
+	c, err := Host(cfg.Procs, 1, time.Millisecond,
+		func() (*core.Program, error) { return taskfarm.BuildProgram(fp) },
 		core.WithMetrics(reg),
 		core.WithLifecycle(core.Lifecycle{OnStart: func() { close(ready) }}))
 	if err != nil {
 		return nil, err
 	}
-	svc.Bind(rt)
+	svc.Bind(c.Nodes[0].Runtime)
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
+		c.Close()
 		return nil, err
 	}
 	srv := &http.Server{Handler: gw.Handler()}
 	b := &gateBench{
-		reg: reg, svc: svc, gw: gw, rt: rt, srv: srv, ln: ln,
+		reg: reg, svc: svc, gw: gw, c: c, srv: srv, ln: ln,
 		base: ln.Addr().String(),
 		done: make(chan error, 1),
 	}
 	go func() {
-		_, err := rt.Run()
+		_, err := c.Run()
 		b.done <- err
 	}()
 	<-ready
@@ -189,8 +181,9 @@ func buildGateBench(cfg GateConfig) (*gateBench, error) {
 }
 
 func (b *gateBench) shutdown() error {
-	b.rt.Stop()
+	b.c.Nodes[0].Runtime.Stop()
 	err := <-b.done
+	b.c.Close()
 	b.gw.Close(nil)
 	_ = b.srv.Close()
 	return err

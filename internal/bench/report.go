@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"encoding/csv"
 	"fmt"
 	"io"
 	"strings"
@@ -107,10 +108,11 @@ func (t *Table) Render(w io.Writer) {
 	fmt.Fprintln(w)
 }
 
-// CSV writes the table as CSV.
-func (t *Table) CSV(w io.Writer) {
-	fmt.Fprintln(w, strings.Join(t.Header, ","))
-	for _, row := range t.Rows {
-		fmt.Fprintln(w, strings.Join(row, ","))
+// CSV writes the table as CSV, quoting the cells that need it.
+func (t *Table) CSV(w io.Writer) error {
+	cw := csv.NewWriter(w)
+	if err := cw.Write(t.Header); err != nil {
+		return err
 	}
+	return cw.WriteAll(t.Rows)
 }

@@ -58,19 +58,6 @@ func (c FarmConfig) shardsFor(workers int) int {
 	return s
 }
 
-// FarmSim runs one farm configuration on the virtual-time engine with one
-// worker per PE.
-func FarmSim(cfg FarmConfig, workers, shards, batch int, steal bool) (*taskfarm.Result, error) {
-	return result[taskfarm.Result](runSim(func() (*core.Program, error) {
-		return taskfarm.BuildProgram(&taskfarm.Params{
-			Tasks: cfg.Tasks, Workers: workers, Prefetch: cfg.Prefetch,
-			TaskCost: cfg.TaskCost, AssignCost: cfg.AssignCost,
-			CostSkew: cfg.CostSkew, Seed: 1,
-			Shards: shards, Batch: batch, Steal: steal,
-		})
-	}, workers, cfg.Latency, sim.Options{}))
-}
-
 // TaskfarmScale sweeps worker count across the WRONJ knee for the three
 // dispatcher configurations and reports throughput, imbalance, and steal
 // activity per point. Every point must reproduce the task set's expected
@@ -100,7 +87,14 @@ func TaskfarmScale(w io.Writer, p Profile) (*Table, error) {
 	for _, workers := range cfg.Workers {
 		for _, v := range variants {
 			shards := v.shards(workers)
-			res, err := FarmSim(cfg, workers, shards, v.batch, v.steal)
+			res, err := simOn[taskfarm.Result](workers, cfg.Latency, func() (*core.Program, error) {
+				return taskfarm.BuildProgram(&taskfarm.Params{
+					Tasks: cfg.Tasks, Workers: workers, Prefetch: cfg.Prefetch,
+					TaskCost: cfg.TaskCost, AssignCost: cfg.AssignCost,
+					CostSkew: cfg.CostSkew, Seed: 1,
+					Shards: shards, Batch: v.batch, Steal: v.steal,
+				})
+			}, sim.Options{})
 			if err != nil {
 				return nil, fmt.Errorf("taskfarm-scale %s W=%d: %w", v.name, workers, err)
 			}

@@ -11,7 +11,7 @@ import (
 )
 
 // traceRun is traceSimRun for a real-time experiment: the tracer rides in
-// the profile's runtime options. In the two-node TCP runners both runtimes
+// the profile's runtime options. In a two-node Host run both runtimes
 // share the tracer, so one snapshot covers every PE of the run.
 func (p Profile) traceRun(name string, procs int) ([]core.Option, func()) {
 	opts := p.rtOpts()

@@ -248,7 +248,9 @@ func TestStartClusterRejectsUnevenLayout(t *testing.T) {
 // TestClusterWiringStaysInLauncher: a cluster is put together in one
 // place. Outside the transport package and the launcher, no non-test
 // file of the module builds a stack (vmi.NewChainBuilder) or places a
-// runtime in a cluster (core.WithCluster) by hand. Nested modules
+// runtime in a cluster (core.WithCluster) by hand, and outside the core
+// package and the examples none builds a runtime (core.NewRuntime): a
+// real-time run starts through core.StartCluster. Nested modules
 // (benchmark/) are not walked.
 func TestClusterWiringStaysInLauncher(t *testing.T) {
 	root, err := filepath.Abs("../..")
@@ -296,6 +298,12 @@ func TestClusterWiringStaysInLauncher(t *testing.T) {
 				name = fn.Sel.Name
 			case *ast.Ident:
 				name = fn.Name
+			}
+			if name == "NewRuntime" {
+				if !strings.HasPrefix(rel, "internal/core/") && !strings.HasPrefix(rel, "examples/") {
+					t.Errorf("%s: calls NewRuntime; start real-time runs with core.StartCluster", fset.Position(call.Pos()))
+				}
+				return true
 			}
 			if name != "NewChainBuilder" && name != "WithCluster" {
 				return true

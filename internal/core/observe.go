@@ -70,12 +70,15 @@ func (rt *Runtime) instrument(reg *metrics.Registry) trace.Sink {
 	}
 	// Load-balancing progress, exported from the protocol root (PE 0).
 	// Meaningful only on the node hosting PE 0, but registered wherever an
-	// LBMgr exists so snapshots stay uniform across nodes.
+	// LBMgr exists so snapshots stay uniform across nodes. The node label
+	// keeps the nodes of an in-process cluster, which share one registry,
+	// from replacing the root's series with their own zeros.
+	node := metrics.L("node", strconv.Itoa(rt.opts.Node))
 	if lb := rt.pes[0].lb; lb != nil {
-		reg.CounterFunc("core_lb_rounds_total", func() int64 { return int64(lb.Rounds()) })
-		reg.CounterFunc("core_lb_moves_total", func() int64 { return int64(lb.TotalMoves()) })
+		reg.CounterFunc("core_lb_rounds_total", func() int64 { return int64(lb.Rounds()) }, node)
+		reg.CounterFunc("core_lb_moves_total", func() int64 { return int64(lb.TotalMoves()) }, node)
 	}
-	rt.dly.Instrument(reg, metrics.L("node", strconv.Itoa(rt.opts.Node)))
+	rt.dly.Instrument(reg, node)
 	rt.met = m
 	return &metricsSink{m: m, lo: rt.opts.PELo}
 }
