@@ -5,9 +5,10 @@ import (
 	"sync"
 )
 
-// Queue is a PE's message queue: messages come out in priority order
-// (smaller Prio first) with FIFO order among equal priorities — the
-// "message queue in either FIFO or priority order" of the paper's §4.
+// MsgQueue is the message ordering both executors share: messages come
+// out in priority order (smaller Prio first) with FIFO order among equal
+// priorities — the "message queue in either FIFO or priority order" of
+// the paper's §4.
 //
 // The implementation is two lanes sharing one (Prio, seq) ordering
 // contract. Default-priority messages — the overwhelming majority of
@@ -15,30 +16,17 @@ import (
 // index bump per push and pop; only prioritized and runtime protocol
 // messages pay for a binary heap. A pop compares the lane heads under the
 // shared (Prio, seq) order, so the observable ordering is identical to a
-// single heap over all messages. The executor assigns monotonically
-// increasing sequence numbers at enqueue time, which both provides the
-// FIFO tie-break and makes ordering deterministic for the virtual-time
-// executor.
+// single heap over all messages. Push assigns monotonically increasing
+// sequence numbers, which both provides the FIFO tie-break and makes
+// ordering deterministic for the virtual-time executor.
 //
-// Queue is safe for concurrent use; Pop blocks until a message is
-// available or the queue is closed, and PopBatch drains a burst under a
-// single lock acquisition for the real-time scheduler. The virtual-time
-// executor uses the non-blocking TryPop.
-type Queue struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	fifo    msgRing // Prio == 0 lane
-	h       msgHeap // Prio != 0 lane
-	seq     uint64
-	waiters int
-	closed  bool
-}
-
-// NewQueue builds an empty open queue.
-func NewQueue() *Queue {
-	q := &Queue{}
-	q.cond = sync.NewCond(&q.mu)
-	return q
+// MsgQueue is not synchronized. The virtual-time executor holds one by
+// value per PE, touched only by the shard that owns the PE; the real-time
+// runtime wraps it in a Queue.
+type MsgQueue struct {
+	fifo msgRing // Prio == 0 lane
+	h    msgHeap // Prio != 0 lane
+	seq  uint64
 }
 
 // msgRing is a growable circular FIFO of messages.
@@ -100,17 +88,8 @@ func (h *msgHeap) Pop() any {
 }
 
 // Push enqueues a message, assigning its FIFO sequence number, and
-// reports the resulting queue depth (0 if the push was dropped) so the
-// caller can maintain a high-water mark without a second lock
-// acquisition. Pushing to a closed queue is a no-op (shutdown races drop
-// cleanly). A waiting popper is woken only when one exists; the common
-// push-to-busy-PE case pays no futex call.
-func (q *Queue) Push(m *Message) int {
-	q.mu.Lock()
-	if q.closed {
-		q.mu.Unlock()
-		return 0
-	}
+// reports the resulting queue depth.
+func (q *MsgQueue) Push(m *Message) int {
 	q.seq++
 	m.seq = q.seq
 	if m.Prio == 0 {
@@ -118,22 +97,19 @@ func (q *Queue) Push(m *Message) int {
 	} else {
 		heap.Push(&q.h, m)
 	}
-	depth := q.size()
-	wake := q.waiters > 0
-	q.mu.Unlock()
-	if wake {
-		q.cond.Signal()
-	}
-	return depth
+	return q.Len()
 }
 
-// size reports the queued message count. Callers hold q.mu.
-func (q *Queue) size() int { return q.fifo.n + len(q.h) }
+// Len reports the number of queued messages.
+func (q *MsgQueue) Len() int { return q.fifo.n + len(q.h) }
 
-// popLocked removes the (Prio, seq)-least message across both lanes.
-// Callers hold q.mu and guarantee the queue is non-empty.
-func (q *Queue) popLocked() *Message {
+// Pop removes the (Prio, seq)-least message across both lanes, returning
+// nil when the queue is empty.
+func (q *MsgQueue) Pop() *Message {
 	if len(q.h) == 0 {
+		if q.fifo.n == 0 {
+			return nil
+		}
 		return q.fifo.pop()
 	}
 	if q.fifo.n == 0 {
@@ -146,70 +122,79 @@ func (q *Queue) popLocked() *Message {
 	return q.fifo.pop()
 }
 
-// Pop removes the highest-priority message, blocking while the queue is
-// empty. It returns nil once the queue is closed and drained.
-func (q *Queue) Pop() *Message {
-	q.mu.Lock()
-	for q.size() == 0 && !q.closed {
-		q.waiters++
-		q.cond.Wait()
-		q.waiters--
-	}
-	if q.size() == 0 {
-		q.mu.Unlock()
-		return nil
-	}
-	m := q.popLocked()
-	q.mu.Unlock()
-	return m
+// Queue is a real-time PE's message queue: a MsgQueue behind a mutex, with
+// a condition variable so the scheduler can block for work. Push and
+// PopBatch take the lock once each; PopBatch drains a burst per
+// acquisition.
+type Queue struct {
+	mu      sync.Mutex
+	cond    *sync.Cond
+	q       MsgQueue
+	waiters int
+	closed  bool
 }
 
-// PopBatch blocks like Pop for the first message, then drains further
-// deliverable messages — in (Prio, seq) order — into the spare capacity of
-// into, all under one lock acquisition. It appends to into and returns the
-// extended slice; the result is empty only once the queue is closed and
-// drained. Callers bound the burst with into's capacity.
+// NewQueue builds an empty open queue.
+func NewQueue() *Queue {
+	q := &Queue{}
+	q.cond = sync.NewCond(&q.mu)
+	return q
+}
+
+// Push enqueues a message and reports the resulting queue depth (0 if the
+// push was dropped) so the caller can maintain a high-water mark without a
+// second lock acquisition. Pushing to a closed queue is a no-op (shutdown
+// races drop cleanly). A waiting popper is woken only when one exists; the
+// common push-to-busy-PE case pays no futex call.
+func (q *Queue) Push(m *Message) int {
+	q.mu.Lock()
+	if q.closed {
+		q.mu.Unlock()
+		return 0
+	}
+	depth := q.q.Push(m)
+	wake := q.waiters > 0
+	q.mu.Unlock()
+	if wake {
+		q.cond.Signal()
+	}
+	return depth
+}
+
+// PopBatch blocks until a message is available or the queue is closed,
+// then drains deliverable messages — in (Prio, seq) order — into the
+// spare capacity of into (at least one), all under one lock acquisition.
+// It appends to into and returns the extended slice; the result is empty
+// only once the queue is closed and drained. Callers bound the burst with
+// into's capacity.
 func (q *Queue) PopBatch(into []*Message) []*Message {
 	max := cap(into) - len(into)
 	if max <= 0 {
 		max = 1
 	}
 	q.mu.Lock()
-	for q.size() == 0 && !q.closed {
+	for q.q.Len() == 0 && !q.closed {
 		q.waiters++
 		q.cond.Wait()
 		q.waiters--
 	}
-	for i := 0; i < max && q.size() > 0; i++ {
-		into = append(into, q.popLocked())
+	for i := 0; i < max && q.q.Len() > 0; i++ {
+		into = append(into, q.q.Pop())
 	}
 	q.mu.Unlock()
 	return into
 }
 
-// TryPop removes the highest-priority message without blocking, returning
-// nil when the queue is empty.
-func (q *Queue) TryPop() *Message {
-	q.mu.Lock()
-	if q.size() == 0 {
-		q.mu.Unlock()
-		return nil
-	}
-	m := q.popLocked()
-	q.mu.Unlock()
-	return m
-}
-
 // Len reports the number of queued messages.
 func (q *Queue) Len() int {
 	q.mu.Lock()
-	n := q.size()
+	n := q.q.Len()
 	q.mu.Unlock()
 	return n
 }
 
 // Close marks the queue closed and wakes all blocked poppers. Messages
-// already queued remain poppable via Pop/TryPop.
+// already queued remain poppable via PopBatch.
 func (q *Queue) Close() {
 	q.mu.Lock()
 	q.closed = true

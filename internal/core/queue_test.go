@@ -9,74 +9,118 @@ import (
 	"time"
 )
 
-func TestQueueFIFOWithinPriority(t *testing.T) {
-	q := NewQueue()
-	for i := 0; i < 10; i++ {
-		q.Push(&Message{Entry: EntryID(i)})
-	}
-	for i := 0; i < 10; i++ {
-		m := q.TryPop()
-		if m == nil || m.Entry != EntryID(i) {
-			t.Fatalf("pop %d: got %v", i, m)
+// queueKinds runs one ordering table against both queue types: the
+// unsynchronized MsgQueue the virtual-time executor holds, and the locked
+// Queue the real-time scheduler drains through PopBatch. pop returns nil
+// once the queue is empty.
+var queueKinds = []struct {
+	name string
+	new  func() (push func(*Message), pop func() *Message)
+}{
+	{"MsgQueue", func() (func(*Message), func() *Message) {
+		q := &MsgQueue{}
+		return func(m *Message) { q.Push(m) }, q.Pop
+	}},
+	{"Queue", func() (func(*Message), func() *Message) {
+		q := NewQueue()
+		return func(m *Message) { q.Push(m) }, func() *Message {
+			if q.Len() == 0 {
+				return nil
+			}
+			return q.PopBatch(make([]*Message, 0, 1))[0]
 		}
-	}
-	if q.TryPop() != nil {
-		t.Fatal("pop from empty queue returned a message")
+	}},
+}
+
+func TestQueueFIFOWithinPriority(t *testing.T) {
+	for _, k := range queueKinds {
+		t.Run(k.name, func(t *testing.T) {
+			push, pop := k.new()
+			for i := 0; i < 10; i++ {
+				push(&Message{Entry: EntryID(i)})
+			}
+			for i := 0; i < 10; i++ {
+				m := pop()
+				if m == nil || m.Entry != EntryID(i) {
+					t.Fatalf("pop %d: got %v", i, m)
+				}
+			}
+			if pop() != nil {
+				t.Fatal("pop from empty queue returned a message")
+			}
+		})
 	}
 }
 
 func TestQueuePriorityOrder(t *testing.T) {
-	q := NewQueue()
-	q.Push(&Message{Prio: 0, Entry: 1})
-	q.Push(&Message{Prio: -5, Entry: 2})
-	q.Push(&Message{Prio: 3, Entry: 3})
-	q.Push(&Message{Prio: -5, Entry: 4})
-	want := []EntryID{2, 4, 1, 3}
-	for i, w := range want {
-		m := q.TryPop()
-		if m.Entry != w {
-			t.Fatalf("pop %d: entry %d, want %d", i, m.Entry, w)
-		}
+	for _, k := range queueKinds {
+		t.Run(k.name, func(t *testing.T) {
+			push, pop := k.new()
+			push(&Message{Prio: 0, Entry: 1})
+			push(&Message{Prio: -5, Entry: 2})
+			push(&Message{Prio: 3, Entry: 3})
+			push(&Message{Prio: -5, Entry: 4})
+			want := []EntryID{2, 4, 1, 3}
+			for i, w := range want {
+				m := pop()
+				if m.Entry != w {
+					t.Fatalf("pop %d: entry %d, want %d", i, m.Entry, w)
+				}
+			}
+		})
 	}
 }
 
 // Property: for any sequence of priorities, popping yields priorities in
 // non-decreasing order, and equal priorities preserve push order.
 func TestQueueOrderProperty(t *testing.T) {
-	prop := func(prios []int8) bool {
-		q := NewQueue()
-		for i, p := range prios {
-			q.Push(&Message{Prio: int32(p), Entry: EntryID(i)})
-		}
-		var got []*Message
-		for m := q.TryPop(); m != nil; m = q.TryPop() {
-			got = append(got, m)
-		}
-		if len(got) != len(prios) {
-			return false
-		}
-		for i := 1; i < len(got); i++ {
-			if got[i].Prio < got[i-1].Prio {
-				return false
+	for _, k := range queueKinds {
+		t.Run(k.name, func(t *testing.T) {
+			prop := func(prios []int8) bool {
+				push, pop := k.new()
+				for i, p := range prios {
+					push(&Message{Prio: int32(p), Entry: EntryID(i)})
+				}
+				var got []*Message
+				for m := pop(); m != nil; m = pop() {
+					got = append(got, m)
+				}
+				if len(got) != len(prios) {
+					return false
+				}
+				for i := 1; i < len(got); i++ {
+					if got[i].Prio < got[i-1].Prio {
+						return false
+					}
+					if got[i].Prio == got[i-1].Prio && got[i].Entry < got[i-1].Entry {
+						return false
+					}
+				}
+				return true
 			}
-			if got[i].Prio == got[i-1].Prio && got[i].Entry < got[i-1].Entry {
-				return false
+			if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+				t.Error(err)
 			}
-		}
-		return true
+		})
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
+}
+
+// popOne blocks in PopBatch for a single message; nil means the queue is
+// closed and drained.
+func popOne(q *Queue) *Message {
+	if b := q.PopBatch(make([]*Message, 0, 1)); len(b) == 1 {
+		return b[0]
 	}
+	return nil
 }
 
 func TestQueueBlockingPop(t *testing.T) {
 	q := NewQueue()
 	done := make(chan *Message, 1)
-	go func() { done <- q.Pop() }()
+	go func() { done <- popOne(q) }()
 	select {
 	case <-done:
-		t.Fatal("Pop returned without a message")
+		t.Fatal("PopBatch returned without a message")
 	case <-time.After(10 * time.Millisecond):
 	}
 	q.Push(&Message{Entry: 7})
@@ -86,7 +130,7 @@ func TestQueueBlockingPop(t *testing.T) {
 			t.Fatalf("got entry %d", m.Entry)
 		}
 	case <-time.After(time.Second):
-		t.Fatal("Pop never unblocked")
+		t.Fatal("PopBatch never unblocked")
 	}
 }
 
@@ -94,10 +138,10 @@ func TestQueueCloseUnblocksAndDrains(t *testing.T) {
 	q := NewQueue()
 	q.Push(&Message{Entry: 1})
 	q.Close()
-	if m := q.Pop(); m == nil || m.Entry != 1 {
+	if m := popOne(q); m == nil || m.Entry != 1 {
 		t.Fatalf("closed queue did not drain: %v", m)
 	}
-	if m := q.Pop(); m != nil {
+	if m := popOne(q); m != nil {
 		t.Fatalf("pop after drain returned %v", m)
 	}
 	// Pushing to a closed queue is a silent no-op.
@@ -128,16 +172,19 @@ func TestQueueConcurrentProducersConsumers(t *testing.T) {
 		cwg.Add(1)
 		go func() {
 			defer cwg.Done()
+			batch := make([]*Message, 0, 4)
 			for {
-				m := q.Pop()
-				if m == nil {
+				batch = q.PopBatch(batch[:0])
+				if len(batch) == 0 {
 					return
 				}
 				mu.Lock()
-				if seen[m.Entry] {
-					t.Errorf("duplicate delivery of %d", m.Entry)
+				for _, m := range batch {
+					if seen[m.Entry] {
+						t.Errorf("duplicate delivery of %d", m.Entry)
+					}
+					seen[m.Entry] = true
 				}
-				seen[m.Entry] = true
 				mu.Unlock()
 			}
 		}()
@@ -153,8 +200,8 @@ func TestQueueConcurrentProducersConsumers(t *testing.T) {
 	}
 }
 
-// TestQueuePopBatchOrdering: a batch drain observes the same global
-// (Prio, seq) order as repeated single pops, merging both lanes.
+// TestQueuePopBatchOrdering: a batch drain observes the global (Prio,
+// seq) order, merging both lanes.
 func TestQueuePopBatchOrdering(t *testing.T) {
 	q := NewQueue()
 	q.Push(&Message{Prio: 0, Entry: 1})
@@ -201,8 +248,8 @@ func TestQueuePopBatchCapacityBound(t *testing.T) {
 	}
 }
 
-// TestQueuePopBatchBlocksAndCloses: PopBatch blocks on empty like Pop,
-// wakes on push, and returns an empty slice once closed and drained.
+// TestQueuePopBatchBlocksAndCloses: PopBatch blocks on empty, wakes on
+// push, and returns an empty slice once closed and drained.
 func TestQueuePopBatchBlocksAndCloses(t *testing.T) {
 	q := NewQueue()
 	done := make(chan []*Message, 1)
@@ -227,16 +274,16 @@ func TestQueuePopBatchBlocksAndCloses(t *testing.T) {
 	}
 }
 
-// Property: splitting a workload into arbitrary-size batch drains yields
-// the same order as single pops.
+// Property: splitting a workload into arbitrary-size batch drains of a
+// Queue yields the same order as single pops of a MsgQueue.
 func TestQueuePopBatchEquivalenceProperty(t *testing.T) {
 	prop := func(prios []int8, caps []uint8) bool {
-		single, batched := NewQueue(), NewQueue()
+		var single MsgQueue
+		batched := NewQueue()
 		for i, p := range prios {
 			single.Push(&Message{Prio: int32(p), Entry: EntryID(i)})
 			batched.Push(&Message{Prio: int32(p), Entry: EntryID(i)})
 		}
-		single.Close()
 		batched.Close()
 		var a, b []*Message
 		for m := single.Pop(); m != nil; m = single.Pop() {

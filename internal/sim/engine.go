@@ -15,7 +15,7 @@
 // Two executors share one event model. New builds the sequential engine:
 // a single event queue popped in order, the reference semantics.
 // NewParallel builds the conservative parallel engine: PEs are divided
-// into shards of whole clusters, each with its own event heap, executed by
+// into shards of whole clusters, each with its own event queue, executed by
 // a worker pool in time windows bounded by the lookahead (the minimum
 // delay of a link between shards — every cross-shard interaction is a
 // modeled message with nonzero delay, so within one window the shards
@@ -27,6 +27,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -90,7 +91,7 @@ type event struct {
 // eventHeap is a binary min-heap of events in (at, kind, key) order. The
 // keys are unique, so the pop order is a pure function of the set pushed.
 // push and pop sift the concrete slice directly: the standard library's
-// heap would box every 40-byte event into an interface value on the way in
+// heap would box every 32-byte event into an interface value on the way in
 // and out.
 type eventHeap []event
 
@@ -142,12 +143,98 @@ func (h *eventHeap) pop() event {
 	return top
 }
 
+// eventQueue is a shard's pending events: a binary heap plus an exec
+// lane. Nearly every exec event is due at the instant of the delivery that
+// scheduled it — the instant of the event just popped — so those skip the
+// heap: the lane holds them as a bitmap over the shard's PEs (an exec's
+// key is its PE, and a PE has at most one pending exec). peek and pop
+// compare the heap's top with the lane's lowest PE under the one (at,
+// kind, key) order, which is total since keys are unique, so the pop
+// sequence is a pure function of the set of events pushed, wherever each
+// one waited.
+type eventQueue struct {
+	heap eventHeap
+	now  time.Duration // the instant of the last event popped; the lane's instant
+	lane []uint64      // bit i set: PE peLo+i has an exec pending at now
+	peLo int
+	n    int // lane events
+	lo   int // no set bit in lane[:lo]
+}
+
+func newEventQueue(peLo, peHi int) eventQueue {
+	return eventQueue{now: -1, lane: make([]uint64, (peHi-peLo+63)/64), peLo: peLo}
+}
+
+func (q *eventQueue) len() int { return len(q.heap) + q.n }
+
+// nextAt is the instant of the earliest pending event; the queue is
+// non-empty. Events are never pushed before the instant of the last pop,
+// so a non-empty lane is due first.
+func (q *eventQueue) nextAt() time.Duration {
+	if q.n > 0 {
+		return q.now
+	}
+	return q.heap[0].at
+}
+
+func (q *eventQueue) push(ev event) {
+	if ev.kind != evExec || ev.at != q.now {
+		q.heap.push(ev)
+		return
+	}
+	i := int(ev.pe) - q.peLo
+	w := i >> 6
+	q.lane[w] |= 1 << (i & 63)
+	if q.n == 0 || w < q.lo {
+		q.lo = w
+	}
+	q.n++
+}
+
+// laneTop is the lane's earliest event; the lane is non-empty.
+func (q *eventQueue) laneTop() event {
+	for q.lane[q.lo] == 0 {
+		q.lo++
+	}
+	pe := q.peLo + q.lo<<6 + bits.TrailingZeros64(q.lane[q.lo])
+	return event{at: q.now, key: uint64(pe), kind: evExec, pe: int32(pe)}
+}
+
+// peek returns the earliest pending event; the queue is non-empty.
+func (q *eventQueue) peek() event {
+	if q.n == 0 {
+		return q.heap[0]
+	}
+	ev := q.laneTop()
+	if len(q.heap) > 0 && q.heap[0].before(&ev) {
+		return q.heap[0]
+	}
+	return ev
+}
+
+// pop removes and returns the earliest pending event; the queue is
+// non-empty.
+func (q *eventQueue) pop() event {
+	var ev event
+	if q.n > 0 {
+		ev = q.laneTop()
+	}
+	if q.n == 0 || len(q.heap) > 0 && q.heap[0].before(&ev) {
+		ev = q.heap.pop()
+	} else {
+		q.lane[q.lo] &^= 1 << ((int(ev.pe) - q.peLo) & 63)
+		q.n--
+	}
+	q.now = ev.at
+	return ev
+}
+
 // ordKey is an event's position in the sequential engine's processing
 // order, used to compare stop candidates (exit, error) across shards and
 // to rewind past them. Time orders first. Within one instant the
 // sequential engine first pops the deliveries already queued for it, by
 // key, and then each shard's executions — and the zero-delay deliveries
-// those push, which the heap orders *before* the running event — shard
+// those push, which the queue orders *before* the running event — shard
 // after shard, since every PE of a lower shard has a lower exec key. So a
 // parallel shard stamps a delivery {at, evDeliver, key} until it has run
 // an exec at that instant, and everything after {at, evExec, shard<<40 |
@@ -173,7 +260,7 @@ func (k ordKey) greater(o ordKey) bool { return o.less(k) }
 
 type simPE struct {
 	id          int
-	q           *core.Queue
+	q           core.MsgQueue
 	host        *core.PEHost
 	reduce      *core.ReduceMgr
 	lb          *core.LBMgr
@@ -205,17 +292,17 @@ type rewindRec struct {
 	events, msgs, frames int64
 }
 
-// shard owns a contiguous range of PEs: their event heap, queues, hosts,
-// and the execution state of whichever handler is running. It implements
-// core.Backend, so each PE's host routes sends and reads the clock
-// through its own shard without any cross-shard locking on the hot path.
-// The sequential engine is the one-shard special case.
+// shard owns a contiguous range of PEs: their event queue, message
+// queues, hosts, and the execution state of whichever handler is running.
+// It implements core.Backend, so each PE's host routes sends and reads the
+// clock through its own shard without any cross-shard locking on the hot
+// path. The sequential engine is the one-shard special case.
 type shard struct {
 	eng        *Engine
 	id         int
 	peLo, peHi int
 
-	events eventHeap
+	events eventQueue
 	now    time.Duration
 
 	// current handler execution state
@@ -323,7 +410,7 @@ func newEngine(topo *topology.Topology, prog *core.Program, opts Options, worker
 	e.shards = make([]*shard, len(bounds)-1)
 	e.shardOf = make([]int32, numPE)
 	for i := range e.shards {
-		s := &shard{eng: e, id: i, peLo: bounds[i], peHi: bounds[i+1]}
+		s := &shard{eng: e, id: i, peLo: bounds[i], peHi: bounds[i+1], events: newEventQueue(bounds[i], bounds[i+1])}
 		if parallel {
 			s.outbox = make([]event, 0, 16)
 			s.execAt = -1
@@ -343,7 +430,7 @@ func newEngine(topo *topology.Topology, prog *core.Program, opts Options, worker
 	tab := core.NewElemTable(prog)
 	for pe := 0; pe < numPE; pe++ {
 		sh := e.shards[e.shardOf[pe]]
-		ps := &simPE{id: pe, q: core.NewQueue()}
+		ps := &simPE{id: pe}
 		if opts.Bundle {
 			ps.pending = core.NewPendingBundles()
 		}
@@ -386,11 +473,11 @@ func newEngine(topo *topology.Topology, prog *core.Program, opts Options, worker
 
 // shardBounds divides the PEs into the parallel engine's shards: shard i
 // owns PEs [b[i], b[i+1]). More shards than workers keeps the per-shard
-// heaps small and lets the pool balance uneven windows; beyond ~4× there
-// is only bookkeeping. A machine of several clusters gets at most one
-// shard per cluster, each a contiguous run of whole clusters balanced by
-// PE count, so only inter-cluster links cross shards and the lookahead is
-// the WAN's; a single cluster is split evenly.
+// event queues small and lets the pool balance uneven windows; beyond ~4×
+// there is only bookkeeping. A machine of several clusters gets at most
+// one shard per cluster, each a contiguous run of whole clusters balanced
+// by PE count, so only inter-cluster links cross shards and the lookahead
+// is the WAN's; a single cluster is split evenly.
 func shardBounds(topo *topology.Topology, workers int) []int {
 	numPE, nc := topo.NumPE(), topo.NumClusters()
 	n := max(16, 4*workers)
@@ -470,7 +557,9 @@ func (s *shard) Route(m *core.Message) int32 {
 	if m.Parent == 0 && s.inHandler {
 		m.Parent = s.curMsg
 	}
-	s.record(trace.Event{PE: int(m.SrcPE), Kind: trace.EvSend, At: s.Now(), MsgID: m.ID, Parent: m.Parent, MsgKind: byte(m.Kind), Arg1: int64(m.DstPE), Arg2: int64(m.Bytes)})
+	if e.opts.Trace != nil {
+		s.record(trace.Event{PE: int(m.SrcPE), Kind: trace.EvSend, At: s.Now(), MsgID: m.ID, Parent: m.Parent, MsgKind: byte(m.Kind), Arg1: int64(m.DstPE), Arg2: int64(m.Bytes)})
+	}
 	link := e.topo.LinkBetween(int(m.SrcPE), int(m.DstPE))
 	if e.opts.Bundle && core.BundleEligible(m) && s.inHandler {
 		// Held until the running handler completes; exec flushes the
@@ -679,7 +768,7 @@ func (e *Engine) Run() (any, time.Duration, error) {
 
 func (e *Engine) runSequential() {
 	s := e.shards[0]
-	for len(s.events) > 0 && !e.stopFlag.Load() {
+	for s.events.len() > 0 && !e.stopFlag.Load() {
 		ev := s.events.pop()
 		s.now = ev.at
 		s.curKey = ordKey{at: ev.at, kind: ev.kind, key: ev.key}
@@ -714,12 +803,16 @@ func (s *shard) deliver(ev event) {
 		for _, sub := range core.BundleMessages(ev.m) {
 			sub.EnqueuedAt = s.now
 			ps.q.Push(sub)
-			s.record(trace.Event{PE: int(ev.pe), Kind: trace.EvEnqueue, At: s.now, MsgID: sub.ID, Parent: sub.Parent, MsgKind: byte(sub.Kind), Arg1: int64(sub.SrcPE)})
+			if e.opts.Trace != nil {
+				s.record(trace.Event{PE: int(ev.pe), Kind: trace.EvEnqueue, At: s.now, MsgID: sub.ID, Parent: sub.Parent, MsgKind: byte(sub.Kind), Arg1: int64(sub.SrcPE)})
+			}
 		}
 	} else {
 		ev.m.EnqueuedAt = s.now
 		ps.q.Push(ev.m)
-		s.record(trace.Event{PE: int(ev.pe), Kind: trace.EvEnqueue, At: s.now, MsgID: ev.m.ID, Parent: ev.m.Parent, MsgKind: byte(ev.m.Kind), Arg1: int64(ev.m.SrcPE)})
+		if e.opts.Trace != nil {
+			s.record(trace.Event{PE: int(ev.pe), Kind: trace.EvEnqueue, At: s.now, MsgID: ev.m.ID, Parent: ev.m.Parent, MsgKind: byte(ev.m.Kind), Arg1: int64(ev.m.SrcPE)})
+		}
 	}
 	if !ps.execPending {
 		at := s.now
@@ -735,7 +828,7 @@ func (s *shard) exec(ev event) {
 	e := s.eng
 	ps := e.pes[ev.pe]
 	ps.execPending = false
-	m := ps.q.TryPop()
+	m := ps.q.Pop()
 	if m == nil {
 		return
 	}
@@ -744,7 +837,9 @@ func (s *shard) exec(ev event) {
 	s.execStart = s.now
 	s.charged = 0
 	s.curMsg = m.ID
-	s.record(trace.Event{PE: ps.id, Kind: trace.EvBegin, At: s.now, MsgID: m.ID, MsgKind: byte(m.Kind), Arg1: int64(m.To.Array), Arg2: int64(m.To.Index)})
+	if e.opts.Trace != nil {
+		s.record(trace.Event{PE: ps.id, Kind: trace.EvBegin, At: s.now, MsgID: m.ID, MsgKind: byte(m.Kind), Arg1: int64(m.To.Array), Arg2: int64(m.To.Index)})
+	}
 
 	var err error
 	kept := true // only a delivered app message goes back to the pool
@@ -781,7 +876,9 @@ func (s *shard) exec(ev event) {
 			s.transmit(b, e.topo.LinkBetween(int(b.SrcPE), int(b.DstPE)), ps.busyUntil, ps.id)
 		}
 	}
-	s.record(trace.Event{PE: ps.id, Kind: trace.EvEnd, At: ps.busyUntil, MsgID: m.ID, MsgKind: byte(m.Kind)})
+	if e.opts.Trace != nil {
+		s.record(trace.Event{PE: ps.id, Kind: trace.EvEnd, At: ps.busyUntil, MsgID: m.ID, MsgKind: byte(m.Kind)})
+	}
 	if !kept {
 		core.ReleaseMessage(m)
 	}

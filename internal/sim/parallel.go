@@ -20,7 +20,7 @@ import (
 //     rewind log is full stops early; running less of a window is always
 //     safe, and it picks up from there in the next one.
 //  3. Barrier: hand buffered cross-shard deliveries to their target
-//     heaps, then take F, the earliest position (ordKey) among the
+//     event queues, then take F, the earliest position (ordKey) among the
 //     shards' next events. Everything ordered before F has run on every
 //     shard and no stop can come before it, so rewind records and staged
 //     trace events ordered before F are final; later ones are kept, since
@@ -71,12 +71,12 @@ func (e *Engine) runParallel() {
 		w := time.Duration(-1)
 		nonEmpty := 0
 		for _, s := range e.shards {
-			if len(s.events) == 0 {
+			if s.events.len() == 0 {
 				continue
 			}
 			nonEmpty++
-			if w < 0 || s.events[0].at < w {
-				w = s.events[0].at
+			if at := s.events.nextAt(); w < 0 || at < w {
+				w = at
 			}
 		}
 		if w < 0 {
@@ -100,7 +100,7 @@ func (e *Engine) runParallel() {
 		}
 		active = active[:0]
 		for _, s := range e.shards {
-			if len(s.events) > 0 && s.events[0].at < wend {
+			if s.events.len() > 0 && s.events.nextAt() < wend {
 				active = append(active, s)
 			}
 		}
@@ -137,8 +137,9 @@ func (e *Engine) barrier() bool {
 	// no stop can come before it.
 	f := ordKey{at: maxDuration, kind: evExec, key: math.MaxUint64}
 	for _, s := range e.shards {
-		if len(s.events) > 0 {
-			if k := s.pos(&s.events[0]); k.less(f) {
+		if s.events.len() > 0 {
+			top := s.events.peek()
+			if k := s.pos(&top); k.less(f) {
 				f = k
 			}
 		}
@@ -221,13 +222,13 @@ func (s *shard) runWindow(wend time.Duration) {
 	if s.rewind == nil {
 		s.rewind = rewindLogs.Get().(*[rewindCap]rewindRec)[:0]
 	}
-	for len(s.events) > 0 && len(s.rewind) < rewindCap {
-		top := &s.events[0]
-		if top.at >= wend {
+	for s.events.len() > 0 && len(s.rewind) < rewindCap {
+		if s.events.nextAt() >= wend {
 			return
 		}
 		if e.stopFlag.Load() {
-			if stopK, ok := e.stopKeySnapshot(); ok && !s.pos(top).less(stopK) {
+			top := s.events.peek()
+			if stopK, ok := e.stopKeySnapshot(); ok && !s.pos(&top).less(stopK) {
 				return
 			}
 		}
