@@ -119,7 +119,7 @@ func TestMaskedFractionGrowsWithVirtualization(t *testing.T) {
 		}
 		return run{
 			masked:    ov.MaskedFraction(),
-			cpExposed: cp.ExposedFraction(),
+			cpExposed: float64(cp.Exposed) / float64(cp.Total),
 			commWait:  ov.Totals().CommWait,
 		}
 	}

@@ -87,9 +87,6 @@ func buildCheckpoint(prog *Program, hosts []*PEHost, partial bool) (*Checkpoint,
 		if err != nil {
 			return nil, err
 		}
-		if cerr := h.ColdError(); cerr != nil {
-			return nil, cerr
-		}
 	}
 	ck := &Checkpoint{Partial: partial}
 	for ai := range prog.Arrays {
@@ -303,9 +300,8 @@ func (c *Checkpoint) Install(prog *Program) error {
 }
 
 // Each visits every element on this host in deterministic (array, index)
-// order, including PUP-packed cold elements (rebuilt transiently, without
-// disturbing the live set). It must only be called from the host's
-// scheduler context or while the executor is stopped.
+// order. It must only be called from the host's scheduler context or
+// while the executor is stopped.
 func (h *PEHost) Each(fn func(ref ElemRef, ch Chare)) {
 	refs := append([]ElemRef(nil), h.refs...)
 	sort.Slice(refs, func(i, j int) bool {
@@ -316,8 +312,6 @@ func (h *PEHost) Each(fn func(ref ElemRef, ch Chare)) {
 	})
 	for _, ref := range refs {
 		if ch := h.slot(ref).ch; ch != nil {
-			fn(ref, ch)
-		} else if ch, ok := h.peekCold(ref); ok {
 			fn(ref, ch)
 		}
 	}

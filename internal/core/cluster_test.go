@@ -4,11 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"go/ast"
-	"go/parser"
 	"go/token"
-	"io/fs"
 	"net"
-	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -262,32 +259,9 @@ func TestClusterWiringStaysInLauncher(t *testing.T) {
 	}
 	fset := token.NewFileSet()
 	launcherCalls := 0
-	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path == root {
-				return nil
-			}
-			if name := d.Name(); name == "testdata" || strings.HasPrefix(name, ".") {
-				return filepath.SkipDir
-			}
-			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
-				return filepath.SkipDir // another module
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		rel, _ := filepath.Rel(root, path)
-		rel = filepath.ToSlash(rel)
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
+	for _, gf := range parseModule(t, fset, root) {
+		rel := gf.rel
+		ast.Inspect(gf.f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
 				return true
@@ -315,10 +289,6 @@ func TestClusterWiringStaysInLauncher(t *testing.T) {
 			}
 			return true
 		})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	if launcherCalls < 2 {
 		t.Errorf("found %d calls in the launcher, want its NewChainBuilder and WithCluster: the walk missed it", launcherCalls)

@@ -1,0 +1,300 @@
+package core_test
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"slices"
+	"strings"
+	"testing"
+)
+
+// goFile is one parsed non-test Go file; rel is its slash path from the
+// module root.
+type goFile struct {
+	rel string
+	f   *ast.File
+}
+
+// parseModule parses every non-test Go file of the module rooted at dir.
+// Nested modules, testdata and dot directories are not walked.
+func parseModule(t *testing.T, fset *token.FileSet, dir string) []goFile {
+	t.Helper()
+	var files []goFile
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == dir {
+				return nil
+			}
+			if name := d.Name(); name == "testdata" || strings.HasPrefix(name, ".") {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+				return filepath.SkipDir // another module
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(dir, path)
+		files = append(files, goFile{rel: filepath.ToSlash(rel), f: f})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// exportAllowlist names the exported identifiers of internal/ that no
+// non-test Go references and that stay anyway, each with its reason. Keys
+// are the package path under internal/, then the receiver type for a
+// method, then the name.
+var exportAllowlist = map[string]string{
+	"ampi.Comm.Alltoall":  "AMPI's MPI surface; ROADMAP item 4 decides whether AMPI joins the evaluation or goes",
+	"ampi.Comm.Barrier":   "AMPI's MPI surface; ROADMAP item 4 decides it",
+	"ampi.Comm.Iprobe":    "AMPI's MPI surface; ROADMAP item 4 decides it",
+	"ampi.Comm.Irecv":     "AMPI's MPI surface; ROADMAP item 4 decides it",
+	"ampi.Comm.Isend":     "AMPI's MPI surface; ROADMAP item 4 decides it",
+	"ampi.Comm.Scan":      "AMPI's MPI surface; ROADMAP item 4 decides it",
+	"ampi.Comm.Scatter":   "AMPI's MPI surface; ROADMAP item 4 decides it",
+	"ampi.Comm.SendBytes": "AMPI's MPI surface; ROADMAP item 4 decides it",
+	"ampi.Comm.Wtime":     "AMPI's MPI surface; ROADMAP item 4 decides it",
+	"ampi.Waitall":        "AMPI's MPI surface; ROADMAP item 4 decides it",
+
+	"core.WithBundling":      "ROADMAP item 12 decides whether bundling becomes the default or goes",
+	"core.WithWANPriority":   "the runtime option for the paper's §6 cross-cluster prioritization",
+	"core.WithLatency":       "chaos instrument: the soak test's jittered WAN latency enters the delay device through it",
+	"core.WithPrio":          "Ctx.Send's message-priority option; the executor conformance tests order messages with it",
+	"core.WithBytes":         "Ctx.Send's modeled-size option; the executor conformance tests size messages with it",
+	"core.EncodeMessage":     "the codec's encode half; wire tests in other packages use it, which an export_test.go cannot serve",
+	"core.AppendMemberTable": "the membership table's wire encoder, which the membership fuzzers drive",
+	"core.DecodeMemberTable": "the membership table's wire decoder, which the membership fuzzers drive",
+
+	"leanmd.DirectForces": "the all-pairs reference, with no cell decomposition, that the decomposed-force tests compare against",
+
+	"vmi.JitteredLatency":        "chaos instrument: seeded WAN jitter for the soak test",
+	"vmi.TCP.DropConn":           "chaos instrument: severs a live connection to exercise re-dial and retransmit",
+	"vmi.TCP.CorruptWire":        "chaos instrument: corrupts the outgoing byte stream to break the framing",
+	"vmi.NewPartitionDevice":     "chaos instrument: the network-partition device",
+	"vmi.PartitionDevice.Sever":  "chaos instrument: opens a partition",
+	"vmi.PartitionDevice.Heal":   "chaos instrument: closes a partition",
+	"vmi.FaultDevice.RecordLog":  "chaos instrument: turns on the fault device's decision log",
+	"vmi.FaultDevice.Log":        "chaos instrument: reads the fault device's decision log",
+	"vmi.FaultDevice.HeldFrames": "chaos instrument: reports frames the fault device holds back for reordering",
+	"vmi.Reliable.Outstanding":   "chaos instrument: unacknowledged frames, read by the reliability tests",
+}
+
+// stdInterfaces are the standard-library interfaces whose methods only
+// the standard library calls (container/heap, errors, fmt). A
+// method that completes one of them on its receiver type has a caller no
+// name search can see.
+var stdInterfaces = [][]string{
+	{"Len", "Less", "Swap", "Push", "Pop"}, // heap.Interface
+	{"Error"},                              // error
+	{"Unwrap"},                             // errors.Is and errors.As
+	{"String"},                             // fmt.Stringer
+}
+
+// TestInternalExportsHaveProductCallers: internal/ is a closed world.
+// Every exported func, method, type, var and const declared there is
+// referenced by name from non-test Go of the main module or of the
+// benchmark module, which imports internal/ through its replace
+// directive, or is on exportAllowlist. The match is by name: any
+// identifier spelled like the declaration, other than a declaration,
+// counts as a reference. Two kinds are exempt by rule: a method that
+// completes a stdInterfaces entry on its receiver, and the first constant
+// of an iota block, which names the zero value.
+func TestInternalExportsHaveProductCallers(t *testing.T) {
+	root, err := filepath.Abs("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	files := parseModule(t, fset, root)
+	for _, f := range parseModule(t, fset, filepath.Join(root, "benchmark")) {
+		files = append(files, goFile{rel: "benchmark/" + f.rel, f: f.f})
+	}
+	refs := referencedNames(files)
+	if !refs["StartCluster"] {
+		t.Fatal("no reference to StartCluster found: the walk missed the launcher's callers")
+	}
+	exports := internalExports(files)
+	if len(exports) == 0 {
+		t.Fatal("no exported declaration found under internal/")
+	}
+	for key, pos := range exports {
+		_, allowed := exportAllowlist[key]
+		switch used := refs[key[strings.LastIndex(key, ".")+1:]]; {
+		case !used && !allowed:
+			t.Errorf("%s: %s has no reference from non-test Go: delete it, or allowlist it with a reason", fset.Position(pos), key)
+		case used && allowed:
+			t.Errorf("%s: allowlisted %s now has a product caller: drop its allowlist entry", fset.Position(pos), key)
+		}
+	}
+	for key := range exportAllowlist {
+		if _, ok := exports[key]; !ok {
+			t.Errorf("allowlist entry %s names no exported declaration under internal/", key)
+		}
+	}
+}
+
+// referencedNames collects every identifier of files that is not itself
+// being declared.
+func referencedNames(files []goFile) map[string]bool {
+	refs := make(map[string]bool)
+	for _, gf := range files {
+		declared := make(map[*ast.Ident]bool)
+		ast.Inspect(gf.f, func(n ast.Node) bool {
+			switch x := n.(type) {
+			case *ast.FuncDecl:
+				declared[x.Name] = true
+			case *ast.TypeSpec:
+				declared[x.Name] = true
+			case *ast.ValueSpec:
+				for _, id := range x.Names {
+					declared[id] = true
+				}
+			case *ast.Field:
+				for _, id := range x.Names {
+					declared[id] = true
+				}
+			}
+			return true
+		})
+		ast.Inspect(gf.f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && !declared[id] {
+				refs[id.Name] = true
+			}
+			return true
+		})
+	}
+	return refs
+}
+
+// internalExports maps each exported declaration under internal/, keyed
+// as exportAllowlist is, to its position, leaving out the rule-exempt
+// ones.
+func internalExports(files []goFile) map[string]token.Pos {
+	out := make(map[string]token.Pos)
+	methods := make(map[string][]string) // "pkg.Type" -> its method names
+	type method struct {
+		recv, name string
+		pos        token.Pos
+	}
+	var pending []method
+	for _, gf := range files {
+		pkg, ok := strings.CutPrefix(filepath.ToSlash(filepath.Dir(gf.rel)), "internal/")
+		if !ok {
+			continue
+		}
+		for _, d := range gf.f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					if d.Name.IsExported() {
+						out[pkg+"."+d.Name.Name] = d.Pos()
+					}
+					continue
+				}
+				recv := pkg + "." + recvType(d.Recv.List[0].Type)
+				methods[recv] = append(methods[recv], d.Name.Name)
+				if d.Name.IsExported() {
+					pending = append(pending, method{recv, d.Name.Name, d.Pos()})
+				}
+			case *ast.GenDecl:
+				for i, s := range d.Specs {
+					switch s := s.(type) {
+					case *ast.TypeSpec:
+						if s.Name.IsExported() {
+							out[pkg+"."+s.Name.Name] = s.Pos()
+						}
+					case *ast.ValueSpec:
+						for j, id := range s.Names {
+							if id.IsExported() && !(i == 0 && j == 0 && d.Tok == token.CONST && usesIota(s)) {
+								out[pkg+"."+id.Name] = id.Pos()
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	for _, m := range pending {
+		if !completesStdInterface(methods[m.recv], m.name) {
+			out[m.recv+"."+m.name] = m.pos
+		}
+	}
+	return out
+}
+
+// recvType names a method's receiver type: T for T and *T.
+func recvType(e ast.Expr) string {
+	if s, ok := e.(*ast.StarExpr); ok {
+		e = s.X
+	}
+	if id, ok := e.(*ast.Ident); ok {
+		return id.Name
+	}
+	return ""
+}
+
+// usesIota reports whether a constant spec's values mention iota.
+func usesIota(s *ast.ValueSpec) bool {
+	found := false
+	for _, v := range s.Values {
+		ast.Inspect(v, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && id.Name == "iota" {
+				found = true
+			}
+			return !found
+		})
+	}
+	return found
+}
+
+// completesStdInterface reports whether name belongs to a stdInterfaces
+// entry whose every method the receiver declares.
+func completesStdInterface(have []string, name string) bool {
+	for _, iface := range stdInterfaces {
+		if !slices.Contains(iface, name) {
+			continue
+		}
+		complete := true
+		for _, m := range iface {
+			complete = complete && slices.Contains(have, m)
+		}
+		if complete {
+			return true
+		}
+	}
+	return false
+}
+
+// TestBenchmarkModuleBuilds: go build ./... does not reach the nested
+// benchmark module, so an identifier it uses could vanish from internal/
+// unnoticed until CI built it. It builds offline through its replace
+// directive.
+func TestBenchmarkModuleBuilds(t *testing.T) {
+	root, err := filepath.Abs("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := t.TempDir() + string(filepath.Separator)
+	cmd := exec.Command("go", "build", "-C", filepath.Join(root, "benchmark"), "-o", out, "./...")
+	if b, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("go build -C benchmark ./...: %v\n%s", err, b)
+	}
+}

@@ -35,9 +35,6 @@ func NewStepGate(need int) *StepGate {
 // Step reports the current step.
 func (g *StepGate) Step() int { return g.step }
 
-// Got reports how many of the current step's messages have arrived.
-func (g *StepGate) Got() int { return g.got }
-
 // Deliver accepts one message tagged with its step. If the message is for
 // the current step it is counted and returned (ok=true); a message for a
 // future step is buffered (ok=false). Messages for past steps are a

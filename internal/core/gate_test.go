@@ -28,8 +28,8 @@ func TestStepGateBasicFlow(t *testing.T) {
 	if g.Step() != 1 || len(pend) != 1 || pend[0] != "early" {
 		t.Fatalf("advance: step=%d pend=%v", g.Step(), pend)
 	}
-	if g.Got() != 1 {
-		t.Fatalf("early message not counted: got=%d", g.Got())
+	if g.got != 1 {
+		t.Fatalf("early message not counted: got=%d", g.got)
 	}
 	if g.Ready() {
 		t.Fatal("step 1 ready with 1 of 2")

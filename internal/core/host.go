@@ -18,7 +18,7 @@ type ElemTable struct {
 }
 
 type elemSlot struct {
-	ch   Chare     // nil while the element is PUP-packed in the cold store
+	ch   Chare
 	meta *elemMeta // nil while no host holds the element
 	pe   int32     // the host holding it
 	pos  int32     // its index in that host's refs
@@ -42,8 +42,7 @@ type PEHost struct {
 	b    Backend
 	pe   int
 	tab  *ElemTable
-	refs []ElemRef // elements held by this PE, constructed or packed, in no particular order
-	live int       // how many of them are constructed
+	refs []ElemRef // elements held by this PE, in no particular order
 
 	// ctx is the one Ctx every element handler on this PE receives, bound
 	// to the element for the duration of the call and retired after it.
@@ -61,11 +60,6 @@ type PEHost struct {
 	// adds the wall-clock duration of each handler to the element's
 	// measured load, in addition to any explicitly charged time.
 	MeasureWall bool
-
-	// cold, when non-nil, bounds the constructed element set: idle
-	// elements live as PUP-packed bytes and are hydrated on delivery.
-	// See EnableColdStore.
-	cold *coldStore
 }
 
 // NewPEHost builds an empty host for pe over the executor's element table.
@@ -108,18 +102,12 @@ func (h *PEHost) addElementWithMeta(ref ElemRef, ch Chare, m *elemMeta) {
 		s.pos = int32(len(h.refs))
 		h.refs = append(h.refs, ref)
 	}
-	if s.ch == nil {
-		h.live++
-	}
 	s.ch, s.meta, s.pe = ch, m, int32(h.pe)
-	h.coldTouch(ref)
 }
 
-// removeElement evicts an element, returning its state and metadata. A
-// cold (packed) element is hydrated first so the caller always gets a
-// constructed chare.
+// removeElement evicts an element, returning its state and metadata.
 func (h *PEHost) removeElement(ref ElemRef) (Chare, *elemMeta, bool) {
-	s := h.liveSlot(ref)
+	s := h.slot(ref)
 	if s == nil {
 		return nil, nil, false
 	}
@@ -128,19 +116,12 @@ func (h *PEHost) removeElement(ref ElemRef) (Chare, *elemMeta, bool) {
 	h.refs[s.pos] = last
 	h.slot(last).pos = s.pos
 	h.refs = h.refs[:len(h.refs)-1]
-	h.live--
 	*s = elemSlot{}
 	delete(h.parked, ref)
-	h.coldForget(ref)
 	return ch, m, true
 }
 
-// NumElements reports how many elements live on this PE, constructed or
-// PUP-packed.
-func (h *PEHost) NumElements() int { return len(h.refs) }
-
-// Has reports whether element ref lives on this PE (constructed or
-// PUP-packed).
+// Has reports whether element ref lives on this PE.
 func (h *PEHost) Has(ref ElemRef) bool { return h.slot(ref) != nil }
 
 // DeliverApp dispatches an application message to its target element. A
@@ -148,20 +129,16 @@ func (h *PEHost) Has(ref ElemRef) bool { return h.slot(ref) != nil }
 // replays after the element resumes; DeliverApp then reports parked, and
 // the host keeps m, so the executor must not release it.
 func (h *PEHost) DeliverApp(m *Message) (parked bool, err error) {
-	s := h.liveSlot(m.To)
+	s := h.slot(m.To)
 	if s == nil {
-		if err := h.ColdError(); err != nil {
-			return false, err
-		}
 		return false, fmt.Errorf("core: PE %d has no element %v (message %v)", h.pe, m.To, m)
 	}
 	if s.meta.atSync {
 		h.parked[m.To] = append(h.parked[m.To], m)
 		return true, nil
 	}
-	h.coldTouch(m.To)
 	h.invoke(s, m.To, m.ID, m.Entry, m.Data)
-	return false, h.ColdError()
+	return false, nil
 }
 
 // ParkedMessages reports how many application messages are buffered for
@@ -188,16 +165,12 @@ func (h *PEHost) RunReduction(prog *Program, a ArrayID, seq int64, v any) {
 // that were buffered while the element was parked, in arrival order. If
 // the element re-enters sync during replay, the remainder stays parked.
 func (h *PEHost) ResumeFromSync(ref ElemRef) error {
-	s := h.liveSlot(ref)
+	s := h.slot(ref)
 	if s == nil {
-		if err := h.ColdError(); err != nil {
-			return err
-		}
 		return fmt.Errorf("core: PE %d cannot resume missing element %v", h.pe, ref)
 	}
 	meta := s.meta
 	meta.atSync = false
-	h.coldTouch(ref)
 	h.invoke(s, ref, 0, EntryResumeFromSync, nil)
 	for len(h.parked[ref]) > 0 && !meta.atSync {
 		m := h.parked[ref][0]

@@ -58,8 +58,8 @@ func TestPEHostEachDeterministicOrder(t *testing.T) {
 			t.Fatalf("Each order %v, want %v", got, want)
 		}
 	}
-	if h.NumElements() != 4 {
-		t.Errorf("NumElements = %d", h.NumElements())
+	if len(h.refs) != 4 {
+		t.Errorf("%d elements on the host, want 4", len(h.refs))
 	}
 	if !h.Has(ElemRef{1, 2}) || h.Has(ElemRef{9, 9}) {
 		t.Error("Has wrong")

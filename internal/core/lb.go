@@ -169,7 +169,6 @@ type LBMgr struct {
 	expected  int
 	pendAcks  int
 	pendMoves []Move
-	lastMoves int
 
 	// counters read by metrics scrapers on other goroutines
 	rounds     atomic.Int64
@@ -189,10 +188,6 @@ func (l *LBMgr) Rounds() int { return int(l.rounds.Load()) }
 // TotalMoves reports how many migrations all rounds performed in total
 // (root only). Safe to call from any goroutine.
 func (l *LBMgr) TotalMoves() int { return int(l.totalMoves.Load()) }
-
-// LastMoves reports how many migrations the most recent round performed
-// (root only).
-func (l *LBMgr) LastMoves() int { return l.lastMoves }
 
 // ElementAtSync is called by the backend each time a local element enters
 // the barrier. When the whole PE is at sync, it reports statistics.
@@ -295,7 +290,6 @@ func (l *LBMgr) rootCollect(fromPE int, stats []ElemLoad) error {
 	}
 	moves = valid
 	moves = l.addDrainMoves(moves)
-	l.lastMoves = len(moves)
 	l.totalMoves.Add(int64(len(moves)))
 
 	if len(moves) == 0 {
@@ -394,13 +388,9 @@ func (l *LBMgr) evict(moves []Move) error {
 	states := make([][]byte, len(moves))
 	var errs []error
 	for i, mv := range moves {
-		s := l.host.liveSlot(mv.Ref)
+		s := l.host.slot(mv.Ref)
 		if s == nil {
-			if cerr := l.host.ColdError(); cerr != nil {
-				errs = append(errs, cerr)
-			} else {
-				errs = append(errs, fmt.Errorf("missing element %v", mv.Ref))
-			}
+			errs = append(errs, fmt.Errorf("missing element %v", mv.Ref))
 			continue
 		}
 		if mv.ToPE < 0 || mv.ToPE >= l.topo.NumPE() {

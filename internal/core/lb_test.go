@@ -186,8 +186,8 @@ func TestLBMgrInvalidMovesDropped(t *testing.T) {
 		t.Errorf("round did not complete: %v", v)
 	}
 	lb := rt.pes[0].lb
-	if lb.Rounds() != 1 || lb.LastMoves() != 0 {
-		t.Errorf("rounds=%d moves=%d, want 1 round, 0 moves", lb.Rounds(), lb.LastMoves())
+	if lb.Rounds() != 1 || lb.TotalMoves() != 0 {
+		t.Errorf("rounds=%d moves=%d, want 1 round, 0 moves", lb.Rounds(), lb.TotalMoves())
 	}
 }
 

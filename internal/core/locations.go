@@ -18,7 +18,6 @@ type Locations struct {
 
 	mu     sync.RWMutex
 	counts [][]int // per array, per PE: elements owned
-	owners []int   // per array: number of PEs owning >= 1 element
 }
 
 // NewLocations builds the location table for a program on numPE PEs using
@@ -27,7 +26,6 @@ func NewLocations(p *Program, numPE int) *Locations {
 	l := &Locations{
 		pe:     make([][]atomic.Int32, len(p.Arrays)),
 		counts: make([][]int, len(p.Arrays)),
-		owners: make([]int, len(p.Arrays)),
 	}
 	for ai := range p.Arrays {
 		spec := &p.Arrays[ai]
@@ -37,11 +35,6 @@ func NewLocations(p *Program, numPE int) *Locations {
 			pe := spec.placement(i, numPE)
 			l.pe[ai][i].Store(int32(pe))
 			l.counts[ai][pe]++
-		}
-		for _, c := range l.counts[ai] {
-			if c > 0 {
-				l.owners[ai]++
-			}
 		}
 	}
 	return l
@@ -56,14 +49,6 @@ func (l *Locations) PEOf(ref ElemRef) int32 {
 func (l *Locations) LocalCount(a ArrayID, pe int) int {
 	l.mu.RLock()
 	n := l.counts[a][pe]
-	l.mu.RUnlock()
-	return n
-}
-
-// Owners reports how many PEs own at least one element of array a.
-func (l *Locations) Owners(a ArrayID) int {
-	l.mu.RLock()
-	n := l.owners[a]
 	l.mu.RUnlock()
 	return n
 }
@@ -83,12 +68,6 @@ func (l *Locations) Move(ref ElemRef, toPE int) (fromPE int32, err error) {
 	}
 	counts := l.counts[ref.Array]
 	counts[from]--
-	if counts[from] == 0 {
-		l.owners[ref.Array]--
-	}
-	if counts[toPE] == 0 {
-		l.owners[ref.Array]++
-	}
 	counts[toPE]++
 	l.pe[ref.Array][ref.Index].Store(int32(toPE))
 	return from, nil

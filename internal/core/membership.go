@@ -450,19 +450,9 @@ func (m *Membership) ReachablePE(pe int) bool {
 	return !ok || (st != MemberDead && st != MemberLeft)
 }
 
-// ActiveCh is closed once the local node is an Active member (joiners
-// wait on it after RequestJoin).
-func (m *Membership) ActiveCh() <-chan struct{} { return m.activeCh }
-
-// LeftCh is closed once the local node has fully drained and may exit.
-func (m *Membership) LeftCh() <-chan struct{} { return m.leftCh }
-
 // Evacuated reports how many elements have been re-homed off dead or
 // drained nodes by this process's recovery path.
 func (m *Membership) Evacuated() int64 { return m.evacuated.Load() }
-
-// StaleTables reports how many out-of-date table broadcasts were ignored.
-func (m *Membership) StaleTables() int64 { return m.staleTables.Load() }
 
 // allowDial is the TCP dial gate: never dial a node known to be Dead or
 // Left. Unknown nodes stay dialable (bootstrap, joiners mid-admission).

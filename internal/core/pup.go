@@ -74,12 +74,6 @@ type PUP struct {
 	err        error  // first error; all later calls are no-ops
 }
 
-// Sizing reports whether this pass only measures the encoded size.
-func (p *PUP) Sizing() bool { return p.mode == pupSizing }
-
-// Packing reports whether this pass writes state into the buffer.
-func (p *PUP) Packing() bool { return p.mode == pupPacking }
-
 // Unpacking reports whether this pass reads state out of the buffer.
 // Applications use it to run post-read fix-ups and validation.
 func (p *PUP) Unpacking() bool { return p.mode == pupUnpacking }
@@ -494,16 +488,6 @@ func (p *PUP) Payload(v *any) {
 		*v = x
 		p.off = len(p.buf) - len(rest)
 	}
-}
-
-// PUPSize runs a sizing pass and returns the exact encoded size.
-func PUPSize(v PUPable) (int, error) {
-	p := &PUP{mode: pupSizing}
-	v.PUP(p)
-	if p.err != nil {
-		return 0, p.err
-	}
-	return p.size, nil
 }
 
 // PUPPack serializes v for a live migration: a sizing pass first, then a

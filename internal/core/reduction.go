@@ -212,10 +212,3 @@ func (r *ReduceMgr) HandlePartial(m *Message) error {
 	}
 	return nil
 }
-
-// PendingLocal reports reduction rounds still gathering on this PE
-// (useful in tests and for quiescence diagnostics).
-func (r *ReduceMgr) PendingLocal() int { return len(r.local) }
-
-// PendingRoot reports rounds still gathering at the root.
-func (r *ReduceMgr) PendingRoot() int { return len(r.root) }

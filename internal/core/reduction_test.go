@@ -104,7 +104,7 @@ func TestReduceMgrProtocol(t *testing.T) {
 			t.Errorf("round result = %v, want 206", r)
 		}
 	}
-	if mgrs[0].PendingLocal() != 0 || mgrs[0].PendingRoot() != 0 {
+	if len(mgrs[0].local) != 0 || len(mgrs[0].root) != 0 {
 		t.Error("root manager leaked state")
 	}
 }
@@ -141,9 +141,6 @@ func TestLocationsMoveAndCounts(t *testing.T) {
 			t.Fatalf("PE %d count = %d, want 2", pe, got)
 		}
 	}
-	if loc.Owners(0) != 4 {
-		t.Fatalf("owners = %d", loc.Owners(0))
-	}
 	from, err := loc.Move(ElemRef{0, 0}, 3)
 	if err != nil || from != 0 {
 		t.Fatalf("move: from=%d err=%v", from, err)
@@ -154,12 +151,12 @@ func TestLocationsMoveAndCounts(t *testing.T) {
 	if loc.LocalCount(0, 0) != 1 || loc.LocalCount(0, 3) != 3 {
 		t.Error("counts not updated")
 	}
-	// Move the second element off PE 0: owners drops.
+	// Move the second element off PE 0: PE 0 owns none of the array.
 	if _, err := loc.Move(ElemRef{0, 1}, 2); err != nil {
 		t.Fatal(err)
 	}
-	if loc.Owners(0) != 3 {
-		t.Errorf("owners = %d, want 3", loc.Owners(0))
+	if loc.LocalCount(0, 0) != 0 {
+		t.Errorf("PE 0 count = %d, want 0", loc.LocalCount(0, 0))
 	}
 	if _, err := loc.Move(ElemRef{0, 99}, 1); err == nil {
 		t.Error("move of unknown element accepted")

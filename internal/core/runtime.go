@@ -578,16 +578,6 @@ func (rt *Runtime) Err() error {
 	return rt.runErr
 }
 
-// Counters reports (sent, processed) message counts summed over this
-// process's PEs, excluding quiescence-detection traffic.
-func (rt *Runtime) Counters() (sent, processed int64) {
-	for pe := range rt.sentByPE {
-		sent += rt.sentByPE[pe].Load()
-		processed += rt.processedByPE[pe].Load()
-	}
-	return sent, processed
-}
-
 // Run executes the program and returns the value passed to ExitWith. With
 // RunToQuiescence it returns once no work remains. Run may only be called
 // once.

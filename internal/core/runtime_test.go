@@ -16,6 +16,16 @@ type funcChare func(ctx *Ctx, entry EntryID, data any)
 
 func (f funcChare) Recv(ctx *Ctx, entry EntryID, data any) { f(ctx, entry, data) }
 
+// Counters reports (sent, processed) message counts summed over this
+// process's PEs, excluding quiescence-detection traffic.
+func (rt *Runtime) Counters() (sent, processed int64) {
+	for pe := range rt.sentByPE {
+		sent += rt.sentByPE[pe].Load()
+		processed += rt.processedByPE[pe].Load()
+	}
+	return sent, processed
+}
+
 func mustTopo(t *testing.T, p int, lat time.Duration) *topology.Topology {
 	t.Helper()
 	topo, err := topology.TwoClusters(p, lat)

@@ -154,7 +154,7 @@ func TestSnapshotMerge(t *testing.T) {
 	// gauges converge because Sub keeps the current reading).
 	r := NewRegistry()
 	c := r.Counter("x_total")
-	h := r.Histogram("h", CountBuckets)
+	h := r.Histogram("h", countBuckets)
 	g := r.Gauge("g")
 	c.Add(2)
 	h.Observe(3)

@@ -181,8 +181,6 @@ var (
 	// DurationBuckets spans handler and idle intervals, in nanoseconds,
 	// from 1µs to 1s.
 	DurationBuckets = []int64{1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9}
-	// CountBuckets spans small cardinalities (batch sizes, queue depths).
-	CountBuckets = []int64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
 )
 
 // entry is one registered series.

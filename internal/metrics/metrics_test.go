@@ -8,6 +8,9 @@ import (
 	"testing"
 )
 
+// countBuckets spans small cardinalities, for the tests' histograms.
+var countBuckets = []int64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
+
 func TestRegistryIdentity(t *testing.T) {
 	r := NewRegistry()
 	a := r.Counter("x_total", L("pe", "0"))
@@ -75,7 +78,7 @@ func TestNilSafety(t *testing.T) {
 	var r *Registry
 	c := r.Counter("a")
 	g := r.Gauge("b")
-	h := r.Histogram("c", CountBuckets)
+	h := r.Histogram("c", countBuckets)
 	r.CounterFunc("d", func() int64 { return 1 })
 	r.GaugeFunc("e", func() int64 { return 1 })
 	c.Inc()
@@ -132,7 +135,7 @@ func TestSnapshotHelpers(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("c_total", L("pe", "0")).Add(2)
 	r.Counter("c_total", L("pe", "1")).Add(5)
-	r.Histogram("h", CountBuckets).Observe(3)
+	r.Histogram("h", countBuckets).Observe(3)
 	snap := r.Snapshot()
 	if got := snap.Value("c_total"); got != 7 {
 		t.Errorf("Value summed %d, want 7", got)
@@ -174,7 +177,7 @@ func TestConcurrentUpdates(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("n_total")
 	g := r.Gauge("hw")
-	h := r.Histogram("obs", CountBuckets)
+	h := r.Histogram("obs", countBuckets)
 	const workers, per = 8, 1000
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -235,7 +238,7 @@ func TestSnapshotSub(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("reqs_total", L("tenant", "a"))
 	g := r.Gauge("depth")
-	h := r.Histogram("lat", CountBuckets)
+	h := r.Histogram("lat", countBuckets)
 	c.Add(3)
 	g.Set(5)
 	h.Observe(2)

@@ -57,13 +57,6 @@ type Options struct {
 	// MaxEvents aborts runs that process more than this many events.
 	// Zero means no bound.
 	MaxEvents int64
-
-	// PackCold, when positive, bounds each PE's constructed element set
-	// to that many chares: idle elements are kept PUP-packed between
-	// events and hydrated on delivery, so simulations of millions of
-	// chares fit in memory. Every element must implement core.Migratable.
-	// Results are unaffected — PUP round-trips state exactly.
-	PackCold int
 }
 
 type evKind uint8
@@ -435,14 +428,6 @@ func newEngine(topo *topology.Topology, prog *core.Program, opts Options, worker
 			ps.pending = core.NewPendingBundles()
 		}
 		ps.host = core.NewPEHost(sh, pe, tab)
-		if opts.PackCold > 0 {
-			ps.host.EnableColdStore(opts.PackCold, func(ref core.ElemRef) (core.Chare, error) {
-				if int(ref.Array) < 0 || int(ref.Array) >= len(prog.Arrays) {
-					return nil, fmt.Errorf("sim: cold rebuild of element %v in unknown array", ref)
-				}
-				return prog.Arrays[ref.Array].New(ref.Index), nil
-			})
-		}
 		pe := pe
 		emit := func(m *core.Message) { sh.Route(m) }
 		ps.reduce = core.NewReduceMgr(pe,
@@ -460,13 +445,6 @@ func newEngine(topo *topology.Topology, prog *core.Program, opts Options, worker
 		return e.pes[pe].host
 	}); err != nil {
 		return nil, err
-	}
-	if opts.PackCold > 0 {
-		for _, ps := range e.pes {
-			if err := ps.host.ColdError(); err != nil {
-				return nil, err
-			}
-		}
 	}
 	return e, nil
 }
@@ -892,12 +870,12 @@ func (s *shard) exec(ev event) {
 	}
 }
 
-// Checkpoint snapshots all array elements (including PUP-packed cold
-// ones). It must be called after Run has returned. After a parallel run
-// that ended via ExitWith, element state on other shards may include
-// effects of events that were rewound (clocks, counters, and traces are
-// exact; chare memory is not rolled back) — checkpoint at natural
-// quiescence, or from the sequential engine, when that matters.
+// Checkpoint snapshots all array elements. It must be called after Run
+// has returned. After a parallel run that ended via ExitWith, element
+// state on other shards may include effects of events that were rewound
+// (clocks, counters, and traces are exact; chare memory is not rolled
+// back) — checkpoint at natural quiescence, or from the sequential
+// engine, when that matters.
 func (e *Engine) Checkpoint() (*core.Checkpoint, error) {
 	hosts := make([]*core.PEHost, len(e.pes))
 	for i, ps := range e.pes {
@@ -921,10 +899,6 @@ type Stats struct {
 	Workers   int           // worker goroutines (1 = sequential)
 	Lookahead time.Duration // synchronization window: min delay between shards (0 = sequential)
 	Windows   int64         // parallel windows run, one barrier each (0 = sequential)
-
-	ColdPacks    int64 // cold-store pack operations (PackCold runs)
-	ColdHydrates int64 // cold-store hydrate operations
-	ColdBytes    int64 // high-water mark of packed cold bytes, summed over PEs
 }
 
 // Stats reports run statistics; call after Run.
@@ -946,25 +920,6 @@ func (e *Engine) Stats() Stats {
 	for i, ps := range e.pes {
 		s.PEBusy[i] = ps.busyTotal
 		s.Processed[i] = ps.processed
-		if e.opts.PackCold > 0 {
-			_, _, packs, hydrates, maxBytes := ps.host.ColdStats()
-			s.ColdPacks += packs
-			s.ColdHydrates += hydrates
-			s.ColdBytes += maxBytes
-		}
 	}
 	return s
-}
-
-// Utilization reports the mean busy fraction across PEs at the final
-// virtual time.
-func (s Stats) Utilization() float64 {
-	if s.VirtualTime <= 0 || len(s.PEBusy) == 0 {
-		return 0
-	}
-	var sum time.Duration
-	for _, b := range s.PEBusy {
-		sum += b
-	}
-	return float64(sum) / float64(s.VirtualTime) / float64(len(s.PEBusy))
 }

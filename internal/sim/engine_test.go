@@ -446,6 +446,19 @@ func TestLoadBalancingInSim(t *testing.T) {
 	}
 }
 
+// Utilization reports the mean busy fraction across PEs at the final
+// virtual time.
+func (s Stats) Utilization() float64 {
+	if s.VirtualTime <= 0 || len(s.PEBusy) == 0 {
+		return 0
+	}
+	var sum time.Duration
+	for _, b := range s.PEBusy {
+		sum += b
+	}
+	return float64(sum) / float64(s.VirtualTime) / float64(len(s.PEBusy))
+}
+
 func TestStatsUtilization(t *testing.T) {
 	topo := cleanTopo(t, 2, 0)
 	ran := 0

@@ -180,29 +180,6 @@ func TestParallelConformance(t *testing.T) {
 	}
 }
 
-// TestParallelConformanceColdState: PUP-packing cold chare state between
-// events changes memory residency, never results — sequential and
-// parallel cold-store runs both match the plain sequential reference.
-// stencil and leanmd are excluded: their chares buffer in-flight ghosts
-// and reduction coordinates between steps, and their PUP methods
-// correctly refuse to pack that transient state mid-run.
-func TestParallelConformanceColdState(t *testing.T) {
-	for _, app := range confApps() {
-		if app.name == "leanmd" || app.name == "stencil" {
-			continue
-		}
-		spec := confSpecs[0]
-		ref := runConf(t, spec, app, Options{}, 0)
-		seqCold := runConf(t, spec, app, Options{PackCold: 1}, 0)
-		compareConf(t, app.name+"/seq-cold", ref, seqCold)
-		if seqCold.stats.ColdPacks == 0 {
-			t.Errorf("%s: cold store enabled but never packed", app.name)
-		}
-		parCold := runConf(t, spec, app, Options{PackCold: 1}, 4)
-		compareConf(t, app.name+"/par-cold", ref, parCold)
-	}
-}
-
 // TestParallelConformancePolicies: the paper's WAN-priority and bundling
 // policies ride through the parallel engine unchanged.
 func TestParallelConformancePolicies(t *testing.T) {

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gridmdo/internal/metrics"
@@ -90,7 +91,10 @@ type Agent struct {
 	order    []uint64      // span insertion order, for oldest-first eviction
 	events   []trace.Event // retained for step-overlap profiling
 	readBuf  []trace.Event // scratch for cursor drains, reused across ticks
-	sendErrs uint64
+
+	// sendErrs counts the reports Send rejected, which are dropped; it
+	// is exported as telemetry_send_errors_total.
+	sendErrs atomic.Int64
 
 	// Step-overlap rows are cached per step so each tick only profiles
 	// the events still in the buffer — the open step plus one completed
@@ -131,13 +135,15 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 		epoch := cfg.Epoch
 		cfg.Now = func() time.Duration { return time.Since(epoch) }
 	}
-	return &Agent{
+	a := &Agent{
 		cfg:       cfg,
 		cursor:    cfg.Tracer.NewCursor(),
 		spans:     make(map[uint64]*spanState),
 		stepCache: make(map[int64]StepOverlap),
 		stop:      make(chan struct{}),
-	}, nil
+	}
+	cfg.Registry.CounterFunc("telemetry_send_errors_total", a.sendErrs.Load)
+	return a, nil
 }
 
 // Start launches the reporting ticker. Stop flushes one final report and
@@ -148,6 +154,8 @@ func (a *Agent) Start() {
 		defer a.wg.Done()
 		tick := time.NewTicker(a.cfg.Interval)
 		defer tick.Stop()
+		// A report Send rejects is counted in telemetry_send_errors_total;
+		// the next one carries fresh data, so the error is not retried.
 		for {
 			select {
 			case <-tick.C:
@@ -169,13 +177,6 @@ func (a *Agent) Stop() {
 		close(a.stop)
 	}
 	a.wg.Wait()
-}
-
-// SendErrs reports how many reports Send rejected (and were dropped).
-func (a *Agent) SendErrs() uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.sendErrs
 }
 
 // ReportOnce builds and sends one report immediately: full metrics
@@ -218,7 +219,7 @@ func (a *Agent) ReportOnce() error {
 		return err
 	}
 	if err := a.cfg.Send(buf); err != nil {
-		a.sendErrs++
+		a.sendErrs.Add(1)
 		return err
 	}
 	return nil

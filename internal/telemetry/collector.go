@@ -525,13 +525,6 @@ func spanStart(s SpanRecord) int64 {
 	return 0
 }
 
-// SpanCount reports the number of spans currently stored.
-func (c *Collector) SpanCount() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.spans)
-}
-
 func sortedNodes(m map[int32]*nodeState) []int32 {
 	out := make([]int32, 0, len(m))
 	for n := range m {

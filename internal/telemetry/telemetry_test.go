@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -105,6 +106,39 @@ func TestCollectorToleratesDroppedReports(t *testing.T) {
 	}
 	if nodes := coll.Nodes(); !nodes[0].MetricsFresh {
 		t.Fatalf("chain not marked fresh after full: %+v", nodes)
+	}
+}
+
+// TestAgentCountsSendErrors: every report Send rejects is counted on the
+// agent's registry, so the loss shows up in the metrics it ships.
+func TestAgentCountsSendErrors(t *testing.T) {
+	reg := metrics.NewRegistry()
+	fail := 0
+	a, err := NewAgent(AgentConfig{
+		Registry: reg,
+		Tracer:   trace.New(1),
+		NumPE:    1,
+		Send: func([]byte) error {
+			if fail > 0 {
+				fail--
+				return errors.New("control path down")
+			}
+			return nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 3
+	fail = n
+	for i := 0; i < n+2; i++ {
+		err := a.ReportOnce()
+		if (err != nil) != (i < n) {
+			t.Fatalf("report %d: err = %v, want an error only for the first %d", i, err, n)
+		}
+	}
+	if got := reg.Snapshot().Value("telemetry_send_errors_total"); got != n {
+		t.Errorf("telemetry_send_errors_total = %d, want %d", got, n)
 	}
 }
 

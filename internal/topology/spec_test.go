@@ -118,7 +118,7 @@ func TestSpecDeterministicMesh(t *testing.T) {
 	// Mesh latencies stay inside [Min, Max + SiteExtra).
 	for a := 0; a < t1.NumPE(); a++ {
 		for b := 0; b < t1.NumPE(); b++ {
-			if t1.SameCluster(a, b) {
+			if !t1.CrossesWAN(a, b) {
 				continue
 			}
 			lat := t1.LinkBetween(a, b).Latency

@@ -5,9 +5,9 @@
 //
 // The paper's experimental setup — two clusters with half the processors
 // each, joined by a high-latency wide-area link — is produced by
-// TwoClusters. Arbitrary cluster layouts and per-pair latency overrides
-// (the "delay device between arbitrary pairs of nodes" capability of VMI)
-// are supported through New and SetPairLatency.
+// TwoClusters. Arbitrary cluster layouts and per-cluster-pair latency
+// overrides (the "delay device between arbitrary pairs of nodes"
+// capability of VMI) are supported through New and SetClusterPairLatency.
 package topology
 
 import (
@@ -69,13 +69,10 @@ type Topology struct {
 	intra Link
 	inter Link
 
-	// pairwise overrides, keyed by pairKey(a, b); nil when unused
-	overrides map[int64]Link
-
 	// clusterLinks overrides the inter link per cluster pair, keyed by
 	// pairKey(a, b) over cluster IDs; nil when unused. It makes
-	// heterogeneous WAN meshes affordable at thousands of PEs where per-PE
-	// pair overrides would need O(P²) entries.
+	// heterogeneous WAN meshes affordable at thousands of PEs: one entry
+	// per cluster pair, never one per PE pair.
 	clusterLinks map[int64]Link
 
 	// speed holds per-PE relative compute speed factors; nil means all 1.0
@@ -148,26 +145,10 @@ func Single(p int, opts ...Option) (*Topology, error) {
 	return New([]int{p}, opts...)
 }
 
-// SetPairLatency overrides the one-way latency between a specific ordered
-// pair of PEs, in both directions. It reproduces VMI's ability to "inject
-// pre-defined latencies between arbitrary pairs of nodes". It must be
-// called before the topology is shared across goroutines.
-func (t *Topology) SetPairLatency(a, b int, d time.Duration) {
-	if t.overrides == nil {
-		t.overrides = make(map[int64]Link)
-	}
-	base := t.baseLink(a, b)
-	base.Latency = d
-	t.overrides[pairKey(a, b)] = base
-	t.overrides[pairKey(b, a)] = base
-}
-
 // SetClusterPairLatency overrides the one-way latency between every PE of
 // cluster a and every PE of cluster b (both directions), keeping the inter
-// link's overhead and bandwidth. It is the scalable form of SetPairLatency
-// for heterogeneous WAN meshes: one entry per cluster pair instead of one
-// per PE pair. It must be called before the topology is shared across
-// goroutines.
+// link's overhead and bandwidth, for heterogeneous WAN meshes. It must be
+// called before the topology is shared across goroutines.
 func (t *Topology) SetClusterPairLatency(a, b ClusterID, d time.Duration) error {
 	l := t.inter
 	l.Latency = d
@@ -189,19 +170,6 @@ func (t *Topology) SetClusterPairLink(a, b ClusterID, l Link) error {
 	t.clusterLinks[pairKey(int(a), int(b))] = l
 	t.clusterLinks[pairKey(int(b), int(a))] = l
 	return nil
-}
-
-func (t *Topology) baseLink(a, b int) Link {
-	ca, cb := t.cluster[a], t.cluster[b]
-	if ca == cb {
-		return t.intra
-	}
-	if t.clusterLinks != nil {
-		if l, ok := t.clusterLinks[pairKey(int(ca), int(cb))]; ok {
-			return l
-		}
-	}
-	return t.inter
 }
 
 // SetPESpeed sets a PE's relative compute speed (1.0 = the reference
@@ -260,27 +228,26 @@ func (t *Topology) Cluster(p int) ClusterID { return t.cluster[p] }
 // modified.
 func (t *Topology) PEs(c ClusterID) []int { return t.clusters[c] }
 
-// SameCluster reports whether two PEs are in the same cluster.
-func (t *Topology) SameCluster(a, b int) bool { return t.cluster[a] == t.cluster[b] }
-
 // CrossesWAN reports whether a message from a to b traverses the
 // inter-cluster link.
 func (t *Topology) CrossesWAN(a, b int) bool { return t.cluster[a] != t.cluster[b] }
 
 // LinkBetween returns the link model used for messages from a to b,
-// honoring per-pair overrides.
+// honoring cluster-pair overrides.
 func (t *Topology) LinkBetween(a, b int) Link {
-	if t.overrides != nil {
-		if l, ok := t.overrides[pairKey(a, b)]; ok {
-			return l
-		}
-	}
 	if a == b {
 		// Self-sends skip the network entirely; keep a nominal scheduler
 		// hand-off cost so virtual-time runs are not unrealistically free.
 		return Link{Overhead: time.Microsecond, Bandwidth: 0}
 	}
-	return t.baseLink(a, b)
+	ca, cb := t.cluster[a], t.cluster[b]
+	if ca == cb {
+		return t.intra
+	}
+	if l, ok := t.clusterLinks[pairKey(int(ca), int(cb))]; ok {
+		return l
+	}
+	return t.inter
 }
 
 // Lookahead reports the minimum zero-byte delivery delay over every link
@@ -296,10 +263,9 @@ func (t *Topology) Lookahead() time.Duration {
 // groups, sent at time t, arrives no earlier than t + LookaheadAcross, so
 // the groups may run that much virtual time without coordinating. The
 // intra link counts only if some cluster spans groups, a cluster-pair
-// link only if its clusters are not both wholly inside one group, and a
-// PE-pair override only if it crosses groups. The cost is one pass over
-// the PEs plus the cluster-pair and PE-pair override tables — never a
-// pass over PE pairs. The result is 0 when no link crosses groups or when
+// link only if its clusters are not both wholly inside one group. The
+// cost is one pass over the PEs plus the cluster-pair override table —
+// never a pass over PE pairs. The result is 0 when no link crosses groups or when
 // one that does has no delay at all.
 func (t *Topology) LookaheadAcross(group func(pe int) int) time.Duration {
 	la := time.Duration(-1)
@@ -345,11 +311,6 @@ func (t *Topology) LookaheadAcross(group func(pe int) int) time.Duration {
 	if crossing > 0 {
 		consider(t.inter)
 	}
-	for k, l := range t.overrides {
-		if a, b := int(k>>32), int(uint32(k)); a != b && group(a) != group(b) {
-			consider(l)
-		}
-	}
 	if la < 0 {
 		return 0
 	}
@@ -358,9 +319,6 @@ func (t *Topology) LookaheadAcross(group func(pe int) int) time.Duration {
 
 // Latency is shorthand for LinkBetween(a, b).Latency.
 func (t *Topology) Latency(a, b int) time.Duration { return t.LinkBetween(a, b).Latency }
-
-// InterLatency reports the configured inter-cluster one-way latency.
-func (t *Topology) InterLatency() time.Duration { return t.inter.Latency }
 
 // String summarizes the machine, e.g. "2 clusters × 8 PEs, WAN 4ms".
 func (t *Topology) String() string {

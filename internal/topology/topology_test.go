@@ -72,26 +72,8 @@ func TestLatencyClasses(t *testing.T) {
 	if topo.CrossesWAN(4, 7) {
 		t.Error("CrossesWAN(4,7) = true, want false")
 	}
-	if topo.InterLatency() != wan {
-		t.Errorf("InterLatency = %v, want %v", topo.InterLatency(), wan)
-	}
-}
-
-func TestPairOverride(t *testing.T) {
-	topo, err := TwoClusters(4, 2*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	topo.SetPairLatency(0, 3, 50*time.Millisecond)
-	if got := topo.Latency(0, 3); got != 50*time.Millisecond {
-		t.Errorf("override latency = %v, want 50ms", got)
-	}
-	if got := topo.Latency(3, 0); got != 50*time.Millisecond {
-		t.Errorf("override is not symmetric: %v", got)
-	}
-	// Other pairs keep the class default.
-	if got := topo.Latency(0, 2); got != 2*time.Millisecond {
-		t.Errorf("non-overridden pair latency = %v, want 2ms", got)
+	if topo.inter.Latency != wan {
+		t.Errorf("inter-cluster latency = %v, want %v", topo.inter.Latency, wan)
 	}
 }
 
@@ -152,7 +134,7 @@ func TestTopologyInvariants(t *testing.T) {
 				if topo.Latency(a, b) != topo.Latency(b, a) {
 					return false
 				}
-				if topo.SameCluster(a, b) == topo.CrossesWAN(a, b) {
+				if (topo.Cluster(a) == topo.Cluster(b)) == topo.CrossesWAN(a, b) {
 					return false
 				}
 			}
@@ -248,15 +230,6 @@ func TestLookaheadAcross(t *testing.T) {
 	split := func(pe int) int { return pe / 3 }
 	if got := topo.LookaheadAcross(split); got != intra.Delay(0) {
 		t.Errorf("split cluster: %v, want %v", got, intra.Delay(0))
-	}
-	// A PE-pair override counts only when it crosses groups.
-	topo.SetPairLatency(0, 2, time.Millisecond)
-	if got := topo.LookaheadAcross(merged); got != 5*time.Millisecond {
-		t.Errorf("override inside a group: %v, want 5ms", got)
-	}
-	topo.SetPairLatency(0, 4, 3*time.Millisecond)
-	if got := topo.LookaheadAcross(merged); got != 3*time.Millisecond {
-		t.Errorf("override across groups: %v, want 3ms", got)
 	}
 	if got := topo.LookaheadAcross(func(int) int { return 0 }); got != 0 {
 		t.Errorf("one group: %v, want 0", got)

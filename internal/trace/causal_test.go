@@ -164,8 +164,8 @@ func TestCriticalPath(t *testing.T) {
 	if cp.Dominant() != "compute" {
 		t.Fatalf("dominant = %s, want compute", cp.Dominant())
 	}
-	if math.Abs(cp.FlightFraction()-float64(3)/13) > 1e-9 {
-		t.Fatalf("flight fraction = %v", cp.FlightFraction())
+	if cp.Total != 13*msTest {
+		t.Fatalf("total = %v, want 13ms", cp.Total)
 	}
 	if cp.Clipped {
 		t.Fatal("path clipped with full history present")
@@ -204,8 +204,8 @@ func TestCriticalPathMaskedFlight(t *testing.T) {
 	if got := cp.Dominant(); got != "compute" {
 		t.Fatalf("dominant = %s", got)
 	}
-	if f := cp.ExposedFraction(); math.Abs(f-float64(2)/9) > 1e-9 {
-		t.Fatalf("exposed fraction = %v, want 2/9 (2ms of 9ms path)", f)
+	if cp.Exposed != 2*msTest || cp.Total != 9*msTest {
+		t.Fatalf("exposed %v of %v, want 2ms of a 9ms path", cp.Exposed, cp.Total)
 	}
 }
 

@@ -50,26 +50,6 @@ type CritPath struct {
 	Clipped bool // walk stopped at a missing parent (ring wrap or foreign node)
 }
 
-// FlightFraction is the share of the path spent on the wire, masked or
-// not.
-func (c *CritPath) FlightFraction() float64 {
-	if c.Total <= 0 {
-		return 0
-	}
-	return float64(c.Flight) / float64(c.Total)
-}
-
-// ExposedFraction is the share of the path that was genuine comm-wait:
-// wire latency with the destination PE idle. This is the number that
-// falls as V/P grows, even though the flight itself never leaves the
-// dependency chain.
-func (c *CritPath) ExposedFraction() float64 {
-	if c.Total <= 0 {
-		return 0
-	}
-	return float64(c.Exposed) / float64(c.Total)
-}
-
 // Dominant names the largest component: "compute", "comm-wait" (exposed
 // flight), or "queue". Masked flight counts toward neither — the PE was
 // doing useful work under it, which is the paper's point.

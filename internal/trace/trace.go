@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
-	"strings"
 	"sync/atomic"
 	"time"
 )
@@ -141,8 +140,8 @@ const DrainedCapacity = 1 << 12
 // history. The zero value is unusable; call New or NewWithCapacity.
 // Tracer implements Sink; a nil *Tracer records nothing.
 //
-// Readers (Events, Len, Utilization, ...) are meant for quiescence — after
-// Run returns or between phases. A Cursor may drain a ring while it is
+// Readers (Events, Len, ...) are meant for quiescence — after Run
+// returns or between phases. A Cursor may drain a ring while it is
 // written: it copies only committed slots (see slot).
 type Tracer struct {
 	shards []ring
@@ -405,42 +404,3 @@ func mergeRuns(evs []Event, bounds []int, scratch []Event) []Event {
 // cursor could read them, cumulatively since NewCursor. A growing value
 // means the consumer polls slower than the run records.
 func (c *Cursor) Skipped() uint64 { return c.skipped }
-
-// Utilization reports, per PE, the fraction of [0, horizon) spent inside
-// handlers, derived from Begin/End pairs. Unpaired events are tolerated
-// (a Begin without End counts as busy until the horizon). Recorded idle
-// spans (EvIdle) are subtracted even when they fall inside an open Begin
-// window — an AMPI rank blocked in Recv holds its handler window open
-// while the PE is genuinely idle, and counting that as busy would hide
-// exactly the latency this tracer exists to measure.
-func (t *Tracer) Utilization(horizon time.Duration) []float64 {
-	if t == nil || horizon <= 0 {
-		return nil
-	}
-	util := make([]float64, len(t.shards))
-	for pe := range t.shards {
-		evs := t.shardEvents(pe)
-		sort.SliceStable(evs, func(i, j int) bool { return evs[i].At < evs[j].At })
-		spans := subtractSpans(busySpans(evs, horizon), idleSpans(evs, horizon))
-		util[pe] = float64(totalSpans(spans)) / float64(horizon)
-	}
-	return util
-}
-
-// Summary renders a short human-readable utilization report.
-func (t *Tracer) Summary(horizon time.Duration) string {
-	u := t.Utilization(horizon)
-	if u == nil {
-		return "trace: no data"
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "trace: %d events over %v", t.Len(), horizon)
-	if d := t.Dropped(); d > 0 {
-		fmt.Fprintf(&b, " (%d dropped by ring wrap)", d)
-	}
-	b.WriteByte('\n')
-	for pe, f := range u {
-		fmt.Fprintf(&b, "  PE %2d: %5.1f%% busy\n", pe, 100*f)
-	}
-	return b.String()
-}

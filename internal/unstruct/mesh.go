@@ -228,20 +228,3 @@ func appendUnique(m *map[int32][]int32, key int32, v int32) {
 	list[i] = v
 	(*m)[key] = list
 }
-
-// Neighbors reports the chunks chunk c exchanges halos with (sorted).
-func (p *Partition) Neighbors(c int) []int32 {
-	seen := make(map[int32]bool)
-	for d := range p.SendTo[c] {
-		seen[d] = true
-	}
-	for d := range p.NeedFrom[c] {
-		seen[d] = true
-	}
-	out := make([]int32, 0, len(seen))
-	for d := range seen {
-		out = append(out, d)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out
-}
