@@ -242,6 +242,9 @@ func strategyByName(name string) (core.Strategy, error) {
 // Params builds the stencil parameters. With elastic set (-membership),
 // initial placement is confined to the founding nodes' PEs.
 func (st *Stencil) Params(sim Sim, elastic *taskfarm.ElasticConfig) (*stencil.Params, error) {
+	if st.LBPeriod < 0 {
+		return nil, fmt.Errorf("negative -lb-period %d", st.LBPeriod)
+	}
 	v, err := stencil.Side(st.Objects)
 	if err != nil {
 		return nil, err

@@ -41,12 +41,13 @@ func TestClusterResolve(t *testing.T) {
 	}
 
 	bad := []Cluster{
-		{Addrs: "", Topology: Topology{Procs: 4}},                  // no addresses
-		{Addrs: "a:1", Topology: Topology{Procs: 4}, Node: 1},      // node out of range
-		{Addrs: "a:1", Topology: Topology{Procs: 1}},               // one PE cannot span two sites
-		{Addrs: "a:1,b:2", Topology: Topology{Procs: 3}},           // indivisible
-		{Addrs: "a:1,b:2", Topology: Topology{Procs: 4}, Node: 2},  // node out of range
-		{Addrs: "a:1,b:2", Topology: Topology{Procs: 4, Split: 9}}, // split out of range
+		{Addrs: "", Topology: Topology{Procs: 4}},                                // no addresses
+		{Addrs: "a:1", Topology: Topology{Procs: 4}, Node: 1},                    // node out of range
+		{Addrs: "a:1", Topology: Topology{Procs: 1}},                             // one PE cannot span two sites
+		{Addrs: "a:1,b:2", Topology: Topology{Procs: 3}},                         // indivisible
+		{Addrs: "a:1,b:2", Topology: Topology{Procs: 4}, Node: 2},                // node out of range
+		{Addrs: "a:1,b:2", Topology: Topology{Procs: 4, Split: 9}},               // split out of range
+		{Addrs: "a:1", Topology: Topology{Procs: 4, Latency: -time.Millisecond}}, // negative latency
 	}
 	for i, c := range bad {
 		if _, err := c.Resolve(); err == nil {
@@ -97,6 +98,10 @@ func TestStencilParams(t *testing.T) {
 	st.LB = "bogus"
 	if _, err := st.Params(Sim{Steps: 4}, nil); err == nil {
 		t.Error("bogus -lb accepted")
+	}
+	st.LB, st.LBPeriod = "greedy", -1
+	if _, err := st.Params(Sim{Steps: 4}, nil); err == nil || !strings.Contains(err.Error(), "-lb-period") {
+		t.Errorf("negative -lb-period: err %v", err)
 	}
 }
 

@@ -41,8 +41,9 @@ type Backend interface {
 	// barrier on pe.
 	AtSync(from ElemRef, pe int)
 	// Record emits an event into the executor's instrumentation sink
-	// (tracer, metrics adapter). No-op when nothing is configured; must be
-	// cheap enough to call from hot paths.
+	// (tracer, metrics adapter); Ctx.Mark's annotations reach the trace
+	// through it. No-op when nothing is configured; must be cheap enough
+	// to call from hot paths.
 	Record(ev trace.Event)
 }
 
@@ -50,9 +51,7 @@ type Backend interface {
 // only valid for the duration of the handler invocation it was passed to;
 // chares must not retain it: a PE hands the same Ctx to every element
 // handler it runs, and using it once the handler has returned panics.
-// (The AMPI layer's rank threads use theirs from another goroutine, but
-// only while the handler that resumed them is still parked on the PE's
-// execution slot — see internal/ampi.)
+// A handler's Ctx belongs to the goroutine running that handler.
 type Ctx struct {
 	b     Backend
 	pe    int
@@ -184,22 +183,9 @@ func (c *Ctx) ExitWith(v any) { c.b.ExitWith(v) }
 // Exit ends the run with a nil result.
 func (c *Ctx) Exit() { c.b.ExitWith(nil) }
 
-// MsgID reports the causal trace ID of the message this handler is
-// executing (0 when untraced or outside application dispatch). Libraries
-// layered on the scheduler (AMPI) stamp it onto events they emit so their
-// activity joins the message DAG.
-func (c *Ctx) MsgID() uint64 { return c.msgID }
-
 // Mark records a free-form annotation on this PE's trace timeline. The
 // overlap profiler segments steps at Mark("step", n, 0) boundaries;
 // anything else is carried through to the exported views untouched.
 func (c *Ctx) Mark(note string, arg1, arg2 int64) {
 	c.b.Record(trace.Event{PE: c.pe, Kind: trace.EvNote, At: c.b.Now(), Note: note, Arg1: arg1, Arg2: arg2, MsgID: c.msgID})
-}
-
-// Record emits a trace event of the given kind at the current execution
-// point, stamped with this handler's PE and causal message ID. This is the
-// surface runtime libraries (internal/ampi) use to join the causal DAG.
-func (c *Ctx) Record(kind trace.Kind, arg1, arg2 int64) {
-	c.b.Record(trace.Event{PE: c.pe, Kind: kind, At: c.b.Now(), Arg1: arg1, Arg2: arg2, MsgID: c.msgID})
 }

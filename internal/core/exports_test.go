@@ -63,17 +63,6 @@ func parseModule(t *testing.T, fset *token.FileSet, dir string) []goFile {
 // are the package path under internal/, then the receiver type for a
 // method, then the name.
 var exportAllowlist = map[string]string{
-	"ampi.Comm.Alltoall":  "AMPI's MPI surface; ROADMAP item 4 decides whether AMPI joins the evaluation or goes",
-	"ampi.Comm.Barrier":   "AMPI's MPI surface; ROADMAP item 4 decides it",
-	"ampi.Comm.Iprobe":    "AMPI's MPI surface; ROADMAP item 4 decides it",
-	"ampi.Comm.Irecv":     "AMPI's MPI surface; ROADMAP item 4 decides it",
-	"ampi.Comm.Isend":     "AMPI's MPI surface; ROADMAP item 4 decides it",
-	"ampi.Comm.Scan":      "AMPI's MPI surface; ROADMAP item 4 decides it",
-	"ampi.Comm.Scatter":   "AMPI's MPI surface; ROADMAP item 4 decides it",
-	"ampi.Comm.SendBytes": "AMPI's MPI surface; ROADMAP item 4 decides it",
-	"ampi.Comm.Wtime":     "AMPI's MPI surface; ROADMAP item 4 decides it",
-	"ampi.Waitall":        "AMPI's MPI surface; ROADMAP item 4 decides it",
-
 	"core.WithBundling":      "ROADMAP item 12 decides whether bundling becomes the default or goes",
 	"core.WithWANPriority":   "the runtime option for the paper's §6 cross-cluster prioritization",
 	"core.WithLatency":       "chaos instrument: the soak test's jittered WAN latency enters the delay device through it",
@@ -147,6 +136,42 @@ func TestInternalExportsHaveProductCallers(t *testing.T) {
 	for key := range exportAllowlist {
 		if _, ok := exports[key]; !ok {
 			t.Errorf("allowlist entry %s names no exported declaration under internal/", key)
+		}
+	}
+}
+
+// TestInternalPackagesHaveProductImporters: every package under internal/
+// is imported by non-test Go of the main module outside examples/. A
+// package that only an example (or only the benchmark module) reaches is
+// a feature no binary or experiment runs: wire it into one, or delete it.
+func TestInternalPackagesHaveProductImporters(t *testing.T) {
+	root, err := filepath.Abs("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := parseModule(t, token.NewFileSet(), root)
+	imported := make(map[string]bool)
+	pkgs := make(map[string]bool)
+	for _, gf := range files {
+		dir := filepath.Dir(gf.rel)
+		if strings.HasPrefix(dir, "internal/") {
+			pkgs[dir] = true
+		}
+		if strings.HasPrefix(gf.rel, "examples/") {
+			continue
+		}
+		for _, imp := range gf.f.Imports {
+			if path, ok := strings.CutPrefix(strings.Trim(imp.Path.Value, `"`), "gridmdo/"); ok {
+				imported[path] = true
+			}
+		}
+	}
+	if !pkgs["internal/core"] || !imported["internal/core"] {
+		t.Fatal("internal/core not seen as an imported package: the walk missed the module")
+	}
+	for pkg := range pkgs {
+		if !imported[pkg] {
+			t.Errorf("%s is imported by no non-test Go outside examples/: wire it into a binary or experiment, or delete it", pkg)
 		}
 	}
 }

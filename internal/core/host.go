@@ -105,20 +105,20 @@ func (h *PEHost) addElementWithMeta(ref ElemRef, ch Chare, m *elemMeta) {
 	s.ch, s.meta, s.pe = ch, m, int32(h.pe)
 }
 
-// removeElement evicts an element, returning its state and metadata.
-func (h *PEHost) removeElement(ref ElemRef) (Chare, *elemMeta, bool) {
+// removeElement evicts an element, returning its metadata.
+func (h *PEHost) removeElement(ref ElemRef) (*elemMeta, bool) {
 	s := h.slot(ref)
 	if s == nil {
-		return nil, nil, false
+		return nil, false
 	}
-	ch, m := s.ch, s.meta
+	m := s.meta
 	last := h.refs[len(h.refs)-1]
 	h.refs[s.pos] = last
 	h.slot(last).pos = s.pos
 	h.refs = h.refs[:len(h.refs)-1]
 	*s = elemSlot{}
 	delete(h.parked, ref)
-	return ch, m, true
+	return m, true
 }
 
 // Has reports whether element ref lives on this PE.

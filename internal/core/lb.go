@@ -65,14 +65,6 @@ type Strategy interface {
 	Plan(stats *LBStats) []Move
 }
 
-// Evictable lets a chare release local resources (for AMPI, the parked
-// rank goroutine) when the load balancer migrates it away. Evicted runs
-// on the source PE after the element's state has been packed and the
-// element removed from its host.
-type Evictable interface {
-	Evicted()
-}
-
 // lbPhase tags KindLB protocol messages.
 type lbPhase uint8
 
@@ -417,10 +409,7 @@ func (l *LBMgr) evict(moves []Move) error {
 		return fmt.Errorf("core: PE %d evict aborted, no elements migrated: %w", l.pe, errors.Join(errs...))
 	}
 	for i, mv := range moves {
-		ch, meta, _ := l.host.removeElement(mv.Ref)
-		if ev, ok := ch.(Evictable); ok {
-			ev.Evicted()
-		}
+		meta, _ := l.host.removeElement(mv.Ref)
 		if _, err := l.loc.Move(mv.Ref, mv.ToPE); err != nil {
 			return err
 		}

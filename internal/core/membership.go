@@ -882,7 +882,7 @@ func (m *Membership) applyLocked(t *MemberTable, preNotify func(freshLeft []int)
 		// while this table arrives on the control path and can overtake
 		// in-flight LB round traffic — a plan computed here mid-round
 		// would diverge between processes and corrupt the location tables.
-		if m.rt.lbCfg == nil {
+		if m.rt.prog.LB == nil {
 			for _, node := range freshLeft {
 				n := m.rt.recoverNode(m.pesOf(node), m.alivePE(t), nil)
 				m.evacuated.Add(int64(n))

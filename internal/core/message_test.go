@@ -150,7 +150,7 @@ func TestSyncParkedMessagesSurviveRecycling(t *testing.T) {
 func TestArrivingMessagesSurviveRecycling(t *testing.T) {
 	h := newRecycleHarness(t)
 	rt := h.rt
-	if _, _, ok := rt.pes[0].host.removeElement(target); !ok {
+	if _, ok := rt.pes[0].host.removeElement(target); !ok {
 		t.Fatal("target not hosted")
 	}
 	rt.expectArrival(target) // as if recovery had moved it here

@@ -28,11 +28,6 @@ type Options struct {
 	// executor (see trace.Sink).
 	Sinks []trace.Sink
 
-	// LB overrides the program's load-balancing configuration for this
-	// runtime (nil keeps prog.LB). Works on single- and multi-process
-	// runtimes; balanced elements must implement Migratable (PUP).
-	LB *LBConfig
-
 	// PrioritizeWAN implements the paper's §6 proposal: messages that
 	// cross cluster boundaries are tagged with a higher delivery priority
 	// than local messages (unless the application already set one).
@@ -95,11 +90,6 @@ func WithMetrics(reg *metrics.Registry) Option {
 // adapter.
 func WithSink(s trace.Sink) Option {
 	return func(o *Options) { o.Sinks = append(o.Sinks, s) }
-}
-
-// WithLB overrides the program's load-balancing configuration.
-func WithLB(cfg *LBConfig) Option {
-	return func(o *Options) { o.LB = cfg }
 }
 
 // WithWANPriority enables the paper's §6 cross-cluster prioritization.

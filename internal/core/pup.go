@@ -3,10 +3,10 @@ package core
 // PUP — pack/unpack — is the one structured serializer. One visitor
 // method written by the application serves every consumer: message
 // payloads on the wire (RegisterPayload), load-balancer migration
-// (evict→arrive), checkpoint/restart (including restart on a different PE
-// count), and AMPI rank migration. This mirrors the Charm++ PUP framework
-// (§2.1 of the paper), where messages, migration, checkpointing, and
-// shrink/expand all ride the same pup() routine.
+// (evict→arrive), and checkpoint/restart (including restart on a
+// different PE count). This mirrors the Charm++ PUP framework (§2.1 of the
+// paper), where messages, migration, checkpointing, and shrink/expand all
+// ride the same pup() routine.
 //
 // A PUP runs in one of three modes over a flat byte buffer:
 //
@@ -167,7 +167,8 @@ func (p *PUP) Int32(v *int32) {
 func (p *PUP) Uint64(v *uint64) { p.raw8(v) }
 
 // Uvarint moves a uint64 as an unsigned varint: one byte below 128, ten
-// at most.
+// at most. Unpacking accepts only the minimal encoding, the one packing
+// writes, so an accepted input re-packs to the same bytes.
 func (p *PUP) Uvarint(v *uint64) {
 	if p.err != nil {
 		return
@@ -179,7 +180,7 @@ func (p *PUP) Uvarint(v *uint64) {
 		p.buf = binary.AppendUvarint(p.buf, *v)
 	case pupUnpacking:
 		u, n := binary.Uvarint(p.buf[p.off:])
-		if n <= 0 {
+		if n <= 0 || n > 1 && p.buf[p.off+n-1] == 0 {
 			p.fail(fmt.Errorf("pup: truncated or overlong varint at offset %d", p.off))
 			return
 		}
@@ -454,8 +455,8 @@ func (p *PUP) Ints(v *[]int) {
 }
 
 // Payload moves a nested message payload of any registered or built-in
-// type, tag first — what ReducePartial.Value and an AMPI packet's Data
-// are. An unregistered type fails the pack with an error naming it.
+// type, tag first — what ReducePartial.Value is. An unregistered type
+// fails the pack with an error naming it.
 func (p *PUP) Payload(v *any) {
 	if p.err != nil {
 		return

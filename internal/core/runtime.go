@@ -17,13 +17,12 @@ import (
 // and an optional transport stack for PEs in other processes. It implements
 // Backend.
 type Runtime struct {
-	topo  *topology.Topology
-	prog  *Program
-	opts  Options
-	lbCfg *LBConfig // effective LB config: Options.LB override or prog.LB
-	loc   *Locations
-	pes   []*peState
-	dly   *vmi.DelayDevice
+	topo *topology.Topology
+	prog *Program
+	opts Options
+	loc  *Locations
+	pes  []*peState
+	dly  *vmi.DelayDevice
 
 	latencyFor func(src, dst int32) time.Duration
 	pastDelay  vmi.SendFunc // rt.deliver, bound once: what follows the delay device
@@ -92,13 +91,6 @@ func NewRuntime(topo *topology.Topology, prog *Program, options ...Option) (*Run
 			o(&opts)
 		}
 	}
-	lbCfg := prog.LB
-	if opts.LB != nil {
-		lbCfg = opts.LB
-		if err := validateLB(lbCfg, len(prog.Arrays)); err != nil {
-			return nil, err
-		}
-	}
 	if opts.Transport == nil {
 		opts.PELo, opts.PEHi, opts.Node = 0, topo.NumPE(), 0
 		opts.NodeOf = func(int) int { return 0 }
@@ -114,7 +106,6 @@ func NewRuntime(topo *topology.Topology, prog *Program, options ...Option) (*Run
 		topo:   topo,
 		prog:   prog,
 		opts:   opts,
-		lbCfg:  lbCfg,
 		loc:    NewLocations(prog, topo.NumPE()),
 		exitCh: make(chan struct{}),
 		// The clock starts at construction so that transport goroutines
@@ -145,15 +136,15 @@ func NewRuntime(topo *topology.Topology, prog *Program, options ...Option) (*Run
 		ps.host = NewPEHost(rt, pe, tab)
 		// Handler wall time is an element's measured load, which only a
 		// load balancer reads.
-		ps.host.MeasureWall = lbCfg != nil
+		ps.host.MeasureWall = prog.LB != nil
 		ps.reduce = NewReduceMgr(pe,
 			func(a ArrayID) int { return rt.loc.LocalCount(a, pe) },
 			func(a ArrayID) int { return rt.prog.Arrays[a].N },
 			emit,
 			func(a ArrayID, seq int64, v any) { ps.host.RunReduction(rt.prog, a, seq, v) },
 		)
-		if lbCfg != nil {
-			ps.lb = NewLBMgr(pe, lbCfg, topo, rt.loc, ps.host, prog, emit)
+		if prog.LB != nil {
+			ps.lb = NewLBMgr(pe, prog.LB, topo, rt.loc, ps.host, prog, emit)
 		}
 		rt.pes[i] = ps
 	}
@@ -163,12 +154,12 @@ func NewRuntime(topo *topology.Topology, prog *Program, options ...Option) (*Run
 	}); err != nil {
 		return nil, err
 	}
-	if lbCfg != nil {
+	if prog.LB != nil {
 		// Fail fast: every element of a balanced array must be able to
 		// serialize through PUP, or a mid-run eviction (possibly bound for
 		// another process over the wire) would fail long after start. The
 		// error names the offending concrete type.
-		if err := auditMigratable(lbCfg, rt.loc, opts.PELo, opts.PEHi, func(pe int) *PEHost {
+		if err := auditMigratable(prog.LB, rt.loc, opts.PELo, opts.PEHi, func(pe int) *PEHost {
 			return rt.pes[pe-opts.PELo].host
 		}); err != nil {
 			return nil, err
@@ -197,23 +188,6 @@ func NewRuntime(topo *topology.Topology, prog *Program, options ...Option) (*Run
 		opts.Transport.Bind(rt.injectFrame, rt.fail)
 	}
 	return rt, nil
-}
-
-// validateLB checks an LB configuration supplied as a runtime override
-// (program-carried configs are checked by Program.Validate).
-func validateLB(cfg *LBConfig, numArrays int) error {
-	if cfg.Strategy == nil {
-		return fmt.Errorf("core: LB config has no strategy")
-	}
-	if len(cfg.Arrays) == 0 {
-		return fmt.Errorf("core: LB config lists no arrays")
-	}
-	for _, id := range cfg.Arrays {
-		if int(id) < 0 || int(id) >= numArrays {
-			return fmt.Errorf("core: LB config references unknown array %d", id)
-		}
-	}
-	return nil
 }
 
 // auditMigratable checks that every locally hosted element of every
@@ -468,11 +442,10 @@ func (rt *Runtime) enqueueLocal(m *Message) {
 	}
 }
 
-// Record implements Backend: libraries layered on the scheduler (AMPI
-// block/wake, application step marks via Ctx) emit into the same sink the
-// scheduler uses. The scheduler's own per-message events test rt.sink
-// before building the event, so that an unobserved message does not read
-// the clock to stamp an event nobody receives.
+// Record implements Backend: application step marks (Ctx.Mark) land in
+// the same sink the scheduler uses. The scheduler's own per-message
+// events test rt.sink before building the event, so that an unobserved
+// message does not read the clock to stamp an event nobody receives.
 func (rt *Runtime) Record(ev trace.Event) {
 	if rt.sink != nil {
 		rt.sink.Record(ev)

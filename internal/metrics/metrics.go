@@ -1,7 +1,8 @@
 // Package metrics is GridMDO's runtime observability registry: counters,
 // gauges, and fixed-bucket histograms that every layer — core scheduler,
-// VMI devices, AMPI — registers at construction time and updates from its
-// hot paths with plain atomic operations. The design splits cost by phase:
+// VMI devices, task farm, gateway — registers at construction time and
+// updates from its hot paths with plain atomic operations. The design
+// splits cost by phase:
 //
 //   - Registration (Counter/Gauge/Histogram/…Func) allocates and takes the
 //     registry lock; it happens while a runtime or device chain is built.

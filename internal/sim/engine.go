@@ -634,9 +634,9 @@ func (s *shard) AtSync(_ core.ElemRef, pe int) {
 	s.eng.pes[pe].lb.ElementAtSync()
 }
 
-// Record implements core.Backend: events from libraries and applications
-// (step marks, AMPI block/wake) land in the same tracer as scheduler
-// events, stamped with virtual time by the caller.
+// Record implements core.Backend: application step marks (Ctx.Mark) land
+// in the same tracer as scheduler events, stamped with virtual time by the
+// caller.
 func (s *shard) Record(ev trace.Event) { s.record(ev) }
 
 // record emits a trace event. The sequential engine writes straight into

@@ -98,7 +98,8 @@ func WithInterLatency(d time.Duration) Option {
 
 // New builds a topology from explicit cluster sizes. PEs are numbered
 // contiguously: cluster 0 holds PEs [0, sizes[0]), cluster 1 the next
-// sizes[1] PEs, and so on.
+// sizes[1] PEs, and so on. A negative link latency is rejected: it would run the
+// virtual clock backwards.
 func New(sizes []int, opts ...Option) (*Topology, error) {
 	if len(sizes) == 0 {
 		return nil, fmt.Errorf("topology: need at least one cluster")
@@ -121,6 +122,9 @@ func New(sizes []int, opts ...Option) (*Topology, error) {
 	}
 	for _, o := range opts {
 		o(t)
+	}
+	if t.intra.Latency < 0 || t.inter.Latency < 0 {
+		return nil, fmt.Errorf("topology: negative latency (intra-cluster %v, inter-cluster %v)", t.intra.Latency, t.inter.Latency)
 	}
 	return t, nil
 }
@@ -156,13 +160,16 @@ func (t *Topology) SetClusterPairLatency(a, b ClusterID, d time.Duration) error 
 }
 
 // SetClusterPairLink overrides the whole link model between a specific
-// pair of clusters, in both directions.
+// pair of clusters, in both directions. A negative latency is rejected.
 func (t *Topology) SetClusterPairLink(a, b ClusterID, l Link) error {
 	if int(a) < 0 || int(a) >= len(t.clusters) || int(b) < 0 || int(b) >= len(t.clusters) {
 		return fmt.Errorf("topology: cluster pair (%d,%d) out of range [0,%d)", a, b, len(t.clusters))
 	}
 	if a == b {
 		return fmt.Errorf("topology: cluster pair link needs two distinct clusters, got (%d,%d)", a, b)
+	}
+	if l.Latency < 0 {
+		return fmt.Errorf("topology: negative latency %v for cluster pair (%d,%d)", l.Latency, a, b)
 	}
 	if t.clusterLinks == nil {
 		t.clusterLinks = make(map[int64]Link)

@@ -159,6 +159,16 @@ func TestLinkOptions(t *testing.T) {
 	if got := topo.LinkBetween(0, 2); got != inter {
 		t.Errorf("inter link = %+v", got)
 	}
+	// A negative latency would run the virtual clock backwards.
+	if _, err := TwoClusters(4, -time.Millisecond); err == nil {
+		t.Error("negative inter-cluster latency accepted")
+	}
+	if _, err := Single(4, WithIntraLink(Link{Latency: -1})); err == nil {
+		t.Error("negative intra-cluster latency accepted")
+	}
+	if err := topo.SetClusterPairLatency(0, 1, -time.Millisecond); err == nil {
+		t.Error("negative cluster-pair latency accepted")
+	}
 }
 
 func TestSpeedFactors(t *testing.T) {

@@ -41,8 +41,8 @@ func TestCapacityRoundsToPowerOfTwo(t *testing.T) {
 	}
 }
 
-// Regression: idle gaps inside an open Begin window (AMPI rank blocked in
-// recv) must not count as busy.
+// Regression: idle gaps inside an open Begin window (a handler that
+// yields its PE while waiting) must not count as busy.
 func TestUtilizationSubtractsIdle(t *testing.T) {
 	tr := New(1)
 	tr.Record(Event{PE: 0, Kind: EvBegin, At: 0})
@@ -258,8 +258,6 @@ func TestChromeExportIsValidJSON(t *testing.T) {
 		{PE: 1, Kind: EvEnqueue, At: 3 * msTest, MsgID: 2},
 		{PE: 1, Kind: EvIdle, At: 4 * msTest, Arg1: int64(msTest)},
 		{PE: 1, Kind: EvNote, At: 5 * msTest, Note: `st"ep`},
-		{PE: 1, Kind: EvBlock, At: 6 * msTest, Arg1: 3},
-		{PE: 1, Kind: EvWake, At: 7 * msTest, Arg1: 3, Arg2: 100, MsgID: 2},
 	}
 	var buf bytes.Buffer
 	if err := WriteChrome(&buf, evs, func(pe int) int { return pe / 1 }); err != nil {
@@ -273,7 +271,7 @@ func TestChromeExportIsValidJSON(t *testing.T) {
 	for _, e := range parsed {
 		phases[e["ph"].(string)]++
 	}
-	if phases["X"] < 2 || phases["s"] != 1 || phases["f"] != 1 || phases["i"] < 3 {
+	if phases["X"] < 2 || phases["s"] != 1 || phases["f"] != 1 || phases["i"] < 1 {
 		t.Fatalf("phase counts = %v", phases)
 	}
 }

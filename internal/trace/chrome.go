@@ -12,7 +12,7 @@ import (
 // trace-event JSON (the format chrome://tracing and Perfetto's legacy
 // importer load directly): handler executions become complete ("X")
 // slices, message flights become flow ("s"/"f") arrows from the send to
-// the matching enqueue, and notes/block/wake become instants. PIDs are
+// the matching enqueue, and notes become instants. PIDs are
 // nodes (via nodeOf, identity when nil), TIDs are PEs — so a two-gridnode
 // run renders as two process lanes with flow arrows crossing them.
 func WriteChrome(w io.Writer, evs []Event, nodeOf func(pe int) int) error {
@@ -68,12 +68,6 @@ func WriteChrome(w io.Writer, evs []Event, nodeOf func(pe int) int) error {
 		case EvNote:
 			emit(`{"name":%s,"cat":"note","ph":"i","s":"t","ts":%.3f,"pid":%d,"tid":%d,"args":{"a1":%d,"a2":%d}}`,
 				strconv.Quote(ev.Note), us(ev.At), nodeOf(ev.PE), ev.PE, ev.Arg1, ev.Arg2)
-		case EvBlock:
-			emit(`{"name":"rank-block","cat":"ampi","ph":"i","s":"t","ts":%.3f,"pid":%d,"tid":%d,"args":{"rank":%d}}`,
-				us(ev.At), nodeOf(ev.PE), ev.PE, ev.Arg1)
-		case EvWake:
-			emit(`{"name":"rank-wake","cat":"ampi","ph":"i","s":"t","ts":%.3f,"pid":%d,"tid":%d,"args":{"rank":%d,"blocked_ns":%d,"msg":%d}}`,
-				us(ev.At), nodeOf(ev.PE), ev.PE, ev.Arg1, ev.Arg2, ev.MsgID)
 		}
 	}
 	bw.WriteString("\n]\n")

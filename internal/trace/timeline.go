@@ -12,8 +12,8 @@ import (
 // merged), one row per PE for numPE rows: each column is one bucket of
 // the horizon, shaded by the fraction of the bucket spent inside handlers
 // (' ' idle, '░' <25%, '▒' <50%, '▓' <75%, '█' busy). Recorded idle spans
-// are subtracted, so an AMPI rank blocked in Recv shows as idle even
-// though its handler window is open. It is the textual analog of a
+// are subtracted, so a handler blocked waiting for a message shows as
+// idle even though its handler window is open. It is the textual analog of a
 // Projections utilization view.
 func RenderTimelineEvents(w io.Writer, evs []Event, numPE int, horizon time.Duration, buckets int) {
 	if horizon <= 0 || buckets <= 0 || numPE <= 0 {

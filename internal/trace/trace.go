@@ -26,8 +26,6 @@ const (
 	EvEnqueue             // message enqueued at destination PE
 	EvIdle                // scheduler went idle (At = start, Arg1 = duration ns)
 	EvNote                // free-form annotation
-	EvBlock               // AMPI rank suspended waiting for a message (Arg1 = rank)
-	EvWake                // AMPI rank resumed by a matching message (Arg1 = rank, Arg2 = blocked ns)
 )
 
 func (k Kind) String() string {
@@ -44,10 +42,6 @@ func (k Kind) String() string {
 		return "idle"
 	case EvNote:
 		return "note"
-	case EvBlock:
-		return "block"
-	case EvWake:
-		return "wake"
 	}
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }

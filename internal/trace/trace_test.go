@@ -48,9 +48,9 @@ func TestRecordAndSort(t *testing.T) {
 // handlers, derived from Begin/End pairs. Unpaired events are tolerated
 // (a Begin without End counts as busy until the horizon). Recorded idle
 // spans (EvIdle) are subtracted even when they fall inside an open Begin
-// window — an AMPI rank blocked in Recv holds its handler window open
-// while the PE is genuinely idle, and counting that as busy would hide
-// exactly the latency this tracer exists to measure.
+// window — a handler that blocks waiting for a message holds its window
+// open while the PE is genuinely idle, and counting that as busy would
+// hide exactly the latency this tracer exists to measure.
 func (t *Tracer) Utilization(horizon time.Duration) []float64 {
 	if t == nil || horizon <= 0 {
 		return nil

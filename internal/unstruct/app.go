@@ -13,7 +13,7 @@ const (
 	EntryHalo core.EntryID = 1
 )
 
-// relaxOmega is the Jacobi damping factor.
+// relaxOmega is the weight of the Jacobi update.
 const relaxOmega = 0.5
 
 // Params configures an irregular-relaxation run.
