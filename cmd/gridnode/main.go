@@ -132,6 +132,9 @@ func run(cfg config) error {
 	if err != nil {
 		return err
 	}
+	if err := cfg.Obs.Validate(); err != nil {
+		return err
+	}
 	nodes := spec.Nodes
 
 	if cfg.Serve {

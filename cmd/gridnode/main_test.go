@@ -858,3 +858,26 @@ func TestServeFlagErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestObsFlagErrors: a negative -trace-cap or -telemetry-interval fails
+// the run with an error naming the flag, instead of being read as "auto"
+// or the default.
+func TestObsFlagErrors(t *testing.T) {
+	for _, tc := range []struct {
+		obs  appflags.Obs
+		want string
+	}{
+		{appflags.Obs{TraceCap: -1}, "-trace-cap"},
+		{appflags.Obs{Telemetry: true, TelemetryInterval: -time.Millisecond}, "-telemetry-interval"},
+	} {
+		cfg := config{
+			Cluster: appflags.Cluster{Addrs: "127.0.0.1:0", Topology: appflags.Topology{Procs: 4}},
+			App: appflags.App{Name: "stencil", Sim: appflags.Sim{Steps: 2},
+				Stencil: appflags.Stencil{Objects: 4, Width: 16}},
+			Obs: tc.obs,
+		}
+		if err := run(cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%+v: err %v, want one naming %s", tc.obs, err, tc.want)
+		}
+	}
+}

@@ -370,6 +370,19 @@ func (o *Obs) Register(fs *flag.FlagSet) {
 	fs.DurationVar(&o.TelemetryInterval, "telemetry-interval", 500*time.Millisecond, "telemetry agent reporting period")
 }
 
+// Validate rejects observability flags no run can honour: a negative
+// -trace-cap or -telemetry-interval is an error, never read as "auto" or
+// the default.
+func (o *Obs) Validate() error {
+	if o.TraceCap < 0 {
+		return fmt.Errorf("negative -trace-cap %d", o.TraceCap)
+	}
+	if o.TelemetryInterval < 0 {
+		return fmt.Errorf("negative -telemetry-interval %v", o.TelemetryInterval)
+	}
+	return nil
+}
+
 // TraceRingCap resolves the per-PE trace ring capacity for this
 // configuration. An explicit -trace-cap wins. Otherwise the ring is
 // sized to its consumer: -trace-out keeps the whole run for a

@@ -288,9 +288,7 @@ func MembershipRecovery(w io.Writer, p Profile) (*Table, *MembershipReport, erro
 			// it. The probe is that next frame, sent at a known time, so
 			// detect_ms measures the full budget schedule rather than
 			// the accident of where the grant pipeline paused.
-			if err := c.Nodes[0].Stack.Send(&vmi.Frame{
-				Src: 0, Dst: int32(victim), Class: vmi.ClassSystem, Body: []byte("probe"),
-			}); err != nil {
+			if err := c.Nodes[0].Stack.Send(&vmi.Frame{Src: 0, Dst: int32(victim), Body: []byte("probe")}); err != nil {
 				return fmt.Errorf("probe: %w", err)
 			}
 			if err := awaitCounter(c.procs[0].reg, "membership_deaths_total", 1, 60*time.Second); err != nil {

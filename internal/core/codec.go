@@ -13,8 +13,8 @@ import (
 // TCP transport). In-process messages are never serialized — the paper's
 // intra-cluster fast path.
 //
-// A message is a fixed 57-byte header (magic, version, Kind, To, Entry,
-// Prio, Bytes, SrcPE, DstPE, and the causal trace context ID/Parent)
+// A message is a fixed 49-byte header (magic, version, Kind, To, Entry,
+// Prio, SrcPE, DstPE, and the causal trace context ID/Parent)
 // followed by a payload: one tag byte, then the value. There is one
 // structured serializer. The primitive payloads (nil, int, int64,
 // float64, []float64, string, []byte, bool) and bundles, which encode
@@ -28,27 +28,28 @@ import (
 //
 //	off len field
 //	  0   2  magic 0x474D ("GM")
-//	  2   1  version (3)
+//	  2   1  version (4)
 //	  3   1  Kind
 //	  4   4  To.Array (int32)
 //	  8   8  To.Index (int64)
 //	 16   4  Entry (int32)
 //	 20   4  Prio (int32)
-//	 24   8  Bytes (int64)
-//	 32   4  SrcPE (int32)
-//	 36   4  DstPE (int32)
-//	 40   8  ID (uint64, causal trace context)
-//	 48   8  Parent (uint64, causal trace context)
-//	 56   1  payload tag
-//	 57   …  payload (tag-specific)
+//	 24   4  SrcPE (int32)
+//	 28   4  DstPE (int32)
+//	 32   8  ID (uint64, causal trace context)
+//	 40   8  Parent (uint64, causal trace context)
+//	 48   1  payload tag
+//	 49   …  payload (tag-specific)
 //
 // Version 2 added the 16-byte trace context (ID, Parent) so causality
 // survives the TCP hop; version 3 made every structured payload a PUP
-// traversal. Frames of other versions are rejected.
+// traversal; version 4 dropped the modeled size (Message.Bytes), which
+// only the sender's link model reads. Frames of other versions are
+// rejected.
 const (
 	wireMagic    uint16 = 0x474D
-	wireVersion  byte   = 3
-	msgHeaderLen        = 57
+	wireVersion  byte   = 4
+	msgHeaderLen        = 49
 )
 
 // Payload tags. Tags 0–63 are reserved for the runtime; 64–255 belong to
@@ -183,7 +184,6 @@ func AppendMessage(dst []byte, m *Message) ([]byte, error) {
 	dst = binary.BigEndian.AppendUint64(dst, uint64(int64(m.To.Index)))
 	dst = binary.BigEndian.AppendUint32(dst, uint32(m.Entry))
 	dst = binary.BigEndian.AppendUint32(dst, uint32(m.Prio))
-	dst = binary.BigEndian.AppendUint64(dst, uint64(int64(m.Bytes)))
 	dst = binary.BigEndian.AppendUint32(dst, uint32(m.SrcPE))
 	dst = binary.BigEndian.AppendUint32(dst, uint32(m.DstPE))
 	dst = binary.BigEndian.AppendUint64(dst, m.ID)
@@ -219,7 +219,7 @@ func decodeMessage(b []byte) (*Message, []byte, error) {
 	if b[2] != wireVersion {
 		return nil, b, fmt.Errorf("%w: version %d, want %d", ErrBadWire, b[2], wireVersion)
 	}
-	data, rest, err := decodePayload(b[56], b[msgHeaderLen:])
+	data, rest, err := decodePayload(b[msgHeaderLen-1], b[msgHeaderLen:])
 	if err != nil {
 		return nil, b, err
 	}
@@ -230,11 +230,10 @@ func decodeMessage(b []byte) (*Message, []byte, error) {
 		Entry:  EntryID(int32(binary.BigEndian.Uint32(b[16:]))),
 		Data:   data,
 		Prio:   int32(binary.BigEndian.Uint32(b[20:])),
-		Bytes:  int(int64(binary.BigEndian.Uint64(b[24:]))),
-		SrcPE:  int32(binary.BigEndian.Uint32(b[32:])),
-		DstPE:  int32(binary.BigEndian.Uint32(b[36:])),
-		ID:     binary.BigEndian.Uint64(b[40:]),
-		Parent: binary.BigEndian.Uint64(b[48:]),
+		SrcPE:  int32(binary.BigEndian.Uint32(b[24:])),
+		DstPE:  int32(binary.BigEndian.Uint32(b[28:])),
+		ID:     binary.BigEndian.Uint64(b[32:]),
+		Parent: binary.BigEndian.Uint64(b[40:]),
 	}
 	return m, rest, nil
 }

@@ -74,6 +74,8 @@ var exportAllowlist = map[string]string{
 
 	"leanmd.DirectForces": "the all-pairs reference, with no cell decomposition, that the decomposed-force tests compare against",
 
+	"unstruct.RunSequential": "the sequential reference implementation that the unstruct tests compare against",
+
 	"vmi.JitteredLatency":        "chaos instrument: seeded WAN jitter for the soak test",
 	"vmi.TCP.DropConn":           "chaos instrument: severs a live connection to exercise re-dial and retransmit",
 	"vmi.TCP.CorruptWire":        "chaos instrument: corrupts the outgoing byte stream to break the framing",
@@ -99,13 +101,17 @@ var stdInterfaces = [][]string{
 
 // TestInternalExportsHaveProductCallers: internal/ is a closed world.
 // Every exported func, method, type, var and const declared there is
-// referenced by name from non-test Go of the main module or of the
-// benchmark module, which imports internal/ through its replace
-// directive, or is on exportAllowlist. The match is by name: any
-// identifier spelled like the declaration, other than a declaration,
-// counts as a reference. Two kinds are exempt by rule: a method that
-// completes a stdInterfaces entry on its receiver, and the first constant
-// of an iota block, which names the zero value.
+// referenced from non-test Go of the main module or of the benchmark
+// module, which imports internal/ through its replace directive, or is on
+// exportAllowlist. A package-level declaration internal/pkg.Name is
+// referenced only by a pkg.Name selector on an import of that package or
+// by a bare Name inside that package, so a same-named identifier in
+// another package does not count. Methods stay matched by name: any
+// identifier spelled like the method, other than a declaration, counts,
+// since telling which type a selector's receiver has needs type checking.
+// Two kinds are exempt by rule: a method that completes a stdInterfaces
+// entry on its receiver, and the first constant of an iota block, which
+// names the zero value.
 func TestInternalExportsHaveProductCallers(t *testing.T) {
 	root, err := filepath.Abs("../..")
 	if err != nil {
@@ -116,21 +122,25 @@ func TestInternalExportsHaveProductCallers(t *testing.T) {
 	for _, f := range parseModule(t, fset, filepath.Join(root, "benchmark")) {
 		files = append(files, goFile{rel: "benchmark/" + f.rel, f: f.f})
 	}
-	refs := referencedNames(files)
-	if !refs["StartCluster"] {
-		t.Fatal("no reference to StartCluster found: the walk missed the launcher's callers")
+	qualified, names := references(files)
+	if !qualified["core.StartCluster"] {
+		t.Fatal("no reference to core.StartCluster found: the walk missed the launcher's callers")
 	}
 	exports := internalExports(files)
 	if len(exports) == 0 {
 		t.Fatal("no exported declaration found under internal/")
 	}
-	for key, pos := range exports {
+	for key, ex := range exports {
+		used := qualified[key]
+		if ex.method {
+			used = names[key[strings.LastIndex(key, ".")+1:]]
+		}
 		_, allowed := exportAllowlist[key]
-		switch used := refs[key[strings.LastIndex(key, ".")+1:]]; {
+		switch {
 		case !used && !allowed:
-			t.Errorf("%s: %s has no reference from non-test Go: delete it, or allowlist it with a reason", fset.Position(pos), key)
+			t.Errorf("%s: %s has no reference from non-test Go: delete it, or allowlist it with a reason", fset.Position(ex.pos), key)
 		case used && allowed:
-			t.Errorf("%s: allowlisted %s now has a product caller: drop its allowlist entry", fset.Position(pos), key)
+			t.Errorf("%s: allowlisted %s now has a product caller: drop its allowlist entry", fset.Position(ex.pos), key)
 		}
 	}
 	for key := range exportAllowlist {
@@ -176,44 +186,74 @@ func TestInternalPackagesHaveProductImporters(t *testing.T) {
 	}
 }
 
-// referencedNames collects every identifier of files that is not itself
-// being declared.
-func referencedNames(files []goFile) map[string]bool {
-	refs := make(map[string]bool)
+// references collects what files reference. qualified holds "pkg.Name"
+// for every pkg.Name selector on an import of gridmdo/internal/pkg and for
+// every bare Name (not a declaration, not a selector's field) in a file of
+// internal/pkg; names holds every identifier that is not itself being
+// declared.
+func references(files []goFile) (qualified, names map[string]bool) {
+	qualified, names = make(map[string]bool), make(map[string]bool)
 	for _, gf := range files {
-		declared := make(map[*ast.Ident]bool)
+		self, inInternal := strings.CutPrefix(filepath.Dir(gf.rel), "internal/")
+		imports := make(map[string]string) // local name -> package under internal/
+		for _, imp := range gf.f.Imports {
+			pkg, ok := strings.CutPrefix(strings.Trim(imp.Path.Value, `"`), "gridmdo/internal/")
+			if !ok {
+				continue
+			}
+			local := pkg[strings.LastIndex(pkg, "/")+1:]
+			if imp.Name != nil {
+				local = imp.Name.Name
+			}
+			imports[local] = pkg
+		}
+		skip := make(map[*ast.Ident]bool) // declarations and selectors' fields
 		ast.Inspect(gf.f, func(n ast.Node) bool {
 			switch x := n.(type) {
 			case *ast.FuncDecl:
-				declared[x.Name] = true
+				skip[x.Name] = true
 			case *ast.TypeSpec:
-				declared[x.Name] = true
+				skip[x.Name] = true
 			case *ast.ValueSpec:
 				for _, id := range x.Names {
-					declared[id] = true
+					skip[id] = true
 				}
 			case *ast.Field:
 				for _, id := range x.Names {
-					declared[id] = true
+					skip[id] = true
+				}
+			case *ast.SelectorExpr:
+				names[x.Sel.Name] = true
+				skip[x.Sel] = true
+				if id, ok := x.X.(*ast.Ident); ok && imports[id.Name] != "" {
+					qualified[imports[id.Name]+"."+x.Sel.Name] = true
 				}
 			}
 			return true
 		})
 		ast.Inspect(gf.f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !declared[id] {
-				refs[id.Name] = true
+			if id, ok := n.(*ast.Ident); ok && !skip[id] {
+				names[id.Name] = true
+				if inInternal {
+					qualified[self+"."+id.Name] = true
+				}
 			}
 			return true
 		})
 	}
-	return refs
+	return qualified, names
+}
+
+// export is one exported declaration under internal/.
+type export struct {
+	pos    token.Pos
+	method bool
 }
 
 // internalExports maps each exported declaration under internal/, keyed
-// as exportAllowlist is, to its position, leaving out the rule-exempt
-// ones.
-func internalExports(files []goFile) map[string]token.Pos {
-	out := make(map[string]token.Pos)
+// as exportAllowlist is, leaving out the rule-exempt ones.
+func internalExports(files []goFile) map[string]export {
+	out := make(map[string]export)
 	methods := make(map[string][]string) // "pkg.Type" -> its method names
 	type method struct {
 		recv, name string
@@ -230,7 +270,7 @@ func internalExports(files []goFile) map[string]token.Pos {
 			case *ast.FuncDecl:
 				if d.Recv == nil {
 					if d.Name.IsExported() {
-						out[pkg+"."+d.Name.Name] = d.Pos()
+						out[pkg+"."+d.Name.Name] = export{pos: d.Pos()}
 					}
 					continue
 				}
@@ -244,12 +284,12 @@ func internalExports(files []goFile) map[string]token.Pos {
 					switch s := s.(type) {
 					case *ast.TypeSpec:
 						if s.Name.IsExported() {
-							out[pkg+"."+s.Name.Name] = s.Pos()
+							out[pkg+"."+s.Name.Name] = export{pos: s.Pos()}
 						}
 					case *ast.ValueSpec:
 						for j, id := range s.Names {
 							if id.IsExported() && !(i == 0 && j == 0 && d.Tok == token.CONST && usesIota(s)) {
-								out[pkg+"."+id.Name] = id.Pos()
+								out[pkg+"."+id.Name] = export{pos: id.Pos()}
 							}
 						}
 					}
@@ -259,7 +299,7 @@ func internalExports(files []goFile) map[string]token.Pos {
 	}
 	for _, m := range pending {
 		if !completesStdInterface(methods[m.recv], m.name) {
-			out[m.recv+"."+m.name] = m.pos
+			out[m.recv+"."+m.name] = export{pos: m.pos, method: true}
 		}
 	}
 	return out

@@ -259,8 +259,8 @@ func TestLBMsgWireRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("phase %d: %v", in.Phase, err)
 		}
-		if wire[56] != tagLB {
-			t.Fatalf("phase %d encoded with tag %d, want tagLB (%d)", in.Phase, wire[56], tagLB)
+		if wire[msgHeaderLen-1] != tagLB {
+			t.Fatalf("phase %d encoded with tag %d, want tagLB (%d)", in.Phase, wire[msgHeaderLen-1], tagLB)
 		}
 		out, err := DecodeMessage(wire)
 		if err != nil {

@@ -35,7 +35,9 @@ type Message struct {
 	// values are FIFO. Application default is 0.
 	Prio int32
 
-	// Bytes is the modeled payload size used by the link model.
+	// Bytes is the modeled payload size used by the link model. It is
+	// set at send and is not carried on the wire: a message decoded from
+	// a frame reads 0.
 	Bytes int
 
 	SrcPE int32

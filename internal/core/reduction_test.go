@@ -232,11 +232,18 @@ func TestMessageCodecRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if out.Kind != in.Kind || out.To != in.To || out.Entry != in.Entry ||
-		out.Prio != in.Prio || out.Bytes != in.Bytes || out.SrcPE != in.SrcPE || out.DstPE != in.DstPE {
+		out.Prio != in.Prio || out.SrcPE != in.SrcPE || out.DstPE != in.DstPE {
 		t.Errorf("header mismatch: %+v", out)
+	}
+	if out.Bytes != 0 {
+		t.Errorf("modeled size %d crossed the wire", out.Bytes)
 	}
 	if p, ok := out.Data.(testPayload); !ok || p != (testPayload{7, 8}) {
 		t.Errorf("payload mismatch: %#v", out.Data)
+	}
+	// A nil payload is the tag byte alone, the header's last: 49 bytes.
+	if b, err := EncodeMessage(&Message{Kind: KindApp, Bytes: 1024}); err != nil || len(b) != 49 {
+		t.Errorf("nil-payload message encodes to %d bytes (err %v), want 49", len(b), err)
 	}
 	if _, err := DecodeMessage([]byte("garbage")); err == nil {
 		t.Error("garbage decoded")

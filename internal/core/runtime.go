@@ -337,10 +337,7 @@ func (rt *Runtime) transmit(m *Message) {
 		return
 	}
 	f := framePool.Get().(*vmi.Frame)
-	f.Src, f.Dst, f.Prio, f.Trace, f.Obj = m.SrcPE, m.DstPE, m.Prio, m.ID, m
-	if m.Kind != KindApp {
-		f.Class = vmi.ClassSystem
-	}
+	f.Src, f.Dst, f.Obj = m.SrcPE, m.DstPE, m
 	if err := rt.dly.Hold(f, rt.pastDelay, delay); err != nil {
 		rt.fail(err)
 	}

@@ -49,8 +49,11 @@ func TestWireCodecPayloadKinds(t *testing.T) {
 				t.Fatal(err)
 			}
 			if out.Kind != in.Kind || out.To != in.To || out.Entry != in.Entry ||
-				out.Prio != in.Prio || out.Bytes != in.Bytes || out.SrcPE != in.SrcPE || out.DstPE != in.DstPE {
+				out.Prio != in.Prio || out.SrcPE != in.SrcPE || out.DstPE != in.DstPE {
 				t.Errorf("header mismatch: %+v", out)
+			}
+			if out.Bytes != 0 {
+				t.Errorf("modeled size %d crossed the wire", out.Bytes)
 			}
 			if out.ID != in.ID || out.Parent != in.Parent {
 				t.Errorf("trace context lost: ID %#x Parent %#x", out.ID, out.Parent)
@@ -233,11 +236,11 @@ func FuzzTraceWire(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := binary.BigEndian.Uint64(enc[40:]); got != id {
-			t.Fatalf("ID not at offset 40: got %#x, want %#x", got, id)
+		if got := binary.BigEndian.Uint64(enc[32:]); got != id {
+			t.Fatalf("ID not at offset 32: got %#x, want %#x", got, id)
 		}
-		if got := binary.BigEndian.Uint64(enc[48:]); got != parent {
-			t.Fatalf("Parent not at offset 48: got %#x, want %#x", got, parent)
+		if got := binary.BigEndian.Uint64(enc[40:]); got != parent {
+			t.Fatalf("Parent not at offset 40: got %#x, want %#x", got, parent)
 		}
 		out, err := DecodeMessage(enc)
 		if err != nil {

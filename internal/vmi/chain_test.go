@@ -116,12 +116,12 @@ func TestDelayDevicePreservesFIFO(t *testing.T) {
 	var got []uint64
 	deliver := func(f *Frame) error {
 		mu.Lock()
-		got = append(got, f.Seq)
+		got = append(got, f.Obj.(uint64))
 		mu.Unlock()
 		return nil
 	}
 	for i := 0; i < n; i++ {
-		if err := d.Send(&Frame{Src: 0, Dst: 1, Seq: uint64(i)}, deliver); err != nil {
+		if err := d.Send(&Frame{Src: 0, Dst: 1, Obj: uint64(i)}, deliver); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -150,7 +150,7 @@ func TestDelayDeviceCloseDrains(t *testing.T) {
 	var mu sync.Mutex
 	var n int
 	for i := 0; i < 10; i++ {
-		_ = d.Send(&Frame{Seq: uint64(i)}, func(*Frame) error {
+		_ = d.Send(&Frame{Obj: uint64(i)}, func(*Frame) error {
 			mu.Lock()
 			n++
 			mu.Unlock()

@@ -161,7 +161,7 @@ func TestChaosSameSeedSameFaultSchedule(t *testing.T) {
 		chain := BuildSendChain(func(*Frame) error { return nil }, fd)
 		for i := 0; i < 500; i++ {
 			body := []byte(fmt.Sprintf("msg-%d", i))
-			if err := chain(&Frame{Src: 0, Dst: 2, Seq: uint64(i), Body: body}); err != nil {
+			if err := chain(&Frame{Src: 0, Dst: 2, Body: body}); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -80,7 +80,7 @@ func testDelayCloseDrainsQueuedFrames(t *testing.T, newDelay func(latencyFn) *De
 		go func(s int) {
 			defer wg.Done()
 			for i := 0; i < perSender; i++ {
-				if err := chain(&Frame{Src: int32(s), Dst: 9, Seq: uint64(i)}); err != nil {
+				if err := chain(&Frame{Src: int32(s), Dst: 9, Obj: uint64(i)}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -108,7 +108,7 @@ func testDelayCloseRaceWithSenders(t *testing.T, newDelay func(latencyFn) *Delay
 	d := newDelay(func(src, dst int32) time.Duration { return time.Millisecond })
 	var delivered sync.Map
 	sink := func(f *Frame) error {
-		delivered.Store([2]int64{int64(f.Src), int64(f.Seq)}, true)
+		delivered.Store([2]int64{int64(f.Src), int64(f.Obj.(uint64))}, true)
 		return nil
 	}
 	chain := BuildSendChain(sink, d)
@@ -120,7 +120,7 @@ func testDelayCloseRaceWithSenders(t *testing.T, newDelay func(latencyFn) *Delay
 		go func(s int) {
 			defer wg.Done()
 			for i := 0; i < perSender; i++ {
-				if err := chain(&Frame{Src: int32(s), Dst: 9, Seq: uint64(i)}); err != nil {
+				if err := chain(&Frame{Src: int32(s), Dst: 9, Obj: uint64(i)}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -272,11 +272,11 @@ func TestDelayEarlierHoldPreemptsArmedTimer(t *testing.T) {
 	defer d.Close()
 
 	released := make(chan uint64, 2)
-	next := func(f *Frame) error { released <- f.Seq; return nil }
-	if err := d.Send(&Frame{Seq: 1}, next); err != nil { // held for an hour
+	next := func(f *Frame) error { released <- f.Obj.(uint64); return nil }
+	if err := d.Send(&Frame{Obj: uint64(1)}, next); err != nil { // held for an hour
 		t.Fatal(err)
 	}
-	if err := d.Hold(&Frame{Seq: 2}, next, time.Millisecond); err != nil {
+	if err := d.Hold(&Frame{Obj: uint64(2)}, next, time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	if got := a.armed(); len(got) != 2 || got[0] != time.Hour || got[1] != time.Millisecond {
@@ -304,11 +304,11 @@ func TestDelayEarlierHoldReleasedFirst(t *testing.T) {
 		d := newDelay(func(src, dst int32) time.Duration { return time.Hour })
 		defer d.Close()
 		released := make(chan uint64, 2)
-		next := func(f *Frame) error { released <- f.Seq; return nil }
-		if err := d.Send(&Frame{Seq: 1}, next); err != nil { // held for an hour
+		next := func(f *Frame) error { released <- f.Obj.(uint64); return nil }
+		if err := d.Send(&Frame{Obj: uint64(1)}, next); err != nil { // held for an hour
 			t.Fatal(err)
 		}
-		if err := d.Hold(&Frame{Seq: 2}, next, time.Millisecond); err != nil {
+		if err := d.Hold(&Frame{Obj: uint64(2)}, next, time.Millisecond); err != nil {
 			t.Fatal(err)
 		}
 		select {
@@ -379,14 +379,14 @@ func testDelayEqualDueTimeFIFO(t *testing.T, newDelay func(latencyFn) *DelayDevi
 	var got []uint64
 	chain := BuildSendChain(func(f *Frame) error {
 		mu.Lock()
-		got = append(got, f.Seq)
+		got = append(got, f.Obj.(uint64))
 		mu.Unlock()
 		return nil
 	}, d)
 
 	const n = 200
 	for i := 0; i < n; i++ {
-		if err := chain(&Frame{Src: 0, Dst: 9, Seq: uint64(i)}); err != nil {
+		if err := chain(&Frame{Src: 0, Dst: 9, Obj: uint64(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -425,7 +425,7 @@ func testDelayEqualDueTimeFIFOPerSender(t *testing.T, newDelay func(latencyFn) *
 	perSender := make(map[int32][]uint64)
 	chain := BuildSendChain(func(f *Frame) error {
 		mu.Lock()
-		perSender[f.Src] = append(perSender[f.Src], f.Seq)
+		perSender[f.Src] = append(perSender[f.Src], f.Obj.(uint64))
 		mu.Unlock()
 		return nil
 	}, d)
@@ -437,7 +437,7 @@ func testDelayEqualDueTimeFIFOPerSender(t *testing.T, newDelay func(latencyFn) *
 		go func(s int) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				if err := chain(&Frame{Src: int32(s), Dst: 9, Seq: uint64(i)}); err != nil {
+				if err := chain(&Frame{Src: int32(s), Dst: 9, Obj: uint64(i)}); err != nil {
 					t.Error(err)
 					return
 				}

@@ -39,7 +39,7 @@ type RecvDevice interface {
 func BuildSendChain(terminal SendFunc, devs ...SendDevice) SendFunc {
 	next := terminal
 	if next == nil {
-		next = func(f *Frame) error { return fmt.Errorf("vmi: send chain has no terminal for %v", f) }
+		next = func(f *Frame) error { return fmt.Errorf("vmi: no send terminal for frame %d->%d", f.Src, f.Dst) }
 	}
 	for i := len(devs) - 1; i >= 0; i-- {
 		dev, downstream := devs[i], next
@@ -53,7 +53,7 @@ func BuildSendChain(terminal SendFunc, devs ...SendDevice) SendFunc {
 func BuildRecvChain(terminal RecvFunc, devs ...RecvDevice) RecvFunc {
 	next := terminal
 	if next == nil {
-		next = func(f *Frame) error { return fmt.Errorf("vmi: recv chain has no terminal for %v", f) }
+		next = func(f *Frame) error { return fmt.Errorf("vmi: no recv terminal for frame %d->%d", f.Src, f.Dst) }
 	}
 	for i := len(devs) - 1; i >= 0; i-- {
 		dev, downstream := devs[i], next

@@ -10,8 +10,8 @@ import (
 )
 
 // feedFrames pushes n frames for each of the given flows through dev in
-// the given interleaving order and returns, per flow, the Seq values that
-// came out the far end in order.
+// the given interleaving order and returns, per flow, the sequence labels
+// (carried in Obj) that came out the far end in order.
 func feedFrames(t *testing.T, dev *FaultDevice, order [][2]int32, perFlowSeq map[[2]int32]*uint64) map[[2]int32][]uint64 {
 	t.Helper()
 	var mu sync.Mutex
@@ -19,14 +19,14 @@ func feedFrames(t *testing.T, dev *FaultDevice, order [][2]int32, perFlowSeq map
 	sink := func(f *Frame) error {
 		mu.Lock()
 		k := [2]int32{f.Src, f.Dst}
-		got[k] = append(got[k], f.Seq)
+		got[k] = append(got[k], f.Obj.(uint64))
 		mu.Unlock()
 		return nil
 	}
 	chain := BuildSendChain(sink, dev)
 	for _, pair := range order {
 		seq := perFlowSeq[pair]
-		f := &Frame{Src: pair[0], Dst: pair[1], Seq: *seq, Body: []byte(fmt.Sprintf("payload-%d-%d-%d", pair[0], pair[1], *seq))}
+		f := &Frame{Src: pair[0], Dst: pair[1], Obj: *seq, Body: []byte(fmt.Sprintf("payload-%d-%d-%d", pair[0], pair[1], *seq))}
 		*seq++
 		if err := chain(f); err != nil {
 			t.Fatal(err)
@@ -213,9 +213,9 @@ func TestFaultDeviceReorder(t *testing.T) {
 func TestFaultDeviceCloseReleasesHeld(t *testing.T) {
 	d := NewFaultDevice(1, FaultPlan{Reorder: 1, ReorderSpan: 100})
 	var got []uint64
-	chain := BuildSendChain(func(f *Frame) error { got = append(got, f.Seq); return nil }, d)
+	chain := BuildSendChain(func(f *Frame) error { got = append(got, f.Obj.(uint64)); return nil }, d)
 	for i := 0; i < 5; i++ {
-		if err := chain(&Frame{Src: 0, Dst: 1, Seq: uint64(i)}); err != nil {
+		if err := chain(&Frame{Src: 0, Dst: 1, Obj: uint64(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -230,7 +230,7 @@ func TestFaultDeviceCloseReleasesHeld(t *testing.T) {
 		t.Errorf("Close released %d frames, want 5", len(got))
 	}
 	// Post-close frames pass through untouched.
-	if err := chain(&Frame{Src: 0, Dst: 1, Seq: 99}); err != nil {
+	if err := chain(&Frame{Src: 0, Dst: 1, Obj: uint64(99)}); err != nil {
 		t.Fatal(err)
 	}
 	if got[len(got)-1] != 99 {
@@ -292,11 +292,11 @@ func TestFaultDeviceJitterDelays(t *testing.T) {
 func TestPartitionDeviceSeverHeal(t *testing.T) {
 	wan := NewPartitionDevice(func(src, dst int32) bool { return src < 2 != (dst < 2) })
 	var got []uint64
-	chain := BuildSendChain(func(f *Frame) error { got = append(got, f.Seq); return nil }, wan)
+	chain := BuildSendChain(func(f *Frame) error { got = append(got, f.Obj.(uint64)); return nil }, wan)
 
 	send := func(src, dst int32, seq uint64) {
 		t.Helper()
-		if err := chain(&Frame{Src: src, Dst: dst, Seq: seq}); err != nil {
+		if err := chain(&Frame{Src: src, Dst: dst, Obj: seq}); err != nil {
 			t.Fatal(err)
 		}
 	}

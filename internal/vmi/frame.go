@@ -1,47 +1,29 @@
 // Package vmi is a Go rendition of the Virtual Machine Interface message
 // layer the paper builds on: a low-level frame transport whose behavior is
-// composed from chains of devices. A device may deliver a frame, transform
-// it (compress, checksum, encrypt), split it across lanes (stripe), hold it
+// composed from chains of devices. A device may deliver a frame, hold it
 // for a configured time (the "delay device" used to inject artificial
-// wide-area latencies), or simply pass it to the next device in the chain.
+// wide-area latencies), sequence and acknowledge it (Reliable), or simply
+// pass it to the next device in the chain.
 //
 // Frames carry either an in-process payload (Obj) — used when source and
 // destination PEs share an address space, avoiding serialization — or a
-// serialized Body, required by devices that touch bytes (TCP, compression,
-// striping, ciphers).
+// serialized Body, required by devices that touch bytes (TCP, Reliable).
 package vmi
 
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
 )
 
-// Class partitions frames by role so schedulers can treat runtime-internal
-// traffic differently from application traffic.
-type Class uint8
-
-// Frame classes.
-const (
-	ClassApp     Class = iota // application entry-method message
-	ClassSystem               // runtime protocol (reductions, QD, LB)
-	ClassControl              // transport control (hello, shutdown)
-)
-
-// Flag bits recorded in a frame header by the devices it passed through.
-const (
-	FlagReliable uint16 = 1 << 4 // body carries a reliability header (see reliable.go)
-)
-
-// Frame is the unit VMI devices operate on.
+// Frame is the unit VMI devices operate on. The frame header carries
+// routing only: the transport owns Src and Dst, and everything the
+// scheduler orders or traces by (priority, causal IDs, modeled size)
+// lives in the message header core encodes into Body.
 type Frame struct {
-	Src, Dst int32  // source and destination PE
-	Prio     int32  // delivery priority; smaller is more urgent
-	Class    Class  // app / system / control
-	Flags    uint16 // transform bookkeeping
-	Seq      uint64 // per-source sequence number (FIFO tie-break)
-	Trace    uint64 // causal trace ID of the carried message (0 = untraced)
+	// Src and Dst are the source and destination PE; a negative Dst is a
+	// Control* code (tcp.go).
+	Src, Dst int32
 
 	// Body is the serialized payload; required for byte-level devices.
 	Body []byte
@@ -49,9 +31,18 @@ type Frame struct {
 	Obj any
 }
 
+// Frame header layout (big-endian):
+//
+//	off len field
+//	  0   4  magic 0x564D4932 ("VMI2")
+//	  4   4  Src (int32)
+//	  8   4  Dst (int32)
+//	 12   4  body length (uint32)
+//
+// A peer speaking the 40-byte "VMI1" header is refused at hello.
 const (
-	frameMagic   = 0x564d4931 // "VMI1"
-	headerLen    = 40
+	frameMagic   = 0x564d4932 // "VMI2"
+	headerLen    = 16
 	maxFrameBody = 64 << 20 // defensive cap for decoding
 )
 
@@ -73,15 +64,9 @@ func (f *Frame) EncodedLen() int { return headerLen + len(f.Body) }
 func (f *Frame) AppendEncode(dst []byte) []byte {
 	var h [headerLen]byte
 	binary.BigEndian.PutUint32(h[0:], frameMagic)
-	h[4] = byte(f.Class)
-	// h[5] reserved
-	binary.BigEndian.PutUint16(h[6:], f.Flags)
-	binary.BigEndian.PutUint32(h[8:], uint32(f.Src))
-	binary.BigEndian.PutUint32(h[12:], uint32(f.Dst))
-	binary.BigEndian.PutUint32(h[16:], uint32(f.Prio))
-	binary.BigEndian.PutUint64(h[20:], f.Seq)
-	binary.BigEndian.PutUint64(h[28:], f.Trace)
-	binary.BigEndian.PutUint32(h[36:], uint32(len(f.Body)))
+	binary.BigEndian.PutUint32(h[4:], uint32(f.Src))
+	binary.BigEndian.PutUint32(h[8:], uint32(f.Dst))
+	binary.BigEndian.PutUint32(h[12:], uint32(len(f.Body)))
 	dst = append(dst, h[:]...)
 	return append(dst, f.Body...)
 }
@@ -97,20 +82,15 @@ func (f *Frame) DecodeBytes(b []byte) ([]byte, error) {
 	if binary.BigEndian.Uint32(b[0:]) != frameMagic {
 		return b, ErrBadMagic
 	}
-	n := binary.BigEndian.Uint32(b[36:])
+	n := binary.BigEndian.Uint32(b[12:])
 	if n > maxFrameBody {
 		return b, ErrFrameTooLarge
 	}
 	if uint32(len(b)-headerLen) < n {
 		return b, io.ErrUnexpectedEOF
 	}
-	f.Class = Class(b[4])
-	f.Flags = binary.BigEndian.Uint16(b[6:])
-	f.Src = int32(binary.BigEndian.Uint32(b[8:]))
-	f.Dst = int32(binary.BigEndian.Uint32(b[12:]))
-	f.Prio = int32(binary.BigEndian.Uint32(b[16:]))
-	f.Seq = binary.BigEndian.Uint64(b[20:])
-	f.Trace = binary.BigEndian.Uint64(b[28:])
+	f.Src = int32(binary.BigEndian.Uint32(b[4:]))
+	f.Dst = int32(binary.BigEndian.Uint32(b[8:]))
 	f.Obj = nil
 	if n == 0 {
 		f.Body = nil
@@ -190,7 +170,7 @@ func (fr *frameReader) Next(f *Frame) error {
 	if binary.BigEndian.Uint32(h[0:]) != frameMagic {
 		return ErrBadMagic
 	}
-	n := binary.BigEndian.Uint32(h[36:])
+	n := binary.BigEndian.Uint32(h[12:])
 	if n > maxFrameBody {
 		return ErrFrameTooLarge
 	}
@@ -215,9 +195,4 @@ func (f *Frame) Clone() *Frame {
 		g.Body = append([]byte(nil), f.Body...)
 	}
 	return &g
-}
-
-func (f *Frame) String() string {
-	return fmt.Sprintf("frame{%d->%d class=%d prio=%d seq=%d body=%dB obj=%v}",
-		f.Src, f.Dst, f.Class, f.Prio, f.Seq, len(f.Body), f.Obj != nil)
 }

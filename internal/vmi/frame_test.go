@@ -9,10 +9,7 @@ import (
 )
 
 func TestFrameRoundTrip(t *testing.T) {
-	in := &Frame{
-		Src: 3, Dst: 17, Prio: -5, Class: ClassSystem, Flags: FlagReliable,
-		Seq: 123456789, Trace: 0x0001_0000_0000_002a, Body: []byte("hello, grid"),
-	}
+	in := &Frame{Src: 3, Dst: 17, Body: []byte("hello, grid")}
 	buf := in.AppendEncode(nil)
 	if len(buf) != in.EncodedLen() {
 		t.Errorf("EncodedLen = %d, wrote %d", in.EncodedLen(), len(buf))
@@ -31,8 +28,12 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// An empty frame is its header alone: magic, Src, Dst and body length.
 func TestFrameRoundTripEmptyBody(t *testing.T) {
-	in := &Frame{Src: 1, Dst: 2, Seq: 9}
+	in := &Frame{Src: 1, Dst: 2}
+	if n := in.EncodedLen(); n != 16 {
+		t.Errorf("empty frame EncodedLen = %d, want 16", n)
+	}
 	var out Frame
 	if _, err := out.DecodeBytes(in.AppendEncode(nil)); err != nil {
 		t.Fatal(err)
@@ -40,7 +41,7 @@ func TestFrameRoundTripEmptyBody(t *testing.T) {
 	if out.Body != nil {
 		t.Errorf("empty body decoded as %v", out.Body)
 	}
-	if out.Src != 1 || out.Dst != 2 || out.Seq != 9 {
+	if out.Src != 1 || out.Dst != 2 {
 		t.Errorf("header mismatch: %+v", out)
 	}
 }
@@ -48,17 +49,15 @@ func TestFrameRoundTripEmptyBody(t *testing.T) {
 // Property: encode/decode is the identity on header fields and body for
 // arbitrary frames.
 func TestFrameRoundTripProperty(t *testing.T) {
-	f := func(src, dst, prio int32, class uint8, flags uint16, seq, tr uint64, body []byte) bool {
-		in := &Frame{Src: src, Dst: dst, Prio: prio, Class: Class(class), Flags: flags, Seq: seq, Trace: tr, Body: body}
+	f := func(src, dst int32, body []byte) bool {
+		in := &Frame{Src: src, Dst: dst, Body: body}
 		var out Frame
 		if rest, err := out.DecodeBytes(in.AppendEncode(nil)); err != nil || len(rest) != 0 {
 			return false
 		}
 		if len(body) == 0 {
 			// nil and empty both decode to nil
-			return out.Src == src && out.Dst == dst && out.Prio == prio &&
-				out.Class == Class(class) && out.Flags == flags && out.Seq == seq &&
-				out.Trace == tr && out.Body == nil
+			return out.Src == src && out.Dst == dst && out.Body == nil
 		}
 		in.Obj = nil
 		return reflect.DeepEqual(*in, out)
@@ -79,7 +78,7 @@ func TestDecodeBadMagic(t *testing.T) {
 func TestDecodeOversizedBody(t *testing.T) {
 	b := (&Frame{Src: 1, Dst: 2, Body: []byte("x")}).AppendEncode(nil)
 	// Corrupt the length field to something enormous.
-	b[36], b[37], b[38], b[39] = 0xFF, 0xFF, 0xFF, 0xFF
+	b[12], b[13], b[14], b[15] = 0xFF, 0xFF, 0xFF, 0xFF
 	var out Frame
 	if _, err := out.DecodeBytes(b); err != ErrFrameTooLarge {
 		t.Errorf("got %v, want ErrFrameTooLarge", err)
@@ -104,12 +103,5 @@ func TestFrameClone(t *testing.T) {
 	c.Body[0] = 99
 	if in.Body[0] != 1 {
 		t.Error("Clone shares body storage")
-	}
-}
-
-func TestFrameStringNonEmpty(t *testing.T) {
-	f := &Frame{Src: 1, Dst: 2, Body: []byte{0}}
-	if f.String() == "" {
-		t.Error("empty String()")
 	}
 }

@@ -36,9 +36,9 @@ import (
 //
 // Each data frame's body is prefixed with a 28-byte reliability header
 // carrying the sequence number, the cumulative ack, and a CRC of the
-// payload. Control frames are intercepted at the TCP device and never
-// reach the layer; any other frame without FlagReliable is dropped and
-// counted in BadHdrs.
+// payload. Control frames (Dst < 0) are intercepted at the TCP device and
+// never reach the layer; any other frame whose body does not start with a
+// valid reliability header is dropped and counted in BadHdrs.
 
 // Reliability header layout (big-endian):
 //
@@ -554,11 +554,7 @@ func (r *Reliable) Send(f *Frame) error {
 	sealRel(body)
 	e := relEntryPool.Get().(*relEntry)
 	e.seq, e.lastSent, e.attempts = seq, time.Now(), 0
-	e.f = Frame{
-		Src: f.Src, Dst: f.Dst, Prio: f.Prio, Class: f.Class, Seq: f.Seq,
-		Flags: f.Flags | FlagReliable,
-		Body:  body,
-	}
+	e.f = Frame{Src: f.Src, Dst: f.Dst, Body: body}
 	e.refs.Store(2) // the buffer's reference and this first copy's
 	p.sendBuf = append(p.sendBuf, e)
 	p.ackDue = false // this frame piggybacks the current cumulative ack
@@ -582,10 +578,10 @@ func (r *Reliable) Send(f *Frame) error {
 // ack-process, deduplicate, reorder, and deliver.
 func (r *Reliable) deliverWire(f *Frame) error {
 	h, payload, err := DecodeRelHeader(f.Body)
-	if err != nil || f.Flags&FlagReliable == 0 {
-		// Unparseable (corrupt in flight: retransmit repairs) or
-		// unflagged (sent below this layer, which every stack carries):
-		// either way it is not delivered.
+	if err != nil {
+		// Unparseable: corrupt in flight (retransmit repairs), or sent
+		// below this layer, which every stack carries. Either way it is
+		// not delivered.
 		r.mu.Lock()
 		r.stats.BadHdrs++
 		r.mu.Unlock()
@@ -643,7 +639,6 @@ func (r *Reliable) deliverWire(f *Frame) error {
 		if _, dup := p.heldRecv[h.Seq]; !dup {
 			held := f.Clone() // wire body is only valid during this call
 			held.Body = held.Body[relHeaderLen:]
-			held.Flags &^= FlagReliable
 			p.heldRecv[h.Seq] = held
 			r.stats.HeldOutOfOrder++
 		} else {
@@ -671,7 +666,6 @@ func (r *Reliable) deliverWire(f *Frame) error {
 	r.mu.Unlock()
 
 	f.Body = payload
-	f.Flags &^= FlagReliable
 	if err := r.up(f); err != nil {
 		return err
 	}
@@ -735,8 +729,8 @@ func (r *Reliable) retransmitLoop() {
 				if e.attempts >= r.cfg.MaxRetransmits {
 					// Described here: once r.mu is released an ack may
 					// recycle the entry.
-					exhausted = fmt.Errorf("vmi: reliable: frame %v seq %d to node %d unacked after %d retransmits",
-						&e.f, e.seq, p.node, r.cfg.MaxRetransmits)
+					exhausted = fmt.Errorf("vmi: reliable: frame %d->%d seq %d to node %d unacked after %d retransmits",
+						e.f.Src, e.f.Dst, e.seq, p.node, r.cfg.MaxRetransmits)
 					exhaustedNode = p.node
 					break
 				}
@@ -832,7 +826,7 @@ func (r *Reliable) ackFrame(p *relPeer) Frame {
 	body := AppendRelHeader(GetBuf(relHeaderLen)[:0],
 		RelHeader{Kind: relKindAck, Epoch: r.epoch.Load(), Ack: p.recvNext - 1})
 	sealRel(body)
-	return Frame{Src: p.selfPE, Dst: p.peerPE, Class: ClassSystem, Flags: FlagReliable, Body: body}
+	return Frame{Src: p.selfPE, Dst: p.peerPE, Body: body}
 }
 
 // Close stops the retransmit and ack goroutines. It does not close the

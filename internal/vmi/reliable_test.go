@@ -149,9 +149,6 @@ func assertInOrder(t *testing.T, frames []*Frame, n int) {
 		if want := fmt.Sprintf("msg-%d", i); string(f.Body) != want {
 			t.Fatalf("frame %d body = %q, want %q", i, f.Body, want)
 		}
-		if f.Flags&FlagReliable != 0 {
-			t.Fatalf("frame %d still carries FlagReliable", i)
-		}
 	}
 }
 
@@ -326,9 +323,9 @@ func TestReliableBudgetExhaustion(t *testing.T) {
 }
 
 // TestReliableDropsUnflagged: every stack carries the layer, so a data
-// frame without FlagReliable can only have been sent below it. It is not
-// delivered and is counted as a bad header; reliable traffic behind it on
-// the same connection still arrives.
+// frame whose body has no reliability header can only have been sent
+// below it. It is not delivered and is counted as a bad header; reliable
+// traffic behind it on the same connection still arrives.
 func TestReliableDropsUnflagged(t *testing.T) {
 	p := newRelPair(t, relEnd{}, relEnd{})
 	// Send below the reliability layer, straight through the TCP device.
@@ -341,7 +338,7 @@ func TestReliableDropsUnflagged(t *testing.T) {
 	waitFor(t, "reliable frame", func() bool { return len(p.at1()) == 1 })
 	assertInOrder(t, p.at1(), 1)
 	if got := p.r1.Stats().BadHdrs; got != 1 {
-		t.Errorf("BadHdrs = %d, want 1 for the unflagged frame", got)
+		t.Errorf("BadHdrs = %d, want 1 for the frame sent below the layer", got)
 	}
 }
 

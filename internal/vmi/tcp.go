@@ -66,8 +66,8 @@ type TCP struct {
 	// out). Frames already connected keep flowing regardless.
 	dialGate atomic.Pointer[func(node int) bool]
 
-	// OnControl, if non-nil, receives control frames other than the
-	// connection hello (e.g. coordinator shutdown announcements).
+	// OnControl, if non-nil, receives control frames (Dst < 0) other
+	// than the connection hello (e.g. coordinator shutdown announcements).
 	OnControl func(*Frame)
 
 	// DialAttempts bounds the retries of a node's first connection
@@ -118,22 +118,28 @@ func (t *TCP) Instrument(reg *metrics.Registry) {
 	}
 }
 
-// ControlShutdown is the Dst marker of a coordinator's shutdown
-// announcement control frame.
-const ControlShutdown int32 = -2
-
-// ControlMembership is the Dst marker of cluster-membership control
-// frames (join requests, member-table broadcasts, drain notices); the
-// body is a core membership wire message.
-const ControlMembership int32 = -3
-
-// ControlTelemetry is the Dst marker of telemetry reports: periodic
-// metric deltas and trace-span digests a node's telemetry agent ships to
-// the cluster collector; the body is a telemetry wire report. Telemetry
-// frames ride the raw control path — deliberately below the Reliable
-// layer, so a lossy link degrades the cluster view instead of competing
-// with application retransmits; the collector tolerates gaps.
-const ControlTelemetry int32 = -4
+// Control codes. A frame whose Dst is negative is a control frame: it
+// bypasses PE routing and the receive chain (and so the Reliable layer),
+// and the TCP device hands it to OnControl.
+const (
+	// ControlHello marks the first frame written on a dialed connection;
+	// its Src carries the dialer's node ID.
+	ControlHello int32 = -1
+	// ControlShutdown marks a coordinator's shutdown announcement.
+	ControlShutdown int32 = -2
+	// ControlMembership marks cluster-membership control frames (join
+	// requests, member-table broadcasts, drain notices); the body is a
+	// core membership wire message.
+	ControlMembership int32 = -3
+	// ControlTelemetry marks telemetry reports: periodic metric deltas
+	// and trace-span digests a node's telemetry agent ships to the
+	// cluster collector; the body is a telemetry wire report. Telemetry
+	// frames ride the raw control path — deliberately below the Reliable
+	// layer, so a lossy link degrades the cluster view instead of
+	// competing with application retransmits; the collector tolerates
+	// gaps.
+	ControlTelemetry int32 = -4
+)
 
 // maxPendingBytes bounds a connection's coalescing buffer; senders block
 // (backpressure) until the writer drains below it.
@@ -373,12 +379,6 @@ func (t *TCP) acceptLoop() {
 	}
 }
 
-// hello is the first thing written on a dialed connection: a control frame
-// whose Src carries the dialer's node ID.
-func helloFrame(node int) *Frame {
-	return &Frame{Class: ClassControl, Src: int32(node), Dst: -1}
-}
-
 // startWriter launches a connection's write coalescer under the transport's
 // WaitGroup.
 func (t *TCP) startWriter(tc *tcpConn) {
@@ -400,7 +400,7 @@ func (t *TCP) serveConn(c net.Conn) {
 	defer fr.release()
 
 	var hello Frame
-	if err := fr.Next(&hello); err != nil || hello.Class != ClassControl {
+	if err := fr.Next(&hello); err != nil || hello.Dst != ControlHello {
 		c.Close()
 		return
 	}
@@ -501,7 +501,7 @@ func (t *TCP) readLoop(fr *frameReader, c net.Conn) {
 			c.Close()
 			return
 		}
-		if f.Class == ClassControl {
+		if f.Dst < 0 {
 			if h := t.OnControl; h != nil {
 				// Control handlers may retain the frame; clone it off the
 				// shared read buffer.
@@ -585,7 +585,7 @@ func (t *TCP) connTo(node int) (*tcpConn, error) {
 	t.met.dials.Inc()
 	tc := newTCPConn(c, t.met)
 	t.startWriter(tc)
-	if err := tc.enqueue(helloFrame(t.self)); err != nil {
+	if err := tc.enqueue(&Frame{Src: int32(t.self), Dst: ControlHello}); err != nil {
 		tc.shutdown()
 		return nil, err
 	}
@@ -670,7 +670,7 @@ func dialRetry(addr string, attempts int, done <-chan struct{}) (net.Conn, error
 // asynchronously through the error handler.
 func (t *TCP) Send(f *Frame) error {
 	if f.Body == nil && f.Obj != nil {
-		return fmt.Errorf("vmi: tcp send of frame with unserialized payload: %v", f)
+		return fmt.Errorf("vmi: tcp send of frame %d->%d with unserialized payload", f.Src, f.Dst)
 	}
 	node := t.route(f.Dst)
 	if node == t.self {
@@ -688,9 +688,13 @@ func (t *TCP) Send(f *Frame) error {
 }
 
 // SendControl sends a control frame directly to a node (bypassing PE
-// routing). Used by coordinators to announce shutdown.
+// routing). Used by coordinators to announce shutdown. f.Dst must be a
+// negative Control* code: a frame with a PE destination would reach the
+// peer's receive chain, not its control handler.
 func (t *TCP) SendControl(node int, f *Frame) error {
-	f.Class = ClassControl
+	if f.Dst >= 0 {
+		return fmt.Errorf("vmi: control frame to node %d has PE destination %d, want a negative Control* code", node, f.Dst)
+	}
 	if node == t.self {
 		if h := t.OnControl; h != nil {
 			h(f)

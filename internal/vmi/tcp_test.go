@@ -2,7 +2,10 @@ package vmi
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"io"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -65,18 +68,15 @@ func TestTCPSendBetweenNodes(t *testing.T) {
 	defer cleanup()
 
 	for i := 0; i < 10; i++ {
-		f := &Frame{Src: 0, Dst: 2, Seq: uint64(i), Body: []byte(fmt.Sprintf("msg-%d", i))}
+		f := &Frame{Src: 0, Dst: 2, Body: []byte(fmt.Sprintf("msg-%d", i))}
 		if err := n0.Send(f); err != nil {
 			t.Fatal(err)
 		}
 	}
 	waitFor(t, "10 frames", func() bool { return len(frames()) == 10 })
 	for i, f := range frames() {
-		if f.Seq != uint64(i) {
-			t.Fatalf("out of order at %d: seq=%d", i, f.Seq)
-		}
 		if want := fmt.Sprintf("msg-%d", i); string(f.Body) != want {
-			t.Fatalf("body = %q, want %q", f.Body, want)
+			t.Fatalf("out of order at %d: body = %q, want %q", i, f.Body, want)
 		}
 	}
 }
@@ -145,6 +145,71 @@ func TestTCPSendAfterCloseFails(t *testing.T) {
 	}
 }
 
+// TestTCPSendControlNeedsControlCode: a control frame is one whose Dst is
+// a negative Control* code, so SendControl refuses a PE destination
+// rather than sending a frame the peer would route as data.
+func TestTCPSendControlNeedsControlCode(t *testing.T) {
+	n0, _, frames, cleanup := twoNodes(t)
+	defer cleanup()
+	for _, node := range []int{0, 1} {
+		if err := n0.SendControl(node, &Frame{Src: 0, Dst: 2, Body: []byte("x")}); err == nil {
+			t.Errorf("SendControl to node %d with Dst 2 accepted", node)
+		}
+	}
+	if err := n0.SendControl(1, &Frame{Src: 0, Dst: ControlShutdown}); err != nil {
+		t.Fatal(err)
+	}
+	if got := frames(); len(got) != 0 {
+		t.Errorf("receive chain got %d frames from SendControl", len(got))
+	}
+}
+
+// TestTCPRefusesOldHello: a peer speaking the 40-byte "VMI1" frame header
+// is refused at hello: the listener closes the connection, and neither the
+// hello nor the data frame behind it reaches OnControl or the receive
+// chain.
+func TestTCPRefusesOldHello(t *testing.T) {
+	var mu sync.Mutex
+	var control, data int
+	n := NewTCP(0, map[int]string{0: "127.0.0.1:0"}, func(int32) int { return 0 },
+		func(*Frame) error { mu.Lock(); data++; mu.Unlock(); return nil })
+	n.OnControl = func(*Frame) { mu.Lock(); control++; mu.Unlock() }
+	addr, err := n.Listen()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+
+	// VMI1 header: magic, class, reserved, flags, src, dst, prio, seq,
+	// trace, body length.
+	v1 := func(class byte, src, dst int32, body string) []byte {
+		h := make([]byte, 40, 40+len(body))
+		binary.BigEndian.PutUint32(h[0:], 0x564d4931)
+		h[4] = class
+		binary.BigEndian.PutUint32(h[8:], uint32(src))
+		binary.BigEndian.PutUint32(h[12:], uint32(dst))
+		binary.BigEndian.PutUint32(h[36:], uint32(len(body)))
+		return append(h, body...)
+	}
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Write(append(v1(2, 1, -1, ""), v1(0, 1, 0, "data")...)); err != nil {
+		t.Fatal(err)
+	}
+	c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := c.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("read after a VMI1 hello: %v, want io.EOF (connection closed)", err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if control != 0 || data != 0 {
+		t.Errorf("VMI1 peer reached OnControl %d times and the receive chain %d times", control, data)
+	}
+}
+
 func TestTCPUnknownNode(t *testing.T) {
 	n := NewTCP(0, map[int]string{0: "127.0.0.1:0"}, func(int32) int { return 7 }, func(*Frame) error { return nil })
 	if err := n.Send(&Frame{Src: 0, Dst: 9, Body: []byte("x")}); err == nil {
@@ -200,7 +265,7 @@ func TestTCPWithTransformChain(t *testing.T) {
 
 	sendChain := BuildSendChain(n0.Send, scramble)
 	body := bytes.Repeat([]byte("stencil ghost row "), 200)
-	if err := sendChain(&Frame{Src: 0, Dst: 1, Seq: 7, Body: append([]byte(nil), body...)}); err != nil {
+	if err := sendChain(&Frame{Src: 0, Dst: 1, Body: append([]byte(nil), body...)}); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "transformed frame", func() bool {
@@ -212,8 +277,5 @@ func TestTCPWithTransformChain(t *testing.T) {
 	defer mu.Unlock()
 	if !bytes.Equal(got[0].Body, body) {
 		t.Error("body corrupted across transform+TCP stack")
-	}
-	if got[0].Flags != 0 {
-		t.Errorf("flags not cleared: %x", got[0].Flags)
 	}
 }
