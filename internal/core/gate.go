@@ -25,6 +25,7 @@ type StepGate struct {
 	need   int
 	got    int
 	future map[int][]any
+	spare  []any // the slice the last Advance returned, for reuse
 }
 
 // NewStepGate builds a gate expecting need messages per step.
@@ -45,7 +46,11 @@ func (g *StepGate) Deliver(step int, m any) (any, bool) {
 		g.got++
 		return m, true
 	case step > g.step:
-		g.future[step] = append(g.future[step], m)
+		q, ok := g.future[step]
+		if !ok && g.spare != nil {
+			q, g.spare = g.spare[:0], nil
+		}
+		g.future[step] = append(q, m)
 		return nil, false
 	}
 	panic("core: StepGate received a message for a completed step")
@@ -56,7 +61,8 @@ func (g *StepGate) Ready() bool { return g.got >= g.need }
 
 // Advance moves to the next step and returns the messages that arrived
 // early for it, in arrival order — each is already counted toward the new
-// step. Call only when Ready.
+// step. Call only when Ready. The returned slice is the gate's to reuse:
+// it is valid until the next Deliver.
 func (g *StepGate) Advance() []any {
 	if !g.Ready() {
 		panic("core: StepGate.Advance before Ready")
@@ -66,6 +72,10 @@ func (g *StepGate) Advance() []any {
 	pend := g.future[g.step]
 	delete(g.future, g.step)
 	g.got = len(pend)
+	if pend != nil {
+		clear(g.spare)
+		g.spare = pend
+	}
 	return pend
 }
 

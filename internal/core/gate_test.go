@@ -36,6 +36,25 @@ func TestStepGateBasicFlow(t *testing.T) {
 	}
 }
 
+// TestStepGateBuffersWithoutAllocating: the slice Advance hands back
+// holds the next step's early messages, so a gate that buffers one
+// message every step allocates only for the first.
+func TestStepGateBuffersWithoutAllocating(t *testing.T) {
+	g := NewStepGate(1)
+	var m any = 1
+	g.Deliver(0, m)
+	step := func() {
+		g.Deliver(g.Step()+1, m)
+		if pend := g.Advance(); len(pend) != 1 || pend[0] != m {
+			t.Fatalf("step %d: pend %v", g.Step(), pend)
+		}
+	}
+	step()
+	if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
+		t.Errorf("buffering an early message costs %v allocations per step", allocs)
+	}
+}
+
 func TestStepGatePanicsOnStaleMessage(t *testing.T) {
 	g := NewStepGate(1)
 	g.Deliver(0, nil)

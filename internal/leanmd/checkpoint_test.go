@@ -148,13 +148,13 @@ func TestLeanMDPackUnpackRoundTrip(t *testing.T) {
 	}
 
 	ff := p.Field()
-	o := newPair(p, g, ff, 5)
+	o := newPair(p, g, ff, p.Charges(), 5)
 	o.gate.JumpTo(4)
 	pd, err := core.PUPPack(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	po := newPair(p, g, ff, 5)
+	po := newPair(p, g, ff, p.Charges(), 5)
 	if err := core.PUPUnpack(po, pd); err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestLeanMDPackUnpackRoundTrip(t *testing.T) {
 	}
 
 	// A pair holding in-flight coordinates refuses to pack.
-	o2 := newPair(p, g, ff, 6)
+	o2 := newPair(p, g, ff, p.Charges(), 6)
 	o2.posA = []Vec3{{}}
 	if _, err := core.PUPPack(o2); err == nil {
 		t.Error("pair with in-flight coordinates packed")
@@ -171,7 +171,7 @@ func TestLeanMDPackUnpackRoundTrip(t *testing.T) {
 	if err := core.PUPUnpack(newCell(p, g, 1), []byte("junk")); err == nil {
 		t.Error("junk cell restored")
 	}
-	if err := core.PUPUnpack(newPair(p, g, ff, 1), []byte("junk")); err == nil {
+	if err := core.PUPUnpack(newPair(p, g, ff, p.Charges(), 1), []byte("junk")); err == nil {
 		t.Error("junk pair restored")
 	}
 

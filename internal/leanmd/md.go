@@ -223,9 +223,9 @@ type cell struct {
 	id cellID
 
 	pos, vHalf, vel []Vec3
-	q               []float64
 
 	section *core.Section // this cell's pair objects
+	snap    []Vec3        // the positions multicast for the gate's step
 
 	gate    *core.StepGate
 	fAcc    []Vec3
@@ -240,7 +240,7 @@ func newCell(p *Params, g *Geometry, id cellID) *cell {
 		p: p, g: g, id: id,
 		pos: pos, vel: vel,
 		vHalf: make([]Vec3, len(pos)),
-		q:     p.Charges(),
+		snap:  make([]Vec3, len(pos)),
 		fAcc:  make([]Vec3, len(pos)),
 	}
 	refs := make([]core.ElemRef, 0, len(g.PairsOf[id]))
@@ -255,9 +255,13 @@ func newCell(p *Params, g *Geometry, id cellID) *cell {
 func (c *cell) multicastCoords(ctx *core.Ctx) {
 	// Snapshot the positions: in-process delivery passes the payload by
 	// reference, and this cell mutates pos on its next integration while
-	// pair objects (possibly on other PEs) are still reading it.
-	snap := append([]Vec3(nil), c.pos...)
-	ctx.Multicast(c.section, EntryCoords, coordMsg{From: c.id, Step: c.gate.Step(), Pos: snap})
+	// pair objects (possibly on other PEs) are still reading it. One
+	// snapshot buffer is enough: the cell integrates again only once every
+	// pair of its section has answered with forces, that is, once every
+	// pair is done reading this step's snapshot (DESIGN.md, "App payload
+	// ownership").
+	copy(c.snap, c.pos)
+	ctx.Multicast(c.section, EntryCoords, coordMsg{From: c.id, Step: c.gate.Step(), Pos: c.snap})
 }
 
 // Recv implements core.Chare.
@@ -270,7 +274,7 @@ func (c *cell) Recv(ctx *core.Ctx, entry core.EntryID, data any) {
 		if c.done {
 			return
 		}
-		if _, ok := c.gate.Deliver(f.Step, f); ok {
+		if _, ok := c.gate.Deliver(f.Step, data); ok {
 			c.accumulate(f)
 			c.tryIntegrate(ctx)
 		}
@@ -286,10 +290,11 @@ func (c *cell) accumulate(f forceMsg) {
 	c.uAcc += f.U
 }
 
+// tryIntegrate integrates once the gate's step has every pair's forces.
 func (c *cell) tryIntegrate(ctx *core.Ctx) {
-	for c.gate.Ready() && !c.done {
+	if c.gate.Ready() && !c.done {
 		energy := c.integrate(ctx)
-		pend := c.gate.Advance()
+		advance(c.gate)
 		step := c.gate.Step()
 
 		if step == c.p.Warmup && c.p.Warmup > 0 {
@@ -304,9 +309,19 @@ func (c *cell) tryIntegrate(ctx *core.Ctx) {
 			return
 		}
 		c.multicastCoords(ctx)
-		for _, m := range pend {
-			c.accumulate(m.(forceMsg))
-		}
+	}
+}
+
+// advance moves a cell's or a pair's gate to its next step. Neither ever
+// holds a message for a step ahead of its gate: a pair's forces for step
+// s+1 answer coordinates the cell multicasts only after advancing to s+1,
+// and a cell's coordinates for s+1 follow the forces the pair sends just
+// before it advances. The cell's snapshot and the pair's force buffers
+// are reused on that argument, so a message that arrives early means the
+// step protocol is broken, and the buffers with it.
+func advance(g *core.StepGate) {
+	if pend := g.Advance(); len(pend) > 0 {
+		panic(fmt.Sprintf("leanmd: %d messages arrived ahead of step %d", len(pend), g.Step()))
 	}
 }
 
@@ -354,24 +369,32 @@ type pairObj struct {
 	ff  *ForceField
 	idx int
 	cp  CellPair
-	q   []float64
+	q   []float64 // every cell's charges, shared by all pairs
 
 	gate *core.StepGate
 	posA []Vec3
 	posB []Vec3
+
+	// fa and fb are the forces this pair sends to cells A and B (fb is
+	// unused by a self-pair), cleared and refilled every step: a cell's
+	// next coordinates, and with them this pair's next step, come only
+	// after the cell has added the forces in.
+	fa, fb []Vec3
 }
 
-func newPair(p *Params, g *Geometry, ff *ForceField, idx int) *pairObj {
+func newPair(p *Params, g *Geometry, ff *ForceField, q []float64, idx int) *pairObj {
 	cp := g.Pairs[idx]
-	need := 2
+	n := p.AtomsPerCell
+	o := &pairObj{p: p, g: g, ff: ff, idx: idx, cp: cp, q: q}
 	if cp.Self() {
-		need = 1
+		o.gate = core.NewStepGate(1)
+		o.fa = make([]Vec3, n)
+	} else {
+		o.gate = core.NewStepGate(2)
+		f := make([]Vec3, 2*n)
+		o.fa, o.fb = f[:n:n], f[n:]
 	}
-	return &pairObj{
-		p: p, g: g, ff: ff, idx: idx, cp: cp,
-		q:    p.Charges(),
-		gate: core.NewStepGate(need),
-	}
+	return o
 }
 
 // Recv implements core.Chare.
@@ -380,7 +403,7 @@ func (o *pairObj) Recv(ctx *core.Ctx, entry core.EntryID, data any) {
 		panic(fmt.Sprintf("leanmd: pair got unknown entry %d", entry))
 	}
 	m := data.(coordMsg)
-	if _, ok := o.gate.Deliver(m.Step, m); ok {
+	if _, ok := o.gate.Deliver(m.Step, data); ok {
 		o.store(m)
 		o.tryCompute(ctx)
 	}
@@ -396,38 +419,34 @@ func (o *pairObj) store(m coordMsg) {
 }
 
 func (o *pairObj) tryCompute(ctx *core.Ctx) {
-	for o.gate.Ready() {
+	if o.gate.Ready() {
 		o.compute(ctx)
-		pend := o.gate.Advance()
+		advance(o.gate)
 		o.posA, o.posB = nil, nil
-		for _, m := range pend {
-			o.store(m.(coordMsg))
-		}
 	}
 }
 
 func (o *pairObj) compute(ctx *core.Ctx) {
 	n := o.p.AtomsPerCell
+	clear(o.fa)
 	if o.cp.Self() {
-		f := make([]Vec3, n)
-		u := o.ff.SelfInteraction(o.posA, o.q, f)
+		u := o.ff.SelfInteraction(o.posA, o.q, o.fa)
 		if m := o.p.Model; m != nil {
 			ctx.Charge(m.PairCost(n, n, true))
 		}
 		ctx.Send(core.ElemRef{Array: ArrayCells, Index: o.cp.A}, EntryForces,
-			forceMsg{Step: o.gate.Step(), F: f, U: u})
+			forceMsg{Step: o.gate.Step(), F: o.fa, U: u})
 		return
 	}
-	fa := make([]Vec3, n)
-	fb := make([]Vec3, n)
-	u := o.ff.CellInteraction(o.posA, o.posB, o.q, o.q, fa, fb)
+	clear(o.fb)
+	u := o.ff.CellInteraction(o.posA, o.posB, o.q, o.q, o.fa, o.fb)
 	if m := o.p.Model; m != nil {
 		ctx.Charge(m.PairCost(n, n, false))
 	}
 	ctx.Send(core.ElemRef{Array: ArrayCells, Index: o.cp.A}, EntryForces,
-		forceMsg{Step: o.gate.Step(), F: fa, U: u / 2})
+		forceMsg{Step: o.gate.Step(), F: o.fa, U: u / 2})
 	ctx.Send(core.ElemRef{Array: ArrayCells, Index: o.cp.B}, EntryForces,
-		forceMsg{Step: o.gate.Step(), F: fb, U: u / 2})
+		forceMsg{Step: o.gate.Step(), F: o.fb, U: u / 2})
 }
 
 // BuildProgram assembles LeanMD as a runnable core.Program. The program
@@ -443,6 +462,7 @@ func BuildProgram(p *Params) (*core.Program, *Geometry, error) {
 		return nil, nil, err
 	}
 	ff := p.Field()
+	q := p.Charges()
 	res := &Result{Steps: p.Steps, Warmup: p.Warmup, Cells: g.NumCells, Pairs: g.NumPairs()}
 	var startAt time.Duration
 	finalRound := int64(1)
@@ -458,7 +478,7 @@ func BuildProgram(p *Params) (*core.Program, *Geometry, error) {
 			},
 			{
 				ID: ArrayPairs, N: g.NumPairs(),
-				New: func(i int) core.Chare { return newPair(p, g, ff, i) },
+				New: func(i int) core.Chare { return newPair(p, g, ff, q, i) },
 				// Pairs are placed with their lower cell's PE so that a
 				// pair is local to at least one of its cells' clusters,
 				// matching the paper's subset-A/subset-B structure.

@@ -141,11 +141,30 @@ func span(n, k, i int) (offset, size int) {
 	return offset, size
 }
 
-// Init is the deterministic initial condition: a smooth field over the
-// mesh. Boundary cells keep their initial value for the whole run
-// (Dirichlet boundary).
-func Init(x, y int) float64 {
-	return math.Sin(float64(x)*0.013) + math.Cos(float64(y)*0.017)
+// The initial condition is a smooth, separable field over the mesh,
+// sin(0.013x) + cos(0.017y). Boundary cells keep their initial value for
+// the whole run (Dirichlet boundary).
+func initX(x int) float64 { return math.Sin(float64(x) * 0.013) }
+func initY(y int) float64 { return math.Cos(float64(y) * 0.017) }
+
+// fillInit writes the initial condition over the w×h window whose corner
+// is (x0, y0) into dst, row by row, with coordinates clamped to the
+// width×height mesh (so a block's ghost ring beyond the mesh edge repeats
+// the boundary value). It takes one Sin per column and one Cos per row,
+// not one of each per cell; the sum of the two is what a per-cell
+// evaluation adds, so every value is the same bit for bit.
+func fillInit(dst []float64, x0, y0, w, h, width, height int) {
+	xs := make([]float64, w)
+	for i := range xs {
+		xs[i] = initX(clamp(x0+i, 0, width-1))
+	}
+	for j := 0; j < h; j++ {
+		y := initY(clamp(y0+j, 0, height-1))
+		row := dst[j*w : (j+1)*w]
+		for i := range row {
+			row[i] = xs[i] + y
+		}
+	}
 }
 
 // ghostMsg carries one boundary vector.
@@ -189,6 +208,15 @@ type block struct {
 	gate      *core.StepGate
 	done      bool
 
+	// out holds the border vectors this block sends, per direction,
+	// double-buffered by step parity. A neighbour has applied this block's
+	// step-k vector before it sends its own step k+1 borders, and this
+	// block refills that buffer, for step k+2, only after finishing step
+	// k+1, which needs those borders. One buffer is not enough: tryAdvance
+	// sends a step's borders before it applies the ghosts it buffered for
+	// that step (DESIGN.md, "App payload ownership").
+	out [2][numDirs][]float64
+
 	// kicked is set once the borders of the gate's current step are out:
 	// by EntryKick at the start, by EntryResumeFromSync after a sync. The
 	// kick is an input of the step like the ghosts are — neighbours' ghosts
@@ -210,18 +238,17 @@ func newBlock(p *Params, idx int) *block {
 	// Fill interior and ghost ring from the initial condition. Ghost cells
 	// that correspond to real mesh cells will be overwritten by neighbor
 	// data each step; ghosts beyond the mesh edge keep the boundary value.
-	for gy := 0; gy < h+2; gy++ {
-		for gx := 0; gx < w+2; gx++ {
-			x := clamp(x0+gx-1, 0, p.Width-1)
-			y := clamp(y0+gy-1, 0, p.Height-1)
-			b.cur[gy*(w+2)+gx] = Init(x, y)
-		}
-	}
+	fillInit(b.cur, x0-1, y0-1, w+2, h+2, p.Width, p.Height)
 	copy(b.next, b.cur)
 	need := 0
 	for d := 0; d < numDirs; d++ {
 		if _, ok := b.neighbor(d); ok {
 			need++
+			n := h
+			if d == dirUp || d == dirDown {
+				n = w
+			}
+			b.out[0][d], b.out[1][d] = make([]float64, n), make([]float64, n)
 		}
 	}
 	b.gate = core.NewStepGate(need)
@@ -257,37 +284,29 @@ func (b *block) neighbor(d int) (int, bool) {
 	return b.p.blockIndex(bx, by), true
 }
 
-// border extracts the interior boundary vector facing direction d.
+// border extracts the interior boundary vector facing direction d into
+// the current step's buffer for d.
 func (b *block) border(d int) []float64 {
 	w, h := b.w, b.h
 	stride := w + 2
+	out := b.out[b.gate.Step()&1][d]
 	switch d {
 	case dirLeft:
-		out := make([]float64, h)
-		for y := 0; y < h; y++ {
+		for y := range out {
 			out[y] = b.cur[(y+1)*stride+1]
 		}
-		return out
 	case dirRight:
-		out := make([]float64, h)
-		for y := 0; y < h; y++ {
+		for y := range out {
 			out[y] = b.cur[(y+1)*stride+w]
 		}
-		return out
 	case dirUp:
-		out := make([]float64, w)
-		for x := 0; x < w; x++ {
-			out[x] = b.cur[1*stride+x+1]
-		}
-		return out
+		copy(out, b.cur[stride+1:])
 	case dirDown:
-		out := make([]float64, w)
-		for x := 0; x < w; x++ {
-			out[x] = b.cur[h*stride+x+1]
-		}
-		return out
+		copy(out, b.cur[h*stride+1:])
+	default:
+		panic("stencil: bad direction")
 	}
-	panic("stencil: bad direction")
+	return out
 }
 
 // applyGhost installs a received boundary vector into the ghost ring. The
@@ -386,7 +405,7 @@ func (b *block) Recv(ctx *core.Ctx, entry core.EntryID, data any) {
 		if b.done {
 			return
 		}
-		if _, ok := b.gate.Deliver(g.Step, g); ok {
+		if _, ok := b.gate.Deliver(g.Step, data); ok {
 			b.applyGhost(g)
 			b.tryAdvance(ctx)
 		}

@@ -353,3 +353,39 @@ func TestGhostMsgWire(t *testing.T) {
 		t.Errorf("96-value ghost is %d bytes, its []float64 %d", len(enc), len(bare))
 	}
 }
+
+// initAt is the initial condition evaluated per cell: the reference the
+// separable fill must match bit for bit.
+func initAt(x, y int) float64 {
+	return math.Sin(float64(x)*0.013) + math.Cos(float64(y)*0.017)
+}
+
+// TestInitialRingMatchesInitBitwise: the separable fill gives every block
+// cell, ghost ring included, exactly the per-cell value at its mesh
+// coordinate, clamped at the mesh edge; and the sequential reference
+// starts from the same values.
+func TestInitialRingMatchesInitBitwise(t *testing.T) {
+	p := &Params{Width: 37, Height: 23, VX: 3, VY: 4, Steps: 1}
+	for idx := 0; idx < p.NumObjects(); idx++ {
+		b := newBlock(p, idx)
+		stride := b.w + 2
+		for gy := 0; gy < b.h+2; gy++ {
+			for gx := 0; gx < stride; gx++ {
+				x := clamp(b.x0+gx-1, 0, p.Width-1)
+				y := clamp(b.y0+gy-1, 0, p.Height-1)
+				got, want := b.cur[gy*stride+gx], initAt(x, y)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("block %d ring cell (%d,%d) = %v, initAt(%d,%d) = %v", idx, gx, gy, got, x, y, want)
+				}
+			}
+		}
+	}
+	seq := RunSequential(p.Width, p.Height, 0)
+	for y := 0; y < p.Height; y++ {
+		for x := 0; x < p.Width; x++ {
+			if got, want := seq[y*p.Width+x], initAt(x, y); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("sequential cell (%d,%d) = %v, initAt = %v", x, y, got, want)
+			}
+		}
+	}
+}

@@ -7,11 +7,7 @@ package stencil
 func RunSequential(width, height, steps int) []float64 {
 	cur := make([]float64, width*height)
 	next := make([]float64, width*height)
-	for y := 0; y < height; y++ {
-		for x := 0; x < width; x++ {
-			cur[y*width+x] = Init(x, y)
-		}
-	}
+	fillInit(cur, 0, 0, width, height, width, height)
 	for s := 0; s < steps; s++ {
 		for y := 0; y < height; y++ {
 			for x := 0; x < width; x++ {
