@@ -301,9 +301,9 @@ func run(cfg config) error {
 			NumPE:    cfg.Procs,
 			Interval: cfg.TelemetryInterval,
 			SpanFilter: func(ev trace.Event) bool {
-				// Keep application causality; quiescence probes and stop
-				// messages are runtime chatter.
-				return ev.MsgKind != byte(core.KindQD) && ev.MsgKind != byte(core.KindStop)
+				// Keep application causality; stop messages are runtime
+				// chatter.
+				return ev.MsgKind != byte(core.KindStop)
 			},
 			Send: func(b []byte) error {
 				return stack.SendControl(0, &vmi.Frame{Src: int32(cfg.Node), Dst: vmi.ControlTelemetry, Body: b})

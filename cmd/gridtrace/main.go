@@ -160,17 +160,15 @@ func analyze(w io.Writer, snaps []*trace.Snapshot, opts analyzeOpts) error {
 	return nil
 }
 
-// appEvents drops runtime-protocol traffic (quiescence probes, shutdown)
-// from the stream so the critical path terminates at the application's
-// last handler, not at the QD chatter that follows it.
+// appEvents drops the schedulers' shutdown messages from the stream so
+// the critical path terminates at the application's last handler, not at
+// the stop that follows it.
 func appEvents(evs []trace.Event) []trace.Event {
 	out := make([]trace.Event, 0, len(evs))
 	for _, ev := range evs {
-		switch core.Kind(ev.MsgKind) {
-		case core.KindQD, core.KindStop:
-			continue
+		if core.Kind(ev.MsgKind) != core.KindStop {
+			out = append(out, ev)
 		}
-		out = append(out, ev)
 	}
 	return out
 }
@@ -197,8 +195,6 @@ func msgKindName(k byte) string {
 		return "reduce"
 	case core.KindLB:
 		return "lb"
-	case core.KindQD:
-		return "qd"
 	case core.KindBundle:
 		return "bundle"
 	case core.KindStop:

@@ -58,9 +58,11 @@ func (responder) Recv(ctx *core.Ctx, entry core.EntryID, data any) {
 }
 
 // worker chares ping-pong a token among themselves on PE 0, doing real
-// (if small) computation on each hop.
+// (if small) computation on each hop. Without an asker to end the run,
+// the last hop does.
 type worker struct {
 	n      int
+	exit   bool
 	bucket float64
 }
 
@@ -71,6 +73,9 @@ func (w *worker) Recv(ctx *core.Ctx, entry core.EntryID, data any) {
 		w.bucket += float64(i%7) * 1e-9
 	}
 	if hops <= 0 {
+		if w.exit {
+			ctx.Exit()
+		}
 		return
 	}
 	ctx.Send(core.ElemRef{Array: arrWorker, Index: (ctx.Elem().Index + 1) % w.n}, 0, hops-1)
@@ -90,7 +95,7 @@ func run(withAsker, withWorkers bool) time.Duration {
 			{ID: arrResponder, N: 1, Map: func(int, int) int { return 1 },
 				New: func(int) core.Chare { return responder{} }},
 			{ID: arrWorker, N: nWorkers, Map: func(int, int) int { return 0 },
-				New: func(int) core.Chare { return &worker{n: nWorkers} }},
+				New: func(int) core.Chare { return &worker{n: nWorkers, exit: !withAsker} }},
 		},
 		Start: func(ctx *core.Ctx) {
 			if withAsker {
@@ -102,11 +107,7 @@ func run(withAsker, withWorkers bool) time.Duration {
 			}
 		},
 	}
-	var opts []core.Option
-	if !withAsker {
-		opts = append(opts, core.WithQuiescence())
-	}
-	rt, err := core.NewRuntime(topo, prog, opts...)
+	rt, err := core.NewRuntime(topo, prog)
 	if err != nil {
 		log.Fatal(err)
 	}

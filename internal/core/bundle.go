@@ -1,70 +1,11 @@
 package core
 
-import "sort"
-
 // Message bundling, the analog of Charm++'s communication-optimization
 // strategies (§2.1 of the paper: "optimized communication libraries"):
 // application messages produced by one handler execution for the same
 // destination PE are combined into a single bundle that pays the
-// per-message transport overhead once. Bundles are split back into their
-// messages at the destination's enqueue point, so scheduler semantics are
-// unchanged except that a bundle's messages share one arrival instant
-// (they already shared one departure).
-//
-// Only default-priority application messages bundle; prioritized traffic
-// (including WAN-prioritized messages) and runtime protocol messages are
-// routed individually so their delivery ordering guarantees hold.
-
-// BundleEligible reports whether a message may join a bundle.
-func BundleEligible(m *Message) bool {
-	return m.Kind == KindApp && m.Prio == 0 && m.DstPE != m.SrcPE
-}
-
-// PendingBundles accumulates one handler's outgoing messages per
-// destination PE. It is owned by a single scheduler (or the simulator
-// thread) and never shared.
-type PendingBundles struct {
-	byDst map[int32][]*Message
-}
-
-// NewPendingBundles builds an empty accumulator.
-func NewPendingBundles() *PendingBundles {
-	return &PendingBundles{byDst: make(map[int32][]*Message)}
-}
-
-// Add appends a routed (destination-resolved) message.
-func (p *PendingBundles) Add(m *Message) {
-	p.byDst[m.DstPE] = append(p.byDst[m.DstPE], m)
-}
-
-// Empty reports whether anything is buffered.
-func (p *PendingBundles) Empty() bool { return len(p.byDst) == 0 }
-
-// Has reports whether a destination already has a pending group.
-func (p *PendingBundles) Has(dst int32) bool {
-	_, ok := p.byDst[dst]
-	return ok
-}
-
-// Drain returns the accumulated messages grouped per destination in
-// ascending PE order (for deterministic virtual-time replay) and resets
-// the buffer.
-func (p *PendingBundles) Drain() [][]*Message {
-	if len(p.byDst) == 0 {
-		return nil
-	}
-	dsts := make([]int32, 0, len(p.byDst))
-	for d := range p.byDst {
-		dsts = append(dsts, d)
-	}
-	sort.Slice(dsts, func(i, j int) bool { return dsts[i] < dsts[j] })
-	out := make([][]*Message, 0, len(dsts))
-	for _, d := range dsts {
-		out = append(out, p.byDst[d])
-		delete(p.byDst, d)
-	}
-	return out
-}
+// per-message transport overhead once. The virtual-time engine bundles
+// (sim.Options.Bundle); the wire codec carries bundles recursively.
 
 // bundleHeaderBytes is the modeled per-sub-message framing cost inside a
 // bundle.

@@ -64,8 +64,7 @@ const (
 	tagBytes    byte = 6
 	tagBool     byte = 7
 	tagReduce   byte = 8
-	tagQD       byte = 9
-	tagBundle   byte = 10
+	tagBundle   byte = 10 // 9 carried the retired quiescence probe and stays unassigned
 	tagLB       byte = 11
 
 	minAppTag byte = 64
@@ -165,7 +164,6 @@ func registerPayload[T any, P interface {
 
 func init() {
 	registerPayload[ReducePartial](tagReduce)
-	registerPayload[qdMsg](tagQD)
 	registerPayload[lbMsg](tagLB)
 }
 

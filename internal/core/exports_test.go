@@ -63,9 +63,6 @@ func parseModule(t *testing.T, fset *token.FileSet, dir string) []goFile {
 // are the package path under internal/, then the receiver type for a
 // method, then the name.
 var exportAllowlist = map[string]string{
-	"core.WithBundling":      "ROADMAP item 12 decides whether bundling becomes the default or goes",
-	"core.WithWANPriority":   "the runtime option for the paper's §6 cross-cluster prioritization",
-	"core.WithLatency":       "chaos instrument: the soak test's jittered WAN latency enters the delay device through it",
 	"core.WithPrio":          "Ctx.Send's message-priority option; the executor conformance tests order messages with it",
 	"core.WithBytes":         "Ctx.Send's modeled-size option; the executor conformance tests size messages with it",
 	"core.EncodeMessage":     "the codec's encode half; wire tests in other packages use it, which an export_test.go cannot serve",
@@ -76,7 +73,6 @@ var exportAllowlist = map[string]string{
 
 	"unstruct.RunSequential": "the sequential reference implementation that the unstruct tests compare against",
 
-	"vmi.JitteredLatency":        "chaos instrument: seeded WAN jitter for the soak test",
 	"vmi.TCP.DropConn":           "chaos instrument: severs a live connection to exercise re-dial and retransmit",
 	"vmi.TCP.CorruptWire":        "chaos instrument: corrupts the outgoing byte stream to break the framing",
 	"vmi.NewPartitionDevice":     "chaos instrument: the network-partition device",

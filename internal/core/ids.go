@@ -9,11 +9,11 @@
 // already arrived.
 //
 // The package provides the shared programming model (Program, ArraySpec,
-// Chare, Ctx), the runtime protocol state machines (reductions, quiescence
-// detection, load-balancing sync), and the real-time executor (Runtime),
-// which runs one scheduler goroutine per PE with VMI device chains between
-// them. A virtual-time executor sharing the same programming model lives
-// in internal/sim.
+// Chare, Ctx), the runtime protocol state machines (reductions,
+// load-balancing sync, membership recovery), and the real-time executor
+// (Runtime), which runs one scheduler goroutine per PE with VMI device
+// chains between them. A virtual-time executor sharing the same
+// programming model lives in internal/sim.
 package core
 
 import "fmt"

@@ -16,8 +16,8 @@ const (
 	KindStart              // run Program.Start on PE 0
 	KindReduce             // reduction partial bound for the root PE
 	KindLB                 // load-balancing protocol (stats, apply, resume)
-	KindQD                 // quiescence-detection probe/reply
-	KindBundle             // several same-destination app messages in one frame
+	_                      // retired (quiescence detection); its number stays unused
+	KindBundle             // several same-destination app messages in one frame (simulator only)
 	KindStop               // scheduler shutdown (real-time runtime only)
 	KindMember             // membership recovery: (re)construct an element locally
 )

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"time"
-
 	"gridmdo/internal/metrics"
 	"gridmdo/internal/trace"
 	"gridmdo/internal/vmi"
@@ -28,24 +26,6 @@ type Options struct {
 	// executor (see trace.Sink).
 	Sinks []trace.Sink
 
-	// PrioritizeWAN implements the paper's §6 proposal: messages that
-	// cross cluster boundaries are tagged with a higher delivery priority
-	// than local messages (unless the application already set one).
-	PrioritizeWAN bool
-
-	// Bundle combines the default-priority application messages each
-	// handler sends to one destination PE into a single transport frame
-	// (the Charm++ communication-optimization analog; see bundle.go).
-	Bundle bool
-
-	// RunToQuiescence ends the run when no messages remain anywhere in
-	// the system (queues, handlers, delay devices, transport links),
-	// detected by a wave-based counting protocol driven from PE 0 — see
-	// quiesce.go. It works across processes; worker nodes still need the
-	// coordinator's shutdown announcement to return from Run. Without
-	// this option, the program must call Ctx.ExitWith.
-	RunToQuiescence bool
-
 	// Multi-process configuration. A nil Transport means all PEs live in
 	// this process. Otherwise this process hosts PEs [PELo, PEHi), NodeOf
 	// maps every PE to its owning process, and remote frames travel
@@ -63,11 +43,6 @@ type Options struct {
 
 	// Lifecycle hooks bracket the program's execution (see Lifecycle).
 	Lifecycle Lifecycle
-
-	// LatencyFor, if non-nil, overrides the topology's one-way latency
-	// for the delay device — e.g. vmi.JitteredLatency for runs with
-	// realistic wide-area variance.
-	LatencyFor func(src, dst int32) time.Duration
 }
 
 // Option configures a Runtime at construction.
@@ -90,28 +65,6 @@ func WithMetrics(reg *metrics.Registry) Option {
 // adapter.
 func WithSink(s trace.Sink) Option {
 	return func(o *Options) { o.Sinks = append(o.Sinks, s) }
-}
-
-// WithWANPriority enables the paper's §6 cross-cluster prioritization.
-func WithWANPriority() Option {
-	return func(o *Options) { o.PrioritizeWAN = true }
-}
-
-// WithBundling enables per-destination message bundling.
-func WithBundling() Option {
-	return func(o *Options) { o.Bundle = true }
-}
-
-// WithQuiescence ends the run by quiescence detection instead of an
-// explicit ExitWith.
-func WithQuiescence() Option {
-	return func(o *Options) { o.RunToQuiescence = true }
-}
-
-// WithLatency overrides the topology's one-way latency function for the
-// delay device.
-func WithLatency(f func(src, dst int32) time.Duration) Option {
-	return func(o *Options) { o.LatencyFor = f }
 }
 
 // ClusterConfig places this process in a multi-process run: the transport

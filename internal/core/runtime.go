@@ -24,8 +24,7 @@ type Runtime struct {
 	pes  []*peState
 	dly  *vmi.DelayDevice
 
-	latencyFor func(src, dst int32) time.Duration
-	pastDelay  vmi.SendFunc // rt.deliver, bound once: what follows the delay device
+	pastDelay vmi.SendFunc // rt.deliver, bound once: what follows the delay device
 
 	// sink receives every scheduler event — the tracer, the metrics
 	// adapter, and any extra sinks teed into one. nil when nothing is
@@ -33,11 +32,10 @@ type Runtime struct {
 	sink trace.Sink
 	met  *coreMetrics // nil unless Options.Metrics is set
 
-	// Per-PE cumulative counters (QD traffic excluded), read by the
-	// quiescence protocol from each PE's own scheduler.
+	// Per-PE cumulative counts of routed and processed messages, exported
+	// as core_msgs_sent_total and core_msgs_processed_total.
 	sentByPE      []atomic.Int64
 	processedByPE []atomic.Int64
-	qd            qdRoot
 
 	// msgSeq assigns causal trace IDs at routing time. Seeded with the
 	// node number in the high 16 bits so IDs from different gridnode
@@ -62,18 +60,17 @@ type Runtime struct {
 }
 
 type peState struct {
-	id      int
-	q       *Queue
-	host    *PEHost
-	reduce  *ReduceMgr
-	lb      *LBMgr
-	idle    atomic.Bool
-	pending *PendingBundles // owned by this PE's execution context
+	id     int
+	q      *Queue
+	host   *PEHost
+	reduce *ReduceMgr
+	lb     *LBMgr
+	idle   atomic.Bool
 
 	// curMsg is the causal ID of the message whose handler is executing on
 	// this PE (0 between dispatches). Routes triggered from the handler
-	// read it as the child's Parent; it is atomic because timer goroutines
-	// (QD waves) route concurrently with the scheduler.
+	// read it as the child's Parent; it is atomic so that any goroutine may
+	// route a message with this PE as its source.
 	curMsg atomic.Uint64
 }
 
@@ -115,14 +112,9 @@ func NewRuntime(topo *topology.Topology, prog *Program, options ...Option) (*Run
 		processedByPE: make([]atomic.Int64, topo.NumPE()),
 	}
 	rt.msgSeq.Store(uint64(opts.Node) << 48)
-	latencyFor := opts.LatencyFor
-	if latencyFor == nil {
-		latencyFor = func(src, dst int32) time.Duration {
-			return topo.Latency(int(src), int(dst))
-		}
-	}
-	rt.latencyFor = latencyFor
-	rt.dly = vmi.NewDelayDevice(latencyFor)
+	rt.dly = vmi.NewDelayDevice(func(src, dst int32) time.Duration {
+		return topo.Latency(int(src), int(dst))
+	})
 	rt.pastDelay = rt.deliver
 	tab := NewElemTable(prog)
 	emit := func(m *Message) { rt.Route(m) }
@@ -130,9 +122,6 @@ func NewRuntime(topo *topology.Topology, prog *Program, options ...Option) (*Run
 	for i := range rt.pes {
 		pe := opts.PELo + i
 		ps := &peState{id: pe, q: NewQueue()}
-		if opts.Bundle {
-			ps.pending = NewPendingBundles()
-		}
 		ps.host = NewPEHost(rt, pe, tab)
 		// Handler wall time is an element's measured load, which only a
 		// load balancer reads.
@@ -235,20 +224,15 @@ func ConstructElements(prog *Program, loc *Locations, peLo, peHi int, hostOf fun
 
 // Backend implementation ---------------------------------------------------
 
-// Route implements Backend: resolve the destination, apply WAN priority
-// policy, and hand the message to the delay device (and, past it, either a
-// local queue or the transport).
+// Route implements Backend: resolve the destination and hand the message
+// to the delay device (and, past it, either a local queue or the
+// transport).
 func (rt *Runtime) Route(m *Message) int32 {
 	if m.Kind == KindApp {
 		m.DstPE = rt.loc.PEOf(m.To)
 	}
 	dst := m.DstPE
-	if rt.opts.PrioritizeWAN && m.Prio == 0 && rt.topo.CrossesWAN(int(m.SrcPE), int(m.DstPE)) {
-		m.Prio = -1
-	}
-	if m.Kind != KindQD {
-		rt.sentByPE[m.SrcPE].Add(1)
-	}
+	rt.sentByPE[m.SrcPE].Add(1)
 	// Causal trace context: every routed message gets a node-unique ID;
 	// its parent is whatever message the sending PE is currently
 	// executing (0 for out-of-handler sends — timers, Run itself).
@@ -261,29 +245,18 @@ func (rt *Runtime) Route(m *Message) int32 {
 		}
 	}
 	rt.recordSend(m)
-
-	if rt.opts.Bundle && BundleEligible(m) {
-		if rt.local(m.SrcPE) {
-			// Held until the current handler completes; the scheduler
-			// flushes after each dispatch.
-			rt.pes[int(m.SrcPE)-rt.opts.PELo].pending.Add(m)
-			return dst
-		}
-	}
 	rt.transmit(m)
 	return dst
 }
 
 // Post injects an application message from outside any handler — the
 // entry point membership notifiers and the gateway's job submitter use.
-// It is safe from any goroutine: it never touches the scheduler-owned
-// bundle accumulators. A local destination is attributed to its own PE
-// so the quiescence counters balance on that PE; a remote destination is
-// attributed to this node's first PE — the frame must carry a truthful
-// source, because the reliability layer routes acks by the frame's Src
-// and a Src equal to the remote destination would bounce them back to
-// the receiver itself (and a sent-count on a PE this node doesn't host
-// would be invisible to that PE's quiescence probe reply).
+// It is safe from any goroutine. A local destination is attributed to its
+// own PE, so that PE's sent and processed counts balance; a remote
+// destination is attributed to this node's first PE — the frame must
+// carry a truthful source, because the reliability layer routes acks by
+// the frame's Src and a Src equal to the remote destination would bounce
+// them back to the receiver itself.
 func (rt *Runtime) Post(to ElemRef, entry EntryID, data any) {
 	rt.PostTraced(to, entry, data, 0)
 }
@@ -331,7 +304,7 @@ func (rt *Runtime) local(pe int32) bool {
 // anything else travels as a frame through the delay device to the queue
 // or the wire.
 func (rt *Runtime) transmit(m *Message) {
-	delay := rt.latencyFor(m.SrcPE, m.DstPE)
+	delay := rt.topo.Latency(int(m.SrcPE), int(m.DstPE))
 	if delay <= 0 && rt.local(m.DstPE) {
 		rt.enqueueLocal(m)
 		return
@@ -340,17 +313,6 @@ func (rt *Runtime) transmit(m *Message) {
 	f.Src, f.Dst, f.Obj = m.SrcPE, m.DstPE, m
 	if err := rt.dly.Hold(f, rt.pastDelay, delay); err != nil {
 		rt.fail(err)
-	}
-}
-
-// flushBundles ships the messages the just-completed handler produced,
-// one (possibly bundled) frame per destination PE.
-func (rt *Runtime) flushBundles(ps *peState) {
-	if ps.pending == nil || ps.pending.Empty() {
-		return
-	}
-	for _, group := range ps.pending.Drain() {
-		rt.transmit(MakeBundle(group))
 	}
 }
 
@@ -396,7 +358,11 @@ func (rt *Runtime) ship(f *vmi.Frame) error {
 	}
 	f.Body = body
 	f.Obj = nil
-	releaseSent(m)
+	if m.Kind == KindApp {
+		// Nothing else holds an app message once its encoding has left
+		// for another process.
+		ReleaseMessage(m)
+	}
 	err = rt.opts.Transport.Send(f)
 	vmi.PutBuf(body)
 	if err != nil {
@@ -406,28 +372,7 @@ func (rt *Runtime) ship(f *vmi.Frame) error {
 	return nil
 }
 
-// releaseSent recycles a message whose encoding has left for another
-// process: an app message, or each app message of a bundle. Nothing else
-// holds them once the frame body is built.
-func releaseSent(m *Message) {
-	switch m.Kind {
-	case KindApp:
-		ReleaseMessage(m)
-	case KindBundle:
-		for _, sub := range BundleMessages(m) {
-			ReleaseMessage(sub)
-		}
-	}
-}
-
 func (rt *Runtime) enqueueLocal(m *Message) {
-	if m.Kind == KindBundle {
-		// A bundle's messages share an arrival; enqueue them in order.
-		for _, sub := range BundleMessages(m) {
-			rt.enqueueLocal(sub)
-		}
-		return
-	}
 	if rt.sink != nil {
 		m.EnqueuedAt = rt.Now()
 		rt.sink.Record(trace.Event{PE: int(m.DstPE), Kind: trace.EvEnqueue, At: m.EnqueuedAt, MsgID: m.ID, Parent: m.Parent, MsgKind: byte(m.Kind), Arg1: int64(m.SrcPE)})
@@ -548,8 +493,10 @@ func (rt *Runtime) Err() error {
 	return rt.runErr
 }
 
-// Run executes the program and returns the value passed to ExitWith. With
-// RunToQuiescence it returns once no work remains. Run may only be called
+// Run executes the program and returns the value passed to ExitWith (or
+// the first runtime error). The program ends the run with Ctx.ExitWith or
+// Ctx.Exit; a worker node of a multi-process run returns when the
+// coordinator's shutdown announcement stops it. Run may only be called
 // once.
 func (rt *Runtime) Run() (any, error) {
 	for _, ps := range rt.pes {
@@ -562,16 +509,6 @@ func (rt *Runtime) Run() (any, error) {
 	if rt.opts.Node == 0 && rt.opts.PELo == 0 {
 		rt.sentByPE[0].Add(1)
 		rt.enqueueLocal(&Message{Kind: KindStart, SrcPE: 0, DstPE: 0, ID: rt.msgSeq.Add(1)})
-		if rt.opts.RunToQuiescence {
-			// Begin probing once the program has had a moment to start.
-			time.AfterFunc(qdWaveInterval, func() {
-				select {
-				case <-rt.exitCh:
-				default:
-					rt.startQDWave()
-				}
-			})
-		}
 	}
 	<-rt.exitCh
 
@@ -590,7 +527,7 @@ func (rt *Runtime) Run() (any, error) {
 
 // schedBatchSize bounds how many messages a scheduler drains per queue
 // lock acquisition. Large enough to amortize the lock across a burst
-// (e.g. a bundle's worth of ghost exchanges), small enough that a
+// (e.g. a multicast's worth of LeanMD coordinates), small enough that a
 // late-arriving prioritized message preempts within one batch.
 const schedBatchSize = 32
 
@@ -654,21 +591,16 @@ func (rt *Runtime) schedule(ps *peState) {
 				} else {
 					err = ps.lb.Handle(m)
 				}
-			case KindQD:
-				err = rt.handleQD(ps, m)
 			case KindMember:
 				err = rt.handleMember(ps, m)
 			default:
 				err = fmt.Errorf("core: PE %d received unknown message kind %d", ps.id, m.Kind)
 			}
-			rt.flushBundles(ps)
 			if rt.sink != nil {
 				rt.sink.Record(trace.Event{PE: ps.id, Kind: trace.EvEnd, At: rt.Now(), MsgID: m.ID, MsgKind: byte(m.Kind)})
 			}
 			ps.curMsg.Store(0)
-			if m.Kind != KindQD {
-				rt.processedByPE[ps.id].Add(1)
-			}
+			rt.processedByPE[ps.id].Add(1)
 			if !kept {
 				ReleaseMessage(m)
 			}

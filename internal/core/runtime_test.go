@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -17,7 +19,7 @@ type funcChare func(ctx *Ctx, entry EntryID, data any)
 func (f funcChare) Recv(ctx *Ctx, entry EntryID, data any) { f(ctx, entry, data) }
 
 // Counters reports (sent, processed) message counts summed over this
-// process's PEs, excluding quiescence-detection traffic.
+// process's PEs.
 func (rt *Runtime) Counters() (sent, processed int64) {
 	for pe := range rt.sentByPE {
 		sent += rt.sentByPE[pe].Load()
@@ -114,48 +116,6 @@ func TestReductionEndToEnd(t *testing.T) {
 	}
 }
 
-func TestRunToQuiescence(t *testing.T) {
-	topo := mustTopo(t, 2, time.Millisecond)
-	var hits sync.Map
-	prog := &Program{
-		Arrays: []ArraySpec{{
-			ID: 0, N: 4,
-			New: func(i int) Chare {
-				return funcChare(func(ctx *Ctx, entry EntryID, data any) {
-					hits.Store(ctx.Elem().Index, true)
-					n := data.(int)
-					if n > 0 {
-						next := ElemRef{0, (ctx.Elem().Index + 1) % 4}
-						ctx.Send(next, 0, n-1)
-					}
-				})
-			},
-		}},
-		Start: func(ctx *Ctx) { ctx.Send(ElemRef{0, 0}, 0, 10) },
-	}
-	rt, err := NewRuntime(topo, prog, WithQuiescence())
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan struct{})
-	go func() {
-		if _, err := rt.Run(); err != nil {
-			t.Error(err)
-		}
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("quiescence never detected")
-	}
-	for i := 0; i < 4; i++ {
-		if _, ok := hits.Load(i); !ok {
-			t.Errorf("element %d never ran", i)
-		}
-	}
-}
-
 func TestPriorityDeliveryOrder(t *testing.T) {
 	topo, err := topology.Single(1)
 	if err != nil {
@@ -198,40 +158,6 @@ func TestPriorityDeliveryOrder(t *testing.T) {
 	}
 }
 
-func TestPrioritizeWANOption(t *testing.T) {
-	topo := mustTopo(t, 2, 0) // two clusters, zero latency: routing is sync
-	prog := &Program{
-		Arrays: []ArraySpec{{ID: 0, N: 2, New: func(i int) Chare {
-			return funcChare(func(*Ctx, EntryID, any) {})
-		}}},
-		Start: func(*Ctx) {},
-	}
-	rt, err := NewRuntime(topo, prog, WithWANPriority())
-	if err != nil {
-		t.Fatal(err)
-	}
-	wan := &Message{Kind: KindApp, To: ElemRef{0, 1}, SrcPE: 0}
-	rt.Route(wan)
-	if wan.Prio != -1 {
-		t.Errorf("WAN message priority = %d, want -1", wan.Prio)
-	}
-	local := &Message{Kind: KindApp, To: ElemRef{0, 0}, SrcPE: 0}
-	rt.Route(local)
-	if local.Prio != 0 {
-		t.Errorf("local message priority = %d, want 0", local.Prio)
-	}
-	// Application-set priorities are preserved.
-	custom := &Message{Kind: KindApp, To: ElemRef{0, 1}, SrcPE: 0, Prio: 5}
-	rt.Route(custom)
-	if custom.Prio != 5 {
-		t.Errorf("custom priority overridden: %d", custom.Prio)
-	}
-	rt.ExitWith(nil)
-	if _, err := rt.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestHandlerPanicSurfacesAsError(t *testing.T) {
 	topo := mustTopo(t, 2, 0)
 	prog := &Program{
@@ -254,19 +180,69 @@ func TestSendToMissingElementFails(t *testing.T) {
 	topo := mustTopo(t, 2, 0)
 	prog := &Program{
 		Arrays: []ArraySpec{{ID: 0, N: 2, New: func(i int) Chare {
-			return funcChare(func(ctx *Ctx, entry EntryID, data any) {})
+			return funcChare(func(ctx *Ctx, entry EntryID, data any) { ctx.Exit() })
 		}}},
 		Start: func(ctx *Ctx) {
 			// Out-of-range index routes to the clamp PE but no element exists.
 			ctx.Send(ElemRef{Array: 0, Index: 1}, 0, nil)
 		},
 	}
-	rt, err := NewRuntime(topo, prog, WithQuiescence())
+	rt, err := NewRuntime(topo, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := rt.Run(); err != nil {
 		t.Fatalf("valid send failed: %v", err)
+	}
+}
+
+// TestUnknownKindFailsRun: the scheduler knows no bundle and no retired
+// kind. A frame carrying either — a bundle, or kind 4, which quiescence
+// probes used — fails the run with an error naming the kind instead of
+// being dropped or unpacked.
+func TestUnknownKindFailsRun(t *testing.T) {
+	for _, m := range []*Message{
+		MakeBundle([]*Message{
+			{Kind: KindApp, To: ElemRef{0, 1}, SrcPE: 0, DstPE: 1, Data: 1},
+			{Kind: KindApp, To: ElemRef{0, 1}, SrcPE: 0, DstPE: 1, Data: 2},
+		}),
+		{Kind: Kind(4), SrcPE: 0, DstPE: 1},
+	} {
+		var handled atomic.Int64
+		prog := &Program{
+			Arrays: []ArraySpec{{ID: 0, N: 2, New: func(int) Chare {
+				return funcChare(func(*Ctx, EntryID, any) { handled.Add(1) })
+			}}},
+			Start: func(*Ctx) {},
+		}
+		rt, err := NewRuntime(mustTopo(t, 2, 0), prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := EncodeMessage(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rt.injectFrame(&vmi.Frame{Src: 0, Dst: 1, Body: body}); err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() {
+			_, err := rt.Run()
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			want := fmt.Sprintf("unknown message kind %d", m.Kind)
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("kind %d: Run err = %v, want one containing %q", m.Kind, err, want)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("kind %d: run never failed", m.Kind)
+		}
+		if n := handled.Load(); n != 0 {
+			t.Errorf("kind %d: %d handlers ran", m.Kind, n)
+		}
 	}
 }
 
@@ -422,10 +398,6 @@ func TestNewRuntimeValidation(t *testing.T) {
 	}
 	if _, err := NewRuntime(topo, prog, WithCluster(ClusterConfig{Transport: idleStack(t), NodeOf: func(int) int { return 0 }, PELo: 1, PEHi: 1})); err == nil {
 		t.Error("empty PE range accepted")
-	}
-	// Multi-process quiescence detection is supported (wave protocol).
-	if _, err := NewRuntime(topo, prog, WithCluster(ClusterConfig{Transport: idleStack(t), NodeOf: func(int) int { return 0 }, PELo: 0, PEHi: 1}), WithQuiescence()); err != nil {
-		t.Errorf("multi-process quiescence rejected: %v", err)
 	}
 	// Load-balanced elements must serialize through PUP; a non-Migratable
 	// chare type is rejected up front, single- or multi-process.

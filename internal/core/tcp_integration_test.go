@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -253,61 +252,5 @@ func TestTwoNodeUnregisteredPayloadFailsRun(t *testing.T) {
 	case <-worker:
 	case <-time.After(5 * time.Second):
 		t.Fatal("worker node never stopped")
-	}
-}
-
-// TestTwoNodeBundlesSurviveRecycling sends bundles across the wire: every
-// handler ships a burst of three messages to the element on the other
-// node, which leave as one bundle and are recycled once encoded. After
-// 1,200 messages every value must have arrived once, in order.
-func TestTwoNodeBundlesSurviveRecycling(t *testing.T) {
-	const burst, bursts = 3, 400 // an even count ends the run on node 0
-	topo, err := topology.Single(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wrong atomic.Int64
-	mkProg := func(int) *Program {
-		sendBurst := func(ctx *Ctx, to, from int) {
-			for v := from; v < from+burst; v++ {
-				ctx.Send(ElemRef{0, to}, 0, v)
-			}
-		}
-		return &Program{
-			Arrays: []ArraySpec{{ID: 0, N: 2, New: func(i int) Chare {
-				want := burst * (1 - i) // element 1 receives burst 0, element 0 burst 1
-				return funcChare(func(ctx *Ctx, _ EntryID, data any) {
-					v := data.(int)
-					if v != want {
-						wrong.Add(1)
-					}
-					want = v + 1
-					if want%burst != 0 {
-						return
-					}
-					want += burst // the next burst goes the other way
-					if v+1 == burst*bursts {
-						ctx.Exit()
-						return
-					}
-					sendBurst(ctx, 1-i, v+1)
-				})
-			}}},
-			Start: func(ctx *Ctx) { sendBurst(ctx, 1, 0) },
-		}
-	}
-	pair := newTCPPair(t, topo, mkProg, vmi.ReliableConfig{}, nil,
-		func(int) []Option { return []Option{WithBundling()} })
-	if _, err := pair.RunWithin(30 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if n := wrong.Load(); n != 0 {
-		t.Errorf("%d messages arrived out of order or changed", n)
-	}
-	// Node 0 sends half the bursts; unbundled, that is one frame per
-	// message before any ack.
-	sent := bursts / 2 * burst
-	if got := pair.Regs[0].Snapshot().Value("vmi_tcp_frames_out_total"); got >= int64(sent) {
-		t.Errorf("node 0 wrote %v frames for %d messages: the bursts were not bundled", got, sent)
 	}
 }

@@ -30,8 +30,6 @@ func TestWireCodecPayloadKinds(t *testing.T) {
 		{"bool", true},
 		{"reduce", ReducePartial{Array: 3, Seq: 17, Op: OpMax, Value: 2.25, Contribs: 9}},
 		{"reduce-nested-slice", ReducePartial{Array: 1, Seq: 2, Op: OpSum, Value: []float64{9, 8}, Contribs: 4}},
-		{"qd-probe", qdMsg{Probe: true, Wave: 7}},
-		{"qd-reply", qdMsg{Wave: 7, Sent: 123, Processed: 120}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -124,30 +124,51 @@ func TestBundlingReducesLeanMDOverhead(t *testing.T) {
 	}
 }
 
-// TestBundlingConformance reuses the cross-executor harness with bundling
-// enabled on the real-time side too.
-func TestBundlingRealtimeChecksum(t *testing.T) {
-	const W, H, steps = 24, 24, 5
-	p := &stencil.Params{Width: W, Height: H, VX: 4, VY: 4, Steps: steps}
-	prog, err := stencil.BuildProgram(p)
-	if err != nil {
-		t.Fatal(err)
+func TestBundleEligibility(t *testing.T) {
+	cases := []struct {
+		m    core.Message
+		want bool
+	}{
+		{core.Message{Kind: core.KindApp, Prio: 0, SrcPE: 0, DstPE: 1}, true},
+		{core.Message{Kind: core.KindApp, Prio: -1, SrcPE: 0, DstPE: 1}, false}, // prioritized
+		{core.Message{Kind: core.KindApp, Prio: 0, SrcPE: 2, DstPE: 2}, false},  // self
+		{core.Message{Kind: core.KindReduce, Prio: 0, SrcPE: 0, DstPE: 1}, false},
+		{core.Message{Kind: core.KindLB, Prio: 0, SrcPE: 0, DstPE: 1}, false},
 	}
-	topo, err := topology.TwoClusters(4, 2*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
+	for i, c := range cases {
+		if got := bundleEligible(&c.m); got != c.want {
+			t.Errorf("case %d: eligible = %v, want %v", i, got, c.want)
+		}
 	}
-	rt, err := core.NewRuntime(topo, prog, core.WithBundling())
-	if err != nil {
-		t.Fatal(err)
+}
+
+func TestPendingBundlesDrainOrder(t *testing.T) {
+	p := newPendingBundles()
+	if !p.empty() {
+		t.Fatal("new accumulator not empty")
 	}
-	v, err := rt.Run()
-	if err != nil {
-		t.Fatal(err)
+	for _, dst := range []int32{5, 2, 5, 9, 2, 2} {
+		p.add(&core.Message{Kind: core.KindApp, DstPE: dst, Bytes: 10})
 	}
-	got := v.(*stencil.Result).Checksum
-	want := stencil.Checksum(stencil.RunSequential(W, H, steps))
-	if d := got - want; d > 1e-9 || d < -1e-9 {
-		t.Errorf("realtime bundled checksum %v, want %v", got, want)
+	if p.empty() || !p.has(5) || p.has(7) {
+		t.Fatal("accumulator state wrong")
+	}
+	groups := p.drain()
+	if len(groups) != 3 {
+		t.Fatalf("groups = %d", len(groups))
+	}
+	// Ascending destination order, FIFO within a group.
+	wantDst := []int32{2, 5, 9}
+	wantLen := []int{3, 2, 1}
+	for i, g := range groups {
+		if g[0].DstPE != wantDst[i] || len(g) != wantLen[i] {
+			t.Errorf("group %d: dst=%d len=%d", i, g[0].DstPE, len(g))
+		}
+	}
+	if !p.empty() {
+		t.Error("drain did not reset")
+	}
+	if p.drain() != nil {
+		t.Error("drain of empty accumulator returned groups")
 	}
 }

@@ -121,6 +121,8 @@ func buildConformance(seed int64, n, tokens, hops int, counter *invocationCounte
 	}
 }
 
+// TestCrossExecutorConformance compares the engine, plain and bundled,
+// against the real-time runtime, which never bundles.
 func TestCrossExecutorConformance(t *testing.T) {
 	for _, bundle := range []bool{false, true} {
 		for _, seed := range []int64{1, 7, 42, 1234} {
@@ -130,14 +132,6 @@ func TestCrossExecutorConformance(t *testing.T) {
 			})
 		}
 	}
-}
-
-// rtOpts maps the table's bundle flag onto real-time runtime options.
-func rtOpts(bundle bool) []core.Option {
-	if bundle {
-		return []core.Option{core.WithBundling()}
-	}
-	return nil
 }
 
 func runConformance(t *testing.T, seed int64, bundle bool) {
@@ -158,7 +152,7 @@ func runConformance(t *testing.T, seed int64, bundle bool) {
 	}
 
 	rtCounter := &invocationCounter{counts: make(map[int]int)}
-	rt, err := core.NewRuntime(topo, buildConformance(seed, n, tokens, hops, rtCounter), rtOpts(bundle)...)
+	rt, err := core.NewRuntime(topo, buildConformance(seed, n, tokens, hops, rtCounter))
 	if err != nil {
 		t.Fatal(err)
 	}

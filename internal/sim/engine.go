@@ -266,7 +266,7 @@ type simPE struct {
 	// only the shard owning the PE ever touches it.
 	sendSeq uint64
 
-	pending *core.PendingBundles
+	pending *pendingBundles
 }
 
 // rewindRec snapshots the engine state an event is about to mutate, so a
@@ -425,7 +425,7 @@ func newEngine(topo *topology.Topology, prog *core.Program, opts Options, worker
 		sh := e.shards[e.shardOf[pe]]
 		ps := &simPE{id: pe}
 		if opts.Bundle {
-			ps.pending = core.NewPendingBundles()
+			ps.pending = newPendingBundles()
 		}
 		ps.host = core.NewPEHost(sh, pe, tab)
 		pe := pe
@@ -539,7 +539,7 @@ func (s *shard) Route(m *core.Message) int32 {
 		s.record(trace.Event{PE: int(m.SrcPE), Kind: trace.EvSend, At: s.Now(), MsgID: m.ID, Parent: m.Parent, MsgKind: byte(m.Kind), Arg1: int64(m.DstPE), Arg2: int64(m.Bytes)})
 	}
 	link := e.topo.LinkBetween(int(m.SrcPE), int(m.DstPE))
-	if e.opts.Bundle && core.BundleEligible(m) && s.inHandler {
+	if e.opts.Bundle && bundleEligible(m) && s.inHandler {
 		// Held until the running handler completes; exec flushes the
 		// per-destination groups as single modeled frames. The sender pays
 		// full per-frame CPU only for the first message to a destination;
@@ -547,11 +547,11 @@ func (s *shard) Route(m *core.Message) int32 {
 		// without the frame setup).
 		pend := e.pes[s.curPE].pending
 		cpu := link.SendCPU
-		if pend.Has(m.DstPE) {
+		if pend.has(m.DstPE) {
 			cpu /= 4
 		}
 		s.Charge(cpu)
-		pend.Add(m)
+		pend.add(m)
 		return dst
 	}
 	if s.inHandler {
@@ -847,9 +847,9 @@ func (s *shard) exec(ev event) {
 	ps.busyUntil = s.now + cost
 	ps.busyTotal += cost
 	ps.processed++
-	if ps.pending != nil && !ps.pending.Empty() {
+	if ps.pending != nil && !ps.pending.empty() {
 		// Bundled messages leave when the handler completes.
-		for _, group := range ps.pending.Drain() {
+		for _, group := range ps.pending.drain() {
 			b := core.MakeBundle(group)
 			s.transmit(b, e.topo.LinkBetween(int(b.SrcPE), int(b.DstPE)), ps.busyUntil, ps.id)
 		}

@@ -56,9 +56,9 @@ type AgentConfig struct {
 
 	// SpanFilter, when set, limits which trace events feed the span
 	// digests (return false to drop). Overlap profiling always sees every
-	// event. Embedders use it to keep infrastructure chatter (quiescence
-	// probes, stop messages) out of the span stream without this package
-	// importing the runtime's kind table.
+	// event. Embedders use it to keep infrastructure chatter (stop
+	// messages) out of the span stream without this package importing the
+	// runtime's kind table.
 	SpanFilter func(trace.Event) bool
 
 	// Now, when set, overrides the report clock (ns since Epoch) — the

@@ -1,7 +1,6 @@
 package vmi
 
 import (
-	"math/rand"
 	"sync"
 	"time"
 
@@ -280,29 +279,5 @@ func (d *DelayDevice) loop(a alarm) {
 			ready[i] = delayedFrame{}
 		}
 		ready = ready[:0]
-	}
-}
-
-// JitteredLatency wraps a latency function with seeded pseudo-random
-// jitter: each frame's delay is drawn uniformly from
-// [base·(1−frac), base·(1+frac)]. Zero base latencies stay zero, so
-// intra-cluster traffic is unaffected. The returned function is safe for
-// concurrent use and deterministic for a given seed and call sequence.
-func JitteredLatency(base func(src, dst int32) time.Duration, frac float64, seed int64) func(src, dst int32) time.Duration {
-	if frac < 0 {
-		frac = 0
-	}
-	var mu sync.Mutex
-	rng := rand.New(rand.NewSource(seed))
-	return func(src, dst int32) time.Duration {
-		b := base(src, dst)
-		if b <= 0 || frac == 0 {
-			return b
-		}
-		mu.Lock()
-		u := rng.Float64()
-		mu.Unlock()
-		scale := 1 - frac + 2*frac*u
-		return time.Duration(float64(b) * scale)
 	}
 }

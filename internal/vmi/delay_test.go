@@ -504,3 +504,16 @@ func TestDelayHeapOrder(t *testing.T) {
 		t.Fatalf("popped %d of %d frames", popped, tick)
 	}
 }
+
+func TestDelayDeviceHoldExplicit(t *testing.T) {
+	d := NewDelayDevice(func(int32, int32) time.Duration { return time.Hour })
+	defer d.Close()
+	var hit bool
+	// Hold with zero delay bypasses the (huge) configured latency.
+	if err := d.Hold(&Frame{}, func(*Frame) error { hit = true; return nil }, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !hit {
+		t.Error("zero-delay Hold did not deliver synchronously")
+	}
+}
