@@ -169,9 +169,12 @@ gate() {
 # through; the collector's /v1/cluster/metrics must aggregate the nodes'
 # worker counters to exactly 200, and some job's /v1/jobs/{id}/trace must
 # hold spans from at least two distinct processes (the gate's HTTP root
-# plus the backend that executed it). A second run checks the readiness
-# probe: /readyz answers 200 while serving and flips to 503 the moment a
-# SIGTERM drain starts.
+# plus the backend that executed it). The probe job's status, result and
+# event stream must report it done, and /v1/cluster/overlap must answer
+# JSON. A second run checks the probes of a node's -metrics server:
+# /healthz answers 200, -pprof serves /debug/pprof/cmdline, and /readyz
+# answers 200 while serving and flips to 503 the moment a SIGTERM drain
+# starts.
 telemetry() {
   ADDRS=127.0.0.1:9571,127.0.0.1:9572,127.0.0.1:9573,127.0.0.1:9574
   COMMON="-procs 8 -shards 2 -spin 20000 -addrs $ADDRS \
@@ -226,6 +229,12 @@ telemetry() {
     sleep 0.3
   done
   jq -e '.complete == true' trace.json
+  curl -sf "http://127.0.0.1:8086/v1/jobs/$ID" | jq -e '.state == "done"'
+  curl -sf "http://127.0.0.1:8086/v1/jobs/$ID/result" | jq -e '.value != null'
+  # A done job's event stream emits its state once and closes.
+  curl -sf --max-time 5 "http://127.0.0.1:8086/v1/jobs/$ID/events" > events.ndjson
+  tail -n 1 events.ndjson | jq -e '.state == "done"'
+  curl -sf "http://127.0.0.1:8086/v1/cluster/overlap" | jq -e 'has("steps")'
   CROSS=no
   for n in $(seq 1 200); do
     curl -s "http://127.0.0.1:8086/v1/jobs/j-$n/trace" > trace.json
@@ -243,7 +252,7 @@ telemetry() {
   ADDRS=127.0.0.1:9581,127.0.0.1:9582,127.0.0.1:9583
   COMMON="-app taskfarm -procs 6 -tasks 2000 -spin 2000000 -shards 2 \
     -membership -addrs $ADDRS"
-  $GRIDNODE -node 1 $COMMON -metrics 127.0.0.1:9681 &
+  $GRIDNODE -node 1 $COMMON -metrics 127.0.0.1:9681 -pprof &
   DRAINEE=$!
   $GRIDNODE -node 2 $COMMON &
   W2=$!
@@ -256,6 +265,8 @@ telemetry() {
     sleep 0.2
   done
   test "$code" = "200"
+  test "$(curl -s -o /dev/null -w '%{http_code}' http://127.0.0.1:9681/healthz)" = "200"
+  curl -sf http://127.0.0.1:9681/debug/pprof/cmdline | tr '\0' ' ' | grep gridnode > /dev/null
   kill -TERM $DRAINEE
   FLIPPED=no
   for i in $(seq 1 200); do

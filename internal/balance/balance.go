@@ -105,9 +105,6 @@ func assign(stats *core.LBStats, h *peHeap, elems []core.ElemLoad, moves []core.
 // (and so may schedule chares across the WAN).
 type Greedy struct{}
 
-// Name implements core.Strategy.
-func (Greedy) Name() string { return "greedy" }
-
 // Plan implements core.Strategy.
 func (Greedy) Plan(stats *core.LBStats) []core.Move {
 	h := make(peHeap, 0, stats.NumPE)
@@ -127,9 +124,6 @@ type Refine struct {
 	// means 0.05.
 	Tolerance float64
 }
-
-// Name implements core.Strategy.
-func (Refine) Name() string { return "refine" }
 
 // Plan implements core.Strategy.
 func (r Refine) Plan(stats *core.LBStats) []core.Move {
@@ -187,9 +181,6 @@ func (r Refine) Plan(stats *core.LBStats) []core.Move {
 // cluster's PEs first; the remaining chares are then placed greedily on
 // top. No chare ever changes cluster.
 type Grid struct{}
-
-// Name implements core.Strategy.
-func (Grid) Name() string { return "grid" }
 
 // Plan implements core.Strategy.
 func (Grid) Plan(stats *core.LBStats) []core.Move {

@@ -236,14 +236,6 @@ func TestGridNilTopo(t *testing.T) {
 	}
 }
 
-func TestStrategyNames(t *testing.T) {
-	for _, s := range []core.Strategy{Greedy{}, Refine{}, Grid{}} {
-		if s.Name() == "" {
-			t.Errorf("%T has empty name", s)
-		}
-	}
-}
-
 func TestGreedySpeedAware(t *testing.T) {
 	topo, err := topology.TwoClusters(4, 0)
 	if err != nil {

@@ -119,7 +119,7 @@ func buildMemberBench(cfg MembershipConfig, seed int64) (*memberCluster, error) 
 		b.Metrics(p.reg).Reliable(vmi.ReliableConfig{RTO: cfg.RTO, RTOMax: cfg.RTOMax})
 		if cfg.Drop > 0 {
 			p.fd = vmi.NewFaultDevice(seed*int64(n)+int64(i), vmi.FaultPlan{Drop: cfg.Drop})
-			b.Faults([]vmi.SendDevice{p.fd}, nil)
+			b.Faults(p.fd)
 		}
 	}
 	spec.Membership = func(i int, mc *core.MembershipConfig) {

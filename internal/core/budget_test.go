@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -254,7 +255,7 @@ func TestObservedMessageLifecycle(t *testing.T) {
 			t.Errorf("%s = %d, want %d", name, got, want)
 		}
 	}
-	if !snap.Has("core_idle_nanos_total") {
+	if !slices.ContainsFunc(snap.Series, func(s metrics.Sample) bool { return s.Name == "core_idle_nanos_total" }) {
 		t.Error("core_idle_nanos_total missing")
 	}
 }
@@ -287,7 +288,6 @@ func TestEnqueuedAtStampedOnlyWhenObserved(t *testing.T) {
 // loadProbe is an LB strategy that keeps the statistics it was shown.
 type loadProbe struct{ elems []ElemLoad }
 
-func (*loadProbe) Name() string { return "load-probe" }
 func (p *loadProbe) Plan(s *LBStats) []Move {
 	p.elems = append([]ElemLoad(nil), s.Elems...)
 	return nil

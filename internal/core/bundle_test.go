@@ -31,7 +31,7 @@ func TestBundleOverTCP(t *testing.T) {
 		{Kind: KindApp, To: ElemRef{0, 1}, SrcPE: 0, DstPE: 1, Data: "a", Bytes: 10},
 		{Kind: KindApp, To: ElemRef{0, 2}, SrcPE: 0, DstPE: 1, Data: "b", Bytes: 20},
 	})
-	enc, err := EncodeMessage(in)
+	enc, err := AppendMessage(nil, in)
 	if err != nil {
 		t.Fatal(err)
 	}

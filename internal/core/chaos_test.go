@@ -46,7 +46,7 @@ func coreChaosSeed(t *testing.T) int64 {
 // withFaults installs faults[node] below node's reliability layer,
 // inside its repair envelope.
 func withFaults(faults [2][]vmi.SendDevice) func(int, *vmi.ChainBuilder) {
-	return func(node int, b *vmi.ChainBuilder) { b.Faults(faults[node], nil) }
+	return func(node int, b *vmi.ChainBuilder) { b.Faults(faults[node]...) }
 }
 
 // runPair runs the pair (node 0 as coordinator) and returns node 0's
@@ -308,7 +308,6 @@ func TestChaosCorruptWireRepaired(t *testing.T) {
 // boundary (and, on TwoClusters(2), the WAN).
 type swapStrategy struct{}
 
-func (swapStrategy) Name() string { return "swap" }
 func (swapStrategy) Plan(stats *core.LBStats) []core.Move {
 	var moves []core.Move
 	for _, e := range stats.Elems {

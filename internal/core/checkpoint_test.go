@@ -199,14 +199,8 @@ func TestCtxAccessorsAndBroadcast(t *testing.T) {
 			New: func(i int) Chare {
 				return funcChare(func(ctx *Ctx, e EntryID, d any) {
 					n := hits.Add(1)
-					if ctx.NumPE() != 2 {
-						t.Errorf("NumPE = %d", ctx.NumPE())
-					}
-					if ctx.Topo() == nil {
-						t.Error("nil Topo")
-					}
-					if ctx.ArrayN(0) != 4 {
-						t.Errorf("ArrayN = %d", ctx.ArrayN(0))
+					if ctx.Elem() != (ElemRef{Array: 0, Index: i}) || d != "hello" {
+						t.Errorf("element %d got %v with %v", i, ctx.Elem(), d)
 					}
 					ctx.Charge(0) // no-op on the real-time runtime
 					if n == 4 {

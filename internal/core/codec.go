@@ -13,8 +13,8 @@ import (
 // TCP transport). In-process messages are never serialized — the paper's
 // intra-cluster fast path.
 //
-// A message is a fixed 49-byte header (magic, version, Kind, To, Entry,
-// Prio, SrcPE, DstPE, and the causal trace context ID/Parent)
+// A message is a fixed 45-byte header (magic, version, Kind, To, Entry,
+// SrcPE, DstPE, and the causal trace context ID/Parent)
 // followed by a payload: one tag byte, then the value. There is one
 // structured serializer. The primitive payloads (nil, int, int64,
 // float64, []float64, string, []byte, bool) and bundles, which encode
@@ -28,28 +28,28 @@ import (
 //
 //	off len field
 //	  0   2  magic 0x474D ("GM")
-//	  2   1  version (4)
+//	  2   1  version (5)
 //	  3   1  Kind
 //	  4   4  To.Array (int32)
 //	  8   8  To.Index (int64)
 //	 16   4  Entry (int32)
-//	 20   4  Prio (int32)
-//	 24   4  SrcPE (int32)
-//	 28   4  DstPE (int32)
-//	 32   8  ID (uint64, causal trace context)
-//	 40   8  Parent (uint64, causal trace context)
-//	 48   1  payload tag
-//	 49   …  payload (tag-specific)
+//	 20   4  SrcPE (int32)
+//	 24   4  DstPE (int32)
+//	 28   8  ID (uint64, causal trace context)
+//	 36   8  Parent (uint64, causal trace context)
+//	 44   1  payload tag
+//	 45   …  payload (tag-specific)
 //
 // Version 2 added the 16-byte trace context (ID, Parent) so causality
 // survives the TCP hop; version 3 made every structured payload a PUP
 // traversal; version 4 dropped the modeled size (Message.Bytes), which
-// only the sender's link model reads. Frames of other versions are
-// rejected.
+// only the sender's link model reads; version 5 dropped the priority
+// (Message.Prio), which only the simulator's WAN policy and the local
+// stop message set. Frames of other versions are rejected.
 const (
 	wireMagic    uint16 = 0x474D
-	wireVersion  byte   = 4
-	msgHeaderLen        = 49
+	wireVersion  byte   = 5
+	msgHeaderLen        = 45
 )
 
 // Payload tags. Tags 0–63 are reserved for the runtime; 64–255 belong to
@@ -167,11 +167,6 @@ func init() {
 	registerPayload[lbMsg](tagLB)
 }
 
-// EncodeMessage serializes a message for the TCP transport.
-func EncodeMessage(m *Message) ([]byte, error) {
-	return AppendMessage(nil, m)
-}
-
 // AppendMessage appends m's wire encoding to dst and returns the extended
 // slice. The transport path calls it with pooled buffers so steady-state
 // sends do not allocate.
@@ -181,7 +176,6 @@ func AppendMessage(dst []byte, m *Message) ([]byte, error) {
 	dst = binary.BigEndian.AppendUint32(dst, uint32(m.To.Array))
 	dst = binary.BigEndian.AppendUint64(dst, uint64(int64(m.To.Index)))
 	dst = binary.BigEndian.AppendUint32(dst, uint32(m.Entry))
-	dst = binary.BigEndian.AppendUint32(dst, uint32(m.Prio))
 	dst = binary.BigEndian.AppendUint32(dst, uint32(m.SrcPE))
 	dst = binary.BigEndian.AppendUint32(dst, uint32(m.DstPE))
 	dst = binary.BigEndian.AppendUint64(dst, m.ID)
@@ -193,7 +187,7 @@ func AppendMessage(dst []byte, m *Message) ([]byte, error) {
 	return dst, nil
 }
 
-// DecodeMessage reverses EncodeMessage. The input must contain exactly one
+// DecodeMessage reverses AppendMessage. The input must contain exactly one
 // message; nothing in the result aliases b, so callers may recycle it. The
 // message, and each message of a bundle, comes from NewMessage.
 func DecodeMessage(b []byte) (*Message, error) {
@@ -227,11 +221,10 @@ func decodeMessage(b []byte) (*Message, []byte, error) {
 		To:     ElemRef{Array: ArrayID(int32(binary.BigEndian.Uint32(b[4:]))), Index: int(int64(binary.BigEndian.Uint64(b[8:])))},
 		Entry:  EntryID(int32(binary.BigEndian.Uint32(b[16:]))),
 		Data:   data,
-		Prio:   int32(binary.BigEndian.Uint32(b[20:])),
-		SrcPE:  int32(binary.BigEndian.Uint32(b[24:])),
-		DstPE:  int32(binary.BigEndian.Uint32(b[28:])),
-		ID:     binary.BigEndian.Uint64(b[32:]),
-		Parent: binary.BigEndian.Uint64(b[40:]),
+		SrcPE:  int32(binary.BigEndian.Uint32(b[20:])),
+		DstPE:  int32(binary.BigEndian.Uint32(b[24:])),
+		ID:     binary.BigEndian.Uint64(b[28:]),
+		Parent: binary.BigEndian.Uint64(b[36:]),
 	}
 	return m, rest, nil
 }

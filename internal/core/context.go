@@ -25,9 +25,7 @@ type Backend interface {
 	// The simulator advances its PE clock by it; the real-time runtime
 	// records it for load statistics only.
 	Charge(d time.Duration)
-	// NumPE reports the machine size.
-	NumPE() int
-	// Topo exposes the machine topology.
+	// Topo exposes the machine topology; Send counts WAN crossings by it.
 	Topo() *topology.Topology
 	// ArrayN reports the declared element count of an array.
 	ArrayN(a ArrayID) int
@@ -89,7 +87,6 @@ func (retiredBackend) misuse() {
 func (r retiredBackend) Route(*Message) int32                                   { r.misuse(); return 0 }
 func (r retiredBackend) Now() time.Duration                                     { r.misuse(); return 0 }
 func (r retiredBackend) Charge(time.Duration)                                   { r.misuse() }
-func (r retiredBackend) NumPE() int                                             { r.misuse(); return 0 }
 func (r retiredBackend) Topo() *topology.Topology                               { r.misuse(); return nil }
 func (r retiredBackend) ArrayN(ArrayID) int                                     { r.misuse(); return 0 }
 func (r retiredBackend) ExitWith(any)                                           { r.misuse() }
@@ -98,14 +95,11 @@ func (r retiredBackend) AtSync(ElemRef, int)                                    
 func (r retiredBackend) Record(trace.Event)                                     { r.misuse() }
 
 // Send delivers data to entry of the element to, asynchronously.
-func (c *Ctx) Send(to ElemRef, entry EntryID, data any, opts ...SendOpt) {
+func (c *Ctx) Send(to ElemRef, entry EntryID, data any) {
 	m := NewMessage()
 	m.Kind, m.To, m.Entry, m.Data = KindApp, to, entry, data
 	m.Bytes = payloadBytes(data)
 	m.SrcPE = int32(c.pe)
-	for _, o := range opts {
-		o(m)
-	}
 	dst := c.b.Route(m)
 	if c.meta != nil {
 		c.meta.msgs++
@@ -118,17 +112,17 @@ func (c *Ctx) Send(to ElemRef, entry EntryID, data any, opts ...SendOpt) {
 // Multicast sends data to every member of a section. Each member receives
 // an independent message (the paper's LeanMD cells multicast coordinates
 // to their 26 dependent cell-pairs this way).
-func (c *Ctx) Multicast(sec *Section, entry EntryID, data any, opts ...SendOpt) {
+func (c *Ctx) Multicast(sec *Section, entry EntryID, data any) {
 	for _, ref := range sec.Members {
-		c.Send(ref, entry, data, opts...)
+		c.Send(ref, entry, data)
 	}
 }
 
 // Broadcast sends data to every element of an array.
-func (c *Ctx) Broadcast(a ArrayID, entry EntryID, data any, opts ...SendOpt) {
+func (c *Ctx) Broadcast(a ArrayID, entry EntryID, data any) {
 	n := c.b.ArrayN(a)
 	for i := 0; i < n; i++ {
-		c.Send(ElemRef{Array: a, Index: i}, entry, data, opts...)
+		c.Send(ElemRef{Array: a, Index: i}, entry, data)
 	}
 }
 
@@ -165,17 +159,8 @@ func (c *Ctx) Time() time.Duration { return c.b.Now() }
 // PE reports the PE this handler is executing on.
 func (c *Ctx) PE() int { return c.pe }
 
-// NumPE reports the machine size.
-func (c *Ctx) NumPE() int { return c.b.NumPE() }
-
-// Topo exposes the machine topology (cluster layout, latencies).
-func (c *Ctx) Topo() *topology.Topology { return c.b.Topo() }
-
 // Elem reports the element this handler runs on, or NoElem.
 func (c *Ctx) Elem() ElemRef { return c.elem }
-
-// ArrayN reports the element count of array a.
-func (c *Ctx) ArrayN(a ArrayID) int { return c.b.ArrayN(a) }
 
 // ExitWith ends the run with result v.
 func (c *Ctx) ExitWith(v any) { c.b.ExitWith(v) }

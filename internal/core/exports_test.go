@@ -63,9 +63,6 @@ func parseModule(t *testing.T, fset *token.FileSet, dir string) []goFile {
 // are the package path under internal/, then the receiver type for a
 // method, then the name.
 var exportAllowlist = map[string]string{
-	"core.WithPrio":          "Ctx.Send's message-priority option; the executor conformance tests order messages with it",
-	"core.WithBytes":         "Ctx.Send's modeled-size option; the executor conformance tests size messages with it",
-	"core.EncodeMessage":     "the codec's encode half; wire tests in other packages use it, which an export_test.go cannot serve",
 	"core.AppendMemberTable": "the membership table's wire encoder, which the membership fuzzers drive",
 	"core.DecodeMemberTable": "the membership table's wire decoder, which the membership fuzzers drive",
 

@@ -72,7 +72,7 @@ func TestTransportFailureSurfaces(t *testing.T) {
 			rel:  fast,
 			mod: func(node int, b *vmi.ChainBuilder) {
 				if node == 1 {
-					b.Faults([]vmi.SendDevice{vmi.NewFaultDevice(424242, vmi.FaultPlan{Corrupt: 1})}, nil)
+					b.Faults(vmi.NewFaultDevice(424242, vmi.FaultPlan{Corrupt: 1}))
 				}
 			},
 		},

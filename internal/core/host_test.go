@@ -26,7 +26,6 @@ func newStubBackend(t *testing.T) *stubBackend {
 func (s *stubBackend) Route(m *Message) int32                                 { s.sent = append(s.sent, m); return m.DstPE }
 func (s *stubBackend) Now() time.Duration                                     { return 0 }
 func (s *stubBackend) Charge(time.Duration)                                   {}
-func (s *stubBackend) NumPE() int                                             { return s.topo.NumPE() }
 func (s *stubBackend) Topo() *topology.Topology                               { return s.topo }
 func (s *stubBackend) ArrayN(ArrayID) int                                     { return 4 }
 func (s *stubBackend) ExitWith(any)                                           {}

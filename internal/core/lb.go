@@ -61,7 +61,6 @@ type Move struct {
 // Strategy plans migrations. Implementations must be deterministic
 // functions of their input.
 type Strategy interface {
-	Name() string
 	Plan(stats *LBStats) []Move
 }
 

@@ -215,7 +215,6 @@ func TestLBAuditRejectsNonMigratable(t *testing.T) {
 // bogusStrategy plans only invalid or no-op moves.
 type bogusStrategy struct{}
 
-func (bogusStrategy) Name() string { return "bogus" }
 func (bogusStrategy) Plan(s *LBStats) []Move {
 	var out []Move
 	for _, e := range s.Elems {
@@ -255,7 +254,7 @@ func TestLBMsgWireRoundTrip(t *testing.T) {
 	}
 	for _, in := range msgs {
 		m := &Message{Kind: KindLB, SrcPE: 1, DstPE: 0, Bytes: in.PayloadBytes(), Data: in}
-		wire, err := EncodeMessage(m)
+		wire, err := AppendMessage(nil, m)
 		if err != nil {
 			t.Fatalf("phase %d: %v", in.Phase, err)
 		}

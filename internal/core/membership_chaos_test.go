@@ -107,7 +107,7 @@ func buildMemberCluster(t *testing.T, s memberSetup) *memberHarness {
 	spec.Builder = func(i int, b *vmi.ChainBuilder) {
 		b.Metrics(h.nodes[i].reg).Reliable(s.relCfg(i))
 		if s.faults != nil {
-			b.Faults(s.faults(i), nil)
+			b.Faults(s.faults(i)...)
 		}
 	}
 	spec.Membership = func(i int, mc *core.MembershipConfig) {

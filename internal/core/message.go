@@ -32,7 +32,9 @@ type Message struct {
 	Data  any
 
 	// Prio orders delivery: smaller values are delivered first; equal
-	// values are FIFO. Application default is 0.
+	// values are FIFO. Sends leave it 0; only the simulator's WAN policy
+	// and the runtime's local stop message set it, so it is not carried
+	// on the wire: a message decoded from a frame reads 0.
 	Prio int32
 
 	// Bytes is the modeled payload size used by the link model. It is
@@ -91,15 +93,6 @@ func ReleaseMessage(m *Message) {
 func (m *Message) String() string {
 	return fmt.Sprintf("msg{kind=%d %v e%d prio=%d %d->%d}", m.Kind, m.To, m.Entry, m.Prio, m.SrcPE, m.DstPE)
 }
-
-// SendOpt customizes a single send.
-type SendOpt func(*Message)
-
-// WithPrio sets the delivery priority (smaller = sooner).
-func WithPrio(p int32) SendOpt { return func(m *Message) { m.Prio = p } }
-
-// WithBytes overrides the modeled payload size.
-func WithBytes(n int) SendOpt { return func(m *Message) { m.Bytes = n } }
 
 // payloadBytes models the wire size of a payload.
 func payloadBytes(data any) int {

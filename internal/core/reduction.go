@@ -5,8 +5,8 @@ import "fmt"
 // ReduceOp selects how reduction contributions are combined.
 type ReduceOp uint8
 
-// Built-in reduction operations. They apply to float64, int64, int, and
-// element-wise to []float64.
+// Built-in reduction operations. They apply to float64 and element-wise to
+// []float64.
 const (
 	OpSum ReduceOp = iota
 	OpMax
@@ -33,12 +33,6 @@ func Combine(op ReduceOp, a, b any) any {
 	case float64:
 		bv := b.(float64)
 		return combineF64(op, av, bv)
-	case int64:
-		bv := b.(int64)
-		return combineI64(op, av, bv)
-	case int:
-		bv := b.(int)
-		return int(combineI64(op, int64(av), int64(bv)))
 	case []float64:
 		bv := b.([]float64)
 		if len(av) != len(bv) {
@@ -54,24 +48,6 @@ func Combine(op ReduceOp, a, b any) any {
 }
 
 func combineF64(op ReduceOp, a, b float64) float64 {
-	switch op {
-	case OpSum:
-		return a + b
-	case OpMax:
-		if a > b {
-			return a
-		}
-		return b
-	case OpMin:
-		if a < b {
-			return a
-		}
-		return b
-	}
-	panic(fmt.Sprintf("core: unknown reduction op %d", op))
-}
-
-func combineI64(op ReduceOp, a, b int64) int64 {
 	switch op {
 	case OpSum:
 		return a + b

@@ -431,9 +431,6 @@ func (rt *Runtime) SetEpoch(t time.Time) { rt.start = t }
 // time directly, so modeled charges are a no-op here.
 func (rt *Runtime) Charge(time.Duration) {}
 
-// NumPE implements Backend.
-func (rt *Runtime) NumPE() int { return rt.topo.NumPE() }
-
 // Topo implements Backend.
 func (rt *Runtime) Topo() *topology.Topology { return rt.topo }
 

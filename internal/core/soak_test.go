@@ -9,8 +9,14 @@ import (
 	"gridmdo/internal/topology"
 )
 
+// soakHop is the soak's payload: the hops left, and the modeled size the
+// link charges for it.
+type soakHop struct{ hops, size int }
+
+func (h soakHop) PayloadBytes() int { return h.size }
+
 // TestSoakRandomTraffic pushes a few thousand randomly-routed,
-// randomly-prioritized, randomly-sized messages across a two-cluster
+// randomly-sized messages across a two-cluster
 // machine with a WAN delay, and checks that every message is delivered
 // exactly once: the last delivery ends the run, and after Run returns
 // every routed message has been processed.
@@ -40,19 +46,17 @@ func TestSoakRandomTraffic(t *testing.T) {
 					if delivered.Add(1) == want {
 						ctx.Exit()
 					}
-					hops := data.(int)
+					hops := data.(soakHop).hops
 					if hops <= 0 {
 						return
 					}
-					ctx.Send(ElemRef{0, rng.Intn(elems)}, 0, hops-1,
-						WithPrio(int32(rng.Intn(5)-2)),
-						WithBytes(rng.Intn(2048)))
+					ctx.Send(ElemRef{0, rng.Intn(elems)}, 0, soakHop{hops - 1, rng.Intn(2048)})
 				})
 			},
 		}},
 		Start: func(ctx *Ctx) {
 			for s := 0; s < seeds; s++ {
-				ctx.Send(ElemRef{0, s % elems}, 0, hopsEach)
+				ctx.Send(ElemRef{0, s % elems}, 0, soakHop{hopsEach, DefaultPayloadBytes})
 			}
 		},
 	}

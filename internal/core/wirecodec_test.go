@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -38,7 +39,7 @@ func TestWireCodecPayloadKinds(t *testing.T) {
 				Prio: -5, Bytes: 4096, SrcPE: 11, DstPE: 13, Data: tc.data,
 				ID: uint64(1)<<48 | 99, Parent: uint64(1)<<48 | 42,
 			}
-			b, err := EncodeMessage(in)
+			b, err := AppendMessage(nil, in)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -47,11 +48,11 @@ func TestWireCodecPayloadKinds(t *testing.T) {
 				t.Fatal(err)
 			}
 			if out.Kind != in.Kind || out.To != in.To || out.Entry != in.Entry ||
-				out.Prio != in.Prio || out.SrcPE != in.SrcPE || out.DstPE != in.DstPE {
+				out.SrcPE != in.SrcPE || out.DstPE != in.DstPE {
 				t.Errorf("header mismatch: %+v", out)
 			}
-			if out.Bytes != 0 {
-				t.Errorf("modeled size %d crossed the wire", out.Bytes)
+			if out.Bytes != 0 || out.Prio != 0 {
+				t.Errorf("modeled size %d or priority %d crossed the wire", out.Bytes, out.Prio)
 			}
 			if out.ID != in.ID || out.Parent != in.Parent {
 				t.Errorf("trace context lost: ID %#x Parent %#x", out.ID, out.Parent)
@@ -71,7 +72,7 @@ func TestWireCodecBundleRecursion(t *testing.T) {
 		{Kind: KindApp, To: ElemRef{0, 2}, Entry: 3, SrcPE: 0, DstPE: 1, Data: "hello", Bytes: 5},
 		{Kind: KindApp, To: ElemRef{0, 3}, Entry: 4, SrcPE: 0, DstPE: 1, Data: nil, Bytes: 0},
 	})
-	b, err := EncodeMessage(in)
+	b, err := AppendMessage(nil, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +96,7 @@ func TestWireCodecBundleRecursion(t *testing.T) {
 // fresh copies, because the transport recycles the input buffer.
 func TestWireCodecDecodeDoesNotAlias(t *testing.T) {
 	in := &Message{Kind: KindApp, Data: []byte("aliased?"), Bytes: 8}
-	b, err := EncodeMessage(in)
+	b, err := AppendMessage(nil, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,10 +113,10 @@ func TestWireCodecDecodeDoesNotAlias(t *testing.T) {
 }
 
 // TestWireCodecAppendMessage: AppendMessage must extend dst in place
-// (given capacity) and produce the same bytes as EncodeMessage.
+// (given capacity) and append the same bytes it writes into a nil slice.
 func TestWireCodecAppendMessage(t *testing.T) {
 	m := &Message{Kind: KindReduce, Data: ReducePartial{Array: 1, Seq: 5, Op: OpMin, Value: int64(8), Contribs: 2}}
-	plain, err := EncodeMessage(m)
+	plain, err := AppendMessage(nil, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +129,7 @@ func TestWireCodecAppendMessage(t *testing.T) {
 		t.Error("AppendMessage reallocated despite sufficient capacity")
 	}
 	if !bytes.Equal(appended, plain) {
-		t.Error("AppendMessage and EncodeMessage disagree")
+		t.Error("AppendMessage into a buffer and into nil disagree")
 	}
 }
 
@@ -183,7 +184,7 @@ func init() { RegisterPayload[appPayload](200) }
 // twice and a type registered twice all panic at registration.
 func TestRegisterPayload(t *testing.T) {
 	in := &Message{Kind: KindApp, Data: appPayload{N: 77, Vals: []float64{1.5, -2}}}
-	b, err := EncodeMessage(in)
+	b, err := AppendMessage(nil, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +212,7 @@ func TestRegisterPayload(t *testing.T) {
 	}
 	mustPanic("tag 200 a second time", func() { RegisterPayload[unregisteredPayload](200) })
 	mustPanic("appPayload a second time", func() { RegisterPayload[appPayload](250) })
-	if _, err := EncodeMessage(&Message{Data: unregisteredPayload{}}); err == nil {
+	if _, err := AppendMessage(nil, &Message{Data: unregisteredPayload{}}); err == nil {
 		t.Error("a refused registration still took effect")
 	}
 }
@@ -230,15 +231,15 @@ func FuzzTraceWire(f *testing.F) {
 			Kind: KindApp, To: ElemRef{Array: 1, Index: 2}, SrcPE: 3, DstPE: 4,
 			ID: id, Parent: parent, Data: "x",
 		}
-		enc, err := EncodeMessage(in)
+		enc, err := AppendMessage(nil, in)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := binary.BigEndian.Uint64(enc[32:]); got != id {
-			t.Fatalf("ID not at offset 32: got %#x, want %#x", got, id)
+		if got := binary.BigEndian.Uint64(enc[28:]); got != id {
+			t.Fatalf("ID not at offset 28: got %#x, want %#x", got, id)
 		}
-		if got := binary.BigEndian.Uint64(enc[40:]); got != parent {
-			t.Fatalf("Parent not at offset 40: got %#x, want %#x", got, parent)
+		if got := binary.BigEndian.Uint64(enc[36:]); got != parent {
+			t.Fatalf("Parent not at offset 36: got %#x, want %#x", got, parent)
 		}
 		out, err := DecodeMessage(enc)
 		if err != nil {
@@ -248,7 +249,7 @@ func FuzzTraceWire(f *testing.F) {
 			t.Fatalf("trace context mismatch: ID %#x want %#x, Parent %#x want %#x",
 				out.ID, id, out.Parent, parent)
 		}
-		enc2, err := EncodeMessage(out)
+		enc2, err := AppendMessage(nil, out)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -262,4 +263,26 @@ func FuzzTraceWire(f *testing.F) {
 			t.Fatal("version-1 frame accepted")
 		}
 	})
+}
+
+// TestWireRefusesVersion4: a version-4 message, whose 49-byte header still
+// carried a 4-byte priority after Entry, is refused rather than misparsed.
+func TestWireRefusesVersion4(t *testing.T) {
+	v4 := binary.BigEndian.AppendUint16(nil, wireMagic)
+	v4 = append(v4, 4, byte(KindApp))
+	v4 = binary.BigEndian.AppendUint32(v4, 1)       // To.Array
+	v4 = binary.BigEndian.AppendUint64(v4, 2)       // To.Index
+	v4 = binary.BigEndian.AppendUint32(v4, 3)       // Entry
+	v4 = binary.BigEndian.AppendUint32(v4, 0)       // Prio
+	v4 = binary.BigEndian.AppendUint32(v4, 0)       // SrcPE
+	v4 = binary.BigEndian.AppendUint32(v4, 1)       // DstPE
+	v4 = binary.BigEndian.AppendUint64(v4, 1<<48|7) // ID
+	v4 = binary.BigEndian.AppendUint64(v4, 1<<48|6) // Parent
+	v4 = append(v4, tagNil)
+	if len(v4) != 49 {
+		t.Fatalf("version-4 message is %d bytes, want 49", len(v4))
+	}
+	if m, err := DecodeMessage(v4); !errors.Is(err, ErrBadWire) {
+		t.Fatalf("version-4 message: got %v, %v; want ErrBadWire", m, err)
+	}
 }

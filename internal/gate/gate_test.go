@@ -425,7 +425,7 @@ func TestIdemTableTTL(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		tab.insert("t", fmt.Sprintf("k%d", i), "j", now.Add(time.Duration(i)*2*time.Minute))
 	}
-	if n := tab.len(); n > 20 {
+	if n := len(tab.entries); n > 20 {
 		t.Errorf("idem table retained %d entries across expiring churn", n)
 	}
 }

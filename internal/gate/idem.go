@@ -61,7 +61,3 @@ func (t *idemTable) insert(tenant, key, jobID string, now time.Time) {
 		t.sweep = t.sweep[1:]
 	}
 }
-
-// len reports the live entry count (expired entries still awaiting
-// sweep included).
-func (t *idemTable) len() int { return len(t.entries) }

@@ -380,7 +380,7 @@ func TestCoordForceMsgWire(t *testing.T) {
 		coordMsg{From: 0, Step: 0},
 		forceMsg{Step: 12, F: vecs, U: -1.75},
 	} {
-		enc, err := core.EncodeMessage(&core.Message{Kind: core.KindApp, Data: in})
+		enc, err := core.AppendMessage(nil, &core.Message{Kind: core.KindApp, Data: in})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -56,16 +56,6 @@ func (s Snapshot) Value(name string) int64 {
 	return v
 }
 
-// Has reports whether any series named name exists.
-func (s Snapshot) Has(name string) bool {
-	for _, smp := range s.Series {
-		if smp.Name == name {
-			return true
-		}
-	}
-	return false
-}
-
 // Sub returns the delta snapshot s − prev: each series' counters (and
 // histogram counts, sums, and buckets) minus the matching series in
 // prev. Series absent from prev pass through unchanged; series present
@@ -230,17 +220,6 @@ func (s Snapshot) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(s)
-}
-
-// WriteProm writes the registry in the Prometheus text exposition format
-// (version 0.0.4). Nil-safe. Equivalent to r.Snapshot().WriteProm(w);
-// both renderings share one implementation so a filtered or delta
-// snapshot serializes exactly like the live registry.
-func (r *Registry) WriteProm(w io.Writer) error {
-	if r == nil {
-		return nil
-	}
-	return r.Snapshot().WriteProm(w)
 }
 
 // WriteProm writes the snapshot in the Prometheus text exposition format

@@ -51,7 +51,7 @@ func TestSnapshotSubOneSidedSeries(t *testing.T) {
 		mkSample("fresh_total", "", "counter", 2),
 	}}
 	d := cur.Sub(prev)
-	if d.Has("gone_total") {
+	if hasSeries(d, "gone_total") {
 		t.Error("series only in prev survived Sub")
 	}
 	if got := d.Value("fresh_total"); got != 2 {

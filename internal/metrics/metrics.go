@@ -103,13 +103,6 @@ func (g *Gauge) Set(v int64) {
 	}
 }
 
-// Add adjusts the gauge by delta (negative to decrease). Nil-safe.
-func (g *Gauge) Add(delta int64) {
-	if g != nil {
-		g.v.Add(delta)
-	}
-}
-
 // SetMax raises the gauge to v if v exceeds the current value — a
 // high-water mark. Nil-safe.
 func (g *Gauge) SetMax(v int64) {

@@ -73,7 +73,7 @@ func (c *confChare) Recv(ctx *core.Ctx, entry core.EntryID, data any) {
 		Hops: t.Hops - 1,
 		Rng:  t.Rng*6364136223846793005 + 1442695040888963407,
 		Val:  t.Val * 0.99,
-	}, core.WithPrio(int32(t.Rng%3-1)))
+	})
 }
 
 // buildConformance creates the program for a seed. Token death counts per

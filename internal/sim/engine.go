@@ -605,9 +605,6 @@ func (s *shard) Charge(d time.Duration) {
 	}
 }
 
-// NumPE implements core.Backend.
-func (s *shard) NumPE() int { return s.eng.topo.NumPE() }
-
 // Topo implements core.Backend.
 func (s *shard) Topo() *topology.Topology { return s.eng.topo }
 

@@ -11,6 +11,12 @@ import (
 
 type funcChare func(ctx *core.Ctx, entry core.EntryID, data any)
 
+// sized is a test payload with a modeled wire size: n is whatever the
+// test counts (hops left), bytes what the link model charges for it.
+type sized struct{ n, bytes int }
+
+func (s sized) PayloadBytes() int { return s.bytes }
+
 func (f funcChare) Recv(ctx *core.Ctx, entry core.EntryID, data any) { f(ctx, entry, data) }
 
 // PUP implements core.Migratable with no state, so LB tests can migrate
@@ -216,7 +222,7 @@ func TestBandwidthModel(t *testing.T) {
 			},
 		}},
 		Start: func(ctx *core.Ctx) {
-			ctx.Send(core.ElemRef{Array: 0, Index: 1}, 0, nil, core.WithBytes(1_000_000))
+			ctx.Send(core.ElemRef{Array: 0, Index: 1}, 0, sized{0, 1_000_000})
 		},
 	}
 	e, err := New(topo, prog, Options{})
@@ -246,7 +252,7 @@ func TestDeterminism(t *testing.T) {
 							return
 						}
 						i := ctx.Elem().Index
-						ctx.Send(core.ElemRef{Array: 0, Index: (i*7 + 3) % 16}, 0, n-1, core.WithPrio(int32(i%3-1)))
+						ctx.Send(core.ElemRef{Array: 0, Index: (i*7 + 3) % 16}, 0, n-1)
 						ctx.Send(core.ElemRef{Array: 0, Index: (i*5 + 1) % 16}, 0, 0)
 					})
 				},
@@ -259,8 +265,10 @@ func TestDeterminism(t *testing.T) {
 		}
 	}
 	run := func() (time.Duration, Stats) {
+		// The WAN policy puts cross-cluster sends in the priority lane,
+		// so the determinism check covers both lanes of every PE queue.
 		topo := cleanTopo(t, 8, 3*time.Millisecond)
-		e, err := New(topo, build(), Options{})
+		e, err := New(topo, build(), Options{PrioritizeWAN: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -398,7 +406,6 @@ func TestEventBudgetGuard(t *testing.T) {
 // moveAllTo mirrors the core test strategy.
 type moveAllTo int
 
-func (moveAllTo) Name() string { return "move-all" }
 func (m moveAllTo) Plan(s *core.LBStats) []core.Move {
 	var out []core.Move
 	for _, el := range s.Elems {

@@ -39,18 +39,17 @@ func TestEngineInvariantsProperty(t *testing.T) {
 					New: func(i int) core.Chare {
 						r := rand.New(rand.NewSource(seed ^ int64(i)))
 						return funcChare(func(ctx *core.Ctx, e core.EntryID, d any) {
-							h := d.(int)
+							h := d.(sized).n
 							ctx.Charge(time.Duration(r.Intn(500)) * time.Microsecond)
 							if h > 0 {
-								ctx.Send(core.ElemRef{Array: 0, Index: r.Intn(n)}, 0, h-1,
-									core.WithBytes(r.Intn(4096)))
+								ctx.Send(core.ElemRef{Array: 0, Index: r.Intn(n)}, 0, sized{h - 1, r.Intn(4096)})
 							}
 						})
 					},
 				}},
 				Start: func(ctx *core.Ctx) {
 					for i := 0; i < pes; i++ {
-						ctx.Send(core.ElemRef{Array: 0, Index: i % n}, 0, hops)
+						ctx.Send(core.ElemRef{Array: 0, Index: i % n}, 0, sized{hops, core.DefaultPayloadBytes})
 					}
 				},
 			}

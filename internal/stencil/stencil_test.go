@@ -161,6 +161,12 @@ func TestSimMatchesSequentialBitwise(t *testing.T) {
 	}
 }
 
+// kickBytes is a kick payload with a modeled wire size; EntryKick ignores
+// its data, so only the link model reads it.
+type kickBytes int
+
+func (k kickBytes) PayloadBytes() int { return int(k) }
+
 // TestGhostsBeforeKick delivers a block both neighbours' step-0 ghosts
 // before its own kick — the order that stopped two-node runs about once in
 // 600 when the kicks crossed to the other node frame by frame. In virtual
@@ -181,7 +187,7 @@ func TestGhostsBeforeKick(t *testing.T) {
 	prog.Start = func(ctx *core.Ctx) {
 		ctx.Send(core.ElemRef{Array: 0, Index: 0}, EntryKick, nil)
 		ctx.Send(core.ElemRef{Array: 0, Index: 2}, EntryKick, nil)
-		ctx.Send(core.ElemRef{Array: 0, Index: 1}, EntryKick, nil, core.WithBytes(1<<30))
+		ctx.Send(core.ElemRef{Array: 0, Index: 1}, EntryKick, kickBytes(1<<30))
 	}
 	topo, err := topology.Single(2)
 	if err != nil {
@@ -334,7 +340,7 @@ func TestGhostMsgWire(t *testing.T) {
 	for i := range in.Vals {
 		in.Vals[i] = math.Sqrt(float64(i))
 	}
-	enc, err := core.EncodeMessage(&core.Message{Kind: core.KindApp, Data: in})
+	enc, err := core.AppendMessage(nil, &core.Message{Kind: core.KindApp, Data: in})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +351,7 @@ func TestGhostMsgWire(t *testing.T) {
 	if !reflect.DeepEqual(out.Data, in) {
 		t.Errorf("ghost came back as %#v", out.Data)
 	}
-	bare, err := core.EncodeMessage(&core.Message{Kind: core.KindApp, Data: in.Vals})
+	bare, err := core.AppendMessage(nil, &core.Message{Kind: core.KindApp, Data: in.Vals})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -316,7 +316,7 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			in := &core.Message{Kind: core.KindApp, To: core.ElemRef{Array: ArrayShard, Index: 1}, Data: tc.data}
-			b, err := core.EncodeMessage(in)
+			b, err := core.AppendMessage(nil, in)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -400,7 +400,7 @@ func TestBatchCodecHugeCountRejected(t *testing.T) {
 		{"report-perw", shardReportMsg{Shard: 1}, 6},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			b, err := core.EncodeMessage(&core.Message{Kind: core.KindApp, Data: tc.data})
+			b, err := core.AppendMessage(nil, &core.Message{Kind: core.KindApp, Data: tc.data})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -430,7 +430,7 @@ func TestBatchCodecWireSize(t *testing.T) {
 		{resultBatchMsg{Worker: 7, Done: 64, Sum: 17.25, Check: 0xDEADBEEF, bytes: 64 * 64}, 80},
 		{progressMsg{Shard: 3, Done: 64, Sum: 17.25, Check: 0xDEADBEEF}, 78},
 	} {
-		b, err := core.EncodeMessage(&core.Message{Kind: core.KindApp, Data: tc.data})
+		b, err := core.AppendMessage(nil, &core.Message{Kind: core.KindApp, Data: tc.data})
 		if err != nil {
 			t.Fatal(err)
 		}

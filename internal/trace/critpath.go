@@ -34,10 +34,6 @@ type Hop struct {
 	Compute time.Duration // begin → end
 }
 
-// Exposed is the flight time the destination PE sat idle under — the
-// comm-wait this hop contributes to the path.
-func (h Hop) Exposed() time.Duration { return h.Flight - h.Masked }
-
 // CritPath is the chain of hops bounding the traced run, root first.
 type CritPath struct {
 	Hops    []Hop

@@ -225,24 +225,6 @@ func (t *Tracer) Events() []Event {
 	return all
 }
 
-// Len reports the total number of retained events (at most capacity per
-// PE; see Dropped for overwritten history).
-func (t *Tracer) Len() int {
-	if t == nil {
-		return 0
-	}
-	n := uint64(0)
-	for i := range t.shards {
-		s := &t.shards[i]
-		p := s.pos.Load()
-		if c := uint64(len(s.buf)); p > c {
-			p = c
-		}
-		n += p
-	}
-	return int(n)
-}
-
 // Dropped reports how many events were overwritten by ring wrap-around
 // across all PEs. Nonzero Dropped means timelines and critical paths are
 // missing their oldest history.
@@ -258,14 +240,6 @@ func (t *Tracer) Dropped() uint64 {
 		}
 	}
 	return d
-}
-
-// NumPE reports the number of PE shards the tracer was built with.
-func (t *Tracer) NumPE() int {
-	if t == nil {
-		return 0
-	}
-	return len(t.shards)
 }
 
 // Cursor reads a tracer incrementally: each ReadNew call returns the

@@ -255,7 +255,7 @@ func TestSweepCost(t *testing.T) {
 // and comes back as a haloMsg value.
 func TestHaloMsgWire(t *testing.T) {
 	in := haloMsg{From: 5, Step: 9, Vals: []float64{1.5, -2, math.MaxFloat64}}
-	enc, err := core.EncodeMessage(&core.Message{Kind: core.KindApp, Data: in})
+	enc, err := core.AppendMessage(nil, &core.Message{Kind: core.KindApp, Data: in})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,7 @@ import (
 func TestChainOrder(t *testing.T) {
 	var order []string
 	mk := func(name string) SendDevice {
-		return SendDeviceFunc{DeviceName: name, Fn: func(f *Frame, next SendFunc) error {
+		return funcDevice{name: name, fn: func(f *Frame, next SendFunc) error {
 			order = append(order, name)
 			return next(f)
 		}}
@@ -35,29 +35,29 @@ func TestChainNilTerminalErrors(t *testing.T) {
 	if err := chain(&Frame{}); err == nil {
 		t.Error("nil-terminal chain delivered silently")
 	}
-	rchain := BuildRecvChain(nil)
-	if err := rchain(&Frame{}); err == nil {
-		t.Error("nil-terminal recv chain delivered silently")
-	}
 }
+
+// funcDevice adapts a function to SendDevice.
+type funcDevice struct {
+	name string
+	fn   func(f *Frame, next SendFunc) error
+}
+
+func (d funcDevice) Name() string                       { return d.name }
+func (d funcDevice) Send(f *Frame, next SendFunc) error { return d.fn(f, next) }
 
 func TestDeviceFuncAdaptersAndNames(t *testing.T) {
 	var hits int
-	sd := SendDeviceFunc{DeviceName: "s", Fn: func(f *Frame, next SendFunc) error { hits++; return next(f) }}
-	rd := RecvDeviceFunc{DeviceName: "r", Fn: func(f *Frame, next RecvFunc) error { hits++; return next(f) }}
-	if sd.Name() != "s" || rd.Name() != "r" {
-		t.Error("adapter names wrong")
+	sd := funcDevice{name: "s", fn: func(f *Frame, next SendFunc) error { hits++; return next(f) }}
+	if sd.Name() != "s" {
+		t.Error("adapter name wrong")
 	}
 	send := BuildSendChain(func(*Frame) error { return nil }, sd)
-	recv := BuildRecvChain(func(*Frame) error { return nil }, rd)
 	if err := send(&Frame{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := recv(&Frame{}); err != nil {
-		t.Fatal(err)
-	}
-	if hits != 2 {
-		t.Errorf("adapters hit %d times", hits)
+	if hits != 1 {
+		t.Errorf("adapter hit %d times", hits)
 	}
 	// Exercise device names used in diagnostics.
 	d := NewDelayDevice(func(int32, int32) time.Duration { return 0 })

@@ -12,10 +12,11 @@ import (
 // declarative description:
 //
 //	runtime → Reliable → faults → TCP ⇢ socket
-//	runtime ← Reliable ← faults ← TCP ⇠ socket
+//	runtime ← Reliable ← TCP ⇠ socket
 //
-// Fault devices sit below the reliability layer, inside its repair
-// envelope, exactly as the chaos harness requires.
+// Fault devices are send-side and sit below the reliability layer, inside
+// its repair envelope, exactly as the chaos harness requires. A link
+// lossy in both directions is a fault device on each end.
 //
 // The builder is also the one place per-device metrics attach: with a
 // registry configured, every device in the chain is wrapped with
@@ -34,8 +35,7 @@ type ChainBuilder struct {
 	reg          *metrics.Registry
 	relCfg       ReliableConfig
 	relSet       bool
-	faultSend    []SendDevice
-	faultRecv    []RecvDevice
+	faults       []SendDevice
 	dialAttempts int
 	onControl    func(*Frame)
 	err          error
@@ -74,12 +74,10 @@ func (b *ChainBuilder) Reliable(cfg ReliableConfig) *ChainBuilder {
 	return b
 }
 
-// Faults appends fault-injection devices below the reliability layer.
-// Symmetric devices (FaultDevice, PartitionDevice) usually appear on one
-// side only: a send-side fault models an outbound-lossy link.
-func (b *ChainBuilder) Faults(send []SendDevice, recv []RecvDevice) *ChainBuilder {
-	b.faultSend = append(b.faultSend, send...)
-	b.faultRecv = append(b.faultRecv, recv...)
+// Faults appends send-side fault-injection devices below the reliability
+// layer; devs[0] sees a frame first.
+func (b *ChainBuilder) Faults(devs ...SendDevice) *ChainBuilder {
+	b.faults = append(b.faults, devs...)
 	return b
 }
 
@@ -109,45 +107,36 @@ func (b *ChainBuilder) instrumentSend(d SendDevice, pos int) SendDevice {
 	if b.reg == nil {
 		return d
 	}
-	labels := b.deviceLabels(d.Name(), "send", pos)
+	labels := b.deviceLabels(d.Name(), pos)
 	if in, ok := d.(Instrumentable); ok {
-		in.Instrument(b.reg, b.deviceLabels(d.Name(), "send", pos)[:2]...)
+		in.Instrument(b.reg, labels[:2]...)
 	}
-	frames := b.reg.Counter("vmi_device_frames_total", labels...)
-	bytes := b.reg.Counter("vmi_device_bytes_total", labels...)
-	return SendDeviceFunc{DeviceName: d.Name(), Fn: func(f *Frame, next SendFunc) error {
-		frames.Inc()
-		bytes.Add(int64(len(f.Body)))
-		return d.Send(f, next)
-	}}
+	return countedDevice{d,
+		b.reg.Counter("vmi_device_frames_total", labels...),
+		b.reg.Counter("vmi_device_bytes_total", labels...)}
 }
 
-// instrumentRecv mirrors instrumentSend for receive stages.
-func (b *ChainBuilder) instrumentRecv(d RecvDevice, pos int) RecvDevice {
-	if b.reg == nil {
-		return d
-	}
-	labels := b.deviceLabels(d.Name(), "recv", pos)
-	if in, ok := d.(Instrumentable); ok {
-		in.Instrument(b.reg, b.deviceLabels(d.Name(), "recv", pos)[:2]...)
-	}
-	frames := b.reg.Counter("vmi_device_frames_total", labels...)
-	bytes := b.reg.Counter("vmi_device_bytes_total", labels...)
-	return RecvDeviceFunc{DeviceName: d.Name(), Fn: func(f *Frame, next RecvFunc) error {
-		frames.Inc()
-		bytes.Add(int64(len(f.Body)))
-		return d.Recv(f, next)
-	}}
+// countedDevice is a send stage behind the chain's flow counters.
+type countedDevice struct {
+	SendDevice
+	frames, bytes *metrics.Counter
+}
+
+// Send counts the frame, then hands it to the wrapped device.
+func (c countedDevice) Send(f *Frame, next SendFunc) error {
+	c.frames.Inc()
+	c.bytes.Add(int64(len(f.Body)))
+	return c.SendDevice.Send(f, next)
 }
 
 // deviceLabels builds the identity labels of one chain position. The
-// first two (node, device) also label a device's internal series; dir and
-// pos complete the flow-counter identity.
-func (b *ChainBuilder) deviceLabels(name, dir string, pos int) []metrics.Label {
+// first two (node, device) also label a device's internal series; dir
+// completes the flow-counter identity.
+func (b *ChainBuilder) deviceLabels(name string, pos int) []metrics.Label {
 	return []metrics.Label{
 		metrics.L("node", fmt.Sprint(b.self)),
 		metrics.L("device", fmt.Sprintf("%s%d", name, pos)),
-		metrics.L("dir", dir),
+		metrics.L("dir", "send"),
 	}
 }
 
@@ -167,15 +156,11 @@ func (b *ChainBuilder) Build() (*Stack, error) {
 	s.tcp.OnControl = b.onControl
 	s.tcp.Instrument(b.reg)
 
-	faultSend := make([]SendDevice, len(b.faultSend))
-	for i, d := range b.faultSend {
-		faultSend[i] = b.instrumentSend(d, i)
+	faults := make([]SendDevice, len(b.faults))
+	for i, d := range b.faults {
+		faults[i] = b.instrumentSend(d, i)
 	}
-	faultRecv := make([]RecvDevice, len(b.faultRecv))
-	for i, d := range b.faultRecv {
-		faultRecv[i] = b.instrumentRecv(d, i)
-	}
-	s.rel = newReliable(s.tcp, s.deliverBound, b.relCfg, faultSend, faultRecv)
+	s.rel = newReliable(s.tcp, s.deliverBound, b.relCfg, faults)
 	s.rel.Instrument(b.reg, metrics.L("node", fmt.Sprint(b.self)))
 	return s, nil
 }
@@ -193,7 +178,7 @@ type Stack struct {
 }
 
 // deliverBound is the terminal of the receive path: frames that cleared
-// TCP, faults, and reliability reach the bound runtime here.
+// TCP and reliability reach the bound runtime here.
 func (s *Stack) deliverBound(f *Frame) error {
 	d := s.deliver.Load()
 	if d == nil {
@@ -234,9 +219,6 @@ func (s *Stack) SendControl(node int, f *Frame) error { return s.tcp.SendControl
 
 // SetEpoch advances the membership epoch stamped on reliable frames.
 func (s *Stack) SetEpoch(e uint32) { s.rel.SetEpoch(e) }
-
-// Epoch returns the stack's current membership epoch.
-func (s *Stack) Epoch() uint32 { return s.rel.Epoch() }
 
 // SetDialGate installs the membership dial gate on the TCP terminal.
 func (s *Stack) SetDialGate(fn func(node int) bool) { s.tcp.SetDialGate(fn) }

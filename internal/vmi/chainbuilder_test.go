@@ -2,6 +2,7 @@ package vmi
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -78,7 +79,7 @@ func TestChainBuilderInstrumentedSeries(t *testing.T) {
 		"vmi_rel_data_sent_total",
 		"vmi_rel_delivered_total",
 	} {
-		if !snap.Has(name) {
+		if !slices.ContainsFunc(snap.Series, func(s metrics.Sample) bool { return s.Name == name }) {
 			t.Errorf("series %s missing from built-with-metrics stack", name)
 		}
 	}

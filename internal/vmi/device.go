@@ -6,8 +6,8 @@ import "fmt"
 // send chain or the terminal delivery function.
 type SendFunc func(*Frame) error
 
-// RecvFunc advances a received frame toward the local scheduler: either
-// the next device in a receive chain or the terminal enqueue function.
+// RecvFunc hands a received frame toward the local scheduler. Receive
+// paths have no devices: a fault is injected on the sending side.
 type RecvFunc func(*Frame) error
 
 // SendDevice is one stage of a send chain. A device may deliver the frame
@@ -27,12 +27,6 @@ type SendDevice interface {
 	Send(f *Frame, next SendFunc) error
 }
 
-// RecvDevice is one stage of a receive chain, mirroring SendDevice.
-type RecvDevice interface {
-	Name() string
-	Recv(f *Frame, next RecvFunc) error
-}
-
 // BuildSendChain composes devices into a single SendFunc. devs[0] sees the
 // frame first; terminal runs last. A nil terminal yields an error sink so
 // misconfigured chains fail loudly instead of dropping frames.
@@ -47,41 +41,3 @@ func BuildSendChain(terminal SendFunc, devs ...SendDevice) SendFunc {
 	}
 	return next
 }
-
-// BuildRecvChain composes devices into a single RecvFunc. devs[0] sees the
-// frame first; terminal runs last.
-func BuildRecvChain(terminal RecvFunc, devs ...RecvDevice) RecvFunc {
-	next := terminal
-	if next == nil {
-		next = func(f *Frame) error { return fmt.Errorf("vmi: no recv terminal for frame %d->%d", f.Src, f.Dst) }
-	}
-	for i := len(devs) - 1; i >= 0; i-- {
-		dev, downstream := devs[i], next
-		next = func(f *Frame) error { return dev.Recv(f, downstream) }
-	}
-	return next
-}
-
-// SendDeviceFunc adapts a function to the SendDevice interface.
-type SendDeviceFunc struct {
-	DeviceName string
-	Fn         func(f *Frame, next SendFunc) error
-}
-
-// Name implements SendDevice.
-func (d SendDeviceFunc) Name() string { return d.DeviceName }
-
-// Send implements SendDevice.
-func (d SendDeviceFunc) Send(f *Frame, next SendFunc) error { return d.Fn(f, next) }
-
-// RecvDeviceFunc adapts a function to the RecvDevice interface.
-type RecvDeviceFunc struct {
-	DeviceName string
-	Fn         func(f *Frame, next RecvFunc) error
-}
-
-// Name implements RecvDevice.
-func (d RecvDeviceFunc) Name() string { return d.DeviceName }
-
-// Recv implements RecvDevice.
-func (d RecvDeviceFunc) Recv(f *Frame, next RecvFunc) error { return d.Fn(f, next) }

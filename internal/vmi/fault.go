@@ -15,11 +15,12 @@ import (
 // wide-area link's latency; real grid links also drop, duplicate, reorder,
 // and corrupt frames. A FaultDevice injects exactly those faults at seeded,
 // per-(src,dst) configurable rates, and a PartitionDevice severs and heals
-// whole link groups mid-run. Both compose into BuildSendChain /
-// BuildRecvChain next to DelayDevice, and both are deterministic for a
-// given seed: each (src,dst) flow draws from its own seeded RNG stream in a
-// fixed per-frame order, so the fault sequence a flow experiences is a pure
-// function of (seed, src, dst, frame index) no matter how flows interleave.
+// whole link groups mid-run. Both are send-chain devices that the chain
+// builder places below the reliability layer, and both are deterministic
+// for a given seed: each (src,dst) flow draws from its own seeded RNG
+// stream in a fixed per-frame order, so the fault sequence a flow
+// experiences is a pure function of (seed, src, dst, frame index) no
+// matter how flows interleave.
 
 // FaultPlan sets the fault rates for one (src,dst) flow. All probabilities
 // are in [0,1]; a zero plan passes every frame through untouched.
@@ -90,11 +91,10 @@ type FaultStats struct {
 	Frames, Dropped, Duplicated, Reordered, Corrupted, Jittered int64
 }
 
-// FaultDevice injects seeded, per-flow random faults into a device chain.
-// It implements both SendDevice and RecvDevice so it can model a lossy
-// link from either end. Held and duplicated frames are cloned, so the
-// device never retains a caller's (possibly pooled) frame or body beyond
-// the call. Close releases any frames still held for reordering.
+// FaultDevice injects seeded, per-flow random faults into a send chain,
+// modelling an outbound-lossy link. Held and duplicated frames are cloned,
+// so the device never retains a caller's (possibly pooled) frame or body
+// beyond the call. Close releases any frames still held for reordering.
 type FaultDevice struct {
 	seed    int64
 	planFor func(src, dst int32) FaultPlan
@@ -118,7 +118,7 @@ type faultFlow struct {
 
 type heldFault struct {
 	f         *Frame
-	next      func(*Frame) error
+	next      SendFunc
 	remaining int
 }
 
@@ -184,18 +184,8 @@ func (d *FaultDevice) Instrument(reg *metrics.Registry, labels ...metrics.Label)
 	}
 }
 
-// Name implements SendDevice and RecvDevice.
+// Name implements SendDevice.
 func (d *FaultDevice) Name() string { return "fault" }
-
-// Send implements SendDevice.
-func (d *FaultDevice) Send(f *Frame, next SendFunc) error {
-	return d.apply(f, func(g *Frame) error { return next(g) })
-}
-
-// Recv implements RecvDevice.
-func (d *FaultDevice) Recv(f *Frame, next RecvFunc) error {
-	return d.apply(f, func(g *Frame) error { return next(g) })
-}
 
 // flowKey packs a (src,dst) pair; mixing it into the seed gives each flow
 // an independent deterministic RNG stream.
@@ -221,10 +211,11 @@ func (d *FaultDevice) record(fl *faultFlow, idx uint64, kind FaultKind) {
 	}
 }
 
-// apply decides this frame's faults and advances the flow's reorder holds.
-// The decision draws happen in a fixed order and count per frame, so the
-// per-flow decision sequence depends only on the seed and the frame index.
-func (d *FaultDevice) apply(f *Frame, next func(*Frame) error) error {
+// Send implements SendDevice: it decides this frame's faults and advances
+// the flow's reorder holds. The decision draws happen in a fixed order and
+// count per frame, so the per-flow decision sequence depends only on the
+// seed and the frame index.
+func (d *FaultDevice) Send(f *Frame, next SendFunc) error {
 	d.mu.Lock()
 	if d.closed {
 		d.mu.Unlock()
@@ -374,8 +365,8 @@ func (d *FaultDevice) Close() {
 // PartitionDevice models a network partition: while severed, every frame
 // on an affected flow is silently dropped; after Heal, traffic flows
 // again. With the reliability layer above it, a healed partition's lost
-// frames are retransmitted, so runs survive transient partitions. It
-// implements both SendDevice and RecvDevice.
+// frames are retransmitted, so runs survive transient partitions. It is a
+// SendDevice.
 type PartitionDevice struct {
 	affects func(src, dst int32) bool
 
@@ -419,20 +410,11 @@ func (p *PartitionDevice) Instrument(reg *metrics.Registry, labels ...metrics.La
 	}, labels...)
 }
 
-// Name implements SendDevice and RecvDevice.
+// Name implements SendDevice.
 func (p *PartitionDevice) Name() string { return "partition" }
 
 // Send implements SendDevice.
 func (p *PartitionDevice) Send(f *Frame, next SendFunc) error {
-	if p.severed.Load() && p.affects(f.Src, f.Dst) {
-		p.dropped.Add(1)
-		return nil
-	}
-	return next(f)
-}
-
-// Recv implements RecvDevice.
-func (p *PartitionDevice) Recv(f *Frame, next RecvFunc) error {
 	if p.severed.Load() && p.affects(f.Src, f.Dst) {
 		p.dropped.Add(1)
 		return nil

@@ -310,10 +310,10 @@ func (e *relEntry) release() {
 
 // newReliable interposes a reliability layer on t: frames handed to
 // rel.Send are sequenced, buffered, and shipped through sendFaults to t;
-// frames arriving off t's wire (through recvFaults) are verified,
-// deduplicated, reordered back into sequence, and delivered to deliver.
-// Must be called before t establishes connections.
-func newReliable(t *TCP, deliver RecvFunc, cfg ReliableConfig, sendFaults []SendDevice, recvFaults []RecvDevice) *Reliable {
+// frames arriving off t's wire are verified, deduplicated, reordered back
+// into sequence, and delivered to deliver. Must be called before t
+// establishes connections.
+func newReliable(t *TCP, deliver RecvFunc, cfg ReliableConfig, sendFaults []SendDevice) *Reliable {
 	cfg.fill()
 	rel := &Reliable{
 		tcp:   t,
@@ -325,7 +325,7 @@ func newReliable(t *TCP, deliver RecvFunc, cfg ReliableConfig, sendFaults []Send
 	}
 	rel.space = sync.NewCond(&rel.mu)
 	rel.down = BuildSendChain(t.Send, sendFaults...)
-	t.setRecv(BuildRecvChain(rel.deliverWire, recvFaults...))
+	t.setRecv(rel.deliverWire)
 	t.setErrHandler(rel.onTransportErr)
 	rel.wg.Add(2)
 	go rel.retransmitLoop()
@@ -374,9 +374,6 @@ func (r *Reliable) SetEpoch(e uint32) {
 		}
 	}
 }
-
-// Epoch returns this node's current membership epoch.
-func (r *Reliable) Epoch() uint32 { return r.epoch.Load() }
 
 // ForgetPeer drops all reliability state for node: buffered unacked
 // frames, held out-of-order receives, and sequence tracking. Call it when

@@ -75,7 +75,6 @@ type relPair struct {
 type relEnd struct {
 	cfg    ReliableConfig
 	send   []SendDevice
-	recv   []RecvDevice
 	reg    *metrics.Registry
 	onFail func(error)
 }
@@ -93,7 +92,7 @@ func newRelPair(t *testing.T, e0, e1 relEnd) *relPair {
 		s, err := NewChainBuilder(node, map[int]string{node: "127.0.0.1:0"}, route).
 			Metrics(e.reg).
 			Reliable(e.cfg).
-			Faults(e.send, e.recv).
+			Faults(e.send...).
 			Build()
 		if err != nil {
 			t.Fatal(err)
@@ -343,12 +342,14 @@ func TestReliableDropsUnflagged(t *testing.T) {
 }
 
 // TestReliableCountsWindowStalls: a Send blocked on a full retransmit
-// window is counted when it blocks and timed when it is released.
+// window is counted when it blocks and timed when it is released. Traffic
+// is one-way, so end 1 sends only acks, and a device on its send side
+// drops them all.
 func TestReliableCountsWindowStalls(t *testing.T) {
-	dropAll := RecvDeviceFunc{DeviceName: "drop-acks", Fn: func(*Frame, RecvFunc) error { return nil }}
+	dropAll := funcDevice{name: "drop-acks", fn: func(*Frame, SendFunc) error { return nil }}
 	p := newRelPair(t,
-		relEnd{cfg: ReliableConfig{Window: 2, RTO: time.Hour, RTOMax: time.Hour}, recv: []RecvDevice{dropAll}},
-		relEnd{})
+		relEnd{cfg: ReliableConfig{Window: 2, RTO: time.Hour, RTOMax: time.Hour}},
+		relEnd{send: []SendDevice{dropAll}})
 	for i := 0; i < 2; i++ {
 		if err := p.r0.Send(&Frame{Src: 0, Dst: 2, Body: []byte(fmt.Sprintf("msg-%d", i))}); err != nil {
 			t.Fatal(err)
@@ -385,7 +386,7 @@ func TestReliableRecyclesOnlyIdleAckedEntries(t *testing.T) {
 	defer fd.Close()
 	var p *relPair
 	var calls, stalled, overlaps atomic.Int64
-	stall := SendDeviceFunc{DeviceName: "stall", Fn: func(f *Frame, next SendFunc) error {
+	stall := funcDevice{name: "stall", fn: func(f *Frame, next SendFunc) error {
 		if calls.Add(1)%5 != 0 {
 			return next(f)
 		}

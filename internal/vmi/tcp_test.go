@@ -233,23 +233,20 @@ func TestTCPWithTransformChain(t *testing.T) {
 			f.Body[i] ^= 0x5A
 		}
 	}
-	scramble := SendDeviceFunc{DeviceName: "xor", Fn: func(f *Frame, next SendFunc) error {
+	scramble := funcDevice{name: "xor", fn: func(f *Frame, next SendFunc) error {
 		xor(f)
 		return next(f)
 	}}
-	restore := RecvDeviceFunc{DeviceName: "xor", Fn: func(f *Frame, next RecvFunc) error {
+	restore := func(f *Frame) error {
 		xor(f)
-		return next(f)
-	}}
-	recvChain := BuildRecvChain(func(f *Frame) error {
 		mu.Lock()
 		got = append(got, f.Clone())
 		mu.Unlock()
 		return nil
-	}, restore)
+	}
 
 	n0 := NewTCP(0, map[int]string{0: "127.0.0.1:0"}, route, func(*Frame) error { return nil })
-	n1 := NewTCP(1, map[int]string{1: "127.0.0.1:0"}, route, recvChain)
+	n1 := NewTCP(1, map[int]string{1: "127.0.0.1:0"}, route, restore)
 	a0, err := n0.Listen()
 	if err != nil {
 		t.Fatal(err)
