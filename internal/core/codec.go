@@ -17,18 +17,18 @@ import (
 // SrcPE, DstPE, and the causal trace context ID/Parent)
 // followed by a payload: one tag byte, then the value. There is one
 // structured serializer. The primitive payloads (nil, int, int64,
-// float64, []float64, string, []byte, bool) and bundles, which encode
-// their messages recursively, have straight-line cases below; every other
-// payload type — the runtime's own protocol messages and each
-// application's — is a tag plus the type's PUP method, registered once
-// with RegisterPayload. A type nobody registered is an encode error
-// naming the type: there is no self-describing fallback.
+// float64, []float64, string, []byte, bool), bundles, which encode their
+// messages recursively, and multicast member lists have straight-line
+// cases below; every other payload type — the runtime's own protocol
+// messages and each application's — is a tag plus the type's PUP method,
+// registered once with RegisterPayload. A type nobody registered is an
+// encode error naming the type: there is no self-describing fallback.
 
 // Message wire layout (big-endian):
 //
 //	off len field
 //	  0   2  magic 0x474D ("GM")
-//	  2   1  version (5)
+//	  2   1  version (6)
 //	  3   1  Kind
 //	  4   4  To.Array (int32)
 //	  8   8  To.Index (int64)
@@ -45,12 +45,22 @@ import (
 // traversal; version 4 dropped the modeled size (Message.Bytes), which
 // only the sender's link model reads; version 5 dropped the priority
 // (Message.Prio), which only the simulator's WAN policy and the local
-// stop message set. Frames of other versions are rejected.
+// stop message set; version 6 added KindMulticast and its member list
+// (tag 12). Frames of other versions are rejected.
 const (
 	wireMagic    uint16 = 0x474D
-	wireVersion  byte   = 5
+	wireVersion  byte   = 6
 	msgHeaderLen        = 45
 )
+
+// A KindMulticast message's payload (tag 12) is its member list followed
+// by the one payload every member receives:
+//
+//	off len field
+//	  0   4  member count n (uint32)
+//	  4  20n members: To.Array (int32), To.Index (int64), ID (uint64)
+//	  …   …  payload: tag, then the value
+const mcastMemberLen = 20
 
 // Payload tags. Tags 0–63 are reserved for the runtime; 64–255 belong to
 // applications (RegisterPayload; DESIGN.md has the per-package table).
@@ -66,6 +76,7 @@ const (
 	tagReduce   byte = 8
 	tagBundle   byte = 10 // 9 carried the retired quiescence probe and stays unassigned
 	tagLB       byte = 11
+	tagMcast    byte = 12
 
 	minAppTag byte = 64
 )
@@ -274,6 +285,15 @@ func appendPayload(dst []byte, v any) ([]byte, error) {
 			}
 		}
 		return dst, nil
+	case *mcastBody:
+		dst = append(dst, tagMcast)
+		dst = binary.BigEndian.AppendUint32(dst, uint32(len(x.Members)))
+		for _, mb := range x.Members {
+			dst = binary.BigEndian.AppendUint32(dst, uint32(mb.Ref.Array))
+			dst = binary.BigEndian.AppendUint64(dst, uint64(int64(mb.Ref.Index)))
+			dst = binary.BigEndian.AppendUint64(dst, mb.ID)
+		}
+		return appendPayload(dst, x.Data)
 	default:
 		pt := payloadTypeOf(v)
 		if pt == nil {
@@ -366,6 +386,36 @@ func decodePayload(tag byte, b []byte) (any, []byte, error) {
 			}
 		}
 		return subs, b, nil
+	case tagMcast:
+		if len(b) < 4 {
+			return nil, b, truncErr("multicast")
+		}
+		n := int(binary.BigEndian.Uint32(b))
+		b = b[4:]
+		// Reject a count the remaining bytes cannot hold before growing
+		// the member list.
+		if n > len(b)/mcastMemberLen {
+			return nil, b, truncErr("multicast")
+		}
+		mc := newMcastBody(nil)
+		for i := 0; i < n; i++ {
+			mc.Members = append(mc.Members, mcastMember{
+				Ref: ElemRef{Array: ArrayID(int32(binary.BigEndian.Uint32(b))), Index: int(int64(binary.BigEndian.Uint64(b[4:])))},
+				ID:  binary.BigEndian.Uint64(b[12:]),
+			})
+			b = b[mcastMemberLen:]
+		}
+		if len(b) < 1 {
+			releaseMcastBody(mc)
+			return nil, b, truncErr("multicast")
+		}
+		data, rest, err := decodePayload(b[0], b[1:])
+		if err != nil {
+			releaseMcastBody(mc)
+			return nil, b, err
+		}
+		mc.Data = data
+		return mc, rest, nil
 	default:
 		pt := payloadTypeByTag(tag)
 		if pt == nil {

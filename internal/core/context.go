@@ -18,6 +18,12 @@ type Backend interface {
 	// afterwards, since the executor may deliver and release it (see
 	// NewMessage) before Route returns.
 	Route(m *Message) int32
+	// Multicast sends data to entry of every member, from PE src, and
+	// reports how many of the members' messages cross the WAN. Each
+	// member receives its own message with its own trace ID; a backend
+	// may carry the members one PE hosts in one frame. Backends that
+	// route member by member implement it with SendEach.
+	Multicast(src int, members []ElemRef, entry EntryID, data any) (wan int)
 	// Now is the executor clock: wall time since run start (real-time) or
 	// virtual time (simulator), observed at the current execution point.
 	Now() time.Duration
@@ -85,6 +91,7 @@ func (retiredBackend) misuse() {
 }
 
 func (r retiredBackend) Route(*Message) int32                                   { r.misuse(); return 0 }
+func (r retiredBackend) Multicast(int, []ElemRef, EntryID, any) int             { r.misuse(); return 0 }
 func (r retiredBackend) Now() time.Duration                                     { r.misuse(); return 0 }
 func (r retiredBackend) Charge(time.Duration)                                   { r.misuse() }
 func (r retiredBackend) Topo() *topology.Topology                               { r.misuse(); return nil }
@@ -109,13 +116,31 @@ func (c *Ctx) Send(to ElemRef, entry EntryID, data any) {
 	}
 }
 
-// Multicast sends data to every member of a section. Each member receives
-// an independent message (the paper's LeanMD cells multicast coordinates
-// to their 26 dependent cell-pairs this way).
+// Multicast sends data to every member of a section (the paper's LeanMD
+// cells multicast coordinates to their dependent cell-pairs this way).
+// Each member receives an independent message; see Backend.Multicast.
 func (c *Ctx) Multicast(sec *Section, entry EntryID, data any) {
-	for _, ref := range sec.Members {
-		c.Send(ref, entry, data)
+	wan := c.b.Multicast(c.pe, sec.Members, entry, data)
+	if c.meta != nil {
+		c.meta.msgs += len(sec.Members)
+		c.meta.wanMsg += wan
 	}
+}
+
+// SendEach is the member-by-member multicast: one app message per member,
+// routed from PE src as Ctx.Send routes it. It returns how many of them
+// cross the WAN.
+func SendEach(b Backend, src int, members []ElemRef, entry EntryID, data any) (wan int) {
+	for _, ref := range members {
+		m := NewMessage()
+		m.Kind, m.To, m.Entry, m.Data = KindApp, ref, entry, data
+		m.Bytes = payloadBytes(data)
+		m.SrcPE = int32(src)
+		if b.Topo().CrossesWAN(src, int(b.Route(m))) {
+			wan++
+		}
+	}
+	return wan
 }
 
 // Broadcast sends data to every element of an array.

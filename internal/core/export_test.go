@@ -4,9 +4,9 @@ package core
 // import the applications and so sees every payload they register.
 
 // PayloadTags lists every tag DecodeMessage accepts: the primitive
-// built-ins, bundles, and every registered type.
+// built-ins, bundles, multicast member lists, and every registered type.
 func PayloadTags() []byte {
-	tags := []byte{tagNil, tagInt, tagInt64, tagFloat64, tagF64Slice, tagString, tagBytes, tagBool, tagBundle}
+	tags := []byte{tagNil, tagInt, tagInt64, tagFloat64, tagF64Slice, tagString, tagBytes, tagBool, tagBundle, tagMcast}
 	payloadMu.RLock()
 	defer payloadMu.RUnlock()
 	for tag := 0; tag < 256; tag++ {

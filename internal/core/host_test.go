@@ -32,6 +32,9 @@ func (s *stubBackend) ExitWith(any)                                           {}
 func (s *stubBackend) Contribute(ElemRef, int, ArrayID, int64, any, ReduceOp) {}
 func (s *stubBackend) AtSync(ElemRef, int)                                    {}
 func (s *stubBackend) Record(trace.Event)                                     {}
+func (s *stubBackend) Multicast(src int, members []ElemRef, e EntryID, d any) int {
+	return SendEach(s, src, members, e, d)
+}
 
 // testTable builds an element table with one array per given size.
 func testTable(sizes ...int) *ElemTable {

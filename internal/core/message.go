@@ -12,14 +12,15 @@ type Kind uint8
 // Message kinds. Application messages target array elements; the others
 // target PEs and carry runtime protocol payloads.
 const (
-	KindApp    Kind = iota // entry-method invocation on an array element
-	KindStart              // run Program.Start on PE 0
-	KindReduce             // reduction partial bound for the root PE
-	KindLB                 // load-balancing protocol (stats, apply, resume)
-	_                      // retired (quiescence detection); its number stays unused
-	KindBundle             // several same-destination app messages in one frame (simulator only)
-	KindStop               // scheduler shutdown (real-time runtime only)
-	KindMember             // membership recovery: (re)construct an element locally
+	KindApp       Kind = iota // entry-method invocation on an array element
+	KindStart                 // run Program.Start on PE 0
+	KindReduce                // reduction partial bound for the root PE
+	KindLB                    // load-balancing protocol (stats, apply, resume)
+	_                         // retired (quiescence detection); its number stays unused
+	KindBundle                // several same-destination app messages in one frame (simulator only)
+	KindStop                  // scheduler shutdown (real-time runtime only)
+	KindMember                // membership recovery: (re)construct an element locally
+	KindMulticast             // one multicast's members on one remote PE, fanned out on arrival (real-time runtime only)
 )
 
 // Message is the unit of work executors schedule. Exactly one of (To,

@@ -72,6 +72,12 @@ type peState struct {
 	// read it as the child's Parent; it is atomic so that any goroutine may
 	// route a message with this PE as its source.
 	curMsg atomic.Uint64
+
+	// Multicast scratch, used only by the handlers this PE runs: each
+	// member's PE, and how many members each remote PE hosts (zero
+	// between multicasts).
+	mcDst    []int32
+	mcRemote []int32
 }
 
 // NewRuntime builds a real-time runtime for prog on topo, configured by
@@ -358,9 +364,13 @@ func (rt *Runtime) ship(f *vmi.Frame) error {
 	}
 	f.Body = body
 	f.Obj = nil
-	if m.Kind == KindApp {
-		// Nothing else holds an app message once its encoding has left
-		// for another process.
+	// Nothing else holds an app or multicast message once its encoding
+	// has left for another process.
+	switch m.Kind {
+	case KindMulticast:
+		releaseMcastBody(m.Data.(*mcastBody))
+		ReleaseMessage(m)
+	case KindApp:
 		ReleaseMessage(m)
 	}
 	err = rt.opts.Transport.Send(f)
@@ -395,7 +405,8 @@ func (rt *Runtime) Record(ev trace.Event) {
 }
 
 // injectFrame decodes a frame the transport stack delivered and enqueues
-// its message on the local PE it addresses.
+// its message on the local PE it addresses; a multicast message becomes
+// one app message per member there.
 func (rt *Runtime) injectFrame(f *vmi.Frame) error {
 	m, err := DecodeMessage(f.Body)
 	if err != nil {
@@ -406,6 +417,9 @@ func (rt *Runtime) injectFrame(f *vmi.Frame) error {
 		err := fmt.Errorf("core: frame for PE %d arrived at node %d", m.DstPE, rt.opts.Node)
 		rt.fail(err)
 		return err
+	}
+	if m.Kind == KindMulticast {
+		return rt.fanOut(m)
 	}
 	rt.enqueueLocal(m)
 	return nil

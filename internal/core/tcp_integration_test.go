@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -252,5 +253,163 @@ func TestTwoNodeUnregisteredPayloadFailsRun(t *testing.T) {
 	case <-worker:
 	case <-time.After(5 * time.Second):
 		t.Fatal("worker node never stopped")
+	}
+}
+
+// mcastRun is a two-node multicast: element 0 (PE 0) multicasts a
+// []float64 to a section of itself and the k elements on PE 1 once Start
+// kicks it; every member contributes 1 to a sum that ends the run.
+type mcastRun struct {
+	k      int
+	mu     sync.Mutex
+	counts map[int]int      // deliveries per member
+	bases  map[int]*float64 // the payload's backing array, per member
+}
+
+const (
+	mcastKick EntryID = iota
+	mcastData
+)
+
+func (r *mcastRun) program(int) *Program {
+	n := r.k + 1
+	refs := make([]ElemRef, n)
+	for i := range refs {
+		refs[i] = ElemRef{Array: 0, Index: i}
+	}
+	sec := NewSection(refs...)
+	return &Program{
+		Arrays: []ArraySpec{{
+			ID: 0, N: n,
+			Map: func(i, _ int) int { return min(i, 1) },
+			New: func(i int) Chare {
+				return funcChare(func(ctx *Ctx, entry EntryID, data any) {
+					if entry == mcastKick {
+						ctx.Multicast(sec, mcastData, []float64{1, 2, 3})
+						return
+					}
+					v := data.([]float64)
+					r.mu.Lock()
+					r.counts[i]++
+					r.bases[i] = &v[0]
+					r.mu.Unlock()
+					ctx.Contribute(v[0], OpSum)
+				})
+			},
+		}},
+		Start:       func(ctx *Ctx) { ctx.Send(ElemRef{0, 0}, mcastKick, nil) },
+		OnReduction: func(ctx *Ctx, _ ArrayID, _ int64, v any) { ctx.ExitWith(v) },
+	}
+}
+
+// run starts the pair with opts on each node and checks the outcome every
+// multicast must have: the sum over all members, and one delivery each.
+func (r *mcastRun) run(t *testing.T, opts func(node int) []Option) *tcpPair {
+	t.Helper()
+	r.counts, r.bases = map[int]int{}, map[int]*float64{}
+	topo, err := topology.TwoClusters(2, time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pair := newTCPPair(t, topo, r.program, vmi.ReliableConfig{}, nil, opts)
+	v, err := pair.RunWithin(30 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v != float64(r.k+1) {
+		t.Errorf("sum over members = %v, want %d", v, r.k+1)
+	}
+	for i := 0; i <= r.k; i++ {
+		if r.counts[i] != 1 {
+			t.Errorf("member %d handled the payload %d times, want once", i, r.counts[i])
+		}
+	}
+	return pair
+}
+
+// TestMulticastOneFramePerRemotePE: the k members one remote PE hosts
+// cost one data frame, and each still counts as a processed message.
+// They share the one value decoded from it.
+func TestMulticastOneFramePerRemotePE(t *testing.T) {
+	r := &mcastRun{k: 5}
+	pair := r.run(t, nil)
+	if s := pair.Nodes[0].Stack.Reliable().Stats(); s.DataSent != 1 {
+		t.Errorf("node 0 sent %d data frames, want 1 for %d remote members", s.DataSent, r.k)
+	}
+	if got := pair.Regs[1].Snapshot().Value("core_msgs_processed_total"); got != int64(r.k) {
+		t.Errorf("node 1 processed %d messages, want one per member (%d)", got, r.k)
+	}
+	for i := 2; i <= r.k; i++ {
+		if r.bases[i] != r.bases[1] {
+			t.Errorf("members 1 and %d on one PE got separately decoded payloads", i)
+		}
+	}
+	if r.bases[1] == r.bases[0] {
+		t.Error("the remote members got the sender's own slice")
+	}
+}
+
+// TestMulticastMembersKeepTheirSpans: in a traced run each remote member
+// keeps its own message ID through send, enqueue, begin and end, and each
+// names the sending handler's message as its Parent.
+func TestMulticastMembersKeepTheirSpans(t *testing.T) {
+	r := &mcastRun{k: 4}
+	trs := [2]*trace.Tracer{trace.New(2), trace.New(2)}
+	r.run(t, func(node int) []Option { return []Option{WithTrace(trs[node])} })
+
+	// The kick's ID: the first message element 0 begins on node 0.
+	var kick uint64
+	for _, ev := range trs[0].Events() {
+		if ev.Kind == trace.EvBegin && ev.MsgKind == byte(KindApp) && ev.Arg2 == 0 {
+			kick = ev.MsgID
+			break
+		}
+	}
+	if kick == 0 {
+		t.Fatal("node 0 recorded no begin of element 0")
+	}
+	sent := map[uint64]bool{}
+	for _, ev := range trs[0].Events() {
+		if ev.Kind == trace.EvSend && ev.MsgKind == byte(KindApp) && ev.Arg1 == 1 {
+			if ev.Parent != kick {
+				t.Errorf("member send %#x has Parent %#x, want the kick %#x", ev.MsgID, ev.Parent, kick)
+			}
+			if sent[ev.MsgID] {
+				t.Errorf("two member sends share ID %#x", ev.MsgID)
+			}
+			sent[ev.MsgID] = true
+		}
+	}
+	if len(sent) != r.k {
+		t.Fatalf("node 0 recorded %d member sends to PE 1, want %d", len(sent), r.k)
+	}
+	spans := map[uint64][3]int{} // enqueue, begin, end per ID
+	begun := map[int64]bool{}
+	for _, ev := range trs[1].Events() {
+		if !sent[ev.MsgID] {
+			continue
+		}
+		s := spans[ev.MsgID]
+		switch ev.Kind {
+		case trace.EvEnqueue:
+			s[0]++
+			if ev.Parent != kick {
+				t.Errorf("member enqueue %#x has Parent %#x, want %#x", ev.MsgID, ev.Parent, kick)
+			}
+		case trace.EvBegin:
+			s[1]++
+			begun[ev.Arg2] = true
+		case trace.EvEnd:
+			s[2]++
+		}
+		spans[ev.MsgID] = s
+	}
+	for id := range sent {
+		if spans[id] != [3]int{1, 1, 1} {
+			t.Errorf("member %#x: enqueue/begin/end counts %v on node 1, want one each", id, spans[id])
+		}
+	}
+	if len(begun) != r.k {
+		t.Errorf("node 1 began %d distinct members, want %d", len(begun), r.k)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -284,5 +285,73 @@ func TestWireRefusesVersion4(t *testing.T) {
 	}
 	if m, err := DecodeMessage(v4); !errors.Is(err, ErrBadWire) {
 		t.Fatalf("version-4 message: got %v, %v; want ErrBadWire", m, err)
+	}
+}
+
+// TestWireRefusesVersion5: a version-5 message, which predates
+// KindMulticast and its member list, is refused rather than read by a
+// decoder that would take kind 8 for a multicast.
+func TestWireRefusesVersion5(t *testing.T) {
+	v5 := binary.BigEndian.AppendUint16(nil, wireMagic)
+	v5 = append(v5, 5, byte(KindApp))
+	v5 = binary.BigEndian.AppendUint32(v5, 1)       // To.Array
+	v5 = binary.BigEndian.AppendUint64(v5, 2)       // To.Index
+	v5 = binary.BigEndian.AppendUint32(v5, 3)       // Entry
+	v5 = binary.BigEndian.AppendUint32(v5, 0)       // SrcPE
+	v5 = binary.BigEndian.AppendUint32(v5, 1)       // DstPE
+	v5 = binary.BigEndian.AppendUint64(v5, 1<<48|7) // ID
+	v5 = binary.BigEndian.AppendUint64(v5, 1<<48|6) // Parent
+	v5 = append(v5, tagNil)
+	if len(v5) != msgHeaderLen {
+		t.Fatalf("version-5 message is %d bytes, want %d", len(v5), msgHeaderLen)
+	}
+	if m, err := DecodeMessage(v5); !errors.Is(err, ErrBadWire) {
+		t.Fatalf("version-5 message: got %v, %v; want ErrBadWire", m, err)
+	}
+}
+
+// TestWireCodecMulticast round-trips a multicast message, and refuses a
+// member count its bytes cannot hold without growing the member list.
+func TestWireCodecMulticast(t *testing.T) {
+	in := &Message{Kind: KindMulticast, Entry: 4, SrcPE: 2, DstPE: 5, Parent: 1<<48 | 3,
+		Data: &mcastBody{Data: []float64{1.5, -2}, Members: []mcastMember{
+			{Ref: ElemRef{Array: 1, Index: 7}, ID: 1<<48 | 10},
+			{Ref: ElemRef{Array: 1, Index: 1 << 33}, ID: 1<<48 | 11},
+		}}}
+	b, err := AppendMessage(nil, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := msgHeaderLen + 4 + 2*mcastMemberLen + 1 + 4 + 16; len(b) != want {
+		t.Errorf("multicast encodes in %d bytes, want %d", len(b), want)
+	}
+	out, err := DecodeMessage(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Kind != KindMulticast || out.Entry != 4 || out.SrcPE != 2 || out.DstPE != 5 || out.Parent != in.Parent {
+		t.Errorf("header mismatch: %+v", out)
+	}
+	if !reflect.DeepEqual(out.Data, in.Data) {
+		t.Errorf("payload: got %+v, want %+v", out.Data, in.Data)
+	}
+	// A count of 2^32−1 with one member's bytes behind it.
+	huge := append([]byte(nil), b[:msgHeaderLen+4+mcastMemberLen]...)
+	binary.BigEndian.PutUint32(huge[msgHeaderLen:], math.MaxUint32)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 10; i++ {
+		if _, err := DecodeMessage(huge); !errors.Is(err, ErrBadWire) {
+			t.Fatalf("count beyond the bytes: err = %v, want ErrBadWire", err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / 10; per > 1024 {
+		t.Errorf("refusing a bad count allocated %d bytes, want only the error's", per)
+	}
+	for n := msgHeaderLen; n < len(b); n++ {
+		if _, err := DecodeMessage(b[:n]); !errors.Is(err, ErrBadWire) {
+			t.Fatalf("multicast cut to %d bytes: err = %v, want ErrBadWire", n, err)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"time"
 
 	"gridmdo/internal/core"
@@ -129,7 +130,20 @@ func (p *Params) Charges() []float64 {
 // InitAtoms places a cell's atoms on a jittered sub-lattice inside the
 // cell and draws small velocities, deterministically from (Seed, cell).
 func (p *Params) InitAtoms(cell int, g *Geometry) (pos, vel []Vec3) {
-	rng := rand.New(rand.NewSource(p.Seed*1_000_003 + int64(cell)))
+	rng := rngPool.Get().(*rand.Rand)
+	defer rngPool.Put(rng)
+	rng.Seed(p.Seed*1_000_003 + int64(cell))
+	return p.placeAtoms(rng, cell, g)
+}
+
+// rngPool holds seeded-per-cell generators: a rand source is 4.9 KB, and
+// seeding one anew draws the same sequence as a fresh one. Each caller
+// takes its own, so element construction on several goroutines shares no
+// generator state.
+var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(1)) }}
+
+// placeAtoms is InitAtoms with the cell's generator given.
+func (p *Params) placeAtoms(rng *rand.Rand, cell int, g *Geometry) (pos, vel []Vec3) {
 	x, y, z := g.coords(cell)
 	origin := Vec3{float64(x) * p.CellSize, float64(y) * p.CellSize, float64(z) * p.CellSize}
 	k := sublatticeK(p.AtomsPerCell)

@@ -561,6 +561,12 @@ func (s *shard) Route(m *core.Message) int32 {
 	return dst
 }
 
+// Multicast implements core.Backend: member by member, so that a
+// multicast costs the modeled sends it always has.
+func (s *shard) Multicast(src int, members []core.ElemRef, entry core.EntryID, data any) int {
+	return core.SendEach(s, src, members, entry, data)
+}
+
 // transmit schedules a resolved message's delivery at sendAt plus the
 // modeled delay of link, the link between its source and destination PEs.
 // src is the PE whose key counter stamps the event (the PE doing the
