@@ -173,7 +173,7 @@ func run(cfg config) error {
 	// starts so a telemetry frame from a fast peer never races its
 	// construction, and before a gateway, which feeds it job latencies.
 	coll := telemetry.NewCollector(telemetry.CollectorConfig{
-		SLO: telemetry.NewSLOTracker(telemetry.DefaultSLOConfig()),
+		SLO: telemetry.NewSLOTracker(),
 	})
 	if cfg.onCollector != nil {
 		cfg.onCollector(coll)
@@ -300,11 +300,6 @@ func run(cfg config) error {
 			Epoch:    rt.Epoch(),
 			NumPE:    cfg.Procs,
 			Interval: cfg.TelemetryInterval,
-			SpanFilter: func(ev trace.Event) bool {
-				// Keep application causality; stop messages are runtime
-				// chatter.
-				return ev.MsgKind != byte(core.KindStop)
-			},
 			Send: func(b []byte) error {
 				return stack.SendControl(0, &vmi.Frame{Src: int32(cfg.Node), Dst: vmi.ControlTelemetry, Body: b})
 			},

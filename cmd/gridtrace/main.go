@@ -155,22 +155,9 @@ func analyze(w io.Writer, snaps []*trace.Snapshot, opts analyzeOpts) error {
 
 	if opts.CritPath {
 		fmt.Fprintln(w)
-		trace.CriticalPath(appEvents(evs)).Report(w, msgKindName)
+		trace.CriticalPath(evs).Report(w, msgKindName)
 	}
 	return nil
-}
-
-// appEvents drops the schedulers' shutdown messages from the stream so
-// the critical path terminates at the application's last handler, not at
-// the stop that follows it.
-func appEvents(evs []trace.Event) []trace.Event {
-	out := make([]trace.Event, 0, len(evs))
-	for _, ev := range evs {
-		if core.Kind(ev.MsgKind) != core.KindStop {
-			out = append(out, ev)
-		}
-	}
-	return out
 }
 
 // nodeOfFunc maps global PE → node using the snapshots' PE ranges.
@@ -197,8 +184,6 @@ func msgKindName(k byte) string {
 		return "lb"
 	case core.KindBundle:
 		return "bundle"
-	case core.KindStop:
-		return "stop"
 	}
 	return fmt.Sprintf("kind%d", k)
 }

@@ -113,7 +113,7 @@ func TestMaskedFractionGrowsWithVirtualization(t *testing.T) {
 		snap := traceStencilSim(t, procs, objects, lat)
 		evs, numPE, horizon := trace.Merge(splitSnapshot(snap, procs)...)
 		ov := trace.ComputeOverlap(evs, numPE, horizon)
-		cp := trace.CriticalPath(appEvents(evs))
+		cp := trace.CriticalPath(evs)
 		if len(cp.Hops) == 0 {
 			t.Fatalf("V=%d: empty critical path", objects)
 		}

@@ -20,6 +20,7 @@ import (
 	"gridmdo/internal/metrics"
 	"gridmdo/internal/stencil"
 	"gridmdo/internal/taskfarm"
+	"gridmdo/internal/telemetry"
 	"gridmdo/internal/topology"
 	"gridmdo/internal/trace"
 )
@@ -367,7 +368,7 @@ func (o *Obs) Register(fs *flag.FlagSet) {
 	fs.IntVar(&o.TraceCap, "trace-cap", 0, "per-PE trace ring capacity (events; rounded up to a power of two; 0 = auto: full ring for -trace-out, small drained ring for -telemetry alone)")
 	fs.BoolVar(&o.Pprof, "pprof", false, "mount net/http/pprof on the diagnostics HTTP server (needs -metrics, or -listen on a gateway)")
 	fs.BoolVar(&o.Telemetry, "telemetry", false, "run a telemetry agent shipping metric deltas and trace digests to node 0's cluster collector over the control path")
-	fs.DurationVar(&o.TelemetryInterval, "telemetry-interval", 500*time.Millisecond, "telemetry agent reporting period")
+	fs.DurationVar(&o.TelemetryInterval, "telemetry-interval", telemetry.DefaultInterval, "telemetry agent reporting period")
 }
 
 // Validate rejects observability flags no run can honour: a negative

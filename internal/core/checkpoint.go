@@ -245,10 +245,9 @@ func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 }
 
 // Install rewires prog so each array's elements are constructed from this
-// checkpoint instead of ArraySpec.New. If the array provides a Restore
-// constructor it is used; otherwise the element is built with New and its
-// state is restored through its PUP method (the common case — validation
-// lives in PUP's unpacking branch). The program may then be run on any
+// checkpoint instead of ArraySpec.New: the element is built with New and
+// its state is restored through its PUP method (validation lives in PUP's
+// unpacking branch). The program may then be run on any
 // topology. Arrays absent from the checkpoint keep their constructors.
 func (c *Checkpoint) Install(prog *Program) error {
 	if c.Partial {
@@ -272,23 +271,12 @@ func (c *Checkpoint) Install(prog *Program) error {
 			data[e.Index] = e.Data
 		}
 		id := spec.ID
-		if spec.Restore != nil {
-			restore := spec.Restore
-			spec.New = func(i int) Chare {
-				ch, err := restore(i, data[i])
-				if err != nil {
-					panic(fmt.Sprintf("core: restore element %d of array %d: %v", i, id, err))
-				}
-				return ch
-			}
-			continue
-		}
 		construct := spec.New
 		spec.New = func(i int) Chare {
 			ch := construct(i)
 			pu, ok := ch.(PUPable)
 			if !ok {
-				panic(fmt.Sprintf("core: restore element %d of array %d: type %T implements neither PUPable nor a Restore constructor", i, id, ch))
+				panic(fmt.Sprintf("core: restore element %d of array %d: type %T is not PUPable", i, id, ch))
 			}
 			if err := PUPUnpackCheckpoint(pu, data[i]); err != nil {
 				panic(fmt.Sprintf("core: restore element %d of array %d: %v", i, id, err))

@@ -12,7 +12,7 @@ import (
 )
 
 // counterChare is a minimal migratable chare for checkpoint tests. Its
-// state restores through the PUP auto-restore path (no Restore needed).
+// state restores through the PUP auto-restore path.
 type counterChare struct{ n int64 }
 
 func (c *counterChare) Recv(ctx *Ctx, entry EntryID, data any) {
@@ -109,8 +109,8 @@ func TestCheckpointInstallValidation(t *testing.T) {
 	if err := ck.Install(wrongSize); err == nil {
 		t.Error("size mismatch accepted")
 	}
-	// With no Restore constructor the fallback is PUP auto-restore; a
-	// chare type with neither surfaces as a construction error.
+	// Elements restore through PUP; a chare type without it surfaces as
+	// a construction error.
 	hopeless := &Program{
 		Arrays: []ArraySpec{{ID: 0, N: 3, New: func(int) Chare { return funcChare(func(*Ctx, EntryID, any) {}) }}},
 		Start:  func(*Ctx) {},
@@ -122,7 +122,7 @@ func TestCheckpointInstallValidation(t *testing.T) {
 		t.Fatalf("install: %v", err)
 	}
 	if _, err := NewRuntime(mustTopo(t, 2, 0), hopeless); err == nil {
-		t.Error("restore of non-PUPable, Restore-less elements constructed")
+		t.Error("restore of non-PUPable elements constructed")
 	}
 	// Arrays absent from the checkpoint keep their constructors.
 	extra := &Program{

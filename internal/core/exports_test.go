@@ -188,18 +188,7 @@ func references(files []goFile) (qualified, names map[string]bool) {
 	qualified, names = make(map[string]bool), make(map[string]bool)
 	for _, gf := range files {
 		self, inInternal := strings.CutPrefix(filepath.Dir(gf.rel), "internal/")
-		imports := make(map[string]string) // local name -> package under internal/
-		for _, imp := range gf.f.Imports {
-			pkg, ok := strings.CutPrefix(strings.Trim(imp.Path.Value, `"`), "gridmdo/internal/")
-			if !ok {
-				continue
-			}
-			local := pkg[strings.LastIndex(pkg, "/")+1:]
-			if imp.Name != nil {
-				local = imp.Name.Name
-			}
-			imports[local] = pkg
-		}
+		imports := internalImports(gf.f)
 		skip := make(map[*ast.Ident]bool) // declarations and selectors' fields
 		ast.Inspect(gf.f, func(n ast.Node) bool {
 			switch x := n.(type) {
@@ -235,6 +224,24 @@ func references(files []goFile) (qualified, names map[string]bool) {
 		})
 	}
 	return qualified, names
+}
+
+// internalImports maps the local name of each of f's imports of a package
+// under internal/ to that package's path under internal/.
+func internalImports(f *ast.File) map[string]string {
+	imports := make(map[string]string)
+	for _, imp := range f.Imports {
+		pkg, ok := strings.CutPrefix(strings.Trim(imp.Path.Value, `"`), "gridmdo/internal/")
+		if !ok {
+			continue
+		}
+		local := pkg[strings.LastIndex(pkg, "/")+1:]
+		if imp.Name != nil {
+			local = imp.Name.Name
+		}
+		imports[local] = pkg
+	}
+	return imports
 }
 
 // export is one exported declaration under internal/.
@@ -355,4 +362,438 @@ func TestBenchmarkModuleBuilds(t *testing.T) {
 	if b, err := cmd.CombinedOutput(); err != nil {
 		t.Fatalf("go build -C benchmark ./...: %v\n%s", err, b)
 	}
+}
+
+// configSuffixes name the struct types whose exported fields are settings:
+// a field of one of them is either written by a product caller or it is a
+// constant in disguise.
+var configSuffixes = []string{"Config", "Options", "Params", "Spec"}
+
+// configFieldAllowlist names the exported setting fields that no non-test
+// Go outside their own package writes and that stay anyway, each with its
+// reason. Keys are the package path under internal/, the type and the
+// field; a key without a field covers every field of a type that its own
+// package fills whole, from a profile or a grammar.
+var configFieldAllowlist = map[string]string{
+	"bench.FarmConfig":       "experiment profile: bench.PaperProfile and bench.FastProfile set every field",
+	"bench.GateConfig":       "experiment profile: bench.PaperProfile and bench.FastProfile set every field",
+	"bench.MembershipConfig": "experiment profile: bench.PaperProfile and bench.FastProfile set every field",
+
+	"topology.Spec":      "parsed: topology.ParseSpec fills every field from the topology grammar",
+	"topology.GroupSpec": "parsed: topology.ParseSpec fills every field from the topology grammar",
+	"topology.MeshSpec":  "parsed: topology.ParseSpec fills every field from the topology grammar",
+
+	"core.Options.Trace":      "set by core.WithTrace",
+	"core.Options.Metrics":    "set by core.WithMetrics",
+	"core.Options.Sinks":      "set by core.WithSink",
+	"core.Options.Transport":  "set by core.WithCluster",
+	"core.Options.NodeOf":     "set by core.WithCluster",
+	"core.Options.Node":       "set by core.WithCluster",
+	"core.Options.PELo":       "set by core.WithCluster",
+	"core.Options.PEHi":       "set by core.WithCluster",
+	"core.Options.Membership": "set by core.WithMembership",
+	"core.Options.Lifecycle":  "set by core.WithLifecycle",
+
+	"core.MembershipConfig.Node":        "assembled per node by core.StartCluster",
+	"core.MembershipConfig.Coordinator": "assembled per node by core.StartCluster",
+	"core.MembershipConfig.Stack":       "assembled per node by core.StartCluster",
+	"core.MembershipConfig.NodeOf":      "assembled per node by core.StartCluster",
+	"core.MembershipConfig.NumPE":       "assembled per node by core.StartCluster",
+	"core.MembershipConfig.Initial":     "assembled per node by core.StartCluster",
+
+	"leanmd.Params.Dt":       "physics default: leanmd.DefaultParams",
+	"leanmd.Params.CellSize": "physics default: leanmd.DefaultParams",
+	"leanmd.Params.Epsilon":  "physics default: leanmd.DefaultParams",
+	"leanmd.Params.Sigma":    "physics default: leanmd.DefaultParams",
+	"leanmd.Params.Charge":   "physics default: leanmd.DefaultParams",
+	"leanmd.Params.VelScale": "physics default: leanmd.DefaultParams",
+
+	"leanmd.Params.Collect":   "test seam: TestAppMatchesSequentialIntegration",
+	"stencil.Params.Collect":  "test seam: TestSimMatchesSequentialBitwise",
+	"unstruct.Params.Collect": "test seam: TestMatchesSequentialBitwise",
+
+	"taskfarm.Params.OnTaskDone": "installed by taskfarm.NewService as a serve farm's completion hook",
+}
+
+// TestConfigFieldsHaveProductSetters: a setting no run varies is a
+// constant. Every exported field of a struct under internal/ named
+// *Config, *Options, *Params or *Spec is written by non-test Go outside
+// its own package (the benchmark module counts), or is on
+// configFieldAllowlist. A write is a key in a composite literal of the
+// type, element types a literal elides included, or an assignment, an
+// increment or an address-of (a flag binding) on a selector whose operand
+// holds the type. Operands are matched by name, without type checking: a
+// variable, parameter or result declared with the type or a pointer to
+// it, or initialised from a literal of it or from a call of an internal/
+// function whose first result is one, in the same top-level declaration
+// or at package level; else a struct field of that name and type anywhere
+// in the module.
+func TestConfigFieldsHaveProductSetters(t *testing.T) {
+	root, err := filepath.Abs("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	files := parseModule(t, fset, root)
+	for _, f := range parseModule(t, fset, filepath.Join(root, "benchmark")) {
+		files = append(files, goFile{rel: "benchmark/" + f.rel, f: f.f})
+	}
+	fields := configFields(files)
+	if _, ok := fields["core.ClusterSpec.Topo"]; !ok {
+		t.Fatal("core.ClusterSpec.Topo not found: the walk missed the setting structs")
+	}
+	written := configWrites(files)
+	if !written["core.ClusterSpec.Topo"] {
+		t.Fatal("no write of core.ClusterSpec.Topo found: the walk missed the launcher's callers")
+	}
+	for key, pos := range fields {
+		_, listed := configFieldAllowlist[key]
+		_, typeListed := configFieldAllowlist[key[:strings.LastIndex(key, ".")]]
+		switch {
+		case !written[key] && !listed && !typeListed:
+			t.Errorf("%s: no non-test Go outside its package sets %s: make it a constant, or allowlist it with a reason", fset.Position(pos), key)
+		case written[key] && listed:
+			t.Errorf("%s: allowlisted %s now has a product setter: drop its allowlist entry", fset.Position(pos), key)
+		}
+	}
+	types := make(map[string]bool)
+	for key := range fields {
+		types[key[:strings.LastIndex(key, ".")]] = true
+	}
+	for key, reason := range configFieldAllowlist {
+		if _, ok := fields[key]; !ok && !types[key] {
+			t.Errorf("allowlist entry %s names no setting field or type under internal/", key)
+		}
+		if strings.TrimSpace(reason) == "" {
+			t.Errorf("allowlist entry %s gives no reason", key)
+		}
+	}
+}
+
+// configFields maps "pkg.Type.Field" to its position for every exported
+// field of a setting struct under internal/.
+func configFields(files []goFile) map[string]token.Pos {
+	out := make(map[string]token.Pos)
+	for _, gf := range files {
+		pkg, ok := strings.CutPrefix(filepath.Dir(gf.rel), "internal/")
+		if !ok {
+			continue
+		}
+		for _, d := range gf.f.Decls {
+			g, ok := d.(*ast.GenDecl)
+			if !ok || g.Tok != token.TYPE {
+				continue
+			}
+			for _, s := range g.Specs {
+				ts := s.(*ast.TypeSpec)
+				st, ok := ts.Type.(*ast.StructType)
+				if !ok || !ts.Name.IsExported() || !hasConfigSuffix(ts.Name.Name) {
+					continue
+				}
+				for _, f := range st.Fields.List {
+					for _, id := range f.Names {
+						if id.IsExported() {
+							out[pkg+"."+ts.Name.Name+"."+id.Name] = id.Pos()
+						}
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+func hasConfigSuffix(name string) bool {
+	for _, s := range configSuffixes {
+		if strings.HasSuffix(name, s) {
+			return true
+		}
+	}
+	return false
+}
+
+// configWrites returns "pkg.Type.Field" for every field of an internal/
+// struct that non-test Go outside internal/pkg writes, by the rules of
+// TestConfigFieldsHaveProductSetters.
+func configWrites(files []goFile) map[string]bool {
+	out := make(map[string]bool)
+	results, fields := funcResults(files), structFieldTypes(files)
+	for _, gf := range files {
+		self, _ := strings.CutPrefix(filepath.Dir(gf.rel), "internal/")
+		imports := internalImports(gf.f)
+		for local, pkg := range imports {
+			if pkg == self {
+				delete(imports, local)
+			}
+		}
+		if len(imports) == 0 {
+			continue
+		}
+		w := &writeScan{out: out, imports: imports, results: results, fields: make(map[string]string)}
+		for name, typ := range fields {
+			if !strings.HasPrefix(typ, self+".") {
+				w.fields[name] = typ
+			}
+		}
+		// Package-level declarations are in scope everywhere; locals only
+		// in their own declaration.
+		global := make(map[string]string)
+		w.vars = global
+		for _, d := range gf.f.Decls {
+			if g, ok := d.(*ast.GenDecl); ok {
+				w.declare(g)
+			}
+		}
+		for _, d := range gf.f.Decls {
+			w.vars = make(map[string]string, len(global))
+			for k, v := range global {
+				w.vars[k] = v
+			}
+			w.declare(d)
+			w.lits(d, "")
+		}
+	}
+	return out
+}
+
+// writeScan finds setting-field writes in one file.
+type writeScan struct {
+	out     map[string]bool
+	imports map[string]string // local name -> package under internal/ (not the file's own)
+	results map[string]string // "pkg.Func" -> the struct its first result denotes
+	fields  map[string]string // struct field name -> the struct it holds, module-wide
+	vars    map[string]string // operand name -> the struct it holds
+}
+
+// holds names the struct an operand named name holds: a declaration in
+// scope, else a struct field of that name anywhere in the module.
+func (w *writeScan) holds(name string) string {
+	if typ := w.vars[name]; typ != "" {
+		return typ
+	}
+	return w.fields[name]
+}
+
+// typeOf names the struct a type expression of another internal package
+// denotes, or "".
+func (w *writeScan) typeOf(e ast.Expr) string {
+	if s, ok := e.(*ast.StarExpr); ok {
+		e = s.X
+	}
+	if sel, ok := e.(*ast.SelectorExpr); ok {
+		if id, ok := sel.X.(*ast.Ident); ok && w.imports[id.Name] != "" {
+			return w.imports[id.Name] + "." + sel.Sel.Name
+		}
+	}
+	return ""
+}
+
+// elemOf names the struct the elements of a slice, array or map type
+// denote, or "".
+func (w *writeScan) elemOf(e ast.Expr) string {
+	switch x := e.(type) {
+	case *ast.ArrayType:
+		return w.typeOf(x.Elt)
+	case *ast.MapType:
+		return w.typeOf(x.Value)
+	}
+	return ""
+}
+
+// valueOf names the struct a value expression yields: a literal of it, the
+// address of one, a call of a function whose first result is one, or an
+// operand that holds one.
+func (w *writeScan) valueOf(e ast.Expr) string {
+	if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.AND {
+		e = u.X
+	}
+	if s, ok := e.(*ast.StarExpr); ok {
+		e = s.X
+	}
+	switch x := e.(type) {
+	case *ast.CompositeLit:
+		if x.Type != nil {
+			return w.typeOf(x.Type)
+		}
+	case *ast.CallExpr:
+		if sel, ok := x.Fun.(*ast.SelectorExpr); ok {
+			if id, ok := sel.X.(*ast.Ident); ok && w.imports[id.Name] != "" {
+				return w.results[w.imports[id.Name]+"."+sel.Sel.Name]
+			}
+		}
+	case *ast.SelectorExpr:
+		return w.fields[x.Sel.Name]
+	case *ast.Ident:
+		return w.vars[x.Name]
+	}
+	return ""
+}
+
+// declare records the operands n declares with a setting struct's type.
+func (w *writeScan) declare(n ast.Node) {
+	ast.Inspect(n, func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.Field:
+			if typ := w.typeOf(x.Type); typ != "" {
+				for _, id := range x.Names {
+					w.vars[id.Name] = typ
+				}
+			}
+		case *ast.ValueSpec:
+			for i, id := range x.Names {
+				if typ := w.typeOf(x.Type); typ != "" {
+					w.vars[id.Name] = typ
+				} else if i < len(x.Values) && len(x.Values) == len(x.Names) {
+					if typ := w.valueOf(x.Values[i]); typ != "" {
+						w.vars[id.Name] = typ
+					}
+				}
+			}
+		case *ast.AssignStmt:
+			if x.Tok != token.DEFINE {
+				break
+			}
+			for i, l := range x.Lhs {
+				id, ok := l.(*ast.Ident)
+				if !ok || (i > 0 && len(x.Rhs) == 1) {
+					continue
+				}
+				r := x.Rhs[0]
+				if len(x.Rhs) == len(x.Lhs) {
+					r = x.Rhs[i]
+				}
+				if typ := w.valueOf(r); typ != "" {
+					w.vars[id.Name] = typ
+				}
+			}
+		}
+		return true
+	})
+}
+
+// writeSel records a write of the selector e, named for its operand's
+// last identifier.
+func (w *writeScan) writeSel(e ast.Expr) {
+	sel, ok := e.(*ast.SelectorExpr)
+	if !ok {
+		return
+	}
+	var name string
+	switch x := sel.X.(type) {
+	case *ast.Ident:
+		name = x.Name
+	case *ast.SelectorExpr:
+		name = x.Sel.Name
+	}
+	if typ := w.holds(name); typ != "" {
+		w.out[typ+"."+sel.Sel.Name] = true
+	}
+}
+
+// lits records the writes in n. elided is the struct a composite literal
+// without a type denotes: the element type of the enclosing literal.
+func (w *writeScan) lits(n ast.Node, elided string) {
+	ast.Inspect(n, func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.AssignStmt:
+			if x.Tok != token.DEFINE {
+				for _, l := range x.Lhs {
+					w.writeSel(l)
+				}
+			}
+		case *ast.IncDecStmt:
+			w.writeSel(x.X)
+		case *ast.UnaryExpr:
+			if x.Op == token.AND {
+				w.writeSel(x.X)
+			}
+		case *ast.CompositeLit:
+			typ, elem := elided, ""
+			if x.Type != nil {
+				typ, elem = w.typeOf(x.Type), w.elemOf(x.Type)
+			}
+			for _, el := range x.Elts {
+				if kv, ok := el.(*ast.KeyValueExpr); ok {
+					if id, ok := kv.Key.(*ast.Ident); ok && typ != "" && elem == "" {
+						w.out[typ+"."+id.Name] = true
+					}
+					el = kv.Value
+				}
+				if u, ok := el.(*ast.UnaryExpr); ok && u.Op == token.AND {
+					el = u.X
+				}
+				w.lits(el, elem)
+			}
+			return false
+		}
+		return true
+	})
+}
+
+// funcResults maps "pkg.Func" to the struct the first result of each
+// function under internal/ denotes, when it is a struct of the same
+// package (T or *T).
+func funcResults(files []goFile) map[string]string {
+	out := make(map[string]string)
+	for _, gf := range files {
+		pkg, ok := strings.CutPrefix(filepath.Dir(gf.rel), "internal/")
+		if !ok {
+			continue
+		}
+		for _, d := range gf.f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Recv != nil || fd.Type.Results == nil {
+				continue
+			}
+			e := fd.Type.Results.List[0].Type
+			if s, ok := e.(*ast.StarExpr); ok {
+				e = s.X
+			}
+			if id, ok := e.(*ast.Ident); ok && id.IsExported() {
+				out[pkg+"."+fd.Name.Name] = pkg + "." + id.Name
+			}
+		}
+	}
+	return out
+}
+
+// structFieldTypes maps the name of every struct field in the module
+// whose type is a struct under internal/ (T or *T, qualified or in the
+// field's own package) to that struct.
+func structFieldTypes(files []goFile) map[string]string {
+	out := make(map[string]string)
+	for _, gf := range files {
+		self, inInternal := strings.CutPrefix(filepath.Dir(gf.rel), "internal/")
+		imports := internalImports(gf.f)
+		ast.Inspect(gf.f, func(n ast.Node) bool {
+			st, ok := n.(*ast.StructType)
+			if !ok {
+				return true
+			}
+			for _, f := range st.Fields.List {
+				e := f.Type
+				if s, ok := e.(*ast.StarExpr); ok {
+					e = s.X
+				}
+				typ := ""
+				switch x := e.(type) {
+				case *ast.SelectorExpr:
+					if id, ok := x.X.(*ast.Ident); ok && imports[id.Name] != "" {
+						typ = imports[id.Name] + "." + x.Sel.Name
+					}
+				case *ast.Ident:
+					if inInternal && x.IsExported() {
+						typ = self + "." + x.Name
+					}
+				}
+				for _, id := range f.Names {
+					if typ != "" {
+						out[id.Name] = typ
+					}
+				}
+			}
+			return true
+		})
+	}
+	return out
 }

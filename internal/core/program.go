@@ -14,9 +14,6 @@ type ArraySpec struct {
 	// Map gives element i's initial PE. Nil means block mapping:
 	// contiguous ranges of ceil(N/P) elements per PE.
 	Map func(i int, numPE int) int
-	// Restore rebuilds a migrated element from Pack output. Required only
-	// if elements of this array migrate.
-	Restore func(i int, data []byte) (Chare, error)
 }
 
 // BlockMap is the default placement: contiguous index ranges, one per PE.

@@ -139,7 +139,9 @@ func TestTwoNodeTCPRuntime(t *testing.T) {
 // each node and checks that causal trace context survives the TCP hop: the
 // enqueue and begin events recorded on the remote node carry the message ID
 // the sending node assigned (node 0 seeds IDs with high bits 0, node 1 with
-// node<<48, so provenance is visible in the ID itself).
+// node<<48, so provenance is visible in the ID itself). No event carries
+// KindStop: Run pushes the stop straight into each queue and the scheduler
+// returns before tracing it, so trace consumers filter nothing out.
 func TestTwoNodeTCPCausality(t *testing.T) {
 	const rounds = 3
 	topo, err := topology.TwoClusters(2, 0)
@@ -172,6 +174,14 @@ func TestTwoNodeTCPCausality(t *testing.T) {
 	})
 	if _, err := pair.RunWithin(30 * time.Second); err != nil {
 		t.Fatal(err)
+	}
+
+	for node, tr := range trs {
+		for _, ev := range tr.Events() {
+			if ev.MsgKind == byte(KindStop) {
+				t.Errorf("node %d traced a stop message: %+v", node, ev)
+			}
+		}
 	}
 
 	// IDs assigned on node 0 have high bits 0; on node 1, 1<<48.

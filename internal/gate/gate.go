@@ -128,10 +128,6 @@ type Config struct {
 	// message). 0 means 64.
 	SubmitBatch int
 
-	// IdemTTL is how long a completed job's idempotency key keeps
-	// answering duplicates. 0 means 10 minutes.
-	IdemTTL time.Duration
-
 	// Metrics, when non-nil, receives the gate's per-tenant series.
 	Metrics *metrics.Registry
 
@@ -153,13 +149,6 @@ func (c *Config) submitBatch() int {
 		return 64
 	}
 	return c.SubmitBatch
-}
-
-func (c *Config) idemTTL() time.Duration {
-	if c.IdemTTL <= 0 {
-		return 10 * time.Minute
-	}
-	return c.IdemTTL
 }
 
 // Sentinel errors the HTTP layer maps to status codes.
@@ -237,7 +226,7 @@ func New(cfg Config, sub Submitter) (*Gateway, error) {
 		tenants:   make(map[string]*tenantState, len(cfg.Tenants)),
 		jobs:      make(map[string]*Job),
 		bySeq:     make(map[int64]*Job),
-		idem:      newIdemTable(cfg.idemTTL()),
+		idem:      newIdemTable(),
 		kick:      make(chan struct{}, 1),
 		stop:      make(chan struct{}),
 		inflight:  cfg.Metrics.Gauge("gate_inflight_tasks"),

@@ -408,13 +408,13 @@ func TestWFQProportions(t *testing.T) {
 
 // TestIdemTableTTL pins tombstone expiry.
 func TestIdemTableTTL(t *testing.T) {
-	tab := newIdemTable(time.Minute)
+	tab := newIdemTable()
 	now := time.Now()
 	tab.insert("t", "k", "j-1", now)
-	if id, ok := tab.lookup("t", "k", now.Add(30*time.Second)); !ok || id != "j-1" {
+	if id, ok := tab.lookup("t", "k", now.Add(idemTTL/2)); !ok || id != "j-1" {
 		t.Fatalf("live key: %q %v", id, ok)
 	}
-	if _, ok := tab.lookup("t", "k", now.Add(2*time.Minute)); ok {
+	if _, ok := tab.lookup("t", "k", now.Add(2*idemTTL)); ok {
 		t.Fatal("expired key still resolves")
 	}
 	// No cross-tenant bleed.
@@ -423,7 +423,7 @@ func TestIdemTableTTL(t *testing.T) {
 	}
 	// Lazy sweep keeps the table bounded as expired keys churn.
 	for i := 0; i < 1000; i++ {
-		tab.insert("t", fmt.Sprintf("k%d", i), "j", now.Add(time.Duration(i)*2*time.Minute))
+		tab.insert("t", fmt.Sprintf("k%d", i), "j", now.Add(time.Duration(i)*2*idemTTL))
 	}
 	if n := len(tab.entries); n > 20 {
 		t.Errorf("idem table retained %d entries across expiring churn", n)

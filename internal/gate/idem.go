@@ -18,13 +18,16 @@ type idemEntry struct {
 }
 
 type idemTable struct {
-	ttl     time.Duration
 	entries map[string]idemEntry
 	sweep   []string // FIFO of keys in insertion order, for incremental expiry
 }
 
-func newIdemTable(ttl time.Duration) *idemTable {
-	return &idemTable{ttl: ttl, entries: make(map[string]idemEntry)}
+// idemTTL is how long a completed job's idempotency key keeps answering
+// duplicates.
+const idemTTL = 10 * time.Minute
+
+func newIdemTable() *idemTable {
+	return &idemTable{entries: make(map[string]idemEntry)}
 }
 
 // idemKey joins tenant and key with a byte neither may contain, so
@@ -47,7 +50,7 @@ func (t *idemTable) lookup(tenant, key string, now time.Time) (string, bool) {
 // growing past live-entry count by more than a constant factor.
 func (t *idemTable) insert(tenant, key, jobID string, now time.Time) {
 	k := idemKey(tenant, key)
-	t.entries[k] = idemEntry{jobID: jobID, expires: now.Add(t.ttl)}
+	t.entries[k] = idemEntry{jobID: jobID, expires: now.Add(idemTTL)}
 	t.sweep = append(t.sweep, k)
 	for i := 0; i < 2 && len(t.sweep) > 0; i++ {
 		head := t.sweep[0]

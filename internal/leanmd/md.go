@@ -487,7 +487,7 @@ func BuildProgram(p *Params) (*core.Program, *Geometry, error) {
 		Arrays: []core.ArraySpec{
 			{
 				ID: ArrayCells, N: g.NumCells,
-				// No Restore: checkpointed cells rebuild through New + PUP.
+				// Checkpointed cells rebuild through New + PUP.
 				New: func(i int) core.Chare { return newCell(p, g, i) },
 			},
 			{

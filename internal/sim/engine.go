@@ -50,10 +50,6 @@ type Options struct {
 	// per-message link overhead once (see core/bundle.go).
 	Bundle bool
 
-	// MaxVirtual aborts runs whose virtual clock passes this bound
-	// (guards against runaway programs). Zero means no bound.
-	MaxVirtual time.Duration
-
 	// MaxEvents aborts runs that process more than this many events.
 	// Zero means no bound.
 	MaxEvents int64
@@ -756,10 +752,6 @@ func (e *Engine) runSequential() {
 		s.eventCount++
 		if e.opts.MaxEvents > 0 && s.eventCount > e.opts.MaxEvents {
 			e.offerErr(s.curKey, fmt.Errorf("sim: event budget %d exhausted at t=%v", e.opts.MaxEvents, s.now))
-			break
-		}
-		if e.opts.MaxVirtual > 0 && s.now > e.opts.MaxVirtual {
-			e.offerErr(s.curKey, fmt.Errorf("sim: virtual time bound %v exceeded", e.opts.MaxVirtual))
 			break
 		}
 		s.dispatch(ev)

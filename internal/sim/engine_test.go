@@ -382,25 +382,6 @@ func TestEventBudgetGuard(t *testing.T) {
 	if _, _, err := e.Run(); err == nil {
 		t.Error("runaway program not stopped by event budget")
 	}
-
-	e2, err := New(topo, &core.Program{
-		Arrays: []core.ArraySpec{{
-			ID: 0, N: 1,
-			New: func(i int) core.Chare {
-				return funcChare(func(ctx *core.Ctx, e core.EntryID, d any) {
-					ctx.Charge(time.Second)
-					ctx.Send(core.ElemRef{Array: 0, Index: 0}, 0, nil)
-				})
-			},
-		}},
-		Start: func(ctx *core.Ctx) { ctx.Send(core.ElemRef{Array: 0, Index: 0}, 0, nil) },
-	}, Options{MaxVirtual: 5 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := e2.Run(); err == nil {
-		t.Error("runaway program not stopped by virtual time bound")
-	}
 }
 
 // moveAllTo mirrors the core test strategy.

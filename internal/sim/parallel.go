@@ -247,7 +247,7 @@ func (s *shard) pos(ev *event) ordKey {
 }
 
 // processEvent is the parallel-mode event step: snapshot for rewind,
-// advance the clock, enforce the virtual-time budget, dispatch.
+// advance the clock, dispatch.
 func (s *shard) processEvent(ev event) {
 	e := s.eng
 	ps := e.pes[ev.pe]
@@ -269,13 +269,6 @@ func (s *shard) processEvent(ev event) {
 		s.execAt = ev.at
 	}
 	s.eventCount++
-	if e.opts.MaxVirtual > 0 && ev.at > e.opts.MaxVirtual {
-		// The first event past the bound, in deterministic order, wins
-		// the error — identical to the sequential engine. The event
-		// itself is counted but not dispatched, also identical.
-		e.offerErr(s.curKey, fmt.Errorf("sim: virtual time bound %v exceeded", e.opts.MaxVirtual))
-		return
-	}
 	s.dispatch(ev)
 }
 

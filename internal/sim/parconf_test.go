@@ -320,55 +320,3 @@ func TestParallelNaturalQuiescence(t *testing.T) {
 		}
 	}
 }
-
-// TestParallelMaxVirtualMatchesSequential: the virtual-time budget stops
-// both engines at the same first offending event with the same error.
-func TestParallelMaxVirtualMatchesSequential(t *testing.T) {
-	spec, err := topology.ParseSpec("2x4;wan=2ms")
-	if err != nil {
-		t.Fatal(err)
-	}
-	build := func() *core.Program {
-		return &core.Program{
-			Arrays: []core.ArraySpec{{
-				ID: 0, N: 4,
-				New: func(i int) core.Chare {
-					return funcChare(func(ctx *core.Ctx, entry core.EntryID, data any) {
-						ctx.Charge(time.Millisecond)
-						ctx.Send(core.ElemRef{Array: 0, Index: (ctx.Elem().Index + 1) % 4}, 0, nil)
-					})
-				},
-				Map: func(i, numPE int) int { return i % numPE },
-			}},
-			Start: func(ctx *core.Ctx) { ctx.Send(core.ElemRef{Array: 0, Index: 0}, 0, nil) },
-		}
-	}
-	opts := Options{MaxVirtual: 40 * time.Millisecond}
-	topo, _ := spec.Build()
-	eSeq, err := New(topo, build(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, seqVT, seqErr := eSeq.Run()
-	if seqErr == nil {
-		t.Fatal("sequential run did not hit the virtual-time bound")
-	}
-	topo, _ = spec.Build()
-	ePar, err := NewParallel(topo, build(), opts, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, parVT, parErr := ePar.Run()
-	if parErr == nil {
-		t.Fatal("parallel run did not hit the virtual-time bound")
-	}
-	if parErr.Error() != seqErr.Error() {
-		t.Errorf("errors differ: %q vs %q", parErr, seqErr)
-	}
-	if parVT != seqVT {
-		t.Errorf("stop time %v, want %v", parVT, seqVT)
-	}
-	if es, ps := eSeq.Stats(), ePar.Stats(); es.Events != ps.Events {
-		t.Errorf("events at stop: %d, want %d", ps.Events, es.Events)
-	}
-}

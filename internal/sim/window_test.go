@@ -280,9 +280,9 @@ func cutProgram(exitAt time.Duration) *core.Program {
 	}
 }
 
-// TestParallelStopUnderCut: exits, virtual-time bounds and event budgets
-// that land while sibling shards are cut short by the rewind log's bound
-// — some behind the stop, which must keep running up to it, and one ahead
+// TestParallelStopUnderCut: exits and event budgets that land while
+// sibling shards are cut short by the rewind log's bound — some behind
+// the stop, which must keep running up to it, and one ahead
 // of it by several windows, which must rewind across them — reproduce the
 // sequential run bit for bit: exit value, error, virtual time, Stats and
 // trace. Each case fails if the engine settles a stop at the barrier that
@@ -306,7 +306,6 @@ func TestParallelStopUnderCut(t *testing.T) {
 		opts   Options
 	}{
 		{"exit", 3 * time.Millisecond, Options{}},
-		{"max-virtual", 0, Options{MaxVirtual: 3 * time.Millisecond}},
 		{"max-events", 0, Options{MaxEvents: 24_000}},
 	} {
 		ref, refErr, _ := seqParRun(t, topo(), cutProgram(tc.exitAt), tc.opts, 0)

@@ -474,7 +474,7 @@ func BuildProgram(p *Params) (*core.Program, error) {
 	prog := &core.Program{
 		Arrays: []core.ArraySpec{{
 			ID: 0, N: p.NumObjects(),
-			// No Restore: checkpointed blocks rebuild through New + PUP.
+			// Checkpointed blocks rebuild through New + PUP.
 			New: func(i int) core.Chare { return newBlock(p, i) },
 			Map: p.InitialMap,
 		}},

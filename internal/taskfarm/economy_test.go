@@ -124,7 +124,6 @@ func TestFoldingKeepsVirtualTime(t *testing.T) {
 		{"single", *single(Params{Tasks: 500, Prefetch: 2, TaskCost: time.Millisecond, AssignCost: 20 * time.Microsecond}), 119806266, 0xbf93f121ae39e04e},
 		{"sharded", Params{Tasks: 500, Prefetch: 2, TaskCost: time.Millisecond, Shards: 4, Batch: 4}, 79156778, 0xbf93f121ae39e04e},
 		{"sharded+steal", Params{Tasks: 500, Prefetch: 2, TaskCost: time.Millisecond, Shards: 4, Batch: 4, Steal: true, Seed: 3, CostSkew: 8}, 358181831, 0xbf93f121ae39e04e},
-		{"dedicated", *single(Params{Tasks: 300, Workers: 7, Prefetch: 1, TaskCost: 5 * time.Millisecond, DedicatedMaster: true}), 341232916, 0xda964cd9b25cd9bb},
 		{"skew", Params{Tasks: 800, Prefetch: 3, TaskCost: time.Millisecond, AssignCost: 50 * time.Microsecond, Shards: 2, Batch: 1, Steal: true, Seed: 9, CostSkew: 4}, 281770344, 0x9c1ac42d491f332c},
 	} {
 		res := runFarm(t, &tc.p, 8, 4*time.Millisecond)

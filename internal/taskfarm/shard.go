@@ -28,8 +28,6 @@ import (
 //	                                  on the PE of their first worker
 //	workers (ArrayWorker/w)         — block-mapped over all PEs
 //
-// (DedicatedMaster moves every shard to PE 0 and the workers off it.)
-//
 // Steady state per worker: the owning shard keeps Prefetch grants in
 // flight and each resultBatchMsg triggers one new grant. A count-only
 // result (Done, Sum, Check) is folded into the shard's running totals,

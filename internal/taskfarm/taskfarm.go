@@ -67,11 +67,6 @@ type Params struct {
 	// arithmetic per task (for wall-clock runs).
 	Spin int
 
-	// DedicatedMaster puts the root and every dispatcher shard on PE 0
-	// and the workers on PEs 1…, so a worker's compute never delays task
-	// resupply. Needs at least two PEs to have any effect.
-	DedicatedMaster bool
-
 	// AssignCost is the modeled dispatcher CPU per task assignment — the
 	// WRONJ "AT". A shard charges it for every task it grants, so one
 	// dispatcher's throughput caps at 1/AssignCost and the knee at
@@ -358,12 +353,6 @@ func BuildProgram(p *Params) (*core.Program, error) {
 			act := e.activePEs(numPE)
 			return act[core.BlockMap(i, nw, len(act))]
 		}
-		if p.DedicatedMaster {
-			if numPE == 1 {
-				return 0
-			}
-			return 1 + core.BlockMap(i, nw, numPE-1)
-		}
 		return core.BlockMap(i, nw, numPE)
 	}
 	// Elastic farms pin the root and every dispatcher shard to the
@@ -374,9 +363,6 @@ func BuildProgram(p *Params) (*core.Program, error) {
 		if e := p.Elastic; e != nil {
 			cp := e.coordPEs(numPE)
 			return cp[s%len(cp)]
-		}
-		if p.DedicatedMaster {
-			return 0
 		}
 		return workerPE(s*nw/ns, numPE)
 	}

@@ -190,24 +190,6 @@ func TestRealtimeFarm(t *testing.T) {
 	}
 }
 
-func TestDedicatedMasterAvoidsResupplyStalls(t *testing.T) {
-	// With a worker sharing PE 0, its 50ms tasks block the master's
-	// result handling and stall every other worker's resupply at
-	// prefetch 1; a dedicated master PE removes the stall.
-	shared := single(Params{Tasks: 96, Prefetch: 1, TaskCost: 50 * time.Millisecond, Workers: 8})
-	dedicated := single(Params{Tasks: 96, Prefetch: 1, TaskCost: 50 * time.Millisecond, Workers: 7, DedicatedMaster: true})
-	ms := runFarm(t, shared, 8, 0).Makespan
-	md := runFarm(t, dedicated, 8, 0).Makespan
-	if float64(md) > 0.85*float64(ms) {
-		t.Errorf("dedicated master (%v) did not beat co-located master (%v)", md, ms)
-	}
-	// Dedicated farm should sit near its compute bound: 96/7 ceil = 14 rounds.
-	bound := 14 * 50 * time.Millisecond
-	if float64(md) > 1.2*float64(bound) {
-		t.Errorf("dedicated makespan %v, want near %v", md, bound)
-	}
-}
-
 func TestParamsValidate(t *testing.T) {
 	bad := []*Params{
 		{Tasks: 0, Prefetch: 1, Batch: 1},

@@ -10,12 +10,19 @@ import (
 	"gridmdo/internal/trace"
 )
 
-// Agent defaults.
+// Agent defaults and bounds.
 const (
-	DefaultInterval    = 500 * time.Millisecond
-	DefaultFullEvery   = 4
-	DefaultRetainSteps = 8
-	DefaultMaxSpans    = 8192
+	DefaultInterval = 500 * time.Millisecond
+
+	// fullEvery: every fullEvery-th report is a full metrics snapshot,
+	// which re-anchors a delta chain broken by a lost report.
+	fullEvery = 4
+
+	// retainSteps is how many step-overlap rows are kept and shipped.
+	retainSteps = 8
+
+	// maxSpans bounds the span-digest map; the oldest span is evicted.
+	maxSpans = 8192
 
 	// maxSpansPerReport bounds one report's span section so a burst of
 	// trace activity spreads across ticks instead of producing one huge
@@ -43,27 +50,13 @@ type AgentConfig struct {
 	Epoch    time.Time     // the runtime's epoch (rt.Epoch()); trace times are relative to it
 	NumPE    int           // PEs this process hosts (overlap profiling width)
 
-	Interval    time.Duration // reporting period; DefaultInterval if 0
-	FullEvery   int           // every n-th report is a full metrics snapshot; DefaultFullEvery if 0
-	RetainSteps int           // step-overlap rows kept and shipped; DefaultRetainSteps if 0
-	MaxSpans    int           // span-digest map bound; DefaultMaxSpans if 0
+	Interval time.Duration // reporting period; DefaultInterval if 0
 
 	// Send ships one encoded report. It runs on the agent goroutine (or
 	// the ReportOnce caller) and should be cheap; the vmi control path's
 	// SendControl qualifies. A send error is counted and the report
 	// dropped — telemetry is lossy by design.
 	Send func([]byte) error
-
-	// SpanFilter, when set, limits which trace events feed the span
-	// digests (return false to drop). Overlap profiling always sees every
-	// event. Embedders use it to keep infrastructure chatter (stop
-	// messages) out of the span stream without this package importing the
-	// runtime's kind table.
-	SpanFilter func(trace.Event) bool
-
-	// Now, when set, overrides the report clock (ns since Epoch) — the
-	// bench harness injects a virtual clock. Defaults to wall time.
-	Now func() time.Duration
 }
 
 // spanState is a span digest being accumulated. dirty counts how many
@@ -98,7 +91,7 @@ type Agent struct {
 
 	// Step-overlap rows are cached per step so each tick only profiles
 	// the events still in the buffer — the open step plus one completed
-	// step of flight context — instead of re-profiling RetainSteps' worth
+	// step of flight context — instead of re-profiling retainSteps' worth
 	// of history. Without the cache, StepOverlaps over a full retained
 	// buffer dominated the tick (measured ~9 ms and ~13 MB per tick at
 	// stencil event rates; see BenchmarkAgentTick).
@@ -121,19 +114,6 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 	}
 	if cfg.Interval <= 0 {
 		cfg.Interval = DefaultInterval
-	}
-	if cfg.FullEvery <= 0 {
-		cfg.FullEvery = DefaultFullEvery
-	}
-	if cfg.RetainSteps <= 0 {
-		cfg.RetainSteps = DefaultRetainSteps
-	}
-	if cfg.MaxSpans <= 0 {
-		cfg.MaxSpans = DefaultMaxSpans
-	}
-	if cfg.Now == nil {
-		epoch := cfg.Epoch
-		cfg.Now = func() time.Duration { return time.Since(epoch) }
 	}
 	a := &Agent{
 		cfg:       cfg,
@@ -180,7 +160,7 @@ func (a *Agent) Stop() {
 }
 
 // ReportOnce builds and sends one report immediately: full metrics
-// snapshot on the first and every FullEvery-th report, a trimmed delta
+// snapshot on the first and every fullEvery-th report, a trimmed delta
 // otherwise, plus dirty span digests and the recent step-overlap rows.
 // The ticker calls it; tests and the bench harness drive it manually.
 func (a *Agent) ReportOnce() error {
@@ -188,7 +168,7 @@ func (a *Agent) ReportOnce() error {
 	defer a.mu.Unlock()
 
 	a.seq++
-	full := (a.seq-1)%uint64(a.cfg.FullEvery) == 0
+	full := (a.seq-1)%fullEvery == 0
 	snap := a.cfg.Registry.Snapshot()
 	var series []metrics.Sample
 	if full {
@@ -200,7 +180,7 @@ func (a *Agent) ReportOnce() error {
 
 	a.foldNewEvents()
 	spans := a.takeDirtySpans()
-	now := a.cfg.Now()
+	now := time.Since(a.cfg.Epoch)
 	steps := a.stepRows(now, full)
 
 	r := &Report{
@@ -276,12 +256,9 @@ func (a *Agent) foldSpan(ev trace.Event) {
 	default:
 		return
 	}
-	if a.cfg.SpanFilter != nil && !a.cfg.SpanFilter(ev) {
-		return
-	}
 	st := a.spans[ev.MsgID]
 	if st == nil {
-		if len(a.spans) >= a.cfg.MaxSpans {
+		if len(a.spans) >= maxSpans {
 			a.evictOldestSpan()
 		}
 		st = &spanState{span: Span{ID: ev.MsgID}}
@@ -387,7 +364,7 @@ func (a *Agent) trimEvents() {
 }
 
 // stepRows profiles the retained events, folds the rows into the
-// per-step cache, and returns the newest RetainSteps rows. Rows are
+// per-step cache, and returns the newest retainSteps rows. Rows are
 // replace-on-arrival at the collector and a step is re-profiled on
 // every tick until the buffer trims past it, so a partially complete
 // step's row is self-correcting and its last recomputation — with a
@@ -414,11 +391,11 @@ func (a *Agent) stepRows(now time.Duration, full bool) []StepOverlap {
 			}
 		}
 	}
-	if n := len(a.stepOrder); n > a.cfg.RetainSteps {
-		for _, s := range a.stepOrder[:n-a.cfg.RetainSteps] {
+	if n := len(a.stepOrder); n > retainSteps {
+		for _, s := range a.stepOrder[:n-retainSteps] {
 			delete(a.stepCache, s)
 		}
-		a.stepOrder = append(a.stepOrder[:0], a.stepOrder[n-a.cfg.RetainSteps:]...)
+		a.stepOrder = append(a.stepOrder[:0], a.stepOrder[n-retainSteps:]...)
 	}
 	if len(a.stepOrder) == 0 {
 		return nil

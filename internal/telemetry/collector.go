@@ -8,10 +8,14 @@ import (
 	"gridmdo/internal/metrics"
 )
 
-// Collector defaults.
+// Collector bounds.
 const (
-	DefaultMaxStoredSpans = 1 << 17
-	DefaultMaxJobRoots    = 1 << 16
+	// maxStoredSpans bounds the span store; the oldest span is evicted.
+	maxStoredSpans = 1 << 17
+
+	// maxJobRoots bounds the job-id → root span map; the oldest job is
+	// forgotten.
+	maxJobRoots = 1 << 16
 
 	// maxTraceSpans caps one job-trace walk, so a pathological span graph
 	// cannot make the HTTP endpoint allocate without bound.
@@ -26,13 +30,7 @@ const (
 
 // CollectorConfig configures a collector. All fields are optional.
 type CollectorConfig struct {
-	SLO            *SLOTracker // job latencies feed it when set
-	MaxStoredSpans int         // span store bound; DefaultMaxStoredSpans if 0
-	MaxJobRoots    int         // job-id → root map bound; DefaultMaxJobRoots if 0
-
-	// Now overrides the wall clock (job-root span stamps, staleness).
-	// Defaults to time.Now; the bench injects a virtual clock.
-	Now func() time.Time
+	SLO *SLOTracker // job latencies feed it when set
 }
 
 // nodeState is the collector's view of one reporting agent.
@@ -115,15 +113,6 @@ type Collector struct {
 
 // NewCollector builds a collector.
 func NewCollector(cfg CollectorConfig) *Collector {
-	if cfg.MaxStoredSpans <= 0 {
-		cfg.MaxStoredSpans = DefaultMaxStoredSpans
-	}
-	if cfg.MaxJobRoots <= 0 {
-		cfg.MaxJobRoots = DefaultMaxJobRoots
-	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now
-	}
 	return &Collector{
 		cfg:      cfg,
 		nodes:    make(map[int32]*nodeState),
@@ -154,7 +143,7 @@ func (c *Collector) Ingest(b []byte) error {
 
 // Apply merges one decoded report.
 func (c *Collector) Apply(r *Report) {
-	now := c.cfg.Now()
+	now := time.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
@@ -201,7 +190,7 @@ func (c *Collector) applySpans(r *Report) {
 	for _, sp := range r.Spans {
 		rec := c.spans[sp.ID]
 		if rec == nil {
-			if len(c.spans) >= c.cfg.MaxStoredSpans {
+			if len(c.spans) >= maxStoredSpans {
 				c.evictOldestSpan()
 			}
 			rec = &SpanRecord{ID: sp.ID, Node: -1}
@@ -377,7 +366,7 @@ func (c *Collector) ClusterOverlap() []ClusterStep {
 
 // Nodes reports one status row per reporting node, sorted by node.
 func (c *Collector) Nodes() []NodeStatus {
-	now := c.cfg.Now()
+	now := time.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := make([]NodeStatus, 0, len(c.nodes))
@@ -408,17 +397,17 @@ func (c *Collector) BadWire() uint64 {
 // root span for a newly admitted job, stamped with the wall-clock
 // admission time. Runs under the gateway's lock — cheap by design.
 func (c *Collector) JobAdmitted(jobID, tenant string) uint64 {
-	now := c.cfg.Now().UnixNano()
+	now := time.Now().UnixNano()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.rootSeq++
 	root := rootIDBase | c.rootSeq
-	if len(c.spans) >= c.cfg.MaxStoredSpans {
+	if len(c.spans) >= maxStoredSpans {
 		c.evictOldestSpan()
 	}
 	c.spans[root] = &SpanRecord{ID: root, Node: -1, BeginUnixNs: now}
 	c.spanOrder = append(c.spanOrder, root)
-	for len(c.jobRoots) >= c.cfg.MaxJobRoots && len(c.jobOrder) > 0 {
+	for len(c.jobRoots) >= maxJobRoots && len(c.jobOrder) > 0 {
 		delete(c.jobRoots, c.jobOrder[0])
 		c.jobOrder = c.jobOrder[1:]
 	}
@@ -448,7 +437,7 @@ func (c *Collector) JobInjected(root, msgID uint64) {
 
 // JobDone closes a job's root span and feeds the SLO tracker.
 func (c *Collector) JobDone(jobID string, root uint64, tenant string, latency time.Duration, failed bool) {
-	now := c.cfg.Now()
+	now := time.Now()
 	c.mu.Lock()
 	if rec := c.spans[root]; rec != nil && rec.EndUnixNs == 0 {
 		rec.EndUnixNs = now.UnixNano()

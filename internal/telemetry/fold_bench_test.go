@@ -13,7 +13,7 @@ import (
 // each), with or without per-step marks in the stream. The marked path
 // must stay cheap regardless of how long the agent has been running —
 // the step-row cache exists so a tick profiles only the open step, not
-// RetainSteps' worth of history.
+// retainSteps' worth of history.
 func benchAgentTick(b *testing.B, marks bool) {
 	tr := trace.NewWithCapacity(8, 1<<12)
 	coll := NewCollector(CollectorConfig{})

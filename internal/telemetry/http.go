@@ -73,13 +73,12 @@ func (c *Collector) SLOHandler() http.Handler {
 			writeJSON(w, http.StatusNotFound, map[string]string{"error": "slo tracking disabled"})
 			return
 		}
-		cfg := t.Config()
 		writeJSON(w, http.StatusOK, map[string]any{
-			"objective_ms":   cfg.Objective.Milliseconds(),
-			"budget":         cfg.Budget,
-			"fast_window_ms": cfg.FastWindow.Milliseconds(),
-			"slow_window_ms": cfg.SlowWindow.Milliseconds(),
-			"burn_threshold": cfg.BurnThreshold,
+			"objective_ms":   sloObjective.Milliseconds(),
+			"budget":         sloBudget,
+			"fast_window_ms": int64(sloFastSecs * 1000),
+			"slow_window_ms": int64(sloSlowSecs * 1000),
+			"burn_threshold": sloBurnThreshold,
 			"tenants":        t.Evaluate(time.Now()),
 		})
 	})

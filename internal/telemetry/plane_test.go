@@ -83,8 +83,8 @@ func TestClusterConvergesUnderSeededDrops(t *testing.T) {
 	lag := 0
 	for coll.ClusterMetrics().Value("conv_tasks_total") != truth {
 		lag++
-		if lag > 2*DefaultFullEvery {
-			t.Fatalf("lossy channel not healed after %d quiet periods (%d reports dropped)", 2*DefaultFullEvery, dropped)
+		if lag > 2*fullEvery {
+			t.Fatalf("lossy channel not healed after %d quiet periods (%d reports dropped)", 2*fullEvery, dropped)
 		}
 		reportAll(agents)
 	}

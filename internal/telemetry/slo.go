@@ -17,29 +17,19 @@ import (
 // blip from paging, and requiring both is what makes the alert reset
 // quickly once the cause reverts (the fast window drains first).
 //
-// All methods take explicit timestamps, so the bench harness can drive a
-// virtual clock deterministically; live callers pass time.Now().
+// All methods take explicit timestamps, so tests can drive a synthetic
+// clock deterministically; live callers pass time.Now().
 
-// SLOConfig sets the objective and the evaluation windows.
-type SLOConfig struct {
-	Objective     time.Duration // per-request latency objective
-	Budget        float64       // tolerated bad fraction (0.001 = 99.9% target)
-	FastWindow    time.Duration // detection window
-	SlowWindow    time.Duration // sustain window (also the retention horizon)
-	BurnThreshold float64       // both windows must burn at or past this to fire
-}
-
-// DefaultSLOConfig is a reasonable interactive-service starting point:
-// 100ms objective, 99% target, 1m/5m windows, 2x burn threshold.
-func DefaultSLOConfig() SLOConfig {
-	return SLOConfig{
-		Objective:     100 * time.Millisecond,
-		Budget:        0.01,
-		FastWindow:    time.Minute,
-		SlowWindow:    5 * time.Minute,
-		BurnThreshold: 2,
-	}
-}
+// The objective and the evaluation windows, a reasonable
+// interactive-service starting point: 100ms objective, 99% target, 1m/5m
+// windows, 2x burn threshold.
+const (
+	sloObjective     = 100 * time.Millisecond // per-request latency objective
+	sloBudget        = 0.01                   // tolerated bad fraction (99% target)
+	sloFastSecs      = 60                     // detection window, in seconds
+	sloSlowSecs      = 5 * 60                 // sustain window and retention horizon, in seconds
+	sloBurnThreshold = 2.0                    // both windows must burn at or past this to fire
+)
 
 // sloBucket accumulates one second of one tenant's traffic.
 type sloBucket struct {
@@ -70,48 +60,12 @@ type SLOStatus struct {
 // SLOTracker evaluates per-tenant SLO burn. Safe for concurrent use.
 type SLOTracker struct {
 	mu      sync.Mutex
-	cfg     SLOConfig
 	tenants map[string]*sloSeries
 }
 
-// NewSLOTracker builds a tracker; zero config fields take defaults.
-func NewSLOTracker(cfg SLOConfig) *SLOTracker {
-	def := DefaultSLOConfig()
-	if cfg.Objective <= 0 {
-		cfg.Objective = def.Objective
-	}
-	if cfg.Budget <= 0 {
-		cfg.Budget = def.Budget
-	}
-	if cfg.FastWindow <= 0 {
-		cfg.FastWindow = def.FastWindow
-	}
-	if cfg.SlowWindow < cfg.FastWindow {
-		cfg.SlowWindow = def.SlowWindow
-		if cfg.SlowWindow < cfg.FastWindow {
-			cfg.SlowWindow = 5 * cfg.FastWindow
-		}
-	}
-	if cfg.BurnThreshold <= 0 {
-		cfg.BurnThreshold = def.BurnThreshold
-	}
-	return &SLOTracker{cfg: cfg, tenants: make(map[string]*sloSeries)}
-}
-
-// Config reports the resolved configuration.
-func (t *SLOTracker) Config() SLOConfig { return t.cfg }
-
-// windowSecs returns the two windows in whole seconds, minimum 1.
-func (t *SLOTracker) windowSecs() (fast, slow int64) {
-	fast = int64(t.cfg.FastWindow / time.Second)
-	if fast < 1 {
-		fast = 1
-	}
-	slow = int64(t.cfg.SlowWindow / time.Second)
-	if slow < fast {
-		slow = fast
-	}
-	return fast, slow
+// NewSLOTracker builds a tracker.
+func NewSLOTracker() *SLOTracker {
+	return &SLOTracker{tenants: make(map[string]*sloSeries)}
 }
 
 // Record accounts one finished request. Nil-safe: a nil tracker records
@@ -124,8 +78,7 @@ func (t *SLOTracker) Record(tenant string, at time.Time, latency time.Duration, 
 	defer t.mu.Unlock()
 	s := t.tenants[tenant]
 	if s == nil {
-		_, slow := t.windowSecs()
-		s = &sloSeries{buckets: make([]sloBucket, slow)}
+		s = &sloSeries{buckets: make([]sloBucket, sloSlowSecs)}
 		t.tenants[tenant] = s
 	}
 	sec := at.Unix()
@@ -136,7 +89,7 @@ func (t *SLOTracker) Record(tenant string, at time.Time, latency time.Duration, 
 		*b = sloBucket{sec: sec}
 	}
 	b.total++
-	if failed || latency > t.cfg.Objective {
+	if failed || latency > sloObjective {
 		b.bad++
 	}
 }
@@ -151,29 +104,28 @@ func (t *SLOTracker) Evaluate(at time.Time) []SLOStatus {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	fast, slow := t.windowSecs()
 	now := at.Unix()
 	out := make([]SLOStatus, 0, len(t.tenants))
 	for name, s := range t.tenants {
 		st := SLOStatus{Tenant: name}
 		for i := range s.buckets {
 			b := &s.buckets[i]
-			if b.sec == 0 || b.sec > now || now-b.sec >= slow {
+			if b.sec == 0 || b.sec > now || now-b.sec >= sloSlowSecs {
 				continue
 			}
 			st.SlowTotal += b.total
 			st.SlowBad += b.bad
-			if now-b.sec < fast {
+			if now-b.sec < sloFastSecs {
 				st.FastTotal += b.total
 				st.FastBad += b.bad
 			}
 		}
-		st.FastBurn = burnRate(st.FastBad, st.FastTotal, t.cfg.Budget)
-		st.SlowBurn = burnRate(st.SlowBad, st.SlowTotal, t.cfg.Budget)
-		if !s.firing && st.FastBurn >= t.cfg.BurnThreshold && st.SlowBurn >= t.cfg.BurnThreshold {
+		st.FastBurn = burnRate(st.FastBad, st.FastTotal)
+		st.SlowBurn = burnRate(st.SlowBad, st.SlowTotal)
+		if !s.firing && st.FastBurn >= sloBurnThreshold && st.SlowBurn >= sloBurnThreshold {
 			s.firing = true
 			s.trips++
-		} else if s.firing && st.FastBurn < t.cfg.BurnThreshold {
+		} else if s.firing && st.FastBurn < sloBurnThreshold {
 			s.firing = false
 		}
 		st.Firing = s.firing
@@ -184,10 +136,10 @@ func (t *SLOTracker) Evaluate(at time.Time) []SLOStatus {
 	return out
 }
 
-// burnRate is (bad/total)/budget, 0 when the window saw no traffic.
-func burnRate(bad, total int64, budget float64) float64 {
-	if total == 0 || budget <= 0 {
+// burnRate is (bad/total)/sloBudget, 0 when the window saw no traffic.
+func burnRate(bad, total int64) float64 {
+	if total == 0 {
 		return 0
 	}
-	return float64(bad) / float64(total) / budget
+	return float64(bad) / float64(total) / sloBudget
 }

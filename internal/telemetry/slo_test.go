@@ -5,30 +5,25 @@ import (
 	"time"
 )
 
-// benchSLO mirrors the bench experiment's configuration: 8ms objective,
-// 10% budget, 2s/8s windows, 2x threshold.
-func benchSLO() *SLOTracker {
-	return NewSLOTracker(SLOConfig{
-		Objective:     8 * time.Millisecond,
-		Budget:        0.1,
-		FastWindow:    2 * time.Second,
-		SlowWindow:    8 * time.Second,
-		BurnThreshold: 2,
-	})
+// second records n requests of one latency for tenant in the second at
+// and returns the next second.
+func second(tr *SLOTracker, tenant string, at time.Time, n int, latency time.Duration) time.Time {
+	for i := 0; i < n; i++ {
+		tr.Record(tenant, at, latency, false)
+	}
+	return at.Add(time.Second)
 }
 
+// TestSLOBurnStepFiresAndClears drives the 1 min / 5 min windows with
+// synthetic timestamps, one second at a time.
 func TestSLOBurnStepFiresAndClears(t *testing.T) {
-	tr := benchSLO()
-	base := time.Unix(1_700_000_000, 0)
+	tr := NewSLOTracker()
+	at := time.Unix(1_700_000_000, 0)
 
-	// 10 seconds of healthy traffic: 4ms latency, well under the 8ms
-	// objective. No alert.
-	at := base
-	for s := 0; s < 10; s++ {
-		for i := 0; i < 50; i++ {
-			tr.Record("acme", at, 4*time.Millisecond, false)
-		}
-		at = at.Add(time.Second)
+	// A slow window of healthy traffic: 40ms latency, well under the
+	// 100ms objective. No alert.
+	for s := 0; s < sloSlowSecs; s++ {
+		at = second(tr, "acme", at, 50, 40*time.Millisecond)
 		for _, st := range tr.Evaluate(at) {
 			if st.Firing {
 				t.Fatalf("alert fired on healthy traffic at +%ds: %+v", s, st)
@@ -36,34 +31,25 @@ func TestSLOBurnStepFiresAndClears(t *testing.T) {
 		}
 	}
 
-	// Latency step to 32ms: every request is now bad, burn = 1/0.1 = 10x.
-	// The alert must fire within two fast windows (4s).
+	// Latency step to 400ms: every request is now bad. The alert must
+	// fire within two fast windows.
 	fired := -1
-	for s := 0; s < 4; s++ {
-		for i := 0; i < 50; i++ {
-			tr.Record("acme", at, 32*time.Millisecond, false)
-		}
-		at = at.Add(time.Second)
+	for s := 0; s < 2*sloFastSecs && fired < 0; s++ {
+		at = second(tr, "acme", at, 50, 400*time.Millisecond)
 		for _, st := range tr.Evaluate(at) {
-			if st.Firing && fired < 0 {
+			if st.Firing {
 				fired = s
 			}
 		}
 	}
 	if fired < 0 {
-		t.Fatal("burn alert never fired under the latency step")
-	}
-	if fired >= 4 {
-		t.Fatalf("alert fired after %ds, want within two 2s windows", fired+1)
+		t.Fatal("burn alert never fired within two fast windows of the latency step")
 	}
 
 	// Step reverts; the fast window drains and the alert clears.
 	cleared := false
-	for s := 0; s < 6 && !cleared; s++ {
-		for i := 0; i < 50; i++ {
-			tr.Record("acme", at, 4*time.Millisecond, false)
-		}
-		at = at.Add(time.Second)
+	for s := 0; s < 3*sloFastSecs && !cleared; s++ {
+		at = second(tr, "acme", at, 50, 40*time.Millisecond)
 		for _, st := range tr.Evaluate(at) {
 			if !st.Firing {
 				cleared = true
@@ -79,7 +65,7 @@ func TestSLOBurnStepFiresAndClears(t *testing.T) {
 }
 
 func TestSLOFailuresCountAsBad(t *testing.T) {
-	tr := benchSLO()
+	tr := NewSLOTracker()
 	at := time.Unix(1_700_000_100, 0)
 	for i := 0; i < 10; i++ {
 		tr.Record("t", at, time.Millisecond, i%2 == 0) // half fail fast
@@ -91,11 +77,11 @@ func TestSLOFailuresCountAsBad(t *testing.T) {
 }
 
 func TestSLOQuietTenantDoesNotBurn(t *testing.T) {
-	tr := benchSLO()
+	tr := NewSLOTracker()
 	at := time.Unix(1_700_000_200, 0)
 	tr.Record("quiet", at, time.Millisecond, false)
-	// Evaluate far in the future: all buckets out of window, burn 0.
-	st := tr.Evaluate(at.Add(time.Minute))
+	// Evaluate past the slow window: all buckets out of window, burn 0.
+	st := tr.Evaluate(at.Add(2 * sloSlowSecs * time.Second))
 	if len(st) != 1 || st[0].FastBurn != 0 || st[0].SlowBurn != 0 || st[0].Firing {
 		t.Fatalf("stale traffic still burning: %+v", st)
 	}
@@ -113,20 +99,16 @@ func TestSLOSlowWindowHoldsAlertContext(t *testing.T) {
 	// A single bad second inside an otherwise healthy slow window must
 	// NOT fire: the fast window burns but the slow one does not — the
 	// two-window AND is exactly what suppresses blips.
-	tr := benchSLO()
-	base := time.Unix(1_700_000_300, 0)
-	at := base
-	for s := 0; s < 7; s++ {
-		for i := 0; i < 100; i++ {
-			tr.Record("acme", at, time.Millisecond, false)
-		}
-		at = at.Add(time.Second)
+	tr := NewSLOTracker()
+	at := time.Unix(1_700_000_300, 0)
+	for s := 0; s < sloSlowSecs-1; s++ {
+		at = second(tr, "acme", at, 100, time.Millisecond)
 	}
-	for i := 0; i < 10; i++ {
-		tr.Record("acme", at, 50*time.Millisecond, false) // one bad second
-	}
-	at = at.Add(time.Second)
+	at = second(tr, "acme", at, 200, 500*time.Millisecond) // one bad second
 	for _, st := range tr.Evaluate(at) {
+		if st.FastBurn < sloBurnThreshold {
+			t.Fatalf("the bad second did not burn the fast window: %+v", st)
+		}
 		if st.Firing {
 			t.Fatalf("one bad second fired the alert: %+v", st)
 		}

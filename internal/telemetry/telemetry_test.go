@@ -97,7 +97,7 @@ func TestCollectorToleratesDroppedReports(t *testing.T) {
 		t.Fatalf("gap not recorded: %+v", nodes)
 	}
 
-	// The next full snapshot (seq 5 with FullEvery=4) self-heals.
+	// The next full snapshot (seq 5, as fullEvery is 4) self-heals.
 	c.Add(1)
 	_ = a.ReportOnce() // seq 4: delta, still gapped
 	_ = a.ReportOnce() // seq 5: full
@@ -348,29 +348,35 @@ func TestAgentSpanEviction(t *testing.T) {
 	reg := metrics.NewRegistry()
 	tr := trace.New(1)
 	a, err := NewAgent(AgentConfig{
-		Node: 0, Registry: reg, Tracer: tr, NumPE: 1, MaxSpans: 4,
+		Node: 0, Registry: reg, Tracer: tr, NumPE: 1,
 		Send: func(b []byte) error { return coll.Ingest(b) },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 10 open spans (no End): the agent must bound its map at 4.
-	for i := 1; i <= 10; i++ {
+	// One open span (no End) past the bound: the agent must bound its
+	// map at maxSpans by evicting the oldest.
+	for i := 1; i <= maxSpans+1; i++ {
 		tr.Record(trace.Event{PE: 0, Kind: trace.EvSend, At: time.Duration(i), MsgID: uint64(i)})
 	}
 	_ = a.ReportOnce()
 	a.mu.Lock()
 	n := len(a.spans)
+	_, oldest := a.spans[1]
 	a.mu.Unlock()
-	if n > 4 {
-		t.Fatalf("agent holds %d spans, bound is 4", n)
+	if n > maxSpans {
+		t.Fatalf("agent holds %d spans, bound is %d", n, maxSpans)
 	}
-	// Completed spans leave the map once fully resent.
-	tr.Record(trace.Event{PE: 0, Kind: trace.EvEnd, At: 100, MsgID: 10})
+	if oldest {
+		t.Error("the oldest span survived the bound; eviction is not oldest-first")
+	}
+	// Completed spans leave the map once fully resent. Span 2 is now the
+	// oldest, so every report ships it first.
+	tr.Record(trace.Event{PE: 0, Kind: trace.EvEnd, At: time.Duration(maxSpans + 2), MsgID: 2})
 	_ = a.ReportOnce()
 	_ = a.ReportOnce()
 	a.mu.Lock()
-	_, still := a.spans[10]
+	_, still := a.spans[2]
 	a.mu.Unlock()
 	if still {
 		t.Error("completed, fully-resent span not evicted")

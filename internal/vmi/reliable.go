@@ -163,16 +163,6 @@ type ReliableConfig struct {
 	// exponentially per attempt up to RTOMax (default 500ms).
 	RTO    time.Duration
 	RTOMax time.Duration
-	// AckDelay bounds how long a received frame waits before a standalone
-	// ack is emitted when no reverse traffic piggybacks one (default 2ms).
-	AckDelay time.Duration
-	// MaxRetransmits is the per-frame retransmit budget; when a frame has
-	// been retransmitted this many times without an ack, the layer gives
-	// up and fires the failure handler (default 12).
-	MaxRetransmits int
-	// Window bounds the per-peer retransmit buffer in frames; senders
-	// block until acks free space (default 512).
-	Window int
 }
 
 func (c *ReliableConfig) fill() {
@@ -182,16 +172,20 @@ func (c *ReliableConfig) fill() {
 	if c.RTOMax <= 0 {
 		c.RTOMax = 500 * time.Millisecond
 	}
-	if c.AckDelay <= 0 {
-		c.AckDelay = 2 * time.Millisecond
-	}
-	if c.MaxRetransmits <= 0 {
-		c.MaxRetransmits = 12
-	}
-	if c.Window <= 0 {
-		c.Window = 512
-	}
 }
+
+const (
+	// relAckDelay bounds how long a received frame waits before a
+	// standalone ack is emitted when no reverse traffic piggybacks one.
+	relAckDelay = 2 * time.Millisecond
+	// relMaxRetransmits is the per-frame retransmit budget; when a frame
+	// has been retransmitted this many times without an ack, the layer
+	// gives up and fires the failure handler.
+	relMaxRetransmits = 12
+	// relWindow bounds the per-peer retransmit buffer in frames; senders
+	// block until acks free space.
+	relWindow = 512
+)
 
 // ReliableStats counts the layer's repair activity.
 type ReliableStats struct {
@@ -523,12 +517,12 @@ func (r *Reliable) Send(f *Frame) error {
 	}
 	r.mu.Lock()
 	p := r.peer(node)
-	if len(p.sendBuf) >= r.cfg.Window && r.failErr == nil && !r.closed {
+	if len(p.sendBuf) >= relWindow && r.failErr == nil && !r.closed {
 		// Counted on entry, timed on release; the clock is read only on
 		// this blocking path.
 		r.stats.WindowStalls++
 		t0 := time.Now()
-		for len(p.sendBuf) >= r.cfg.Window && r.failErr == nil && !r.closed {
+		for len(p.sendBuf) >= relWindow && r.failErr == nil && !r.closed {
 			r.space.Wait()
 		}
 		r.stats.WindowStallNanos += int64(time.Since(t0))
@@ -723,11 +717,11 @@ func (r *Reliable) retransmitLoop() {
 				if now.Sub(e.lastSent) < r.rto(e.attempts) {
 					continue
 				}
-				if e.attempts >= r.cfg.MaxRetransmits {
+				if e.attempts >= relMaxRetransmits {
 					// Described here: once r.mu is released an ack may
 					// recycle the entry.
 					exhausted = fmt.Errorf("vmi: reliable: frame %d->%d seq %d to node %d unacked after %d retransmits",
-						e.f.Src, e.f.Dst, e.seq, p.node, r.cfg.MaxRetransmits)
+						e.f.Src, e.f.Dst, e.seq, p.node, relMaxRetransmits)
 					exhaustedNode = p.node
 					break
 				}
@@ -781,10 +775,10 @@ func (r *Reliable) retransmitLoop() {
 }
 
 // ackLoop emits standalone cumulative acks for peers whose received
-// frames have not been acked by reverse traffic within AckDelay.
+// frames have not been acked by reverse traffic within relAckDelay.
 func (r *Reliable) ackLoop() {
 	defer r.wg.Done()
-	tick := time.NewTicker(r.cfg.AckDelay)
+	tick := time.NewTicker(relAckDelay)
 	defer tick.Stop()
 	var acks []Frame
 	for {

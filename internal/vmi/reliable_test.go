@@ -289,13 +289,14 @@ func TestReliableReconnectsAfterDropConn(t *testing.T) {
 }
 
 // TestReliableBudgetExhaustion: when every frame is lost, the retransmit
-// budget runs out and the error handler — and only then — fires.
+// budget (relMaxRetransmits, about 46 ms at these timeouts) runs out and
+// the error handler — and only then — fires.
 func TestReliableBudgetExhaustion(t *testing.T) {
 	fd := NewFaultDevice(1, FaultPlan{Drop: 1})
 	defer fd.Close()
 	errc := make(chan error, 1)
 	p := newRelPair(t,
-		relEnd{cfg: ReliableConfig{RTO: 2 * time.Millisecond, RTOMax: 4 * time.Millisecond, MaxRetransmits: 3},
+		relEnd{cfg: ReliableConfig{RTO: 2 * time.Millisecond, RTOMax: 4 * time.Millisecond},
 			send: []SendDevice{fd},
 			onFail: func(err error) {
 				select {
@@ -348,16 +349,16 @@ func TestReliableDropsUnflagged(t *testing.T) {
 func TestReliableCountsWindowStalls(t *testing.T) {
 	dropAll := funcDevice{name: "drop-acks", fn: func(*Frame, SendFunc) error { return nil }}
 	p := newRelPair(t,
-		relEnd{cfg: ReliableConfig{Window: 2, RTO: time.Hour, RTOMax: time.Hour}},
+		relEnd{cfg: ReliableConfig{RTO: time.Hour, RTOMax: time.Hour}},
 		relEnd{send: []SendDevice{dropAll}})
-	for i := 0; i < 2; i++ {
+	for i := 0; i < relWindow; i++ {
 		if err := p.r0.Send(&Frame{Src: 0, Dst: 2, Body: []byte(fmt.Sprintf("msg-%d", i))}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	blocked := make(chan error, 1)
-	go func() { blocked <- p.r0.Send(&Frame{Src: 0, Dst: 2, Body: []byte("msg-2")}) }()
-	waitFor(t, "the third send to block", func() bool { return p.r0.Stats().WindowStalls == 1 })
+	go func() { blocked <- p.r0.Send(&Frame{Src: 0, Dst: 2, Body: []byte("one-too-many")}) }()
+	waitFor(t, "the send past the window to block", func() bool { return p.r0.Stats().WindowStalls == 1 })
 	p.r0.Close()
 	if err := <-blocked; err == nil {
 		t.Error("a send released by Close reported success")
@@ -402,7 +403,7 @@ func TestReliableRecyclesOnlyIdleAckedEntries(t *testing.T) {
 		}
 		return next(f)
 	}}
-	cfg := ReliableConfig{RTO: rto, AckDelay: rto / 2}
+	cfg := ReliableConfig{RTO: rto}
 	p = newRelPair(t, relEnd{cfg: cfg, send: []SendDevice{stall, fd}}, relEnd{cfg: cfg})
 
 	for i := 0; i < n; i++ {
