@@ -19,12 +19,9 @@
 // every PE in this process; the two clusters still meet across the
 // injected latency.
 //
-// Migration and fault tolerance ride the PUP serialization layer: -lb
-// enables AtSync load balancing (migrations between nodes travel as
-// ordinary runtime messages over the same TCP chain), and -checkpoint /
-// -restart snapshot and restore the program across runs — each node
-// writes a partial checkpoint file, and a restart merges them, so the
-// restarted run may use a different PE or node count.
+// Migration rides the PUP serialization layer: -lb enables AtSync load
+// balancing, and migrations between nodes travel as ordinary runtime
+// messages over the same TCP chain.
 //
 // The job gateway: with -app taskfarm -serve the farm is an open-ended
 // service, and node 0 is its HTTP front door (internal/gate). Clients
@@ -81,8 +78,7 @@ type config struct {
 	appflags.App
 	appflags.Obs
 
-	checkpoint, restart string
-	listen, tenants     string // the gateway: node 0 of a -serve farm
+	listen, tenants string // the gateway: node 0 of a -serve farm
 
 	// signals, when non-nil, replaces the SIGINT/SIGTERM subscription
 	// (tests deliver signals through it).
@@ -116,8 +112,6 @@ func main() {
 	cfg.Farm.Register(fs)
 	cfg.Obs.Register(fs)
 	fs.StringVar(&cfg.Name, "app", "stencil", "stencil|leanmd|taskfarm")
-	fs.StringVar(&cfg.checkpoint, "checkpoint", "", "write this node's checkpoint to <prefix>.node<N> when the run completes")
-	fs.StringVar(&cfg.restart, "restart", "", "restore program state from <prefix>.node* (or a single merged file) before running")
 	fs.StringVar(&cfg.listen, "listen", "127.0.0.1:8080", "gateway (node 0 with -serve): HTTP listen address for job submission")
 	fs.StringVar(&cfg.tenants, "tenants", "default", "gateway (node 0 with -serve): admitted tenants as name[:weight[:maxqueue]],...")
 	flag.Parse()
@@ -188,16 +182,6 @@ func run(cfg config) error {
 		return err
 	}
 	prog, tfp, svc := app.Program, app.Farm, app.Service
-	if cfg.restart != "" {
-		ck, err := readCheckpoint(cfg.restart)
-		if err != nil {
-			return err
-		}
-		if err := ck.Install(prog); err != nil {
-			return fmt.Errorf("restart: %w", err)
-		}
-		fmt.Fprintf(os.Stderr, "gridnode %d: restored checkpoint %s\n", cfg.Node, cfg.restart)
-	}
 
 	// Node 0 of a serve farm is its gateway. The job API's socket is bound
 	// now, so a bad -listen fails the run before any peer is dialed.
@@ -239,11 +223,6 @@ func run(cfg config) error {
 		spec.Membership = func(_ int, mc *core.MembershipConfig) {
 			mc.Logf = func(format string, args ...any) {
 				fmt.Fprintf(os.Stderr, "gridnode %d: "+format+"\n", append([]any{cfg.Node}, args...)...)
-			}
-			if cfg.checkpoint != "" {
-				mc.CheckpointFor = func(node int) *core.Checkpoint {
-					return readPartialCheckpoint(fmt.Sprintf("%s.node%d", cfg.checkpoint, node))
-				}
 			}
 			if notifier != nil {
 				mc.OnChange = notifier.OnChange
@@ -376,17 +355,6 @@ func run(cfg config) error {
 		return err
 	}
 
-	if cfg.checkpoint != "" {
-		// Each node snapshots the elements it hosts; a restart merges the
-		// per-node partial files back into one complete checkpoint, so the
-		// restarted run may use a different PE or node count.
-		path := fmt.Sprintf("%s.node%d", cfg.checkpoint, cfg.Node)
-		if err := writeCheckpoint(path, rt); err != nil {
-			return fmt.Errorf("checkpoint: %w", err)
-		}
-		fmt.Fprintf(os.Stderr, "gridnode %d: wrote checkpoint %s\n", cfg.Node, path)
-	}
-
 	if cfg.Node == 0 {
 		if cfg.onResult != nil {
 			cfg.onResult(v)
@@ -476,68 +444,6 @@ func (a *artifacts) flush() error {
 		}
 	})
 	return a.err
-}
-
-// writeCheckpoint snapshots this node's share of the program state (a
-// partial checkpoint on multi-process runs) to path through the PUP layer.
-func writeCheckpoint(path string, rt *core.Runtime) error {
-	ck, err := rt.Checkpoint()
-	if err != nil {
-		return err
-	}
-	return writeFile(path, ck.Encode)
-}
-
-// readPartialCheckpoint loads one node's partial checkpoint file for the
-// death-recovery path, or nil when the node never wrote one (its elements
-// are then constructed fresh on the survivors).
-func readPartialCheckpoint(path string) *core.Checkpoint {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil
-	}
-	defer f.Close()
-	ck, err := core.DecodeCheckpoint(f)
-	if err != nil {
-		return nil
-	}
-	return ck
-}
-
-// readCheckpoint loads a checkpoint for -restart: every <prefix>.node*
-// partial file merged by element index, or — when no per-node files exist
-// — the prefix itself as a single complete checkpoint. The node count of
-// the writing run does not need to match this one; placement is recomputed
-// at install time.
-func readCheckpoint(prefix string) (*core.Checkpoint, error) {
-	paths, err := filepath.Glob(prefix + ".node*")
-	if err != nil {
-		return nil, err
-	}
-	if len(paths) == 0 {
-		paths = []string{prefix}
-	}
-	parts := make([]*core.Checkpoint, 0, len(paths))
-	for _, p := range paths {
-		f, err := os.Open(p)
-		if err != nil {
-			return nil, err
-		}
-		ck, err := core.DecodeCheckpoint(f)
-		f.Close()
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", p, err)
-		}
-		parts = append(parts, ck)
-	}
-	if len(parts) == 1 && !parts[0].Partial {
-		return parts[0], nil
-	}
-	ck, err := core.MergeCheckpoints(parts...)
-	if err != nil {
-		return nil, fmt.Errorf("merge %d checkpoint files under %s: %w", len(parts), prefix, err)
-	}
-	return ck, nil
 }
 
 // watchSignals flushes the artifacts and exits with the conventional

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"net/http"
 	"os"
@@ -330,69 +329,6 @@ func TestGridnodeGridLBMigratesAcrossProcesses(t *testing.T) {
 		t.Error("no element migrated across the process boundary")
 	}
 	t.Logf("%d of %d elements crossed the process boundary", crossed, objects)
-}
-
-// TestGridnodeCheckpointRestartDifferentPEs is the fault-tolerance
-// acceptance run: a 4-PE two-process stencil writes per-node partial
-// checkpoints; a 2-PE two-process restart merges them and must reproduce
-// the verification checksum bit-identically versus a straight 2-PE run.
-// (With two blocks per PE and two nodes, every reduction fold site
-// combines exactly two values, and IEEE-754 addition is commutative, so
-// both 2-PE checksums are bit-deterministic; bitwise equality therefore
-// proves the PUP round-trip preserved the field exactly.)
-func TestGridnodeCheckpointRestartDifferentPEs(t *testing.T) {
-	prefix := filepath.Join(t.TempDir(), "ck")
-	base := config{
-		Cluster: appflags.Cluster{Topology: appflags.Topology{Latency: time.Millisecond}},
-		App: appflags.App{
-			Name:    "stencil",
-			Stencil: appflags.Stencil{Objects: 4, Width: 64},
-			Sim:     appflags.Sim{Steps: 6, Warmup: 0},
-		},
-	}
-
-	checksum := func(v any) float64 {
-		t.Helper()
-		res, ok := v.(*stencil.Result)
-		if !ok {
-			t.Fatalf("result = %T, want *stencil.Result", v)
-		}
-		return res.Checksum
-	}
-
-	// Run A: 4 PEs across two processes, checkpointing at completion.
-	a := base
-	a.Procs = 4
-	a.checkpoint = prefix
-	sumA := checksum(runPair(t, a, nil))
-	for n := 0; n < 2; n++ {
-		if _, err := os.Stat(fmt.Sprintf("%s.node%d", prefix, n)); err != nil {
-			t.Fatalf("missing checkpoint part: %v", err)
-		}
-	}
-
-	// Run B: restart the merged checkpoint on 2 PEs (different PE count,
-	// different placement). Restored blocks have completed all steps, so
-	// the run reports the restored field's checksum.
-	b := base
-	b.Procs = 2
-	b.restart = prefix
-	sumB := checksum(runPair(t, b, nil))
-
-	// Run C: the same program straight through on 2 PEs.
-	c := base
-	c.Procs = 2
-	sumC := checksum(runPair(t, c, nil))
-
-	if math.Float64bits(sumB) != math.Float64bits(sumC) {
-		t.Errorf("restart checksum %x (%.17g) != straight-run checksum %x (%.17g)",
-			math.Float64bits(sumB), sumB, math.Float64bits(sumC), sumC)
-	}
-	// The 4-PE run folds four root partials in arrival order, so it is
-	// only guaranteed equal up to association of the float64 sums.
-	if diff := math.Abs(sumA - sumB); diff > 1e-9*math.Abs(sumB) {
-		t.Errorf("4-PE checksum %.17g differs from restored checksum %.17g by %g", sumA, sumB, diff)
-	}
 }
 
 // TestSignalFlushWritesArtifacts drives the signal path with a fake

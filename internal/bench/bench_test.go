@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/csv"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -402,6 +403,31 @@ func TestProfilesValid(t *testing.T) {
 	}
 	if pairCount(PaperProfile().MD) != 3024 {
 		t.Errorf("paper MD pair count = %d, want 3024", pairCount(PaperProfile().MD))
+	}
+}
+
+// TestProfileFieldsVary: every field of the experiment-size configs is
+// set differently by the two profiles. A value both profiles share is a
+// constant of its experiment, except the two fields TestGateSoakSmoke
+// varies.
+func TestProfileFieldsVary(t *testing.T) {
+	shared := map[string]bool{"GateConfig.PacedEvery": true, "GateConfig.FloodClients": true}
+	paper, fast := PaperProfile(), FastProfile()
+	for _, pair := range [][2]any{
+		{paper.Farm, fast.Farm},
+		{paper.Gate, fast.Gate},
+		{paper.Membership, fast.Membership},
+	} {
+		a, b := reflect.ValueOf(pair[0]), reflect.ValueOf(pair[1])
+		for i := 0; i < a.NumField(); i++ {
+			key := a.Type().Name() + "." + a.Type().Field(i).Name
+			switch same := reflect.DeepEqual(a.Field(i).Interface(), b.Field(i).Interface()); {
+			case same && !shared[key]:
+				t.Errorf("both profiles set %s to %v: make it a constant of its experiment", key, a.Field(i))
+			case !same && shared[key]:
+				t.Errorf("the profiles now set %s differently: drop it from the shared list", key)
+			}
+		}
 	}
 }
 

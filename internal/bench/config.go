@@ -98,8 +98,7 @@ func PaperProfile() Profile {
 		// decades past it. ~500 workers per dispatcher shard keeps each
 		// shard at half its own knee.
 		Farm: FarmConfig{
-			Tasks: 1_000_000, TaskCost: 10 * time.Millisecond, AssignCost: 10 * time.Microsecond,
-			Prefetch: 2, Batch: 64, CostSkew: 4,
+			Tasks: 1_000_000, AssignCost: 10 * time.Microsecond, Batch: 64,
 			Workers:         []int{250, 500, 1000, 2000, 10000, 50000, 100000},
 			WorkersPerShard: 500,
 			Latency:         1725 * time.Microsecond,
@@ -111,10 +110,7 @@ func PaperProfile() Profile {
 		// otherwise leave the last node (the kill victim) empty and the
 		// kill would have nothing to recover.
 		Membership: MembershipConfig{
-			Nodes: 4, Tasks: 4000, Workers: 8, Prefetch: 2, Batch: 5,
-			Shards: 2, Spin: 80000, EventAfterGrants: 100,
-			RTO: 3 * time.Millisecond, RTOMax: 15 * time.Millisecond,
-			Drop:  0.05,
+			Nodes: 4, Tasks: 4000, Workers: 8, Spin: 80000, EventAfterGrants: 100,
 			Seeds: []int64{1, 2, 3},
 		},
 		// The acceptance soak: 100k jobs from 1k connections with 10%
@@ -124,22 +120,20 @@ func PaperProfile() Profile {
 		// admission rate without monopolizing the host's cores — beyond
 		// that the measurement degenerates into scheduler contention
 		// between the in-process load generator and the server it drives.
-		// The shallow MaxInflight makes the farm latency-bound (each task
-		// crosses the 1ms inter-group hop, so drain ≈ MaxInflight/RTT):
+		// The shallow gateMaxInflight makes the farm latency-bound (each task
+		// crosses the 1ms inter-group hop, so drain ≈ gateMaxInflight/RTT):
 		// the flood's cheap no-wait POSTs outrun the drain regardless of
 		// host core count, the overload pools in the capped tenant queue,
 		// and admission control must answer 429. The soak p99 bound is
 		// Little's-law honest: 1000 waiting connections against a
 		// few-kjob/s farm sit ≈ clients/throughput in queue.
 		Gate: GateConfig{
-			Procs: 8, Shards: 2, Batch: 4, Prefetch: 2, Spin: 20_000,
-			MaxInflight: 4, SubmitBatch: 4,
+			Procs:        8,
 			BaselineJobs: 2000, BaselineClients: 16,
-			SoakJobs: 100_000, SoakClients: 1000, DupRate: 0.10,
+			SoakJobs: 100_000, SoakClients: 1000,
 			PacedJobs: 200, PacedEvery: 5 * time.Millisecond,
 			FloodClients: 16, FloodQueue: 256,
 			SoakP99Bound: time.Second,
-			Seed:         1,
 		},
 	}
 }
@@ -162,29 +156,23 @@ func FastProfile() Profile {
 		// Same knee structure as the paper profile at 1/16 the task count
 		// and a 100-worker knee (JT/AT = 10ms/100µs).
 		Farm: FarmConfig{
-			Tasks: 60_000, TaskCost: 10 * time.Millisecond, AssignCost: 100 * time.Microsecond,
-			Prefetch: 2, Batch: 32, CostSkew: 4,
+			Tasks: 60_000, AssignCost: 100 * time.Microsecond, Batch: 32,
 			Workers:         []int{50, 100, 200, 400, 1600},
 			WorkersPerShard: 50,
 			Latency:         time.Millisecond,
 		},
 		Membership: MembershipConfig{
-			Nodes: 3, Tasks: 1200, Workers: 6, Prefetch: 2, Batch: 5,
-			Shards: 2, Spin: 20000, EventAfterGrants: 50,
-			RTO: 3 * time.Millisecond, RTOMax: 15 * time.Millisecond,
-			Drop:  0.05,
+			Nodes: 3, Tasks: 1200, Workers: 6, Spin: 20000, EventAfterGrants: 50,
 			Seeds: []int64{1},
 		},
 		// Same phase structure as the paper soak at 1/25 the job count.
 		Gate: GateConfig{
-			Procs: 4, Shards: 2, Batch: 4, Prefetch: 2, Spin: 20_000,
-			MaxInflight: 4, SubmitBatch: 4,
+			Procs:        4,
 			BaselineJobs: 400, BaselineClients: 8,
-			SoakJobs: 4000, SoakClients: 64, DupRate: 0.10,
+			SoakJobs: 4000, SoakClients: 64,
 			PacedJobs: 50, PacedEvery: 5 * time.Millisecond,
 			FloodClients: 16, FloodQueue: 64,
 			SoakP99Bound: 500 * time.Millisecond,
-			Seed:         1,
 		},
 	}
 }

@@ -38,19 +38,30 @@ import (
 // so the experiment also exercises the metrics surface the dashboards
 // use.
 
+// The serve farm's shape and the gateway's dispatch pipeline, the same at
+// every scale. The shallow gateMaxInflight makes the farm latency-bound:
+// each task crosses the inter-group hop, so drain ≈ gateMaxInflight/RTT.
+const (
+	gateShards      = 2
+	gateBatch       = 4
+	gatePrefetch    = 2
+	gateSpin        = 20_000
+	gateMaxInflight = 4
+	gateSubmitBatch = 4
+	// gateDupRate is the fraction of soak submissions that reuse an
+	// already-submitted idempotency key, drawn from a gateSeed PRNG.
+	gateDupRate = 0.10
+	gateSeed    = 1
+)
+
 // GateConfig sizes the gate-soak experiment.
 type GateConfig struct {
-	// Procs, Shards, Batch, Prefetch, Spin shape the serve farm.
-	Procs, Shards, Batch, Prefetch, Spin int
-	// MaxInflight and SubmitBatch bound the gateway's dispatch pipeline.
-	MaxInflight, SubmitBatch int
+	// Procs is the serve farm's worker (and PE) count.
+	Procs int
 	// BaselineJobs/BaselineClients size the solo-latency phase.
 	BaselineJobs, BaselineClients int
-	// SoakJobs/SoakClients size the throughput phase; DupRate is the
-	// fraction of submissions that reuse an already-submitted
-	// idempotency key.
+	// SoakJobs/SoakClients size the throughput phase.
 	SoakJobs, SoakClients int
-	DupRate               float64
 	// PacedJobs arrive every PacedEvery from the paced tenant while
 	// FloodClients blast unpaced submissions at a flood tenant whose
 	// queue is capped at FloodQueue.
@@ -61,8 +72,6 @@ type GateConfig struct {
 	// SoakP99Bound is the stated acceptance bound on the soak phase's
 	// p99 submit→result latency (0 disables the check).
 	SoakP99Bound time.Duration
-	// Seed feeds the duplicate-key choice.
-	Seed int64
 }
 
 // GatePhase is one measured phase.
@@ -127,8 +136,8 @@ func buildGateBench(cfg GateConfig) (*gateBench, error) {
 	reg := metrics.NewRegistry()
 	fp := &taskfarm.Params{
 		Serve: true, Workers: cfg.Procs,
-		Shards: cfg.Shards, Batch: cfg.Batch, Steal: true,
-		Prefetch: cfg.Prefetch, Spin: cfg.Spin,
+		Shards: gateShards, Batch: gateBatch, Steal: true,
+		Prefetch: gatePrefetch, Spin: gateSpin,
 		CostSkew: 1, Seed: 1, Metrics: reg,
 	}
 	svc, err := taskfarm.NewService(fp)
@@ -141,8 +150,8 @@ func buildGateBench(cfg GateConfig) (*gateBench, error) {
 			{Name: "paced", Weight: 2, MaxQueue: 1 << 16},
 			{Name: "flood", Weight: 1, MaxQueue: cfg.FloodQueue},
 		},
-		MaxInflight: cfg.MaxInflight,
-		SubmitBatch: cfg.SubmitBatch,
+		MaxInflight: gateMaxInflight,
+		SubmitBatch: gateSubmitBatch,
 		Metrics:     reg,
 	}, svc)
 	if err != nil {
@@ -298,7 +307,7 @@ func GateSoak(w io.Writer, p Profile) (*Table, *GateReport, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	fmt.Fprintf(w, "gate-soak: gateway on %s (%d PEs, %d shards)\n", b.base, cfg.Procs, cfg.Shards)
+	fmt.Fprintf(w, "gate-soak: gateway on %s (%d PEs, %d shards)\n", b.base, cfg.Procs, gateShards)
 
 	// Phase 1 — solo baseline: paced tenant alone, light concurrency.
 	solo, _, err := b.runPhase("solo", cfg.BaselineJobs, cfg.BaselineClients, nil)
@@ -310,15 +319,15 @@ func GateSoak(w io.Writer, p Profile) (*Table, *GateReport, error) {
 		solo.Jobs, solo.P50MS, solo.P99MS, solo.JobsPerSec)
 
 	// Phase 2 — soak: SoakJobs submissions over SoakClients connections,
-	// DupRate of them resubmitting an earlier key. A duplicate long-polls
+	// gateDupRate of them resubmitting an earlier key. A duplicate long-polls
 	// the original job, so it still measures submit→result latency.
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rand.New(rand.NewSource(gateSeed))
 	var keyMu sync.Mutex
 	keys := make([]string, 0, cfg.SoakJobs)
 	keyFor := func(i int) string {
 		keyMu.Lock()
 		defer keyMu.Unlock()
-		if len(keys) > 0 && rng.Float64() < cfg.DupRate {
+		if len(keys) > 0 && rng.Float64() < gateDupRate {
 			return keys[rng.Intn(len(keys))]
 		}
 		k := fmt.Sprintf("soak-%d", i)
@@ -437,7 +446,7 @@ func GateSoak(w io.Writer, p Profile) (*Table, *GateReport, error) {
 
 	t := &Table{
 		Title: fmt.Sprintf("Gate soak: %d-job soak over %d connections, %.0f%% duplicate keys",
-			cfg.SoakJobs, cfg.SoakClients, 100*cfg.DupRate),
+			cfg.SoakJobs, cfg.SoakClients, 100*gateDupRate),
 		Header: []string{"Phase", "Jobs", "Clients", "p50 (ms)", "p99 (ms)", "Jobs/s", "Notes"},
 	}
 	t.Rows = append(t.Rows,

@@ -14,21 +14,19 @@ import (
 // stay in the report `gridsim -experiment gate-soak` prints and fails on,
 // and do not decide `go test`.
 func TestGateSoakSmoke(t *testing.T) {
-	// The shallow MaxInflight makes the farm latency-bound (each task
-	// crosses the 1ms inter-group hop, so drain ≈ MaxInflight/RTT) and
+	// The shallow gateMaxInflight makes the farm latency-bound (each task
+	// crosses the 1ms inter-group hop, so drain ≈ gateMaxInflight/RTT) and
 	// pools the overload in the tenant queues, where admission control
 	// sees it: cheap no-wait flood POSTs outrun the drain even on one
 	// core, so the capped flood queue must overflow into 429s.
 	p := FastProfile()
 	p.Gate = GateConfig{
-		Procs: 4, Shards: 2, Batch: 4, Prefetch: 2, Spin: 20_000,
-		MaxInflight: 4, SubmitBatch: 4,
+		Procs:        4,
 		BaselineJobs: 100, BaselineClients: 8,
-		SoakJobs: 600, SoakClients: 32, DupRate: 0.10,
+		SoakJobs: 600, SoakClients: 32,
 		PacedJobs: 20, PacedEvery: 2 * time.Millisecond,
 		FloodClients: 8, FloodQueue: 16,
 		SoakP99Bound: 500 * time.Millisecond,
-		Seed:         1,
 	}
 	tbl, rep, err := GateSoak(io.Discard, p)
 	if rep == nil {

@@ -25,26 +25,14 @@ type MembershipConfig struct {
 	// drain victim node 1, so the two series never disturb the
 	// dispatcher.
 	Nodes int
-	// Tasks, Workers, Prefetch, Batch, Shards, Spin shape the farm
-	// exactly as taskfarm.Params does; Spin makes the tasks real CPU
-	// work so the run is long enough to disturb.
-	Tasks, Workers, Prefetch, Batch, Shards, Spin int
+	// Tasks, Workers and Spin shape the farm exactly as taskfarm.Params
+	// does; Spin makes the tasks real CPU work so the run is long enough
+	// to disturb.
+	Tasks, Workers, Spin int
 	// EventAfterGrants delays the membership event until the coordinator
 	// has granted this many tasks, so the event lands mid-run rather
 	// than during startup.
 	EventAfterGrants int64
-	// RTO and RTOMax tune the reliability layer; the kill-detection
-	// latency is a direct function of the retransmit budget built on
-	// them.
-	RTO, RTOMax time.Duration
-	// Drop is a seeded per-frame drop rate injected under the
-	// reliability layer on every node. Nonzero drops keep retransmit
-	// state alive on every flow, so a kill is always detected by budget
-	// exhaustion — with a perfectly clean network, a victim with no
-	// unacked frames in flight at kill time would never be probed again.
-	// It also makes the measurement honest for a grid setting: the paper
-	// targets wide-area links, not a loopback in a lab.
-	Drop float64
 	// Seeds are the per-repetition farm seeds; each seed runs the
 	// baseline, the kill, and the drain once.
 	Seeds []int64
@@ -90,6 +78,27 @@ type memberCluster struct {
 	procs []*memberProc
 }
 
+// The membership experiment's farm pipeline and transport, the same at
+// every scale.
+const (
+	memberPrefetch = 2
+	memberBatch    = 5
+	memberShards   = 2
+	// memberRTO and memberRTOMax tune the reliability layer; the
+	// kill-detection latency is a direct function of the retransmit
+	// budget built on them.
+	memberRTO    = 3 * time.Millisecond
+	memberRTOMax = 15 * time.Millisecond
+	// memberDrop is a seeded per-frame drop rate injected under the
+	// reliability layer on every node. Nonzero drops keep retransmit
+	// state alive on every flow, so a kill is always detected by budget
+	// exhaustion — with a perfectly clean network, a victim with no
+	// unacked frames in flight at kill time would never be probed again.
+	// It also makes the measurement honest for a grid setting: the paper
+	// targets wide-area links, not a loopback in a lab.
+	memberDrop = 0.05
+)
+
 func buildMemberBench(cfg MembershipConfig, seed int64) (*memberCluster, error) {
 	n := cfg.Nodes
 	topo, err := topology.Single(n)
@@ -107,8 +116,8 @@ func buildMemberBench(cfg MembershipConfig, seed int64) (*memberCluster, error) 
 	for i := range c.procs {
 		p := &memberProc{reg: metrics.NewRegistry()}
 		p.params = &taskfarm.Params{
-			Tasks: cfg.Tasks, Workers: cfg.Workers, Prefetch: cfg.Prefetch,
-			Batch: cfg.Batch, Shards: cfg.Shards, Spin: cfg.Spin,
+			Tasks: cfg.Tasks, Workers: cfg.Workers, Prefetch: memberPrefetch,
+			Batch: memberBatch, Shards: memberShards, Spin: cfg.Spin,
 			Seed: uint64(seed), Elastic: elastic, Metrics: p.reg,
 		}
 		notifs[i] = taskfarm.NewNotifier(p.params)
@@ -116,11 +125,9 @@ func buildMemberBench(cfg MembershipConfig, seed int64) (*memberCluster, error) 
 	}
 	spec.Builder = func(i int, b *vmi.ChainBuilder) {
 		p := c.procs[i]
-		b.Metrics(p.reg).Reliable(vmi.ReliableConfig{RTO: cfg.RTO, RTOMax: cfg.RTOMax})
-		if cfg.Drop > 0 {
-			p.fd = vmi.NewFaultDevice(seed*int64(n)+int64(i), vmi.FaultPlan{Drop: cfg.Drop})
-			b.Faults(p.fd)
-		}
+		b.Metrics(p.reg).Reliable(vmi.ReliableConfig{RTO: memberRTO, RTOMax: memberRTOMax})
+		p.fd = vmi.NewFaultDevice(seed*int64(n)+int64(i), vmi.FaultPlan{Drop: memberDrop})
+		b.Faults(p.fd)
 	}
 	spec.Membership = func(i int, mc *core.MembershipConfig) {
 		mc.Interval = 50 * time.Millisecond

@@ -18,18 +18,12 @@ type FarmConfig struct {
 	// Tasks is the task count, shared by every point so checksums are
 	// comparable across the whole sweep.
 	Tasks int
-	// TaskCost is JT, the modeled per-task compute (before skew).
-	TaskCost time.Duration
 	// AssignCost is AT, the modeled dispatcher time per assignment. The
-	// single-master knee sits at Workers = TaskCost/AssignCost.
+	// single-master knee sits at Workers = farmTaskCost/AssignCost.
 	AssignCost time.Duration
-	// Prefetch and Batch are the pipeline depth and the sharded arms'
-	// grant batch cap (the single arm always grants one task at a time).
-	Prefetch, Batch int
-	// CostSkew ramps per-task cost 1x..CostSkew-x across the task space
-	// (identical for all three configurations — it changes where the work
-	// is, not what the values are, so checksums still match).
-	CostSkew float64
+	// Batch is the sharded arms' grant batch cap (the single arm always
+	// grants one task at a time).
+	Batch int
 	// Workers is the sweep; each point runs with one worker per PE.
 	Workers []int
 	// WorkersPerShard sets the shard count at each point:
@@ -39,12 +33,24 @@ type FarmConfig struct {
 	Latency time.Duration
 }
 
+// The farm's task cost and pipeline depth, the same at every scale.
+const (
+	// farmTaskCost is JT, the modeled per-task compute (before skew).
+	farmTaskCost = 10 * time.Millisecond
+	// farmPrefetch is the per-worker pipeline depth.
+	farmPrefetch = 2
+	// farmCostSkew ramps per-task cost 1x..farmCostSkew-x across the task
+	// space (identical for all three configurations — it changes where
+	// the work is, not what the values are, so checksums still match).
+	farmCostSkew = 4.0
+)
+
 // kneeWorkers is the analytic single-master saturation point JT/AT.
 func (c FarmConfig) kneeWorkers() int {
 	if c.AssignCost <= 0 {
 		return 0
 	}
-	return int(c.TaskCost / c.AssignCost)
+	return int(farmTaskCost / c.AssignCost)
 }
 
 func (c FarmConfig) shardsFor(workers int) int {
@@ -66,7 +72,7 @@ func TaskfarmScale(w io.Writer, p Profile) (*Table, error) {
 	cfg := p.Farm
 	t := &Table{
 		Title: fmt.Sprintf("Taskfarm at scale: %d tasks, JT=%v AT=%v (single-master knee at %d workers), skew %.0fx",
-			cfg.Tasks, cfg.TaskCost, cfg.AssignCost, cfg.kneeWorkers(), cfg.CostSkew),
+			cfg.Tasks, farmTaskCost, cfg.AssignCost, cfg.kneeWorkers(), farmCostSkew),
 		Header: []string{"Workers", "Config", "Shards", "Makespan (ms)", "Tasks/s",
 			"Imb(workers)", "Imb(shards)", "Steals", "Stolen"},
 	}
@@ -89,9 +95,9 @@ func TaskfarmScale(w io.Writer, p Profile) (*Table, error) {
 			shards := v.shards(workers)
 			res, err := simOn[taskfarm.Result](workers, cfg.Latency, func() (*core.Program, error) {
 				return taskfarm.BuildProgram(&taskfarm.Params{
-					Tasks: cfg.Tasks, Workers: workers, Prefetch: cfg.Prefetch,
-					TaskCost: cfg.TaskCost, AssignCost: cfg.AssignCost,
-					CostSkew: cfg.CostSkew, Seed: 1,
+					Tasks: cfg.Tasks, Workers: workers, Prefetch: farmPrefetch,
+					TaskCost: farmTaskCost, AssignCost: cfg.AssignCost,
+					CostSkew: farmCostSkew, Seed: 1,
 					Shards: shards, Batch: v.batch, Steal: v.steal,
 				})
 			}, sim.Options{})

@@ -34,8 +34,8 @@ type ClusterSpec struct {
 	Options func(node int) []Option
 
 	// Membership, if non-nil, gives every node a membership manager and
-	// fills in node n's template (Logf, Interval, OnChange,
-	// CheckpointFor). The launcher sets the rest: node 0 coordinates, and
+	// fills in node n's template (Logf, Interval, OnChange). The launcher
+	// sets the rest: node 0 coordinates, and
 	// every node but the Joiners is a founding Active member.
 	Membership func(node int, mc *MembershipConfig)
 	Joiners    map[int]bool

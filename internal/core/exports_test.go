@@ -369,15 +369,39 @@ func TestBenchmarkModuleBuilds(t *testing.T) {
 // constant in disguise.
 var configSuffixes = []string{"Config", "Options", "Params", "Spec"}
 
+// profileVaries is the reason of an experiment-size field: the two bench
+// profiles set it to different values, which bench's
+// TestProfileFieldsVary checks.
+const profileVaries = "experiment profile: bench.PaperProfile and bench.FastProfile differ"
+
 // configFieldAllowlist names the exported setting fields that no non-test
 // Go outside their own package writes and that stay anyway, each with its
 // reason. Keys are the package path under internal/, the type and the
 // field; a key without a field covers every field of a type that its own
-// package fills whole, from a profile or a grammar.
+// package fills whole from a grammar.
 var configFieldAllowlist = map[string]string{
-	"bench.FarmConfig":       "experiment profile: bench.PaperProfile and bench.FastProfile set every field",
-	"bench.GateConfig":       "experiment profile: bench.PaperProfile and bench.FastProfile set every field",
-	"bench.MembershipConfig": "experiment profile: bench.PaperProfile and bench.FastProfile set every field",
+	"bench.FarmConfig.Tasks":                  profileVaries,
+	"bench.FarmConfig.AssignCost":             profileVaries,
+	"bench.FarmConfig.Batch":                  profileVaries,
+	"bench.FarmConfig.Workers":                profileVaries,
+	"bench.FarmConfig.WorkersPerShard":        profileVaries,
+	"bench.FarmConfig.Latency":                profileVaries,
+	"bench.GateConfig.Procs":                  profileVaries,
+	"bench.GateConfig.BaselineJobs":           profileVaries,
+	"bench.GateConfig.BaselineClients":        profileVaries,
+	"bench.GateConfig.SoakJobs":               profileVaries,
+	"bench.GateConfig.SoakClients":            profileVaries,
+	"bench.GateConfig.PacedJobs":              profileVaries,
+	"bench.GateConfig.FloodQueue":             profileVaries,
+	"bench.GateConfig.SoakP99Bound":           profileVaries,
+	"bench.MembershipConfig.Nodes":            profileVaries,
+	"bench.MembershipConfig.Tasks":            profileVaries,
+	"bench.MembershipConfig.Workers":          profileVaries,
+	"bench.MembershipConfig.Spin":             profileVaries,
+	"bench.MembershipConfig.EventAfterGrants": profileVaries,
+	"bench.MembershipConfig.Seeds":            profileVaries,
+	"bench.GateConfig.PacedEvery":             "test seam: TestGateSoakSmoke paces at 2 ms; both profiles pace at 5 ms",
+	"bench.GateConfig.FloodClients":           "test seam: TestGateSoakSmoke floods with 8 clients; both profiles flood with 16",
 
 	"topology.Spec":      "parsed: topology.ParseSpec fills every field from the topology grammar",
 	"topology.GroupSpec": "parsed: topology.ParseSpec fills every field from the topology grammar",
@@ -467,6 +491,53 @@ func TestConfigFieldsHaveProductSetters(t *testing.T) {
 		if strings.TrimSpace(reason) == "" {
 			t.Errorf("allowlist entry %s gives no reason", key)
 		}
+	}
+}
+
+// TestReachAllowlistNamesExistingCode: every entry of
+// .github/reach-allow.txt names a file that exists and, for a
+// path:Function entry, a function or method of that name declared in it,
+// so deleted code cannot leave its allowlist entry behind.
+func TestReachAllowlistNamesExistingCode(t *testing.T) {
+	root, err := filepath.Abs("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(root, ".github", "reach-allow.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	entries := 0
+	for i, line := range strings.Split(string(data), "\n") {
+		fields := strings.Fields(line)
+		if len(fields) == 0 || strings.HasPrefix(fields[0], "#") {
+			continue
+		}
+		entries++
+		path, fn, hasFn := strings.Cut(fields[0], ":")
+		full := filepath.Join(root, filepath.FromSlash(path))
+		if _, err := os.Stat(full); err != nil {
+			t.Errorf("reach-allow.txt:%d: %s names no file: %v", i+1, fields[0], err)
+			continue
+		}
+		if !hasFn {
+			continue
+		}
+		f, err := parser.ParseFile(fset, full, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Errorf("reach-allow.txt:%d: %v", i+1, err)
+			continue
+		}
+		if !slices.ContainsFunc(f.Decls, func(d ast.Decl) bool {
+			fd, ok := d.(*ast.FuncDecl)
+			return ok && fd.Name.Name == fn
+		}) {
+			t.Errorf("reach-allow.txt:%d: %s declares no function or method %s", i+1, path, fn)
+		}
+	}
+	if entries == 0 {
+		t.Fatal("reach-allow.txt has no entries: the parse is wrong")
 	}
 }
 

@@ -79,8 +79,8 @@ func (g *StepGate) Advance() []any {
 	return pend
 }
 
-// JumpTo resets the gate to a given step with no messages pending —
-// the state a checkpoint captures at a quiescent point.
+// JumpTo resets the gate to a given step with no messages pending — the
+// state a migrating element is packed in, parked at AtSync.
 func (g *StepGate) JumpTo(step int) {
 	g.step = step
 	g.got = 0

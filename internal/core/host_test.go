@@ -45,29 +45,6 @@ func testTable(sizes ...int) *ElemTable {
 	return NewElemTable(prog)
 }
 
-func TestPEHostEachDeterministicOrder(t *testing.T) {
-	b := newStubBackend(t)
-	h := NewPEHost(b, 0, testTable(6, 3))
-	refs := []ElemRef{{1, 2}, {0, 5}, {1, 0}, {0, 1}}
-	for _, r := range refs {
-		h.AddElement(r, funcChare(func(*Ctx, EntryID, any) {}))
-	}
-	var got []ElemRef
-	h.Each(func(ref ElemRef, ch Chare) { got = append(got, ref) })
-	want := []ElemRef{{0, 1}, {0, 5}, {1, 0}, {1, 2}}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Each order %v, want %v", got, want)
-		}
-	}
-	if len(h.refs) != 4 {
-		t.Errorf("%d elements on the host, want 4", len(h.refs))
-	}
-	if !h.Has(ElemRef{1, 2}) || h.Has(ElemRef{9, 9}) {
-		t.Error("Has wrong")
-	}
-}
-
 func TestPEHostDeliverToMissingElement(t *testing.T) {
 	b := newStubBackend(t)
 	h := NewPEHost(b, 0, testTable(2, 1))

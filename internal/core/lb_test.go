@@ -109,6 +109,14 @@ func TestLBMgrEvictNonDestructive(t *testing.T) {
 	}
 }
 
+// counterChare is a minimal migratable chare: one count that travels
+// through its PUP method.
+type counterChare struct{ n int64 }
+
+func (c *counterChare) Recv(ctx *Ctx, entry EntryID, data any) {}
+
+func (c *counterChare) PUP(p *PUP) { p.Varint(&c.n) }
+
 // TestLBEvictStateBytes checks that an eviction reports honest Bytes:
 // the PUP-serialized element state must be counted, not a fixed guess.
 func TestLBEvictStateBytes(t *testing.T) {

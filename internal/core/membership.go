@@ -49,8 +49,8 @@ const (
 	// MemberDraining: finishing outstanding work; no new work is placed on
 	// it and the load balancer evacuates its elements.
 	MemberDraining
-	// MemberDead: declared failed; fenced by epoch bump, elements restored
-	// onto survivors.
+	// MemberDead: declared failed; fenced by epoch bump, elements rebuilt
+	// fresh on survivors.
 	MemberDead
 	// MemberLeft: drained cleanly and allowed to exit.
 	MemberLeft
@@ -310,10 +310,6 @@ type MembershipConfig struct {
 	// been queued. Runs on the manager's apply path — keep it brief and
 	// do not call back into mutating Membership methods synchronously.
 	OnChange func(t MemberTable)
-	// CheckpointFor, if non-nil, supplies the most recent checkpoint state
-	// for a node declared dead; elements that have an entry are restored
-	// from it, the rest are constructed fresh.
-	CheckpointFor func(node int) *Checkpoint
 	// Logf, if non-nil, receives protocol progress lines.
 	Logf func(format string, args ...any)
 }
@@ -672,8 +668,7 @@ func (m *Membership) MarkLeft(node int) bool {
 
 // MarkDead (coordinator) declares node failed: the epoch is bumped (every
 // surviving process fences the dead node's stale frames), its peer state
-// is forgotten, and its elements are restored onto survivors from the
-// last checkpoint where available.
+// is forgotten, and its elements are rebuilt fresh on survivors.
 func (m *Membership) MarkDead(node int, cause error) bool {
 	if node == m.cfg.Coordinator {
 		// Coordinator self-death is not a table mutation anyone could
@@ -861,18 +856,14 @@ func (m *Membership) applyLocked(t *MemberTable, preNotify func(freshLeft []int)
 		}
 	}
 
-	// 3. Element recovery. Dead nodes restore from checkpoint state where
-	// available; drained nodes should already be empty (the LB evacuates
-	// them), so re-homing the stragglers fresh is a safety net for
-	// stateless arrays. Every process applies the identical deterministic
-	// plan, so all location tables stay in agreement.
+	// 3. Element recovery. A dead node's elements are rebuilt by their
+	// constructors on survivors; drained nodes should already be empty (the
+	// LB evacuates them), so re-homing the stragglers fresh is a safety net
+	// for stateless arrays. Every process applies the identical
+	// deterministic plan, so all location tables stay in agreement.
 	if m.rt != nil {
 		for _, node := range recoverNodes {
-			var ck *Checkpoint
-			if m.cfg.CheckpointFor != nil {
-				ck = m.cfg.CheckpointFor(node)
-			}
-			n := m.rt.recoverNode(m.pesOf(node), m.alivePE(t), ck)
+			n := m.rt.recoverNode(m.pesOf(node), m.alivePE(t))
 			m.evacuated.Add(int64(n))
 			m.logf("membership: re-homed %d elements off dead node %d", n, node)
 		}
@@ -884,7 +875,7 @@ func (m *Membership) applyLocked(t *MemberTable, preNotify func(freshLeft []int)
 		// would diverge between processes and corrupt the location tables.
 		if m.rt.prog.LB == nil {
 			for _, node := range freshLeft {
-				n := m.rt.recoverNode(m.pesOf(node), m.alivePE(t), nil)
+				n := m.rt.recoverNode(m.pesOf(node), m.alivePE(t))
 				m.evacuated.Add(int64(n))
 				if n > 0 {
 					m.logf("membership: re-homed %d straggler elements off drained node %d", n, node)

@@ -158,7 +158,7 @@ func TestArrivingMessagesSurviveRecycling(t *testing.T) {
 	if len(h.got) != 0 {
 		t.Fatalf("element not yet constructed received %d messages", len(h.got))
 	}
-	rt.enqueueLocal(&Message{Kind: KindMember, To: target, Data: &memberRecover{}, ID: rt.msgSeq.Add(1)})
+	rt.enqueueLocal(&Message{Kind: KindMember, To: target, ID: rt.msgSeq.Add(1)})
 	rt.pes[0].q.Push(&Message{Kind: KindStop})
 	h.schedule(t)
 	h.check(t, want)

@@ -1,12 +1,10 @@
 package core
 
 // PUP — pack/unpack — is the one structured serializer. One visitor
-// method written by the application serves every consumer: message
-// payloads on the wire (RegisterPayload), load-balancer migration
-// (evict→arrive), and checkpoint/restart (including restart on a
-// different PE count). This mirrors the Charm++ PUP framework (§2.1 of the
-// paper), where messages, migration, checkpointing, and shrink/expand all
-// ride the same pup() routine.
+// method written by the application serves both consumers: message
+// payloads on the wire (RegisterPayload) and load-balancer migration
+// (evict→arrive). This mirrors the Charm++ PUP framework (§2.1 of the
+// paper), where messages and migration ride the same pup() routine.
 //
 // A PUP runs in one of three modes over a flat byte buffer:
 //
@@ -38,7 +36,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"time"
 )
 
 // PUPable is state that can be serialized through a PUP visitor. The
@@ -49,7 +46,7 @@ type PUPable interface {
 }
 
 // Migratable marks a chare whose state can move between PEs — the
-// requirement for load-balancer migration and checkpointing.
+// requirement for load-balancer migration.
 type Migratable interface {
 	Chare
 	PUPable
@@ -66,34 +63,22 @@ const (
 // PUP is the visitor passed to PUPable.PUP. The zero value is not
 // usable; obtain one through PUPSize, PUPPack, or PUPUnpack.
 type PUP struct {
-	mode       pupMode
-	checkpoint bool   // checkpoint/restart pass rather than live migration
-	buf        []byte // packing: destination; unpacking: source
-	off        int    // read/write cursor into buf
-	size       int    // sizing: accumulated byte count
-	err        error  // first error; all later calls are no-ops
+	mode pupMode
+	buf  []byte // packing: destination; unpacking: source
+	off  int    // read/write cursor into buf
+	size int    // sizing: accumulated byte count
+	err  error  // first error; all later calls are no-ops
 }
 
 // Unpacking reports whether this pass reads state out of the buffer.
 // Applications use it to run post-read fix-ups and validation.
 func (p *PUP) Unpacking() bool { return p.mode == pupUnpacking }
 
-// Checkpointing reports whether this pass serves checkpoint/restart
-// rather than a live migration — the analogue of Charm++'s pup_er flags.
-// The byte layout must be identical either way (a checkpoint written on
-// one run restores state a migration packed the same way); the flag only
-// gates validation that applies to one consumer. A restored element joins
-// a program whose reduction sequence starts from scratch, while a
-// migrating element carries its reduction history with it, so a check
-// like "the warmup round must still be ahead of us" is correct under
-// Checkpointing and wrong during migration.
-func (p *PUP) Checkpointing() bool { return p.checkpoint }
-
 // Err returns the first error recorded on this visitor, if any.
 func (p *PUP) Err() error { return p.err }
 
 // Errorf records a failure (typically a validation failure during
-// unpacking, e.g. a checkpoint whose geometry does not match the target
+// unpacking, e.g. packed state whose geometry does not match the target
 // program). The first error sticks; subsequent visitor calls become
 // no-ops so the method body can return early or fall through safely.
 func (p *PUP) Errorf(format string, args ...any) {
@@ -137,29 +122,6 @@ func (p *PUP) Int(v *int) {
 	p.raw8(&u)
 	if p.mode == pupUnpacking && p.err == nil {
 		*v = int(int64(u))
-	}
-}
-
-// Int64 moves an int64.
-func (p *PUP) Int64(v *int64) {
-	u := uint64(*v)
-	p.raw8(&u)
-	if p.mode == pupUnpacking && p.err == nil {
-		*v = int64(u)
-	}
-}
-
-// Int32 moves an int32 (still 8 bytes on the wire, for uniformity).
-func (p *PUP) Int32(v *int32) {
-	u := uint64(int64(*v))
-	p.raw8(&u)
-	if p.mode == pupUnpacking && p.err == nil {
-		w := int64(u)
-		if w < math.MinInt32 || w > math.MaxInt32 {
-			p.fail(fmt.Errorf("pup: value %d overflows int32 at offset %d", w, p.off-8))
-			return
-		}
-		*v = int32(w)
 	}
 }
 
@@ -270,15 +232,6 @@ func (p *PUP) Bool(v *bool) {
 	}
 }
 
-// Duration moves a time.Duration.
-func (p *PUP) Duration(v *time.Duration) {
-	d := int64(*v)
-	p.Int64(&d)
-	if p.mode == pupUnpacking && p.err == nil {
-		*v = time.Duration(d)
-	}
-}
-
 // length moves a slice length prefix (a uvarint) and, when unpacking,
 // validates it against the bytes actually remaining — every element costs
 // at least elemSize bytes (anything below 1 counts as 1) — and against
@@ -370,9 +323,10 @@ func (p *PUP) String(v *string) {
 }
 
 // Float64s moves a []float64 with a length prefix. Unpacking reuses the
-// pointee's backing array when its length already matches (the common
-// restore-into-constructed-element case), so geometry validation against
-// the target program can simply compare lengths before calling this.
+// pointee's backing array when its length already matches (an arriving
+// element unpacks into the one its constructor built), so geometry
+// validation against the target program can simply compare lengths
+// before calling this.
 func (p *PUP) Float64s(v *[]float64) {
 	n := len(*v)
 	p.length(&n, 8, 0)
@@ -393,61 +347,6 @@ func (p *PUP) Float64s(v *[]float64) {
 		}
 		for i := range s {
 			s[i] = math.Float64frombits(binary.BigEndian.Uint64(p.buf[p.off:]))
-			p.off += 8
-		}
-		*v = s
-	}
-}
-
-// Int32s moves a []int32 with a length prefix (8 bytes per element, for
-// uniformity with the scalar encoding).
-func (p *PUP) Int32s(v *[]int32) {
-	n := len(*v)
-	p.length(&n, 8, 0)
-	if p.err != nil {
-		return
-	}
-	switch p.mode {
-	case pupSizing:
-		p.size += 8 * n
-	case pupPacking:
-		for _, x := range *v {
-			p.buf = binary.BigEndian.AppendUint64(p.buf, uint64(int64(x)))
-		}
-	case pupUnpacking:
-		s := *v
-		if len(s) != n {
-			s = make([]int32, n)
-		}
-		for i := range s {
-			s[i] = int32(int64(binary.BigEndian.Uint64(p.buf[p.off:])))
-			p.off += 8
-		}
-		*v = s
-	}
-}
-
-// Ints moves a []int with a length prefix.
-func (p *PUP) Ints(v *[]int) {
-	n := len(*v)
-	p.length(&n, 8, 0)
-	if p.err != nil {
-		return
-	}
-	switch p.mode {
-	case pupSizing:
-		p.size += 8 * n
-	case pupPacking:
-		for _, x := range *v {
-			p.buf = binary.BigEndian.AppendUint64(p.buf, uint64(int64(x)))
-		}
-	case pupUnpacking:
-		s := *v
-		if len(s) != n {
-			s = make([]int, n)
-		}
-		for i := range s {
-			s[i] = int(int64(binary.BigEndian.Uint64(p.buf[p.off:])))
 			p.off += 8
 		}
 		*v = s
@@ -496,19 +395,14 @@ func (p *PUP) Payload(v *any) {
 // allocation honest and its result is cross-checked against the bytes
 // actually written, so an asymmetric PUP method is caught at pack time
 // rather than as a corrupt unpack on the destination PE.
-func PUPPack(v PUPable) ([]byte, error) { return pupPack(v, false) }
-
-// PUPPackCheckpoint is PUPPack with the Checkpointing flag set.
-func PUPPackCheckpoint(v PUPable) ([]byte, error) { return pupPack(v, true) }
-
-func pupPack(v PUPable, checkpoint bool) ([]byte, error) {
-	sz := &PUP{mode: pupSizing, checkpoint: checkpoint}
+func PUPPack(v PUPable) ([]byte, error) {
+	sz := &PUP{mode: pupSizing}
 	v.PUP(sz)
 	if sz.err != nil {
 		return nil, sz.err
 	}
 	n := sz.size
-	p := &PUP{mode: pupPacking, checkpoint: checkpoint, buf: make([]byte, 0, n)}
+	p := &PUP{mode: pupPacking, buf: make([]byte, 0, n)}
 	v.PUP(p)
 	if p.err != nil {
 		return nil, p.err
@@ -522,14 +416,8 @@ func pupPack(v PUPable, checkpoint bool) ([]byte, error) {
 // PUPUnpack restores v from data produced by PUPPack (a live migration).
 // Every byte must be consumed; trailing garbage means the method or the
 // data is wrong.
-func PUPUnpack(v PUPable, data []byte) error { return pupUnpack(v, data, false) }
-
-// PUPUnpackCheckpoint is PUPUnpack with the Checkpointing flag set, for
-// restoring an element into a freshly started program.
-func PUPUnpackCheckpoint(v PUPable, data []byte) error { return pupUnpack(v, data, true) }
-
-func pupUnpack(v PUPable, data []byte, checkpoint bool) error {
-	p := &PUP{mode: pupUnpacking, checkpoint: checkpoint, buf: data}
+func PUPUnpack(v PUPable, data []byte) error {
+	p := &PUP{mode: pupUnpacking, buf: data}
 	v.PUP(p)
 	if p.err != nil {
 		return p.err

@@ -4,48 +4,34 @@ import (
 	"bytes"
 	"math"
 	"testing"
-	"time"
 )
 
-// pupEverything exercises every visitor method.
+// pupEverything exercises the fixed-width and length-prefixed visitors.
 type pupEverything struct {
 	i   int
-	i64 int64
-	i32 int32
 	u64 uint64
 	f   float64
 	b   bool
-	d   time.Duration
 	s   string
 	by  []byte
 	fs  []float64
-	is  []int
-	i3s []int32
 }
 
 func (v *pupEverything) PUP(p *PUP) {
 	p.Int(&v.i)
-	p.Int64(&v.i64)
-	p.Int32(&v.i32)
 	p.Uint64(&v.u64)
 	p.Float64(&v.f)
 	p.Bool(&v.b)
-	p.Duration(&v.d)
 	p.String(&v.s)
 	p.Bytes(&v.by)
 	p.Float64s(&v.fs)
-	p.Ints(&v.is)
-	p.Int32s(&v.i3s)
 }
 
 func TestPUPRoundTrip(t *testing.T) {
 	in := &pupEverything{
-		i: -42, i64: math.MinInt64, i32: -7, u64: math.MaxUint64,
-		f: math.Inf(-1), b: true, d: 3 * time.Second,
+		i: -42, u64: math.MaxUint64, f: math.Inf(-1), b: true,
 		s: "hello, grid", by: []byte{0, 1, 255},
-		fs:  []float64{0, -0.0, math.Pi, math.NaN()},
-		is:  []int{1, -2, 3},
-		i3s: []int32{math.MaxInt32, math.MinInt32},
+		fs: []float64{0, -0.0, math.Pi, math.NaN()},
 	}
 	data, err := PUPPack(in)
 	if err != nil {
@@ -64,13 +50,13 @@ func TestPUPRoundTrip(t *testing.T) {
 	if !bytes.Equal(data, data2) {
 		t.Fatalf("pack→unpack→pack not byte-identical:\n%x\n%x", data, data2)
 	}
-	if out.i != in.i || out.s != in.s || out.b != in.b || out.d != in.d {
+	if out.i != in.i || out.s != in.s || out.b != in.b {
 		t.Errorf("scalars: %+v != %+v", out, in)
 	}
 }
 
 func TestPUPUnpackRejectsBadInput(t *testing.T) {
-	good, err := PUPPack(&pupEverything{s: "x", by: []byte{1}, fs: []float64{1}, is: []int{1}, i3s: []int32{1}})
+	good, err := PUPPack(&pupEverything{s: "x", by: []byte{1}, fs: []float64{1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +128,7 @@ func TestPUPAsymmetryDetected(t *testing.T) {
 
 // fuzzPUPBlob is a generic state carrier for the fuzzer.
 type fuzzPUPBlob struct {
-	a  int64
+	a  uint64
 	f  float64
 	s  string
 	by []byte
@@ -150,7 +136,7 @@ type fuzzPUPBlob struct {
 }
 
 func (v *fuzzPUPBlob) PUP(p *PUP) {
-	p.Int64(&v.a)
+	p.Uint64(&v.a)
 	p.Float64(&v.f)
 	p.String(&v.s)
 	p.Bytes(&v.by)

@@ -19,14 +19,6 @@ import (
 // element that is expected-but-not-yet-constructed and replays them, in
 // arrival order, right after the KindMember construction runs.
 
-// memberRecover is the KindMember payload: (re)construct the target
-// element on the destination PE, restoring State when present (PUP
-// checkpoint encoding) and constructing fresh otherwise. It never crosses
-// the wire — each process enqueues its own share of the plan locally.
-type memberRecover struct {
-	State []byte
-}
-
 // PlanDrain deterministically re-homes every element currently on an
 // evacuating PE onto the least-loaded alive PE (ties break toward the
 // lowest PE number). All processes of a run call it with identical
@@ -73,10 +65,11 @@ func PlanDrain(loc *Locations, arrays []ArrayID, numPE int, evac func(pe int) bo
 
 // recoverNode applies the drain plan for a node's PEs: location moves on
 // this process's table, plus KindMember construction messages for every
-// element re-homed onto a local PE (restored from ck when it has the
-// element's state, fresh otherwise). Returns the number of elements
-// re-homed. Safe to call from any goroutine.
-func (rt *Runtime) recoverNode(deadPEs []int, alive func(pe int) bool, ck *Checkpoint) int {
+// element re-homed onto a local PE. A KindMember message carries no
+// payload and never crosses the wire: each process enqueues its own share
+// of the plan locally. Returns the number of elements re-homed. Safe to
+// call from any goroutine.
+func (rt *Runtime) recoverNode(deadPEs []int, alive func(pe int) bool) int {
 	if len(deadPEs) == 0 {
 		return 0
 	}
@@ -91,17 +84,13 @@ func (rt *Runtime) recoverNode(deadPEs []int, alive func(pe int) bool, ck *Check
 	moves := PlanDrain(rt.loc, arrays, rt.topo.NumPE(), func(pe int) bool { return evac[pe] }, alive)
 	for _, mv := range moves {
 		if mv.ToPE >= rt.opts.PELo && mv.ToPE < rt.opts.PEHi {
-			var state []byte
-			if ck != nil {
-				state, _ = ck.StateOf(mv.Ref)
-			}
 			// Expected-arrival mark before the location move: once the move
 			// is visible, other goroutines route app messages at the new PE,
 			// and they must find the parking slot armed.
 			rt.expectArrival(mv.Ref)
 			rt.sentByPE[mv.ToPE].Add(1)
 			rt.enqueueLocal(&Message{
-				Kind: KindMember, To: mv.Ref, Data: &memberRecover{State: state},
+				Kind: KindMember, To: mv.Ref,
 				SrcPE: int32(mv.ToPE), DstPE: int32(mv.ToPE), ID: rt.msgSeq.Add(1),
 			})
 		}
@@ -159,30 +148,16 @@ func (rt *Runtime) takeArrivals(ref ElemRef) []*Message {
 }
 
 // handleMember runs a KindMember construction on the owning PE's
-// scheduler: build the element (restoring checkpointed state when
-// carried), install it, and replay any messages that arrived early.
+// scheduler: build the element with its array's constructor, install it,
+// and replay any messages that arrived early.
 func (rt *Runtime) handleMember(ps *peState, m *Message) error {
-	rec, ok := m.Data.(*memberRecover)
-	if !ok {
-		return fmt.Errorf("core: KindMember message with payload %T", m.Data)
-	}
 	ref := m.To
 	a := int(ref.Array)
 	if a < 0 || a >= len(rt.prog.Arrays) {
 		return fmt.Errorf("core: recovering element %v names unknown array", ref)
 	}
 	if !ps.host.Has(ref) {
-		ch := rt.prog.Arrays[a].New(ref.Index)
-		if rec.State != nil {
-			mg, ok := ch.(Migratable)
-			if !ok {
-				return fmt.Errorf("core: recovering element %v constructed as non-Migratable %T", ref, ch)
-			}
-			if err := PUPUnpackCheckpoint(mg, rec.State); err != nil {
-				return fmt.Errorf("core: restore recovered element %v: %w", ref, err)
-			}
-		}
-		ps.host.AddElement(ref, ch)
+		ps.host.AddElement(ref, rt.prog.Arrays[a].New(ref.Index))
 	}
 	for _, pm := range rt.takeArrivals(ref) {
 		if _, err := ps.host.DeliverApp(pm); err != nil {

@@ -251,3 +251,26 @@ func TestMessageCodecRoundTrip(t *testing.T) {
 		t.Error("garbage decoded")
 	}
 }
+
+func TestReduceOpStrings(t *testing.T) {
+	for _, op := range []ReduceOp{OpSum, OpMax, OpMin, ReduceOp(77)} {
+		if op.String() == "" {
+			t.Errorf("empty string for op %d", op)
+		}
+	}
+}
+
+func TestCombineMaxMinFloat(t *testing.T) {
+	if Combine(OpMax, 1.0, 2.0).(float64) != 2.0 {
+		t.Error("max wrong")
+	}
+	if Combine(OpMin, 1.0, 2.0).(float64) != 1.0 {
+		t.Error("min wrong")
+	}
+	if Combine(OpMax, 5.0, 3.0).(float64) != 5.0 {
+		t.Error("max order wrong")
+	}
+	if Combine(OpMin, 5.0, 3.0).(float64) != 3.0 {
+		t.Error("min order wrong")
+	}
+}

@@ -207,8 +207,8 @@ func auditMigratable(cfg *LBConfig, loc *Locations, peLo, peHi int, hostOf func(
 }
 
 // ConstructElements builds every element placed in [peLo, peHi) on its
-// host, converting constructor panics (e.g. checkpoint-restore failures)
-// into errors. It is exported for executor implementations.
+// host, converting constructor panics into errors. It is exported for
+// executor implementations.
 func ConstructElements(prog *Program, loc *Locations, peLo, peHi int, hostOf func(pe int) *PEHost) (err error) {
 	defer func() {
 		if r := recover(); r != nil {

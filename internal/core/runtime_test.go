@@ -437,3 +437,36 @@ func idleStack(t *testing.T) *vmi.Stack {
 	t.Cleanup(func() { st.Close() })
 	return st
 }
+
+func TestCtxAccessorsAndBroadcast(t *testing.T) {
+	topo := mustTopo(t, 2, 0)
+	var hits atomic.Int64
+	prog := &Program{
+		Arrays: []ArraySpec{{
+			ID: 0, N: 4,
+			New: func(i int) Chare {
+				return funcChare(func(ctx *Ctx, e EntryID, d any) {
+					n := hits.Add(1)
+					if ctx.Elem() != (ElemRef{Array: 0, Index: i}) || d != "hello" {
+						t.Errorf("element %d got %v with %v", i, ctx.Elem(), d)
+					}
+					ctx.Charge(0) // no-op on the real-time runtime
+					if n == 4 {
+						ctx.Exit()
+					}
+				})
+			},
+		}},
+		Start: func(ctx *Ctx) { ctx.Broadcast(0, 0, "hello") },
+	}
+	rt, err := NewRuntime(topo, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, err := rt.Run(); err != nil || v != nil {
+		t.Fatalf("run: v=%v err=%v", v, err)
+	}
+	if hits.Load() != 4 {
+		t.Errorf("broadcast reached %d elements", hits.Load())
+	}
+}

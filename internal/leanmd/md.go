@@ -174,6 +174,16 @@ func (p *Params) placeAtoms(rng *rand.Rand, cell int, g *Geometry) (pos, vel []V
 	return pos, vel
 }
 
+// pupVec3s moves a []Vec3 as a count and three bit-exact floats per
+// vector.
+func pupVec3s(p *core.PUP, v *[]Vec3) {
+	core.PUPSlice(p, v, 24, 0, func(w *Vec3, p *core.PUP) {
+		p.Float64(&w.X)
+		p.Float64(&w.Y)
+		p.Float64(&w.Z)
+	})
+}
+
 // coordMsg carries one cell's positions to a pair object.
 type coordMsg struct {
 	From cellID
@@ -487,7 +497,6 @@ func BuildProgram(p *Params) (*core.Program, *Geometry, error) {
 		Arrays: []core.ArraySpec{
 			{
 				ID: ArrayCells, N: g.NumCells,
-				// Checkpointed cells rebuild through New + PUP.
 				New: func(i int) core.Chare { return newCell(p, g, i) },
 			},
 			{

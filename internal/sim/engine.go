@@ -318,7 +318,7 @@ type shard struct {
 }
 
 // Engine is the virtual-time executor. Run may only be called once; after
-// it returns the engine is quiescent and Stats/Checkpoint may be used.
+// it returns the engine is quiescent and Stats may be used.
 type Engine struct {
 	topo *topology.Topology
 	prog *core.Program
@@ -863,20 +863,6 @@ func (s *shard) exec(ev event) {
 		ps.execPending = true
 		s.push(event{at: ps.busyUntil, key: uint64(ps.id), kind: evExec, pe: int32(ps.id)})
 	}
-}
-
-// Checkpoint snapshots all array elements. It must be called after Run
-// has returned. After a parallel run that ended via ExitWith, element
-// state on other shards may include effects of events that were rewound
-// (clocks, counters, and traces are exact; chare memory is not rolled
-// back) — checkpoint at natural quiescence, or from the sequential
-// engine, when that matters.
-func (e *Engine) Checkpoint() (*core.Checkpoint, error) {
-	hosts := make([]*core.PEHost, len(e.pes))
-	for i, ps := range e.pes {
-		hosts[i] = ps.host
-	}
-	return core.BuildCheckpoint(e.prog, hosts)
 }
 
 // Stats ----------------------------------------------------------------------

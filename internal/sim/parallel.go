@@ -39,8 +39,8 @@ import (
 // rewinds — the rewind log restores per-PE clocks and counters for
 // events ordered after the stop — and drops their staged trace events, so
 // the externally visible state (exit value, virtual times, statistics,
-// traces) is exactly the sequential engine's. (Chare memory mutated by
-// rewound events is not restored; see Engine.Checkpoint.)
+// traces) is exactly the sequential engine's. Chare memory mutated by
+// rewound events is not restored.
 
 // rewindCap bounds each shard's rewind log: it caps the events a shard
 // runs per window, so wide windows cost barriers rather than memory

@@ -4,9 +4,9 @@ import (
 	"gridmdo/internal/core"
 )
 
-// PUP implements core.Migratable: one visitor serves load-balancer
-// migration, checkpoint/restart (including restart on a different PE
-// count), and the pack→unpack→pack byte-identity the fuzz tests pin.
+// PUP implements core.Migratable: the visitor that carries a block across
+// a load-balancer migration, with the pack→unpack→pack byte-identity the
+// tests pin.
 //
 // Only the step counter, the block shape, and the current grid travel;
 // everything else (neighbor topology, gate need, next buffer) is derived
@@ -14,8 +14,8 @@ import (
 // validates the packed shape against that target program.
 func (b *block) PUP(p *core.PUP) {
 	if !p.Unpacking() && b.gate.PendingFuture() > 0 {
-		// A block parked at AtSync or a post-run quiescent point owns no
-		// buffered future ghosts; anything else is not a safe point to move.
+		// A block parked at AtSync owns no buffered future ghosts; anything
+		// else is not a safe point to move.
 		p.Errorf("stencil: pack block (%d,%d) with %d buffered future ghosts", b.bx, b.by, b.gate.PendingFuture())
 		return
 	}
@@ -23,22 +23,10 @@ func (b *block) PUP(p *core.PUP) {
 	p.Int(&step)
 	p.Int(&w)
 	p.Int(&h)
-	if p.Unpacking() {
-		if w != b.w || h != b.h {
-			p.Errorf("stencil: restore block (%d,%d): checkpoint is %dx%d, program wants %dx%d",
-				b.bx, b.by, w, h, b.w, b.h)
-			return
-		}
-		if p.Checkpointing() && b.p.Warmup > 0 && b.p.Warmup <= step {
-			// On a checkpoint restore the warmup reduction round would never
-			// fire, desynchronizing the reduction sequence; continued runs
-			// must time from scratch. A live migration is different: the
-			// element's reduction history moved with it, so a block past its
-			// warmup step is fine.
-			p.Errorf("stencil: restore block (%d,%d): warmup %d not after restored step %d (use Warmup=0 or > %d)",
-				b.bx, b.by, b.p.Warmup, step, step)
-			return
-		}
+	if p.Unpacking() && (w != b.w || h != b.h) {
+		p.Errorf("stencil: restore block (%d,%d): packed state is %dx%d, program wants %dx%d",
+			b.bx, b.by, w, h, b.w, b.h)
+		return
 	}
 	p.Float64s(&b.cur)
 	if p.Unpacking() {
@@ -49,10 +37,8 @@ func (b *block) PUP(p *core.PUP) {
 		}
 		copy(b.next, b.cur)
 		b.gate.JumpTo(step)
-		b.done = step >= b.p.Steps
 	}
 }
 
-// interface check: blocks are migratable (needed by the load balancers
-// and checkpointing).
+// interface check: blocks are migratable (needed by the load balancers).
 var _ core.Migratable = (*block)(nil)

@@ -385,12 +385,6 @@ func (b *block) checksum() float64 {
 func (b *block) Recv(ctx *core.Ctx, entry core.EntryID, data any) {
 	switch entry {
 	case EntryKick:
-		if b.done {
-			// Restored from a checkpoint that had already completed this
-			// program's step count: report completion immediately.
-			ctx.Contribute(b.checksum(), core.OpSum)
-			return
-		}
 		b.kicked = true
 		b.sendBorders(ctx)
 		b.tryAdvance(ctx)
@@ -474,7 +468,6 @@ func BuildProgram(p *Params) (*core.Program, error) {
 	prog := &core.Program{
 		Arrays: []core.ArraySpec{{
 			ID: 0, N: p.NumObjects(),
-			// Checkpointed blocks rebuild through New + PUP.
 			New: func(i int) core.Chare { return newBlock(p, i) },
 			Map: p.InitialMap,
 		}},

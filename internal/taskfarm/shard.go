@@ -547,8 +547,7 @@ type root struct {
 
 	// Drain bookkeeping (elastic farms): per draining node, how many
 	// worker clears to await and which workers have cleared. Coordinator-
-	// local and transient — a checkpoint taken mid-drain restarts the
-	// drain, it does not lose tasks.
+	// local and transient.
 	drainExpect map[int32]int
 	drainSeen   map[int32]map[int32]bool
 }

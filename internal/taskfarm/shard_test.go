@@ -1,7 +1,6 @@
 package taskfarm
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"math"
@@ -440,60 +439,9 @@ func TestBatchCodecWireSize(t *testing.T) {
 	}
 }
 
-// shardTestParams builds a Params good for PUP testing.
+// shardTestParams builds a stealing, sharded Params for shard unit tests.
 func shardTestParams() *Params {
 	return &Params{Tasks: 1000, Prefetch: 2, Workers: 8, Shards: 4, Batch: 8, Steal: true, Seed: 5}
-}
-
-// TestShardPUPRoundTrip: pack a mid-run shard, restore it into a fresh
-// element, and require the repack to be byte-identical.
-func TestShardPUPRoundTrip(t *testing.T) {
-	p := shardTestParams()
-	s := newShard(p, 1, newFarmMetrics(p))
-	// Mutate into a mid-run state: partial grants, a steal in flight.
-	s.popFront(100)
-	s.pending = append(s.pending, taskRange{Lo: 900, N: 25})
-	s.avail += 25
-	s.out[0], s.out[1] = 2, 1
-	s.perW[0], s.perW[1] = 48, 52
-	s.granted, s.grants = 103, 17
-	s.steals, s.stealFails = 2, 1
-	s.stolenIn, s.victimized = 25, 10
-	s.fails = 1
-	s.stealing = true
-	s.nextRand()
-	s.foldDone, s.foldSum, s.foldCheck = 9, 10.5, 0xFEED
-
-	data, err := core.PUPPack(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := newShard(p, 1, newFarmMetrics(p))
-	if err := core.PUPUnpack(r, data); err != nil {
-		t.Fatal(err)
-	}
-	if r.avail != s.avail || !equalRanges(r.pending, s.pending) {
-		t.Errorf("deque not restored: avail %d vs %d, pending %v vs %v", r.avail, s.avail, r.pending, s.pending)
-	}
-	if r.rng != s.rng || r.fails != s.fails || r.stealing != s.stealing {
-		t.Error("steal state not restored")
-	}
-	if r.foldDone != s.foldDone || r.foldSum != s.foldSum || r.foldCheck != s.foldCheck {
-		t.Errorf("fold not restored: %d/%v/%#x vs %d/%v/%#x",
-			r.foldDone, r.foldSum, r.foldCheck, s.foldDone, s.foldSum, s.foldCheck)
-	}
-	// The fold is packed last: a blob without it (one varint, two
-	// fixed-width words) is truncated, not misparsed.
-	if err := core.PUPUnpack(newShard(p, 1, newFarmMetrics(p)), data[:len(data)-17]); err == nil {
-		t.Error("a shard blob without the fold unpacked")
-	}
-	data2, err := core.PUPPack(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(data, data2) {
-		t.Error("repack differs from original pack")
-	}
 }
 
 // TestSettleMatchesByContent: a result settles exactly the ranges it
@@ -525,59 +473,6 @@ func TestSettleMatchesByContent(t *testing.T) {
 	if s.settle(0, g1) {
 		t.Error("a result for re-queued ranges settled")
 	}
-}
-
-// TestRootPUPRoundTrip: same discipline for the root collector.
-func TestRootPUPRoundTrip(t *testing.T) {
-	p := shardTestParams()
-	r := &root{p: p, shards: 4, workers: 8,
-		started: 5 * time.Millisecond, makespan: 0,
-		done: 400, sum: 123.5, check: 0xABCD, reports: 0,
-		perW: []int{50, 50, 50, 50, 50, 50, 50, 50}, perShard: []int{100, 100, 100, 100},
-	}
-	data, err := core.PUPPack(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := &root{p: p, shards: 4, workers: 8}
-	if err := core.PUPUnpack(q, data); err != nil {
-		t.Fatal(err)
-	}
-	if q.done != 400 || q.check != 0xABCD || len(q.perW) != 8 {
-		t.Errorf("root not restored: %+v", q)
-	}
-	data2, err := core.PUPPack(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(data, data2) {
-		t.Error("repack differs from original pack")
-	}
-	// A checkpoint from a different shard count must be rejected.
-	bad := &root{p: p, shards: 2, workers: 8}
-	if err := core.PUPUnpack(bad, data); err == nil {
-		t.Error("restore accepted a checkpoint with the wrong shard count")
-	}
-}
-
-// FuzzShardPUP feeds arbitrary bytes to the shard restore path: it must
-// error or restore, never panic, and a successful restore must repack.
-func FuzzShardPUP(f *testing.F) {
-	p := shardTestParams()
-	if data, err := core.PUPPack(newShard(p, 0, newFarmMetrics(p))); err == nil {
-		f.Add(data)
-	}
-	f.Add([]byte("garbage"))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		s := newShard(p, 0, newFarmMetrics(p))
-		if err := core.PUPUnpack(s, data); err != nil {
-			return
-		}
-		if _, err := core.PUPPack(s); err != nil {
-			t.Fatalf("restored shard cannot repack: %v", err)
-		}
-	})
 }
 
 // TestImbalance pins the helper's edge cases.

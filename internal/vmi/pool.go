@@ -14,7 +14,7 @@ import (
 // Buffers are binned by power-of-two capacity. A buffer obtained from
 // class c always has capacity >= 1<<c, so GetBuf(n) never returns a
 // buffer shorter than n. Oversized buffers (above maxBufBits) are not
-// pooled: they are rare (bulk checkpoints, pathological payloads) and
+// pooled: they are rare (large migrations, pathological payloads) and
 // would pin large allocations.
 
 const (
