@@ -216,17 +216,14 @@ func run(cfg config) error {
 	}
 	var notifier *taskfarm.Notifier
 	if cfg.Membership {
-		if tfp != nil {
-			notifier = taskfarm.NewNotifier(tfp)
-		}
+		// App.Build accepts -membership only for the farm, so tfp is set.
+		notifier = taskfarm.NewNotifier(tfp)
 		spec.Joiners = joiner
 		spec.Membership = func(_ int, mc *core.MembershipConfig) {
 			mc.Logf = func(format string, args ...any) {
 				fmt.Fprintf(os.Stderr, "gridnode %d: "+format+"\n", append([]any{cfg.Node}, args...)...)
 			}
-			if notifier != nil {
-				mc.OnChange = notifier.OnChange
-			}
+			mc.OnChange = notifier.OnChange
 		}
 	}
 	cl, err := core.StartCluster(*spec)
@@ -249,11 +246,9 @@ func run(cfg config) error {
 			}
 			return nil
 		})
-		if tfp != nil {
-			// Late-bound: the root's drain-complete hook marks the node
-			// Left at the coordinator.
-			tfp.OnDrained = mem.NotifyDrained
-		}
+		// Late-bound: the root's drain-complete hook marks the node Left
+		// at the coordinator.
+		tfp.OnDrained = mem.NotifyDrained
 	}
 	if cfg.onRuntime != nil {
 		cfg.onRuntime(rt)
@@ -297,8 +292,9 @@ func run(cfg config) error {
 		defer signal.Stop(sigCh)
 	}
 	// SIGTERM on a membership-enabled worker node drains instead of
-	// killing: the node's chares are evicted onto the survivors, the
-	// coordinator marks it Left, and the process exits cleanly.
+	// killing: the farm stops granting to the node's workers, the
+	// coordinator marks it Left once their tasks are done, and the process
+	// exits cleanly.
 	var drainFn func() bool
 	if mem != nil && cfg.Node != 0 {
 		drainFn = func() bool {

@@ -785,22 +785,27 @@ func TestGatewaySIGTERMStopsCluster(t *testing.T) {
 }
 
 // TestServeFlagErrors: -serve runs only the taskfarm, and never with
-// -membership; both are refused at startup.
+// -membership; -membership, too, runs only the taskfarm. All are refused
+// at startup.
 func TestServeFlagErrors(t *testing.T) {
 	for _, tc := range []struct {
 		app        string
+		serve      bool
 		membership bool
 		want       string
 	}{
-		{"stencil", false, "-serve supports -app taskfarm only"},
-		{"taskfarm", true, "-serve does not support -membership"},
+		{"stencil", true, false, "-serve supports -app taskfarm only"},
+		{"taskfarm", true, true, "-serve does not support -membership"},
+		{"stencil", false, true, "-membership supports -app taskfarm only"},
+		{"leanmd", false, true, "-membership supports -app taskfarm only"},
 	} {
 		cfg := config{
 			Cluster: appflags.Cluster{Addrs: "127.0.0.1:0", Membership: tc.membership, Topology: appflags.Topology{Procs: 4}},
-			App:     appflags.App{Name: tc.app, Farm: appflags.Farm{Serve: true}},
+			App: appflags.App{Name: tc.app, Sim: appflags.Sim{Steps: 2},
+				Stencil: appflags.Stencil{Objects: 4, Width: 16}, Farm: appflags.Farm{Serve: tc.serve}},
 		}
 		if err := run(cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("-app %s -membership=%v: err %v, want %q", tc.app, tc.membership, err, tc.want)
+			t.Errorf("-app %s -serve=%v -membership=%v: err %v, want %q", tc.app, tc.serve, tc.membership, err, tc.want)
 		}
 	}
 }

@@ -70,7 +70,7 @@ func (c *Cluster) Register(fs *flag.FlagSet) {
 	c.Topology.Register(fs)
 	fs.IntVar(&c.Node, "node", 0, "this process's node index")
 	fs.StringVar(&c.Addrs, "addrs", "", "comma-separated listen addresses, one per node (one address: every PE in this process)")
-	fs.BoolVar(&c.Membership, "membership", false, "elastic cluster membership: join/drain/death handling (node 0 coordinates)")
+	fs.BoolVar(&c.Membership, "membership", false, "elastic cluster membership for -app taskfarm only: join/drain/death handling (node 0 coordinates)")
 	fs.StringVar(&c.Joiners, "joiners", "", "comma-separated node indices that start outside the member set and join mid-run (identical on every process)")
 }
 
@@ -131,7 +131,7 @@ type Env struct {
 	Procs   int                     // total PEs: the farm's worker count
 	Node    int                     // this process's node; node 0 of a serve farm hosts its service
 	Metrics *metrics.Registry       // the registry the farm publishes its series into
-	Elastic *taskfarm.ElasticConfig // -membership placement, or nil
+	Elastic *taskfarm.ElasticConfig // the farm's -membership placement, or nil
 }
 
 // Built is an assembled application. A taskfarm adds its Params (the
@@ -147,12 +147,15 @@ type Built struct {
 // carry their cost models: the virtual-time engine charges them, and the
 // real-time runtime, which measures handlers instead, ignores them.
 func (a *App) Build(env Env) (*Built, error) {
+	if env.Elastic != nil && a.Name != "taskfarm" {
+		return nil, fmt.Errorf("-membership supports -app taskfarm only")
+	}
 	if a.LB != "" && (a.Name == "leanmd" || a.Name == "taskfarm") {
 		return nil, fmt.Errorf("-lb supports -app stencil only")
 	}
 	switch a.Name {
 	case "stencil":
-		p, err := a.Stencil.Params(a.Sim, env.Elastic)
+		p, err := a.Stencil.Params(a.Sim)
 		if err != nil {
 			return nil, err
 		}
@@ -160,9 +163,6 @@ func (a *App) Build(env Env) (*Built, error) {
 		prog, err := stencil.BuildProgram(p)
 		return &Built{Program: prog}, err
 	case "leanmd":
-		if env.Elastic != nil {
-			return nil, fmt.Errorf("-membership supports -app stencil and taskfarm only")
-		}
 		p := a.LeanMD.Params(a.Sim)
 		p.Model = leanmd.DefaultModel()
 		prog, _, err := leanmd.BuildProgram(p)
@@ -240,9 +240,8 @@ func strategyByName(name string) (core.Strategy, error) {
 	}
 }
 
-// Params builds the stencil parameters. With elastic set (-membership),
-// initial placement is confined to the founding nodes' PEs.
-func (st *Stencil) Params(sim Sim, elastic *taskfarm.ElasticConfig) (*stencil.Params, error) {
+// Params builds the stencil parameters.
+func (st *Stencil) Params(sim Sim) (*stencil.Params, error) {
 	if st.LBPeriod < 0 {
 		return nil, fmt.Errorf("negative -lb-period %d", st.LBPeriod)
 	}
@@ -264,21 +263,6 @@ func (st *Stencil) Params(sim Sim, elastic *taskfarm.ElasticConfig) (*stencil.Pa
 			p.LBEvery = st.LBPeriod
 		} else {
 			p.LBAtStep = sim.Steps / 2
-		}
-	}
-	if elastic != nil {
-		nObj := v * v
-		p.InitialMap = func(i, numPE int) int {
-			var act []int
-			for pe := 0; pe < numPE; pe++ {
-				if elastic.ActiveNode(elastic.NodeOf(pe)) {
-					act = append(act, pe)
-				}
-			}
-			if len(act) == 0 {
-				return 0
-			}
-			return act[core.BlockMap(i, nObj, len(act))]
 		}
 	}
 	return p, nil

@@ -87,20 +87,20 @@ func TestFarmParamsServe(t *testing.T) {
 
 func TestStencilParams(t *testing.T) {
 	st := Stencil{Objects: 5, Width: 64}
-	if _, err := st.Params(Sim{Steps: 4}, nil); err == nil || !strings.Contains(err.Error(), "perfect square") {
+	if _, err := st.Params(Sim{Steps: 4}); err == nil || !strings.Contains(err.Error(), "perfect square") {
 		t.Errorf("objects=5 err %v", err)
 	}
 	st.Objects = 16
-	p, err := st.Params(Sim{Steps: 4, Warmup: 1}, nil)
+	p, err := st.Params(Sim{Steps: 4, Warmup: 1})
 	if err != nil || p.VX != 4 || p.Steps != 4 {
 		t.Errorf("params %+v err %v", p, err)
 	}
 	st.LB = "bogus"
-	if _, err := st.Params(Sim{Steps: 4}, nil); err == nil {
+	if _, err := st.Params(Sim{Steps: 4}); err == nil {
 		t.Error("bogus -lb accepted")
 	}
 	st.LB, st.LBPeriod = "greedy", -1
-	if _, err := st.Params(Sim{Steps: 4}, nil); err == nil || !strings.Contains(err.Error(), "-lb-period") {
+	if _, err := st.Params(Sim{Steps: 4}); err == nil || !strings.Contains(err.Error(), "-lb-period") {
 		t.Errorf("negative -lb-period: err %v", err)
 	}
 }

@@ -152,7 +152,6 @@ type LBMgr struct {
 	host *PEHost
 	prog *Program
 	emit func(m *Message)
-	mem  *Membership // nil without elastic membership (set by NewRuntime)
 
 	// root state
 	reports   []ElemLoad
@@ -264,8 +263,7 @@ func (l *LBMgr) rootCollect(fromPE int, stats []ElemLoad) error {
 	l.reports, l.reported = nil, make(map[int]bool)
 	l.rounds.Add(1)
 
-	// Drop no-op and invalid moves; under elastic membership also drop
-	// moves targeting PEs whose node is not an Active member.
+	// Drop no-op and invalid moves.
 	valid := moves[:0]
 	for _, mv := range moves {
 		if mv.ToPE < 0 || mv.ToPE >= l.topo.NumPE() {
@@ -274,13 +272,9 @@ func (l *LBMgr) rootCollect(fromPE int, stats []ElemLoad) error {
 		if int(l.loc.PEOf(mv.Ref)) == mv.ToPE {
 			continue
 		}
-		if l.mem != nil && !l.mem.PlaceablePE(mv.ToPE) {
-			continue
-		}
 		valid = append(valid, mv)
 	}
 	moves = valid
-	moves = l.addDrainMoves(moves)
 	l.totalMoves.Add(int64(len(moves)))
 
 	if len(moves) == 0 {
@@ -307,68 +301,6 @@ func (l *LBMgr) rootCollect(fromPE int, stats []ElemLoad) error {
 		})
 	}
 	return nil
-}
-
-// addDrainMoves augments a round's plan with evacuations off Draining
-// members' PEs (elastic membership only), overriding any strategy move
-// that touches an element currently on a draining PE — the drain planner
-// must win or the element could land back on the node trying to leave.
-func (l *LBMgr) addDrainMoves(moves []Move) []Move {
-	if l.mem == nil {
-		return moves
-	}
-	t := l.mem.Table()
-	drainPE := make(map[int]bool)
-	for _, mb := range t.Members {
-		if mb.State == MemberDraining {
-			for _, pe := range l.mem.pesOf(int(mb.Node)) {
-				drainPE[pe] = true
-			}
-		}
-	}
-	if len(drainPE) == 0 {
-		return moves
-	}
-	drain := PlanDrain(l.loc, l.cfg.Arrays, l.topo.NumPE(),
-		func(pe int) bool { return drainPE[pe] }, l.mem.alivePE(&t))
-	// The LB is the drain evacuator for balanced programs (membership's
-	// straggler net stands down — see applyLocked), so the membership
-	// evacuation counter is fed from here, where the moves are planned.
-	l.mem.evacuated.Add(int64(len(drain)))
-	kept := moves[:0]
-	for _, mv := range moves {
-		if !drainPE[int(l.loc.PEOf(mv.Ref))] {
-			kept = append(kept, mv)
-		}
-	}
-	return append(kept, drain...)
-}
-
-// reportDrained (root) tells the membership layer about Draining members
-// whose PEs no longer hold any element — their evacuation is complete and
-// they may leave. Runs after a round's moves are applied.
-func (l *LBMgr) reportDrained() {
-	t := l.mem.Table()
-	for _, mb := range t.Members {
-		if mb.State != MemberDraining {
-			continue
-		}
-		empty := true
-		for _, pe := range l.mem.pesOf(int(mb.Node)) {
-			for ai := range l.prog.Arrays {
-				if l.loc.LocalCount(l.prog.Arrays[ai].ID, pe) > 0 {
-					empty = false
-					break
-				}
-			}
-			if !empty {
-				break
-			}
-		}
-		if empty {
-			l.mem.NotifyDrained(int(mb.Node))
-		}
-	}
 }
 
 // evict packs and ships the listed elements. It validates and packs every
@@ -463,9 +395,6 @@ func (l *LBMgr) rootAck() error {
 
 func (l *LBMgr) broadcastResume(moves []Move) error {
 	for pe := 0; pe < l.topo.NumPE(); pe++ {
-		if l.mem != nil && !l.mem.ReachablePE(pe) {
-			continue
-		}
 		msg := lbMsg{Phase: lbResume, Moves: moves}
 		l.emit(&Message{
 			Kind: KindLB, SrcPE: 0, DstPE: int32(pe),
@@ -485,9 +414,6 @@ func (l *LBMgr) resumeAll(moves []Move) error {
 		if _, err := l.loc.Move(mv.Ref, mv.ToPE); err != nil {
 			return err
 		}
-	}
-	if l.pe == 0 && l.mem != nil {
-		l.reportDrained()
 	}
 	for _, a := range l.cfg.Arrays {
 		for _, ref := range l.loc.ElementsOn(a, l.pe) {

@@ -47,7 +47,7 @@ const (
 	// MemberActive: full participant; placement may target its PEs.
 	MemberActive
 	// MemberDraining: finishing outstanding work; no new work is placed on
-	// it and the load balancer evacuates its elements.
+	// it, and the program reports when it is clear (NotifyDrained).
 	MemberDraining
 	// MemberDead: declared failed; fenced by epoch bump, elements rebuilt
 	// fresh on survivors.
@@ -432,20 +432,6 @@ func (m *Membership) StateOf(node int) (MemberState, bool) {
 	return m.tbl.StateOf(node)
 }
 
-// PlaceablePE reports whether new work or migrated elements may target pe:
-// its node must be an Active member.
-func (m *Membership) PlaceablePE(pe int) bool {
-	st, ok := m.StateOf(m.cfg.NodeOf(pe))
-	return ok && st == MemberActive
-}
-
-// ReachablePE reports whether pe's node can still receive protocol
-// traffic (not Dead, not Left).
-func (m *Membership) ReachablePE(pe int) bool {
-	st, ok := m.StateOf(m.cfg.NodeOf(pe))
-	return !ok || (st != MemberDead && st != MemberLeft)
-}
-
 // Evacuated reports how many elements have been re-homed off dead or
 // drained nodes by this process's recovery path.
 func (m *Membership) Evacuated() int64 { return m.evacuated.Load() }
@@ -693,10 +679,10 @@ func (m *Membership) MarkDead(node int, cause error) bool {
 	return changed
 }
 
-// NotifyDrained reports that node's outstanding work is finished and its
-// elements are evacuated (or about to be): callable from any process that
-// can observe the fact (the LB root, the taskfarm dispatcher). On the
-// coordinator it completes the drain directly; elsewhere it is forwarded.
+// NotifyDrained reports that node's outstanding work is finished:
+// callable from any process that can observe the fact (the taskfarm
+// dispatcher). On the coordinator it completes the drain directly;
+// elsewhere it is forwarded.
 func (m *Membership) NotifyDrained(node int) {
 	if m.isCoordinator() {
 		m.MarkLeft(node)
@@ -856,30 +842,21 @@ func (m *Membership) applyLocked(t *MemberTable, preNotify func(freshLeft []int)
 		}
 	}
 
-	// 3. Element recovery. A dead node's elements are rebuilt by their
-	// constructors on survivors; drained nodes should already be empty (the
-	// LB evacuates them), so re-homing the stragglers fresh is a safety net
-	// for stateless arrays. Every process applies the identical
-	// deterministic plan, so all location tables stay in agreement.
+	// 3. Element recovery. A dead or drained node's elements are rebuilt
+	// by their constructors on survivors, so they carry no state over.
+	// Every process applies the identical deterministic plan, so all
+	// location tables stay in agreement.
 	if m.rt != nil {
 		for _, node := range recoverNodes {
 			n := m.rt.recoverNode(m.pesOf(node), m.alivePE(t))
 			m.evacuated.Add(int64(n))
 			m.logf("membership: re-homed %d elements off dead node %d", n, node)
 		}
-		// The straggler safety net only runs without a load balancer. An
-		// LB owns drain evacuation end to end: NotifyDrained fires only
-		// after its barrier protocol emptied the node on every process,
-		// while this table arrives on the control path and can overtake
-		// in-flight LB round traffic — a plan computed here mid-round
-		// would diverge between processes and corrupt the location tables.
-		if m.rt.prog.LB == nil {
-			for _, node := range freshLeft {
-				n := m.rt.recoverNode(m.pesOf(node), m.alivePE(t))
-				m.evacuated.Add(int64(n))
-				if n > 0 {
-					m.logf("membership: re-homed %d straggler elements off drained node %d", n, node)
-				}
+		for _, node := range freshLeft {
+			n := m.rt.recoverNode(m.pesOf(node), m.alivePE(t))
+			m.evacuated.Add(int64(n))
+			if n > 0 {
+				m.logf("membership: re-homed %d straggler elements off drained node %d", n, node)
 			}
 		}
 	}

@@ -3,19 +3,15 @@ package core_test
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	goruntime "runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
-	"gridmdo/internal/balance"
 	"gridmdo/internal/core"
 	"gridmdo/internal/metrics"
-	"gridmdo/internal/stencil"
 	"gridmdo/internal/taskfarm"
 	"gridmdo/internal/topology"
 	"gridmdo/internal/vmi"
@@ -35,16 +31,15 @@ type memberNode struct {
 	params *taskfarm.Params
 }
 
-// memberSetup configures buildMemberCluster. Exactly one of farm / prog
-// must be set. Joiner nodes are excluded from the initial member table
-// (and from initial placement) and enter via RequestJoin.
+// memberSetup configures buildMemberCluster. Joiner nodes are excluded
+// from the initial member table (and from initial placement) and enter
+// via RequestJoin.
 type memberSetup struct {
 	n      int
 	joiner map[int]bool
 	relCfg func(node int) vmi.ReliableConfig
 	faults func(node int) []vmi.SendDevice
 	farm   func(node int) *taskfarm.Params
-	prog   func(node int, e *taskfarm.ElasticConfig) *core.Program
 }
 
 type memberHarness struct {
@@ -94,13 +89,10 @@ func buildMemberCluster(t *testing.T, s memberSetup) *memberHarness {
 	}
 	notifs := make([]*taskfarm.Notifier, s.n)
 	for i := range h.nodes {
-		nd := &memberNode{reg: metrics.NewRegistry()}
-		if s.farm != nil {
-			nd.params = s.farm(i)
-			nd.params.Elastic = h.elastic
-			nd.params.Metrics = nd.reg
-			notifs[i] = taskfarm.NewNotifier(nd.params)
-		}
+		nd := &memberNode{reg: metrics.NewRegistry(), params: s.farm(i)}
+		nd.params.Elastic = h.elastic
+		nd.params.Metrics = nd.reg
+		notifs[i] = taskfarm.NewNotifier(nd.params)
 		h.nodes[i] = nd
 	}
 	lg := &safeLog{t: t}
@@ -112,28 +104,21 @@ func buildMemberCluster(t *testing.T, s memberSetup) *memberHarness {
 	}
 	spec.Membership = func(i int, mc *core.MembershipConfig) {
 		mc.Interval = 50 * time.Millisecond
-		if notifs[i] != nil {
-			mc.OnChange = notifs[i].OnChange
-		}
+		mc.OnChange = notifs[i].OnChange
 		mc.Logf = func(format string, args ...any) {
 			lg.logf("node %d: "+format, append([]any{i}, args...)...)
 		}
 	}
 	spec.Program = func(i int) (*core.Program, error) {
-		if s.farm != nil {
-			return taskfarm.BuildProgram(h.nodes[i].params)
-		}
-		return s.prog(i, h.elastic), nil
+		return taskfarm.BuildProgram(h.nodes[i].params)
 	}
 	spec.Options = func(i int) []core.Option { return []core.Option{core.WithMetrics(h.nodes[i].reg)} }
 	if h.c, err = core.StartCluster(spec); err != nil {
 		t.Fatal(err)
 	}
 	for i, nd := range h.nodes {
-		if nd.params != nil {
-			nd.params.OnDrained = h.c.Nodes[i].Membership.NotifyDrained
-			notifs[i].Bind(h.c.Nodes[i].Runtime, i)
-		}
+		nd.params.OnDrained = h.c.Nodes[i].Membership.NotifyDrained
+		notifs[i].Bind(h.c.Nodes[i].Runtime, i)
 	}
 	t.Cleanup(h.shutdown)
 	t.Cleanup(lg.quiet) // runs before shutdown: silence logs first
@@ -450,139 +435,6 @@ func TestMembershipDeathDetectedByBudget(t *testing.T) {
 	if n := h.c.Nodes[0].Runtime.Locations().LocalCount(taskfarm.ArrayWorker, 2); n != 0 {
 		t.Errorf("dead PE still hosts %d workers", n)
 	}
-}
-
-// TestMembershipChaosStencilJoinDrain exercises the LB-driven side of
-// elasticity: a stencil with periodic AtSync balancing gains a joiner
-// mid-run (the balancer must start using it) and then drains a founding
-// node (the balancer must evacuate it before the drain completes) — all
-// under 5%% seeded drops, with the final checksum bit-identical to a
-// static 3-node run.
-func TestMembershipChaosStencilJoinDrain(t *testing.T) {
-	seed := coreChaosSeed(t)
-	mkParams := func() *stencil.Params {
-		return &stencil.Params{
-			Width: 48, Height: 48, VX: 4, VY: 4,
-			Steps: 240, Warmup: 0,
-			LB: balance.Greedy{}, LBEvery: 2,
-		}
-	}
-	// bitSum accumulates the wrapping bit-pattern sum of every block's
-	// final interior cells via the Collect hook. Integer addition
-	// commutes, so the value is independent of block placement and
-	// completion order — the float OpSum reduction is not (IEEE addition
-	// is non-associative, and membership churn reorders the fold), which
-	// is why the bit-identity assertion lives here and the reduction
-	// checksum only gets a tolerance check.
-	mkProg := func(p *stencil.Params, bitSum *atomic.Uint64) func(node int, e *taskfarm.ElasticConfig) *core.Program {
-		return func(node int, e *taskfarm.ElasticConfig) *core.Program {
-			nObj := p.VX * p.VY
-			p := *p
-			p.InitialMap = func(i, numPE int) int {
-				var act []int
-				for pe := 0; pe < numPE; pe++ {
-					if e.ActiveNode(e.NodeOf(pe)) {
-						act = append(act, pe)
-					}
-				}
-				return act[core.BlockMap(i, nObj, len(act))]
-			}
-			p.Collect = func(bx, by, x0, y0, w, h int, vals []float64) {
-				var c uint64
-				for _, v := range vals {
-					c += math.Float64bits(v)
-				}
-				bitSum.Add(c)
-			}
-			prog, err := stencil.BuildProgram(&p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return prog
-		}
-	}
-
-	var baseBits atomic.Uint64
-	base := buildMemberCluster(t, memberSetup{
-		n:      3,
-		relCfg: func(int) vmi.ReliableConfig { return vmi.ReliableConfig{} },
-		prog:   mkProg(mkParams(), &baseBits),
-	})
-	bv, err := base.start().await(120 * time.Second)
-	if err != nil {
-		t.Fatalf("static stencil run failed: %v", err)
-	}
-	baseRes, ok := bv.(*stencil.Result)
-	if !ok {
-		t.Fatalf("static result = %T, want *stencil.Result", bv)
-	}
-	base.shutdown()
-
-	var fds []*vmi.FaultDevice
-	var chaosBits atomic.Uint64
-	h := buildMemberCluster(t, memberSetup{
-		n:      4,
-		joiner: map[int]bool{3: true},
-		relCfg: func(int) vmi.ReliableConfig { return vmi.ReliableConfig{RTO: 5 * time.Millisecond} },
-		faults: func(node int) []vmi.SendDevice {
-			fd := vmi.NewFaultDevice(seed*16+int64(node), vmi.FaultPlan{Drop: 0.05})
-			fds = append(fds, fd)
-			return []vmi.SendDevice{fd}
-		},
-		prog: mkProg(mkParams(), &chaosBits),
-	})
-	for _, fd := range fds {
-		defer fd.Close()
-	}
-	run := h.start()
-	// Join once balancing has demonstrably started, then drain a founder
-	// once the joiner is in. Both block on protocol completion, so their
-	// success implies the LB evacuated in time.
-	awaitCounter(t, h.nodes[0].reg, "core_lb_rounds_total", 2, 60*time.Second)
-	if err := h.c.Nodes[3].Membership.RequestJoin(30 * time.Second); err != nil {
-		t.Fatalf("join failed: %v", err)
-	}
-	time.Sleep(20 * time.Millisecond)
-	if err := h.c.Nodes[1].Membership.RequestDrain(60 * time.Second); err != nil {
-		t.Fatalf("drain failed: %v", err)
-	}
-
-	cv, err := run.await(120 * time.Second)
-	if err != nil {
-		t.Fatalf("chaos stencil run failed (seed %d): %v", seed, err)
-	}
-	chaosRes, ok := cv.(*stencil.Result)
-	if !ok {
-		t.Fatalf("chaos result = %T, want *stencil.Result", cv)
-	}
-	if cb, bb := chaosBits.Load(), baseBits.Load(); cb != bb {
-		t.Errorf("stencil cell checksum diverged across join+drain (seed %d): %#x vs %#x",
-			seed, cb, bb)
-	}
-	// The reduction's float sum folds in placement-dependent order, so it
-	// may wobble in the last ulps; it must still agree to tolerance.
-	if d := math.Abs(chaosRes.Checksum - baseRes.Checksum); d > 1e-6*math.Abs(baseRes.Checksum) {
-		t.Errorf("stencil reduction checksum diverged across join+drain (seed %d): %v vs %v",
-			seed, chaosRes.Checksum, baseRes.Checksum)
-	}
-	loc := h.c.Nodes[0].Runtime.Locations()
-	if n := loc.LocalCount(0, 1); n != 0 {
-		t.Errorf("drained PE 1 still hosts %d stencil blocks", n)
-	}
-	if n := loc.LocalCount(0, 3); n == 0 {
-		t.Error("joiner PE 3 never received a stencil block from the balancer")
-	}
-	if h.c.Nodes[0].Membership.Evacuated() == 0 {
-		t.Error("drain evacuated no elements")
-	}
-	total := 0
-	for pe := 0; pe < 4; pe++ {
-		total += loc.LocalCount(0, pe)
-	}
-	if want := mkParams().VX * mkParams().VY; total != want {
-		t.Errorf("stencil blocks: %d placed, want %d exactly-once", total, want)
-	}
-	t.Logf("seed %d: evacuated=%d joinerBlocks=%d", seed, h.c.Nodes[0].Membership.Evacuated(), loc.LocalCount(0, 3))
 }
 
 // TestMembershipDrainGatesRedial is the dial-gate regression: once a

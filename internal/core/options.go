@@ -37,8 +37,8 @@ type Options struct {
 	PEHi      int
 
 	// Membership, if non-nil, attaches an elastic-membership manager (see
-	// membership.go): the runtime binds its recovery hooks, and the load
-	// balancer consults it for placement and drain handling.
+	// membership.go): the runtime binds its recovery hooks. A program with
+	// a load balancer is refused.
 	Membership *Membership
 
 	// Lifecycle hooks bracket the program's execution (see Lifecycle).

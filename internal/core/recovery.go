@@ -25,7 +25,6 @@ import (
 // inputs — the shared location table and the member table's PE
 // predicates — and therefore compute identical plans, keeping their
 // location tables in agreement without any extra coordination. It is
-// also the planner behind the load balancer's drain handling and is
 // exported for tests and tools.
 func PlanDrain(loc *Locations, arrays []ArrayID, numPE int, evac func(pe int) bool, alive func(pe int) bool) []Move {
 	var targets []int

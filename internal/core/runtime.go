@@ -94,6 +94,12 @@ func NewRuntime(topo *topology.Topology, prog *Program, options ...Option) (*Run
 			o(&opts)
 		}
 	}
+	if opts.Membership != nil && prog.LB != nil {
+		// A balancer plans over every PE; it does not read the member
+		// table, so it would migrate elements onto joining, draining or
+		// dead nodes.
+		return nil, fmt.Errorf("core: elastic membership does not support a load-balanced program")
+	}
 	if opts.Transport == nil {
 		opts.PELo, opts.PEHi, opts.Node = 0, topo.NumPE(), 0
 		opts.NodeOf = func(int) int { return 0 }
@@ -164,11 +170,6 @@ func NewRuntime(topo *topology.Topology, prog *Program, options ...Option) (*Run
 		// Bind before transport wiring: a table broadcast may arrive (and
 		// trigger recovery) as soon as frames can be delivered.
 		opts.Membership.bind(rt)
-		for _, ps := range rt.pes {
-			if ps.lb != nil {
-				ps.lb.mem = opts.Membership
-			}
-		}
 	}
 	// Instrumentation before transport wiring: a bound transport may start
 	// delivering frames (and hence emitting events) immediately.

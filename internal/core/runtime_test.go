@@ -424,6 +424,17 @@ func TestNewRuntimeValidation(t *testing.T) {
 	if _, err := NewRuntime(topo, lbOK, WithCluster(ClusterConfig{Transport: idleStack(t), NodeOf: func(int) int { return 0 }, PELo: 0, PEHi: 1})); err != nil {
 		t.Errorf("multi-process load balancing rejected: %v", err)
 	}
+	// A balancer does not read the member table, so elastic membership
+	// refuses a load-balanced program.
+	st := idleStack(t)
+	mem, err := NewMembership(MembershipConfig{Node: 1, Stack: st, NodeOf: func(int) int { return 0 }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(mem.Close)
+	if _, err := NewRuntime(topo, lbOK, WithCluster(ClusterConfig{Transport: st, NodeOf: func(int) int { return 0 }, PELo: 0, PEHi: 1}), WithMembership(mem)); err == nil || !strings.Contains(err.Error(), "load-balanced") {
+		t.Errorf("elastic membership with a load balancer: err %v, want a refusal", err)
+	}
 }
 
 // idleStack builds a transport stack that never listens: enough for
