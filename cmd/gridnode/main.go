@@ -361,6 +361,12 @@ func run(cfg config) error {
 		} else {
 			appflags.Report(os.Stdout, v)
 		}
+		// Stop anti-entropy first: a re-broadcast during the flush below
+		// would redial workers that already exited. Close is idempotent;
+		// cl.Close calls it again.
+		if mem != nil {
+			mem.Close()
+		}
 		// Announce shutdown to the workers. Nodes that left or died have
 		// no process to notify (and dialing them would stall the exit).
 		for n := 1; n < nodes; n++ {

@@ -248,7 +248,6 @@ func ablations(e *env) error {
 		{"ablation_gridlb.csv", bench.AblationGridLB},
 		{"ablation_hetero.csv", bench.AblationHetero},
 		{"ablation_virtualization.csv", bench.AblationVirtualization},
-		{"ablation_bundling.csv", bench.AblationBundling},
 	} {
 		if err := table(a.csv, plain(a.run))(e); err != nil {
 			return err

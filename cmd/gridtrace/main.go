@@ -182,8 +182,6 @@ func msgKindName(k byte) string {
 		return "reduce"
 	case core.KindLB:
 		return "lb"
-	case core.KindBundle:
-		return "bundle"
 	}
 	return fmt.Sprintf("kind%d", k)
 }

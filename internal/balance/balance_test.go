@@ -310,11 +310,11 @@ func (f funcChare) PUP(*core.PUP) {}
 // program through an AtSync round on the virtual-time engine and checks
 // the post-balance phase is faster than the pre-balance phase.
 func TestGreedyEndToEndImprovesMakespan(t *testing.T) {
-	topo, err := topology.TwoClusters(4, 0,
-		topology.WithIntraLink(topology.Link{}),
-		topology.WithInterLink(topology.Link{}),
-	)
+	topo, err := topology.TwoClusters(4, 0, topology.WithIntraLink(topology.Link{}))
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := topo.SetClusterPairLink(0, 1, topology.Link{}); err != nil {
 		t.Fatal(err)
 	}
 	const n = 16

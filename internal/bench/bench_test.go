@@ -240,18 +240,6 @@ func TestAblations(t *testing.T) {
 		t.Errorf("greedy (%v) much worse than none (%v) on heterogeneous clusters", vals[1], vals[0])
 	}
 
-	bun, err := AblationBundling(nil, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, row := range bun.Rows {
-		var off, on int
-		fmt.Sscanf(row[1], "%d", &off)
-		fmt.Sscanf(row[2], "%d", &on)
-		if on >= off {
-			t.Errorf("bundling row %v: frames did not drop", row)
-		}
-	}
 }
 
 func TestSDSCPrediction(t *testing.T) {

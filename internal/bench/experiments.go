@@ -346,62 +346,6 @@ func lbRow(procs, objects int, lat time.Duration, run func(core.Strategy) (time.
 	return row, nil
 }
 
-// AblationBundling measures the communication-optimization analog
-// (core/bundle.go) on LeanMD, the multicast-heavy application: transport
-// frames per run and per-step time, with per-message sender CPU made
-// explicit in the link model so the serialized messaging cost bundling
-// amortizes is visible.
-func AblationBundling(w io.Writer, p Profile) (*Table, error) {
-	t := &Table{
-		Title:  "Ablation: message bundling (LeanMD, per-message sender CPU 5/25us)",
-		Header: []string{"Procs", "Frames (off)", "Frames (on)", "ms/step (off)", "ms/step (on)"},
-	}
-	for _, procs := range []int{8, 16} {
-		run := func(bundle bool) (*leanmd.Result, sim.Stats, error) {
-			prog, err := mdProgram(p.MD)()
-			if err != nil {
-				return nil, sim.Stats{}, err
-			}
-			topo, err := topology.TwoClusters(procs, p.RealLatency,
-				topology.WithIntraLink(topology.Link{
-					Overhead: topology.DefaultIntraOverhead, Bandwidth: topology.DefaultIntraBandwidth,
-					SendCPU: 5 * time.Microsecond,
-				}),
-				topology.WithInterLink(topology.Link{
-					Latency:  p.RealLatency,
-					Overhead: topology.DefaultInterOverhead, Bandwidth: topology.DefaultInterBandwidth,
-					SendCPU: 25 * time.Microsecond,
-				}),
-			)
-			if err != nil {
-				return nil, sim.Stats{}, err
-			}
-			v, st, err := Sim(topo, prog, sim.Options{Bundle: bundle})
-			if err != nil {
-				return nil, st, err
-			}
-			return v.(*leanmd.Result), st, nil
-		}
-		off, so, err := run(false)
-		if err != nil {
-			return nil, err
-		}
-		on, sn, err := run(true)
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", procs),
-			fmt.Sprintf("%d", so.Frames),
-			fmt.Sprintf("%d", sn.Frames),
-			fmt.Sprintf("%.1f", ms(off.PerStep)),
-			fmt.Sprintf("%.1f", ms(on.PerStep)),
-		})
-		progress(w, "ablation-bundle P=%d done\n", procs)
-	}
-	return t, nil
-}
-
 // Irregular demonstrates the paper's generality claim on an irregular
 // mesh decomposition: the same runtime masks latency with no
 // application-specific support, and higher virtualization extends the

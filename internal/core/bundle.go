@@ -1,11 +1,9 @@
 package core
 
-// Message bundling, the analog of Charm++'s communication-optimization
-// strategies (§2.1 of the paper: "optimized communication libraries"):
-// application messages produced by one handler execution for the same
-// destination PE are combined into a single bundle that pays the
-// per-message transport overhead once. The virtual-time engine bundles
-// (sim.Options.Bundle); the wire codec carries bundles recursively.
+// A bundle is several same-destination messages in one frame; the wire
+// codec carries it recursively. Neither executor sends one: the only
+// producer is the benchmark's codec probe (core.codec.bundle4_ns), and
+// the form goes with that probe.
 
 // bundleHeaderBytes is the modeled per-sub-message framing cost inside a
 // bundle.
@@ -28,9 +26,4 @@ func MakeBundle(group []*Message) *Message {
 		Bytes: total,
 		Data:  group,
 	}
-}
-
-// BundleMessages extracts a bundle's contents.
-func BundleMessages(m *Message) []*Message {
-	return m.Data.([]*Message)
 }

@@ -18,7 +18,7 @@ func TestMakeBundle(t *testing.T) {
 	if b.Bytes != 100+50+2*bundleHeaderBytes {
 		t.Errorf("bundle bytes = %d", b.Bytes)
 	}
-	subs := BundleMessages(b)
+	subs := b.Data.([]*Message)
 	if len(subs) != 2 || subs[0].Bytes != 100 {
 		t.Errorf("bundle contents wrong: %v", subs)
 	}
@@ -42,7 +42,7 @@ func TestBundleOverTCP(t *testing.T) {
 	if out.Kind != KindBundle {
 		t.Fatalf("kind = %d", out.Kind)
 	}
-	subs := BundleMessages(out)
+	subs := out.Data.([]*Message)
 	if len(subs) != 2 || subs[0].Data != "a" || subs[1].Data != "b" {
 		t.Errorf("decoded bundle contents: %v", subs)
 	}

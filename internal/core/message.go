@@ -17,7 +17,7 @@ const (
 	KindReduce                // reduction partial bound for the root PE
 	KindLB                    // load-balancing protocol (stats, apply, resume)
 	_                         // retired (quiescence detection); its number stays unused
-	KindBundle                // several same-destination app messages in one frame (simulator only)
+	KindBundle                // several same-destination messages in one frame (the benchmark's codec probe only; no executor sends one)
 	KindStop                  // scheduler shutdown (real-time runtime only)
 	KindMember                // membership recovery: (re)construct an element locally
 	KindMulticast             // one multicast's members on one remote PE, fanned out on arrival (real-time runtime only)

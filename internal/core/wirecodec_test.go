@@ -81,7 +81,7 @@ func TestWireCodecBundleRecursion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	subs := BundleMessages(out)
+	subs := out.Data.([]*Message)
 	if len(subs) != 3 {
 		t.Fatalf("decoded %d sub-messages", len(subs))
 	}

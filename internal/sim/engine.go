@@ -5,7 +5,8 @@
 // application numerics are exact), but time advances according to a cost
 // model: handlers charge modeled execution time via Ctx.Charge, and
 // message delivery times come from the topology's link model
-// (per-message overhead + latency + size/bandwidth).
+// (per-message overhead + latency + size/bandwidth). Every message is
+// one modeled frame: the engine neither bundles nor coalesces sends.
 //
 // Because the simulated machine's speed is configured rather than
 // inherited from the host, the engine reproduces the paper's 2–64
@@ -44,11 +45,6 @@ type Options struct {
 
 	// PrioritizeWAN applies the paper's §6 cross-cluster priority policy.
 	PrioritizeWAN bool
-
-	// Bundle combines each handler's default-priority application
-	// messages per destination PE into one modeled frame, paying the
-	// per-message link overhead once (see core/bundle.go).
-	Bundle bool
 
 	// MaxEvents aborts runs that process more than this many events.
 	// Zero means no bound.
@@ -261,8 +257,6 @@ type simPE struct {
 	// sendSeq drives this PE's deterministic event keys and message IDs;
 	// only the shard owning the PE ever touches it.
 	sendSeq uint64
-
-	pending *pendingBundles
 }
 
 // rewindRec snapshots the engine state an event is about to mutate, so a
@@ -420,9 +414,6 @@ func newEngine(topo *topology.Topology, prog *core.Program, opts Options, worker
 	for pe := 0; pe < numPE; pe++ {
 		sh := e.shards[e.shardOf[pe]]
 		ps := &simPE{id: pe}
-		if opts.Bundle {
-			ps.pending = newPendingBundles()
-		}
 		ps.host = core.NewPEHost(sh, pe, tab)
 		pe := pe
 		emit := func(m *core.Message) { sh.Route(m) }
@@ -534,26 +525,9 @@ func (s *shard) Route(m *core.Message) int32 {
 	if e.opts.Trace != nil {
 		s.record(trace.Event{PE: int(m.SrcPE), Kind: trace.EvSend, At: s.Now(), MsgID: m.ID, Parent: m.Parent, MsgKind: byte(m.Kind), Arg1: int64(m.DstPE), Arg2: int64(m.Bytes)})
 	}
+	// src's key counter stamps the event (< 0 for the bootstrap message).
 	link := e.topo.LinkBetween(int(m.SrcPE), int(m.DstPE))
-	if e.opts.Bundle && bundleEligible(m) && s.inHandler {
-		// Held until the running handler completes; exec flushes the
-		// per-destination groups as single modeled frames. The sender pays
-		// full per-frame CPU only for the first message to a destination;
-		// later messages into the same bundle cost a quarter (marshal
-		// without the frame setup).
-		pend := e.pes[s.curPE].pending
-		cpu := link.SendCPU
-		if pend.has(m.DstPE) {
-			cpu /= 4
-		}
-		s.Charge(cpu)
-		pend.add(m)
-		return dst
-	}
-	if s.inHandler {
-		s.Charge(link.SendCPU)
-	}
-	s.transmit(m, link, s.Now(), src)
+	s.push(event{at: s.Now() + link.Delay(m.Bytes), key: e.nextKey(src), kind: evDeliver, pe: m.DstPE, m: m})
 	return dst
 }
 
@@ -561,14 +535,6 @@ func (s *shard) Route(m *core.Message) int32 {
 // multicast costs the modeled sends it always has.
 func (s *shard) Multicast(src int, members []core.ElemRef, entry core.EntryID, data any) int {
 	return core.SendEach(s, src, members, entry, data)
-}
-
-// transmit schedules a resolved message's delivery at sendAt plus the
-// modeled delay of link, the link between its source and destination PEs.
-// src is the PE whose key counter stamps the event (the PE doing the
-// sending; < 0 for the bootstrap message).
-func (s *shard) transmit(m *core.Message, link topology.Link, sendAt time.Duration, src int) {
-	s.push(event{at: sendAt + link.Delay(m.Bytes), key: s.eng.nextKey(src), kind: evDeliver, pe: m.DstPE, m: m})
 }
 
 // push routes an event to its PE's shard: onto the local heap, or — for
@@ -771,21 +737,10 @@ func (s *shard) deliver(ev event) {
 	s.frameCount++
 	e := s.eng
 	ps := e.pes[ev.pe]
-	if ev.m.Kind == core.KindBundle {
-		// A bundle's messages share the arrival instant; enqueue in order.
-		for _, sub := range core.BundleMessages(ev.m) {
-			sub.EnqueuedAt = s.now
-			ps.q.Push(sub)
-			if e.opts.Trace != nil {
-				s.record(trace.Event{PE: int(ev.pe), Kind: trace.EvEnqueue, At: s.now, MsgID: sub.ID, Parent: sub.Parent, MsgKind: byte(sub.Kind), Arg1: int64(sub.SrcPE)})
-			}
-		}
-	} else {
-		ev.m.EnqueuedAt = s.now
-		ps.q.Push(ev.m)
-		if e.opts.Trace != nil {
-			s.record(trace.Event{PE: int(ev.pe), Kind: trace.EvEnqueue, At: s.now, MsgID: ev.m.ID, Parent: ev.m.Parent, MsgKind: byte(ev.m.Kind), Arg1: int64(ev.m.SrcPE)})
-		}
+	ev.m.EnqueuedAt = s.now
+	ps.q.Push(ev.m)
+	if e.opts.Trace != nil {
+		s.record(trace.Event{PE: int(ev.pe), Kind: trace.EvEnqueue, At: s.now, MsgID: ev.m.ID, Parent: ev.m.Parent, MsgKind: byte(ev.m.Kind), Arg1: int64(ev.m.SrcPE)})
 	}
 	if !ps.execPending {
 		at := s.now
@@ -842,13 +797,6 @@ func (s *shard) exec(ev event) {
 	ps.busyUntil = s.now + cost
 	ps.busyTotal += cost
 	ps.processed++
-	if ps.pending != nil && !ps.pending.empty() {
-		// Bundled messages leave when the handler completes.
-		for _, group := range ps.pending.drain() {
-			b := core.MakeBundle(group)
-			s.transmit(b, e.topo.LinkBetween(int(b.SrcPE), int(b.DstPE)), ps.busyUntil, ps.id)
-		}
-	}
 	if e.opts.Trace != nil {
 		s.record(trace.Event{PE: ps.id, Kind: trace.EvEnd, At: ps.busyUntil, MsgID: m.ID, MsgKind: byte(m.Kind)})
 	}
@@ -872,7 +820,7 @@ type Stats struct {
 	VirtualTime time.Duration   // final virtual clock
 	Events      int64           // events processed
 	Messages    int64           // messages routed
-	Frames      int64           // transport frames delivered (bundles count once)
+	Frames      int64           // messages delivered (one frame each)
 	PEBusy      []time.Duration // charged execution time per PE
 	Processed   []int64         // handlers executed per PE
 

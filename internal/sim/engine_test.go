@@ -28,11 +28,11 @@ func (f funcChare) PUP(*core.PUP) {}
 // virtual times.
 func cleanTopo(t *testing.T, p int, l time.Duration) *topology.Topology {
 	t.Helper()
-	topo, err := topology.TwoClusters(p, l,
-		topology.WithIntraLink(topology.Link{}),
-		topology.WithInterLink(topology.Link{Latency: l}),
-	)
+	topo, err := topology.TwoClusters(p, l, topology.WithIntraLink(topology.Link{}))
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := topo.SetClusterPairLink(0, 1, topology.Link{Latency: l}); err != nil {
 		t.Fatal(err)
 	}
 	return topo
@@ -205,11 +205,11 @@ func TestOverlapMasksLatency(t *testing.T) {
 
 func TestBandwidthModel(t *testing.T) {
 	// 1 MB at 1 MB/s should take ~1s of virtual time.
-	topo, err := topology.TwoClusters(2, 0,
-		topology.WithIntraLink(topology.Link{}),
-		topology.WithInterLink(topology.Link{Bandwidth: 1e6}),
-	)
+	topo, err := topology.TwoClusters(2, 0, topology.WithIntraLink(topology.Link{}))
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := topo.SetClusterPairLink(0, 1, topology.Link{Bandwidth: 1e6}); err != nil {
 		t.Fatal(err)
 	}
 	prog := &core.Program{

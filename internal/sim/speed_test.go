@@ -11,11 +11,11 @@ import (
 // TestPESpeedScalesCharges: the same charged work takes proportionally
 // longer on a slower PE.
 func TestPESpeedScalesCharges(t *testing.T) {
-	topo, err := topology.TwoClusters(2, 0,
-		topology.WithIntraLink(topology.Link{}),
-		topology.WithInterLink(topology.Link{}),
-	)
+	topo, err := topology.TwoClusters(2, 0, topology.WithIntraLink(topology.Link{}))
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := topo.SetClusterPairLink(0, 1, topology.Link{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := topo.SetPESpeed(1, 0.5); err != nil {

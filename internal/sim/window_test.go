@@ -292,11 +292,14 @@ func cutProgram(exitAt time.Duration) *core.Program {
 // yet final.
 func TestParallelStopUnderCut(t *testing.T) {
 	topo := func() *topology.Topology {
-		topo, err := topology.New([]int{2, 2, 2},
-			topology.WithIntraLink(topology.Link{}),
-			topology.WithInterLink(topology.Link{Latency: 2 * time.Millisecond}))
+		topo, err := topology.New([]int{2, 2, 2}, topology.WithIntraLink(topology.Link{}))
 		if err != nil {
 			t.Fatal(err)
+		}
+		for _, p := range [][2]topology.ClusterID{{0, 1}, {0, 2}, {1, 2}} {
+			if err := topo.SetClusterPairLink(p[0], p[1], topology.Link{Latency: 2 * time.Millisecond}); err != nil {
+				t.Fatal(err)
+			}
 		}
 		return topo
 	}

@@ -25,17 +25,10 @@ type ClusterID int
 //
 // Overhead is the per-message software cost (host side), Latency is the
 // one-way wire flight time, and Bandwidth is in bytes per second.
-//
-// SendCPU, when non-zero, additionally charges the *sending processor*
-// that much serialized execution time per message frame — the part of
-// messaging cost that occupies the CPU rather than the wire, and the part
-// that message bundling amortizes. It defaults to zero so that analyses
-// that do not study per-message CPU cost are unaffected.
 type Link struct {
 	Latency   time.Duration
 	Overhead  time.Duration
 	Bandwidth float64 // bytes per second; <= 0 means infinite
-	SendCPU   time.Duration
 }
 
 // Delay returns the modeled one-way delivery time for a message of n bytes.
@@ -86,9 +79,6 @@ type Option func(*Topology)
 
 // WithIntraLink overrides the default intra-cluster link model.
 func WithIntraLink(l Link) Option { return func(t *Topology) { t.intra = l } }
-
-// WithInterLink overrides the default inter-cluster link model.
-func WithInterLink(l Link) Option { return func(t *Topology) { t.inter = l } }
 
 // WithInterLatency sets only the inter-cluster one-way latency, keeping the
 // default overhead and bandwidth. This is the knob the paper sweeps.

@@ -149,8 +149,11 @@ func TestTopologyInvariants(t *testing.T) {
 func TestLinkOptions(t *testing.T) {
 	intra := Link{Latency: time.Microsecond, Overhead: time.Microsecond, Bandwidth: 1e9}
 	inter := Link{Latency: 7 * time.Millisecond, Overhead: 50 * time.Microsecond, Bandwidth: 1e7}
-	topo, err := TwoClusters(4, 0, WithIntraLink(intra), WithInterLink(inter))
+	topo, err := TwoClusters(4, 0, WithIntraLink(intra))
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := topo.SetClusterPairLink(0, 1, inter); err != nil {
 		t.Fatal(err)
 	}
 	if got := topo.LinkBetween(0, 1); got != intra {
@@ -217,7 +220,7 @@ func TestStringForms(t *testing.T) {
 func TestLookaheadAcross(t *testing.T) {
 	intra := Link{Overhead: 10 * time.Microsecond}
 	topo, err := New([]int{2, 2, 2},
-		WithIntraLink(intra), WithInterLink(Link{Latency: 5 * time.Millisecond}))
+		WithIntraLink(intra), WithInterLatency(5*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,16 +228,16 @@ func TestLookaheadAcross(t *testing.T) {
 		t.Fatal(err)
 	}
 	byCluster := func(pe int) int { return int(topo.Cluster(pe)) }
-	if got := topo.LookaheadAcross(byCluster); got != 2*time.Millisecond {
-		t.Errorf("cluster groups: %v, want the 2ms cluster-pair link", got)
+	if got := topo.LookaheadAcross(byCluster); got != 2*time.Millisecond+DefaultInterOverhead {
+		t.Errorf("cluster groups: %v, want the 2ms cluster-pair link plus the inter overhead", got)
 	}
 	if got := topo.Lookahead(); got != intra.Delay(0) {
 		t.Errorf("Lookahead: %v, want the intra link %v", got, intra.Delay(0))
 	}
 	// Clusters 0 and 1 share a group: only links to cluster 2 cross.
 	merged := func(pe int) int { return int(topo.Cluster(pe)) / 2 }
-	if got := topo.LookaheadAcross(merged); got != 5*time.Millisecond {
-		t.Errorf("merged groups: %v, want the 5ms base inter link", got)
+	if got := topo.LookaheadAcross(merged); got != 5*time.Millisecond+DefaultInterOverhead {
+		t.Errorf("merged groups: %v, want the 5ms base inter link plus its overhead", got)
 	}
 	// Splitting a cluster exposes the intra link.
 	split := func(pe int) int { return pe / 3 }

@@ -67,8 +67,7 @@ type flight struct {
 	span Span
 }
 
-// collectFlights pairs EvSend with the matching EvEnqueue by MsgID. A
-// bundle fan-out enqueues several messages carrying the same ID; each
+// collectFlights pairs EvSend with the matching EvEnqueue by MsgID; each
 // enqueue closes its own flight. Flights whose enqueue precedes their send
 // (cross-process clock skew) are clamped to zero length and dropped.
 func collectFlights(evs []Event) []flight {
