@@ -16,7 +16,7 @@ package leanmd
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // cellID is a cell's linear index.
@@ -41,46 +41,52 @@ type CellPair struct {
 // Self reports whether the pair is a cell's self-interaction object.
 func (p CellPair) Self() bool { return p.A == p.B }
 
-// NewGeometry builds the periodic 26-neighbor pair decomposition.
+// NewGeometry builds the periodic 26-neighbor pair decomposition. Pairs
+// come out sorted by (A, B): each cell c in turn emits its pairs with the
+// distinct neighbors n >= c (the neighborhood is symmetric, so that is
+// every pair once; small lattices alias under wrap-around).
 func NewGeometry(nx, ny, nz int) (*Geometry, error) {
 	if nx <= 0 || ny <= 0 || nz <= 0 {
 		return nil, fmt.Errorf("leanmd: bad lattice %dx%dx%d", nx, ny, nz)
 	}
 	g := &Geometry{NX: nx, NY: ny, NZ: nz, NumCells: nx * ny * nz}
 
-	seen := make(map[[2]int]bool)
+	// Every cell of the torus has the same number d of distinct neighbors
+	// (self included), so a cell is in d pairs and there are N(d+1)/2.
+	d := min(nx, 3) * min(ny, 3) * min(nz, 3)
+	g.Pairs = make([]CellPair, 0, g.NumCells*(d+1)/2)
+	g.PairsOf = make([][]int, g.NumCells)
+	of := make([]int, g.NumCells*d)
+	for c := range g.PairsOf {
+		g.PairsOf[c] = of[c*d : c*d : (c+1)*d]
+	}
+
+	var nbr [27]int
 	for c := 0; c < g.NumCells; c++ {
 		x, y, z := g.coords(c)
-		// Self-pair plus 26 periodic neighbors (deduplicated: small
-		// lattices alias under wrap-around).
+		k := 0
 		for dx := -1; dx <= 1; dx++ {
 			for dy := -1; dy <= 1; dy++ {
 				for dz := -1; dz <= 1; dz++ {
-					n := g.index(wrap(x+dx, nx), wrap(y+dy, ny), wrap(z+dz, nz))
-					a, b := c, n
-					if a > b {
-						a, b = b, a
-					}
-					key := [2]int{a, b}
-					if !seen[key] {
-						seen[key] = true
-						g.Pairs = append(g.Pairs, CellPair{A: a, B: b})
+					if n := g.index(wrap(x+dx, nx), wrap(y+dy, ny), wrap(z+dz, nz)); n >= c {
+						nbr[k] = n
+						k++
 					}
 				}
 			}
 		}
-	}
-	sort.Slice(g.Pairs, func(i, j int) bool {
-		if g.Pairs[i].A != g.Pairs[j].A {
-			return g.Pairs[i].A < g.Pairs[j].A
-		}
-		return g.Pairs[i].B < g.Pairs[j].B
-	})
-	g.PairsOf = make([][]int, g.NumCells)
-	for pi, p := range g.Pairs {
-		g.PairsOf[p.A] = append(g.PairsOf[p.A], pi)
-		if !p.Self() {
-			g.PairsOf[p.B] = append(g.PairsOf[p.B], pi)
+		slices.Sort(nbr[:k])
+		for i, n := range nbr[:k] {
+			if i > 0 && n == nbr[i-1] {
+				continue
+			}
+			// Pair indices only grow, so each PairsOf list stays sorted.
+			pi := len(g.Pairs)
+			g.Pairs = append(g.Pairs, CellPair{A: c, B: n})
+			g.PairsOf[c] = append(g.PairsOf[c], pi)
+			if n != c {
+				g.PairsOf[n] = append(g.PairsOf[n], pi)
+			}
 		}
 	}
 	return g, nil

@@ -1,7 +1,6 @@
 package leanmd
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -392,39 +391,5 @@ func TestCoordForceMsgWire(t *testing.T) {
 		if !reflect.DeepEqual(out.Data, in) {
 			t.Errorf("%#v came back as %#v", in, out.Data)
 		}
-	}
-}
-
-// TestInitAtomsMatchesFreshSource: the pooled generator, reseeded per
-// cell, draws each cell's atoms exactly as a fresh source seeded for that
-// cell does, whatever cells it served before and on whichever goroutine.
-func TestInitAtomsMatchesFreshSource(t *testing.T) {
-	p := DefaultParams()
-	p.AtomsPerCell = 12
-	g, err := NewGeometry(6, 6, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cells := []int{0, 17, 5, 215, 17, 100, 0}
-	errs := make(chan string, 4*len(cells))
-	done := make(chan struct{})
-	for w := 0; w < 4; w++ {
-		go func() {
-			defer func() { done <- struct{}{} }()
-			for _, c := range cells {
-				pos, vel := p.InitAtoms(c, g)
-				wantPos, wantVel := p.placeAtoms(rand.New(rand.NewSource(p.Seed*1_000_003+int64(c))), c, g)
-				if !reflect.DeepEqual(pos, wantPos) || !reflect.DeepEqual(vel, wantVel) {
-					errs <- fmt.Sprintf("cell %d: atoms differ from a fresh source's", c)
-				}
-			}
-		}()
-	}
-	for w := 0; w < 4; w++ {
-		<-done
-	}
-	close(errs)
-	for e := range errs {
-		t.Error(e)
 	}
 }

@@ -3,8 +3,7 @@ package leanmd
 import (
 	"fmt"
 	"math"
-	"math/rand"
-	"sync"
+	"math/rand/v2"
 	"time"
 
 	"gridmdo/internal/core"
@@ -128,22 +127,18 @@ func (p *Params) Charges() []float64 {
 }
 
 // InitAtoms places a cell's atoms on a jittered sub-lattice inside the
-// cell and draws small velocities, deterministically from (Seed, cell).
+// cell and draws small velocities, deterministically from (Seed, cell):
+// each cell draws from its own PCG keyed by that pair, which is two words
+// to seed, so cells built on several goroutines share no generator.
 func (p *Params) InitAtoms(cell int, g *Geometry) (pos, vel []Vec3) {
-	rng := rngPool.Get().(*rand.Rand)
-	defer rngPool.Put(rng)
-	rng.Seed(p.Seed*1_000_003 + int64(cell))
-	return p.placeAtoms(rng, cell, g)
+	var src rand.PCG
+	src.Seed(uint64(p.Seed), uint64(cell))
+	return p.placeAtoms(&src, cell, g)
 }
 
-// rngPool holds seeded-per-cell generators: a rand source is 4.9 KB, and
-// seeding one anew draws the same sequence as a fresh one. Each caller
-// takes its own, so element construction on several goroutines shares no
-// generator state.
-var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(1)) }}
-
 // placeAtoms is InitAtoms with the cell's generator given.
-func (p *Params) placeAtoms(rng *rand.Rand, cell int, g *Geometry) (pos, vel []Vec3) {
+func (p *Params) placeAtoms(src *rand.PCG, cell int, g *Geometry) (pos, vel []Vec3) {
+	rng := rand.New(src)
 	x, y, z := g.coords(cell)
 	origin := Vec3{float64(x) * p.CellSize, float64(y) * p.CellSize, float64(z) * p.CellSize}
 	k := sublatticeK(p.AtomsPerCell)

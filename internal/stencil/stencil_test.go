@@ -395,3 +395,21 @@ func TestInitialRingMatchesInitBitwise(t *testing.T) {
 		}
 	}
 }
+
+// TestThinBlocksMatchSequentialBitwise: blocks one cell wide or high,
+// where a row's only cell is on the mesh edge or its interior run is a
+// single cell, update exactly as the sequential reference does.
+func TestThinBlocksMatchSequentialBitwise(t *testing.T) {
+	const W, H, steps = 5, 4, 3
+	for _, v := range [][2]int{{5, 4}, {5, 1}, {1, 4}, {2, 3}} {
+		c := newCollect(W, H)
+		p := &Params{Width: W, Height: H, VX: v[0], VY: v[1], Steps: steps, Collect: c.fn}
+		runSim(t, p, 2, time.Millisecond)
+		want := RunSequential(W, H, steps)
+		for i := range want {
+			if c.grid[i] != want[i] {
+				t.Fatalf("v=%dx%d: grid[%d] = %v, want %v (bitwise)", v[0], v[1], i, c.grid[i], want[i])
+			}
+		}
+	}
+}
