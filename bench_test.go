@@ -28,12 +28,13 @@ import (
 )
 
 func BenchmarkQueuePushPop(b *testing.B) {
-	// The virtual-time executor's queue: the unsynchronized ordering core,
-	// drained by single pops.
+	// The virtual-time executor's queue: the unsynchronized FIFO, drained
+	// by single pops.
 	var q core.MsgQueue
+	m := &core.Message{}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		q.Push(&core.Message{Prio: int32(i % 7)})
+		q.Push(m)
 		if i%8 == 7 {
 			for q.Pop() != nil {
 			}
@@ -46,9 +47,10 @@ func BenchmarkQueuePushPopBatch(b *testing.B) {
 	// through PopBatch under one lock acquisition.
 	q := core.NewQueue()
 	batch := make([]*core.Message, 0, 32)
+	m := &core.Message{}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		q.Push(&core.Message{Prio: int32(i % 7)})
+		q.Push(m)
 		if i%8 == 7 {
 			for q.Len() > 0 {
 				batch = q.PopBatch(batch[:0])

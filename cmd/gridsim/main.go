@@ -244,7 +244,6 @@ func ablations(e *env) error {
 		csv string
 		run func(io.Writer, bench.Profile) (*bench.Table, error)
 	}{
-		{"ablation_priority.csv", bench.AblationPriority},
 		{"ablation_gridlb.csv", bench.AblationGridLB},
 		{"ablation_hetero.csv", bench.AblationHetero},
 		{"ablation_virtualization.csv", bench.AblationVirtualization},

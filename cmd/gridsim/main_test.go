@@ -76,8 +76,8 @@ func TestFastArtifactsMatchGoldens(t *testing.T) {
 		}
 	}
 	goldens, err := filepath.Glob("testdata/*.csv")
-	if err != nil || len(goldens) != 12 {
-		t.Fatalf("goldens %v, err %v; want the 12 CSVs of the virtual-time experiments", goldens, err)
+	if err != nil || len(goldens) != 11 {
+		t.Fatalf("goldens %v, err %v; want the 11 CSVs of the virtual-time experiments", goldens, err)
 	}
 	for _, g := range goldens {
 		want, err := os.ReadFile(g)

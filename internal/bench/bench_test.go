@@ -202,13 +202,6 @@ func TestTable2FastWithRealtime(t *testing.T) {
 
 func TestAblations(t *testing.T) {
 	p := FastProfile()
-	prio, err := AblationPriority(nil, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(prio.Rows) != 3 {
-		t.Errorf("priority ablation rows = %d", len(prio.Rows))
-	}
 	lb, err := AblationGridLB(nil, p)
 	if err != nil {
 		t.Fatal(err)

@@ -168,44 +168,6 @@ func hostCells[T any](p Profile, name string, procs int, mk func() (*core.Progra
 		fmt.Sprintf("%.2f", float64(d[1])/float64(d[0]))}, nil
 }
 
-// AblationPriority measures the paper's §6 proposal — prioritizing
-// cross-cluster messages — on a stencil configuration near its latency
-// knee.
-func AblationPriority(w io.Writer, p Profile) (*Table, error) {
-	t := &Table{
-		Title:  "Ablation: WAN message prioritization (stencil, ms/step)",
-		Header: []string{"Procs", "Objects", "Latency", "FIFO", "WAN-prioritized", "speedup"},
-	}
-	for _, cfg := range []struct {
-		procs, objects int
-		lat            time.Duration
-	}{
-		{8, 64, 8 * time.Millisecond},
-		{16, 256, 8 * time.Millisecond},
-		{16, 256, 16 * time.Millisecond},
-	} {
-		mk := stencilProgram(p.Stencil, cfg.objects)
-		off, err := simOn[stencil.Result](cfg.procs, cfg.lat, mk, sim.Options{})
-		if err != nil {
-			return nil, err
-		}
-		on, err := simOn[stencil.Result](cfg.procs, cfg.lat, mk, sim.Options{PrioritizeWAN: true})
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", cfg.procs),
-			fmt.Sprintf("%d", cfg.objects),
-			cfg.lat.String(),
-			fmt.Sprintf("%.3f", ms(off.PerStep)),
-			fmt.Sprintf("%.3f", ms(on.PerStep)),
-			fmt.Sprintf("%.3f", float64(off.PerStep)/float64(on.PerStep)),
-		})
-		progress(w, "ablation-prio P=%d V=%d L=%v done\n", cfg.procs, cfg.objects, cfg.lat)
-	}
-	return t, nil
-}
-
 // AblationGridLB compares load-balancing strategies on a stencil whose
 // blocks start squeezed onto half of each cluster's PEs (a 2× load
 // imbalance with good communication locality): none, the

@@ -39,7 +39,7 @@ func TestUnobservedLocalMessageAllocs(t *testing.T) {
 	left := 0
 	relay := funcChare(func(ctx *Ctx, _ EntryID, data any) {
 		if left == 0 {
-			rt.pes[0].q.Push(&Message{Kind: KindStop, Prio: math.MinInt32})
+			rt.pes[0].q.Close()
 			return
 		}
 		left--
@@ -57,13 +57,14 @@ func TestUnobservedLocalMessageAllocs(t *testing.T) {
 	perRun := func(msgs int) float64 {
 		return testing.AllocsPerRun(20, func() {
 			left = msgs
+			rt.pes[0].q = NewQueue() // the last run closed its queue
 			rt.Post(ElemRef{0, 0}, 0, nil)
 			rt.wg.Add(1)
 			rt.schedule(rt.pes[0])
 		})
 	}
 	// The difference of two run lengths cancels what a run costs by itself
-	// (the stop message, the scheduler's batch). Exactly 0 in a plain
+	// (the fresh queue, the scheduler's batch). Exactly 0 in a plain
 	// build. Under the race detector sync.Pool drops a quarter of its Puts
 	// by design, so a quarter of the messages are allocated afresh, and the
 	// detector's own bookkeeping adds one every hundred messages or so.

@@ -43,10 +43,10 @@ import (
 // Version 2 added the 16-byte trace context (ID, Parent) so causality
 // survives the TCP hop; version 3 made every structured payload a PUP
 // traversal; version 4 dropped the modeled size (Message.Bytes), which
-// only the sender's link model reads; version 5 dropped the priority
-// (Message.Prio), which only the simulator's WAN policy and the local
-// stop message set; version 6 added KindMulticast and its member list
-// (tag 12). Frames of other versions are rejected.
+// only the sender's link model reads; version 5 dropped the 4-byte
+// delivery priority, which no message crossing the wire set; version 6
+// added KindMulticast and its member list (tag 12). Frames of other
+// versions are rejected.
 const (
 	wireMagic    uint16 = 0x474D
 	wireVersion  byte   = 6

@@ -1,7 +1,7 @@
 // Package core implements the message-driven object model at the center of
 // the paper: programs are decomposed into many more parallel objects
 // (chares, organized into indexed chare arrays) than physical processors;
-// objects communicate through asynchronous prioritized messages; and each
+// objects communicate through asynchronous messages; and each
 // processing element (PE) runs a scheduler that executes whichever object
 // has a deliverable message. Latency tolerance — the paper's subject —
 // falls out of this model: while messages from a remote cluster are in

@@ -18,7 +18,7 @@ const (
 	KindLB                    // load-balancing protocol (stats, apply, resume)
 	_                         // retired (quiescence detection); its number stays unused
 	KindBundle                // several same-destination messages in one frame (the benchmark's codec probe only; no executor sends one)
-	KindStop                  // scheduler shutdown (real-time runtime only)
+	_                         // retired (scheduler shutdown); its number stays unused
 	KindMember                // membership recovery: (re)construct an element locally
 	KindMulticast             // one multicast's members on one remote PE, fanned out on arrival (real-time runtime only)
 )
@@ -31,12 +31,6 @@ type Message struct {
 	To    ElemRef
 	Entry EntryID
 	Data  any
-
-	// Prio orders delivery: smaller values are delivered first; equal
-	// values are FIFO. Sends leave it 0; only the simulator's WAN policy
-	// and the runtime's local stop message set it, so it is not carried
-	// on the wire: a message decoded from a frame reads 0.
-	Prio int32
 
 	// Bytes is the modeled payload size used by the link model. It is
 	// set at send and is not carried on the wire: a message decoded from
@@ -63,8 +57,6 @@ type Message struct {
 	// runtime stamps it only when an event sink is attached, and leaves it
 	// zero rather than read the clock for nobody.
 	EnqueuedAt time.Duration
-
-	seq uint64 // assigned by the executor for FIFO tie-breaking
 }
 
 // msgPool holds the Messages executors have released. Every message on
@@ -92,7 +84,7 @@ func ReleaseMessage(m *Message) {
 }
 
 func (m *Message) String() string {
-	return fmt.Sprintf("msg{kind=%d %v e%d prio=%d %d->%d}", m.Kind, m.To, m.Entry, m.Prio, m.SrcPE, m.DstPE)
+	return fmt.Sprintf("msg{kind=%d %v e%d %d->%d}", m.Kind, m.To, m.Entry, m.SrcPE, m.DstPE)
 }
 
 // payloadBytes models the wire size of a payload.

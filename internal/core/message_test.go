@@ -1,9 +1,9 @@
 package core
 
 import (
-	"math"
 	"slices"
 	"testing"
+	"unsafe"
 )
 
 // The Message ownership rule: an executor releases a delivered app
@@ -14,8 +14,8 @@ import (
 
 func TestReleasedMessageIsZeroed(t *testing.T) {
 	m := NewMessage()
-	*m = Message{Kind: KindApp, To: ElemRef{1, 2}, Entry: 3, Data: []float64{4}, Prio: 5, Bytes: 6,
-		SrcPE: 7, DstPE: 8, ID: 9, Parent: 10, EnqueuedAt: 11, seq: 12}
+	*m = Message{Kind: KindApp, To: ElemRef{1, 2}, Entry: 3, Data: []float64{4}, Bytes: 6,
+		SrcPE: 7, DstPE: 8, ID: 9, Parent: 10, EnqueuedAt: 11}
 	ReleaseMessage(m)
 	if m.Data != nil {
 		t.Fatal("a released message still references its payload")
@@ -25,6 +25,17 @@ func TestReleasedMessageIsZeroed(t *testing.T) {
 	}
 	if m := NewMessage(); *m != (Message{}) {
 		t.Errorf("NewMessage returned %+v, want zero", *m)
+	}
+}
+
+// TestMessageSize pins the pooled struct every send draws and zeroes: 88
+// bytes on a 64-bit host. A field added to Message shows up here.
+func TestMessageSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sized for 64-bit hosts")
+	}
+	if got := unsafe.Sizeof(Message{}); got != 88 {
+		t.Errorf("Message is %d bytes, want 88", got)
 	}
 }
 
@@ -77,9 +88,7 @@ func newRecycleHarness(t *testing.T) *recycleHarness {
 	return h
 }
 
-func (h *recycleHarness) stop() {
-	h.rt.pes[0].q.Push(&Message{Kind: KindStop, Prio: math.MinInt32})
-}
+func (h *recycleHarness) stop() { h.rt.pes[0].q.Close() }
 
 // schedule runs the PE's scheduler until something stops it.
 func (h *recycleHarness) schedule(t *testing.T) {
@@ -158,8 +167,9 @@ func TestArrivingMessagesSurviveRecycling(t *testing.T) {
 	if len(h.got) != 0 {
 		t.Fatalf("element not yet constructed received %d messages", len(h.got))
 	}
+	rt.pes[0].q = NewQueue() // the relay closed the last one
 	rt.enqueueLocal(&Message{Kind: KindMember, To: target, ID: rt.msgSeq.Add(1)})
-	rt.pes[0].q.Push(&Message{Kind: KindStop})
+	rt.Post(ElemRef{0, 0}, 0, []float64{42}) // churn is 0: the relay stops the replay's scheduler
 	h.schedule(t)
 	h.check(t, want)
 }

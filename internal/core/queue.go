@@ -1,125 +1,58 @@
 package core
 
-import (
-	"container/heap"
-	"sync"
-)
+import "sync"
 
-// MsgQueue is the message ordering both executors share: messages come
-// out in priority order (smaller Prio first) with FIFO order among equal
-// priorities — the "message queue in either FIFO or priority order" of
-// the paper's §4.
-//
-// The implementation is two lanes sharing one (Prio, seq) ordering
-// contract. Default-priority messages — the overwhelming majority of
-// application traffic — land in a ring-buffer FIFO lane that costs one
-// index bump per push and pop; only prioritized and runtime protocol
-// messages pay for a binary heap. A pop compares the lane heads under the
-// shared (Prio, seq) order, so the observable ordering is identical to a
-// single heap over all messages. Push assigns monotonically increasing
-// sequence numbers, which both provides the FIFO tie-break and makes
-// ordering deterministic for the virtual-time executor.
+// MsgQueue is the message order both executors share: a FIFO, the "message
+// queue in either FIFO or priority order" of the paper's §4 in its FIFO
+// form. It is a growable ring buffer whose push and pop each cost one
+// index bump; its order depends only on the order of pushes, which keeps
+// the virtual-time executor deterministic.
 //
 // MsgQueue is not synchronized. The virtual-time executor holds one by
 // value per PE, touched only by the shard that owns the PE; the real-time
 // runtime wraps it in a Queue.
 type MsgQueue struct {
-	fifo msgRing // Prio == 0 lane
-	h    msgHeap // Prio != 0 lane
-	seq  uint64
-}
-
-// msgRing is a growable circular FIFO of messages.
-type msgRing struct {
 	buf  []*Message
 	head int // index of the front message
 	n    int // number of queued messages
 }
 
-func (r *msgRing) push(m *Message) {
-	if r.n == len(r.buf) {
-		r.grow()
+// Push enqueues a message and reports the resulting queue depth.
+func (q *MsgQueue) Push(m *Message) int {
+	if q.n == len(q.buf) {
+		q.grow()
 	}
-	r.buf[(r.head+r.n)&(len(r.buf)-1)] = m
-	r.n++
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = m
+	q.n++
+	return q.n
 }
 
-func (r *msgRing) grow() {
-	newCap := len(r.buf) * 2
+func (q *MsgQueue) grow() {
+	newCap := len(q.buf) * 2
 	if newCap == 0 {
 		newCap = 16
 	}
 	buf := make([]*Message, newCap) // power-of-two capacity keeps index math a mask
-	for i := 0; i < r.n; i++ {
-		buf[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
+	for i := 0; i < q.n; i++ {
+		buf[i] = q.buf[(q.head+i)&(len(q.buf)-1)]
 	}
-	r.buf = buf
-	r.head = 0
-}
-
-func (r *msgRing) front() *Message { return r.buf[r.head] }
-
-func (r *msgRing) pop() *Message {
-	m := r.buf[r.head]
-	r.buf[r.head] = nil
-	r.head = (r.head + 1) & (len(r.buf) - 1)
-	r.n--
-	return m
-}
-
-type msgHeap []*Message
-
-func (h msgHeap) Len() int { return len(h) }
-func (h msgHeap) Less(i, j int) bool {
-	if h[i].Prio != h[j].Prio {
-		return h[i].Prio < h[j].Prio
-	}
-	return h[i].seq < h[j].seq
-}
-func (h msgHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *msgHeap) Push(x any)   { *h = append(*h, x.(*Message)) }
-func (h *msgHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return x
-}
-
-// Push enqueues a message, assigning its FIFO sequence number, and
-// reports the resulting queue depth.
-func (q *MsgQueue) Push(m *Message) int {
-	q.seq++
-	m.seq = q.seq
-	if m.Prio == 0 {
-		q.fifo.push(m)
-	} else {
-		heap.Push(&q.h, m)
-	}
-	return q.Len()
+	q.buf = buf
+	q.head = 0
 }
 
 // Len reports the number of queued messages.
-func (q *MsgQueue) Len() int { return q.fifo.n + len(q.h) }
+func (q *MsgQueue) Len() int { return q.n }
 
-// Pop removes the (Prio, seq)-least message across both lanes, returning
-// nil when the queue is empty.
+// Pop removes the oldest message, returning nil when the queue is empty.
 func (q *MsgQueue) Pop() *Message {
-	if len(q.h) == 0 {
-		if q.fifo.n == 0 {
-			return nil
-		}
-		return q.fifo.pop()
+	if q.n == 0 {
+		return nil
 	}
-	if q.fifo.n == 0 {
-		return heap.Pop(&q.h).(*Message)
-	}
-	hp, fp := q.h[0], q.fifo.front()
-	if hp.Prio < fp.Prio || (hp.Prio == fp.Prio && hp.seq < fp.seq) {
-		return heap.Pop(&q.h).(*Message)
-	}
-	return q.fifo.pop()
+	m := q.buf[q.head]
+	q.buf[q.head] = nil
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
+	return m
 }
 
 // Queue is a real-time PE's message queue: a MsgQueue behind a mutex, with
@@ -162,11 +95,10 @@ func (q *Queue) Push(m *Message) int {
 }
 
 // PopBatch blocks until a message is available or the queue is closed,
-// then drains deliverable messages — in (Prio, seq) order — into the
-// spare capacity of into (at least one), all under one lock acquisition.
-// It appends to into and returns the extended slice; the result is empty
-// only once the queue is closed and drained. Callers bound the burst with
-// into's capacity.
+// then moves the oldest messages, in push order, into the spare capacity
+// of into (at least one), all under one lock acquisition. It appends to
+// into and returns the extended slice; the result is empty only once the
+// queue is closed. Callers bound the burst with into's capacity.
 func (q *Queue) PopBatch(into []*Message) []*Message {
 	max := cap(into) - len(into)
 	if max <= 0 {
@@ -193,11 +125,12 @@ func (q *Queue) Len() int {
 	return n
 }
 
-// Close marks the queue closed and wakes all blocked poppers. Messages
-// already queued remain poppable via PopBatch.
+// Close discards every queued message, refuses later pushes and wakes all
+// blocked poppers: from then on PopBatch returns an empty batch at once.
 func (q *Queue) Close() {
 	q.mu.Lock()
 	q.closed = true
+	q.q = MsgQueue{}
 	q.mu.Unlock()
 	q.cond.Broadcast()
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math/rand"
 	"sort"
 	"sync"
 	"testing"
@@ -52,51 +51,40 @@ func TestQueueFIFOWithinPriority(t *testing.T) {
 	}
 }
 
-func TestQueuePriorityOrder(t *testing.T) {
-	for _, k := range queueKinds {
-		t.Run(k.name, func(t *testing.T) {
-			push, pop := k.new()
-			push(&Message{Prio: 0, Entry: 1})
-			push(&Message{Prio: -5, Entry: 2})
-			push(&Message{Prio: 3, Entry: 3})
-			push(&Message{Prio: -5, Entry: 4})
-			want := []EntryID{2, 4, 1, 3}
-			for i, w := range want {
-				m := pop()
-				if m.Entry != w {
-					t.Fatalf("pop %d: entry %d, want %d", i, m.Entry, w)
-				}
-			}
-		})
-	}
-}
-
-// Property: for any sequence of priorities, popping yields priorities in
-// non-decreasing order, and equal priorities preserve push order.
+// Property: over any interleaving of pushes and pops, every pop returns
+// the oldest message still queued. Pops interleaved with pushes move the
+// ring's head, so later pushes wrap around its end; two pushes per pop
+// on average fill the 16-slot ring, so grows copy a wrapped ring.
 func TestQueueOrderProperty(t *testing.T) {
 	for _, k := range queueKinds {
 		t.Run(k.name, func(t *testing.T) {
-			prop := func(prios []int8) bool {
+			prop := func(ops []uint8) bool {
 				push, pop := k.new()
-				for i, p := range prios {
-					push(&Message{Prio: int32(p), Entry: EntryID(i)})
-				}
-				var got []*Message
-				for m := pop(); m != nil; m = pop() {
-					got = append(got, m)
-				}
-				if len(got) != len(prios) {
-					return false
-				}
-				for i := 1; i < len(got); i++ {
-					if got[i].Prio < got[i-1].Prio {
+				var next, want EntryID
+				for _, op := range ops {
+					if op%3 != 0 {
+						push(&Message{Entry: next})
+						next++
+						continue
+					}
+					m := pop()
+					if want == next {
+						if m != nil {
+							return false
+						}
+						continue
+					}
+					if m == nil || m.Entry != want {
 						return false
 					}
-					if got[i].Prio == got[i-1].Prio && got[i].Entry < got[i-1].Entry {
+					want++
+				}
+				for ; want < next; want++ {
+					if m := pop(); m == nil || m.Entry != want {
 						return false
 					}
 				}
-				return true
+				return pop() == nil
 			}
 			if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 				t.Error(err)
@@ -106,7 +94,7 @@ func TestQueueOrderProperty(t *testing.T) {
 }
 
 // popOne blocks in PopBatch for a single message; nil means the queue is
-// closed and drained.
+// closed.
 func popOne(q *Queue) *Message {
 	if b := q.PopBatch(make([]*Message, 0, 1)); len(b) == 1 {
 		return b[0]
@@ -134,20 +122,18 @@ func TestQueueBlockingPop(t *testing.T) {
 	}
 }
 
-func TestQueueCloseUnblocksAndDrains(t *testing.T) {
+// TestQueueCloseDiscards: a closed queue delivers nothing it still holds,
+// and a push to it is a no-op.
+func TestQueueCloseDiscards(t *testing.T) {
 	q := NewQueue()
 	q.Push(&Message{Entry: 1})
-	q.Close()
-	if m := popOne(q); m == nil || m.Entry != 1 {
-		t.Fatalf("closed queue did not drain: %v", m)
-	}
-	if m := popOne(q); m != nil {
-		t.Fatalf("pop after drain returned %v", m)
-	}
-	// Pushing to a closed queue is a silent no-op.
 	q.Push(&Message{Entry: 2})
-	if q.Len() != 0 {
-		t.Error("push after close enqueued")
+	q.Close()
+	if m := popOne(q); m != nil {
+		t.Fatalf("closed queue delivered %v", m)
+	}
+	if d := q.Push(&Message{Entry: 3}); d != 0 || q.Len() != 0 {
+		t.Errorf("push after close enqueued (depth %d, len %d)", d, q.Len())
 	}
 }
 
@@ -159,9 +145,8 @@ func TestQueueConcurrentProducersConsumers(t *testing.T) {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(p)))
 			for i := 0; i < perProducer; i++ {
-				q.Push(&Message{Prio: int32(rng.Intn(5)), Entry: EntryID(p*perProducer + i)})
+				q.Push(&Message{Entry: EntryID(p*perProducer + i)})
 			}
 		}(p)
 	}
@@ -200,27 +185,6 @@ func TestQueueConcurrentProducersConsumers(t *testing.T) {
 	}
 }
 
-// TestQueuePopBatchOrdering: a batch drain observes the global (Prio,
-// seq) order, merging both lanes.
-func TestQueuePopBatchOrdering(t *testing.T) {
-	q := NewQueue()
-	q.Push(&Message{Prio: 0, Entry: 1})
-	q.Push(&Message{Prio: -5, Entry: 2})
-	q.Push(&Message{Prio: 0, Entry: 3})
-	q.Push(&Message{Prio: 3, Entry: 4})
-	q.Push(&Message{Prio: -5, Entry: 5})
-	batch := q.PopBatch(make([]*Message, 0, 8))
-	want := []EntryID{2, 5, 1, 3, 4}
-	if len(batch) != len(want) {
-		t.Fatalf("batch of %d, want %d", len(batch), len(want))
-	}
-	for i, w := range want {
-		if batch[i].Entry != w {
-			t.Fatalf("batch[%d]: entry %d, want %d", i, batch[i].Entry, w)
-		}
-	}
-}
-
 // TestQueuePopBatchCapacityBound: PopBatch never exceeds the spare
 // capacity of into, and leaves the remainder queued.
 func TestQueuePopBatchCapacityBound(t *testing.T) {
@@ -249,7 +213,7 @@ func TestQueuePopBatchCapacityBound(t *testing.T) {
 }
 
 // TestQueuePopBatchBlocksAndCloses: PopBatch blocks on empty, wakes on
-// push, and returns an empty slice once closed and drained.
+// push, and returns an empty slice once closed.
 func TestQueuePopBatchBlocksAndCloses(t *testing.T) {
 	q := NewQueue()
 	done := make(chan []*Message, 1)
@@ -270,37 +234,30 @@ func TestQueuePopBatchBlocksAndCloses(t *testing.T) {
 	}
 	q.Close()
 	if batch := q.PopBatch(make([]*Message, 0, 8)); len(batch) != 0 {
-		t.Fatalf("closed+drained queue returned %v", batch)
+		t.Fatalf("closed queue returned %v", batch)
 	}
 }
 
 // Property: splitting a workload into arbitrary-size batch drains of a
 // Queue yields the same order as single pops of a MsgQueue.
 func TestQueuePopBatchEquivalenceProperty(t *testing.T) {
-	prop := func(prios []int8, caps []uint8) bool {
+	prop := func(n uint8, caps []uint8) bool {
 		var single MsgQueue
 		batched := NewQueue()
-		for i, p := range prios {
-			single.Push(&Message{Prio: int32(p), Entry: EntryID(i)})
-			batched.Push(&Message{Prio: int32(p), Entry: EntryID(i)})
+		for i := 0; i < int(n); i++ {
+			single.Push(&Message{Entry: EntryID(i)})
+			batched.Push(&Message{Entry: EntryID(i)})
 		}
-		batched.Close()
 		var a, b []*Message
 		for m := single.Pop(); m != nil; m = single.Pop() {
 			a = append(a, m)
 		}
-		ci := 0
-		for {
+		for ci := 0; batched.Len() > 0; ci++ {
 			c := 1
 			if len(caps) > 0 {
 				c = int(caps[ci%len(caps)])%8 + 1
-				ci++
 			}
-			batch := batched.PopBatch(make([]*Message, 0, c))
-			if len(batch) == 0 {
-				break
-			}
-			b = append(b, batch...)
+			b = append(b, batched.PopBatch(make([]*Message, 0, c))...)
 		}
 		if len(a) != len(b) {
 			return false

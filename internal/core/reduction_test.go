@@ -222,7 +222,7 @@ func init() { RegisterPayload[testPayload](201) }
 func TestMessageCodecRoundTrip(t *testing.T) {
 	in := &Message{
 		Kind: KindApp, To: ElemRef{Array: 1, Index: 42}, Entry: 3,
-		Prio: -2, Bytes: 1024, SrcPE: 5, DstPE: 9,
+		Bytes: 1024, SrcPE: 5, DstPE: 9,
 		Data: testPayload{A: 7, B: 8},
 	}
 	b, err := AppendMessage(nil, in)
@@ -237,8 +237,8 @@ func TestMessageCodecRoundTrip(t *testing.T) {
 		out.SrcPE != in.SrcPE || out.DstPE != in.DstPE {
 		t.Errorf("header mismatch: %+v", out)
 	}
-	if out.Bytes != 0 || out.Prio != 0 {
-		t.Errorf("modeled size %d or priority %d crossed the wire", out.Bytes, out.Prio)
+	if out.Bytes != 0 {
+		t.Errorf("modeled size %d crossed the wire", out.Bytes)
 	}
 	if p, ok := out.Data.(testPayload); !ok || p != (testPayload{7, 8}) {
 		t.Errorf("payload mismatch: %#v", out.Data)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -524,10 +523,10 @@ func (rt *Runtime) Run() (any, error) {
 	}
 	<-rt.exitCh
 
-	// Shutdown: release delayed frames, then stop the schedulers.
+	// Shutdown: release delayed frames, then stop the schedulers. Each
+	// finishes the batch in hand and finds its closed queue empty.
 	rt.dly.Close()
 	for _, ps := range rt.pes {
-		ps.q.Push(&Message{Kind: KindStop, Prio: math.MinInt32, DstPE: int32(ps.id)})
 		ps.q.Close()
 	}
 	rt.wg.Wait()
@@ -540,7 +539,8 @@ func (rt *Runtime) Run() (any, error) {
 // schedBatchSize bounds how many messages a scheduler drains per queue
 // lock acquisition. Large enough to amortize the lock across a burst
 // (e.g. a multicast's worth of LeanMD coordinates), small enough that a
-// late-arriving prioritized message preempts within one batch.
+// Close waits for at most one batch of handlers before the scheduler
+// returns.
 const schedBatchSize = 32
 
 // idleRecordMin is the smallest scheduler-idle gap worth a trace event:
@@ -579,9 +579,6 @@ func (rt *Runtime) schedule(ps *peState) {
 			return
 		}
 		for _, m := range batch {
-			if m.Kind == KindStop {
-				return
-			}
 			ps.curMsg.Store(m.ID)
 			if rt.sink != nil {
 				rt.sink.Record(trace.Event{PE: ps.id, Kind: trace.EvBegin, At: rt.Now(), MsgID: m.ID, MsgKind: byte(m.Kind), Arg1: int64(m.To.Array), Arg2: int64(m.To.Index)})

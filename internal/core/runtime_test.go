@@ -116,55 +116,6 @@ func TestReductionEndToEnd(t *testing.T) {
 	}
 }
 
-func TestPriorityDeliveryOrder(t *testing.T) {
-	topo, err := topology.Single(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Ctx.Send has no priority; the scheduler still orders its queue by
-	// Prio (the stop message overtakes queued work by it), so the burst
-	// routes prioritized messages through the runtime itself.
-	var got []int32
-	var rt *Runtime
-	prog := &Program{
-		Arrays: []ArraySpec{{
-			ID: 0, N: 2,
-			New: func(i int) Chare {
-				return funcChare(func(ctx *Ctx, entry EntryID, data any) {
-					switch entry {
-					case 0: // burst sender: enqueue with shuffled priorities
-						for _, p := range []int32{3, -1, 2, 0, -5, 1} {
-							m := NewMessage()
-							m.Kind, m.To, m.Entry, m.Data = KindApp, ElemRef{0, 1}, 1, int(p)
-							m.Prio, m.SrcPE = p, int32(ctx.PE())
-							rt.Route(m)
-						}
-					case 1:
-						got = append(got, int32(data.(int)))
-						if len(got) == 6 {
-							ctx.ExitWith(nil)
-						}
-					}
-				})
-			},
-		}},
-		Start: func(ctx *Ctx) { ctx.Send(ElemRef{0, 0}, 0, nil) },
-	}
-	rt, err = NewRuntime(topo, prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rt.Run(); err != nil {
-		t.Fatal(err)
-	}
-	want := []int32{-5, -1, 0, 1, 2, 3}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("delivery order %v, want %v", got, want)
-		}
-	}
-}
-
 func TestHandlerPanicSurfacesAsError(t *testing.T) {
 	topo := mustTopo(t, 2, 0)
 	prog := &Program{

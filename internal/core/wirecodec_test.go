@@ -37,7 +37,7 @@ func TestWireCodecPayloadKinds(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			in := &Message{
 				Kind: KindApp, To: ElemRef{Array: 2, Index: 1 << 33}, Entry: -1,
-				Prio: -5, Bytes: 4096, SrcPE: 11, DstPE: 13, Data: tc.data,
+				Bytes: 4096, SrcPE: 11, DstPE: 13, Data: tc.data,
 				ID: uint64(1)<<48 | 99, Parent: uint64(1)<<48 | 42,
 			}
 			b, err := AppendMessage(nil, in)
@@ -52,8 +52,8 @@ func TestWireCodecPayloadKinds(t *testing.T) {
 				out.SrcPE != in.SrcPE || out.DstPE != in.DstPE {
 				t.Errorf("header mismatch: %+v", out)
 			}
-			if out.Bytes != 0 || out.Prio != 0 {
-				t.Errorf("modeled size %d or priority %d crossed the wire", out.Bytes, out.Prio)
+			if out.Bytes != 0 {
+				t.Errorf("modeled size %d crossed the wire", out.Bytes)
 			}
 			if out.ID != in.ID || out.Parent != in.Parent {
 				t.Errorf("trace context lost: ID %#x Parent %#x", out.ID, out.Parent)

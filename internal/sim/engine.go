@@ -43,9 +43,6 @@ type Options struct {
 	// Trace, if non-nil, receives events stamped with virtual time.
 	Trace *trace.Tracer
 
-	// PrioritizeWAN applies the paper's §6 cross-cluster priority policy.
-	PrioritizeWAN bool
-
 	// MaxEvents aborts runs that process more than this many events.
 	// Zero means no bound.
 	MaxEvents int64
@@ -508,9 +505,6 @@ func (s *shard) Route(m *core.Message) int32 {
 		m.DstPE = e.loc.PEOf(m.To)
 	}
 	dst := m.DstPE
-	if e.opts.PrioritizeWAN && m.Prio == 0 && e.topo.CrossesWAN(int(m.SrcPE), int(m.DstPE)) {
-		m.Prio = -1
-	}
 	s.msgCount++
 	src := int(m.SrcPE)
 	if s.inHandler {

@@ -265,10 +265,8 @@ func TestDeterminism(t *testing.T) {
 		}
 	}
 	run := func() (time.Duration, Stats) {
-		// The WAN policy puts cross-cluster sends in the priority lane,
-		// so the determinism check covers both lanes of every PE queue.
 		topo := cleanTopo(t, 8, 3*time.Millisecond)
-		e, err := New(topo, build(), Options{PrioritizeWAN: true})
+		e, err := New(topo, build(), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

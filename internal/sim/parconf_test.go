@@ -103,7 +103,7 @@ type confRun struct {
 	events []trace.Event
 }
 
-func runConf(t *testing.T, spec string, app confApp, opts Options, workers int) confRun {
+func runConf(t *testing.T, spec string, app confApp, workers int) confRun {
 	t.Helper()
 	s, err := topology.ParseSpec(spec)
 	if err != nil {
@@ -114,8 +114,7 @@ func runConf(t *testing.T, spec string, app confApp, opts Options, workers int) 
 		t.Fatal(err)
 	}
 	prog := app.build(t, topo.NumPE())
-	opts.Trace = trace.New(topo.NumPE())
-	opts.MaxEvents = 50_000_000
+	opts := Options{Trace: trace.New(topo.NumPE()), MaxEvents: 50_000_000}
 	var e *Engine
 	if workers == 0 {
 		e, err = New(topo, prog, opts)
@@ -171,23 +170,12 @@ func compareConf(t *testing.T, label string, ref, got confRun) {
 func TestParallelConformance(t *testing.T) {
 	for _, app := range confApps() {
 		for _, spec := range confSpecs {
-			ref := runConf(t, spec, app, Options{}, 0)
+			ref := runConf(t, spec, app, 0)
 			for _, workers := range []int{1, 2, 4} {
-				got := runConf(t, spec, app, Options{}, workers)
+				got := runConf(t, spec, app, workers)
 				compareConf(t, app.name+"/"+spec+"/par"+string(rune('0'+workers)), ref, got)
 			}
 		}
-	}
-}
-
-// TestParallelConformancePolicies: the paper's WAN-priority policy rides
-// through the parallel engine unchanged.
-func TestParallelConformancePolicies(t *testing.T) {
-	opts := Options{PrioritizeWAN: true}
-	for _, app := range confApps() {
-		ref := runConf(t, confSpecs[1], app, opts, 0)
-		got := runConf(t, confSpecs[1], app, opts, 3)
-		compareConf(t, app.name+"/policies", ref, got)
 	}
 }
 
@@ -210,9 +198,9 @@ func TestParallelConformanceLB(t *testing.T) {
 		sum: func(v any) uint64 { return math.Float64bits(v.(*stencil.Result).Checksum) },
 	}
 	for _, spec := range confSpecs {
-		ref := runConf(t, spec, app, Options{}, 0)
+		ref := runConf(t, spec, app, 0)
 		for _, workers := range []int{1, 4} {
-			got := runConf(t, spec, app, Options{}, workers)
+			got := runConf(t, spec, app, workers)
 			compareConf(t, "stencil-lb/"+spec, ref, got)
 		}
 	}

@@ -17,9 +17,9 @@ import (
 )
 
 // Frame is the unit VMI devices operate on. The frame header carries
-// routing only: the transport owns Src and Dst, and everything the
-// scheduler orders or traces by (priority, causal IDs, modeled size)
-// lives in the message header core encodes into Body.
+// routing only: the transport owns Src and Dst, and what the scheduler
+// traces by (the causal IDs) lives in the message header core encodes
+// into Body.
 type Frame struct {
 	// Src and Dst are the source and destination PE; a negative Dst is a
 	// Control* code (tcp.go).
